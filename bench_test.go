@@ -18,7 +18,6 @@ import (
 	"auditreg/internal/maxreg"
 	"auditreg/internal/otp"
 	"auditreg/internal/probe"
-	"auditreg/internal/replicated"
 	"auditreg/internal/shmem"
 	"auditreg/internal/snapshot"
 	"auditreg/internal/versioned"
@@ -516,53 +515,11 @@ func BenchmarkE10VersionedCounter(b *testing.B) {
 	})
 }
 
-// --- E11: replicated message-passing baseline (Cogo & Bessani style) ---
-
-func BenchmarkE11ReplicatedWrite(b *testing.B) {
-	for _, f := range []int{1, 2} {
-		b.Run(benchName("f", f), func(b *testing.B) {
-			c, err := replicated.NewCluster(f, 1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			w := c.Writer(1)
-			payload := []byte("sixteen-byte-val")
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := w.Write(payload); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			if b.N > 0 {
-				b.ReportMetric(float64(c.Stats().Sent)/float64(b.N), "msgs/op")
-			}
-		})
-	}
-}
-
-func BenchmarkE11ReplicatedRead(b *testing.B) {
-	c, err := replicated.NewCluster(1, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := c.Writer(1).Write([]byte("sixteen-byte-val")); err != nil {
-		b.Fatal(err)
-	}
-	r := c.Reader(0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := r.Read(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // --- substrate microbenches ---
 
 func BenchmarkSubstrateIDA(b *testing.B) {
 	for _, tc := range []struct{ n, k, size int }{
-		{5, 2, 1024},  // the replicated-baseline deployment shape (f=1)
+		{5, 2, 1024},  // a small f=1 deployment shape
 		{16, 8, 4096}, // the dispersal-overhaul acceptance configuration
 	} {
 		coder, err := ida.New(tc.n, tc.k)

@@ -2,6 +2,7 @@ package cluster_test
 
 import (
 	"context"
+	"fmt"
 	"net"
 	"testing"
 	"time"
@@ -86,6 +87,49 @@ func dialCluster(t *testing.T, tc *testCluster) *cluster.Client {
 	}
 	t.Cleanup(func() { cc.Close() })
 	return cc
+}
+
+// settle waits until every node has executed every leg of the operations
+// issued so far: share-writes equal to writes and share-fetches +
+// share-silent equal to reads, on all n nodes. Cluster operations return at
+// the n−f quorum with up to f legs still in flight (DESIGN.md, invariant
+// quorum-early-return), and a straggling leg may be overtaken by the same
+// client's next operation in either direction. A test that needs a quiet run
+// — one where no leg of one operation lands among the legs of another —
+// calls settle between operations. It polls real completion counters up to a
+// bounded deadline; it is not a sleep.
+func settle(t *testing.T, cc *cluster.Client, writes, reads uint64) {
+	t.Helper()
+	var last string
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(200 * time.Microsecond) {
+		stats, err := cc.NodeStats()
+		if err != nil {
+			t.Fatalf("NodeStats: %v", err)
+		}
+		quiet := true
+		for _, ns := range stats {
+			if ns.Err != nil {
+				t.Fatalf("node %d stats: %v", ns.Node, ns.Err)
+			}
+			var w, r uint64
+			for _, p := range ns.Resp.Pairs {
+				switch p.Name {
+				case "share-writes":
+					w = p.Value
+				case "share-fetches", "share-silent":
+					r += p.Value
+				}
+			}
+			if w != writes || r != reads {
+				quiet = false
+				last = fmt.Sprintf("node %d: share-writes=%d (want %d), share-fetches+silent=%d (want %d)", ns.Node, w, writes, r, reads)
+			}
+		}
+		if quiet {
+			return
+		}
+	}
+	t.Fatalf("cluster never settled: %s", last)
 }
 
 // TestWriteReadRoundTrip drives the basic dispersed register: the initial
@@ -215,6 +259,17 @@ func TestAuditMergeExact(t *testing.T) {
 		value  uint64
 	}
 	observed := make(map[pair]bool)
+	// Every operation is followed by settle: "quiet" means no leg of one
+	// operation lands among the legs of another, and a quorum-early return
+	// alone does not give that.
+	var writes, reads uint64
+	write := func(v uint64) {
+		if err := obj.Write(v); err != nil {
+			t.Fatal(err)
+		}
+		writes++
+		settle(t, cc, writes, reads)
+	}
 	read := func(r int) {
 		v, err := obj.Read(r)
 		if err != nil {
@@ -223,21 +278,17 @@ func TestAuditMergeExact(t *testing.T) {
 		if v != 0 {
 			observed[pair{r, v}] = true
 		}
+		reads++
+		settle(t, cc, writes, reads)
 	}
 
-	if err := obj.Write(0x1111); err != nil {
-		t.Fatal(err)
-	}
+	write(0x1111)
 	read(0)
 	read(1)
-	if err := obj.Write(0x2222); err != nil {
-		t.Fatal(err)
-	}
+	write(0x2222)
 	read(1)
 	read(2)
-	if err := obj.Write(0x3333); err != nil {
-		t.Fatal(err)
-	}
+	write(0x3333)
 	read(0)
 	// Reader 3 never reads; reader 1 saw two values.
 
@@ -314,6 +365,7 @@ func TestNodeStats(t *testing.T) {
 	if err := obj.Write(7); err != nil {
 		t.Fatal(err)
 	}
+	settle(t, cc, 1, 0) // Write returned at quorum; wait out the straggling leg
 	stats, err := cc.NodeStats()
 	if err != nil {
 		t.Fatalf("NodeStats: %v", err)

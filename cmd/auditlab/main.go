@@ -19,7 +19,6 @@ import (
 	"auditreg/internal/core"
 	"auditreg/internal/maxreg"
 	"auditreg/internal/probe"
-	"auditreg/internal/replicated"
 	"auditreg/internal/snapshot"
 )
 
@@ -40,9 +39,8 @@ func main() {
 		"E8":  lab.e8,
 		"E9":  lab.e9,
 		"E10": lab.e10,
-		"E11": lab.e11,
 	}
-	order := []string{"E1", "E7", "E8", "E9", "E10", "E11"}
+	order := []string{"E1", "E7", "E8", "E9", "E10"}
 	if *exp != "all" {
 		if _, ok := run[*exp]; !ok {
 			fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
@@ -306,47 +304,5 @@ func (l *lab) e10() error {
 
 		fmt.Printf("   %2d   %11s   %9s   %16s   %14s\n", n, afekUpd, afekScan, audUpd, audScan)
 	}
-	return nil
-}
-
-// e11 — the related-work baseline: replicated auditable register over
-// asynchronous message passing (Cogo & Bessani style) vs Algorithm 1.
-func (l *lab) e11() error {
-	fmt.Println("E11 shared-memory Algorithm 1 vs replicated message-passing baseline")
-	fmt.Println("    f   servers   write-lat   read-lat   msgs/write   msgs/read")
-	iters := l.n(5000)
-	for _, f := range []int{1, 2, 3} {
-		c, err := replicated.NewCluster(f, 5)
-		if err != nil {
-			return err
-		}
-		w := c.Writer(1)
-		r := c.Reader(0)
-		payload := []byte("sixteen-byte-val")
-
-		before := c.Stats().Sent
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			if err := w.Write(payload); err != nil {
-				return err
-			}
-		}
-		writeLat := time.Since(start) / time.Duration(iters)
-		msgsWrite := float64(c.Stats().Sent-before) / float64(iters)
-
-		before = c.Stats().Sent
-		start = time.Now()
-		for i := 0; i < iters; i++ {
-			if _, err := r.Read(); err != nil {
-				return err
-			}
-		}
-		readLat := time.Since(start) / time.Duration(iters)
-		msgsRead := float64(c.Stats().Sent-before) / float64(iters)
-
-		fmt.Printf("   %2d   %7d   %9s   %8s   %10.1f   %9.1f\n",
-			f, c.Servers(), writeLat, readLat, msgsWrite, msgsRead)
-	}
-	fmt.Println("    (Algorithm 1 write+read pair: see E7; zero messages, shared memory)")
 	return nil
 }

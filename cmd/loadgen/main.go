@@ -1,11 +1,12 @@
-// Command loadgen drives mixed read/write/audit traffic against the sharded
-// multi-object store (package auditreg/store): N named objects, P client
-// goroutines, and a background audit pool sweeping the shards. It measures
-// multi-object scaling — the dimension the per-object benchmarks of
-// cmd/benchjson cannot see — and writes results in the same BENCH_*.json
-// schema (internal/benchfmt), so workload numbers join the perf trajectory
-// alongside benchmark numbers. See EXPERIMENTS.md (series E12 local, E13
-// remote) for the methodology.
+// Command loadgen drives mixed read/write/audit traffic against the auditable
+// object stack and checks, end to end, the paper's two-sided claim: a read is
+// audited iff it became effective. It measures what the per-object benchmarks
+// of cmd/benchjson cannot see — N named objects under P client goroutines —
+// and writes results in the same BENCH_*.json schema (internal/benchfmt), so
+// workload numbers join the perf trajectory alongside benchmark numbers. Its
+// exit status is the assertion: CI trusts it across the wire, a SIGKILL, a
+// dispersal cluster and four fault phases. See EXPERIMENTS.md, series E12–E20,
+// for the methodology.
 //
 // Usage:
 //
@@ -13,112 +14,106 @@
 //	go run ./cmd/loadgen -objects 64,1024 -goroutines 1,8 -out BENCH_2.json
 //	go run -race ./cmd/loadgen -objects 1024 -goroutines 8      # correctness soak
 //	go run ./cmd/loadgen -remote 127.0.0.1:7433 -out BENCH_3.json
-//
-// Each (objects, goroutines) grid cell runs -ops operations split across the
-// goroutines: reads (and snapshot scans), writes (and snapshot component
-// updates), and audit-report lookups against the pool, in the proportions of
-// -writepct and -auditpct. After the traffic quiesces, the pool is flushed
-// and -verify objects are checked against a fresh synchronous per-object
-// audit — the driver doubles as an end-to-end equivalence check of the
-// batched audit pipeline.
-//
-// With -remote addr the same grid drives a live auditd daemon (cmd/auditd,
-// started with the same -seed) through the wire client instead of a local
-// store: objects are registers and max registers (snapshots are not
-// remotable), reads flow through the fetch/announce verb pair, audit
-// lookups hit the server's pool, and -verify checks that a fresh audit over
-// the wire equals, exactly, the set of (reader, value) pairs the driver
-// observed — end-to-end audit exactness across the network.
-//
-// With -durable (series E14/E16) loadgen owns the daemon's whole life
-// cycle: it spawns the auditd binary named by -auditd with a per-cell
-// -data-dir and -fsync always, SIGKILLs it once roughly a quarter of the
-// cell's operations have completed, restarts it from the same directory on
-// the same address while the workers retry their failed ops through the
-// same client pool (which redials and drops its silent-read caches on the
-// new boot epoch), and -verify-checks audit exactness across the crash:
-// every acknowledged effective read must appear in the post-recovery
-// audit, and every audited pair must be observed or attributable to a read
-// that failed on that (object, reader). failed-ops counts ops that never
-// completed (expected 0); retried-ops the ops whose first ack the kill
-// lost.
-//
-// With -cluster (series E19) loadgen spawns a whole dispersal cluster:
-// -cluster-n durable auditd nodes with positional -node-id identities, a
-// cluster client (package auditreg/cluster) splitting every write into
-// per-node masked IDA shares, one node SIGKILLed mid-cell and restarted
-// from its own WAL after a degraded stretch. The cell fails unless every
-// op completes (zero lost acked ops) and the end-of-cell merged audit is
-// exact on both sides of the kill: every acknowledged cluster read appears
-// in the merge, and every merged pair traces to a reader that actually
-// fetched shares on that object.
-//
-// With -cluster -chaos (series E20) the same cluster runs behind an
-// in-process netsim fabric and is walked through four fault phases —
-// kill+restart, partition+heal, a hung node (hour-long link delay,
-// bounded by the client request timeout), and a Byzantine node restarted
-// with -corrupt-shares — while workers sustain traffic. The cell fails on
-// any wrong read, any op missing its retry deadline, a corruptor that
-// goes undetected (ReadTrace.Corrupted, client quarantine, and the node's
-// own STATS confession are all required) or mislabeled, a quarantine that
-// fails to lift after an honest restart, or a merged audit that is
-// inexact or reports journal corruption.
-//
-// -cpuprofile/-memprofile write driver-side pprof profiles; -baseline
-// gates a run against a checked-in BENCH_*.json, failing beyond
-// -max-regress-pct ops/s regression (the CI bench-smoke job).
-//
 //	go build -o /tmp/auditd ./cmd/auditd
 //	go run ./cmd/loadgen -durable -auditd /tmp/auditd -objects 64 -goroutines 8 -conns 1 -out BENCH_5.json
+//	go run ./cmd/loadgen -cluster [-chaos] -auditd /tmp/auditd -cluster-n 5 -cluster-f 1 -objects 32 -goroutines 8 -conns 2
+//
+// There is one driver (driver.go): each (objects, goroutines) grid cell runs
+// one seeded op stream — reads, writes, and audit-report lookups in the
+// proportions of -writepct and -auditpct — from P workers that retry a
+// failed op until a deadline, log privately what they observed, and are then
+// checked by one two-sided verifier: a fresh audit of -verify sampled objects
+// must equal, exactly, the (reader, value) pairs the driver observed, with
+// extras only where a failed read or a dispersed overlap explains them. A
+// cell exits non-zero when the audit is inexact, when any op never completed
+// (failed-ops > 0), or when its fault plan did not fire.
+//
+// What differs between modes is data handed to that driver:
+//
+//   - A target (target.go) is the system under traffic. The default is an
+//     in-process store.Store with a running audit pool (E12; registers, max
+//     registers and snapshots; the fresh audit also checks the pool's
+//     batched report against it). -remote addr and -durable drive one auditd
+//     through the wire client (E13, E14/E16; registers and max registers —
+//     snapshots are not remotable). -cluster drives -cluster-n daemons
+//     through the dispersing cluster client (E19, E20), whose fresh audit is
+//     the k-agreement merge of all n node logs and which has no report
+//     lookups (the audit band reads instead).
+//   - A fleet (fleet.go) owns the auditd processes a spawning mode runs
+//     against: -durable and -cluster exec the binary named by -auditd with
+//     per-cell data dirs under -data-dir and -fsync always, and drain them
+//     at cell end. Daemon and driver share -seed (it derives the store key);
+//     node i of a cluster gets positional -node-id i and its own seed.
+//   - A fault plan (plan.go) runs beside the workers. -remote and the local
+//     store have none. -durable SIGKILLs the daemon once a quarter of the ops
+//     have completed and restarts it from its data dir; -cluster does the
+//     same to one node after a degraded stretch on the tight quorum. -chaos
+//     reaches the cluster through an in-process netsim fabric and walks four
+//     phases — kill+restart, partition+heal, a hung node (hour-long link
+//     delay, bounded by the client request timeout), and a Byzantine node
+//     restarted with -corrupt-shares, which must be detected (ReadTrace,
+//     client quarantine, the node's own STATS confession), never mislabeled,
+//     and released after an honest restart. Chaos cells are phase-paced:
+//     the plan, not -ops, ends them.
+//
+// -metrics-url (or the spawned daemon's own endpoint in -durable mode) adds
+// the per-stage latency breakdown to the result. -cpuprofile/-memprofile
+// write driver-side pprof profiles; -baseline gates a run against a
+// checked-in BENCH_*.json, failing beyond -max-regress-pct ops/s regression
+// (the CI bench-smoke job).
 package main
 
 import (
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
+	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"auditreg"
+	"auditreg/client"
+	"auditreg/cluster"
 	"auditreg/internal/benchfmt"
-	"auditreg/store"
+	"auditreg/internal/netsim"
 )
 
 func main() {
+	var (
+		m    mode       // what a cell runs against and which faults it suffers
+		base cellConfig // everything about a cell but its grid coordinates
+	)
 	objectsFlag := flag.String("objects", "64,1024", "comma-separated object counts (grid axis)")
 	goroutinesFlag := flag.String("goroutines", "1,8", "comma-separated client goroutine counts (grid axis)")
-	ops := flag.Int("ops", 200000, "total operations per grid cell")
-	writePct := flag.Int("writepct", 25, "percent of operations that write")
-	auditPct := flag.Int("auditpct", 5, "percent of operations that fetch the pool's audit report")
-	readers := flag.Int("readers", 0, "reader principals per object (0: min(goroutines, 64))")
-	components := flag.Int("components", 4, "components per snapshot object")
-	poolWorkers := flag.Int("poolworkers", 4, "audit pool worker goroutines")
-	poolInterval := flag.Duration("poolinterval", 2*time.Millisecond, "audit pool sweep interval")
-	verify := flag.Int("verify", 64, "objects per cell to check against a fresh synchronous audit (0: none)")
-	seed := flag.Uint64("seed", 1, "base seed for keys, nonces, and traffic")
+	flag.IntVar(&base.ops, "ops", 200000, "total operations per grid cell")
+	flag.IntVar(&base.writePct, "writepct", 25, "percent of operations that write")
+	flag.IntVar(&base.auditPct, "auditpct", 5, "percent of operations that fetch the pool's audit report")
+	flag.IntVar(&base.readers, "readers", 0, "reader principals per object (0: min(goroutines, 64))")
+	flag.IntVar(&base.components, "components", 4, "components per snapshot object")
+	flag.IntVar(&base.poolWorkers, "poolworkers", 4, "audit pool worker goroutines")
+	flag.DurationVar(&base.poolInterval, "poolinterval", 2*time.Millisecond, "audit pool sweep interval")
+	flag.IntVar(&base.verify, "verify", 64, "objects per cell to check against a fresh synchronous audit (0: none)")
+	flag.Uint64Var(&base.seed, "seed", 1, "base seed for keys, nonces, and traffic")
 	out := flag.String("out", "", "write results as BENCH_*.json to this file")
-	remote := flag.String("remote", "", "drive a live auditd at this address instead of a local store (E13)")
-	metricsURL := flag.String("metrics-url", "", "the remote daemon's metrics endpoint (http://host:port/metrics); scraped at cell end for the per-stage latency breakdown in -remote mode")
-	conns := flag.Int("conns", 4, "client connection pool size in -remote mode")
-	durable := flag.Bool("durable", false, "durability mode (E14/E16): spawn auditd with a data dir, kill -9 it mid-cell, restart, verify audit exactness")
-	clusterMode := flag.Bool("cluster", false, "dispersal-cluster mode (E19): spawn -cluster-n durable auditd nodes, kill -9 one mid-cell, restart it, verify merged audit exactness")
-	clusterN := flag.Int("cluster-n", 5, "cluster node count in -cluster mode (needs n >= 2f+2)")
-	clusterF := flag.Int("cluster-f", 1, "cluster crash-fault budget in -cluster mode")
-	chaos := flag.Bool("chaos", false, "fault-injection mode (E20, with -cluster): cycle crash, partition, hang, and Byzantine faults through a netsim fabric, asserting zero wrong reads, zero lost acked ops, corruptor detection, and bounded latency")
-	auditdBin := flag.String("auditd", "", "path to a prebuilt auditd binary (required with -durable and -cluster)")
-	dataDir := flag.String("data-dir", "", "base directory for -durable data dirs (default: a temp dir)")
+	flag.StringVar(&m.remote, "remote", "", "drive a live auditd at this address instead of a local store (E13)")
+	flag.StringVar(&m.metricsURL, "metrics-url", "", "the remote daemon's metrics endpoint (http://host:port/metrics); scraped at cell end for the per-stage latency breakdown in -remote mode")
+	flag.IntVar(&m.conns, "conns", 4, "client connection pool size in -remote mode")
+	flag.BoolVar(&m.durable, "durable", false, "durability mode (E14/E16): spawn auditd with a data dir, kill -9 it mid-cell, restart, verify audit exactness")
+	flag.BoolVar(&m.cluster, "cluster", false, "dispersal-cluster mode (E19): spawn -cluster-n durable auditd nodes, kill -9 one mid-cell, restart it, verify merged audit exactness")
+	flag.IntVar(&m.clusterN, "cluster-n", 5, "cluster node count in -cluster mode (needs n >= 2f+2)")
+	flag.IntVar(&m.clusterF, "cluster-f", 1, "cluster crash-fault budget in -cluster mode")
+	flag.BoolVar(&m.chaos, "chaos", false, "fault-injection mode (E20, with -cluster): cycle crash, partition, hang, and Byzantine faults through a netsim fabric, asserting zero wrong reads, zero lost acked ops, corruptor detection, and bounded latency")
+	flag.StringVar(&m.auditdBin, "auditd", "", "path to a prebuilt auditd binary (required with -durable and -cluster)")
+	flag.StringVar(&m.dataDir, "data-dir", "", "base directory for -durable data dirs (default: a temp dir)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole grid to this file")
 	memProfile := flag.String("memprofile", "", "write an allocation profile to this file at exit")
-	walBatchDelay := flag.Duration("wal-batch-delay", 0, "forwarded to spawned auditd daemons in -durable mode (0: daemon default)")
-	shards := flag.Int("shards", 0, "auditd shard executors, forwarded in -durable mode (0: daemon default, GOMAXPROCS)")
-	walStripes := flag.Int("wal-stripes", 0, "auditd WAL stripe groups, forwarded in -durable mode (0: daemon default, GOMAXPROCS)")
-	shardQueue := flag.Int("shard-queue", 0, "auditd per-executor queue depth, forwarded in -durable mode (0: daemon default)")
+	flag.DurationVar(&m.tune.walBatchDelay, "wal-batch-delay", 0, "forwarded to spawned auditd daemons in -durable mode (0: daemon default)")
+	flag.IntVar(&m.tune.shards, "shards", 0, "auditd shard executors, forwarded in -durable mode (0: daemon default, GOMAXPROCS)")
+	flag.IntVar(&m.tune.walStripes, "wal-stripes", 0, "auditd WAL stripe groups, forwarded in -durable mode (0: daemon default, GOMAXPROCS)")
+	flag.IntVar(&m.tune.shardQueue, "shard-queue", 0, "auditd per-executor queue depth, forwarded in -durable mode (0: daemon default)")
 	baseline := flag.String("baseline", "", "BENCH_*.json to gate against: fail on ops/s regression beyond -max-regress-pct")
 	maxRegress := flag.Float64("max-regress-pct", 20, "largest tolerated ops/s regression vs -baseline, in percent")
 	flag.Parse()
@@ -131,20 +126,20 @@ func main() {
 	if err != nil {
 		fatalf("bad -goroutines: %v", err)
 	}
-	if *writePct < 0 || *auditPct < 0 || *writePct+*auditPct > 100 {
+	if base.writePct < 0 || base.auditPct < 0 || base.writePct+base.auditPct > 100 {
 		fatalf("-writepct + -auditpct must fit in [0, 100]")
 	}
-	if *durable || *clusterMode {
-		if *auditdBin == "" {
+	if m.durable || m.cluster {
+		if m.auditdBin == "" {
 			fatalf("spawning modes need -auditd (path to a prebuilt auditd binary)")
 		}
-		if *dataDir == "" {
+		if m.dataDir == "" {
 			dir, err := os.MkdirTemp("", "loadgen-durable-*")
 			if err != nil {
 				fatalf("%v", err)
 			}
 			defer os.RemoveAll(dir)
-			*dataDir = dir
+			m.dataDir = dir
 		}
 	}
 	if *cpuProfile != "" {
@@ -177,32 +172,9 @@ func main() {
 	var results []benchfmt.Result
 	for _, n := range objectCounts {
 		for _, p := range goroutineCounts {
-			cfg := cellConfig{
-				objects: n, goroutines: p, ops: *ops,
-				writePct: *writePct, auditPct: *auditPct,
-				readers: *readers, components: *components,
-				poolWorkers: *poolWorkers, poolInterval: *poolInterval,
-				verify: *verify, seed: *seed,
-			}
-			var res benchfmt.Result
-			var err error
-			switch {
-			case *clusterMode && *chaos:
-				res, err = runChaosCell(cfg, *auditdBin, *dataDir, *conns, *clusterN, *clusterF)
-			case *clusterMode:
-				res, err = runClusterCell(cfg, *auditdBin, *dataDir, *conns, *clusterN, *clusterF)
-			case *durable:
-				res, err = runDurableCell(cfg, *auditdBin, *dataDir, *conns, daemonTuning{
-					walBatchDelay: *walBatchDelay,
-					shards:        *shards,
-					walStripes:    *walStripes,
-					shardQueue:    *shardQueue,
-				})
-			case *remote != "":
-				res, err = runRemoteCell(cfg, *remote, *conns, *metricsURL)
-			default:
-				res, err = runCell(cfg)
-			}
+			cfg := base
+			cfg.objects, cfg.goroutines = n, p
+			res, err := m.cell(cfg)
 			if err != nil {
 				fatalf("objects=%d goroutines=%d: %v", n, p, err)
 			}
@@ -223,20 +195,10 @@ func main() {
 	}
 
 	if *out != "" {
-		series := "Loadgen"
-		switch {
-		case *clusterMode && *chaos:
-			series = "LoadgenChaos"
-		case *clusterMode:
-			series = "LoadgenCluster"
-		case *durable:
-			series = "LoadgenDurable"
-		case *remote != "":
-			series = "LoadgenRemote"
-		}
+		series, _, _ := strings.Cut(results[0].Name, "/")
 		rep := benchfmt.NewReport(
 			fmt.Sprintf("%s/objects=%s/goroutines=%s", series, *objectsFlag, *goroutinesFlag),
-			fmt.Sprintf("%dx", *ops), 1, []string{"auditreg/cmd/loadgen"})
+			fmt.Sprintf("%dx", base.ops), 1, []string{"auditreg/cmd/loadgen"})
 		rep.Results = results
 		if err := rep.WriteFile(*out); err != nil {
 			fatalf("%v", err)
@@ -283,15 +245,8 @@ func checkBaseline(results []benchfmt.Result, path string, maxRegressPct float64
 	return nil
 }
 
-// memCounters snapshots the runtime allocation counters behind the
-// client-side allocs/op and bytes/op metrics of every cell.
-func memCounters() (mallocs, bytes uint64) {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return ms.Mallocs, ms.TotalAlloc
-}
-
 type cellConfig struct {
+	name                     string // result name: series, geometry, grid cell, tuning
 	objects, goroutines, ops int
 	writePct, auditPct       int
 	readers, components      int
@@ -301,172 +256,107 @@ type cellConfig struct {
 	seed                     uint64
 }
 
-var kinds = []store.Kind{store.Register, store.MaxRegister, store.Snapshot}
+// readerCount is the number of reader principals per object in a cell that
+// creates its own store or daemons: -readers, defaulting to one per worker
+// goroutine up to the model's maximum.
+func (cfg cellConfig) readerCount() int {
+	if cfg.readers != 0 {
+		return cfg.readers
+	}
+	return min(cfg.goroutines, auditreg.MaxReaders)
+}
 
-// runCell builds a fresh store, opens the objects, runs the traffic, flushes
-// the pool, verifies a sample, and folds the counters into one Result.
-func runCell(cfg cellConfig) (benchfmt.Result, error) {
-	m := cfg.readers
-	if m == 0 {
-		m = cfg.goroutines
-		if m > auditreg.MaxReaders {
-			m = auditreg.MaxReaders
+// mode is the flags that select what a cell runs against and which faults
+// it suffers.
+type mode struct {
+	remote, metricsURL string
+	conns              int
+	durable            bool
+	cluster, chaos     bool
+	clusterN, clusterF int
+	auditdBin, dataDir string
+	tune               daemonTuning
+}
+
+// cell turns the mode into one grid cell's target, fleet and fault plan, and
+// runs it. A spawning mode's daemons live exactly as long as the cell: they
+// are drained (SIGTERM) once it has verified, and a node that cannot drain
+// fails it.
+func (m mode) cell(cfg cellConfig) (benchfmt.Result, error) {
+	grid := fmt.Sprintf("objects=%d/goroutines=%d", cfg.objects, cfg.goroutines)
+	p := plan{opDeadline: opDeadline}
+	fl := &fleet{bin: m.auditdBin, readers: cfg.readerCount()}
+	defer fl.killAll()
+	var t target
+	switch {
+	case m.cluster:
+		n, f := m.clusterN, m.clusterF
+		if m.chaos && f < 1 {
+			return benchfmt.Result{}, fmt.Errorf("chaos mode needs f >= 1 (got f=%d): every phase spends exactly one fault", f)
 		}
-	}
-	st, err := store.New[uint64](auditreg.KeyFromSeed(cfg.seed),
-		store.WithReaders[uint64](m),
-		store.WithLess[uint64](func(a, b uint64) bool { return a < b }),
-		store.WithComponents[uint64](cfg.components),
-		store.WithNonces[uint64](func(id uint64) auditreg.NonceSource {
-			return auditreg.NewSeededNonces(cfg.seed+id, uint8(id))
-		}),
-	)
-	if err != nil {
-		return benchfmt.Result{}, err
-	}
-
-	names := make([]string, cfg.objects)
-	for i := range names {
-		kind := kinds[i%len(kinds)]
-		names[i] = fmt.Sprintf("%v-%05d", kind, i)
-		if _, err := st.Open(names[i], kind); err != nil {
+		series, tag := "LoadgenCluster", "e19"
+		if m.chaos {
+			series, tag = "LoadgenChaos", "e20"
+		}
+		cfg.name = fmt.Sprintf("%s/n=%d/f=%d/%s", series, n, f, grid)
+		cfg.auditPct = 0 // no pool report to look up on a cluster: the audit band reads
+		// One daemon per node: positional identity, its own WAL directory,
+		// and the per-node store key the seeded membership assigns (node
+		// i's daemon seed is cfg.seed+i+1, matching SeededMembership).
+		for i := 0; i < n; i++ {
+			dir := filepath.Join(m.dataDir, fmt.Sprintf("%s-o%d-g%d", tag, cfg.objects, cfg.goroutines), fmt.Sprintf("node%d", i+1))
+			if err := fl.add(dir, cfg.seed+uint64(i)+1, daemonTuning{nodeID: uint32(i + 1)}); err != nil {
+				return benchfmt.Result{}, err
+			}
+		}
+		ct := &clusterTarget{conns: m.conns, tag: tag}
+		t = ct
+		addrs := fl.addrs()
+		// The crash victim is node id 3: an arbitrary non-edge pick, fixed
+		// for reproducibility.
+		p.run = killRestart(fl, min(2, n-1), time.Second)
+		if m.chaos {
+			fab := netsim.NewFabric(cfg.seed, 0)
+			var err error
+			if addrs, err = fl.bridge(fab); err != nil {
+				return benchfmt.Result{}, err
+			}
+			ct.byzantine = 1 // the node id phase 4 turns Byzantine
+			ct.extra = []client.Option{
+				client.WithDialer(fab.Dialer("driver")),
+				client.WithRequestTimeout(chaosReqTimeout),
+			}
+			p = plan{paced: true, opDeadline: chaosOpDeadline, run: chaosPlan(fl, fab, addrs, ct)}
+		}
+		ct.mem = cluster.SeededMembership(addrs, f, cfg.seed)
+		if err := ct.mem.Validate(); err != nil {
 			return benchfmt.Result{}, err
 		}
-	}
-
-	pool, err := st.NewAuditPool(store.WithPoolWorkers(cfg.poolWorkers), store.WithPoolInterval(cfg.poolInterval))
-	if err != nil {
-		return benchfmt.Result{}, err
-	}
-	if err := pool.Start(); err != nil {
-		return benchfmt.Result{}, err
-	}
-
-	var reads, writes, audits atomic.Uint64
-	var firstErr atomic.Pointer[error]
-	fail := func(err error) {
-		firstErr.CompareAndSwap(nil, &err)
-	}
-
-	mallocs0, bytes0 := memCounters()
-	start := time.Now()
-	var wg sync.WaitGroup
-	for g := 0; g < cfg.goroutines; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(cfg.seed) + int64(g)*7919))
-			reader := g % m
-			n := cfg.ops / cfg.goroutines
-			if g < cfg.ops%cfg.goroutines {
-				n++
-			}
-			for i := 0; i < n; i++ {
-				name := names[rng.Intn(len(names))]
-				obj, _ := st.Lookup(name)
-				switch roll := rng.Intn(100); {
-				case roll < cfg.writePct:
-					v := uint64(rng.Intn(1 << 20))
-					var err error
-					if obj.Kind() == store.Snapshot {
-						err = obj.UpdateAt(rng.Intn(obj.Components()), v)
-					} else {
-						err = obj.Write(v)
-					}
-					if err != nil {
-						fail(err)
-						return
-					}
-					writes.Add(1)
-				case roll < cfg.writePct+cfg.auditPct:
-					pool.Report(name) // lock-free latest report; absent early on
-					audits.Add(1)
-				default:
-					var err error
-					if obj.Kind() == store.Snapshot {
-						_, err = obj.Scan(reader)
-					} else {
-						_, err = obj.Read(reader)
-					}
-					if err != nil {
-						fail(err)
-						return
-					}
-					reads.Add(1)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	mallocs1, bytes1 := memCounters()
-	pool.Stop()
-
-	if errp := firstErr.Load(); errp != nil {
-		return benchfmt.Result{}, *errp
-	}
-	if err := pool.Flush(); err != nil {
-		return benchfmt.Result{}, err
-	}
-	if err := pool.Err(); err != nil {
-		return benchfmt.Result{}, err
-	}
-
-	// Equivalence check: the pool's batched report must equal a fresh
-	// synchronous per-object audit on a deterministic sample. The sample is
-	// a seeded shuffle, not a stride — a stride that is a multiple of
-	// len(kinds) would align with the round-robin kind assignment and only
-	// ever verify one kind.
-	perm := rand.New(rand.NewSource(int64(cfg.seed))).Perm(len(names))
-	if cfg.verify < len(perm) {
-		perm = perm[:max(0, cfg.verify)]
-	}
-	checked := 0
-	for _, i := range perm {
-		name := names[i]
-		ground, err := st.Audit(name)
-		if err != nil {
+	case m.durable:
+		cfg.name = "LoadgenDurable/" + grid + m.tune.suffix()
+		tune := m.tune
+		var err error
+		if tune.metricsAddr, err = freePort(); err != nil {
 			return benchfmt.Result{}, err
 		}
-		rep, ok := pool.Report(name)
-		if !ok {
-			return benchfmt.Result{}, fmt.Errorf("pool has no report for %s", name)
+		if err := fl.add(filepath.Join(m.dataDir, fmt.Sprintf("cell-o%d-g%d", cfg.objects, cfg.goroutines)), cfg.seed, tune); err != nil {
+			return benchfmt.Result{}, err
 		}
-		if !rep.Same(ground) {
-			return benchfmt.Result{}, fmt.Errorf("pool report for %s (%d pairs) != synchronous audit (%d pairs)",
-				name, rep.Len(), ground.Len())
-		}
-		checked++
+		t = &nodeTarget{addr: fl.addrs()[0], conns: m.conns, tag: "e14", metricsURL: "http://" + tune.metricsAddr + "/metrics"}
+		p.run = killRestart(fl, 0, 0)
+	case m.remote != "":
+		cfg.name = "LoadgenRemote/" + grid
+		t = &nodeTarget{addr: m.remote, conns: m.conns, tag: "e13", metricsURL: m.metricsURL}
+	default:
+		cfg.name = "Loadgen/" + grid
+		t = &localTarget{}
+		p.opDeadline = 0 // nothing in-process is transient: the first error fails the cell
 	}
-
-	var pairs uint64
-	for _, aud := range pool.Merged() {
-		pairs += uint64(aud.Len())
-	}
-
-	totalOps := reads.Load() + writes.Load() + audits.Load()
-	metrics, err := benchfmt.Metric(
-		"ns/op", float64(elapsed.Nanoseconds())/float64(totalOps),
-		"ops/s", float64(totalOps)/elapsed.Seconds(),
-		"allocs/op", float64(mallocs1-mallocs0)/float64(totalOps),
-		"bytes/op", float64(bytes1-bytes0)/float64(totalOps),
-		"reads", reads.Load(),
-		"writes", writes.Load(),
-		"audit-lookups", audits.Load(),
-		"pool-audits", pool.Audited(),
-		"pool-sweeps", pool.Sweeps(),
-		"audited-pairs", pairs,
-		"verified-objects", checked,
-	)
+	res, err := runCell(cfg, t, p)
 	if err != nil {
-		return benchfmt.Result{}, err
+		return res, err
 	}
-	return benchfmt.Result{
-		Name:    fmt.Sprintf("Loadgen/objects=%d/goroutines=%d", cfg.objects, cfg.goroutines),
-		Package: "auditreg/cmd/loadgen",
-		Iters:   int64(totalOps),
-		Metrics: metrics,
-	}, nil
+	return res, fl.drain()
 }
 
 func parseInts(s string) ([]int, error) {

@@ -32,28 +32,22 @@ func scrapeStages(metricsURL string) (map[string]benchfmt.StageLatency, error) {
 	stages := make(map[string]benchfmt.StageLatency)
 	for key, v := range samples {
 		var stage, q string
-		if n, _ := fmt.Sscanf(key, "auditreg_stage_latency_ns{stage=%q,q=%q}", &stage, &q); n != 2 {
-			continue
+		if n, _ := fmt.Sscanf(key, "auditreg_stage_latency_ns{stage=%q,q=%q}", &stage, &q); n == 2 {
+			st := stages[stage]
+			switch q {
+			case "p50":
+				st.P50Ns = v
+			case "p99":
+				st.P99Ns = v
+			case "max":
+				st.MaxNs = v
+			}
+			stages[stage] = st
+		} else if n, _ := fmt.Sscanf(key, "auditreg_stage_duration_seconds_count{stage=%q}", &stage); n == 1 {
+			st := stages[stage]
+			st.Count = v
+			stages[stage] = st
 		}
-		st := stages[stage]
-		switch q {
-		case "p50":
-			st.P50Ns = v
-		case "p99":
-			st.P99Ns = v
-		case "max":
-			st.MaxNs = v
-		}
-		stages[stage] = st
-	}
-	for key, v := range samples {
-		var stage string
-		if n, _ := fmt.Sscanf(key, "auditreg_stage_duration_seconds_count{stage=%q}", &stage); n != 1 {
-			continue
-		}
-		st := stages[stage]
-		st.Count = v
-		stages[stage] = st
 	}
 	return stages, nil
 }

@@ -1,8 +1,7 @@
 // Package gf256 implements arithmetic over the finite field GF(2^8) with the
 // AES-style reduction polynomial x^8+x^4+x^3+x^2+1 (0x11d generator tables).
 // It is the algebra under the information-dispersal scheme (internal/ida)
-// used by the replicated auditable-register baseline of Cogo & Bessani,
-// reproduced in internal/replicated.
+// that the dispersal cluster (package auditreg/cluster) splits values with.
 package gf256
 
 // Field provides GF(2^8) arithmetic via log/exp tables, plus a full product

@@ -1,10 +1,9 @@
 // Package ida implements Rabin's information dispersal algorithm over
 // GF(2^8): a value is encoded into n shares such that any k reconstruct it
 // and fewer than k reveal nothing about missing positions beyond length. The
-// replicated auditable register baseline (internal/replicated) disperses
-// register values across servers with it, following Cogo & Bessani: a reader
-// must gather k shares — and therefore be logged by k servers — to learn the
-// value.
+// dispersal cluster (package auditreg/cluster) splits register values across
+// nodes with it, following Cogo & Bessani: a reader must gather k shares —
+// and therefore be logged by k nodes — to learn the value.
 //
 // Encoding streams row-major: the value is de-interleaved once into k
 // contiguous stripes (stripe j holds the bytes at positions ≡ j mod k), and

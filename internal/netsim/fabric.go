@@ -1,3 +1,9 @@
+// Package netsim is an in-memory network for real byte-stream code: a Fabric
+// of named endpoints joined by net.Pipe connections, with a deterministic
+// seeded one-way delay per ordered link, settable delays (a "hung" peer) and
+// cuttable links (a partition). A whole auditd cluster, its client pools and
+// a fault schedule run over it in one process — cluster/fabric_test.go does
+// exactly that, and cmd/loadgen's chaos plan bridges it to real daemons.
 package netsim
 
 import (
@@ -9,17 +15,14 @@ import (
 	"time"
 )
 
-// Fabric exports the simulator's seeded per-link delay model to real
-// byte-stream code: in-memory net.Listener / dialer pairs over net.Pipe,
-// with a deterministic asymmetric latency per ordered (from, to) endpoint
-// pair and cuttable links — a whole auditd cluster, its client pools, and a
-// partition schedule in one process, no sockets involved.
+// Fabric is the network: in-memory net.Listener / dialer pairs over
+// net.Pipe, with a deterministic asymmetric latency per ordered (from, to)
+// endpoint pair and cuttable links, no sockets involved.
 //
 // Endpoints are names: a listener is registered under the name it Listens
 // on, and each dialer is constructed with the name of the principal doing
 // the dialing, so the (from, to) link a connection crosses is explicit.
-// Same seed, same latency topology — the property the message-passing
-// Network above guarantees for protocol steps, carried over to streams.
+// Same seed, same latency topology.
 //
 // Safe for concurrent use.
 type Fabric struct {
@@ -50,9 +53,9 @@ func NewFabric(seed uint64, maxDelay time.Duration) *Fabric {
 }
 
 // linkDelay returns the current delay of the ordered link (from, to):
-// a SetDelay override if one is in force, else the seeded draw, memoized —
-// the stream twin of Network.linkDelay. Asymmetry is the point: the two
-// directions of a pair draw independently, like real paths.
+// a SetDelay override if one is in force, else the seeded draw, memoized.
+// Asymmetry is the point: the two directions of a pair draw independently,
+// like real paths.
 func (f *Fabric) linkDelay(from, to string) time.Duration {
 	key := [2]string{from, to}
 	f.mu.Lock()
