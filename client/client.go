@@ -10,11 +10,11 @@
 //   - Writers and plain applications call Object.Write / Object.Read.
 //   - A Reader handle owns the reader principal's protocol state — the
 //     silent-read cache (prev_sn, prev_val) — and drives the paper's read as
-//     two pipelined wire messages: READ-FETCH (the one fetch&xor,
-//     server-side) and READ-ANNOUNCE (the helping CAS, sent without waiting).
-//     Values arrive XOR-masked under the connection's session secret; the
-//     client unmasks locally, so one principal's values are opaque to every
-//     other curious principal on the network.
+//     one wire message: READ-FETCH (the one fetch&xor, server-side; after a
+//     fetch the server performs the helping CAS itself). Values arrive
+//     XOR-masked under the connection's session secret; the client unmasks
+//     locally, so one principal's values are opaque to every other curious
+//     principal on the network.
 //   - An Auditor handle requires the store key (WithKey): audit responses
 //     carry reader sets XOR-masked under key-derived pads, and the client
 //     unmasks them locally. Reader sets are decrypted only client-side, and
@@ -60,7 +60,7 @@ type Client struct {
 	node       uint32
 
 	conns []*conn
-	next  atomic.Uint64
+	rr    atomic.Uint64 // round-robin cursor over conns
 
 	// rtt is the retry-inclusive round-trip histogram over Write/Read/Audit
 	// calls — the client-side end of the pipeline stage trace. Striped by
@@ -210,6 +210,16 @@ func (c *Client) Close() error {
 	return nil
 }
 
+// next returns the next pool connection, round robin, dead or alive: the
+// non-blocking half of pick, which is all a fan-out's fast path may do on
+// its caller's goroutine.
+func (c *Client) next() (cn *conn, idx int, closed bool) {
+	idx = int(c.rr.Add(1) % uint64(len(c.conns)))
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.conns[idx], idx, c.closed
+}
+
 // pick returns the next pool connection, round robin. A connection that has
 // died (server restart, TCP reset) is transparently replaced by a fresh
 // dial, so one failure degrades a single request, not 1/nconns of all
@@ -217,11 +227,7 @@ func (c *Client) Close() error {
 // opened objects lazily. If the redial itself fails, the dead connection is
 // returned and the caller's request surfaces its error.
 func (c *Client) pick() *conn {
-	idx := int(c.next.Add(1) % uint64(len(c.conns)))
-	c.mu.Lock()
-	cn := c.conns[idx]
-	closed := c.closed
-	c.mu.Unlock()
+	cn, idx, closed := c.next()
 	if closed || !cn.isDead() {
 		return cn
 	}
@@ -423,7 +429,7 @@ func retryBusy(op func() error) error {
 // r.buf.
 func decodeResp(r resp, want wire.Verb, msg interface{ Decode([]byte) error }) error {
 	if r.verb != want {
-		return respError(r, want)
+		return respError(r.verb, r.buf.B, want)
 	}
 	return msg.Decode(r.buf.B)
 }
@@ -432,13 +438,13 @@ func decodeResp(r resp, want wire.Verb, msg interface{ Decode([]byte) error }) e
 // into the error the caller surfaces. Split from decodeResp so hot callers
 // can decode their expected response inline (no interface indirection) and
 // fall back here only on the cold failure path.
-func respError(r resp, want wire.Verb) error {
-	if r.verb == wire.VerbErr {
+func respError(verb wire.Verb, body []byte, want wire.Verb) error {
+	if verb == wire.VerbErr {
 		var e wire.ErrResp
-		if err := e.Decode(r.buf.B); err != nil {
+		if err := e.Decode(body); err != nil {
 			return fmt.Errorf("client: malformed error response: %w", err)
 		}
 		return remoteErr(&e)
 	}
-	return fmt.Errorf("client: response verb %v, want %v", r.verb, want)
+	return fmt.Errorf("client: response verb %v, want %v", verb, want)
 }

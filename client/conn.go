@@ -53,33 +53,39 @@ func (e *NodeError) Error() string { return fmt.Sprintf("client: node %s: %v", e
 
 func (e *NodeError) Unwrap() error { return e.Err }
 
-// connWriteQueue bounds the request queue between callers and a
-// connection's writer goroutine; senders block (backpressure) when the
-// writer falls this far behind.
-const connWriteQueue = 256
+// completion is what the in-flight table maps a request id to: the code the
+// read loop runs when the response arrives. complete is called exactly once
+// per registered request — by the read loop with the response (body aliases
+// the scanner's buffer and is valid only during the call; err is nil), or,
+// when the connection dies first, by whoever closes it, with err a
+// *NodeError carrying the cause of death. It runs on the read loop, so it
+// must not block: a completion delivers into a channel with room for it.
+type completion interface {
+	complete(verb wire.Verb, body []byte, err error)
+}
 
-// conn is one pooled connection: a background read loop matches response
-// frames to waiting requests by id (in-flight multiplexing), a writer
-// goroutine coalesces queued request frames into scatter-gather flushes —
-// one writev per wakeup, so pipelined requests (a fetch and its announce, or
-// many goroutines' requests) share syscalls — and the connection remembers
-// its server-issued session secret plus which objects it has opened.
+// conn is one pooled connection. Its client side of the wire is
+// caller-driven: there is no writer goroutine. A sender appends its encoded
+// frame to the pending list and, if nobody is flushing, flushes batches
+// itself — one writev per batch — until the list is empty; a sender that
+// finds a flush in progress leaves its frame to that flusher. An uncontended
+// request therefore costs one write syscall on the caller's own goroutine
+// and a contended one still coalesces. A background read loop matches
+// response frames to the completions registered under their request ids
+// (in-flight multiplexing), and the connection remembers which objects it
+// has opened, with the server-issued session secret and boot epoch each
+// OpenResp carries.
 //
-// Requests and responses travel in pooled wire.Buf frames: the caller
-// encodes into a buffer it got from the arena, the writer recycles it after
-// the flush; the read loop copies each response body into a pooled buffer
-// that the waiting caller recycles after decoding. Steady-state traffic
-// allocates nothing per request beyond the in-flight bookkeeping.
+// Requests travel in pooled wire.Buf frames: the caller encodes into a
+// buffer it got from the arena, the flush recycles it. Responses are decoded
+// where they arrive — a hot verb's completion (leg) reads the scanner's
+// buffer in place; only the cold verbs' blocking waiter copies the body into
+// a pooled buffer. Steady-state traffic allocates nothing per request.
 type conn struct {
 	nc         net.Conn
 	addr       string        // dialed address, for NodeError attribution
 	node       uint32        // cluster node id asserted on every OPEN; 0 asserts nothing
 	reqTimeout time.Duration // per-request deadline; 0 disables enforcement
-
-	writec chan *wire.Buf
-	wquit  chan struct{} // closed by close(); stops the writer
-
-	nextID atomic.Uint64
 
 	// timedOut marks that a request timer fired and kicked the read loop off
 	// the socket via SetReadDeadline; the read loop consults it to attribute
@@ -89,27 +95,44 @@ type conn struct {
 	timedOut atomic.Bool
 
 	mu       sync.Mutex
-	inflight map[uint64]chan resp // nil channel: fire-and-forget
+	nextID   uint64 // assigned under mu together with the append: frames leave in id order
+	inflight map[uint64]completion
+	pend     []*wire.Buf // complete request frames awaiting a flush, FIFO
+	flushing bool        // some sender is draining pend; the others append and leave
 	dead     error
-	session  [wire.SessionLen]byte
-	hasSess  bool
-	epoch    uint64                   // server boot epoch, from OPEN responses
 	opened   map[string]wire.OpenResp // objects opened on this conn
+
+	// Owned by whichever sender holds the flushing flag.
+	batch []*wire.Buf
+	fl    wire.Flusher
 }
 
-// resp is one matched response: the verb and a pooled copy of the body. The
-// receiver owns buf and recycles it after decoding; a nil buf reports the
+// resp is a blocking waiter's matched response: the verb and a pooled copy
+// of the body, which the receiver recycles after decoding — or err, when the
 // connection died before the response arrived.
 type resp struct {
 	verb wire.Verb
 	buf  *wire.Buf
+	err  error
 }
 
-// respChans pools the one-shot waiter channels of roundTrip, so a request
-// costs no channel allocation at steady state. A pooled channel is always
-// empty: its single send is consumed by the waiter before the channel is
-// returned.
-var respChans = sync.Pool{New: func() any { return make(chan resp, 1) }}
+// waiter is the completion of a blocking round trip: it copies the response
+// out of the scanner's buffer and sends it to the parked caller. Pooled, so
+// a round trip costs no channel allocation; a pooled waiter is always empty
+// (its one send is consumed before it is returned).
+type waiter chan resp
+
+var waiters = sync.Pool{New: func() any { return make(waiter, 1) }}
+
+func (w waiter) complete(verb wire.Verb, body []byte, err error) {
+	if err != nil {
+		w <- resp{err: err}
+		return
+	}
+	rb := wire.GetBuf(len(body))
+	rb.B = append(rb.B[:0], body...)
+	w <- resp{verb: verb, buf: rb}
+}
 
 func dialConn(addr string, timeout, reqTimeout time.Duration, dial Dialer, node uint32) (*conn, error) {
 	nc, err := dial(addr, timeout)
@@ -121,85 +144,82 @@ func dialConn(addr string, timeout, reqTimeout time.Duration, dial Dialer, node 
 		addr:       addr,
 		node:       node,
 		reqTimeout: reqTimeout,
-		writec:     make(chan *wire.Buf, connWriteQueue),
-		wquit:      make(chan struct{}),
-		inflight:   make(map[uint64]chan resp),
+		inflight:   make(map[uint64]completion),
 		opened:     make(map[string]wire.OpenResp),
 	}
-	go cn.writeLoop()
 	go cn.readLoop()
 	return cn, nil
 }
 
-// writeLoop coalesces queued request frames into one scatter-gather flush
-// per wakeup and recycles their buffers; a write failure kills the
-// connection. It keeps draining (and recycling) queued frames after death so
-// senders never block on a full queue.
-func (cn *conn) writeLoop() {
-	var pend []*wire.Buf
-	var fl wire.Flusher
-	for {
-		var first *wire.Buf
-		select {
-		case first = <-cn.writec:
-		case <-cn.wquit:
-			cn.recycleQueued()
-			return
-		}
-		pend = append(pend[:0], first)
-	collect:
-		for {
-			select {
-			case more := <-cn.writec:
-				pend = append(pend, more)
-			default:
-				break collect
-			}
-		}
-		if cn.reqTimeout > 0 {
-			// A per-flush write deadline: a peer that stops draining its
-			// receive window must not park the writer (and everything queued
-			// behind it) forever.
-			cn.nc.SetWriteDeadline(time.Now().Add(cn.reqTimeout))
-		}
-		if err := fl.Flush(cn.nc, pend); err != nil {
-			cause := fmt.Errorf("%w: write failed: %v", ErrConnLost, err)
-			var ne net.Error
-			if errors.As(err, &ne) && ne.Timeout() {
-				cause = fmt.Errorf("%w: flush stalled past %v: %v", ErrTimeout, cn.reqTimeout, err)
-			}
-			cn.close(cause)
-			cn.recycleQueued()
-			return
-		}
+// send registers done under a fresh request id, completes the frame in b —
+// encoded with wire.BeginFrame and the message's Append, prefix still
+// unpatched — with that id and appends it to the pending list, all in one
+// critical section; then, unless another sender is already flushing, it
+// flushes until the list is empty. It owns b in every outcome. A non-nil
+// error means done was not registered and will never run; after a nil
+// return done runs exactly once, possibly before send returns.
+//
+// The flushing sender writes on its own goroutine, so it waits on the
+// transport exactly as long as the transport's send buffer is full — on TCP
+// that takes megabytes of unread requests, on an unbuffered pipe it is
+// immediate — bounded by the write deadline when a request timeout is
+// configured. Every other sender only appends.
+func (cn *conn) send(verb wire.Verb, b *wire.Buf, done completion) error {
+	cn.mu.Lock()
+	if cn.dead != nil {
+		err := &NodeError{Addr: cn.addr, Err: cn.dead}
+		cn.mu.Unlock()
+		wire.PutBuf(b)
+		return err
 	}
+	if err := wire.EndFrame(b.B, 0, cn.nextID+1, verb); err != nil {
+		cn.mu.Unlock()
+		wire.PutBuf(b)
+		return err
+	}
+	cn.nextID++
+	cn.inflight[cn.nextID] = done
+	cn.pend = append(cn.pend, b)
+	if cn.flushing {
+		cn.mu.Unlock()
+		return nil
+	}
+	cn.flushing = true
+	for len(cn.pend) > 0 {
+		cn.batch, cn.pend = cn.pend, cn.batch[:0]
+		cn.mu.Unlock()
+		if err := cn.flush(); err != nil {
+			cn.close(err) // recycles pend and fails every request in flight, this one included
+		}
+		cn.mu.Lock()
+	}
+	cn.flushing = false
+	cn.mu.Unlock()
+	return nil
 }
 
-// recycleQueued returns every queued request buffer to the arena until the
-// quit signal has been observed and the queue is empty. Only called on the
-// way out of writeLoop, after the connection is dead (no new senders pass
-// the dead check).
-func (cn *conn) recycleQueued() {
-	for {
-		select {
-		case b := <-cn.writec:
-			wire.PutBuf(b)
-		case <-cn.wquit:
-			for {
-				select {
-				case b := <-cn.writec:
-					wire.PutBuf(b)
-				default:
-					return
-				}
-			}
-		}
+// flush writes cn.batch with one scatter-gather write and recycles its
+// buffers; the error, if any, is the connection's cause of death.
+func (cn *conn) flush() error {
+	if cn.reqTimeout > 0 {
+		// A per-flush write deadline: a peer that stops draining its receive
+		// window must not park the flusher (and everything appended behind
+		// it) forever.
+		cn.nc.SetWriteDeadline(time.Now().Add(cn.reqTimeout))
 	}
+	err := cn.fl.Flush(cn.nc, cn.batch)
+	if err == nil {
+		return nil
+	}
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		return fmt.Errorf("%w: flush stalled past %v: %v", ErrTimeout, cn.reqTimeout, err)
+	}
+	return fmt.Errorf("%w: write failed: %v", ErrConnLost, err)
 }
 
-// readLoop delivers response frames to their waiters until the connection
-// dies, then fails every remaining and future request. Bodies are copied out
-// of the scanner's reused buffer into pooled buffers owned by the waiters.
+// readLoop runs each response frame's completion until the connection dies,
+// then fails every remaining and future request.
 func (cn *conn) readLoop() {
 	sc := wire.NewFrameScanner(cn.nc, 32<<10)
 	for {
@@ -213,25 +233,41 @@ func (cn *conn) readLoop() {
 			return
 		}
 		cn.mu.Lock()
-		ch, ok := cn.inflight[f.ID]
-		delete(cn.inflight, f.ID)
+		done, ok := cn.inflight[f.ID]
+		if ok {
+			delete(cn.inflight, f.ID)
+		}
 		cn.mu.Unlock()
-		if ok && ch != nil {
-			rb := wire.GetBuf(len(f.Body))
-			rb.B = append(rb.B[:0], f.Body...)
-			ch <- resp{verb: f.Verb, buf: rb}
+		if ok {
+			done.complete(f.Verb, f.Body, nil)
 		}
 	}
 }
 
-// timeoutKill is the request timer's firing path: mark the timeout (so the
-// read loop attributes its exit correctly), then move the read deadline into
-// the past, forcing the blocked read off the socket immediately. Death then
-// flows through the read loop's single exit path — close with an ErrTimeout
-// cause, every waiter woken — rather than a second, racing teardown.
-func (cn *conn) timeoutKill() {
-	cn.timedOut.Store(true)
-	cn.nc.SetReadDeadline(time.Unix(1, 0))
+// arm starts the request timer of one round trip, nil when no request
+// timeout is configured. Armed before send so the deadline also covers time
+// spent pending behind a stalled flush. Firing marks the timeout (so the
+// read loop attributes its exit correctly), then moves the read deadline
+// into the past, forcing the blocked read off the socket immediately. Death
+// then flows through the read loop's single exit path — close with an
+// ErrTimeout cause, every completion run — rather than a second, racing
+// teardown. The completion disarms it; a response racing the timer at the
+// deadline costs a redial, nothing more.
+func (cn *conn) arm() *time.Timer {
+	if cn.reqTimeout <= 0 {
+		return nil
+	}
+	return time.AfterFunc(cn.reqTimeout, func() {
+		cn.timedOut.Store(true)
+		cn.nc.SetReadDeadline(time.Unix(1, 0))
+	})
+}
+
+// disarm stops a timer arm returned.
+func disarm(t *time.Timer) {
+	if t != nil {
+		t.Stop()
+	}
 }
 
 // isDead reports whether the connection has failed.
@@ -241,8 +277,11 @@ func (cn *conn) isDead() bool {
 	return cn.dead != nil
 }
 
-// close marks the connection dead with cause, stops the writer, and wakes
-// every waiter with a dead-connection resp.
+// close marks the connection dead with cause, recycles the frames no flush
+// will take any more, and completes every request in flight — each exactly
+// once: an entry leaves the table under mu either here or in the read loop —
+// with a NodeError naming this connection's dialed address, the per-node
+// attribution every dead-connection failure surfaces with.
 func (cn *conn) close(cause error) {
 	cn.mu.Lock()
 	if cn.dead != nil {
@@ -250,142 +289,63 @@ func (cn *conn) close(cause error) {
 		return
 	}
 	cn.dead = cause
-	waiters := cn.inflight
+	orphans := cn.inflight
 	cn.inflight = nil
+	unsent := cn.pend
+	cn.pend = nil
 	cn.mu.Unlock()
-	close(cn.wquit)
 	cn.nc.Close()
-	for _, ch := range waiters {
-		if ch != nil {
-			select {
-			case ch <- resp{}: // nil buf: consult dead
-			default: // a response beat us; the waiter takes that instead
-			}
-		}
-	}
-}
-
-// deadErr returns the recorded cause of death (or a generic closed error),
-// wrapped in a NodeError naming this connection's dialed address — the
-// per-node attribution every dead-connection failure surfaces with.
-func (cn *conn) deadErr() error {
-	cn.mu.Lock()
-	defer cn.mu.Unlock()
-	if cn.dead != nil {
-		return &NodeError{Addr: cn.addr, Err: cn.dead}
-	}
-	return &NodeError{Addr: cn.addr, Err: errClientClosed}
-}
-
-// enqueue registers the request id (wait selects a pooled waiter channel)
-// and hands the complete frame buffer to the writer, taking ownership of b
-// in every outcome.
-func (cn *conn) enqueue(b *wire.Buf, id uint64, wait bool) (chan resp, error) {
-	var ch chan resp
-	if wait {
-		ch = respChans.Get().(chan resp)
-	}
-	cn.mu.Lock()
-	if cn.dead != nil {
-		err := &NodeError{Addr: cn.addr, Err: cn.dead}
-		cn.mu.Unlock()
-		if ch != nil {
-			respChans.Put(ch)
-		}
+	for _, b := range unsent {
 		wire.PutBuf(b)
-		return nil, err
 	}
-	cn.inflight[id] = ch
-	cn.mu.Unlock()
-
-	select {
-	case cn.writec <- b:
-		return ch, nil
-	case <-cn.wquit:
-		cn.mu.Lock()
-		if _, still := cn.inflight[id]; still {
-			delete(cn.inflight, id)
-			if ch != nil {
-				respChans.Put(ch)
-				ch = nil
-			}
-		}
-		cn.mu.Unlock()
-		wire.PutBuf(b)
-		// The waiter entry may already have been snapped up by close();
-		// either way the request is dead.
-		return nil, cn.deadErr()
+	err := &NodeError{Addr: cn.addr, Err: cause}
+	for _, done := range orphans {
+		done.complete(0, nil, err)
 	}
 }
 
-// roundTripBuf sends the frame in b — encoded with wire.BeginFrame and the
-// message's Append, prefix still unpatched — and blocks for its response.
-// It owns b; the returned resp's buffer is owned by the caller, who recycles
-// it with wire.PutBuf after decoding.
-func (cn *conn) roundTripBuf(verb wire.Verb, b *wire.Buf) (resp, error) {
-	id := cn.nextID.Add(1)
-	if err := wire.EndFrame(b.B, 0, id, verb); err != nil {
-		wire.PutBuf(b)
-		return resp{}, err
-	}
-	if cn.reqTimeout > 0 {
-		// Armed before enqueue so the deadline also covers time spent queued
-		// behind a stalled flush. Firing kicks the read loop off the socket
-		// (SetReadDeadline in the past), which kills the connection with an
-		// ErrTimeout cause and wakes every waiter — including this one, via
-		// the dead-connection resp below. Stopped on the normal path; a
-		// response racing the timer at the deadline costs a redial, nothing
-		// more.
-		t := time.AfterFunc(cn.reqTimeout, cn.timeoutKill)
-		defer t.Stop()
-	}
-	ch, err := cn.enqueue(b, id, true)
-	if err != nil {
-		return resp{}, err
-	}
-	r := <-ch
-	respChans.Put(ch)
-	if r.buf == nil {
-		return resp{}, cn.deadErr()
-	}
-	return r, nil
-}
-
-// roundTrip is roundTripBuf over a plain body: the convenience path for cold
-// verbs.
+// roundTrip sends body under verb and blocks for the response: the path of
+// the cold verbs (OPEN, AUDIT, STATS). The returned resp's buffer is owned by
+// the caller, who recycles it with wire.PutBuf after decoding.
 func (cn *conn) roundTrip(verb wire.Verb, body []byte) (resp, error) {
 	b := wire.GetBuf(wire.FramePrefix + len(body))
 	b.B = append(wire.BeginFrame(b.B[:0]), body...)
-	return cn.roundTripBuf(verb, b)
+	w := waiters.Get().(waiter)
+	defer waiters.Put(w)
+	t := cn.arm()
+	defer disarm(t)
+	if err := cn.send(verb, b, w); err != nil {
+		return resp{}, err
+	}
+	r := <-w
+	return r, r.err
 }
 
-// postBuf sends the frame in b without waiting for its response (the read
-// loop discards it on arrival). Used for READ-ANNOUNCE, which is pure
-// helping: the client pipelines it behind the fetch and moves on — the
-// writer coalesces the two frames into one flush when they are queued
-// together.
-func (cn *conn) postBuf(verb wire.Verb, b *wire.Buf) error {
-	id := cn.nextID.Add(1)
-	if err := wire.EndFrame(b.B, 0, id, verb); err != nil {
-		wire.PutBuf(b)
-		return err
-	}
-	_, err := cn.enqueue(b, id, false)
-	return err
+// isOpen reports whether the connection is alive and has the named object
+// open as wkind, returning the server's OpenResp for it — which carries the
+// connection's session secret and the server's boot epoch, so a request
+// learns everything it needs about its connection from this one locked
+// check.
+func (cn *conn) isOpen(name string, wkind uint8) (wire.OpenResp, bool) {
+	cn.mu.Lock()
+	defer cn.mu.Unlock()
+	prev, ok := cn.opened[name]
+	return prev, ok && prev.Kind == wkind && cn.dead == nil
 }
 
 // open ensures the named object is open on this connection and returns the
-// server's OpenResp; the first open also learns the connection's session
-// secret. Subsequent opens of the same name on this connection are answered
-// locally.
+// server's OpenResp. Subsequent opens of the same name on this connection
+// are answered locally.
+//
+// The OpenResp pins the server boot epoch this connection observed. A TCP
+// connection can only ever talk to one server process, so the value is
+// stable for the connection's lifetime — which is what makes it a safe
+// staleness signal for read caches (a process-wide "latest epoch" could be
+// overwritten by a delayed callback from a pre-restart connection).
 func (cn *conn) open(name string, wkind uint8, capacity uint32) (wire.OpenResp, error) {
-	cn.mu.Lock()
-	if prev, ok := cn.opened[name]; ok && prev.Kind == wkind && cn.hasSess {
-		cn.mu.Unlock()
+	if prev, ok := cn.isOpen(name, wkind); ok {
 		return prev, nil
 	}
-	cn.mu.Unlock()
-
 	req := wire.OpenReq{Name: name, Kind: wkind, Capacity: capacity, Node: cn.node}
 	r, err := cn.roundTrip(wire.VerbOpen, req.Append(nil))
 	if err != nil {
@@ -405,28 +365,7 @@ func (cn *conn) open(name string, wkind uint8, capacity uint32) (wire.OpenResp, 
 			"open %q: daemon is node %d, want %d: %w", name, openResp.Node, cn.node, ErrNodeMismatch)}
 	}
 	cn.mu.Lock()
-	cn.session = openResp.Session
-	cn.hasSess = true
-	cn.epoch = openResp.Epoch
 	cn.opened[name] = openResp
 	cn.mu.Unlock()
 	return openResp, nil
-}
-
-// epochValue returns the server boot epoch this connection observed. A TCP
-// connection can only ever talk to one server process, so the value is
-// stable for the connection's lifetime — which is what makes it a safe
-// staleness signal for read caches (a process-wide "latest epoch" could be
-// overwritten by a delayed callback from a pre-restart connection).
-func (cn *conn) epochValue() uint64 {
-	cn.mu.Lock()
-	defer cn.mu.Unlock()
-	return cn.epoch
-}
-
-// sessionValue returns the connection's session secret.
-func (cn *conn) sessionValue() [wire.SessionLen]byte {
-	cn.mu.Lock()
-	defer cn.mu.Unlock()
-	return cn.session
 }

@@ -29,7 +29,9 @@ type Object struct {
 // (the paper's prev_sn = -1) on first use. epoch remembers which server
 // boot the cache was filled under; when the server restarts (recovery
 // renumbers sequence numbers) the cache is dropped rather than risk a
-// seq collision serving a stale value.
+// seq collision serving a stale value. mu is held while a fetch for the
+// reader is on the wire — locked by the goroutine that starts it, unlocked by
+// the read loop that completes it.
 type readSlot struct {
 	mu      sync.Mutex
 	init    bool
@@ -54,116 +56,26 @@ func (o *Object) Readers() int { return o.readers }
 // backoff (see retryBusy); writes are idempotent per value, so a repeat is
 // always safe.
 func (o *Object) Write(v uint64) error {
-	// The RTT stopwatch starts before the retry loop: the recorded latency
-	// is what the caller experienced, backoff and redials included.
-	t0 := telem.Now()
-	err := o.write(v)
-	o.c.rtt.Observe(uint64(t0), telem.Now()-t0)
+	_, err := o.await(leg{verb: wire.VerbWrite, val: v})
 	return err
 }
 
-func (o *Object) write(v uint64) error {
-	return retryBusy(func() error {
-		cn := o.c.pick()
-		if _, err := cn.open(o.name, o.wkind, 0); err != nil {
-			return err
-		}
-		req := wire.WriteReq{Name: o.name, Value: v}
-		b := wire.GetBuf(wire.FramePrefix + 16 + len(o.name))
-		b.B = req.Append(wire.BeginFrame(b.B[:0]))
-		r, err := cn.roundTripBuf(wire.VerbWrite, b)
-		if err != nil {
-			return err
-		}
-		switch {
-		case r.verb != wire.VerbWrite:
-			err = respError(r, wire.VerbWrite)
-		case len(r.buf.B) != 0:
-			err = fmt.Errorf("client: unexpected %d-byte ack body", len(r.buf.B))
-		}
-		wire.PutBuf(r.buf)
-		return err
-	})
-}
-
 // Read returns the current value as seen by the given reader index, driving
-// the paper's read over the wire: at most one READ-FETCH (silent when the
-// client cache is already current server-side) and, after a fetch, one
-// pipelined READ-ANNOUNCE the call does not wait for. The value arrives
-// masked under the connection's session secret and is unmasked here,
-// locally.
+// the paper's read over the wire: one READ-FETCH, silent when the client
+// cache is already current server-side; after a fetch the server performs
+// the helping announce itself, so an effective read is one round trip too.
+// The value arrives masked under the connection's session secret and is
+// unmasked here, locally.
 func (o *Object) Read(reader int) (uint64, error) {
-	t0 := telem.Now()
-	v, err := o.read(reader)
-	o.c.rtt.Observe(uint64(t0), telem.Now()-t0)
-	return v, err
+	return o.fetch(wire.VerbReadFetch, reader)
 }
 
-func (o *Object) read(reader int) (uint64, error) {
+// fetch is the blocking read of either plane: READ-FETCH or SHARE-FETCH.
+func (o *Object) fetch(verb wire.Verb, reader int) (uint64, error) {
 	if reader < 0 || reader >= o.readers {
-		return 0, fmt.Errorf("client: read %q: reader %d out of range [0, %d)", o.name, reader, o.readers)
+		return 0, fmt.Errorf("client: %v %q: reader %d out of range [0, %d)", verb, o.name, reader, o.readers)
 	}
-	s := &o.slots[reader]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.init {
-		s.init = true
-		s.prevSeq = ^uint64(0) // the paper's prev_sn = -1
-	}
-
-	// A shed fetch never reached the store — no fetch&xor happened, so a
-	// backoff retry repeats a request that had no effect (see retryBusy).
-	var cn *conn
-	var fetchResp wire.ReadFetchResp
-	err := retryBusy(func() error {
-		cn = o.c.pick()
-		if _, err := cn.open(o.name, o.wkind, 0); err != nil {
-			return err
-		}
-		// The open (fresh or cached) pinned this connection's server boot
-		// epoch. A connection only ever speaks to one server process, so a
-		// slot cache filled under a different epoch was filled against a
-		// different process generation — recovery renumbers, so drop it.
-		if e := cn.epochValue(); s.epoch != e {
-			s.epoch = e
-			s.prevSeq = ^uint64(0)
-		}
-		req := wire.ReadFetchReq{Name: o.name, Reader: uint8(reader), PrevSeq: s.prevSeq}
-		b := wire.GetBuf(wire.FramePrefix + 24 + len(o.name))
-		b.B = req.Append(wire.BeginFrame(b.B[:0]))
-		r, err := cn.roundTripBuf(wire.VerbReadFetch, b)
-		if err != nil {
-			return err
-		}
-		if r.verb != wire.VerbReadFetch {
-			err = respError(r, wire.VerbReadFetch)
-			wire.PutBuf(r.buf)
-			return err
-		}
-		err = fetchResp.Decode(r.buf.B)
-		wire.PutBuf(r.buf)
-		return err
-	})
-	if err != nil {
-		return 0, err
-	}
-	if fetchResp.Seq != s.prevSeq {
-		// New value: unmask locally under this connection's session pad.
-		session := cn.sessionValue()
-		s.prevVal = fetchResp.Value ^ wire.ValueMask(session, o.name, uint8(reader), fetchResp.Seq)
-		s.prevSeq = fetchResp.Seq
-	}
-	if fetchResp.Fetched {
-		// The fetch&xor happened: help complete the write, pipelined. A
-		// failed post is dropped, not surfaced — the read already took
-		// effect (it is audited, and the value is in hand); announcing is
-		// pure helping that writers and auditors also perform.
-		ann := wire.AnnounceReq{Name: o.name, Reader: uint8(reader), Seq: fetchResp.Seq}
-		ab := wire.GetBuf(wire.FramePrefix + 24 + len(o.name))
-		ab.B = ann.Append(wire.BeginFrame(ab.B[:0]))
-		_ = cn.postBuf(wire.VerbReadAnnounce, ab)
-	}
-	return s.prevVal, nil
+	return o.await(leg{verb: verb, slot: &o.slots[reader], reader: uint8(reader)})
 }
 
 // Writer returns a write handle, mirroring the local API. Handles are

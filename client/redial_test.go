@@ -164,3 +164,84 @@ func TestRedialAfterServerRestart(t *testing.T) {
 		t.Fatalf("post-restart Read = %#x, want %#x (stale cache served across restart)", got, 0xBBBB)
 	}
 }
+
+// TestLegDropsCacheAcrossRestart is the stale-read trap of
+// TestRedialAfterServerRestart sprung on a fan-out leg: the reader's slot was
+// filled by a leg against server A, server B reaches the very sequence number
+// the slot caches with a different share, and the first thing to touch the
+// slot on the new connection is another leg. The epoch rule lives in the code
+// both forms share, so the leg must drop the cache and return B's share.
+func TestLegDropsCacheAcrossRestart(t *testing.T) {
+	key := auditreg.KeyFromSeed(78)
+	boot := func(addr string) (*server.Server, string, func()) {
+		t.Helper()
+		srv, err := server.New(server.Config{Key: key, Readers: 4, PoolInterval: time.Millisecond})
+		if err != nil {
+			t.Fatalf("server.New: %v", err)
+		}
+		ln, err := net.Listen("tcp", addr)
+		if err != nil {
+			t.Fatalf("listen %s: %v", addr, err)
+		}
+		done := make(chan error, 1)
+		go func() { done <- srv.Serve(ln) }()
+		return srv, ln.Addr().String(), func() {
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			if err := srv.Shutdown(ctx); err != nil {
+				t.Errorf("Shutdown: %v", err)
+			}
+			<-done
+		}
+	}
+	const shareLen = 3
+	packedA, packedB := uint64(1)<<(8*shareLen)|0xAAAA, uint64(1)<<(8*shareLen)|0xBBBB
+
+	_, addr, stopA := boot("127.0.0.1:0")
+	cl, err := client.Dial(addr, client.WithConns(1))
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer cl.Close()
+	obj, err := cl.Open("obj", store.MaxRegister)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	if _, err := obj.ShareWrite(1, 0xAAAA, shareLen); err != nil {
+		t.Fatalf("ShareWrite: %v", err)
+	}
+	out := make(chan client.ShareResult, 1)
+	if !obj.StartShareRead(0, 0, out) {
+		t.Fatal("leg did not start against server A")
+	}
+	if r := <-out; r.Err != nil || r.Value != packedA { // slot: (seq 1, packedA)
+		t.Fatalf("leg against server A = %+v, want %#x", r, packedA)
+	}
+	stopA()
+
+	srvB, _, stopB := boot(addr)
+	defer stopB()
+	if _, err := srvB.Store().Open("obj", store.MaxRegister); err != nil {
+		t.Fatalf("server-side Open: %v", err)
+	}
+	if err := srvB.Store().Write("obj", packedB); err != nil { // B's seq 1
+		t.Fatalf("server-side Write: %v", err)
+	}
+	// A wid-0 probe redials and reopens without touching reader 0's slot.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if _, err = obj.ShareWrite(0, 0, shareLen); err == nil {
+			break
+		}
+		if !errors.Is(err, client.ErrConnLost) || time.Now().After(deadline) {
+			t.Fatalf("probe after the restart: %v", err)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if !obj.StartShareRead(0, 0, out) {
+		t.Fatal("leg did not start on the reopened connection")
+	}
+	if r := <-out; r.Err != nil || r.Value != packedB {
+		t.Fatalf("leg against server B = %+v, want %#x (stale cache served across restart)", r, packedB)
+	}
+}

@@ -3,7 +3,6 @@ package client
 import (
 	"fmt"
 
-	"auditreg/internal/telem"
 	"auditreg/wire"
 )
 
@@ -25,113 +24,45 @@ import (
 // is the resident one after the call, so a stale writer discovers the newer
 // wid it lost to.
 func (o *Object) ShareWrite(wid, share uint64, shareLen int) (uint64, error) {
-	t0 := telem.Now()
-	cur, err := o.shareWrite(wid, share, shareLen)
-	o.c.rtt.Observe(uint64(t0), telem.Now()-t0)
-	return cur, err
-}
-
-func (o *Object) shareWrite(wid, share uint64, shareLen int) (uint64, error) {
 	if shareLen < 1 || shareLen > wire.MaxShareLen {
 		return 0, fmt.Errorf("client: share-write %q: share-len %d out of range [1, %d]", o.name, shareLen, wire.MaxShareLen)
 	}
-	var resp wire.ShareWriteResp
-	err := retryBusy(func() error {
-		cn := o.c.pick()
-		if _, err := cn.open(o.name, o.wkind, 0); err != nil {
-			return err
-		}
-		req := wire.ShareWriteReq{Name: o.name, Wid: wid, Share: share, ShareLen: uint8(shareLen)}
-		b := wire.GetBuf(wire.FramePrefix + 32 + len(o.name))
-		b.B = req.Append(wire.BeginFrame(b.B[:0]))
-		r, err := cn.roundTripBuf(wire.VerbShareWrite, b)
-		if err != nil {
-			return err
-		}
-		if r.verb != wire.VerbShareWrite {
-			err = respError(r, wire.VerbShareWrite)
-			wire.PutBuf(r.buf)
-			return err
-		}
-		err = resp.Decode(r.buf.B)
-		wire.PutBuf(r.buf)
-		return err
-	})
-	if err != nil {
-		return 0, err
-	}
-	return resp.Wid, nil
+	return o.await(leg{verb: wire.VerbShareWrite, wid: wid, val: share, shareLen: uint8(shareLen)})
 }
 
 // ShareRead returns the node's current packed share value as seen by the
-// given reader index — Object.Read over the share plane. It drives the same
-// two pipelined wire messages (one SHARE-FETCH, silent when the per-node
-// slot cache is current; one helping READ-ANNOUNCE after a fetch) against
-// this pool's one node, so the node's audit history records the read exactly
-// as a plain read would be recorded. The packed value arrives masked under
-// the connection's session secret and is unmasked here; unpacking wid from
-// share — and unmasking the share pad — is the cluster caller's job.
+// given reader index — Object.Read over the share plane: one SHARE-FETCH,
+// silent when the per-node slot cache is current, the helping announce
+// performed by the node after a fetch — so the node's audit history records
+// the read exactly as a plain read would be recorded. The packed value
+// arrives masked under the connection's session secret and is unmasked here;
+// unpacking wid from share — and unmasking the share pad — is the cluster
+// caller's job.
 func (o *Object) ShareRead(reader int) (uint64, error) {
-	t0 := telem.Now()
-	v, err := o.shareRead(reader)
-	o.c.rtt.Observe(uint64(t0), telem.Now()-t0)
-	return v, err
+	return o.fetch(wire.VerbShareFetch, reader)
 }
 
-func (o *Object) shareRead(reader int) (uint64, error) {
-	if reader < 0 || reader >= o.readers {
-		return 0, fmt.Errorf("client: share-read %q: reader %d out of range [0, %d)", o.name, reader, o.readers)
+// StartShareWrite is ShareWrite as one leg of a fan-out: when it reports
+// true the request is on its way and exactly one ShareResult tagged tag will
+// be delivered into out — which must have room for it — by the connection's
+// read loop; the caller's goroutine never waited. False means the leg cannot
+// start without waiting (dead or not yet opened connection, invalid
+// arguments): nothing was sent, and the caller runs ShareWrite on a
+// goroutine of its own, which redials, opens and reports errors.
+func (o *Object) StartShareWrite(wid, share uint64, shareLen, tag int, out chan<- ShareResult) bool {
+	if shareLen < 1 || shareLen > wire.MaxShareLen {
+		return false
 	}
-	s := &o.slots[reader]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.init {
-		s.init = true
-		s.prevSeq = ^uint64(0)
-	}
+	return o.launch(leg{verb: wire.VerbShareWrite, wid: wid, val: share, shareLen: uint8(shareLen)}, tag, out)
+}
 
-	var cn *conn
-	var fetchResp wire.ShareFetchResp
-	err := retryBusy(func() error {
-		cn = o.c.pick()
-		if _, err := cn.open(o.name, o.wkind, 0); err != nil {
-			return err
-		}
-		// Same epoch rule as read(): a cache filled under another server boot
-		// is dropped, never trusted against renumbered sequence numbers.
-		if e := cn.epochValue(); s.epoch != e {
-			s.epoch = e
-			s.prevSeq = ^uint64(0)
-		}
-		req := wire.ShareFetchReq{Name: o.name, Reader: uint8(reader), PrevSeq: s.prevSeq}
-		b := wire.GetBuf(wire.FramePrefix + 24 + len(o.name))
-		b.B = req.Append(wire.BeginFrame(b.B[:0]))
-		r, err := cn.roundTripBuf(wire.VerbShareFetch, b)
-		if err != nil {
-			return err
-		}
-		if r.verb != wire.VerbShareFetch {
-			err = respError(r, wire.VerbShareFetch)
-			wire.PutBuf(r.buf)
-			return err
-		}
-		err = fetchResp.Decode(r.buf.B)
-		wire.PutBuf(r.buf)
-		return err
-	})
-	if err != nil {
-		return 0, err
+// StartShareRead is ShareRead as one leg of a fan-out; see StartShareWrite.
+// It also reports false while an earlier fetch of the same reader is still
+// on the wire — a straggler of the reader's previous round holds the slot —
+// so a hung node costs the next round a goroutine, never its caller's time.
+func (o *Object) StartShareRead(reader, tag int, out chan<- ShareResult) bool {
+	if reader < 0 || reader >= o.readers {
+		return false
 	}
-	if fetchResp.Seq != s.prevSeq {
-		session := cn.sessionValue()
-		s.prevVal = fetchResp.Value ^ wire.ValueMask(session, o.name, uint8(reader), fetchResp.Seq)
-		s.prevSeq = fetchResp.Seq
-	}
-	if fetchResp.Fetched {
-		ann := wire.AnnounceReq{Name: o.name, Reader: uint8(reader), Seq: fetchResp.Seq}
-		ab := wire.GetBuf(wire.FramePrefix + 24 + len(o.name))
-		ab.B = ann.Append(wire.BeginFrame(ab.B[:0]))
-		_ = cn.postBuf(wire.VerbReadAnnounce, ab)
-	}
-	return s.prevVal, nil
+	return o.launch(leg{verb: wire.VerbShareFetch, slot: &o.slots[reader], reader: uint8(reader)}, tag, out)
 }

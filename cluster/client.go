@@ -230,51 +230,89 @@ func (o *Object) node(i int) (*client.Object, error) {
 	return obj, nil
 }
 
-// shareResult is one node's answer to a fan-out.
-type shareResult struct {
-	i     int
-	value uint64
-	err   error
+// round is what one fan-out asks of every node: reader's share fetch, or —
+// with reader < 0 — the share write of wid, shares[i] going to node i (wid 0
+// with no shares is the wid-sync probe).
+type round struct {
+	reader int
+	wid    uint64
+	shares [][]byte
 }
 
-// fanOut launches op against every node concurrently and returns the result
-// channel, which will eventually carry exactly n results. The channel is
-// buffered to n, so the per-node goroutines complete into it no matter when
-// (or whether) the caller stops reading — a collector that returns at a
-// decisive quorum detaches, and the buffer is the drainer; nothing leaks
-// and no goroutine ever blocks on an abandoned round (invariant:
-// fan-out-never-blocks-past-quorum). A hung node's straggling answer lands
-// in the buffer and is garbage-collected with it.
-func (o *Object) fanOut(op func(i int, obj *client.Object) (uint64, error)) <-chan shareResult {
+// masked returns node i's share of a write round under its SharePad.
+func (rd round) masked(o *Object, i int) uint64 {
+	if rd.wid == 0 {
+		return 0
+	}
+	return shareToUint(rd.shares[i]) ^ SharePad(o.c.m.Secret, o.c.m.Nodes[i].ID, o.name, rd.wid, o.c.shareLen)
+}
+
+// fanOut starts rd's leg against every node and returns the result channel,
+// which will eventually carry exactly n results, each tagged with its node's
+// membership position. Legs start from the calling goroutine and complete on
+// their connections' read loops (client.StartShareRead / StartShareWrite):
+// in the common case a round spawns nothing. Only a leg whose fast path does
+// not apply — the node was never opened, its connection is dead, or the
+// reader's slot there is still held by a straggler of the previous round —
+// gets a goroutine, which runs the blocking form (lazy open, redial, slot
+// wait) without costing the caller anything.
+//
+// The channel is buffered to n, so every leg completes into it no matter
+// when (or whether) the caller stops reading — a collector that returns at a
+// decisive quorum detaches, and the buffer is the drainer; nothing leaks and
+// neither a goroutine nor a read loop ever blocks on an abandoned round
+// (invariant: fan-out-never-blocks-past-quorum). A hung node's straggling
+// answer lands in the buffer and is garbage-collected with it.
+func (o *Object) fanOut(rd round) <-chan client.ShareResult {
 	n := o.c.m.N()
-	ch := make(chan shareResult, n)
+	ch := make(chan client.ShareResult, n)
 	for i := 0; i < n; i++ {
-		go func(i int) {
-			obj, err := o.node(i)
-			if err != nil {
-				ch <- shareResult{i: i, err: err}
-				return
-			}
-			v, err := op(i, obj)
-			ch <- shareResult{i: i, value: v, err: err}
-		}(i)
+		o.nmu.Lock()
+		obj := o.nodes[i]
+		o.nmu.Unlock()
+		started := false
+		switch {
+		case obj == nil:
+		case rd.reader >= 0:
+			started = obj.StartShareRead(rd.reader, i, ch)
+		default:
+			started = obj.StartShareWrite(rd.wid, rd.masked(o, i), o.c.shareLen, i, ch)
+		}
+		if !started {
+			go o.slowLeg(rd, i, ch)
+		}
 	}
 	return ch
+}
+
+// slowLeg runs node i's leg of rd through the blocking client calls.
+func (o *Object) slowLeg(rd round, i int, ch chan<- client.ShareResult) {
+	res := client.ShareResult{Tag: i}
+	obj, err := o.node(i)
+	switch {
+	case err != nil:
+		res.Err = err
+	case rd.reader >= 0:
+		res.Value, res.Err = obj.ShareRead(rd.reader)
+	default:
+		res.Value, res.Err = obj.ShareWrite(rd.wid, rd.masked(o, i), o.c.shareLen)
+	}
+	ch <- res
 }
 
 // collectQuorum reads fan-out results until the outcome is decided: success
 // once quorum (n−f) calls acked, failure once more than f have errored
 // (quorum is then unreachable). Stragglers stay in the fan-out buffer. It
 // returns the results seen, the ack count, and the first error.
-func (o *Object) collectQuorum(ch <-chan shareResult) (results []shareResult, acks int, firstErr error) {
+func (o *Object) collectQuorum(ch <-chan client.ShareResult) (results []client.ShareResult, acks int, firstErr error) {
 	n, q := o.c.m.N(), o.c.m.Quorum()
-	results = make([]shareResult, 0, n)
+	results = make([]client.ShareResult, 0, n)
 	for len(results) < n {
 		r := <-ch
 		results = append(results, r)
-		if r.err != nil {
+		if r.Err != nil {
 			if firstErr == nil {
-				firstErr = r.err
+				firstErr = r.Err
 			}
 			if len(results)-acks > n-q {
 				return results, acks, firstErr // quorum unreachable
@@ -294,13 +332,11 @@ func (o *Object) collectQuorum(ch <-chan shareResult) (results []shareResult, ac
 // issuing from there preserves monotonicity across writer restarts.
 // Caller holds wmu.
 func (o *Object) syncWid() error {
-	results, acks, firstErr := o.collectQuorum(o.fanOut(func(i int, obj *client.Object) (uint64, error) {
-		return obj.ShareWrite(0, 0, o.c.shareLen)
-	}))
+	results, acks, firstErr := o.collectQuorum(o.fanOut(round{reader: -1}))
 	var max uint64
 	for _, r := range results {
-		if r.err == nil && r.value > max {
-			max = r.value
+		if r.Err == nil && r.Value > max {
+			max = r.Value
 		}
 	}
 	if acks < o.c.m.Quorum() {
@@ -343,14 +379,11 @@ func (o *Object) Write(v uint64) error {
 	// definition — any later quorum read intersects the ack set in ≥ k
 	// nodes) or once more than f nodes errored; a hung node's share install
 	// proceeds in the background and lands whenever it lands.
-	results, acks, firstErr := o.collectQuorum(o.fanOut(func(i int, obj *client.Object) (uint64, error) {
-		masked := shareToUint(shares[i]) ^ SharePad(o.c.m.Secret, o.c.m.Nodes[i].ID, o.name, wid, o.c.shareLen)
-		return obj.ShareWrite(wid, masked, o.c.shareLen)
-	}))
+	results, acks, firstErr := o.collectQuorum(o.fanOut(round{reader: -1, wid: wid, shares: shares}))
 	var maxResident uint64
 	for _, r := range results {
-		if r.err == nil && r.value > maxResident {
-			maxResident = r.value
+		if r.Err == nil && r.Value > maxResident {
+			maxResident = r.Value
 		}
 	}
 	// Adopt whatever newer wid the cluster reports — a recovered node may
@@ -439,10 +472,15 @@ func (o *Object) ReadTraced(reader int) (uint64, ReadTrace, error) {
 
 	var trace ReadTrace
 	delay := readBaseDelay
-	deadline := time.Now().Add(readRetryWindow)
+	var deadline time.Time // set by the first retry: most reads never need it
 	for {
 		v, done, err := o.readOnce(reader, &trace)
-		if done || time.Now().After(deadline) {
+		if done {
+			return v, trace, err
+		}
+		if now := time.Now(); deadline.IsZero() {
+			deadline = now.Add(readRetryWindow)
+		} else if now.After(deadline) {
 			return v, trace, err
 		}
 		trace.Retries++
@@ -466,19 +504,17 @@ func (o *Object) ReadTraced(reader int) (uint64, ReadTrace, error) {
 // wait instead of wedging it.
 func (o *Object) readOnce(reader int, trace *ReadTrace) (v uint64, done bool, err error) {
 	n, q := o.c.m.N(), o.c.m.Quorum()
-	ch := o.fanOut(func(i int, obj *client.Object) (uint64, error) {
-		return obj.ShareRead(reader)
-	})
+	ch := o.fanOut(round{reader: reader})
 
 	trace.Responded, trace.Failed, trace.Corrupted = 0, trace.Failed[:0], trace.Corrupted[:0]
 	byWid := make(map[uint64]map[int][]byte)
 	var firstErr, lastReason error
 	for got := 0; got < n; got++ {
 		r := <-ch
-		if r.err != nil {
-			trace.Failed = append(trace.Failed, o.c.m.Nodes[r.i].ID)
+		if r.Err != nil {
+			trace.Failed = append(trace.Failed, o.c.m.Nodes[r.Tag].ID)
 			if firstErr == nil {
-				firstErr = r.err
+				firstErr = r.Err
 			}
 			if len(trace.Failed) > n-q {
 				return 0, false, fmt.Errorf("cluster: read %q answered by %d of %d nodes, need %d: %w",
@@ -487,15 +523,15 @@ func (o *Object) readOnce(reader int, trace *ReadTrace) (v uint64, done bool, er
 			continue
 		}
 		trace.Responded++
-		wid, masked := Unpack(r.value, o.c.shareLen)
+		wid, masked := Unpack(r.Value, o.c.shareLen)
 		m := byWid[wid]
 		if m == nil {
 			m = make(map[int][]byte)
 			byWid[wid] = m
 		}
 		share := make([]byte, o.c.shareLen)
-		uintToShare(share, masked^SharePad(o.c.m.Secret, o.c.m.Nodes[r.i].ID, o.name, wid, o.c.shareLen))
-		m[r.i] = share
+		uintToShare(share, masked^SharePad(o.c.m.Secret, o.c.m.Nodes[r.Tag].ID, o.name, wid, o.c.shareLen))
+		m[r.Tag] = share
 
 		if trace.Responded < q {
 			continue

@@ -1,14 +1,20 @@
 package cluster_test
 
 import (
+	"context"
 	"fmt"
+	"net"
+	"sync"
 	"testing"
 	"time"
 
 	"auditreg/client"
 	"auditreg/cluster"
 	"auditreg/internal/netsim"
+	"auditreg/persist"
 	"auditreg/server"
+	"auditreg/store"
+	"auditreg/wire"
 )
 
 // TestClusterOverFabric runs a whole 5-node cluster over the netsim fabric
@@ -109,6 +115,348 @@ func TestClusterOverFabric(t *testing.T) {
 		ok := (e.Reader == 0 && e.Value == 0x1001) || (e.Reader == 1 && e.Value == 0x2002)
 		if !ok {
 			t.Errorf("merged audit charges unobserved (reader %d, value %#x)", e.Reader, e.Value)
+		}
+	}
+}
+
+// fabCluster is an n-node cluster over a netsim fabric whose nodes a test can
+// instrument, stop and reboot.
+type fabCluster struct {
+	fab   *netsim.Fabric
+	m     cluster.Membership
+	nodes []*fabNode
+}
+
+// fabNode is one daemon of a fabCluster. journal counts the records the node
+// journals by op (volatile nodes only: a data dir brings its own journal);
+// frames counts share-plane frames in and out; fetches keeps the decoded
+// SHARE-FETCH requests.
+type fabNode struct {
+	cfg  server.Config
+	srv  *server.Server
+	ln   net.Listener
+	done chan error
+
+	mu      sync.Mutex
+	journal map[store.JournalOp]int
+	frames  int
+	fetches []wire.ShareFetchReq
+}
+
+func (nd *fabNode) Record(r store.JournalRecord[uint64]) error {
+	nd.mu.Lock()
+	nd.journal[r.Op]++
+	nd.mu.Unlock()
+	return nil
+}
+
+func (nd *fabNode) tap(outbound bool, frame []byte) {
+	f, _, err := wire.ParseFrame(frame)
+	if err != nil || (f.Verb != wire.VerbShareFetch && f.Verb != wire.VerbShareWrite) {
+		return
+	}
+	nd.mu.Lock()
+	defer nd.mu.Unlock()
+	nd.frames++
+	var req wire.ShareFetchReq
+	if !outbound && f.Verb == wire.VerbShareFetch && req.Decode(f.Body) == nil {
+		nd.fetches = append(nd.fetches, req)
+	}
+}
+
+// counts returns the node's journal record counts by op and its frame count.
+func (nd *fabNode) counts() (fetch, announce, frames int) {
+	nd.mu.Lock()
+	defer nd.mu.Unlock()
+	return nd.journal[store.JournalFetch], nd.journal[store.JournalAnnounce], nd.frames
+}
+
+// startFabric boots n nodes named node1..noden on an instant fabric; dirs, if
+// non-nil, makes node i durable under dirs[i].
+func startFabric(t *testing.T, n, f int, seed uint64, dirs []string) *fabCluster {
+	t.Helper()
+	fc := &fabCluster{fab: netsim.NewFabric(seed, 0)}
+	addrs := make([]string, n)
+	for i := range addrs {
+		addrs[i] = fmt.Sprintf("node%d", i+1)
+	}
+	fc.m = cluster.SeededMembership(addrs, f, seed)
+	for i := 0; i < n; i++ {
+		nd := &fabNode{journal: make(map[store.JournalOp]int)}
+		nd.cfg = server.Config{
+			Key:          fc.m.Nodes[i].Key,
+			Readers:      4,
+			NodeID:       fc.m.Nodes[i].ID,
+			PoolInterval: time.Millisecond,
+			FrameTap:     nd.tap,
+		}
+		if dirs != nil {
+			nd.cfg.DataDir, nd.cfg.Fsync = dirs[i], persist.SyncNever
+		}
+		fc.nodes = append(fc.nodes, nd)
+		fc.boot(t, i)
+	}
+	t.Cleanup(func() {
+		for i := range fc.nodes {
+			fc.stop(i)
+		}
+	})
+	return fc
+}
+
+// boot starts (or restarts, from its data dir) node i.
+func (fc *fabCluster) boot(t *testing.T, i int) {
+	t.Helper()
+	nd := fc.nodes[i]
+	srv, err := server.New(nd.cfg)
+	if err != nil {
+		t.Fatalf("server.New node %d: %v", i+1, err)
+	}
+	if nd.cfg.DataDir == "" {
+		srv.Store().SetJournal(nd)
+	}
+	ln, err := fc.fab.Listen(fc.m.Nodes[i].Addr)
+	if err != nil {
+		t.Fatalf("fabric listen %s: %v", fc.m.Nodes[i].Addr, err)
+	}
+	nd.srv, nd.ln, nd.done = srv, ln, make(chan error, 1)
+	go func() { nd.done <- srv.Serve(ln) }()
+}
+
+// stop shuts node i down (idempotent).
+func (fc *fabCluster) stop(i int) {
+	nd := fc.nodes[i]
+	if nd.srv == nil {
+		return
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	nd.srv.Shutdown(ctx)
+	<-nd.done
+	nd.ln.Close()
+	nd.srv = nil
+}
+
+// dial connects a cluster client named "principal", one connection per node.
+func (fc *fabCluster) dial(t *testing.T, reqTimeout time.Duration) *cluster.Client {
+	t.Helper()
+	cc, err := cluster.Dial(fc.m, cluster.WithClientOptions(func(cluster.Node) []client.Option {
+		return []client.Option{
+			client.WithDialer(fc.fab.Dialer("principal")),
+			client.WithConns(1),
+			client.WithDialTimeout(2 * time.Second),
+			client.WithRequestTimeout(reqTimeout),
+		}
+	}))
+	if err != nil {
+		t.Fatalf("cluster.Dial over fabric: %v", err)
+	}
+	t.Cleanup(func() { cc.Close() })
+	return cc
+}
+
+// shareReads returns how many share fetches, effective or silent, node i has
+// served, from its STATS.
+func shareReads(t *testing.T, cc *cluster.Client, i int) (uint64, error) {
+	t.Helper()
+	stats, err := cc.NodeStats()
+	if err != nil {
+		return 0, err
+	}
+	if stats[i].Err != nil {
+		return 0, stats[i].Err
+	}
+	var n uint64
+	for _, p := range stats[i].Resp.Pairs {
+		if p.Name == "share-fetches" || p.Name == "share-silent" {
+			n += p.Value
+		}
+	}
+	return n, nil
+}
+
+// TestSilentNodeDoesNotBlockItsReader holds one node silent — connected, never
+// answering — and has one reader read again and again. The first read's leg
+// to that node straggles and keeps the reader's slot there; every later read
+// must still return at quorum, its leg for that node falling back to a
+// goroutine instead of queueing its caller behind the straggler
+// (fan-out-never-blocks-past-quorum). The straggler's own request timer
+// reaps it; once the node answers again the reader's fetches reach it again.
+func TestSilentNodeDoesNotBlockItsReader(t *testing.T) {
+	const timeout, silent = 400 * time.Millisecond, 2
+	fc := startFabric(t, 5, 1, 311, nil)
+	cc := fc.dial(t, timeout)
+	obj, err := cc.Open("obj")
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	if err := obj.Write(0x1001); err != nil {
+		t.Fatalf("Write: %v", err)
+	}
+	if v, err := obj.Read(0); err != nil || v != 0x1001 {
+		t.Fatalf("Read = %#x, %v", v, err)
+	}
+	settle(t, cc, 1, 1)
+	before, err := shareReads(t, cc, silent)
+	if err != nil {
+		t.Fatalf("stats of node %d: %v", silent+1, err)
+	}
+
+	addr := fc.m.Nodes[silent].Addr
+	fc.fab.SetDelay("principal", addr, time.Hour)
+	fc.fab.SetDelay(addr, "principal", time.Hour)
+	start := time.Now()
+	for i := 0; i < 4; i++ {
+		t0 := time.Now()
+		v, _, err := obj.ReadTraced(0)
+		if err != nil || v != 0x1001 {
+			t.Fatalf("read #%d with node %d silent = %#x, %v", i, silent+1, v, err)
+		}
+		if took := time.Since(t0); took > timeout/2 {
+			t.Fatalf("read #%d with node %d silent took %v: it waited for the straggler (timeout %v)", i, silent+1, took, timeout)
+		}
+	}
+	if took := time.Since(start); took > timeout {
+		t.Fatalf("four reads took %v, past the request timeout %v: the test proved nothing", took, timeout)
+	}
+
+	time.Sleep(timeout) // the straggler's request timer fires meanwhile
+	fc.fab.SetDelay("principal", addr, 0)
+	fc.fab.SetDelay(addr, "principal", 0)
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		if v, err := obj.Read(0); err != nil || v != 0x1001 {
+			t.Fatalf("read after node %d came back = %#x, %v", silent+1, v, err)
+		}
+		if after, err := shareReads(t, cc, silent); err == nil && after > before {
+			return // reader 0's slot on the node was released, and a fetch got through
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("reader 0's fetches never reached node %d again", silent+1)
+		}
+	}
+}
+
+// TestEffectiveReadIsOneRoundTrip pins what a read leaves behind on every
+// node: a fetched read one fetch record, one announce record (the node's own
+// helping — nobody sends it one) and exactly two frames, request and
+// response; a silent read no record and, again, two frames.
+func TestEffectiveReadIsOneRoundTrip(t *testing.T) {
+	fc := startFabric(t, 5, 1, 312, nil)
+	cc := fc.dial(t, 0)
+	obj, err := cc.Open("obj")
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	if err := obj.Write(0x77); err != nil {
+		t.Fatalf("Write: %v", err)
+	}
+	settle(t, cc, 1, 0)
+
+	type counts struct{ fetch, announce, frames int }
+	snap := func() []counts {
+		out := make([]counts, len(fc.nodes))
+		for i, nd := range fc.nodes {
+			out[i].fetch, out[i].announce, out[i].frames = nd.counts()
+		}
+		return out
+	}
+	for round, want := range []counts{{1, 1, 2}, {0, 0, 2}} { // effective, then silent
+		before := snap()
+		if v, err := obj.Read(1); err != nil || v != 0x77 {
+			t.Fatalf("Read = %#x, %v", v, err)
+		}
+		settle(t, cc, 1, uint64(round+1))
+		for i, after := range snap() {
+			got := counts{after.fetch - before[i].fetch, after.announce - before[i].announce, after.frames - before[i].frames}
+			if got != want {
+				t.Errorf("read #%d on node %d left %+v, want %+v", round, i+1, got, want)
+			}
+		}
+	}
+	stats, err := cc.NodeStats()
+	if err != nil {
+		t.Fatalf("NodeStats: %v", err)
+	}
+	for _, ns := range stats {
+		for _, p := range ns.Resp.Pairs {
+			if p.Name == "announces" && p.Value != 1 {
+				t.Errorf("node %d counts %d announces, want 1", ns.Node, p.Value)
+			}
+		}
+	}
+}
+
+// TestRestartDropsSlotCache kills a durable node and restarts it from its
+// WAL — new boot epoch, renumbered sequence numbers — while a reader holds a
+// slot cache filled before the kill. The reader's next fetch that reaches
+// the node must carry no previous sequence number (the epoch rule), and the
+// cluster read must return the newest value with nobody blamed.
+func TestRestartDropsSlotCache(t *testing.T) {
+	const n, victim = 5, 1
+	dirs := make([]string, n)
+	for i := range dirs {
+		dirs[i] = t.TempDir()
+	}
+	fc := startFabric(t, n, 1, 313, dirs)
+	cc := fc.dial(t, 0)
+	obj, err := cc.Open("obj")
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	if err := obj.Write(0x1111); err != nil {
+		t.Fatalf("Write: %v", err)
+	}
+	if v, err := obj.Read(0); err != nil || v != 0x1111 {
+		t.Fatalf("Read = %#x, %v", v, err)
+	}
+	settle(t, cc, 1, 1) // reader 0 now caches a share of every node
+
+	fc.stop(victim)
+	if err := obj.Write(0x2222); err != nil {
+		t.Fatalf("Write with node %d down: %v", victim+1, err)
+	}
+	fc.boot(t, victim)
+	// The next write's leg to the restarted node redials and reopens; wait
+	// until it has landed, so that the read below finds the connection up.
+	if err := obj.Write(0x3333); err != nil {
+		t.Fatalf("Write after the restart: %v", err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		stats, err := cc.NodeStats()
+		if err == nil && stats[victim].Err == nil {
+			landed := false
+			for _, p := range stats[victim].Resp.Pairs {
+				landed = landed || (p.Name == "share-writes" && p.Value == 1)
+			}
+			if landed {
+				break
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the write after the restart never reached node %d", victim+1)
+		}
+	}
+
+	nd := fc.nodes[victim]
+	nd.mu.Lock()
+	nd.fetches = nil
+	nd.mu.Unlock()
+	v, trace, err := obj.ReadTraced(0)
+	if err != nil || v != 0x3333 || len(trace.Corrupted) != 0 {
+		t.Fatalf("Read after the restart = %#x, %v, trace %+v", v, err, trace)
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		nd.mu.Lock()
+		fetches := append([]wire.ShareFetchReq(nil), nd.fetches...)
+		nd.mu.Unlock()
+		if len(fetches) > 0 {
+			if f := fetches[0]; f.Reader != 0 || f.PrevSeq != ^uint64(0) {
+				t.Fatalf("first fetch on the restarted node = %+v: the slot cache survived the restart", f)
+			}
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("reader 0's fetch never reached the restarted node %d", victim+1)
 		}
 	}
 }

@@ -2,7 +2,7 @@
 // (package auditreg/server) hosting one sharded store.Store behind the
 // auditreg/wire protocol, with a shared audit pool sweeping it in the
 // background. Clients — package auditreg/client, or cmd/loadgen in -remote
-// mode — speak the OPEN/WRITE/READ-FETCH/READ-ANNOUNCE/AUDIT/STATS verbs;
+// mode — speak the OPEN/WRITE/READ-FETCH/AUDIT/STATS verbs;
 // reader sets cross the wire only in masked form (see DESIGN.md, "Network
 // layer"). Requests are executed shard-per-core: -shards dispatch lanes
 // routed by object-name hash, each a single goroutine owning its slice of

@@ -183,7 +183,7 @@ func (t *localTarget) close() error {
 
 // nodeTarget is one auditd behind the wire client: a daemon somebody else
 // runs (-remote, E13) or the single member of a fleet (-durable, E14/E16).
-// Reads flow through the fetch/announce verb pair, lookups hit the server's
+// Reads flow through the READ-FETCH verb, lookups hit the server's
 // pool, and audit is a fresh audit over the wire, unmasked with the store
 // key derived from the shared -seed.
 type nodeTarget struct {

@@ -186,11 +186,13 @@ func (l *ClusterLab) trial(unmasked bool, reads func(obj *cluster.Object) error)
 		return nil, err
 	}
 	// Drain, identically in both branches: reader 2 never read this object,
-	// so its first cluster read posts one announce per node; the second is
-	// silent everywhere and — FIFO on each node's single connection —
-	// returns only after every node consumed every pipelined announce of
-	// the game reads above. After it, no victim frame can land inside the
-	// observation window.
+	// so its first cluster read is an effective fetch on every node and its
+	// second is silent everywhere. Nothing is pipelined behind a fetch any
+	// more (each node announces for itself), but a cluster read returns at
+	// quorum with up to f legs still on the wire. Each node's single
+	// connection is FIFO, so a node that answered the second drain read has
+	// consumed every frame the game reads above sent it. The window is
+	// clean unless the tapped node trails the quorum by two whole rounds.
 	for i := 0; i < 2; i++ {
 		if _, err := obj.Read(2); err != nil {
 			return nil, err

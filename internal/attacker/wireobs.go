@@ -199,12 +199,13 @@ func (l *WireLab) trial(unmasked bool, reads func(obj *client.Object) error) ([]
 		return nil, err
 	}
 	// Drain, identically in both branches: reader 2 never read this object,
-	// so its first read is always an effective fetch that posts one announce;
-	// the second read is always silent and — FIFO on the single connection —
-	// returns only after the server consumed that announce and every
-	// pipelined announce of the game reads above. After it, no victim frame
-	// can land inside the observation window, and the drain's own traffic is
-	// independent of the secret.
+	// so its first read is always an effective fetch and its second always
+	// silent. A read puts nothing on the wire that outlives it any more (the
+	// server performs the announce itself, so the client pipelines nothing
+	// behind the fetch), and the single connection is FIFO: the second read
+	// returns only after the server consumed every frame the game reads
+	// above caused. After it, no victim frame can land inside the observation
+	// window, and the drain's own traffic is independent of the secret.
 	for i := 0; i < 2; i++ {
 		if _, err := obj.Read(2); err != nil {
 			return nil, err

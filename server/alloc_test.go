@@ -24,10 +24,11 @@ func newBenchConn(t testing.TB) (*Server, *conn) {
 // TestServerFastPathAllocationFree pins the server's request fast path at
 // zero heap allocations per op: decode-in-place request views, in-place
 // store operations, and response encodes into a reused buffer. The silent
-// read — the paper's common case — and the announce are exactly zero; the
-// write and effective fetch paths are bounded below one allocation per op
-// (the store's block pad derivation amortizes one small block over four
-// sequence numbers; see internal/core's alloc tests).
+// read — the paper's common case — is exactly zero; the write and effective
+// fetch paths (the fetch includes the server's own helping announce) are
+// bounded below one allocation per op (the store's block pad derivation
+// amortizes one small block over four sequence numbers; see internal/core's
+// alloc tests).
 func TestServerFastPathAllocationFree(t *testing.T) {
 	srv, c := newBenchConn(t)
 	const name = "alloc/reg"
@@ -38,7 +39,6 @@ func TestServerFastPathAllocationFree(t *testing.T) {
 	dst := make([]byte, 0, 256)
 	wbody := (&wire.WriteReq{Name: name, Value: 1}).Append(nil)
 	fbody := (&wire.ReadFetchReq{Name: name, Reader: 0, PrevSeq: ^uint64(0)}).Append(nil)
-	abody := (&wire.AnnounceReq{Name: name, Reader: 0, Seq: 1}).Append(nil)
 
 	// Warm every path: handles, history chunks, pad windows.
 	for i := 0; i < 8; i++ {
@@ -46,7 +46,6 @@ func TestServerFastPathAllocationFree(t *testing.T) {
 			t.Fatalf("warm write answered %v", v)
 		}
 		c.handleReadFetch(fbody, dst[:0])
-		c.handleAnnounce(abody, dst[:0])
 	}
 
 	// Silent read: the reader's cache is current (same PrevSeq resend), no
@@ -69,15 +68,6 @@ func TestServerFastPathAllocationFree(t *testing.T) {
 		t.Fatalf("silent read-fetch allocated %v times per run", n)
 	}
 
-	// Announce of an already-announced seq: pure helping no-op. Zero.
-	if n := testing.AllocsPerRun(1000, func() {
-		if _, v := c.handleAnnounce(abody, dst[:0]); v != wire.VerbReadAnnounce {
-			t.Fatal("announce failed")
-		}
-	}); n != 0 {
-		t.Fatalf("announce allocated %v times per run", n)
-	}
-
 	// Repeated same-value writes: the handler and wire layers add zero; the
 	// register's pad stream amortizes one block per four sequence numbers.
 	if n := testing.AllocsPerRun(1000, func() {
@@ -88,8 +78,8 @@ func TestServerFastPathAllocationFree(t *testing.T) {
 		t.Fatalf("write allocated %v times per run, want < 1 (amortized pad blocks only)", n)
 	}
 
-	// Effective fetch: reader 1 lags, fetch&xor plus masked response. Same
-	// amortized bound. The request body is patched in place (PrevSeq is its
+	// Effective fetch: reader 1 lags, fetch&xor plus the helping announce
+	// plus masked response. Same amortized bound. The request body is patched in place (PrevSeq is its
 	// last 8 bytes), as a pipelining client's encoder would reuse its
 	// buffer.
 	f1body := (&wire.ReadFetchReq{Name: name, Reader: 1, PrevSeq: 0}).Append(nil)

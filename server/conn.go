@@ -216,7 +216,7 @@ func (c *conn) route(f wire.Frame) {
 		s.cfg.FrameTap(false, wire.AppendFrame(nil, f.ID, f.Verb, f.Body))
 	}
 	switch f.Verb {
-	case wire.VerbOpen, wire.VerbWrite, wire.VerbReadFetch, wire.VerbReadAnnounce, wire.VerbAudit,
+	case wire.VerbOpen, wire.VerbWrite, wire.VerbReadFetch, wire.VerbAudit,
 		wire.VerbShareWrite, wire.VerbShareFetch:
 		name, ok := peekName(f.Body)
 		if !ok {
@@ -281,8 +281,6 @@ func (c *conn) execute(id uint64, verb wire.Verb, body []byte) {
 		b, rverb, commit = c.handleWrite(body, b)
 	case wire.VerbReadFetch:
 		b, rverb, commit = c.handleReadFetch(body, b)
-	case wire.VerbReadAnnounce:
-		b, rverb = c.handleAnnounce(body, b)
 	case wire.VerbAudit:
 		b, rverb = c.handleAudit(body, b)
 	case wire.VerbStats:
@@ -404,6 +402,7 @@ func (c *conn) handleReadFetch(body, dst []byte) ([]byte, wire.Verb, func() erro
 	}
 	if fetched {
 		c.srv.readsFetched.Add(1)
+		c.helpAnnounce(obj, int(req.Reader), seq)
 	} else {
 		c.srv.readsSilent.Add(1)
 	}
@@ -419,23 +418,17 @@ func (c *conn) handleReadFetch(body, dst []byte) ([]byte, wire.Verb, func() erro
 	return resp.Append(dst), wire.VerbReadFetch, commit
 }
 
-func (c *conn) handleAnnounce(body, dst []byte) ([]byte, wire.Verb) {
-	var req wire.AnnounceReq
-	if err := req.DecodeView(body); err != nil {
-		return errBody(dst, wire.CodeBadRequest, err.Error())
+// helpAnnounce is the announce half of an effective read (Algorithm 1 line
+// 5), performed by the server right after the fetch half: the helping CAS
+// that completes the seq-th write, with the same guard and the same
+// JournalAnnounce record as store.Object.Read. Every op on an object runs on
+// one shard executor, so no write is half-finished when this runs — which is
+// why it needs no request of its own. Pure helping: a failure is not
+// surfaced (the read already took effect and is journaled), only not counted.
+func (c *conn) helpAnnounce(obj *store.Object[uint64], reader int, seq uint64) {
+	if err := obj.Announce(reader, seq); err == nil {
+		c.srv.announces.Add(1)
 	}
-	if int(req.Reader) >= c.srv.st.Readers() {
-		return errBody(dst, wire.CodeBadRequest, fmt.Sprintf("announce %q: reader %d out of range [0, %d)", req.Name, req.Reader, c.srv.st.Readers()))
-	}
-	obj, ok := c.srv.st.Lookup(req.Name)
-	if !ok {
-		return errBody(dst, wire.CodeNotFound, fmt.Sprintf("announce %q: object not found", req.Name))
-	}
-	if err := obj.Announce(int(req.Reader), req.Seq); err != nil {
-		return storeErr(dst, err)
-	}
-	c.srv.announces.Add(1)
-	return dst, wire.VerbReadAnnounce
 }
 
 func (c *conn) handleAudit(body, dst []byte) ([]byte, wire.Verb) {
@@ -590,6 +583,7 @@ func (c *conn) handleShareFetch(body, dst []byte) ([]byte, wire.Verb, func() err
 	}
 	if fetched {
 		c.srv.shareFetch.Add(1)
+		c.helpAnnounce(obj, int(req.Reader), seq)
 	} else {
 		c.srv.shareSilent.Add(1)
 	}

@@ -108,8 +108,8 @@ func (s *Server) runExec(e *shardExec) {
 }
 
 // peekName returns the object name of a request body without decoding it:
-// every name-carrying request (OPEN, WRITE, READ-FETCH, READ-ANNOUNCE,
-// AUDIT) encodes the name first, as a u16 length prefix and the bytes — the
+// every name-carrying request (OPEN, WRITE, READ-FETCH, AUDIT, SHARE-WRITE,
+// SHARE-FETCH) encodes the name first, as a u16 length prefix and the bytes — the
 // wire layout is arranged so the router can hash a name without allocating
 // a string or knowing the verb's full schema.
 func peekName(body []byte) ([]byte, bool) {

@@ -49,11 +49,12 @@ func TestShardRoutingAllocationFree(t *testing.T) {
 func TestPeekNameMatchesDecode(t *testing.T) {
 	const name = "peek/some-object"
 	bodies := map[string][]byte{
-		"open":     (&wire.OpenReq{Name: name, Kind: wire.KindRegister}).Append(nil),
-		"write":    (&wire.WriteReq{Name: name, Value: 9}).Append(nil),
-		"fetch":    (&wire.ReadFetchReq{Name: name, Reader: 3, PrevSeq: 1}).Append(nil),
-		"announce": (&wire.AnnounceReq{Name: name, Reader: 3, Seq: 1}).Append(nil),
-		"audit":    (&wire.AuditReq{Name: name, Fresh: true}).Append(nil),
+		"open":        (&wire.OpenReq{Name: name, Kind: wire.KindRegister}).Append(nil),
+		"write":       (&wire.WriteReq{Name: name, Value: 9}).Append(nil),
+		"fetch":       (&wire.ReadFetchReq{Name: name, Reader: 3, PrevSeq: 1}).Append(nil),
+		"audit":       (&wire.AuditReq{Name: name, Fresh: true}).Append(nil),
+		"share-write": (&wire.ShareWriteReq{Name: name, Wid: 1, Share: 2, ShareLen: 3}).Append(nil),
+		"share-fetch": (&wire.ShareFetchReq{Name: name, Reader: 3, PrevSeq: 1}).Append(nil),
 	}
 	for verb, body := range bodies {
 		got, ok := peekName(body)

@@ -64,8 +64,13 @@ func TestPeekNameAdversarial(t *testing.T) {
 			err := m.DecodeView(b)
 			return m.Name, err
 		},
-		"announce": func(b []byte) (string, error) {
-			var m wire.AnnounceReq
+		"share-write": func(b []byte) (string, error) {
+			var m wire.ShareWriteReq
+			err := m.DecodeView(b)
+			return m.Name, err
+		},
+		"share-fetch": func(b []byte) (string, error) {
+			var m wire.ShareFetchReq
 			err := m.DecodeView(b)
 			return m.Name, err
 		},

@@ -14,8 +14,9 @@
 // back through the connection's completion stage (durability verdicts) and
 // writer goroutine (scatter-gather flushes). Requests pipeline naturally —
 // a client may have any number of frames in flight — and per-object order
-// is preserved (one object, one executor queue), which is what lets a
-// client send READ-ANNOUNCE right behind READ-FETCH without waiting.
+// is preserved (one object, one executor queue), which is also why the
+// server can perform a fetched read's helping announce itself, right after
+// the fetch: no write on that object is ever half-finished in between.
 // Each executor queue is bounded; at the high watermark the reader sheds
 // the request with a CodeBusy error instead of queueing it, so overload
 // degrades into client retries, not unbounded latency.
@@ -30,8 +31,8 @@
 // responses carry reader sets XOR-masked under fresh pads only key-holding
 // auditor clients can remove (see the wire package and DESIGN.md's "Network
 // layer" section). Remote readers drive the paper's read algorithm through
-// the fetch/announce verb pair, and the server's persistent per-(object,
-// reader) handles enforce the at-most-one-fetch&xor-per-write invariant no
+// the READ-FETCH verb (the server announces after a fetch, as a local read
+// does), and the server's persistent per-(object, reader) handles enforce the at-most-one-fetch&xor-per-write invariant no
 // matter how a remote client misbehaves. Principal authentication is not
 // the protocol's job: connections do not prove which reader index they act
 // for (the deployment's authenticated channel binds identities to reader

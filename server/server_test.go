@@ -288,6 +288,10 @@ func TestRemoteErrors(t *testing.T) {
 	wantErr(send(3, wire.VerbOpen, (&wire.OpenReq{Name: "snap", Kind: 3}).Append(nil)), wire.CodeUnsupported)
 	wantErr(send(4, wire.VerbReadFetch, (&wire.ReadFetchReq{Name: "exists", Reader: 200}).Append(nil)), wire.CodeBadRequest)
 	wantErr(send(5, wire.Verb(99), nil), wire.CodeBadRequest)
+	// Verb 4 was READ-ANNOUNCE. It is reserved, not recycled: an old client's
+	// announce — its body had READ-FETCH's layout; this one is well formed and
+	// names a real object — is refused like any unknown verb.
+	wantErr(send(8, wire.Verb(4), (&wire.ReadFetchReq{Name: "exists", Reader: 0, PrevSeq: 1}).Append(nil)), wire.CodeBadRequest)
 	wantErr(send(6, wire.VerbOpen, []byte{0xff}), wire.CodeBadRequest)
 
 	// The connection survives all of the above: a normal request still

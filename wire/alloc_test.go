@@ -2,6 +2,8 @@ package wire
 
 import (
 	"bytes"
+	"io"
+	"net"
 	"testing"
 )
 
@@ -39,13 +41,13 @@ func TestEncodeAllocationFree(t *testing.T) {
 func TestDecodeAllocationFree(t *testing.T) {
 	fetch := ReadFetchReq{Name: "bench/object-00042", Reader: 3, PrevSeq: 17}
 	write := WriteReq{Name: "bench/object-00042", Value: 7}
-	ann := AnnounceReq{Name: "bench/object-00042", Reader: 3, Seq: 18}
+	share := ShareFetchReq{Name: "bench/object-00042", Reader: 3, PrevSeq: 18}
 	resp := ReadFetchResp{Fetched: true, Seq: 18, Value: 0xA1B2}
 
 	var stream []byte
 	stream = AppendFrame(stream, 1, VerbReadFetch, fetch.Append(nil))
 	stream = AppendFrame(stream, 2, VerbWrite, write.Append(nil))
-	stream = AppendFrame(stream, 3, VerbReadAnnounce, ann.Append(nil))
+	stream = AppendFrame(stream, 3, VerbShareFetch, share.Append(nil))
 	stream = AppendFrame(stream, 4, VerbReadFetch, resp.Append(nil))
 
 	if n := testing.AllocsPerRun(1000, func() {
@@ -69,8 +71,8 @@ func TestDecodeAllocationFree(t *testing.T) {
 		if f, rest, err = ParseFrame(rest); err != nil {
 			t.Fatal(err)
 		}
-		var an AnnounceReq
-		if err := an.DecodeView(f.Body); err != nil {
+		var sf ShareFetchReq
+		if err := sf.DecodeView(f.Body); err != nil {
 			t.Fatal(err)
 		}
 		if f, _, err = ParseFrame(rest); err != nil {
@@ -80,7 +82,7 @@ func TestDecodeAllocationFree(t *testing.T) {
 		if err := rr.Decode(f.Body); err != nil {
 			t.Fatal(err)
 		}
-		if rf.Name != fetch.Name || wr.Value != write.Value || an.Seq != ann.Seq || rr.Value != resp.Value {
+		if rf.Name != fetch.Name || wr.Value != write.Value || sf.PrevSeq != share.PrevSeq || rr.Value != resp.Value {
 			t.Fatal("decode produced wrong fields")
 		}
 	}); n != 0 {
@@ -142,4 +144,53 @@ func TestBufArenaAllocationFree(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("buffer arena allocated %v times per cycle", n)
 	}
+}
+
+// TestFlushAllocationFree pins a warmed Flusher at zero allocations per
+// flush over a real socket — the writev path, where a net.Buffers header
+// local to Flush would escape through WriteTo's pointer receiver and cost
+// one allocation per flush on both conn writers.
+func TestFlushAllocationFree(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	drained := make(chan struct{})
+	go func() {
+		defer close(drained)
+		nc, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer nc.Close()
+		io.Copy(io.Discard, nc)
+	}()
+	nc, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := ReadFetchReq{Name: "bench/object-00042", Reader: 3, PrevSeq: 17}
+	var fl Flusher
+	// Buffers below the arena's smallest class: PutBuf drops them, so the
+	// test keeps reusing its own and the count does not depend on what the
+	// pool retains (under -race a sync.Pool discards at random).
+	pend := []*Buf{{B: make([]byte, 0, 64)}, {B: make([]byte, 0, 64)}, {B: make([]byte, 0, 64)}}
+	flush := func() {
+		for i, b := range pend {
+			b.B = req.Append(BeginFrame(b.B[:0]))
+			if err := EndFrame(b.B, 0, uint64(i), VerbReadFetch); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := fl.Flush(nc, pend); err != nil {
+			t.Fatal(err)
+		}
+	}
+	flush() // warm the iovec
+	if n := testing.AllocsPerRun(1000, flush); n != 0 {
+		t.Fatalf("flush allocated %v times per run", n)
+	}
+	nc.Close()
+	<-drained
 }

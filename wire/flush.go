@@ -6,12 +6,18 @@ import (
 )
 
 // Flusher turns a slice of pooled frame buffers into one scatter-gather
-// write, reusing its iovec across flushes. Both conn writers — server and
-// client — drain their bounded queue into a Flusher, so a wakeup costs one
-// writev however many frames are pending; the ownership rule is uniform:
-// Flush consumes the frames, recycling every buffer whatever the outcome.
+// write, reusing its iovec across flushes. Both conn writers — the server's
+// writer goroutine and the client's combining flush — hand their pending
+// frames to a Flusher, so a batch costs one writev however many frames are
+// pending; the ownership rule is uniform: Flush consumes the frames,
+// recycling every buffer whatever the outcome.
 type Flusher struct {
 	iov [][]byte
+	// bufs is the net.Buffers header WriteTo consumes. WriteTo has a pointer
+	// receiver and hands the pointer to the writer's buffersWriter hook, so a
+	// header local to Flush escapes — one allocation per flush; as a field it
+	// lives in the (long-lived) Flusher.
+	bufs net.Buffers
 }
 
 // Flush writes every frame in pend to w with a single writev (net.Buffers
@@ -23,8 +29,8 @@ func (f *Flusher) Flush(w io.Writer, pend []*Buf) error {
 	for _, p := range pend {
 		f.iov = append(f.iov, p.B)
 	}
-	bufs := net.Buffers(f.iov)
-	_, err := bufs.WriteTo(w)
+	f.bufs = f.iov
+	_, err := f.bufs.WriteTo(w) // consumes f.bufs, nilling the entries it wrote
 	for _, p := range pend {
 		PutBuf(p)
 	}

@@ -21,8 +21,6 @@ func decodersFor(verb wire.Verb) []message {
 		return []message{&wire.WriteReq{}}
 	case wire.VerbReadFetch:
 		return []message{&wire.ReadFetchReq{}, &wire.ReadFetchResp{}}
-	case wire.VerbReadAnnounce:
-		return []message{&wire.AnnounceReq{}}
 	case wire.VerbAudit:
 		return []message{&wire.AuditReq{}, &wire.AuditResp{}}
 	case wire.VerbStats:

@@ -220,31 +220,6 @@ func (m *ReadFetchResp) Decode(body []byte) error {
 	return c.done()
 }
 
-// AnnounceReq performs the announce half of a read: help complete the Seq-th
-// write. Clients pipeline it behind the fetch; the response is an empty body
-// under VerbReadAnnounce.
-type AnnounceReq struct {
-	Name   string
-	Reader uint8
-	Seq    uint64
-}
-
-// Append serializes the message body onto dst.
-func (m *AnnounceReq) Append(dst []byte) []byte {
-	dst = appendStr(dst, m.Name)
-	dst = append(dst, m.Reader)
-	return binary.BigEndian.AppendUint64(dst, m.Seq)
-}
-
-// Decode parses a message body; the body must be fully consumed.
-func (m *AnnounceReq) Decode(body []byte) error {
-	c := cursor{b: body}
-	m.Name = c.str(MaxName)
-	m.Reader = c.u8()
-	m.Seq = c.u64()
-	return c.done()
-}
-
 // AuditReq requests the named object's audit report. Fresh forces a
 // synchronous incremental audit through the server's shared pool cursor (a
 // report covering everything linearized before the call); otherwise the

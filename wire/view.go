@@ -5,7 +5,7 @@ import "unsafe"
 // Zero-copy decoding. The allocating Decode methods copy every
 // variable-length field out of the body; the DecodeView methods below alias
 // it instead, eliminating the per-request string allocation on the server's
-// hot verbs (WRITE, READ-FETCH, READ-ANNOUNCE).
+// hot verbs (WRITE, READ-FETCH, SHARE-WRITE, SHARE-FETCH).
 //
 // A view-decoded message borrows the body's backing buffer: its string
 // fields are valid exactly as long as the body is — for a frame from a
@@ -51,16 +51,6 @@ func (m *ReadFetchReq) DecodeView(body []byte) error {
 	m.Name = c.strView(MaxName)
 	m.Reader = c.u8()
 	m.PrevSeq = c.u64()
-	return c.done()
-}
-
-// DecodeView parses a message body with Name aliasing body; see the
-// package's zero-copy decoding rules. The body must be fully consumed.
-func (m *AnnounceReq) DecodeView(body []byte) error {
-	c := cursor{b: body}
-	m.Name = c.strView(MaxName)
-	m.Reader = c.u8()
-	m.Seq = c.u64()
 	return c.done()
 }
 

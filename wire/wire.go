@@ -17,18 +17,19 @@
 //
 // # Verbs
 //
-// OPEN, WRITE, READ-FETCH, READ-ANNOUNCE, AUDIT, STATS, SHARE-WRITE,
-// SHARE-FETCH. The READ verb of the local API deliberately splits in two on
-// the wire, mirroring the two shared-memory steps of the paper's read
-// (Algorithm 1 lines 4 and 5):
+// OPEN, WRITE, READ-FETCH, AUDIT, STATS, SHARE-WRITE, SHARE-FETCH. The
+// paper's read is two shared-memory steps (Algorithm 1 lines 4 and 5) and
+// one wire verb:
 //
 //   - READ-FETCH performs the silent-read check and (at most) one atomic
 //     fetch&xor on the object's register R, through the server's persistent
 //     per-(object, reader) handle — the at-most-one-fetch&xor-per-write
 //     invariant of store/object.go is enforced server-side, whatever a
-//     remote client does.
-//   - READ-ANNOUNCE performs the helping CAS on SN. It is pure helping, so
-//     clients pipeline it behind the fetch without waiting.
+//     remote client does. After a fetch the server performs the helping CAS
+//     on SN itself, on the same shard executor, exactly as store.Object.Read
+//     does locally: an effective read is one round trip. (Verb number 4 once
+//     carried that CAS as a second, pipelined request; it stays reserved and
+//     is answered like any unknown verb.)
 //
 // SHARE-WRITE and SHARE-FETCH are the cluster dispersal verbs (package
 // auditreg/cluster): one node's slice of an information-dispersed write. A
@@ -82,15 +83,15 @@ type Verb uint8
 
 // The protocol's verbs.
 const (
-	VerbErr          Verb = 0
-	VerbOpen         Verb = 1
-	VerbWrite        Verb = 2
-	VerbReadFetch    Verb = 3
-	VerbReadAnnounce Verb = 4
-	VerbAudit        Verb = 5
-	VerbStats        Verb = 6
-	VerbShareWrite   Verb = 7
-	VerbShareFetch   Verb = 8
+	VerbErr        Verb = 0
+	VerbOpen       Verb = 1
+	VerbWrite      Verb = 2
+	VerbReadFetch  Verb = 3
+	_              Verb = 4 // reserved: the retired READ-ANNOUNCE
+	VerbAudit      Verb = 5
+	VerbStats      Verb = 6
+	VerbShareWrite Verb = 7
+	VerbShareFetch Verb = 8
 )
 
 // String returns the verb's protocol name.
@@ -104,8 +105,6 @@ func (v Verb) String() string {
 		return "WRITE"
 	case VerbReadFetch:
 		return "READ-FETCH"
-	case VerbReadAnnounce:
-		return "READ-ANNOUNCE"
 	case VerbAudit:
 		return "AUDIT"
 	case VerbStats:

@@ -34,7 +34,6 @@ func sampleMessages() []message {
 		&wire.WriteReq{Name: "acct/42", Value: 0xdeadbeefcafe},
 		&wire.ReadFetchReq{Name: "acct/42", Reader: 63, PrevSeq: ^uint64(0)},
 		&wire.ReadFetchResp{Fetched: true, Seq: 12, Value: 0x1234},
-		&wire.AnnounceReq{Name: "acct/42", Reader: 0, Seq: 12},
 		&wire.AuditReq{Name: "acct/42", Fresh: true},
 		&wire.AuditResp{Kind: wire.KindRegister, Nonce: nonce, Rows: []wire.AuditRow{
 			{Value: 7, Readers: 0b101}, {Value: 9, Readers: 1 << 63},
@@ -83,7 +82,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	msgs := sampleMessages()
 	verbs := []wire.Verb{
 		wire.VerbOpen, wire.VerbOpen, wire.VerbWrite, wire.VerbReadFetch,
-		wire.VerbReadFetch, wire.VerbReadAnnounce, wire.VerbAudit,
+		wire.VerbReadFetch, wire.VerbAudit,
 		wire.VerbAudit, wire.VerbStats, wire.VerbStats, wire.VerbShareWrite,
 		wire.VerbShareWrite, wire.VerbShareFetch, wire.VerbShareFetch,
 		wire.VerbErr,
