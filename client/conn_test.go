@@ -385,14 +385,31 @@ func TestLegTimeoutAndSlot(t *testing.T) {
 	}
 }
 
-// TestLegBusyRetry floods a one-slot shard queue with one batch of fan-out
-// legs: the shed ones (CodeBusy) are retried with backoff off the read loop,
-// and every leg ends up succeeding.
+// TestLegBusyRetry sheds fan-out legs at a one-slot shard queue: the shed
+// ones (CodeBusy) are retried with backoff off the read loop, and every leg
+// ends up succeeding. A connection's own burst sheds nothing — the server's
+// reader executes each request before it reads the next — so a second
+// connection holds the shard (its response parks in a blocking FrameTap,
+// which runs under the shard) while the burst arrives: the first leg queues
+// behind it, the rest find the queue full.
 func TestLegBusyRetry(t *testing.T) {
 	ln := listenTCP(t)
-	serve(t, server.Config{Readers: 4, ExecShards: 1, ShardQueue: 1}, ln)
-	var fd faultDialer
-	cl, err := Dial(ln.Addr().String(), WithConns(1), WithDialer(fd.dial))
+	var mu sync.Mutex
+	var hold, parked chan struct{} // armed: the next outbound frame parks
+	tap := func(outbound bool, _ []byte) {
+		mu.Lock()
+		h, p := hold, parked
+		if outbound {
+			hold = nil
+		}
+		mu.Unlock()
+		if outbound && h != nil {
+			close(p)
+			<-h
+		}
+	}
+	serve(t, server.Config{Readers: 4, ExecShards: 1, ShardQueue: 1, FrameTap: tap}, ln)
+	cl, err := Dial(ln.Addr().String(), WithConns(1))
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
 	}
@@ -401,8 +418,16 @@ func TestLegBusyRetry(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
+	holder, err := Dial(ln.Addr().String(), WithConns(1))
+	if err != nil {
+		t.Fatalf("Dial holder: %v", err)
+	}
+	defer holder.Close()
+	hobj, err := holder.Open("holder", store.Register)
+	if err != nil {
+		t.Fatalf("Open holder: %v", err)
+	}
 
-	var mu sync.Mutex
 	slept := 0
 	origSleep := busySleep
 	busySleep = func(d time.Duration) {
@@ -413,26 +438,39 @@ func TestLegBusyRetry(t *testing.T) {
 	}
 	defer func() { busySleep = origSleep }() // every retrying goroutine has delivered by then
 
-	// Park one write so that the burst behind it leaves as a single batch the
-	// server's reader routes in one go.
+	mu.Lock()
+	hold, parked = make(chan struct{}), make(chan struct{})
+	h, p := hold, parked
+	mu.Unlock()
+	held := make(chan error, 1)
+	go func() { held <- hobj.Write(1) }()
+	<-p // the holder's reader sits in the tap, the shard is its
+
 	const burst = 128
-	fc := fd.conns[0]
-	fc.mu.Lock()
-	fc.hold, fc.parked = make(chan struct{}), make(chan struct{})
-	hold, parked := fc.hold, fc.parked
-	fc.mu.Unlock()
-	first := make(chan error, 1)
-	go func() { first <- obj.Write(0) }()
-	<-parked
 	out := make(chan ShareResult, burst)
 	for i := 0; i < burst; i++ {
 		if !obj.StartShareWrite(uint64(i+1), uint64(i), 3, i, out) {
 			t.Fatalf("leg %d did not start", i)
 		}
 	}
-	close(hold)
-	if err := <-first; err != nil {
-		t.Fatalf("Write: %v", err)
+	// STATS runs inline on the burst's connection, behind the burst: once
+	// it is answered every leg has been routed — one queued, the rest shed.
+	pairs, err := cl.Stats()
+	if err != nil {
+		t.Fatalf("Stats: %v", err)
+	}
+	var sheds uint64
+	for _, p := range pairs {
+		if p.Name == "shard-sheds" {
+			sheds = p.Value
+		}
+	}
+	if sheds < burst-1 {
+		t.Fatalf("%d sheds from a %d-leg burst into a held one-slot shard, want >= %d", sheds, burst, burst-1)
+	}
+	close(h)
+	if err := <-held; err != nil {
+		t.Fatalf("holder's Write: %v", err)
 	}
 	for i := 0; i < burst; i++ {
 		if r := <-out; r.Err != nil {
@@ -442,22 +480,8 @@ func TestLegBusyRetry(t *testing.T) {
 	if cur, err := obj.ShareWrite(0, 0, 3); err != nil || cur != burst {
 		t.Fatalf("resident wid after the burst = %d, %v; want %d", cur, err, burst)
 	}
-
-	var sheds uint64
-	pairs, err := cl.Stats()
-	if err != nil {
-		t.Fatalf("Stats: %v", err)
-	}
-	for _, p := range pairs {
-		if p.Name == "shard-sheds" {
-			sheds = p.Value
-		}
-	}
 	mu.Lock()
 	defer mu.Unlock()
-	if sheds == 0 {
-		t.Fatalf("a %d-frame batch into a one-slot queue shed nothing; the test proved nothing", burst)
-	}
 	if uint64(slept) < sheds {
 		t.Fatalf("%d sheds but only %d backoff pauses", sheds, slept)
 	}

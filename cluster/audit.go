@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"auditreg"
+	"auditreg/internal/ida"
 	"auditreg/wire"
 )
 
@@ -91,14 +92,13 @@ func (o *Object) Audit() (Merged, error) {
 		}(i)
 	}
 
+	// Gather by position first: the merge then walks the nodes in ascending
+	// order, so every pair's position list comes out ascending.
 	merged := Merged{Object: o.name}
-	type pair struct {
-		reader int
-		wid    uint64
-	}
-	shares := make(map[pair]map[int][]byte) // (reader, wid) → node index → unmasked share
+	byNode := make([][]auditreg.Entry[uint64], n)
+	answered := make([]bool, n)
 	var firstErr error
-	for i := 0; i < n; i++ {
+	for range byNode {
 		na := <-ch
 		if na.err != nil {
 			if firstErr == nil {
@@ -107,8 +107,27 @@ func (o *Object) Audit() (Merged, error) {
 			continue
 		}
 		merged.Nodes++
-		nodeID := o.c.m.Nodes[na.i].ID
-		for _, e := range na.entries {
+		byNode[na.i], answered[na.i] = na.entries, true
+	}
+	if merged.Nodes < o.c.m.Quorum() {
+		return Merged{}, fmt.Errorf("cluster: audit %q merged %d of %d nodes, need %d: %w", o.name, merged.Nodes, n, o.c.m.Quorum(), firstErr)
+	}
+
+	type pair struct {
+		reader int
+		wid    uint64
+	}
+	type logged struct {
+		share [][]byte // by position: the unmasked share that node logged
+		pos   []int    // the positions that logged the pair
+	}
+	pairs := make(map[pair]*logged)
+	for i, entries := range byNode {
+		if !answered[i] {
+			continue
+		}
+		nodeID := o.c.m.Nodes[i].ID
+		for _, e := range entries {
 			wid, masked := Unpack(e.Value, o.c.shareLen)
 			if wid == 0 {
 				// The initial packed value: the reader fetched before any
@@ -117,26 +136,26 @@ func (o *Object) Audit() (Merged, error) {
 				continue
 			}
 			p := pair{reader: e.Reader, wid: wid}
-			m := shares[p]
-			if m == nil {
-				m = make(map[int][]byte)
-				shares[p] = m
+			lg := pairs[p]
+			if lg == nil {
+				lg = &logged{share: ida.ShareRows(n, o.c.shareLen)}
+				pairs[p] = lg
 			}
-			share := make([]byte, o.c.shareLen)
-			uintToShare(share, masked^SharePad(o.c.m.Secret, nodeID, o.name, wid, o.c.shareLen))
-			m[na.i] = share
+			uintToShare(lg.share[i], masked^SharePad(o.c.m.Secret, nodeID, o.name, wid, o.c.shareLen))
+			if len(lg.pos) == 0 || lg.pos[len(lg.pos)-1] != i {
+				lg.pos = append(lg.pos, i)
+			}
 		}
-	}
-	if merged.Nodes < o.c.m.Quorum() {
-		return Merged{}, fmt.Errorf("cluster: audit %q merged %d of %d nodes, need %d: %w", o.name, merged.Nodes, n, o.c.m.Quorum(), firstErr)
 	}
 
 	k := o.c.m.Threshold()
+	var dec decoder
+	dec.init(o.c)
 	badNodes := make(map[uint32]bool)
 	var entries []auditreg.Entry[uint64]
-	for p, m := range shares {
-		if len(m) < k {
-			merged.Undecided = append(merged.Undecided, Undecided{Reader: p.reader, Wid: p.wid, Nodes: len(m)})
+	for p, lg := range pairs {
+		if len(lg.pos) < k {
+			merged.Undecided = append(merged.Undecided, Undecided{Reader: p.reader, Wid: p.wid, Nodes: len(lg.pos)})
 			continue
 		}
 		// Non-strict decode: exactly k logged shares ARE the charging
@@ -144,9 +163,9 @@ func (o *Object) Audit() (Merged, error) {
 		// the decode is verified — a corrupt journal entry cannot shift the
 		// charged value, only surface in Corrupted (or, if no value reaches
 		// quorum support, demote the pair to Undecided).
-		v, corrupted, err := o.decodeShares(m, false)
+		v, corrupted, err := o.decodeShares(lg.share, lg.pos, false, &dec)
 		if errors.Is(err, errInconclusive) {
-			merged.Undecided = append(merged.Undecided, Undecided{Reader: p.reader, Wid: p.wid, Nodes: len(m)})
+			merged.Undecided = append(merged.Undecided, Undecided{Reader: p.reader, Wid: p.wid, Nodes: len(lg.pos)})
 			continue
 		}
 		if err != nil {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"auditreg/client"
@@ -66,7 +67,7 @@ func Dial(m Membership, opts ...Option) (*Client, error) {
 		cod:      cod,
 		shareLen: m.ShareLen(),
 		clients:  make([]*client.Client, m.N()),
-		suspects: newSuspectSet(),
+		suspects: newSuspectSet(m.N()),
 		objects:  make(map[string]*Object),
 	}
 	alive := 0
@@ -133,7 +134,7 @@ func (c *Client) Open(name string) (*Object, error) {
 	}
 	c.mu.Unlock()
 
-	o := &Object{c: c, name: name, nodes: make([]*client.Object, c.m.N())}
+	o := &Object{c: c, name: name, nodes: make([]atomic.Pointer[client.Object], c.m.N())}
 	type res struct {
 		i   int
 		obj *client.Object
@@ -156,14 +157,14 @@ func (c *Client) Open(name string) (*Object, error) {
 			}
 			continue
 		}
-		o.nodes[r.i] = r.obj
+		o.nodes[r.i].Store(r.obj)
 		opened++
 		o.readers = r.obj.Readers()
 	}
 	if opened < c.m.Quorum() {
 		return nil, fmt.Errorf("cluster: open %q reached %d of %d nodes, need %d: %w", name, opened, c.m.N(), c.m.Quorum(), firstErr)
 	}
-	o.rmu = make([]sync.Mutex, o.readers)
+	o.rounds = make([]readRound, o.readers)
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -186,19 +187,45 @@ func (c *Client) openNode(name string, i int) (*client.Object, error) {
 // Object is one dispersed register: n per-node share objects behind a
 // single Write/Read/Audit surface. The write side is serialized internally
 // — the register is single-writer, and wids must be issued monotonically.
+//
+// A round's working memory lives here, not on the heap of each call: the
+// writer's under wmu, each reader's under its own lock. Shares are addressed
+// by node position throughout — row i of a share set is node i's share —
+// and a subset is the ascending list of its positions.
 type Object struct {
 	c       *Client
 	name    string
 	readers int
 
-	nmu   sync.Mutex
-	nodes []*client.Object // nil where the node was unreachable at Open
+	nodes []atomic.Pointer[client.Object] // nil where the node has not been opened yet
 
 	wmu    sync.Mutex
 	synced bool   // wid recovered from a quorum this session
 	wid    uint64 // newest wid this writer installed or observed
+	w      writeRound
 
-	rmu []sync.Mutex // per-reader serialization of ReadTraced
+	rounds []readRound // per reader: serialization of ReadTraced and its scratch
+}
+
+// writeRound is the writer's scratch, guarded by wmu. A fan-out's legs get
+// their masked share by value, so a straggler never reads it.
+type writeRound struct {
+	shares  [][]byte // the split of the value being written
+	masked  []uint64 // shares[i] under node i's SharePad
+	results []client.ShareResult
+	ida     ida.Scratch
+}
+
+// readRound is one reader's scratch, guarded by mu (which also serializes
+// the reader's ReadTraced calls). Only the collecting goroutine touches it:
+// a straggler's answer lands in its round's channel and nowhere else.
+type readRound struct {
+	mu    sync.Mutex
+	wid   []uint64 // by position: the write id this round's answer carried
+	have  []bool   // by position: answered this round
+	share [][]byte // by position: the unmasked share
+	cand  []int    // the positions holding the candidate wid
+	dec   decoder
 }
 
 // Name returns the object's name.
@@ -210,52 +237,32 @@ func (o *Object) Readers() int { return o.readers }
 // node returns node i's share-object handle, retrying the open lazily when
 // the node was unreachable before.
 func (o *Object) node(i int) (*client.Object, error) {
-	o.nmu.Lock()
-	obj := o.nodes[i]
-	o.nmu.Unlock()
-	if obj != nil {
+	if obj := o.nodes[i].Load(); obj != nil {
 		return obj, nil
 	}
 	obj, err := o.c.openNode(o.name, i)
 	if err != nil {
 		return nil, err
 	}
-	o.nmu.Lock()
-	if o.nodes[i] == nil {
-		o.nodes[i] = obj
-	} else {
-		obj = o.nodes[i]
+	if !o.nodes[i].CompareAndSwap(nil, obj) {
+		obj = o.nodes[i].Load()
 	}
-	o.nmu.Unlock()
 	return obj, nil
 }
 
-// round is what one fan-out asks of every node: reader's share fetch, or —
-// with reader < 0 — the share write of wid, shares[i] going to node i (wid 0
-// with no shares is the wid-sync probe).
-type round struct {
-	reader int
-	wid    uint64
-	shares [][]byte
-}
-
-// masked returns node i's share of a write round under its SharePad.
-func (rd round) masked(o *Object, i int) uint64 {
-	if rd.wid == 0 {
-		return 0
-	}
-	return shareToUint(rd.shares[i]) ^ SharePad(o.c.m.Secret, o.c.m.Nodes[i].ID, o.name, rd.wid, o.c.shareLen)
-}
-
-// fanOut starts rd's leg against every node and returns the result channel,
-// which will eventually carry exactly n results, each tagged with its node's
+// fanOut starts one leg against every node — reader's share fetch, or, with
+// reader < 0, the share write of wid, masked[i] going to node i (wid 0 with
+// no shares is the wid-sync probe) — and returns the result channel, which
+// will eventually carry exactly n results, each tagged with its node's
 // membership position. Legs start from the calling goroutine and complete on
 // their connections' read loops (client.StartShareRead / StartShareWrite):
 // in the common case a round spawns nothing. Only a leg whose fast path does
 // not apply — the node was never opened, its connection is dead, or the
 // reader's slot there is still held by a straggler of the previous round —
 // gets a goroutine, which runs the blocking form (lazy open, redial, slot
-// wait) without costing the caller anything.
+// wait) without costing the caller anything; it is handed its share by
+// value, so the caller's scratch is its own again the moment the round
+// returns.
 //
 // The channel is buffered to n, so every leg completes into it no matter
 // when (or whether) the caller stops reading — a collector that returns at a
@@ -263,66 +270,62 @@ func (rd round) masked(o *Object, i int) uint64 {
 // neither a goroutine nor a read loop ever blocks on an abandoned round
 // (invariant: fan-out-never-blocks-past-quorum). A hung node's straggling
 // answer lands in the buffer and is garbage-collected with it.
-func (o *Object) fanOut(rd round) <-chan client.ShareResult {
+func (o *Object) fanOut(reader int, wid uint64, masked []uint64) <-chan client.ShareResult {
 	n := o.c.m.N()
 	ch := make(chan client.ShareResult, n)
 	for i := 0; i < n; i++ {
-		o.nmu.Lock()
-		obj := o.nodes[i]
-		o.nmu.Unlock()
+		var share uint64
+		if masked != nil {
+			share = masked[i]
+		}
 		started := false
-		switch {
+		switch obj := o.nodes[i].Load(); {
 		case obj == nil:
-		case rd.reader >= 0:
-			started = obj.StartShareRead(rd.reader, i, ch)
+		case reader >= 0:
+			started = obj.StartShareRead(reader, i, ch)
 		default:
-			started = obj.StartShareWrite(rd.wid, rd.masked(o, i), o.c.shareLen, i, ch)
+			started = obj.StartShareWrite(wid, share, o.c.shareLen, i, ch)
 		}
 		if !started {
-			go o.slowLeg(rd, i, ch)
+			go o.slowLeg(reader, wid, share, i, ch)
 		}
 	}
 	return ch
 }
 
-// slowLeg runs node i's leg of rd through the blocking client calls.
-func (o *Object) slowLeg(rd round, i int, ch chan<- client.ShareResult) {
+// slowLeg runs node i's leg of a round through the blocking client calls.
+func (o *Object) slowLeg(reader int, wid, share uint64, i int, ch chan<- client.ShareResult) {
 	res := client.ShareResult{Tag: i}
 	obj, err := o.node(i)
 	switch {
 	case err != nil:
 		res.Err = err
-	case rd.reader >= 0:
-		res.Value, res.Err = obj.ShareRead(rd.reader)
+	case reader >= 0:
+		res.Value, res.Err = obj.ShareRead(reader)
 	default:
-		res.Value, res.Err = obj.ShareWrite(rd.wid, rd.masked(o, i), o.c.shareLen)
+		res.Value, res.Err = obj.ShareWrite(wid, share, o.c.shareLen)
 	}
 	ch <- res
 }
 
-// collectQuorum reads fan-out results until the outcome is decided: success
-// once quorum (n−f) calls acked, failure once more than f have errored
-// (quorum is then unreachable). Stragglers stay in the fan-out buffer. It
-// returns the results seen, the ack count, and the first error.
+// collectQuorum reads a write fan-out's results into the writer's scratch
+// until the outcome is decided: success once quorum (n−f) calls acked,
+// failure once more than f have errored (quorum is then unreachable).
+// Stragglers stay in the fan-out buffer. It returns the results seen, the
+// ack count, and the first error. Caller holds wmu.
 func (o *Object) collectQuorum(ch <-chan client.ShareResult) (results []client.ShareResult, acks int, firstErr error) {
 	n, q := o.c.m.N(), o.c.m.Quorum()
-	results = make([]client.ShareResult, 0, n)
-	for len(results) < n {
+	results = o.w.results[:0]
+	for len(results) < n && acks < q && len(results)-acks <= n-q {
 		r := <-ch
 		results = append(results, r)
-		if r.Err != nil {
-			if firstErr == nil {
-				firstErr = r.Err
-			}
-			if len(results)-acks > n-q {
-				return results, acks, firstErr // quorum unreachable
-			}
-			continue
-		}
-		if acks++; acks >= q {
-			return results, acks, firstErr
+		if r.Err == nil {
+			acks++
+		} else if firstErr == nil {
+			firstErr = r.Err
 		}
 	}
+	o.w.results = results
 	return results, acks, firstErr
 }
 
@@ -332,7 +335,7 @@ func (o *Object) collectQuorum(ch <-chan client.ShareResult) (results []client.S
 // issuing from there preserves monotonicity across writer restarts.
 // Caller holds wmu.
 func (o *Object) syncWid() error {
-	results, acks, firstErr := o.collectQuorum(o.fanOut(round{reader: -1}))
+	results, acks, firstErr := o.collectQuorum(o.fanOut(-1, 0, nil))
 	var max uint64
 	for _, r := range results {
 		if r.Err == nil && r.Value > max {
@@ -373,13 +376,21 @@ func (o *Object) Write(v uint64) error {
 	for i := range data {
 		data[i] = byte(v >> (56 - 8*i))
 	}
-	shares := o.c.cod.Split(data[:])
+	w := &o.w
+	if w.shares == nil {
+		w.shares = ida.ShareRows(o.c.m.N(), o.c.shareLen)
+		w.masked = make([]uint64, o.c.m.N())
+	}
+	o.c.cod.SplitInto(w.shares, data[:], &w.ida)
+	for i, sh := range w.shares {
+		w.masked[i] = shareToUint(sh) ^ SharePad(o.c.m.Secret, o.c.m.Nodes[i].ID, o.name, wid, o.c.shareLen)
+	}
 
 	// The collector returns at quorum acks (the write is then complete by
 	// definition — any later quorum read intersects the ack set in ≥ k
 	// nodes) or once more than f nodes errored; a hung node's share install
 	// proceeds in the background and lands whenever it lands.
-	results, acks, firstErr := o.collectQuorum(o.fanOut(round{reader: -1, wid: wid, shares: shares}))
+	results, acks, firstErr := o.collectQuorum(o.fanOut(-1, wid, w.masked))
 	var maxResident uint64
 	for _, r := range results {
 		if r.Err == nil && r.Value > maxResident {
@@ -467,14 +478,21 @@ func (o *Object) ReadTraced(reader int) (uint64, ReadTrace, error) {
 	if reader < 0 || reader >= o.readers {
 		return 0, ReadTrace{}, fmt.Errorf("cluster: read %q: reader %d out of range [0, %d)", o.name, reader, o.readers)
 	}
-	o.rmu[reader].Lock()
-	defer o.rmu[reader].Unlock()
+	rs := &o.rounds[reader]
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	if rs.wid == nil {
+		n := o.c.m.N()
+		rs.wid, rs.have, rs.cand = make([]uint64, n), make([]bool, n), make([]int, 0, n)
+		rs.share = ida.ShareRows(n, o.c.shareLen)
+		rs.dec.init(o.c)
+	}
 
 	var trace ReadTrace
 	delay := readBaseDelay
 	var deadline time.Time // set by the first retry: most reads never need it
 	for {
-		v, done, err := o.readOnce(reader, &trace)
+		v, done, err := o.readOnce(reader, rs, &trace)
 		if done {
 			return v, trace, err
 		}
@@ -502,12 +520,12 @@ func (o *Object) ReadTraced(reader int) (uint64, ReadTrace, error) {
 // extra answers are exactly what tips the consensus rule over its support
 // threshold. With a request timeout configured, a hung straggler bounds the
 // wait instead of wedging it.
-func (o *Object) readOnce(reader int, trace *ReadTrace) (v uint64, done bool, err error) {
+func (o *Object) readOnce(reader int, rs *readRound, trace *ReadTrace) (v uint64, done bool, err error) {
 	n, q := o.c.m.N(), o.c.m.Quorum()
-	ch := o.fanOut(round{reader: reader})
+	ch := o.fanOut(reader, 0, nil)
 
 	trace.Responded, trace.Failed, trace.Corrupted = 0, trace.Failed[:0], trace.Corrupted[:0]
-	byWid := make(map[uint64]map[int][]byte)
+	clear(rs.have)
 	var firstErr, lastReason error
 	for got := 0; got < n; got++ {
 		r := <-ch
@@ -524,19 +542,13 @@ func (o *Object) readOnce(reader int, trace *ReadTrace) (v uint64, done bool, er
 		}
 		trace.Responded++
 		wid, masked := Unpack(r.Value, o.c.shareLen)
-		m := byWid[wid]
-		if m == nil {
-			m = make(map[int][]byte)
-			byWid[wid] = m
-		}
-		share := make([]byte, o.c.shareLen)
-		uintToShare(share, masked^SharePad(o.c.m.Secret, o.c.m.Nodes[r.Tag].ID, o.name, wid, o.c.shareLen))
-		m[r.Tag] = share
+		rs.have[r.Tag], rs.wid[r.Tag] = true, wid
+		uintToShare(rs.share[r.Tag], masked^SharePad(o.c.m.Secret, o.c.m.Nodes[r.Tag].ID, o.name, wid, o.c.shareLen))
 
 		if trace.Responded < q {
 			continue
 		}
-		v, done, err = o.resolveRead(byWid, trace)
+		v, done, err = o.resolveRead(rs, trace)
 		if done {
 			return v, true, err
 		}
@@ -563,29 +575,53 @@ func (o *Object) readOnce(reader int, trace *ReadTrace) (v uint64, done bool, er
 //     whose shares disagree without quorum support — the state is
 //     inconclusive: an in-flight write, or corruption awaiting straggler
 //     votes. Not decided; the caller gathers more answers or retries.
-func (o *Object) resolveRead(byWid map[uint64]map[int][]byte, trace *ReadTrace) (v uint64, done bool, err error) {
+func (o *Object) resolveRead(rs *readRound, trace *ReadTrace) (v uint64, done bool, err error) {
 	k := o.c.m.Threshold()
-	best, nonzero := uint64(0), 0
-	for wid, shares := range byWid {
-		if wid == 0 {
+	best, nonzero, first := uint64(0), 0, -1
+	trace.Stale = false
+	for i, ok := range rs.have {
+		if !ok {
 			continue
 		}
-		nonzero += len(shares)
-		if len(shares) >= k && wid > best {
-			best = wid
+		w := rs.wid[i]
+		if first < 0 {
+			first = i
+		} else if w != rs.wid[first] {
+			trace.Stale = true
+		}
+		if w == 0 {
+			continue
+		}
+		nonzero++
+		if w <= best {
+			continue
+		}
+		holders := 0
+		for j, ok := range rs.have {
+			if ok && rs.wid[j] == w {
+				holders++
+			}
+		}
+		if holders >= k {
+			best = w
 		}
 	}
 	if best == 0 && nonzero >= k {
 		return 0, false, fmt.Errorf("cluster: read %q: no write id reached %d shares across %d responses (write in flight)", o.name, k, trace.Responded)
 	}
+	rs.cand = rs.cand[:0]
+	for i, ok := range rs.have {
+		if ok && rs.wid[i] == best {
+			rs.cand = append(rs.cand, i)
+		}
+	}
 	trace.Wid = best
-	trace.Shares = len(byWid[best])
-	trace.Stale = len(byWid) > 1
+	trace.Shares = len(rs.cand)
 
 	if best == 0 {
 		return 0, true, nil
 	}
-	v, corrupted, err := o.decodeShares(byWid[best], true)
+	v, corrupted, err := o.decodeShares(rs.share, rs.cand, true, &rs.dec)
 	if len(corrupted) > 0 {
 		trace.Corrupted = trace.Corrupted[:0]
 		for _, i := range corrupted {

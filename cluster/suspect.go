@@ -1,10 +1,12 @@
 package cluster
 
 import (
+	"bytes"
 	"errors"
-	"sort"
 	"sync"
 	"sync/atomic"
+
+	"auditreg/internal/ida"
 )
 
 // errInconclusive reports that a share set admits no value with quorum
@@ -26,71 +28,65 @@ var errInconclusive = errors.New("cluster: shares inconclusive: no value reaches
 // accepted value clears the suspicion — the node "decodes cleanly again").
 type suspectSet struct {
 	mu  sync.Mutex
-	bad map[int]bool // node index → quarantined
+	bad []bool // by node position: quarantined
 }
 
-func newSuspectSet() *suspectSet { return &suspectSet{bad: make(map[int]bool)} }
+func newSuspectSet(n int) *suspectSet { return &suspectSet{bad: make([]bool, n)} }
 
-// mark quarantines node i, reporting whether this call transitioned it.
-func (s *suspectSet) mark(i int) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.bad[i] {
-		return false
-	}
-	s.bad[i] = true
-	return true
-}
-
-// clear lifts node i's quarantine, reporting whether this call transitioned
-// it.
-func (s *suspectSet) clear(i int) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.bad[i] {
-		return false
-	}
-	delete(s.bad, i)
-	return true
-}
-
-// indexes returns the quarantined node indexes, sorted.
+// indexes returns the quarantined node positions, ascending.
 func (s *suspectSet) indexes() []int {
 	s.mu.Lock()
-	out := make([]int, 0, len(s.bad))
-	for i := range s.bad {
-		out = append(out, i)
+	defer s.mu.Unlock()
+	var out []int
+	for i, bad := range s.bad {
+		if bad {
+			out = append(out, i)
+		}
 	}
-	s.mu.Unlock()
-	sort.Ints(out)
 	return out
 }
 
-// trusted returns shares minus the suspects' entries — unless that would
-// drop the set below need, in which case the original map is returned
-// untouched: quarantine must never cost the read its threshold (a wrongly
-// suspected majority would otherwise wedge reads forever; with the full set
-// the consensus rule still rejects anything f corrupt nodes could fake).
-func (s *suspectSet) trusted(shares map[int][]byte, need int) map[int][]byte {
+// trusted appends to dst the positions of pos that are not quarantined and
+// returns it — unless that would leave fewer than need, in which case pos
+// itself is returned: quarantine must never cost the read its threshold (a
+// wrongly suspected majority would otherwise wedge reads forever; with the
+// full set the consensus rule still rejects anything f corrupt nodes could
+// fake).
+func (s *suspectSet) trusted(dst, pos []int, need int) []int {
 	s.mu.Lock()
-	excluded := 0
-	for i := range shares {
-		if s.bad[i] {
-			excluded++
-		}
-	}
-	if excluded == 0 || len(shares)-excluded < need {
-		s.mu.Unlock()
-		return shares
-	}
-	out := make(map[int][]byte, len(shares)-excluded)
-	for i, sh := range shares {
+	for _, i := range pos {
 		if !s.bad[i] {
-			out[i] = sh
+			dst = append(dst, i)
 		}
 	}
 	s.mu.Unlock()
-	return out
+	if len(dst) == len(pos) || len(dst) < need {
+		return pos
+	}
+	return dst
+}
+
+// vote applies one decode's verdict on the shares at pos: the positions in
+// corrupted (a subset of pos, both ascending) are quarantined, the others
+// leave quarantine. It returns how many nodes changed state each way.
+func (s *suspectSet) vote(pos, corrupted []int) (marks, clears uint64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, i := range pos {
+		bad := len(corrupted) > 0 && corrupted[0] == i
+		if bad {
+			corrupted = corrupted[1:]
+		}
+		if s.bad[i] != bad {
+			s.bad[i] = bad
+			if bad {
+				marks++
+			} else {
+				clears++
+			}
+		}
+	}
+	return marks, clears
 }
 
 // Counters is a snapshot of a cluster Client's Byzantine-detection counters.
@@ -148,20 +144,41 @@ func (c *Client) Suspects() []uint32 {
 	return out
 }
 
-// decodeShares is the single entry point for turning a set of unmasked
-// shares (node index → share bytes, all claiming the same wid) into a
-// value. Both the read path and the audit merge route through it.
+// decoder is the working memory of decodeShares, owned by whoever serializes
+// the decodes that use it: a reader's round, one audit merge.
+type decoder struct {
+	ida     ida.Scratch
+	val     [8]byte
+	expect  [][]byte // by position: the accepted value, re-encoded
+	used    []int    // the trusted positions
+	sub     []int    // consensus: the k positions under trial …
+	pick    []int    // … and their indexes into the position list
+	corrupt []int    // the positions whose share disagreed with the accepted value
+}
+
+func (d *decoder) init(c *Client) {
+	n, k := c.m.N(), c.m.Threshold()
+	d.expect = ida.ShareRows(n, c.shareLen)
+	d.used, d.corrupt = make([]int, 0, n), make([]int, 0, n)
+	d.sub, d.pick = make([]int, k), make([]int, k)
+}
+
+// decodeShares is the single entry point for turning shares that all claim
+// the same wid into a value: shares holds them unmasked by node position,
+// pos lists the positions present, ascending. The read path, its consensus
+// slow path and the audit merge all route through it.
 //
 // The rule set, in order:
 //
 //  1. Exactly k shares (strict==false callers only): plain unverified
-//     Reconstruct. There is no redundancy, so no detection is possible —
+//     reconstruction. There is no redundancy, so no detection is possible —
 //     this is the audit merge's charging threshold, where "k nodes logged
 //     it" is itself the semantic being reported.
-//  2. Surplus available: ida.Verify over the trusted subset (suspects'
-//     shares excluded while enough trusted shares remain). A clean verify
-//     over ≥ quorum shares is accepted outright: n−f consistent shares
-//     contain ≥ k honest ones, and k honest shares pin the true value.
+//  2. Surplus available: a verified decode over the trusted subset
+//     (suspects' shares excluded while enough trusted shares remain). A
+//     clean verify over ≥ quorum shares is accepted outright: n−f
+//     consistent shares contain ≥ k honest ones, and k honest shares pin
+//     the true value.
 //  3. Any disagreement — or a trusted set too small to prove cleanliness —
 //     falls to the consensus search: every k-subset's decode is a
 //     candidate, and a candidate is accepted iff ≥ quorum (k+f) of ALL
@@ -173,25 +190,27 @@ func (c *Client) Suspects() []uint32 {
 //
 // strict callers (reads) get (0, nil, errInconclusive) when no candidate
 // reaches quorum support; non-strict callers (audit merge, f=0 clusters)
-// additionally accept rule 1. corrupted lists the node indexes whose shares
-// disagreed with the accepted value; quarantine state and counters are
-// updated as a side effect.
-func (o *Object) decodeShares(shares map[int][]byte, strict bool) (v uint64, corrupted []int, err error) {
+// additionally accept rule 1. corrupted lists the positions whose shares
+// disagreed with the accepted value, ascending — it aliases d and is valid
+// until d's next decode; quarantine state and counters are updated as a side
+// effect.
+func (o *Object) decodeShares(shares [][]byte, pos []int, strict bool, d *decoder) (v uint64, corrupted []int, err error) {
+	cod := o.c.cod
 	k := o.c.m.Threshold()
 	q := o.c.m.Quorum() // == k + f: the consensus acceptance threshold
 
-	if len(shares) <= k && !strict {
-		data, err := o.c.cod.Reconstruct(shares, 8)
-		if err != nil {
+	if len(pos) <= k && !strict {
+		if err := cod.ReconstructInto(d.val[:], shares, pos, &d.ida); err != nil {
 			return 0, nil, err
 		}
-		return beUint(data), nil, nil
+		return beUint(d.val[:]), nil, nil
 	}
 
-	var data []byte
-	used := o.c.suspects.trusted(shares, k+1)
-	if len(used) > k {
-		d, bad, verr := o.c.cod.Verify(used, 8)
+	// Either branch leaves the accepted value in d.val and its re-encode in
+	// d.expect, which the vote below reuses.
+	accepted := false
+	if used := o.c.suspects.trusted(d.used[:0], pos, k+1); len(used) > k {
+		bad, verr := cod.VerifyInto(d.val[:], shares, used, d.expect, d.corrupt[:0], &d.ida)
 		if verr != nil {
 			return 0, nil, verr
 		}
@@ -202,14 +221,11 @@ func (o *Object) decodeShares(shares map[int][]byte, strict bool) (v uint64, cor
 		// share). The audit merge accepts any clean surplus — its charging
 		// semantics are "what the logs pin", and the logs disagreeing is
 		// the only thing that voids them.
-		if len(bad) == 0 && (!strict || len(used) >= q) {
-			data = d
-		}
+		accepted = len(bad) == 0 && (!strict || len(used) >= q)
 	}
-	if data == nil {
+	if !accepted {
 		o.c.ctr.consensusDecodes.Add(1)
-		data = o.consensusDecode(shares, q)
-		if data == nil {
+		if !o.consensusDecode(shares, pos, q, d) {
 			return 0, nil, errInconclusive
 		}
 	}
@@ -217,95 +233,75 @@ func (o *Object) decodeShares(shares map[int][]byte, strict bool) (v uint64, cor
 	// Post-accept validation votes EVERY provided share — including
 	// excluded suspects' — against the accepted value: mismatches are
 	// corrupt (and quarantined), matches clear an existing quarantine.
-	expect := o.c.cod.Split(data)
-	for i, s := range shares {
-		if shareEqual(s, expect[i]) {
-			if o.c.suspects.clear(i) {
-				o.c.ctr.suspectClears.Add(1)
-			}
-			continue
+	corrupted = d.corrupt[:0]
+	for _, i := range pos {
+		if !bytes.Equal(shares[i], d.expect[i]) {
+			corrupted = append(corrupted, i)
 		}
-		corrupted = append(corrupted, i)
-		if o.c.suspects.mark(i) {
-			o.c.ctr.suspectMarks.Add(1)
-		}
+	}
+	d.corrupt = corrupted
+	marks, clears := o.c.suspects.vote(pos, corrupted)
+	if marks > 0 {
+		o.c.ctr.suspectMarks.Add(marks)
+	}
+	if clears > 0 {
+		o.c.ctr.suspectClears.Add(clears)
 	}
 	if len(corrupted) > 0 {
-		sort.Ints(corrupted)
 		o.c.ctr.corruptShares.Add(uint64(len(corrupted)))
 	}
-	return beUint(data), corrupted, nil
+	return beUint(d.val[:]), corrupted, nil
 }
 
 // consensusDecode searches for the candidate value with quorum support:
-// decode every k-subset of shares, re-encode, and count the provided shares
-// consistent with the result. Returns the first candidate reaching support
-// ≥ q, or nil when none does (inconclusive — the caller gathers more
-// shares or retries). Cluster geometries keep n ≤ a handful, so the subset
+// decode every k-subset of the shares at pos, re-encode, and count the
+// provided shares consistent with the result. It reports whether some
+// candidate reached support ≥ q, leaving the first such in d.val and its
+// re-encode in d.expect; false is inconclusive — the caller gathers more
+// shares or retries. Cluster geometries keep n ≤ a handful, so the subset
 // enumeration is at most C(7,5) = 21 decodes, each over 8 bytes.
-func (o *Object) consensusDecode(shares map[int][]byte, q int) []byte {
-	idx := make([]int, 0, len(shares))
-	for i := range shares {
-		idx = append(idx, i)
+func (o *Object) consensusDecode(shares [][]byte, pos []int, q int, d *decoder) bool {
+	if len(pos) < len(d.pick) {
+		return false
 	}
-	sort.Ints(idx)
-	k := o.c.m.Threshold()
-
-	var accepted []byte
-	forEachSubset(len(idx), k, func(pick []int) bool {
-		sub := make(map[int][]byte, k)
-		for _, p := range pick {
-			sub[idx[p]] = shares[idx[p]]
+	for p := range d.pick {
+		d.pick[p] = p
+	}
+	for more := true; more; more = nextSubset(d.pick, len(pos)) {
+		for r, p := range d.pick {
+			d.sub[r] = pos[p]
 		}
-		data, err := o.c.cod.Reconstruct(sub, 8)
-		if err != nil {
-			return false
+		if err := o.c.cod.ReconstructInto(d.val[:], shares, d.sub, &d.ida); err != nil {
+			continue
 		}
-		expect := o.c.cod.Split(data)
+		o.c.cod.SplitInto(d.expect, d.val[:], &d.ida)
 		support := 0
-		for i, s := range shares {
-			if shareEqual(s, expect[i]) {
+		for _, i := range pos {
+			if bytes.Equal(shares[i], d.expect[i]) {
 				support++
 			}
 		}
 		if support >= q {
-			accepted = data
 			return true
 		}
-		return false
-	})
-	return accepted
+	}
+	return false
 }
 
-// forEachSubset calls fn with every size-r subset of {0, …, n−1} until fn
-// returns true (early exit).
-func forEachSubset(n, r int, fn func(idx []int) bool) {
-	idx := make([]int, r)
-	var rec func(pos, next int) bool
-	rec = func(pos, next int) bool {
-		if pos == r {
-			return fn(idx)
-		}
-		for i := next; i <= n-(r-pos); i++ {
-			idx[pos] = i
-			if rec(pos+1, i+1) {
-				return true
-			}
-		}
+// nextSubset advances idx — an ascending r-subset of {0, …, n−1} — to its
+// lexicographic successor, reporting false after the last one.
+func nextSubset(idx []int, n int) bool {
+	r := len(idx)
+	i := r - 1
+	for i >= 0 && idx[i] == n-r+i {
+		i--
+	}
+	if i < 0 {
 		return false
 	}
-	rec(0, 0)
-}
-
-// shareEqual compares two share byte strings.
-func shareEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
+	idx[i]++
+	for j := i + 1; j < r; j++ {
+		idx[j] = idx[j-1] + 1
 	}
 	return true
 }

@@ -57,8 +57,8 @@ func main() {
 	addr := flag.String("addr", ":7433", "TCP listen address")
 	seed := flag.Uint64("seed", 1, "store key seed (share with auditor clients)")
 	readers := flag.Int("readers", 0, "reader principals per object (0: store default)")
-	shards := flag.Int("shards", 0, "shard executors: dispatch lanes requests are routed to by object-name hash (0: GOMAXPROCS)")
-	shardQueue := flag.Int("shard-queue", 0, "per-executor queue depth; the admission-control high watermark (0: server default)")
+	shards := flag.Int("shards", 0, "execution shards: queues requests are routed to by object-name hash, each drained by one connection at a time (0: GOMAXPROCS)")
+	shardQueue := flag.Int("shard-queue", 0, "per-shard queue depth; the admission-control high watermark (0: server default)")
 	capacity := flag.Int("capacity", 0, "default audit-history capacity per object (0: store default)")
 	poolWorkers := flag.Int("poolworkers", 0, "audit pool worker goroutines (0: pool default)")
 	poolInterval := flag.Duration("poolinterval", 0, "audit pool sweep interval (0: pool default)")

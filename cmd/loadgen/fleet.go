@@ -19,9 +19,9 @@ import (
 // daemons it spawns (zero values: the daemon's defaults).
 type daemonTuning struct {
 	walBatchDelay time.Duration
-	shards        int // shard executors (-shards)
+	shards        int // execution shards (-shards)
 	walStripes    int // WAL stripe groups (-wal-stripes)
-	shardQueue    int // per-executor queue depth (-shard-queue)
+	shardQueue    int // per-shard queue depth (-shard-queue)
 	// metricsAddr is the daemon's -metrics-addr and nodeID its -node-id.
 	// Neither is a tuning knob (the cell picks the port; the cluster geometry
 	// is in the cell name already), so both stay out of suffix(). A restart

@@ -4,14 +4,17 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"runtime"
 	"sort"
 	"time"
 
 	"auditreg"
 	"auditreg/client"
+	"auditreg/internal/awake"
 	"auditreg/internal/shard"
 	"auditreg/server"
 	"auditreg/store"
+	"auditreg/wire"
 )
 
 // Timing observer (E18, timing channel). The paper's silent read is the
@@ -24,10 +27,11 @@ import (
 // distribution that the poller exists.
 //
 // The positive control replaces the silent poller with the loudest one the
-// protocol allows: a tight-loop reader of the object being written. Every
-// write renumbers the sequence, so each poll turns into an effective fetch
-// — fetch&xor on the written object's own shared state, an announce, WAL
-// records — all serialized on the victim's own shard executor. That must be
+// protocol allows: pipelined readers of the object being written, one
+// connection per processor. Every write renumbers the sequence, so the polls
+// keep turning into effective fetches — fetch&xor on the written object's
+// own shared state, an announce, WAL records — all serialized on the
+// victim's own shard, by server readers that never go idle. That must be
 // visible, or the stopwatch has no resolution.
 
 const (
@@ -38,17 +42,21 @@ const (
 	// touches no shared state, not that the server hides CPU load — a
 	// tight-loop poller of ANY request kind is visible to a stopwatch simply
 	// by occupying the machine, which is why the lab paces the honest poller
-	// and routes it to a different shard executor than the victim (see
+	// and routes it to a different shard than the victim (see
 	// NewTimingLab), leaving shared-state contention as the only signal the
 	// game can carry.
 	timingPollGap = time.Millisecond
+	// loudWindow is how many requests each of the control's connections
+	// keeps in flight: enough to keep a server reader busy between two
+	// wake-ups of its client, few enough that the client has work too.
+	loudWindow = 64
 )
 
 // timingWriteTarget is the victim's object. The poll target is picked so
-// its name hashes to a different shard executor than the victim's whenever
-// the server runs more than one (executor = hash & pow2mask, so differing in
-// the hash's low bit separates them at every executor count > 1): the honest
-// game must not measure executor-queue sharing between two unrelated
+// its name hashes to a different execution shard than the victim's whenever
+// the server runs more than one (shard = hash & pow2mask, so differing in
+// the hash's low bit separates them at every shard count > 1): the honest
+// game must not measure shard-queue sharing between two unrelated
 // objects, which any two requests exhibit, read or not.
 const timingWriteTarget = "e18/timing/write-target"
 
@@ -65,9 +73,11 @@ func timingPollTarget() string {
 // TimingLab drives the timing games against a live auditd, remote (addr) or
 // in-process (addr == "").
 type TimingLab struct {
+	sleep  func() // lets the CPUs halt again (see NewTimingLab)
 	srv    *server.Server
 	writer *client.Client
 	poller *client.Client
+	addr   string
 	wObj   *client.Object // write target
 	pObj   *client.Object // silent-poll target (distinct object)
 	ctr    uint64
@@ -75,8 +85,14 @@ type TimingLab struct {
 
 // NewTimingLab dials addr, or boots an in-process auditd when addr is empty
 // (volatile — timing needs no data directory), and warms both targets.
+//
+// The CPUs are kept from halting for the lab's lifetime (package awake): the
+// stopwatch compares a run with a poller against a run with nothing else on
+// the machine, and on a host whose idle CPUs halt, which of the two is the
+// faster depends on the halt regime of the moment.
 func NewTimingLab(addr string, seed uint64) (*TimingLab, error) {
 	l := &TimingLab{}
+	_, l.sleep = awake.Keep()
 	if addr == "" {
 		srv, err := server.New(server.Config{Key: auditreg.KeyFromSeed(seed), Readers: 4})
 		if err != nil {
@@ -90,6 +106,7 @@ func NewTimingLab(addr string, seed uint64) (*TimingLab, error) {
 		go srv.Serve(ln)
 		addr = ln.Addr().String()
 	}
+	l.addr = addr
 	var err error
 	if l.writer, err = client.Dial(addr, client.WithConns(1)); err != nil {
 		l.Close()
@@ -129,6 +146,7 @@ func NewTimingLab(addr string, seed uint64) (*TimingLab, error) {
 
 // Close tears the lab down.
 func (l *TimingLab) Close() {
+	l.sleep()
 	if l.writer != nil {
 		l.writer.Close()
 	}
@@ -159,9 +177,9 @@ func (l *TimingLab) SilentRead() Distinguisher {
 	}
 }
 
-// EffectiveRead is the positive control: the poller tight-loops effective
-// reads of the write target itself, contending on its shared state and its
-// shard executor. The stopwatch must see this.
+// EffectiveRead is the positive control: pipelined pollers keep effective
+// reads of the write target itself in flight, contending on its shared
+// state, its shard and its cores. The stopwatch must see this.
 func (l *TimingLab) EffectiveRead() Distinguisher {
 	return Distinguisher{
 		Name:     "timing/effective-read+loud",
@@ -174,12 +192,19 @@ func (l *TimingLab) EffectiveRead() Distinguisher {
 }
 
 // trial measures timingWrites write latencies; with b == 1 the given poller
-// runs concurrently until the measurements end.
-func (l *TimingLab) trial(b int, poll func(stop <-chan struct{}) error) ([]float64, error) {
+// runs concurrently — the stopwatch starts once it says it is under way —
+// until the measurements end.
+func (l *TimingLab) trial(b int, poll func(ready chan<- struct{}, stop <-chan struct{}) error) ([]float64, error) {
 	stop := make(chan struct{})
 	pollErr := make(chan error, 1)
 	if b == 1 {
-		go func() { pollErr <- poll(stop) }()
+		ready := make(chan struct{})
+		go func() { pollErr <- poll(ready, stop) }()
+		select {
+		case <-ready:
+		case err := <-pollErr:
+			return nil, err
+		}
 	}
 
 	lats := make([]float64, 0, timingWrites)
@@ -208,9 +233,10 @@ func (l *TimingLab) trial(b int, poll func(stop <-chan struct{}) error) ([]float
 // pollSilent reads the poll target — a stable object the poller's cache is
 // already current for, so every round is a silent fetch — paced at
 // timingPollGap, until stopped.
-func (l *TimingLab) pollSilent(stop <-chan struct{}) error {
+func (l *TimingLab) pollSilent(ready chan<- struct{}, stop <-chan struct{}) error {
 	tick := time.NewTicker(timingPollGap)
 	defer tick.Stop()
+	close(ready)
 	for {
 		select {
 		case <-stop:
@@ -223,22 +249,92 @@ func (l *TimingLab) pollSilent(stop <-chan struct{}) error {
 	}
 }
 
-// pollEffective tight-loops reads of the write target itself; the victim's
-// writes keep renumbering it, so the reads keep turning effective.
-func (l *TimingLab) pollEffective(stop <-chan struct{}) error {
-	// Its own handle, so the poller's cache state doesn't alias the writer's.
-	obj, err := l.poller.Open(timingWriteTarget, store.Register)
+// pollEffective is the control's poller: one loud connection per processor
+// (see pollLoud), so that however the scheduler places the victim's round
+// trips, a server reader busy with the victim's object is on its shard and
+// on its core. It reports ready once every connection has requests queued
+// (or has failed: the error then surfaces when the trial stops the rest).
+func (l *TimingLab) pollEffective(ready chan<- struct{}, stop <-chan struct{}) error {
+	n := runtime.GOMAXPROCS(0)
+	up, errs := make(chan struct{}, n), make(chan error, n)
+	for i := 0; i < n; i++ {
+		go func() { errs <- l.pollLoud(up, stop) }()
+	}
+	for i := 0; i < n; i++ {
+		<-up
+	}
+	close(ready)
+	var err error
+	for i := 0; i < n; i++ {
+		if e := <-errs; e != nil {
+			err = e
+		}
+	}
+	return err
+}
+
+// pollLoud keeps a window of reads of the write target itself in flight on a
+// connection of its own; the victim's writes keep renumbering the target, so
+// the reads keep turning effective. The window is the point: a poller that
+// waits for each answer before it asks again spends its time being woken,
+// not working, and where the scheduler leaves it parked while the victim's
+// round trips chain on one thread — it happens for whole runs — it completes
+// one read per trial and the control is silent (measured: 1 read in a 170 µs
+// trial against 48 in lockstep with the victim's 24 writes, and accuracy at
+// chance in a third of the runs). With loudWindow requests always queued,
+// the server's reader for this connection runs them to completion back to
+// back, no wake-up in between.
+func (l *TimingLab) pollLoud(up chan<- struct{}, stop <-chan struct{}) error {
+	queued := false
+	defer func() {
+		if !queued {
+			up <- struct{}{} // failed before it got going: do not hold the trial up
+		}
+	}()
+	nc, err := net.Dial("tcp", l.addr)
 	if err != nil {
 		return err
 	}
+	defer nc.Close()
+	sc := wire.NewFrameScanner(nc, 32<<10)
+	open := wire.AppendFrame(nil, 1, wire.VerbOpen, (&wire.OpenReq{Name: timingWriteTarget, Kind: wire.KindRegister}).Append(nil))
+	if _, err := nc.Write(open); err != nil {
+		return err
+	}
+	if f, err := sc.Next(); err != nil || f.Verb != wire.VerbOpen {
+		return fmt.Errorf("loud poller: open answered %v, %v", f.Verb, err)
+	}
+	var burst []byte
+	for i := 0; i < loudWindow/2; i++ {
+		// Reader 1..3: the lab's servers have at least 4. PrevSeq -1 never
+		// matches, so every answer carries the value.
+		req := wire.ReadFetchReq{Name: timingWriteTarget, Reader: uint8(1 + i%3), PrevSeq: ^uint64(0)}
+		burst = wire.AppendFrame(burst, uint64(2+i), wire.VerbReadFetch, req.Append(nil))
+	}
+	await := func() error {
+		for i := 0; i < loudWindow/2; i++ {
+			if f, err := sc.Next(); err != nil || f.Verb != wire.VerbReadFetch {
+				return fmt.Errorf("loud poller: read answered %v, %v", f.Verb, err)
+			}
+		}
+		return nil
+	}
+	if _, err := nc.Write(burst); err != nil {
+		return err
+	}
+	queued = true
+	up <- struct{}{}
 	for {
 		select {
 		case <-stop:
-			return nil
+			return await() // nothing of this trial's is left in flight for the next
 		default:
-			if _, err := obj.Read(1); err != nil {
-				return err
-			}
+		}
+		if _, err := nc.Write(burst); err != nil {
+			return err
+		}
+		if err := await(); err != nil {
+			return err
 		}
 	}
 }

@@ -108,7 +108,7 @@ func TestServerFastPathAllocationFree(t *testing.T) {
 
 // TestInstrumentedPathAllocationFree pins the hot paths WITH the telemetry
 // the dispatch loops add — the exact observe sequence a routed request pays:
-// conn-decode on the reader, queue-wait + store-op on the executor, and the
+// conn-decode on the reader, queue-wait + store-op under the shard, and the
 // handler itself. Telemetry must be free on the paths it measures: the
 // silent read stays at exactly zero allocations, the write keeps its
 // amortized sub-one bound.

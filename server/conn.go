@@ -15,47 +15,66 @@ import (
 )
 
 // connIOBuf sizes the per-connection read buffer; connQueue bounds the
-// response queue between the reader and writer goroutines (the dispatcher
-// blocks when the writer falls this far behind — backpressure, not
-// unbounded buffering).
+// responses awaiting a durability verdict (whoever executes blocks when the
+// completion stage falls this far behind — backpressure, not unbounded
+// buffering); connFlushBatch bounds how many request frames the reader
+// answers before it flushes, however many more its buffer already holds.
 const (
-	connIOBuf = 32 << 10
-	connQueue = 256
+	connIOBuf      = 32 << 10
+	connQueue      = 256
+	connFlushBatch = 64
 )
 
-// conn is one accepted connection: a reader goroutine decoding request
-// frames and routing them to the server's shard executors by object-name
-// hash, a writer goroutine coalescing response frames into scatter-gather
-// flushes, and the connection's session secret (the seed of every ValueMask
-// pad applied on it).
+// conn is one accepted connection: a reader goroutine that decodes request
+// frames and runs them to completion — it enqueues each on the shard its
+// object name hashes to and, finding that shard idle, executes what is
+// queued there itself (see shardQueue) — a completion goroutine that holds
+// back the responses of journaled mutations until their durability verdict,
+// and the connection's session secret (the seed of every ValueMask pad
+// applied on it). There is no writer goroutine: finished response frames are
+// appended to pend and written by a combining flush, the same shape as the
+// client's (client/conn.go).
 //
 // The request path is allocation-free at steady state: request bodies are
-// copied into pooled frame buffers for the executor hop (hot verbs decode in
-// place via DecodeView — their name strings alias that buffer and die with
-// the execute), responses are encoded into pooled frame buffers that the
-// writer recycles right after the writev. See DESIGN.md, "Wire hot path",
-// for the ownership rules.
+// copied into pooled frame buffers for the queue (hot verbs decode in place
+// via DecodeView — their name strings alias that buffer and die with the
+// execute), responses are encoded into pooled frame buffers that the flush
+// recycles right after the writev. See DESIGN.md, "Wire hot path", for the
+// ownership rules.
 type conn struct {
 	srv     *Server
 	nc      net.Conn
 	session [wire.SessionLen]byte
-	tslot   uint64 // telemetry stripe slot for conn-side histograms
-	writec  chan *wire.Buf
-	wdone   chan struct{}    // closed by writeLoop after its final flush
+	tslot   uint64           // telemetry stripe slot for conn-side histograms
 	donec   chan pendingResp // execute → completion: responses awaiting a durability verdict
 	cdone   chan struct{}    // closed by completionLoop when drained
 
-	// inflight counts requests routed to executors and not yet executed;
-	// the reader waits for it to drain before closing donec, so every
-	// executor-side send lands in a live channel.
+	// inflight counts requests routed to shards and not yet answered: a
+	// request the reader executed itself leaves when it has executed, one
+	// another connection's drainer executed leaves when that drainer has
+	// flushed its response. The reader waits for it to drain before closing
+	// donec, so every execute-side send lands in a live channel and nobody
+	// is writing to the socket when serve closes it.
 	inflight sync.WaitGroup
+
+	// foreign lists the other connections whose requests this reader's
+	// current drain executed; reader-owned.
+	foreign []*conn
+
+	wmu      sync.Mutex
+	pend     []*wire.Buf // finished response frames awaiting a flush
+	flushing bool        // somebody is writing; appenders leave their frames to it
+
+	// Owned by whoever holds the flushing flag.
+	batch []*wire.Buf
+	fl    wire.Flusher
 }
 
 // pendingResp is one encoded response whose request's durability commit is
 // still outstanding: the completion goroutine collects the verdict and only
-// then releases the frame to the writer — so a shard executor never parks on
-// an fsync, and every mutation in flight on the connection rides its
-// stripe's group commit.
+// then releases the frame — so a shard is never held across an fsync, and
+// every mutation in flight on the connection rides its stripe's group
+// commit.
 type pendingResp struct {
 	id     uint64
 	buf    *wire.Buf
@@ -65,13 +84,11 @@ type pendingResp struct {
 
 func newConn(s *Server, nc net.Conn) (*conn, error) {
 	c := &conn{
-		srv:    s,
-		nc:     nc,
-		tslot:  s.connSeq.Add(1),
-		writec: make(chan *wire.Buf, connQueue),
-		wdone:  make(chan struct{}),
-		donec:  make(chan pendingResp, connQueue),
-		cdone:  make(chan struct{}),
+		srv:   s,
+		nc:    nc,
+		tslot: s.connSeq.Add(1),
+		donec: make(chan pendingResp, connQueue),
+		cdone: make(chan struct{}),
 	}
 	if _, err := rand.Read(c.session[:]); err != nil {
 		return nil, err
@@ -81,7 +98,7 @@ func newConn(s *Server, nc net.Conn) (*conn, error) {
 
 // beginDrain kicks the reader off its blocking socket read; the frame
 // scanner will yield the complete frames already buffered, then surface the
-// deadline error, and the completion and writer stages flush and close.
+// deadline error, and serve flushes and closes.
 func (c *conn) beginDrain() {
 	c.nc.SetReadDeadline(time.Now())
 }
@@ -91,42 +108,42 @@ func (c *conn) beginDrain() {
 // flushed. The drain guarantee rides on the scanner: Next always drains
 // buffered complete frames before surfacing a socket error, so every request
 // that had fully arrived when the drain began is still executed.
+//
+// The reader corks its responses while its scanner holds another complete
+// request — k requests that arrived in one segment leave in one writev — and
+// flushes when the next Next would block, or every connFlushBatch frames.
 func (c *conn) serve() {
-	go c.writeLoop()
 	go c.completionLoop()
 	sc := wire.NewFrameScanner(c.nc, connIOBuf)
-	for {
+	for batched := 0; ; {
 		f, err := sc.Next()
 		if err != nil {
 			break
 		}
-		// conn-decode covers the reader-side work per frame: peek, hash,
-		// pooled body copy, enqueue (or the inline execute of no-name
-		// verbs) — not the blocking socket read above it.
-		t0 := telem.Now()
-		c.route(f)
-		c.srv.tel.connDecode.Observe(c.tslot, telem.Now()-t0)
+		c.route(f, telem.Now())
+		if batched++; batched < connFlushBatch && sc.Buffered() {
+			continue
+		}
+		c.flush()
+		batched = 0
 	}
-	// Every routed request must have executed (and so delivered its response
-	// into donec or writec) before donec closes; the executors keep running —
-	// Shutdown stops them only after every conn is gone.
+	c.flush() // what a batch cut short by a malformed frame left corked
+	// Every routed request must have executed and — where another reader ran
+	// it — been flushed before donec closes and the socket goes away; see
+	// inflight.
 	c.inflight.Wait()
 	close(c.donec)
-	<-c.cdone // every pending durability verdict collected
-	close(c.writec)
-	// Join the writer: serve() returning is what Shutdown waits on, and
-	// the drain guarantee is that every queued response has been flushed
-	// by then.
-	<-c.wdone
+	<-c.cdone // every pending durability verdict collected and flushed
+	c.nc.Close()
 }
 
 // completionLoop collects durability verdicts in arrival order and releases
-// the finished responses to the writer. A failed commit turns the
+// the finished responses, flushing each as its verdict arrives: the next
+// verdict may be a whole fsync away. A failed commit turns the
 // already-encoded success response back into an error frame: the mutation
 // took effect in memory, but its durability was never acknowledged.
-// Non-durable responses bypass this stage entirely (execute sends them
-// straight to the writer), so a silent read is never queued behind an
-// fsync.
+// Non-durable responses bypass this stage entirely (execute appends them
+// straight to pend), so a silent read is never queued behind an fsync.
 func (c *conn) completionLoop() {
 	defer close(c.cdone)
 	for pr := range c.donec {
@@ -144,13 +161,17 @@ func (c *conn) completionLoop() {
 			c.srv.errs.Add(1)
 		}
 		c.emit(pr.buf)
+		c.flush()
 		// Total completion-stage residence: queue dwell + durability wait +
 		// emit. wal-commit-wait above isolates the durability share.
 		c.srv.tel.completion.Observe(c.tslot, telem.Now()-pr.enq)
 	}
 }
 
-// emit taps and queues one finished response frame.
+// emit taps one finished response frame and appends it to the pending list.
+// It never writes: the caller may hold a shard. The frame leaves with the
+// next flush — the reader's at the end of its batch, or the emitter's own
+// (completion stage, another connection's drainer after its release).
 func (c *conn) emit(out *wire.Buf) {
 	c.srv.framesOut.Add(1)
 	if c.srv.cfg.FrameTap != nil {
@@ -158,58 +179,57 @@ func (c *conn) emit(out *wire.Buf) {
 		// keep (test instrumentation — see Config.FrameTap).
 		c.srv.cfg.FrameTap(true, out.B)
 	}
-	c.writec <- out
+	c.wmu.Lock()
+	c.pend = append(c.pend, out)
+	c.wmu.Unlock()
 }
 
-// writeLoop coalesces queued response frames into one scatter-gather flush
-// per wakeup — a single writev however many frames are pending — recycles
-// their buffers, and closes the socket once the reader is done.
-func (c *conn) writeLoop() {
-	defer close(c.wdone)
-	var pend []*wire.Buf
-	var fl wire.Flusher
-	for b := range c.writec {
-		pend = append(pend[:0], b)
-	collect:
-		for {
-			select {
-			case more, ok := <-c.writec:
-				if !ok {
-					break collect
-				}
-				pend = append(pend, more)
-			default:
-				break collect
-			}
-		}
+// flush writes the pending response frames — one scatter-gather writev per
+// batch, buffers recycled whatever the outcome — until none are left, unless
+// a flush is already in progress: that one re-checks pend under wmu before
+// it lets go of the flag, so it takes the frames appended behind it. On a
+// broken socket the writes fail fast and the frames are recycled all the
+// same; the reader learns of the failure from its own next read.
+func (c *conn) flush() {
+	c.wmu.Lock()
+	if c.flushing {
+		c.wmu.Unlock()
+		return
+	}
+	c.flushing = true
+	for len(c.pend) > 0 {
+		c.batch, c.pend = c.pend, c.batch[:0]
+		c.wmu.Unlock()
 		t0 := telem.Now()
-		err := fl.Flush(c.nc, pend)
+		c.fl.Flush(c.nc, c.batch)
 		c.srv.tel.connFlush.Observe(c.tslot, telem.Now()-t0)
 		c.srv.connFlushes.Add(1)
-		c.srv.connFlushFrames.Add(uint64(len(pend)))
-		if err != nil {
-			// Broken socket: keep recycling queued responses so the reader
-			// never blocks on a full queue, until it closes the channel.
-			for b := range c.writec {
-				wire.PutBuf(b)
-			}
-			break
-		}
+		c.srv.connFlushFrames.Add(uint64(len(c.batch)))
+		c.wmu.Lock()
 	}
-	c.nc.Close()
+	c.flushing = false
+	c.wmu.Unlock()
 }
 
-// route hands one request frame to the shard executor its object name
-// hashes to — the same FNV-1a hash the store's shard map and the WAL's
-// stripe map use, so one object means one executor means one WAL stripe.
-// The frame body is a view into the connection's read buffer, reused for the
-// next frame, so the executor hop gets a pooled copy. When the executor's
-// queue is at its high watermark the request is shed with CodeBusy instead
-// of queued: under saturation queueing delay stays bounded and the client
-// retries with backoff. Requests that carry no object name (STATS, unknown
-// verbs, bodies too short to hold a name) execute inline on the reader —
-// they touch no per-object state, so they need no serialization.
-func (c *conn) route(f wire.Frame) {
+// route enqueues one request frame on the shard its object name hashes to —
+// the same FNV-1a hash the store's shard map and the WAL's stripe map use,
+// so one object means one shard means one WAL stripe — and drains that shard
+// if it is idle. The frame body is a view into the connection's read buffer,
+// reused for the next frame, and the request may wait behind another
+// connection's drain, so the queue gets a pooled copy. When the queue is at
+// its high watermark the request is shed with CodeBusy instead of queued:
+// the wait behind other connections stays bounded and the client retries
+// with backoff. (A connection's own pipeline cannot fill the queue: its
+// reader executes before it reads on, so its socket is its back-pressure.)
+// Requests that carry no object name (STATS, unknown verbs, bodies too
+// short to hold a name) execute inline on the reader — they touch no
+// per-object state, so they need no serialization.
+//
+// t0 is the clock at the frame's arrival. conn-decode covers the
+// reader-side work per frame — peek, hash, pooled body copy, enqueue (or
+// the inline execute of no-name verbs) — and stops before the drain:
+// neither the blocking socket read before it nor the store op after it.
+func (c *conn) route(f wire.Frame, t0 int64) {
 	s := c.srv
 	s.framesIn.Add(1)
 	if s.cfg.FrameTap != nil {
@@ -222,12 +242,13 @@ func (c *conn) route(f wire.Frame) {
 		if !ok {
 			break // malformed: the handler's decoder produces the error
 		}
-		e := s.execs[shard.HashBytes(name)&s.execMask]
+		e := s.shards[shard.HashBytes(name)&s.shardMask]
 		in := wire.GetBuf(len(f.Body))
 		in.B = append(in.B[:0], f.Body...)
 		c.inflight.Add(1)
+		enq := telem.Now()
 		select {
-		case e.queue <- shardReq{c: c, id: f.ID, verb: f.Verb, buf: in, enq: telem.Now()}:
+		case e.queue <- shardReq{c: c, id: f.ID, verb: f.Verb, buf: in, enq: enq}:
 			e.enqueues.Add(1)
 		default:
 			c.inflight.Done()
@@ -235,9 +256,12 @@ func (c *conn) route(f wire.Frame) {
 			e.sheds.Add(1)
 			c.shed(f.ID)
 		}
+		s.tel.connDecode.Observe(c.tslot, enq-t0)
+		c.drain(e)
 		return
 	}
 	c.execute(f.ID, f.Verb, f.Body)
+	s.tel.connDecode.Observe(c.tslot, telem.Now()-t0)
 }
 
 // shed answers a request the admission control refused: a CodeBusy error
@@ -254,13 +278,14 @@ func (c *conn) shed(id uint64) {
 	c.emit(out)
 }
 
-// execute runs one request and queues its response; it runs on the shard
-// executor the request's object hashes to (inline on the reader for the few
-// verbs without a name). The body is owned by the caller; every handler is
-// done with it when execute returns. Same-shard mutations execute in queue
-// order, but their durability wait — when the WAL has one — is handed to
-// the conn's completion goroutine, so the executor moves on immediately and
-// the stripe's group commit absorbs everything in flight on the shard.
+// execute runs one request and emits its response; it runs on whichever
+// reader is draining the shard the request's object hashes to (inline on
+// the connection's own reader for the few verbs without a name). The body is
+// owned by the caller; every handler is done with it when execute returns.
+// Same-shard mutations execute in queue order, but their durability wait —
+// when the WAL has one — is handed to the conn's completion goroutine, so
+// the drainer moves on immediately and the stripe's group commit absorbs
+// everything in flight on the shard.
 func (c *conn) execute(id uint64, verb wire.Verb, body []byte) {
 	s := c.srv
 	// Size the response buffer by verb so big cold-path responses draw from
@@ -421,10 +446,11 @@ func (c *conn) handleReadFetch(body, dst []byte) ([]byte, wire.Verb, func() erro
 // helpAnnounce is the announce half of an effective read (Algorithm 1 line
 // 5), performed by the server right after the fetch half: the helping CAS
 // that completes the seq-th write, with the same guard and the same
-// JournalAnnounce record as store.Object.Read. Every op on an object runs on
-// one shard executor, so no write is half-finished when this runs — which is
-// why it needs no request of its own. Pure helping: a failure is not
-// surfaced (the read already took effect and is journaled), only not counted.
+// JournalAnnounce record as store.Object.Read. Every op on an object runs
+// under its shard's busy flag, one at a time, so no write is half-finished
+// when this runs — which is why it needs no request of its own. Pure
+// helping: a failure is not surfaced (the read already took effect and is
+// journaled), only not counted.
 func (c *conn) helpAnnounce(obj *store.Object[uint64], reader int, seq uint64) {
 	if err := obj.Announce(reader, seq); err == nil {
 		c.srv.announces.Add(1)

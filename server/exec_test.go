@@ -1,44 +1,76 @@
 package server
 
 import (
-	"bytes"
 	"testing"
 
 	"auditreg"
+	"auditreg/internal/race"
 	"auditreg/internal/shard"
 	"auditreg/store"
 	"auditreg/wire"
 )
 
-// TestShardRoutingAllocationFree pins the reader-side routing hop at zero
-// heap allocations per request: peeking the name out of the undecoded body,
-// hashing it, copying the body into a pooled buffer, and enqueueing on the
-// shard executor must all ride the arena. The executor side is drained in
-// the measured loop so the pooled buffers actually recycle.
+// recycle returns the responses a socketless test conn has pending to the
+// arena, as a flush would, and reports how many there were.
+func recycle(c *conn) int {
+	n := len(c.pend)
+	for _, b := range c.pend {
+		wire.PutBuf(b)
+	}
+	c.pend = c.pend[:0]
+	return n
+}
+
+// TestShardRoutingAllocationFree pins a routed request at zero heap
+// allocations from frame to response: peeking the name out of the undecoded
+// body, hashing it, copying the body into a pooled buffer, enqueueing on the
+// shard, finding it idle and executing the request inline — a silent read,
+// the paper's common case — and appending the response frame must all ride
+// the arena.
 func TestShardRoutingAllocationFree(t *testing.T) {
+	if race.Enabled {
+		t.Skip("a sync.Pool discards at random under -race")
+	}
 	srv, c := newBenchConn(t)
 	const name = "alloc/route"
 	if _, err := srv.Store().Open(name, store.Register); err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	body := (&wire.WriteReq{Name: name, Value: 7}).Append(nil)
-	f := wire.Frame{ID: 1, Verb: wire.VerbWrite, Body: body}
-	e := srv.execs[shard.HashBytes([]byte(name))&srv.execMask]
-	drain := func() {
-		req := <-e.queue
-		wire.PutBuf(req.buf)
-		req.c.inflight.Done()
+	// One effective fetch brings reader 0 up to date; resending its seq as
+	// PrevSeq makes every later fetch silent.
+	c.route(wire.Frame{ID: 1, Verb: wire.VerbReadFetch,
+		Body: (&wire.ReadFetchReq{Name: name, Reader: 0, PrevSeq: ^uint64(0)}).Append(nil)}, 0)
+	first, _, err := wire.ParseFrame(c.pend[0].B)
+	if err != nil {
+		t.Fatalf("parse: %v", err)
 	}
-	// Warm the arena class the request body draws from.
+	var resp wire.ReadFetchResp
+	if err := resp.Decode(first.Body); err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	recycle(c)
+	f := wire.Frame{ID: 2, Verb: wire.VerbReadFetch,
+		Body: (&wire.ReadFetchReq{Name: name, Reader: 0, PrevSeq: resp.Seq}).Append(nil)}
+	silent := srv.readsSilent.Load()
+	// Warm the arena classes the request copy and the response draw from.
 	for i := 0; i < 8; i++ {
-		c.route(f)
-		drain()
+		c.route(f, 0)
+		recycle(c)
 	}
 	if n := testing.AllocsPerRun(1000, func() {
-		c.route(f)
-		drain()
+		c.route(f, 0)
+		if recycle(c) != 1 {
+			t.Fatal("routed request was not answered inline")
+		}
 	}); n != 0 {
-		t.Fatalf("shard routing allocated %v times per run, want 0", n)
+		t.Fatalf("route + inline execute allocated %v times per run, want 0", n)
+	}
+	if got := srv.readsSilent.Load() - silent; got < 1000 {
+		t.Fatalf("%d silent reads executed, want >= 1000", got)
+	}
+	e := srv.shards[shard.HashBytes([]byte(name))&srv.shardMask]
+	if e.busy.Load() || len(e.queue) != 0 {
+		t.Fatalf("shard left busy=%v depth=%d after inline drains", e.busy.Load(), len(e.queue))
 	}
 }
 
@@ -69,49 +101,57 @@ func TestPeekNameMatchesDecode(t *testing.T) {
 	}
 }
 
-// TestShardQueueShedsWithBusy drives the admission control directly: with a
-// one-slot queue and no executor draining it, the second routed request must
-// be shed as a CodeBusy error frame and counted, while the first sits
-// queued.
+// TestShardQueueShedsWithBusy drives the admission control directly. The
+// shard queue bounds the waiting behind ANOTHER connection's drain — a
+// connection's own pipeline never queues behind itself, its reader executes
+// each request before it reads the next, so its socket is what pushes back
+// on it. So the shard is marked busy, as if another connection's reader were
+// draining it: with a one-slot queue the first routed request sits queued,
+// the second is shed as a CodeBusy error frame and counted, and neither
+// reaches the store.
 func TestShardQueueShedsWithBusy(t *testing.T) {
 	srv, err := New(Config{Key: auditreg.KeyFromSeed(5), Readers: 8, ExecShards: 1, ShardQueue: 1})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	c := &conn{srv: srv, writec: make(chan *wire.Buf, 4)}
+	if _, err := srv.Store().Open("shed/reg", store.Register); err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	c := &conn{srv: srv}
+	e := srv.shards[0]
+	e.busy.Store(true)
 	body := (&wire.WriteReq{Name: "shed/reg", Value: 1}).Append(nil)
-	c.route(wire.Frame{ID: 1, Verb: wire.VerbWrite, Body: body}) // fills the queue
-	c.route(wire.Frame{ID: 2, Verb: wire.VerbWrite, Body: body}) // shed
+	c.route(wire.Frame{ID: 1, Verb: wire.VerbWrite, Body: body}, 0) // fills the queue
+	c.route(wire.Frame{ID: 2, Verb: wire.VerbWrite, Body: body}, 0) // shed
 
-	e := srv.execs[0]
 	if got := e.enqueues.Load(); got != 1 {
 		t.Errorf("enqueues = %d, want 1", got)
 	}
 	if got := e.sheds.Load(); got != 1 {
 		t.Errorf("sheds = %d, want 1", got)
 	}
-
-	select {
-	case out := <-c.writec:
-		sc := wire.NewFrameScanner(bytes.NewReader(out.B), 512)
-		f, err := sc.Next()
-		if err != nil {
-			t.Fatalf("scan shed frame: %v", err)
-		}
-		if f.ID != 2 || f.Verb != wire.VerbErr {
-			t.Fatalf("shed frame: id %d verb %v, want id 2 VerbErr", f.ID, f.Verb)
-		}
-		var e wire.ErrResp
-		if err := e.Decode(f.Body); err != nil {
-			t.Fatalf("decode shed body: %v", err)
-		}
-		if e.Code != wire.CodeBusy {
-			t.Fatalf("shed code = %d, want CodeBusy", e.Code)
-		}
-		wire.PutBuf(out)
-	default:
-		t.Fatal("no shed response was emitted")
+	if got := srv.writes.Load(); got != 0 {
+		t.Errorf("%d writes reached the store behind a busy shard, want 0", got)
 	}
+
+	if len(c.pend) != 1 {
+		t.Fatalf("%d responses pending, want the one shed frame", len(c.pend))
+	}
+	f, _, err := wire.ParseFrame(c.pend[0].B)
+	if err != nil {
+		t.Fatalf("parse shed frame: %v", err)
+	}
+	if f.ID != 2 || f.Verb != wire.VerbErr {
+		t.Fatalf("shed frame: id %d verb %v, want id 2 VerbErr", f.ID, f.Verb)
+	}
+	var er wire.ErrResp
+	if err := er.Decode(f.Body); err != nil {
+		t.Fatalf("decode shed body: %v", err)
+	}
+	if er.Code != wire.CodeBusy {
+		t.Fatalf("shed code = %d, want CodeBusy", er.Code)
+	}
+	recycle(c)
 
 	// The shed surfaces in STATS under the names the bench drivers read.
 	stats := make(map[string]uint64)
@@ -125,4 +165,19 @@ func TestShardQueueShedsWithBusy(t *testing.T) {
 	if stats["shards"] != 1 || stats["shard-queue-cap"] != 1 {
 		t.Errorf("stats = shards %d, queue-cap %d; want 1, 1", stats["shards"], stats["shard-queue-cap"])
 	}
+
+	// The other connection lets go; the next reader to come by drains what
+	// was queued behind it.
+	e.busy.Store(false)
+	c.drain(e)
+	if got := srv.writes.Load(); got != 1 {
+		t.Errorf("%d writes executed after the release, want 1", got)
+	}
+	if len(c.pend) != 1 {
+		t.Fatalf("%d responses pending, want 1", len(c.pend))
+	}
+	if f, _, _ := wire.ParseFrame(c.pend[0].B); f.ID != 1 || f.Verb != wire.VerbWrite {
+		t.Errorf("response: id %d verb %v, want id 1 VerbWrite", f.ID, f.Verb)
+	}
+	recycle(c)
 }

@@ -16,9 +16,9 @@ import (
 // Pipeline stage names, as they appear in STATS summaries and the metrics
 // endpoint. One name per hop of the request path:
 //
-//	conn-decode     reader-side frame decode + route (per request frame)
-//	exec-queue-wait routed request's dwell in its shard executor's queue
-//	store-op        handler execution on the executor (store op + encode)
+//	conn-decode     reader-side frame peek, hash, copy and enqueue (per request frame)
+//	exec-queue-wait routed request's dwell in its shard's queue
+//	store-op        handler execution under the shard (store op + encode)
 //	wal-commit-wait completion stage's wait for the durability verdict
 //	completion      total completion-stage residence (commit wait + emit)
 //	conn-flush      one writev flush of coalesced response frames
@@ -34,7 +34,7 @@ const (
 )
 
 // serverTelem bundles the server's per-stage latency histograms. Every
-// histogram is striped (per executor or per connection slot) so hot-path
+// histogram is striped (per shard or per connection slot) so hot-path
 // observes never contend, and every export path — STATS summaries, the
 // Prometheus endpoint — reads the same registry.
 //
@@ -103,10 +103,10 @@ func (s *Server) snapshotCounters() counterSnap {
 		epoch:    s.statsEpoch.Add(1),
 		uptimeMs: uint64(time.Since(s.start).Milliseconds()),
 	}
-	for _, e := range s.execs {
+	for _, e := range s.shards {
 		snap.shardSheds += e.sheds.Load()
 	}
-	for _, e := range s.execs {
+	for _, e := range s.shards {
 		snap.shardEnqueues += e.enqueues.Load()
 		snap.shardDepth += uint64(len(e.queue))
 	}
@@ -195,7 +195,7 @@ func (s *Server) serveMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	fmt.Fprintf(w, "# TYPE auditreg_objects gauge\nauditreg_objects %d\n", snap.objects)
 	fmt.Fprintf(w, "# TYPE auditreg_shard_depth gauge\nauditreg_shard_depth %d\n", snap.shardDepth)
-	fmt.Fprintf(w, "# TYPE auditreg_shards gauge\nauditreg_shards %d\n", len(s.execs))
+	fmt.Fprintf(w, "# TYPE auditreg_shards gauge\nauditreg_shards %d\n", len(s.shards))
 	if ws := snap.wal; ws != nil {
 		telem.WriteCounter(w, "auditreg_wal_records_total", ws.Records)
 		telem.WriteCounter(w, "auditreg_wal_batches_total", ws.Batches)

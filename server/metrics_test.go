@@ -42,7 +42,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	wbody := (&wire.WriteReq{Name: name, Value: 7}).Append(nil)
 	fbody := (&wire.ReadFetchReq{Name: name, Reader: 0, PrevSeq: ^uint64(0)}).Append(nil)
 	for i := 0; i < 5; i++ {
-		// Feed the stage histograms the way the executor loop does.
+		// Feed the stage histograms the way a drain does.
 		t0 := telem.Now()
 		c.handleWrite(wbody, dst[:0])
 		c.handleReadFetch(fbody, dst[:0])

@@ -16,7 +16,7 @@ import (
 // rejects it — or, for the one legal divergence, the zero-length name,
 // handles it unrouted). peekName deliberately checks less than the decoders
 // (no MaxName bound, no tail validation): over-accepting only routes a
-// doomed request to an executor, while over-rejecting would execute a valid
+// doomed request to a shard, while over-rejecting would execute a valid
 // request on the wrong goroutine.
 func TestPeekNameAdversarial(t *testing.T) {
 	// rawBody builds a u16-length-prefixed name (with an arbitrary claimed

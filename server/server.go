@@ -6,20 +6,32 @@
 // # Connection model
 //
 // Each accepted connection gets a reader that decodes request frames and
-// routes each one — by the FNV-1a hash of its object name, the same hash
-// the store's shard map and the WAL's stripe map use — to one of the
-// server's shard executors: single goroutines that each own their slice of
-// the store, so cross-connection operations on one shard serialize without
-// lock contention while distinct shards run in parallel. Responses flow
-// back through the connection's completion stage (durability verdicts) and
-// writer goroutine (scatter-gather flushes). Requests pipeline naturally —
-// a client may have any number of frames in flight — and per-object order
-// is preserved (one object, one executor queue), which is also why the
-// server can perform a fetched read's helping announce itself, right after
-// the fetch: no write on that object is ever half-finished in between.
-// Each executor queue is bounded; at the high watermark the reader sheds
-// the request with a CodeBusy error instead of queueing it, so overload
-// degrades into client retries, not unbounded latency.
+// runs them to completion. It enqueues each request — by the FNV-1a hash of
+// its object name, the same hash the store's shard map and the WAL's stripe
+// map use — on one of the server's execution shards, a bounded queue plus a
+// busy flag, and, finding the shard idle, takes the flag and executes what
+// is queued there: its own request and whatever other connections' readers
+// added meanwhile. A reader that finds the shard busy leaves its request to
+// the one draining it. Operations of one shard therefore never run
+// concurrently while distinct shards run in parallel, with no goroutine
+// per shard and no hand-off on the common path. Responses are appended to
+// the connection's pending list and leave in combining flushes: the reader
+// corks while its buffer holds further complete requests and flushes when
+// it would block (k requests in one segment, one writev); the completion
+// stage, which holds back the responses of journaled mutations until their
+// durability verdict, flushes each as its verdict arrives; a reader that
+// executed another connection's request flushes that connection after it
+// released the shard — a shard is never held across a socket write.
+// Requests pipeline naturally — a client may have any number of frames in
+// flight — and per-object order is preserved (one object, one queue, one
+// drainer at a time), which is also why the server can perform a fetched
+// read's helping announce itself, right after the fetch: no write on that
+// object is ever half-finished in between. Each shard queue is bounded; a
+// request that finds it full — that many requests of other connections
+// already wait there — is shed with a CodeBusy error instead of queued, so
+// overload degrades into client retries, not unbounded latency. A
+// connection's own pipeline is back-pressured by its socket: its reader
+// does not read on before it has run or queued what it read.
 //
 // # Trust boundary
 //
@@ -42,8 +54,9 @@
 //
 // Shutdown drains gracefully: stop accepting, kick every connection's reader
 // off its socket, execute the requests already buffered, flush every pending
-// response, then stop the audit pool. Clients see clean EOFs at frame
-// boundaries.
+// response — a connection closes only after its in-flight requests have run,
+// their durability verdicts are in and the last flush is out — then stop the
+// audit pool. Clients see clean EOFs at frame boundaries.
 package server
 
 import (
@@ -77,14 +90,15 @@ type Config struct {
 	Readers int
 	// Shards is the store's shard count (default shard.DefaultShards).
 	Shards int
-	// ExecShards is the number of shard executors — the single goroutines
-	// requests are routed to by object-name hash, each owning its slice of
-	// the store (default runtime.GOMAXPROCS(0), rounded up to a power of
-	// two). One executor per core is the intended shape; more only adds
-	// queues.
+	// ExecShards is the number of execution shards — the queues requests
+	// are routed to by object-name hash, each drained by one connection's
+	// reader at a time (default runtime.GOMAXPROCS(0), rounded up to a
+	// power of two). One shard per core is the intended shape; more only
+	// adds queues.
 	ExecShards int
-	// ShardQueue bounds each executor's request queue (default
-	// defaultShardQueue). A routed request that finds the queue full is
+	// ShardQueue bounds each shard's request queue (default
+	// defaultShardQueue): how many requests may wait behind another
+	// connection's drain. A routed request that finds the queue full is
 	// shed with a CodeBusy error — the admission-control high watermark.
 	ShardQueue int
 	// Capacity is the default per-object audit-history capacity (default
@@ -153,12 +167,12 @@ type Server struct {
 	epoch uint64
 	start time.Time
 
-	// Shard executors: requests are routed to execs[hash&execMask] by the
-	// conn readers; the goroutines start in Serve and stop in Shutdown once
-	// every conn (every sender) is gone.
-	execs    []*shardExec
-	execMask uint64
-	execStop sync.Once
+	// Execution shards: a conn reader enqueues each request on
+	// shards[hash&shardMask] and drains that shard if nobody else is (see
+	// shardQueue). No goroutine belongs to a shard, so there is nothing to
+	// start or stop: the queues are empty once every conn is gone.
+	shards    []*shardQueue
+	shardMask uint64
 
 	// tel holds the per-stage pipeline histograms (see metrics.go);
 	// statsEpoch advances on every counter snapshot; connSeq hands each
@@ -184,7 +198,6 @@ type Server struct {
 	ln       net.Listener
 	conns    map[*conn]struct{}
 	draining bool
-	execsUp  bool
 
 	wg sync.WaitGroup
 
@@ -235,9 +248,9 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The executor shard count doubles as the stripe count of the
-	// executor-side histograms, so telemetry is built before the WAL — the
-	// WAL's fsync timer is one of its stages.
+	// The shard count doubles as the stripe count of the shard-side
+	// histograms, so telemetry is built before the WAL — the WAL's fsync
+	// timer is one of its stages.
 	shards := cfg.ExecShards
 	if shards <= 0 {
 		shards = runtime.GOMAXPROCS(0)
@@ -309,8 +322,8 @@ func New(cfg Config) (*Server, error) {
 		epoch:     binary.BigEndian.Uint64(eb[:]),
 		start:     time.Now(),
 		conns:     make(map[*conn]struct{}),
-		execs:     newExecs(n, queueCap),
-		execMask:  uint64(n - 1),
+		shards:    newShards(n, queueCap),
+		shardMask: uint64(n - 1),
 		tel:       tel,
 		shareLens: make(map[string]uint8),
 	}, nil
@@ -399,7 +412,6 @@ func (s *Server) Serve(ln net.Listener) error {
 	if err := s.pool.Start(); err != nil {
 		return err
 	}
-	s.startExecs()
 	for {
 		nc, err := ln.Accept()
 		if err != nil {
@@ -483,9 +495,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.mu.Unlock()
 		<-done
 	}
-	// Every conn reader is gone, so no goroutine can route another request:
-	// the executor queues are safe to close and drain.
-	s.stopExecs()
+	// Every conn reader is gone, and each waited for its in-flight requests:
+	// the shard queues are empty.
 	s.pool.Stop()
 	if s.wal != nil {
 		// Last: every drained request has journaled by now. A clean close
@@ -532,12 +543,12 @@ func (s *Server) statPairs(snap counterSnap) []wire.StatPair {
 		wire.StatPair{Name: "share-objects", Value: snap.shareObjects},
 		wire.StatPair{Name: "share-corrupts-served", Value: snap.shareCorrupt},
 	)
-	// Shard-executor occupancy: enqueues/sheds are cumulative, depth is the
+	// Shard occupancy: enqueues/sheds are cumulative, depth is the
 	// instantaneous total queue occupancy across shards — nonzero sheds with
 	// bounded depth is what admission control looks like under overload.
 	pairs = append(pairs,
-		wire.StatPair{Name: "shards", Value: uint64(len(s.execs))},
-		wire.StatPair{Name: "shard-queue-cap", Value: uint64(cap(s.execs[0].queue))},
+		wire.StatPair{Name: "shards", Value: uint64(len(s.shards))},
+		wire.StatPair{Name: "shard-queue-cap", Value: uint64(cap(s.shards[0].queue))},
 		wire.StatPair{Name: "shard-enqueues", Value: snap.shardEnqueues},
 		wire.StatPair{Name: "shard-sheds", Value: snap.shardSheds},
 		wire.StatPair{Name: "shard-depth", Value: snap.shardDepth},

@@ -144,3 +144,60 @@ func TestBufArenaClasses(t *testing.T) {
 		PutBuf(b)
 	}
 }
+
+// TestFrameScannerBuffered pins the question a corking reader asks between
+// frames — would the next Next block? — on an empty buffer, a partial frame
+// (header cut, body cut), back-to-back frames, and a length prefix Next
+// rejects without reading.
+func TestFrameScannerBuffered(t *testing.T) {
+	one := AppendFrame(nil, 1, VerbWrite, []byte("body"))
+	two := AppendFrame(AppendFrame(nil, 1, VerbWrite, []byte("a")), 2, VerbStats, nil)
+
+	sc := NewFrameScanner(bytes.NewReader(nil), 0)
+	if sc.Buffered() {
+		t.Error("empty scanner reports a buffered frame")
+	}
+
+	// Back to back: true after the first frame, false after the second.
+	sc = NewFrameScanner(bytes.NewReader(two), 0)
+	if sc.Buffered() {
+		t.Error("nothing read yet, but a frame is reported buffered")
+	}
+	if f, err := sc.Next(); err != nil || f.ID != 1 {
+		t.Fatalf("first frame: id %d, err %v", f.ID, err)
+	}
+	if !sc.Buffered() {
+		t.Error("second of two back-to-back frames not reported buffered")
+	}
+	if f, err := sc.Next(); err != nil || f.ID != 2 {
+		t.Fatalf("second frame: id %d, err %v", f.ID, err)
+	}
+	if sc.Buffered() {
+		t.Error("drained scanner reports a buffered frame")
+	}
+
+	// Partial: a whole frame followed by a cut of the next, at every cut.
+	for cut := 1; cut < len(one); cut++ {
+		stream := append(append([]byte(nil), one...), one[:cut]...)
+		sc := NewFrameScanner(&chunkReader{b: stream, step: len(stream)}, 0)
+		if _, err := sc.Next(); err != nil {
+			t.Fatalf("cut %d: %v", cut, err)
+		}
+		if sc.Buffered() {
+			t.Errorf("cut %d: a frame cut after %d of %d bytes reported buffered", cut, cut, len(one))
+		}
+	}
+
+	// A length Next rejects: it returns at once, so it counts as buffered.
+	bad := append(append([]byte(nil), one...), 0, 0, 0, 1, 0xEE)
+	sc = NewFrameScanner(&chunkReader{b: bad, step: len(bad)}, 0)
+	if _, err := sc.Next(); err != nil {
+		t.Fatalf("frame before the malformed one: %v", err)
+	}
+	if !sc.Buffered() {
+		t.Error("a malformed length prefix would not block Next, but is not reported buffered")
+	}
+	if _, err := sc.Next(); err == nil || err == io.EOF || err == io.ErrUnexpectedEOF {
+		t.Errorf("Next over a malformed length prefix = %v, want a protocol error", err)
+	}
+}

@@ -274,6 +274,15 @@ func (s *FrameScanner) Next() (Frame, error) {
 	}
 }
 
+// Buffered reports whether the next Next returns without touching the
+// underlying reader: a complete frame — or a length prefix Next will reject
+// — is already in the buffer. A reader that answers what it has before it
+// blocks (the server's corked flush) asks this between frames.
+func (s *FrameScanner) Buffered() bool {
+	_, _, err := ParseFrame(s.buf[s.start:s.end])
+	return err != io.ErrUnexpectedEOF
+}
+
 // fill reads more bytes after compacting or growing the buffer as needed.
 func (s *FrameScanner) fill() error {
 	if s.start == s.end {
