@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"sync"
 
-	"auditreg"
+	"auditreg/internal/core"
 	"auditreg/internal/telem"
 	"auditreg/store"
 	"auditreg/wire"
@@ -94,13 +94,13 @@ func (o *Object) Reader(j int) (*Reader, error) {
 }
 
 // Auditor returns an audit handle, mirroring the local API. It requires the
-// client to hold the store key (WithKey): reader sets cross the wire masked
+// client to hold the store key (WithKey): audit rows cross the wire masked
 // and are decrypted only here, client-side.
 func (o *Object) Auditor() (*Auditor, error) {
 	if !o.c.hasKey {
 		return nil, fmt.Errorf("client: auditor for %q: no store key (configure WithKey)", o.name)
 	}
-	return &Auditor{o: o}, nil
+	return &Auditor{o: o, set: core.NewAuditSet[uint64]()}, nil
 }
 
 // Writer is a write handle of a remote object.
@@ -124,63 +124,99 @@ func (r *Reader) Index() int { return r.j }
 // Object.Read.
 func (r *Reader) Read() (uint64, error) { return r.o.Read(r.j) }
 
-// Auditor is an audit handle of a remote object.
+// Auditor is an audit handle of a remote object, and like the local handle
+// it mirrors it is the paper's auditor: it keeps the cumulative set A and the
+// cursor lsa between audits, so an audit asks the server only for the rows
+// from lsa on and costs what was written since the last one. Both are valid
+// within one server boot: epoch is the boot they were learned under, and a
+// response from any other (a restart, a redial to another process) restarts
+// them from nothing — recovery renumbers, and a volatile restart forgets.
+// Safe for concurrent use; audits of one handle take turns.
 type Auditor struct {
 	o *Object
+
+	mu    sync.Mutex
+	epoch uint64
+	lsa   uint64
+	set   core.AuditSet[uint64]
+	resp  wire.AuditResp // decode scratch
 }
 
-// Audit requests a fresh audit — a report covering everything linearized
-// before the server handled the request — and unmasks its reader sets
-// locally with the store key. The report is cumulative, as audits are.
+// Audit requests a fresh audit — rows covering everything linearized before
+// the server handled the request — and unmasks them locally with the store
+// key. The report is cumulative, as audits are: a zero-copy view of the
+// handle's set, read-only.
 func (a *Auditor) Audit() (store.ObjectAudit[uint64], error) { return a.audit(true) }
 
-// Latest returns the server audit pool's most recently published report for
-// the object: the cheap path, possibly slightly stale, never contending
+// Latest folds in what the server audit pool most recently published for the
+// object instead: the cheap path, possibly slightly stale, never contending
 // with writers.
 func (a *Auditor) Latest() (store.ObjectAudit[uint64], error) { return a.audit(false) }
 
-func (a *Auditor) audit(fresh bool) (store.ObjectAudit[uint64], error) {
-	t0 := telem.Now()
-	aud, err := a.auditOnce(fresh)
-	a.o.c.rtt.Observe(uint64(t0), telem.Now()-t0)
-	return aud, err
+// Epoch returns the server boot the handle's set and cursor belong to. It
+// changes exactly when an audit dropped them and refolded from sequence
+// number 0, which is how a consumer that folds the report incrementally
+// itself (package auditreg/cluster) learns that what it folded is void.
+func (a *Auditor) Epoch() uint64 {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.epoch
 }
 
-func (a *Auditor) auditOnce(fresh bool) (store.ObjectAudit[uint64], error) {
+func (a *Auditor) audit(fresh bool) (store.ObjectAudit[uint64], error) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	t0 := telem.Now()
+	err := a.page(fresh)
+	for err == nil && a.resp.More {
+		err = a.page(fresh)
+	}
+	a.o.c.rtt.Observe(uint64(t0), telem.Now()-t0)
+	if err != nil {
+		return store.ObjectAudit[uint64]{}, err
+	}
+	return store.ObjectAudit[uint64]{Object: a.o.name, Kind: a.o.kind, Report: a.set.View()}, nil
+}
+
+// page is one AUDIT round trip from the cursor on, folded into the set.
+func (a *Auditor) page(fresh bool) error {
 	o := a.o
-	var resp wire.AuditResp
+	var epoch uint64
 	err := retryBusy(func() error {
 		cn := o.c.pick()
-		if _, err := cn.open(o.name, o.wkind, 0); err != nil {
+		or, err := cn.open(o.name, o.wkind, 0)
+		if err != nil {
 			return err
 		}
+		// The open (fresh or cached) pinned the boot this connection speaks
+		// to; the cursor means something to that boot only.
 		req := wire.AuditReq{Name: o.name, Fresh: fresh}
+		if epoch = or.Epoch; epoch == a.epoch {
+			req.Since = a.lsa
+		}
 		r, err := cn.roundTrip(wire.VerbAudit, req.Append(nil))
 		if err != nil {
 			return err
 		}
-		resp = wire.AuditResp{}
-		err = decodeResp(r, wire.VerbAudit, &resp)
+		err = decodeResp(r, wire.VerbAudit, &a.resp)
 		wire.PutBuf(r.buf)
 		return err
 	})
 	if err != nil {
-		return store.ObjectAudit[uint64]{}, err
+		return err
 	}
-	// Unmask each row's reader set — the only place outside the server
-	// where reader sets exist in the clear, and it requires the key.
-	var entries []auditreg.Entry[uint64]
-	for i, row := range resp.Rows {
-		readers := row.Readers ^ wire.AuditMask(o.c.key, resp.Nonce, i)
-		for j := 0; j < 64; j++ {
-			if readers&(1<<uint(j)) != 0 {
-				entries = append(entries, auditreg.Entry[uint64]{Reader: j, Value: row.Value})
-			}
-		}
+	if epoch != a.epoch {
+		a.epoch, a.set = epoch, core.NewAuditSet[uint64]()
 	}
-	return store.ObjectAudit[uint64]{
-		Object: o.name,
-		Kind:   o.kind,
-		Report: auditreg.NewReport(entries...),
-	}, nil
+	// Unmask each row — the only place outside the server where reader sets
+	// exist in the clear, and it requires the key.
+	wire.MaskAuditRows(o.c.key, a.resp.Nonce, a.resp.Rows)
+	for _, row := range a.resp.Rows {
+		a.set.Add(row.Readers, row.Value)
+	}
+	a.lsa = a.resp.Next
+	if cap(a.resp.Rows) > 64 {
+		a.resp.Rows = nil // a cold audit's rows: the tail needs a handful
+	}
+	return nil
 }

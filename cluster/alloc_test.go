@@ -64,3 +64,49 @@ func TestClusterOpAllocationBound(t *testing.T) {
 		}
 	}
 }
+
+// TestTailAuditAllocationBound pins what the tailing cluster auditor pays
+// for looking again when nothing happened: five one-row AUDIT round trips
+// (client and in-process servers counted together, as above), five goroutines
+// to run them side by side, and a merge that finds nothing to fold and
+// nothing to decide — the same handful of allocations whatever the number of
+// pairs already merged. At the parent commit a re-audit re-merged every pair:
+// a share-row set, a table entry and a report entry each.
+func TestTailAuditAllocationBound(t *testing.T) {
+	if race.Enabled {
+		t.Skip("a sync.Pool discards at random under -race")
+	}
+	tc := startCluster(t, 5, 1, 108, func(_ int, cfg *server.Config) {
+		cfg.PoolInterval = time.Hour
+	})
+	cc := dialCluster(t, tc)
+	obj, err := cc.Open("alloc/tail")
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	var v uint64
+	for _, history := range []int{50, 800} {
+		for ; v < uint64(history); v++ {
+			if err := obj.Write(v + 1); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := obj.Read(int(v % 4)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		settle(t, cc, v, v)
+		m, err := obj.Audit() // folds what is new; the runs below find nothing new
+		if err != nil || m.Report.Len() != history {
+			t.Fatalf("audit at %d writes of history: %d pairs, err %v", history, m.Report.Len(), err)
+		}
+		if n := testing.AllocsPerRun(100, func() {
+			if m, err := obj.Audit(); err != nil || m.Report.Len() != history {
+				t.Fatalf("quiescent re-audit: %d pairs, err %v", m.Report.Len(), err)
+			}
+		}); n > 60 {
+			t.Errorf("quiescent re-audit over %d merged pairs allocated %v times, want a constant <= 60", history, n)
+		} else {
+			t.Logf("quiescent re-audit over %d merged pairs: %v allocations", history, n)
+		}
+	}
+}

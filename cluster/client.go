@@ -205,6 +205,9 @@ type Object struct {
 	w      writeRound
 
 	rounds []readRound // per reader: serialization of ReadTraced and its scratch
+
+	amu sync.Mutex // serializes Audit
+	aud auditState
 }
 
 // writeRound is the writer's scratch, guarded by wmu. A fan-out's legs get

@@ -21,7 +21,7 @@ type testCluster struct {
 
 // startCluster boots the cluster; cfgHooks (optional) run against each
 // node's config before server.New — how a test plants one Byzantine node.
-func startCluster(t *testing.T, n, f int, seed uint64, cfgHooks ...func(i int, cfg *server.Config)) *testCluster {
+func startCluster(t testing.TB, n, f int, seed uint64, cfgHooks ...func(i int, cfg *server.Config)) *testCluster {
 	t.Helper()
 	addrs := make([]string, n)
 	lns := make([]net.Listener, n)
@@ -79,7 +79,7 @@ func (tc *testCluster) stopAll() {
 	}
 }
 
-func dialCluster(t *testing.T, tc *testCluster) *cluster.Client {
+func dialCluster(t testing.TB, tc *testCluster) *cluster.Client {
 	t.Helper()
 	cc, err := cluster.Dial(tc.m)
 	if err != nil {

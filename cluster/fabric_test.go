@@ -3,7 +3,9 @@ package cluster_test
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"net"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -458,5 +460,216 @@ func TestRestartDropsSlotCache(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("reader 0's fetch never reached the restarted node %d", victim+1)
 		}
+	}
+}
+
+// sameMerged reports whether two merged audits say the same thing: the same
+// nodes covered, the same charged set, the same undecided pairs with the same
+// logger counts, the same blamed nodes.
+func sameMerged(a, b cluster.Merged) bool {
+	return a.Object == b.Object && a.Nodes == b.Nodes && a.Report.Equal(b.Report) &&
+		slices.Equal(a.Undecided, b.Undecided) && slices.Equal(a.Corrupted, b.Corrupted)
+}
+
+// TestTailingMergeEqualsFresh holds the tailing cluster auditor to its one
+// claim: at every audit of a seeded random history, the object that has been
+// merging deltas all along returns what a brand-new client's first audit
+// returns. The history is built to visit every kind of verdict and every way
+// a verdict changes: completed reads (charged pairs, the same value under
+// several wids), a curious reader that stops after fewer than k fetches and
+// sometimes resumes (Undecided, with growing logger counts, then charged), a
+// node whose journal holds a share the writer never sent (Corrupted, found
+// when surplus loggers arrive), and a node killed and rebooted empty in the
+// middle of the tail (its epoch changes and its log shrinks: every pair it
+// logged loses a logger, and pairs that were charged may not be any more).
+// Every operation runs to completion on all live nodes before the next, so
+// the two audits compared see the same logs.
+func TestTailingMergeEqualsFresh(t *testing.T) {
+	const n, f, liar, victim, curious = 5, 1, 1, 4, 3 // positions; curious is a reader index
+	seed := time.Now().UnixNano()
+	rng := rand.New(rand.NewSource(seed))
+	fc := startFabric(t, n, f, 331, nil)
+	cc := fc.dial(t, 2*time.Second)
+	const name = "tail"
+	obj, err := cc.Open(name)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	// One plain client per node: the curious reader fetches single shares.
+	single := make([]*client.Object, n)
+	for i, nd := range fc.m.Nodes {
+		cl, err := client.Dial(nd.Addr, client.WithDialer(fc.fab.Dialer("curious")), client.WithConns(1), client.WithNode(nd.ID))
+		if err != nil {
+			t.Fatalf("Dial node %d: %v", nd.ID, err)
+		}
+		defer cl.Close()
+		if single[i], err = cl.Open(name, store.MaxRegister); err != nil {
+			t.Fatalf("Open on node %d: %v", nd.ID, err)
+		}
+	}
+
+	// legs counts, per node, the share writes and share fetches it must have
+	// executed since it booted; quiesce waits for exactly that.
+	var legs [n]struct{ writes, fetches uint64 }
+	up := func(i int) bool { return fc.nodes[i].srv != nil }
+	quiesce := func(step int) {
+		t.Helper()
+		var last string
+		for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(200 * time.Microsecond) {
+			stats, err := cc.NodeStats()
+			if err != nil {
+				t.Fatalf("seed %d step %d: NodeStats: %v", seed, step, err)
+			}
+			last = ""
+			for i, ns := range stats {
+				if !up(i) {
+					continue
+				}
+				var w, r uint64
+				for _, p := range ns.Resp.Pairs {
+					switch p.Name {
+					case "share-writes":
+						w = p.Value
+					case "share-fetches", "share-silent":
+						r += p.Value
+					}
+				}
+				if ns.Err != nil || w != legs[i].writes || r != legs[i].fetches {
+					last = fmt.Sprintf("node %d: err %v, share-writes %d (want %d), share fetches %d (want %d)", ns.Node, ns.Err, w, legs[i].writes, r, legs[i].fetches)
+				}
+			}
+			if last == "" {
+				return
+			}
+		}
+		t.Fatalf("seed %d step %d: cluster never settled: %s", seed, step, last)
+	}
+	write := func(step int) {
+		t.Helper()
+		if err := obj.Write(uint64(1 + rng.Intn(4))); err != nil { // few values: one value under several wids
+			t.Fatalf("seed %d step %d: Write: %v", seed, step, err)
+		}
+		for i := range legs {
+			if up(i) {
+				legs[i].writes++
+			}
+		}
+	}
+	compare := func(step int) {
+		t.Helper()
+		tail, err := obj.Audit()
+		if err != nil {
+			t.Fatalf("seed %d step %d: tailing Audit: %v", seed, step, err)
+		}
+		fcc := fc.dial(t, 2*time.Second)
+		defer fcc.Close()
+		fobj, err := fcc.Open(name)
+		if err != nil {
+			t.Fatalf("seed %d step %d: fresh Open: %v", seed, step, err)
+		}
+		fresh, err := fobj.Audit()
+		if err != nil {
+			t.Fatalf("seed %d step %d: fresh Audit: %v", seed, step, err)
+		}
+		if !sameMerged(tail, fresh) {
+			t.Fatalf("seed %d step %d: tailing and fresh merge differ:\n tail  nodes=%d %v undecided=%v corrupted=%v\n fresh nodes=%d %v undecided=%v corrupted=%v",
+				seed, step, tail.Nodes, tail.Report, tail.Undecided, tail.Corrupted, fresh.Nodes, fresh.Report, fresh.Undecided, fresh.Corrupted)
+		}
+	}
+	read := func(step, reader int) {
+		t.Helper()
+		if _, err := obj.Read(reader); err != nil {
+			t.Fatalf("seed %d step %d: Read: %v", seed, step, err)
+		}
+		for i := range legs {
+			if up(i) {
+				legs[i].fetches++
+			}
+		}
+	}
+	// peek is the curious reader taking one more share of the current write,
+	// from node i, and stopping there.
+	peek := func(step, i int) {
+		t.Helper()
+		if _, err := single[i].ShareRead(curious); err != nil {
+			t.Fatalf("seed %d step %d: ShareRead on node %d: %v", seed, step, i+1, err)
+		}
+		legs[i].fetches++
+	}
+	// lie puts a share the writer never sent into the liar's journal, under
+	// the resident wid: it raises one zero bit (a max register only takes a
+	// larger value).
+	lie := func(step int) {
+		t.Helper()
+		local, _ := fc.nodes[liar].srv.Store().Lookup(name)
+		packed, _ := local.Peek()
+		for bit := uint64(1); bit < 1<<(8*uint(fc.m.ShareLen())); bit <<= 1 {
+			if packed&bit == 0 {
+				if err := local.Write(packed | bit); err != nil {
+					t.Fatalf("seed %d step %d: corrupting write: %v", seed, step, err)
+				}
+				return
+			}
+		}
+	}
+	var sawUndecided, sawCorrupted bool
+	phase := func(from, to int, lies bool) {
+		// Whatever the dice say, a lying phase opens by walking one pair
+		// through every verdict: the curious reader holds exactly k shares of
+		// a write, the liar's among them (charged, unverified, with a value
+		// nobody wrote), then k+1 (the lie shows, no value has a quorum behind
+		// it: the charge is taken back and the pair is undecided), then all n
+		// (charged with the written value, the liar blamed).
+		write(from)
+		peek(from, 0)
+		quiesce(from)
+		if lies {
+			lie(from)
+			for _, i := range []int{liar, 2, 3, 0, victim} {
+				if i != 0 {
+					peek(from, i)
+					quiesce(from)
+				}
+				compare(from)
+			}
+		}
+		for step := from; step < to; step++ {
+			switch r := rng.Intn(12); {
+			case r < 3:
+				write(step)
+			case r < 6:
+				read(step, rng.Intn(curious))
+			case r < 8:
+				if i := rng.Intn(n); up(i) {
+					peek(step, i)
+				}
+			case r < 9 && lies:
+				lie(step)
+			default:
+				quiesce(step)
+				compare(step)
+				continue
+			}
+			quiesce(step)
+		}
+		compare(to)
+		m, err := obj.Audit()
+		if err != nil {
+			t.Fatalf("seed %d step %d: Audit: %v", seed, to, err)
+		}
+		sawUndecided = sawUndecided || len(m.Undecided) > 0
+		sawCorrupted = sawCorrupted || len(m.Corrupted) > 0
+	}
+
+	phase(0, 60, true)
+	// With a node down the cluster has no fault left to spend on a lying
+	// share (f = 1): the phase opens with a clean write and tells no lies.
+	fc.stop(victim)
+	phase(60, 90, false)
+	fc.boot(t, victim)
+	legs[victim].writes, legs[victim].fetches = 0, 0
+	phase(90, 150, true)
+	if !sawUndecided || !sawCorrupted {
+		t.Fatalf("seed %d: the history never reached every verdict: undecided seen %v, corrupted seen %v", seed, sawUndecided, sawCorrupted)
 	}
 }

@@ -3,9 +3,9 @@ package cluster
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"io"
 
 	"auditreg"
-	"auditreg/wire"
 )
 
 // sharePadTag domain-separates the cluster share pads from every other pad
@@ -26,33 +26,28 @@ const sharePadTag = "auditreg/cluster/share-pad/v1\x00"
 // derives wid w's shares once, and redeliveries repeat the identical
 // ciphertext.
 //
-// Allocation-free (the digest input is assembled in one stack buffer), as
-// it sits on the per-share fast path of every cluster write, read, and
-// audit merge; the CI alloc gate pins this.
+// It sits on the per-share fast path of every cluster write and read, five
+// times an op: the digest input is assembled in a stack buffer of three
+// SHA-256 blocks, which holds any ordinary name (118 bytes) and costs little
+// to clear, and the call allocates nothing (the CI alloc gate pins this).
+// A longer name streams through a hasher instead; the digest is the same.
 func SharePad(secret auditreg.Key, node uint32, name string, wid uint64, shareLen int) uint64 {
-	if len(name) > wire.MaxName {
-		// Out-of-protocol input (the wire decoders reject such names); fall
-		// back to streaming rather than silently truncate the digest.
-		h := sha256.New()
-		h.Write([]byte(sharePadTag))
-		h.Write(secret[:])
-		var num [12]byte
-		binary.BigEndian.PutUint32(num[:4], node)
-		binary.BigEndian.PutUint64(num[4:], wid)
-		h.Write(num[:])
-		h.Write([]byte(name))
-		var sum [sha256.Size]byte
-		h.Sum(sum[:0])
-		return binary.BigEndian.Uint64(sum[:8]) & shareMask(shareLen)
-	}
-	var in [len(sharePadTag) + 32 + 12 + wire.MaxName]byte
+	var in [3 * sha256.BlockSize]byte
 	n := copy(in[:], sharePadTag)
 	n += copy(in[n:], secret[:])
 	binary.BigEndian.PutUint32(in[n:], node)
 	binary.BigEndian.PutUint64(in[n+4:], wid)
 	n += 12
-	n += copy(in[n:], name)
-	sum := sha256.Sum256(in[:n])
+	var sum [sha256.Size]byte
+	if len(name) <= len(in)-n {
+		n += copy(in[n:], name)
+		sum = sha256.Sum256(in[:n])
+	} else {
+		h := sha256.New()
+		h.Write(in[:n])
+		io.WriteString(h, name)
+		h.Sum(sum[:0])
+	}
 	return binary.BigEndian.Uint64(sum[:8]) & shareMask(shareLen)
 }
 

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"strings"
 	"testing"
 
 	"auditreg"
@@ -52,6 +53,26 @@ func TestSharePadDomains(t *testing.T) {
 	for shareLen := 1; shareLen <= 4; shareLen++ {
 		if p := SharePad(secret, 1, "obj", 1, shareLen); p>>(8*uint(shareLen)) != 0 {
 			t.Errorf("shareLen=%d pad %#x wider than the share", shareLen, p)
+		}
+	}
+}
+
+// TestSharePadVectors pins the derivation bit for bit — shares already on
+// disk sit under these pads — on both sides of the stack buffer's edge (a
+// 118-byte name is the longest it holds) and of wire.MaxName. The values were
+// taken from the implementation that assembled every input in one 1.1 KiB
+// buffer.
+func TestSharePadVectors(t *testing.T) {
+	secret := auditreg.KeyFromSeed(7)
+	for _, v := range []struct {
+		nameLen int
+		pad     uint64
+	}{
+		{0, 0x8e936ab8}, {12, 0x2a2fe399}, {118, 0x894ecdc0}, {119, 0x301493c3},
+		{400, 0x43ed2c10}, {1024, 0xa0335023}, {1025, 0x253d11fd},
+	} {
+		if got := SharePad(secret, 3, strings.Repeat("n", v.nameLen), 0x1234567, 4); got != v.pad {
+			t.Errorf("%d-byte name: pad %#x, want %#x", v.nameLen, got, v.pad)
 		}
 	}
 }

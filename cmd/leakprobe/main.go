@@ -185,6 +185,8 @@ func e18(trials int, delta float64, seed uint64, addr, metricsURL string, dir st
 		wire.Identity(false),
 		wire.Occurrence(true),
 		wire.Identity(true),
+		wire.AuditTail(false),
+		wire.AuditTail(true),
 		clusterLab.Occurrence(false),
 		clusterLab.Identity(false),
 		clusterLab.Occurrence(true),

@@ -220,7 +220,7 @@ func (l *ClusterLab) trial(unmasked bool, reads func(obj *cluster.Object) error)
 	// Node 1's audit rows ride the same frame format as the single-node
 	// lab's, so feature extraction is shared: traffic shape plus the
 	// (un)masked tracking bits of the located row.
-	return wireFeaturesOf(l.tap.snapshot(), packed, unmasked, l.m.Nodes[0].Key)
+	return wireFeaturesOf(l.tap.snapshot(), packed, unmasked, l.m.Nodes[0].Key, nil)
 }
 
 // shareToUintObs packs share bytes big-endian, mirroring the cluster

@@ -42,6 +42,8 @@ func TestWireLab(t *testing.T) {
 	t.Run("identity", func(t *testing.T) { runSmoke(t, lab.Identity(false)) })
 	t.Run("occurrence-control", func(t *testing.T) { runSmoke(t, lab.Occurrence(true)) })
 	t.Run("identity-control", func(t *testing.T) { runSmoke(t, lab.Identity(true)) })
+	t.Run("audit-tail", func(t *testing.T) { runSmoke(t, lab.AuditTail(false)) })
+	t.Run("audit-tail-control", func(t *testing.T) { runSmoke(t, lab.AuditTail(true)) })
 }
 
 func TestClusterLab(t *testing.T) {

@@ -181,18 +181,84 @@ func gameName(base string, control bool) string {
 	return base
 }
 
+// AuditTail is the tailing-auditor game: an auditor that already audited the
+// object audits it again, and the secret is whether, in between, a second
+// reader read the same current value. The response to a cursor is a function
+// of the sequence range alone — the current row goes out again, whole, under
+// a fresh nonce either way — so frames, bytes and rows are identical in both
+// branches. leaky selects the positive control: the window replayed as an
+// entry-index delta would have answered it, sending only the rows that hold a
+// pair the auditor does not have yet — one row more exactly when the second
+// reader read.
+func (l *WireLab) AuditTail(leaky bool) Distinguisher {
+	return Distinguisher{
+		Name:     gameName("wire/audit-tail", leaky),
+		Control:  leaky,
+		Features: []string{"frames", "bytes", "audit-rows"},
+		Trial: func(b int) ([]float64, error) {
+			obj, aud, _, err := l.open()
+			if err != nil {
+				return nil, err
+			}
+			if _, err := obj.Read(1); err != nil {
+				return nil, err
+			}
+			before, err := aud.Audit()
+			if err != nil {
+				return nil, err
+			}
+			if b == 1 {
+				if _, err := obj.Read(0); err != nil {
+					return nil, err
+				}
+			}
+			// Drain as trial does, with a read that is silent in both
+			// branches: it must add no pair of its own.
+			if _, err := obj.Read(1); err != nil {
+				return nil, err
+			}
+			l.tap.reset()
+			if _, err := aud.Audit(); err != nil {
+				return nil, err
+			}
+			var known *auditreg.Report[uint64]
+			if leaky {
+				known = &before.Report
+			}
+			feats, err := wireFeaturesOf(l.tap.snapshot(), 0, false, l.key, known)
+			if err != nil {
+				return nil, err
+			}
+			return feats[:3], nil
+		},
+	}
+}
+
+// open starts one round: a fresh object holding one written value, and the
+// auditor's handle on it.
+func (l *WireLab) open() (obj *client.Object, aud *client.Auditor, value uint64, err error) {
+	l.ctr++
+	name := fmt.Sprintf("e18/wire/%08d", l.ctr)
+	value = 0xE18_0000_0000 + uint64(l.ctr)
+	if obj, err = l.victim.Open(name, store.Register); err != nil {
+		return nil, nil, 0, err
+	}
+	if err = obj.Write(value); err != nil {
+		return nil, nil, 0, err
+	}
+	aobj, err := l.audit.Open(name, store.Register)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	aud, err = aobj.Auditor()
+	return obj, aud, value, err
+}
+
 // trial plays one round: fresh object, one write, the game's reads, a
 // drain, then — inside the observation window — one audit.
 func (l *WireLab) trial(unmasked bool, reads func(obj *client.Object) error) ([]float64, error) {
-	l.ctr++
-	name := fmt.Sprintf("e18/wire/%08d", l.ctr)
-	value := 0xE18_0000_0000 + uint64(l.ctr)
-
-	obj, err := l.victim.Open(name, store.Register)
+	obj, aud, value, err := l.open()
 	if err != nil {
-		return nil, err
-	}
-	if err := obj.Write(value); err != nil {
 		return nil, err
 	}
 	if err := reads(obj); err != nil {
@@ -211,26 +277,22 @@ func (l *WireLab) trial(unmasked bool, reads func(obj *client.Object) error) ([]
 			return nil, err
 		}
 	}
-	aobj, err := l.audit.Open(name, store.Register)
-	if err != nil {
-		return nil, err
-	}
-	aud, err := aobj.Auditor()
-	if err != nil {
-		return nil, err
-	}
-
 	l.tap.reset()
 	if _, err := aud.Audit(); err != nil {
 		return nil, err
 	}
-	return wireFeaturesOf(l.tap.snapshot(), value, unmasked, l.key)
+	return wireFeaturesOf(l.tap.snapshot(), value, unmasked, l.key, nil)
 }
 
 // wireFeaturesOf extracts the observer's features from one window of audit-
-// channel frames. With unmask set, audit rows are stripped of their masks
-// first — the positive control's leaky world.
-func wireFeaturesOf(frames []tappedFrame, value uint64, unmask bool, key auditreg.Key) ([]float64, error) {
+// channel frames. The row under test is the current row, the last of the
+// response (rows are one per sequence number, in order, and every game reads
+// the newest value): the observer is given that much, and finds masked bits
+// there. With unmask set, audit rows are stripped of their masks first — the
+// positive control's leaky world — and the row is the one holding value. With
+// known set, the window is replayed as an entry-index delta would have sent
+// it: a row that holds no pair outside known is not sent.
+func wireFeaturesOf(frames []tappedFrame, value uint64, unmask bool, key auditreg.Key, known *auditreg.Report[uint64]) ([]float64, error) {
 	var totalBytes, rows, found float64
 	bits := make([]float64, wireReaders)
 	for j := range bits {
@@ -252,18 +314,30 @@ func wireFeaturesOf(frames []tappedFrame, value uint64, unmask bool, key auditre
 		if err := resp.Decode(f.Body); err != nil {
 			return nil, fmt.Errorf("attacker: audit response: %w", err)
 		}
-		rows += float64(len(resp.Rows))
+		clear := append([]wire.AuditRow(nil), resp.Rows...)
+		wire.MaskAuditRows(key, resp.Nonce, clear)
 		for i, row := range resp.Rows {
-			readers := row.Readers
-			if unmask {
-				readers ^= wire.AuditMask(key, resp.Nonce, i)
+			if known != nil {
+				fresh := false
+				for j := 0; j < wireReaders; j++ {
+					fresh = fresh || clear[i].Readers>>uint(j)&1 == 1 && !known.Contains(j, clear[i].Value)
+				}
+				if !fresh {
+					totalBytes -= 16
+					continue
+				}
 			}
-			if row.Value != value {
+			rows++
+			hit := i == len(resp.Rows)-1 && !resp.More
+			if unmask {
+				row, hit = clear[i], clear[i].Value == value
+			}
+			if !hit {
 				continue
 			}
 			found = 1
 			for j := 0; j < wireReaders; j++ {
-				bits[j] = float64((readers >> uint(j)) & 1)
+				bits[j] = float64((row.Readers >> uint(j)) & 1)
 			}
 		}
 	}

@@ -23,6 +23,10 @@ type Auditor[V comparable] struct {
 
 	lsa uint64
 	set AuditSet[V]
+
+	// The current row as the last audit decoded it (line 21), kept for Rows.
+	rval  V
+	rbits uint64
 }
 
 // Audit reports which values have been read and by whom: the set of pairs
@@ -47,6 +51,7 @@ func (a *Auditor[V]) Audit() (Report[V], error) {
 
 	// Lines 18-20: collect readers of past values from V and B. The scan
 	// starts at lsa, not 0: rows below lsa were already folded into A.
+	a.set.Reserve(t.Seq - a.lsa)
 	for s := a.lsa; s < t.Seq; s++ {
 		if a.probe != nil {
 			a.probe.Emit(probe.Event{PID: a.pid, Kind: probe.Invoke, Prim: probe.VLoad})
@@ -69,7 +74,8 @@ func (a *Auditor[V]) Audit() (Report[V], error) {
 	}
 
 	// Line 21: decrypt the current value's tracking bits.
-	a.set.Add((t.Bits^a.padc.Mask(t.Seq))&reg.maskM, t.Val)
+	a.rval, a.rbits = t.Val, (t.Bits^a.padc.Mask(t.Seq))&reg.maskM
+	a.set.Add(a.rbits, a.rval)
 
 	// Line 22: advance the cursor to rsn (not rsn+1: more readers may
 	// still join the current sequence number) and help complete the
@@ -84,4 +90,31 @@ func (a *Auditor[V]) Audit() (Report[V], error) {
 	}
 
 	return a.set.View(), nil
+}
+
+// Rows replays what the audits so far scanned to a party that keeps its own
+// cursor and cumulative set — a remote auditor, whose lsa is since: history
+// rows [since, lsa), at most limit rows in all, then the current row as the
+// last audit decoded it. What is emitted depends on the sequence range alone,
+// never on who read since the caller last looked: a history row is final, and
+// the current row is re-sent whole every time, as line 21 re-decodes it. It
+// returns the cursor to ask from next and whether limit cut the replay short
+// (the current row is then still to come).
+func (a *Auditor[V]) Rows(since uint64, limit int, emit func(val V, readers uint64)) (next uint64, more bool, err error) {
+	if since > a.lsa {
+		return since, false, nil
+	}
+	s := since
+	for ; s < a.lsa && limit > 0; s, limit = s+1, limit-1 {
+		val, ok := a.reg.vals.Load(s)
+		if !ok {
+			return s, false, fmt.Errorf("core: audit found uninitialized V[%d]; history capacity was exceeded", s)
+		}
+		emit(val, a.reg.bits.Row(s)&a.reg.maskM)
+	}
+	if limit == 0 {
+		return s, true, nil
+	}
+	emit(a.rval, a.rbits)
+	return a.lsa, false, nil
 }

@@ -56,6 +56,11 @@ func (r Report[V]) Entries() []Entry[V] {
 	return out
 }
 
+// From returns the entries after the first n, in discovery order, without
+// copying: what a consumer that already folded n entries of this auditor's
+// cumulative report has not seen. Read-only, like every view.
+func (r Report[V]) From(n int) []Entry[V] { return r.entries[n:] }
+
 // Contains reports whether the pair (reader, value) was audited.
 func (r Report[V]) Contains(reader int, value V) bool {
 	for _, e := range r.entries {

@@ -422,6 +422,10 @@ type Auditor[V comparable] struct {
 
 	lsa uint64
 	set core.AuditSet[V]
+
+	// The current row as the last audit decoded it, kept for Rows.
+	rval  V
+	rbits uint64
 }
 
 // Audit reports the set of pairs (j, v) such that p_j has a v-effective read
@@ -437,6 +441,7 @@ func (a *Auditor[V]) Audit() (core.Report[V], error) {
 		a.probe.Emit(probe.Event{PID: a.pid, Kind: probe.Return, Prim: probe.RRead, Detail: t})
 	}
 
+	a.set.Reserve(t.Seq - a.lsa)
 	for s := a.lsa; s < t.Seq; s++ {
 		if a.probe != nil {
 			a.probe.Emit(probe.Event{PID: a.pid, Kind: probe.Invoke, Prim: probe.VLoad})
@@ -457,7 +462,8 @@ func (a *Auditor[V]) Audit() (core.Report[V], error) {
 		}
 		a.set.Add(row&reg.maskM, val)
 	}
-	a.set.Add((t.Bits^a.padc.Mask(t.Seq))&reg.maskM, t.Val.Val)
+	a.rval, a.rbits = t.Val.Val, (t.Bits^a.padc.Mask(t.Seq))&reg.maskM
+	a.set.Add(a.rbits, a.rval)
 
 	a.lsa = t.Seq
 	if a.probe != nil {
@@ -469,4 +475,26 @@ func (a *Auditor[V]) Audit() (core.Report[V], error) {
 	}
 
 	return a.set.View(), nil
+}
+
+// Rows replays what the audits so far scanned to a party that keeps its own
+// cursor and set: history rows [since, lsa), at most limit rows in all, then
+// the current row as the last audit decoded it. See core.Auditor.Rows.
+func (a *Auditor[V]) Rows(since uint64, limit int, emit func(val V, readers uint64)) (next uint64, more bool, err error) {
+	if since > a.lsa {
+		return since, false, nil
+	}
+	s := since
+	for ; s < a.lsa && limit > 0; s, limit = s+1, limit-1 {
+		val, ok := a.reg.vals.Load(s)
+		if !ok {
+			return s, false, fmt.Errorf("maxreg: audit found uninitialized V[%d]; history capacity was exceeded", s)
+		}
+		emit(val, a.reg.bits.Row(s)&a.reg.maskM)
+	}
+	if limit == 0 {
+		return s, true, nil
+	}
+	emit(a.rval, a.rbits)
+	return a.lsa, false, nil
 }

@@ -1,14 +1,16 @@
 // Package shard provides the concurrent name-to-object map underlying the
-// multi-object store: a power-of-two array of independently locked buckets
-// with lazy, exactly-once object creation. Shard count is fixed at
-// construction, so lookups never take a global lock and sweeps (audits,
-// metrics) can walk one shard at a time, bounding how much of the map any
-// maintenance pass pins at once.
+// multi-object store: a power-of-two array of independent buckets with lazy,
+// exactly-once object creation. Shard count is fixed at construction, so
+// sweeps (audits, metrics) can walk one shard at a time. Lookups take no
+// lock and write no shared memory: a lookup is on the path of every store
+// operation, and a read-lock's counter is a cache line every core doing
+// lookups keeps stealing from every other.
 package shard
 
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
 // DefaultShards is the shard count selected when NewMap is given 0. It is
@@ -30,8 +32,9 @@ type Map[T any] struct {
 }
 
 type bucket[T any] struct {
-	mu sync.RWMutex
-	m  map[string]T
+	mu sync.Mutex // serializes creation, which is what makes it exactly-once
+	m  sync.Map   // name -> T
+	n  atomic.Int64
 }
 
 // NewMap returns a map with the given shard count rounded up to a power of
@@ -47,11 +50,7 @@ func NewMap[T any](shards int) (*Map[T], error) {
 	for n < shards {
 		n <<= 1
 	}
-	m := &Map[T]{mask: uint64(n - 1), buckets: make([]bucket[T], n)}
-	for i := range m.buckets {
-		m.buckets[i].m = make(map[string]T)
-	}
-	return m, nil
+	return &Map[T]{mask: uint64(n - 1), buckets: make([]bucket[T], n)}, nil
 }
 
 // Shards returns the shard count (a power of two).
@@ -90,11 +89,12 @@ func fnv1a(s string) uint64 {
 
 // Get returns the value stored under name, if any.
 func (m *Map[T]) Get(name string) (T, bool) {
-	b := &m.buckets[m.ShardOf(name)]
-	b.mu.RLock()
-	v, ok := b.m[name]
-	b.mu.RUnlock()
-	return v, ok
+	v, ok := m.buckets[m.ShardOf(name)].m.Load(name)
+	if !ok {
+		var zero T
+		return zero, false
+	}
+	return v.(T), true
 }
 
 // GetOrCreate returns the value stored under name, creating it with create
@@ -102,27 +102,24 @@ func (m *Map[T]) Get(name string) (T, bool) {
 // observe its result. created reports whether this call ran create. If
 // create fails nothing is stored and the error is returned.
 //
-// create runs while the shard is locked: it must be quick and must not touch
-// this Map.
+// create runs while the shard's creations are locked out: it must be quick
+// and must not create in this Map.
 func (m *Map[T]) GetOrCreate(name string, create func() (T, error)) (v T, created bool, err error) {
-	b := &m.buckets[m.ShardOf(name)]
-	b.mu.RLock()
-	v, ok := b.m[name]
-	b.mu.RUnlock()
-	if ok {
+	if v, ok := m.Get(name); ok {
 		return v, false, nil
 	}
+	b := &m.buckets[m.ShardOf(name)]
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if v, ok = b.m[name]; ok {
+	if v, ok := m.Get(name); ok {
 		return v, false, nil
 	}
-	v, err = create()
-	if err != nil {
+	if v, err = create(); err != nil {
 		var zero T
 		return zero, false, err
 	}
-	b.m[name] = v
+	b.m.Store(name, v)
+	b.n.Add(1)
 	return v, true, nil
 }
 
@@ -130,18 +127,15 @@ func (m *Map[T]) GetOrCreate(name string, create func() (T, error)) (v T, create
 func (m *Map[T]) Len() int {
 	n := 0
 	for i := range m.buckets {
-		b := &m.buckets[i]
-		b.mu.RLock()
-		n += len(b.m)
-		b.mu.RUnlock()
+		n += int(m.buckets[i].n.Load())
 	}
 	return n
 }
 
 // Range calls f for every entry until f returns false, shard by shard, in
-// unspecified order within a shard; entries added or removed concurrently
-// may or may not be visited. f runs without any shard lock held, so it may
-// call back into the Map.
+// unspecified order within a shard; entries added concurrently may or may
+// not be visited. f runs without any shard lock held, so it may call back
+// into the Map.
 func (m *Map[T]) Range(f func(name string, v T) bool) {
 	for i := range m.buckets {
 		if !m.RangeShard(i, f) {
@@ -153,22 +147,12 @@ func (m *Map[T]) Range(f func(name string, v T) bool) {
 // RangeShard calls f for every entry of shard i (in unspecified order — a
 // sweep that needs ordering sorts its own output) and reports whether the
 // sweep ran to completion (false if f stopped it). Like Range, f runs
-// without the shard lock held: the shard's entries are snapshotted first,
-// so f observes the membership as of the snapshot.
+// without any lock held.
 func (m *Map[T]) RangeShard(i int, f func(name string, v T) bool) bool {
-	b := &m.buckets[i]
-	b.mu.RLock()
-	names := make([]string, 0, len(b.m))
-	vals := make([]T, 0, len(b.m))
-	for name, v := range b.m {
-		names = append(names, name)
-		vals = append(vals, v)
-	}
-	b.mu.RUnlock()
-	for k, name := range names {
-		if !f(name, vals[k]) {
-			return false
-		}
-	}
-	return true
+	done := true
+	m.buckets[i].m.Range(func(name, v any) bool {
+		done = f(name.(string), v.(T))
+		return done
+	})
+	return done
 }

@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"fmt"
+	"hash/maphash"
 
 	"auditreg/internal/core"
 	"auditreg/internal/handle"
@@ -220,48 +221,89 @@ func (sc *SnapScanner[V]) Scan() []V {
 }
 
 // SnapAuditor is the per-process audit handle (lines 8-10): an audit of the
-// snapshot is an audit of M with version numbers stripped.
+// snapshot is an audit of M with version numbers stripped. Like the auditor
+// of M it wraps, it is incremental: it keeps the cumulative view list, how
+// many entries of M's report it has folded into it, and a hash index over the
+// list, so an audit costs what M's auditor found new.
 type SnapAuditor[V comparable] struct {
-	ma *maxreg.Auditor[view[V]]
+	ma     *maxreg.Auditor[view[V]]
+	folded int            // entries of M's cumulative report already in out
+	out    []ViewEntry[V] // distinct by (scanner, view content); append-only
+	// index is an open-addressed table of 1+position into out (0: empty),
+	// a power of two at least twice len(out): four bytes per slot is what
+	// content dedup costs, where a Go map would cost an entry.
+	index []uint32
+	seed  maphash.Seed
 }
 
 // Auditor returns an auditor handle with its own cumulative audit set.
 func (reg *Auditable[V]) Auditor(opts ...core.HandleOption) *SnapAuditor[V] {
-	return &SnapAuditor[V]{ma: reg.mreg.Auditor(opts...)}
+	return &SnapAuditor[V]{ma: reg.mreg.Auditor(opts...), seed: maphash.MakeSeed()}
 }
 
 // Audit reports the set of (scanner, view) pairs such that the scanner has an
-// effective scan returning the view, deduplicated by view content.
+// effective scan returning the view, deduplicated by view content (two
+// versions may hold equal content). The result is a view of the auditor's
+// cumulative list, shared with later audits and with the register's history:
+// read-only.
 func (a *SnapAuditor[V]) Audit() ([]ViewEntry[V], error) {
 	rep, err := a.ma.Audit()
 	if err != nil {
 		return nil, err
 	}
-	var out []ViewEntry[V]
-	for _, e := range rep.Entries() {
-		data := make([]V, len(*e.Value.data))
-		copy(data, *e.Value.data)
-		entry := ViewEntry[V]{Reader: e.Reader, View: data}
-		if !containsViewEntry(out, entry) {
-			out = append(out, entry)
+	for _, e := range rep.From(a.folded) {
+		a.add(ViewEntry[V]{Reader: e.Reader, View: *e.Value.data})
+	}
+	a.folded = rep.Len()
+	return a.out[:len(a.out):len(a.out)], nil
+}
+
+// add appends e to the list unless an entry of equal content is there.
+func (a *SnapAuditor[V]) add(e ViewEntry[V]) {
+	if 2*(len(a.out)+1) > len(a.index) {
+		a.index = make([]uint32, max(16, 2*len(a.index)))
+		for i := range a.out {
+			a.index[a.slot(a.out[i])] = uint32(i + 1)
 		}
 	}
-	return out, nil
+	if i := a.slot(e); a.index[i] == 0 {
+		a.out = append(a.out, e)
+		a.index[i] = uint32(len(a.out))
+	}
+}
+
+// slot returns e's place in the index: where it sits, or the empty slot its
+// probe sequence ends at.
+func (a *SnapAuditor[V]) slot(e ViewEntry[V]) int {
+	var h maphash.Hash
+	h.SetSeed(a.seed)
+	maphash.WriteComparable(&h, e.Reader)
+	for _, x := range e.View {
+		maphash.WriteComparable(&h, x)
+	}
+	mask := len(a.index) - 1
+	i := int(h.Sum64()) & mask
+	for a.index[i] != 0 && !sameViewEntry(a.out[a.index[i]-1], e) {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+func sameViewEntry[V comparable](x, e ViewEntry[V]) bool {
+	if x.Reader != e.Reader || len(x.View) != len(e.View) {
+		return false
+	}
+	for i := range e.View {
+		if x.View[i] != e.View[i] {
+			return false
+		}
+	}
+	return true
 }
 
 func containsViewEntry[V comparable](entries []ViewEntry[V], e ViewEntry[V]) bool {
 	for _, x := range entries {
-		if x.Reader != e.Reader || len(x.View) != len(e.View) {
-			continue
-		}
-		same := true
-		for i := range e.View {
-			if x.View[i] != e.View[i] {
-				same = false
-				break
-			}
-		}
-		if same {
+		if sameViewEntry(x, e) {
 			return true
 		}
 	}

@@ -1,9 +1,11 @@
 package snapshot_test
 
 import (
+	"math/rand"
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"auditreg/internal/otp"
 	"auditreg/internal/snapshot"
@@ -274,6 +276,67 @@ func TestAuditableSnapshotConcurrent(t *testing.T) {
 	for i, v := range final {
 		if v != per {
 			t.Fatalf("component %d = %d at quiescence, want %d", i, v, per)
+		}
+	}
+}
+
+// TestIncrementalAuditEqualsRebuild drives seeded random update/scan/audit
+// interleavings and holds the tailing auditor, at every audit, to the set a
+// brand-new auditor rebuilds from the whole history and to the set the test
+// observed itself. Components take few distinct values, so the same content
+// keeps coming back under new version numbers — which the max register's
+// report lists as distinct entries and the snapshot's must not — and the
+// scripts are long enough for the hash index to grow several times.
+func TestIncrementalAuditEqualsRebuild(t *testing.T) {
+	t.Parallel()
+	const n, m, steps = 3, 4, 600
+	for _, seed := range []int64{1, 2, 3, time.Now().UnixNano()} {
+		rng := rand.New(rand.NewSource(seed))
+		reg := newAuditableSnap(t, n, m, 0, snapshot.WithSnapshotCapacity[uint64](steps+1))
+		updaters := make([]*snapshot.SnapUpdater[uint64], n)
+		for i := range updaters {
+			updaters[i], _ = reg.Updater(i, otp.NewSeededNonces(uint64(seed)+uint64(i), uint8(i)))
+		}
+		scanners := make([]*snapshot.SnapScanner[uint64], m)
+		for j := range scanners {
+			scanners[j], _ = reg.Scanner(j)
+		}
+		type seen struct {
+			reader int
+			view   [n]uint64
+		}
+		observed := map[seen]bool{}
+		tail := reg.Auditor()
+		for step := 0; step < steps; step++ {
+			switch r := rng.Intn(10); {
+			case r < 4:
+				if err := updaters[rng.Intn(n)].Update(uint64(rng.Intn(2))); err != nil {
+					t.Fatalf("seed %d step %d: Update: %v", seed, step, err)
+				}
+			case r < 8:
+				j := rng.Intn(m)
+				observed[seen{j, [n]uint64(scanners[j].Scan())}] = true
+			default:
+				got, err := tail.Audit()
+				if err != nil {
+					t.Fatalf("seed %d step %d: Audit: %v", seed, step, err)
+				}
+				rebuilt, err := reg.Auditor().Audit()
+				if err != nil {
+					t.Fatalf("seed %d step %d: fresh Audit: %v", seed, step, err)
+				}
+				if len(got) != len(observed) || len(rebuilt) != len(observed) {
+					t.Fatalf("seed %d step %d: tail has %d entries, rebuild %d, observed %d", seed, step, len(got), len(rebuilt), len(observed))
+				}
+				for o := range observed {
+					if !snapshot.ContainsView(got, o.reader, o.view[:]) || !snapshot.ContainsView(rebuilt, o.reader, o.view[:]) {
+						t.Fatalf("seed %d step %d: observed (%d, %v) missing: tail %v, rebuild %v", seed, step, o.reader, o.view, got, rebuilt)
+					}
+				}
+			}
+		}
+		if len(observed) < 20 {
+			t.Fatalf("seed %d: only %d distinct views observed; the script is too short to grow the index", seed, len(observed))
 		}
 	}
 }

@@ -457,6 +457,10 @@ func (c *conn) helpAnnounce(obj *store.Object[uint64], reader int, seq uint64) {
 	}
 }
 
+// handleAudit answers with the rows of the sequence range the request's
+// cursor opens (see wire.AuditResp), every one under its own fresh pad before
+// the response is encoded: no decrypted reader set is ever placed in a frame,
+// and only auditor clients — key holders — can unmask.
 func (c *conn) handleAudit(body, dst []byte) ([]byte, wire.Verb) {
 	// Cold path; the audit pool may retain the name in its cursors, so use
 	// the copying decoder.
@@ -464,42 +468,19 @@ func (c *conn) handleAudit(body, dst []byte) ([]byte, wire.Verb) {
 	if err := req.Decode(body); err != nil {
 		return errBody(dst, wire.CodeBadRequest, err.Error())
 	}
-	var aud store.ObjectAudit[uint64]
-	if req.Fresh {
-		var err error
-		aud, err = c.srv.pool.AuditObject(req.Name)
-		if err != nil {
-			return storeErr(dst, err)
-		}
-	} else {
-		var ok bool
-		aud, ok = c.srv.pool.Report(req.Name)
-		if !ok {
-			var err error
-			aud, err = c.srv.pool.AuditObject(req.Name)
-			if err != nil {
-				return storeErr(dst, err)
-			}
-		}
-	}
-	wk, ok := kindToWire(aud.Kind)
-	if !ok {
-		return errBody(dst, wire.CodeUnsupported, fmt.Sprintf("audit %q: %v objects are not remotable", req.Name, aud.Kind))
-	}
-	rows := auditRows(aud)
-	if len(rows) > wire.MaxAuditRows {
-		return errBody(dst, wire.CodeTooLarge, fmt.Sprintf("audit %q: %d rows exceed the frame limit", req.Name, len(rows)))
-	}
-	resp := wire.AuditResp{Kind: wk, Rows: rows}
+	var resp wire.AuditResp
 	if _, err := rand.Read(resp.Nonce[:]); err != nil {
 		return errBody(dst, wire.CodeInternal, err.Error())
 	}
-	// Mask every row's reader set under a fresh audit pad; only auditor
-	// clients — key holders — can unmask. No decrypted reader set is ever
-	// placed in a frame.
-	for i := range resp.Rows {
-		resp.Rows[i].Readers ^= wire.AuditMask(c.srv.cfg.Key, resp.Nonce, i)
+	kind, next, more, err := c.srv.pool.Rows(req.Name, req.Fresh, req.Since, wire.MaxAuditRows, func(val, readers uint64) {
+		resp.Rows = append(resp.Rows, wire.AuditRow{Value: val, Readers: readers})
+	})
+	if err != nil {
+		return storeErr(dst, err)
 	}
+	wire.MaskAuditRows(c.srv.cfg.Key, resp.Nonce, resp.Rows)
+	resp.Kind, _ = kindToWire(kind) // the pool emits rows for remotable kinds only
+	resp.Next, resp.More = next, more
 	c.srv.audits.Add(1)
 	return resp.Append(dst), wire.VerbAudit
 }
@@ -631,22 +612,4 @@ func (c *conn) handleShareFetch(body, dst []byte) ([]byte, wire.Verb, func() err
 		}
 	}
 	return resp.Append(dst), wire.VerbShareFetch, commit
-}
-
-// auditRows flattens a report into one row per distinct value, readers as an
-// m-bit bitmask, in first-appearance order.
-func auditRows(aud store.ObjectAudit[uint64]) []wire.AuditRow {
-	entries := aud.Report.Entries()
-	rowOf := make(map[uint64]int, len(entries))
-	rows := make([]wire.AuditRow, 0, len(entries))
-	for _, e := range entries {
-		i, ok := rowOf[e.Value]
-		if !ok {
-			i = len(rows)
-			rowOf[e.Value] = i
-			rows = append(rows, wire.AuditRow{Value: e.Value})
-		}
-		rows[i].Readers |= uint64(1) << uint(e.Reader)
-	}
-	return rows
 }

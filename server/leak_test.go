@@ -164,16 +164,24 @@ func TestNoDecryptedReaderSetOnTheWire(t *testing.T) {
 			if err := resp.Decode(f.Body); err != nil {
 				t.Fatalf("AuditResp decode: %v", err)
 			}
+			// One row per sequence number, read or not: both words masked,
+			// both unmasking to the ground truth (the object is quiescent, so
+			// the current row is final too).
+			clear := append([]wire.AuditRow(nil), resp.Rows...)
+			wire.MaskAuditRows(key, resp.Nonce, clear)
 			for i, row := range resp.Rows {
-				want, known := truth[row.Value]
-				if !known {
-					t.Fatalf("audit row for unknown value %#x", row.Value)
+				if !written[clear[i].Value] {
+					t.Fatalf("audit row %d unmasks to %#x, not a written value", i, clear[i].Value)
 				}
+				if written[row.Value] {
+					t.Fatalf("audit row %d transmitted cleartext value %#x", i, row.Value)
+				}
+				want := truth[clear[i].Value]
 				if row.Readers == want && want != 0 {
 					t.Fatalf("audit row %d transmitted the decrypted reader set %#b", i, want)
 				}
-				if got := row.Readers ^ wire.AuditMask(key, resp.Nonce, i); got != want {
-					t.Fatalf("audit row %d unmasks to %#b, want %#b", i, got, want)
+				if clear[i].Readers != want {
+					t.Fatalf("audit row %d unmasks to %#b, want %#b", i, clear[i].Readers, want)
 				}
 			}
 		}

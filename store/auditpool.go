@@ -223,8 +223,39 @@ func (p *AuditPool[V]) AuditObject(name string) (ObjectAudit[V], error) {
 	return *cur.rep.Load(), nil
 }
 
+// Rows is AuditObject for a caller that keeps the cumulative set itself and
+// says how far it got — the network layer's AUDIT verb, whose client holds
+// the paper's lsa as since: the rows of sequence range [since, rsn], at most
+// limit of them, are handed to emit (see core.Auditor.Rows for what a row is
+// and what next and more mean). With fresh the shared cursor first advances
+// by one incremental audit, exactly as a sweep advances it; without, the
+// replay is of what the cursor last published.
+func (p *AuditPool[V]) Rows(name string, fresh bool, since uint64, limit int, emit func(val V, readers uint64)) (kind Kind, next uint64, more bool, err error) {
+	obj, ok := p.st.objects.Get(name)
+	if !ok {
+		return 0, 0, false, fmt.Errorf("store: pool audit %q: %w", name, ErrNotFound)
+	}
+	cur, ok := p.cursors.Get(name)
+	if fresh || !ok || cur.rep.Load() == nil {
+		if cur, err = p.auditOne(name, obj); err != nil {
+			return obj.kind, 0, false, err
+		}
+	}
+	cur.mu.Lock()
+	defer cur.mu.Unlock()
+	switch obj.kind {
+	case Register:
+		next, more, err = cur.regAud.Rows(since, limit, emit)
+	case MaxRegister:
+		next, more, err = cur.maxAud.Rows(since, limit, emit)
+	default:
+		err = fmt.Errorf("store: pool audit %q: %v objects have no audit rows: %w", name, obj.kind, ErrKindMismatch)
+	}
+	return obj.kind, next, more, err
+}
+
 // Report returns the named object's latest published audit, if the pool has
-// audited it: a shard-map lookup (one bucket read-lock) plus an atomic load
+// audited it: a shard-map lookup (lock-free) plus an atomic load
 // of the published report — it never contends with an in-progress audit of
 // the object.
 func (p *AuditPool[V]) Report(name string) (ObjectAudit[V], bool) {

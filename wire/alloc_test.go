@@ -96,11 +96,12 @@ func TestMasksAllocationFree(t *testing.T) {
 	var session [SessionLen]byte
 	var key [32]byte
 	var nonce [NonceLen]byte
+	var rows [5]AuditRow
 	if n := testing.AllocsPerRun(1000, func() {
 		if ValueMask(session, "bench/object-00042", 3, 17) == 0 {
 			t.Fatal("mask is zero") // (2^-64 false-positive; pins the call)
 		}
-		AuditMask(key, nonce, 5)
+		MaskAuditRows(key, nonce, rows[:])
 	}); n != 0 {
 		t.Fatalf("mask derivation allocated %v times per run", n)
 	}

@@ -19,10 +19,11 @@ import (
 //     ciphertext and reveals nothing. Distinct values always sit under
 //     distinct pads because seq (and name, reader, session) is part of the
 //     derivation. Any protocol extension that breaks value-determined-by-
-//     seq must switch to a nonce-fresh pad, as AuditMask does.
-//   - AuditMask pads the reader-set bitmask of one AUDIT response row.
-//     Audit rows do change between responses (sets only grow), so here
-//     freshness is mandatory: the nonce is fresh per response.
+//     seq must switch to a nonce-fresh pad, as MaskAuditRows does.
+//   - MaskAuditRows pads both words of every AUDIT response row. The current row
+//     changes between responses (its reader set grows) and is re-sent on
+//     every one, so here freshness is mandatory: the nonce is fresh per
+//     response.
 //
 // Domain tags keep the two pad families — and the store's own pad streams —
 // disjoint.
@@ -65,18 +66,26 @@ func ValueMask(session [SessionLen]byte, name string, reader uint8, seq uint64) 
 	return binary.BigEndian.Uint64(sum[:8])
 }
 
-// AuditMask derives the pad XOR-applied to the reader-set bitmask of row i
-// of an AUDIT response: the first 8 bytes of SHA-256(tag, key, nonce, i).
-// The server masks with the store key; only a key-holding auditor client can
-// unmask — readers, by the paper's trust model, cannot. Allocation-free,
-// like ValueMask.
-func AuditMask(key [32]byte, nonce [NonceLen]byte, row int) uint64 {
+// MaskAuditRows XORs every row of one AUDIT response with its pads, in
+// place: 16 bytes of SHA-256(tag, key, nonce, i/2) per row i — a digest
+// covers two rows — one word for the row's reader-set bitmask and one for its
+// value. XOR is its own inverse: the server masks with the store key and the
+// same call, under the same key and nonce, unmasks — which only a key-holding
+// auditor client can do; readers, by the paper's trust model, cannot.
+// Allocation-free, like ValueMask.
+func MaskAuditRows(key [32]byte, nonce [NonceLen]byte, rows []AuditRow) {
 	var in [len(auditMaskTag) + 32 + NonceLen + 8]byte
 	n := copy(in[:], auditMaskTag)
 	n += copy(in[n:], key[:])
 	n += copy(in[n:], nonce[:])
-	binary.BigEndian.PutUint64(in[n:], uint64(row))
-	n += 8
-	sum := sha256.Sum256(in[:n])
-	return binary.BigEndian.Uint64(sum[:8])
+	var sum [sha256.Size]byte
+	for i := range rows {
+		if i%2 == 0 {
+			binary.BigEndian.PutUint64(in[n:], uint64(i/2))
+			sum = sha256.Sum256(in[:n+8])
+		}
+		pad := sum[16*(i%2):]
+		rows[i].Readers ^= binary.BigEndian.Uint64(pad)
+		rows[i].Value ^= binary.BigEndian.Uint64(pad[8:])
+	}
 }

@@ -61,11 +61,11 @@ const MaxErrMsg = 4096
 
 // MaxAuditRows bounds the rows of one AuditResp such that the frame always
 // fits MaxFrame: the length prefix covers HeaderLen plus the fixed body
-// bytes (kind 1 + nonce NonceLen + row count 4 = 29) plus 16 per row; the
-// divisor reserves 64 — the 29 plus slack for future fixed fields — so the
-// bound never needs to move in lockstep with small body changes. One row
-// per distinct audited value; a server whose report outgrows this answers
-// CodeTooLarge instead of emitting an unreadable frame.
+// bytes (kind 1 + nonce NonceLen + next 8 + more 1 + row count 4 = 38) plus
+// 16 per row; the divisor reserves 64 — the 38 plus slack for future fixed
+// fields — so the bound never needs to move in lockstep with small body
+// changes. One row per sequence number of the range asked for; a range with
+// more rows is answered in pages (AuditResp.More), never refused.
 const MaxAuditRows = (MaxFrame - HeaderLen - 64) / 16
 
 // OpenReq asks the server to open (creating if absent) the named object.
@@ -220,20 +220,26 @@ func (m *ReadFetchResp) Decode(body []byte) error {
 	return c.done()
 }
 
-// AuditReq requests the named object's audit report. Fresh forces a
-// synchronous incremental audit through the server's shared pool cursor (a
-// report covering everything linearized before the call); otherwise the
-// server returns the pool's latest published report, falling back to a fresh
-// one when the pool has not audited the object yet.
+// AuditReq asks for the named object's audit rows from the caller's cursor
+// on. Since is the paper's lsa, kept by the auditor client: the sequence
+// number its last audit of this object, within this server boot, stopped at
+// (AuditResp.Next); 0 asks for the whole history. It is a sequence number,
+// not a count of entries received — what comes back must not depend on who
+// read since. Fresh forces a synchronous incremental audit through the
+// server's shared pool cursor first (the rows then cover everything
+// linearized before the call); otherwise the server replays what the pool
+// last published, auditing only if it never audited the object.
 type AuditReq struct {
 	Name  string
 	Fresh bool
+	Since uint64
 }
 
 // Append serializes the message body onto dst.
 func (m *AuditReq) Append(dst []byte) []byte {
 	dst = appendStr(dst, m.Name)
-	return appendBool(dst, m.Fresh)
+	dst = appendBool(dst, m.Fresh)
+	return binary.BigEndian.AppendUint64(dst, m.Since)
 }
 
 // Decode parses a message body; the body must be fully consumed.
@@ -241,23 +247,35 @@ func (m *AuditReq) Decode(body []byte) error {
 	c := cursor{b: body}
 	m.Name = c.str(MaxName)
 	m.Fresh = c.bool()
+	m.Since = c.u64()
 	return c.done()
 }
 
-// AuditRow is one audited value and the set of readers that effectively read
-// it, as an m-bit bitmask. On the wire Readers is XOR-masked with
-// AuditMask(key, nonce, row); it is never transmitted in the clear.
+// AuditRow is one row of the audit history: the value installed at one
+// sequence number and the set of readers that effectively read it there, as
+// an m-bit bitmask — empty for a value nobody read; the row is sent all the
+// same. On the wire both words are XOR-masked (MaskAuditRows): a reader set
+// is never transmitted in the clear, and neither is a value, which may be one
+// no reader ever obtained.
 type AuditRow struct {
 	Value   uint64
 	Readers uint64
 }
 
 // AuditResp answers an AUDIT: the object's kind and one masked row per
-// audited value. Nonce is fresh per response, so audit pads are never
-// reused across responses.
+// sequence number of [Since, Next), in order — history rows, final — followed,
+// unless More, by the row of Next itself: the current value and its readers
+// so far, which is re-sent whole on every audit (Algorithm 1 line 21
+// re-decodes it every time) under a nonce fresh per response, so audit pads
+// are never reused and a row that gained a reader looks like one that did
+// not. The caller folds the rows into its cumulative set and asks from Next
+// next time. More reports that MaxAuditRows cut the range short: Next is then
+// where the rows stop, and the caller asks again at once.
 type AuditResp struct {
 	Kind  uint8
 	Nonce [NonceLen]byte
+	Next  uint64
+	More  bool
 	Rows  []AuditRow
 }
 
@@ -265,6 +283,8 @@ type AuditResp struct {
 func (m *AuditResp) Append(dst []byte) []byte {
 	dst = append(dst, m.Kind)
 	dst = append(dst, m.Nonce[:]...)
+	dst = binary.BigEndian.AppendUint64(dst, m.Next)
+	dst = appendBool(dst, m.More)
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(m.Rows)))
 	for _, r := range m.Rows {
 		dst = binary.BigEndian.AppendUint64(dst, r.Value)
@@ -273,21 +293,25 @@ func (m *AuditResp) Append(dst []byte) []byte {
 	return dst
 }
 
-// Decode parses a message body; the body must be fully consumed.
+// Decode parses a message body; the body must be fully consumed. Rows is
+// decoded into the slice m already holds, so a message reused across
+// responses allocates only when a response outgrows every earlier one.
 func (m *AuditResp) Decode(body []byte) error {
 	c := cursor{b: body}
 	m.Kind = c.u8()
 	copy(m.Nonce[:], c.take(NonceLen))
+	m.Next = c.u64()
+	m.More = c.bool()
 	n := c.u32()
 	if n > MaxAuditRows {
 		return fmt.Errorf("wire: audit response with %d rows exceeds MaxAuditRows %d", n, MaxAuditRows)
 	}
-	m.Rows = nil
-	if n > 0 && !c.bad {
+	m.Rows = m.Rows[:0]
+	if int(n) > cap(m.Rows) && !c.bad {
 		m.Rows = make([]AuditRow, 0, min(int(n), len(c.b)/16))
-		for i := uint32(0); i < n; i++ {
-			m.Rows = append(m.Rows, AuditRow{Value: c.u64(), Readers: c.u64()})
-		}
+	}
+	for i := uint32(0); i < n && !c.bad; i++ {
+		m.Rows = append(m.Rows, AuditRow{Value: c.u64(), Readers: c.u64()})
 	}
 	return c.done()
 }

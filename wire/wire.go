@@ -31,6 +31,17 @@
 //     carried that CAS as a second, pipelined request; it stays reserved and
 //     is answered like any unknown verb.)
 //
+// AUDIT carries the paper's audit cursor (Algorithm 1 lines 16-22: lsa and
+// the cumulative set A) with A kept by the party that asks. The request names
+// the sequence number the caller's last audit stopped at (AuditReq.Since);
+// the response is one row per sequence number from there to the current one
+// — the current row always re-sent, as line 21 always re-decodes it — plus
+// the sequence number to ask from next. A tailing auditor pays for what was
+// written since it last looked, one row when nothing was. What a response
+// contains is a function of the sequence range alone, never of which readers
+// read since the cursor; a cursor is valid within one server boot (the epoch
+// of OpenResp) and not beyond; a range too long for one frame is paged.
+//
 // SHARE-WRITE and SHARE-FETCH are the cluster dispersal verbs (package
 // auditreg/cluster): one node's slice of an information-dispersed write. A
 // share object is a MaxRegister whose uint64 value packs a client-assigned
@@ -50,10 +61,11 @@
 //     derived from the connection's session secret (ValueMask), so one
 //     principal's traffic is opaque to every other curious principal.
 //     The client unmasks locally.
-//   - AUDIT responses carry each row's reader set XOR-masked with a pad
-//     derived from the store key and a fresh per-response nonce (AuditMask).
-//     Only auditors hold the key — that is the paper's trust model — so only
-//     the auditor client can unmask, locally.
+//   - AUDIT responses carry each row — reader set and value, since a row is
+//     sent for values nobody read too — XOR-masked with pads derived from the
+//     store key and a fresh per-response nonce (MaskAuditRows). Only auditors
+//     hold the key — that is the paper's trust model — so only the auditor
+//     client can unmask, locally.
 //
 // See the "Network layer" section of DESIGN.md for the full invariant.
 package wire

@@ -3,6 +3,7 @@ package wire_test
 import (
 	"bufio"
 	"bytes"
+	"fmt"
 	"io"
 	"reflect"
 	"strings"
@@ -34,8 +35,8 @@ func sampleMessages() []message {
 		&wire.WriteReq{Name: "acct/42", Value: 0xdeadbeefcafe},
 		&wire.ReadFetchReq{Name: "acct/42", Reader: 63, PrevSeq: ^uint64(0)},
 		&wire.ReadFetchResp{Fetched: true, Seq: 12, Value: 0x1234},
-		&wire.AuditReq{Name: "acct/42", Fresh: true},
-		&wire.AuditResp{Kind: wire.KindRegister, Nonce: nonce, Rows: []wire.AuditRow{
+		&wire.AuditReq{Name: "acct/42", Fresh: true, Since: 41},
+		&wire.AuditResp{Kind: wire.KindRegister, Nonce: nonce, Next: 43, More: true, Rows: []wire.AuditRow{
 			{Value: 7, Readers: 0b101}, {Value: 9, Readers: 1 << 63},
 		}},
 		&wire.StatsReq{},
@@ -174,8 +175,26 @@ func TestMasksAreDeterministicAndDistinct(t *testing.T) {
 	if wire.ValueMask(session, "a", 3, 7) != wire.ValueMask(session, "a", 3, 7) {
 		t.Fatal("ValueMask is not deterministic")
 	}
-	if wire.AuditMask(key, nonce, 5) != wire.AuditMask(key, nonce, 5) {
-		t.Fatal("AuditMask is not deterministic")
+	// The pads of a response's first seven rows: what masking zero rows
+	// leaves behind.
+	auditPads := func(nonce [wire.NonceLen]byte) [7]wire.AuditRow {
+		var rows [7]wire.AuditRow
+		wire.MaskAuditRows(key, nonce, rows[:])
+		return rows
+	}
+	if auditPads(nonce) != auditPads(nonce) {
+		t.Fatal("MaskAuditRows is not deterministic")
+	}
+	rows := []wire.AuditRow{{Value: 7, Readers: 0b101}, {Value: 9}, {Value: 11, Readers: 1 << 63}}
+	twice := append([]wire.AuditRow(nil), rows...)
+	wire.MaskAuditRows(key, nonce, twice)
+	for i := range rows {
+		if twice[i].Value == rows[i].Value || twice[i].Readers == rows[i].Readers {
+			t.Fatalf("row %d left a word in the clear: %+v", i, twice[i])
+		}
+	}
+	if wire.MaskAuditRows(key, nonce, twice); !reflect.DeepEqual(twice, rows) {
+		t.Fatalf("masking twice gives %v, want %v back", twice, rows)
 	}
 	seen := map[uint64]string{}
 	put := func(tag string, v uint64) {
@@ -193,9 +212,14 @@ func TestMasksAreDeterministicAndDistinct(t *testing.T) {
 	// A name/reader boundary shift must not alias ("ab", r=3 vs "b" with
 	// different framing): numbers are hashed before the name.
 	put("shift", wire.ValueMask(session, "ab", 3, 7))
-	put("audit-base", wire.AuditMask(key, nonce, 5))
-	put("audit-row", wire.AuditMask(key, nonce, 6))
+	// A row's two words sit under different pads, and so do different rows
+	// and different responses.
 	var nonce2 [wire.NonceLen]byte
 	nonce2[0] = 9
-	put("audit-nonce", wire.AuditMask(key, nonce2, 5))
+	for tag, pads := range map[string][7]wire.AuditRow{"audit": auditPads(nonce), "audit-nonce": auditPads(nonce2)} {
+		for i, pad := range pads {
+			put(fmt.Sprintf("%s/row %d/value", tag, i), pad.Value)
+			put(fmt.Sprintf("%s/row %d/readers", tag, i), pad.Readers)
+		}
+	}
 }
