@@ -95,13 +95,13 @@ func NewCryptoNonces(owner uint8) NonceSource { return otp.NewCryptoNonces(owner
 // Register is the auditable multi-writer multi-reader register (Algorithm 1).
 type Register[V comparable] = core.Register[V]
 
-// Reader is a per-process read handle of a Register.
+// Reader is a per-process read handle of a Register or a MaxRegister.
 type Reader[V comparable] = core.Reader[V]
 
 // Writer is a per-process write handle of a Register.
 type Writer[V comparable] = core.Writer[V]
 
-// Auditor is a per-process audit handle of a Register.
+// Auditor is a per-process audit handle of a Register or a MaxRegister.
 type Auditor[V comparable] = core.Auditor[V]
 
 // Entry is one audited access: reader j read Value.
@@ -131,33 +131,37 @@ func NewRegister[V comparable](m int, initial V, pads PadSource, opts ...Registe
 // WithCapacity bounds the auditable history length of a Register.
 func WithCapacity[V comparable](n int) RegisterOption[V] { return core.WithCapacity[V](n) }
 
-// MaxRegister is the auditable max register (Algorithm 2).
-type MaxRegister[V comparable] = maxreg.Auditable[V]
+// MaxRegister is the auditable max register (Algorithm 2): Algorithm 1's
+// register with a different write, so its read and audit handles are the
+// Register's.
+type MaxRegister[V comparable] = core.MaxRegister[V]
 
-// MaxReader is a per-process read handle of a MaxRegister.
-type MaxReader[V comparable] = maxreg.Reader[V]
+// MaxReader is a per-process read handle of a MaxRegister: the same type as
+// Reader.
+type MaxReader[V comparable] = core.Reader[V]
 
 // MaxWriter is a per-process writeMax handle of a MaxRegister.
-type MaxWriter[V comparable] = maxreg.Writer[V]
+type MaxWriter[V comparable] = core.MaxWriter[V]
 
-// MaxAuditor is a per-process audit handle of a MaxRegister.
-type MaxAuditor[V comparable] = maxreg.Auditor[V]
+// MaxAuditor is a per-process audit handle of a MaxRegister: the same type
+// as Auditor.
+type MaxAuditor[V comparable] = core.Auditor[V]
 
 // Less is a strict total order on V.
 type Less[V any] = maxreg.Less[V]
 
-// MaxRegisterOption configures a MaxRegister.
-type MaxRegisterOption[V comparable] = maxreg.AuditableOption[V]
+// MaxRegisterOption configures a MaxRegister: the same type as
+// RegisterOption.
+type MaxRegisterOption[V comparable] = core.Option[V]
 
-// WithMaxCapacity bounds the auditable history length of a MaxRegister.
-func WithMaxCapacity[V comparable](n int) MaxRegisterOption[V] {
-	return maxreg.WithAuditableCapacity[V](n)
-}
+// WithMaxCapacity bounds the auditable history length of a MaxRegister; it
+// is WithCapacity under the name max-register callers know.
+func WithMaxCapacity[V comparable](n int) MaxRegisterOption[V] { return core.WithCapacity[V](n) }
 
 // NewMaxRegister returns an auditable max register for m readers holding
 // initial, ordered by less.
 func NewMaxRegister[V comparable](m int, initial V, less Less[V], pads PadSource, opts ...MaxRegisterOption[V]) (*MaxRegister[V], error) {
-	return maxreg.NewAuditable(m, initial, less, pads, opts...)
+	return core.NewMaxRegister(m, initial, less, pads, opts...)
 }
 
 // Snapshot is the auditable atomic snapshot (Algorithm 3).

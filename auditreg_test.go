@@ -9,6 +9,14 @@ import (
 // The facade tests exercise the whole public API end to end, the way a
 // downstream user would, without touching internal packages.
 
+// A max register's read and audit handles are the register's: one Reader
+// type, one Auditor type. These assignments stop compiling if the two
+// algorithms ever grow separate handles again.
+var (
+	_ *auditreg.Reader[uint64]  = (*auditreg.MaxReader[uint64])(nil)
+	_ *auditreg.Auditor[uint64] = (*auditreg.MaxAuditor[uint64])(nil)
+)
+
 func TestFacadeRegister(t *testing.T) {
 	t.Parallel()
 	pads, err := auditreg.NewKeyedPads(auditreg.KeyFromSeed(1), 3)

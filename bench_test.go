@@ -242,8 +242,9 @@ func BenchmarkE7EncryptionOverhead(b *testing.B) {
 }
 
 func BenchmarkE7BackendAblation(b *testing.B) {
-	// The same write+read pair over the three R backends: the pointer-CAS
-	// default, the mutex reference, and the packed single-word register.
+	// The same write+read pair over the three R backends: the seqlock a
+	// uint64 register selects, the pointer-CAS register every other value
+	// type gets, and the mutex reference.
 	pads := benchPads(b, 1)
 	run := func(b *testing.B, reg *auditreg.Register[uint64]) {
 		rd, err := reg.Reader(0)
@@ -259,30 +260,25 @@ func BenchmarkE7BackendAblation(b *testing.B) {
 			rd.Read()
 		}
 	}
-	b.Run("ptr", func(b *testing.B) {
+	init := shmem.Triple[uint64]{Seq: 0, Val: 0, Bits: pads.Mask(0)}
+	b.Run("seqlock", func(b *testing.B) { // what a uint64 register selects
 		reg, err := auditreg.NewRegister(1, uint64(0), pads)
 		if err != nil {
 			b.Fatal(err)
 		}
 		run(b, reg)
 	})
-	b.Run("locked", func(b *testing.B) {
-		init := shmem.Triple[uint64]{Seq: 0, Val: 0, Bits: pads.Mask(0)}
-		reg, err := auditreg.NewRegister(1, uint64(0), pads,
-			core.WithTripleReg[uint64](shmem.NewLockedTriple(init)),
-			core.WithSeqReg[uint64](&shmem.LockedSeq{}))
+	b.Run("ptr", func(b *testing.B) {
+		reg, err := auditreg.NewRegister(1, uint64(0), pads, core.WithTripleReg[uint64](shmem.NewPtrTriple(init)))
 		if err != nil {
 			b.Fatal(err)
 		}
 		run(b, reg)
 	})
-	b.Run("packed", func(b *testing.B) {
-		init := shmem.Triple[uint64]{Seq: 0, Val: 0, Bits: pads.Mask(0)}
-		packed, err := shmem.NewPacked64(shmem.Layout{SeqBits: 28, ValBits: 16, ReaderBits: 20}, init)
-		if err != nil {
-			b.Fatal(err)
-		}
-		reg, err := auditreg.NewRegister(1, uint64(0), pads, core.WithTripleReg[uint64](packed))
+	b.Run("locked", func(b *testing.B) {
+		reg, err := auditreg.NewRegister(1, uint64(0), pads,
+			core.WithTripleReg[uint64](shmem.NewLockedTriple(init)),
+			core.WithSeqReg[uint64](&shmem.LockedSeq{}))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -340,21 +336,11 @@ func BenchmarkE8AuditIncremental(b *testing.B) {
 	}
 }
 
-// --- E9: max register substrates and Algorithm 2 ---
+// --- E9: the max register substrate M and Algorithm 2 on top ---
 
 func BenchmarkE9MaxWrite(b *testing.B) {
 	b.Run("cas", func(b *testing.B) {
 		r := maxreg.NewCASMax[uint64](0, func(a, c uint64) bool { return a < c })
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			r.WriteMax(uint64(i))
-		}
-	})
-	b.Run("tree", func(b *testing.B) {
-		r, err := maxreg.NewTreeMax(30)
-		if err != nil {
-			b.Fatal(err)
-		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			r.WriteMax(uint64(i))
@@ -389,17 +375,6 @@ func BenchmarkE9MaxWrite(b *testing.B) {
 func BenchmarkE9MaxRead(b *testing.B) {
 	b.Run("cas", func(b *testing.B) {
 		r := maxreg.NewCASMax[uint64](42, func(a, c uint64) bool { return a < c })
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			_ = r.Read()
-		}
-	})
-	b.Run("tree", func(b *testing.B) {
-		r, err := maxreg.NewTreeMax(30)
-		if err != nil {
-			b.Fatal(err)
-		}
-		r.WriteMax(1 << 29)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			_ = r.Read()

@@ -226,9 +226,9 @@ func (l *lab) e8() error {
 	return nil
 }
 
-// e9 — max register substrates: CAS vs AACH tree vs Algorithm 2.
+// e9 — the max register substrate M alone vs Algorithm 2 on top of it.
 func (l *lab) e9() error {
-	fmt.Println("E9  max register substrates (ascending writeMax latency)")
+	fmt.Println("E9  max register substrate and Algorithm 2 (ascending writeMax latency)")
 	iters := l.n(200000)
 	timeIt := func(fn func(i int)) time.Duration {
 		start := time.Now()
@@ -241,12 +241,6 @@ func (l *lab) e9() error {
 	cas := maxreg.NewCASMax[uint64](0, func(a, b uint64) bool { return a < b })
 	casDur := timeIt(func(i int) { cas.WriteMax(uint64(i)) })
 
-	tree, err := maxreg.NewTreeMax(30)
-	if err != nil {
-		return err
-	}
-	treeDur := timeIt(func(i int) { tree.WriteMax(uint64(i)) })
-
 	aud, err := auditreg.NewMaxRegister(1, uint64(0), func(a, b uint64) bool { return a < b }, pads(1))
 	if err != nil {
 		return err
@@ -258,7 +252,6 @@ func (l *lab) e9() error {
 	audDur := timeIt(func(i int) { _ = aw.WriteMax(uint64(i)) })
 
 	fmt.Printf("    cas-max (unbounded, lock-free):     %8s\n", casDur)
-	fmt.Printf("    tree-max (AACH, wait-free, 2^30):   %8s\n", treeDur)
 	fmt.Printf("    algorithm-2 (auditable, leak-free): %8s\n", audDur)
 	return nil
 }

@@ -28,7 +28,6 @@ import (
 
 	"auditreg/internal/baseline"
 	"auditreg/internal/core"
-	"auditreg/internal/maxreg"
 	"auditreg/internal/otp"
 	"auditreg/internal/probe"
 	"auditreg/internal/shmem"
@@ -262,7 +261,7 @@ func RunMaxGapInference(trials int, seed uint64, nonced bool) (InferenceResult, 
 		if err != nil {
 			return res, err
 		}
-		reg, err := maxreg.NewAuditable(m, uint64(0), func(a, b uint64) bool { return a < b }, pads)
+		reg, err := core.NewMaxRegister(m, uint64(0), func(a, b uint64) bool { return a < b }, pads)
 		if err != nil {
 			return res, err
 		}
@@ -283,7 +282,7 @@ func RunMaxGapInference(trials int, seed uint64, nonced bool) (InferenceResult, 
 		var seqs []uint64
 		attacker, err := reg.Reader(0, core.WithProbe(func(e probe.Event) {
 			if e.Prim == probe.RXor && e.Kind == probe.Return {
-				seqs = append(seqs, e.Detail.(shmem.Triple[maxreg.Nonced[uint64]]).Seq)
+				seqs = append(seqs, e.Detail.(shmem.Triple[uint64]).Seq)
 			}
 		}))
 		if err != nil {

@@ -5,7 +5,6 @@ import (
 
 	"auditreg/internal/core"
 	"auditreg/internal/otp"
-	"auditreg/internal/shmem"
 )
 
 // TestSilentReadAllocationFree: a read that finds no new write answers from
@@ -27,49 +26,88 @@ func TestSilentReadAllocationFree(t *testing.T) {
 	}
 }
 
-// TestUint64WriteAllocationFree: on the auto-selected seqlock backend and on
-// the two-word packed backend, an uncontended uint64 write performs no heap
-// allocation — the triple CAS, the value log store, and the bit-table OR all
-// work in place. FixedPads isolate the register path from pad derivation
-// (BlockPads amortize one small block allocation over four sequence numbers;
-// see TestUint64WriteBlockPadsAmortized).
+// TestUint64WriteAllocationFree: on the auto-selected seqlock backend an
+// uncontended uint64 write performs no heap allocation — the triple CAS, the
+// value log store, and the bit-table OR all work in place. FixedPads isolate
+// the register path from pad derivation (BlockPads amortize one small block
+// allocation over four sequence numbers; see
+// TestUint64WriteBlockPadsAmortized).
 func TestUint64WriteAllocationFree(t *testing.T) {
 	pads, err := otp.NewFixedPads(0xA5A5, 0x5A5A, 0xFFFF, 0x0101)
 	if err != nil {
 		t.Fatalf("NewFixedPads: %v", err)
 	}
-	for _, backend := range []string{"seqlock", "packed128"} {
-		backend := backend
-		t.Run(backend, func(t *testing.T) {
-			var opts []core.Option[uint64]
-			if backend == "packed128" {
-				init := shmem.Triple[uint64]{Seq: 0, Val: 0, Bits: pads.Mask(0) & otp.MaskBits(4)}
-				r, err := shmem.NewPacked128(shmem.DefaultLayout128, init)
-				if err != nil {
-					t.Fatalf("NewPacked128: %v", err)
-				}
-				opts = append(opts, core.WithTripleReg[uint64](r))
+	t.Run("seqlock", func(t *testing.T) {
+		reg, err := core.New[uint64](4, 0, pads)
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		w := reg.Writer()
+		if err := w.Write(1); err != nil { // materialize history chunk 0
+			t.Fatalf("Write: %v", err)
+		}
+		var i uint64
+		// Stay below one unbounded chunk (1024 sequence numbers) so no
+		// chunk materialization is charged to the measured writes.
+		if n := testing.AllocsPerRun(500, func() {
+			i++
+			if err := w.Write(i); err != nil {
+				t.Fatal(err)
 			}
-			reg, err := core.New[uint64](4, 0, pads, opts...)
-			if err != nil {
-				t.Fatalf("New: %v", err)
-			}
-			w := reg.Writer()
-			if err := w.Write(1); err != nil { // materialize history chunk 0
-				t.Fatalf("Write: %v", err)
-			}
-			var i uint64
-			// Stay below one unbounded chunk (1024 sequence numbers) so no
-			// chunk materialization is charged to the measured writes.
-			if n := testing.AllocsPerRun(500, func() {
-				i++
-				if err := w.Write(i); err != nil {
-					t.Fatal(err)
-				}
-			}); n != 0 {
-				t.Fatalf("uint64 Write on %s allocated %v times per run", backend, n)
-			}
-		})
+		}); n != 0 {
+			t.Fatalf("uint64 Write allocated %v times per run", n)
+		}
+	})
+}
+
+// TestUint64MaxRegisterAllocations: a uint64 max register runs on the same
+// seqlock R and inline V as the plain register, so its reads allocate
+// nothing and a writeMax allocates only the box CASMax swaps into M.
+func TestUint64MaxRegisterAllocations(t *testing.T) {
+	pads, err := otp.NewFixedPads(0xA5A5, 0x5A5A, 0xFFFF, 0x0101)
+	if err != nil {
+		t.Fatalf("NewFixedPads: %v", err)
+	}
+	reg, err := core.NewMaxRegister[uint64](4, 0, func(a, b uint64) bool { return a < b }, pads)
+	if err != nil {
+		t.Fatalf("NewMaxRegister: %v", err)
+	}
+	w, err := reg.Writer(otp.NewSeededNonces(1, 1))
+	if err != nil {
+		t.Fatalf("Writer: %v", err)
+	}
+	rd, err := reg.Reader(0)
+	if err != nil {
+		t.Fatalf("Reader: %v", err)
+	}
+	if err := w.WriteMax(1); err != nil { // materialize history chunk 0
+		t.Fatalf("WriteMax: %v", err)
+	}
+	rd.Read()
+	if n := testing.AllocsPerRun(500, func() { rd.Read() }); n != 0 {
+		t.Fatalf("silent Read allocated %v times per run", n)
+	}
+	i := uint64(1)
+	if n := testing.AllocsPerRun(200, func() {
+		i++
+		if err := w.WriteMax(i); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 1 {
+		t.Fatalf("WriteMax allocated %v times per run, want <= 1 (M's box)", n)
+	}
+	// Every read below follows a new maximum, so each is effective; the
+	// pair must still cost no more than the writeMax alone.
+	if n := testing.AllocsPerRun(200, func() {
+		i++
+		if err := w.WriteMax(i); err != nil {
+			t.Fatal(err)
+		}
+		if rd.Read() != i {
+			t.Fatal("effective read missed the new maximum")
+		}
+	}); n > 1 {
+		t.Fatalf("WriteMax + effective Read allocated %v times per run, want <= 1", n)
 	}
 }
 

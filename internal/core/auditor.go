@@ -7,7 +7,8 @@ import (
 	"auditreg/internal/probe"
 )
 
-// Auditor is the per-process audit handle (Algorithm 1 lines 16-22). It
+// Auditor is the per-process audit handle (Algorithm 1 lines 16-22, which
+// are also Algorithm 2's: a MaxRegister hands out this type). It
 // accumulates the audit set A across calls and remembers the latest audited
 // sequence number lsa, so successive audits scan only the new suffix of the
 // history plus the (always re-decoded) current value. See AuditSet for how A

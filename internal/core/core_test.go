@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"auditreg/internal/core"
+	"auditreg/internal/maxreg"
 	"auditreg/internal/otp"
 	"auditreg/internal/probe"
 	"auditreg/internal/shmem"
@@ -14,10 +15,9 @@ import (
 // test runs against. "seqlock" is what core.New auto-selects for uint64, so
 // it doubles as the default-path entry; "ptr" is injected explicitly to keep
 // the lock-free pointer backend covered.
-var backends = []string{"ptr", "locked", "packed", "seqlock", "packed128"}
+var backends = []string{"ptr", "locked", "seqlock"}
 
 // newReg builds a register over uint64 values with the requested backend.
-// Values must stay within 16 bits so the packed backend can represent them.
 func newReg(t *testing.T, backend string, m int, initial uint64) *core.Register[uint64] {
 	t.Helper()
 	pads, err := otp.NewKeyedPads(otp.KeyFromSeed(42), m)
@@ -32,31 +32,10 @@ func newReg(t *testing.T, backend string, m int, initial uint64) *core.Register[
 	case "seqlock":
 		// What core.New picks by itself for uint64; exercised via the
 		// default path on purpose.
-	case "packed128":
-		if m > shmem.DefaultLayout128.ReaderBits {
-			t.Skipf("packed128 layout supports %d readers, need %d", shmem.DefaultLayout128.ReaderBits, m)
-		}
-		init := shmem.Triple[uint64]{Seq: 0, Val: initial, Bits: pads.Mask(0)}
-		r, err := shmem.NewPacked128(shmem.DefaultLayout128, init)
-		if err != nil {
-			t.Fatalf("NewPacked128: %v", err)
-		}
-		opts = append(opts, core.WithTripleReg[uint64](r))
 	case "locked":
 		init := shmem.Triple[uint64]{Seq: 0, Val: initial, Bits: pads.Mask(0)}
 		opts = append(opts, core.WithTripleReg[uint64](shmem.NewLockedTriple(init)))
 		opts = append(opts, core.WithSeqReg[uint64](&shmem.LockedSeq{}))
-	case "packed":
-		layout := shmem.Layout{SeqBits: 28, ValBits: 16, ReaderBits: 20}
-		if m > layout.ReaderBits {
-			t.Skipf("packed layout supports %d readers, need %d", layout.ReaderBits, m)
-		}
-		init := shmem.Triple[uint64]{Seq: 0, Val: initial, Bits: pads.Mask(0)}
-		r, err := shmem.NewPacked64(layout, init)
-		if err != nil {
-			t.Fatalf("NewPacked64: %v", err)
-		}
-		opts = append(opts, core.WithTripleReg[uint64](r))
 	default:
 		t.Fatalf("unknown backend %q", backend)
 	}
@@ -110,6 +89,17 @@ func TestNewValidation(t *testing.T) {
 	sn.CompareAndSwap(0, 3)
 	if _, err := core.New[int](4, 0, pads, core.WithSeqReg[int](sn)); err == nil {
 		t.Error("mis-initialized injected SN accepted")
+	}
+
+	// M belongs to the max register: a plain register refuses it, and the
+	// max register checks what it is handed.
+	lessInt := func(a, b int) bool { return a < b }
+	lessNonced := func(a, b core.Nonced[int]) bool { return a.Val < b.Val }
+	if _, err := core.New[int](4, 0, pads, core.WithM[int](maxreg.NewLockedMax(core.Nonced[int]{}, lessNonced))); err == nil {
+		t.Error("WithM accepted by a plain register")
+	}
+	if _, err := core.NewMaxRegister[int](4, 0, lessInt, pads, core.WithM[int](maxreg.NewLockedMax(core.Nonced[int]{Val: 3}, lessNonced))); err == nil {
+		t.Error("mis-initialized injected M accepted")
 	}
 
 	reg, err := core.New[int](4, 0, pads)

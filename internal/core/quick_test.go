@@ -14,7 +14,7 @@ import (
 type opCode struct {
 	Kind   uint8  // interpreted mod 3: 0 read, 1 write, 2 audit
 	Reader uint8  // interpreted mod m
-	Value  uint16 // write payload (16 bits so the packed backend fits)
+	Value  uint16 // write payload
 }
 
 // TestQuickSequentialEquivalence replays random operation scripts against the

@@ -3,7 +3,8 @@ package core
 import "auditreg/internal/probe"
 
 // Reader is the per-process read handle (code for reader p_j, Algorithm 1
-// lines 1-6). It caches the latest value read (prev_val) and its sequence
+// lines 1-6; Algorithm 2's read is the same code, so a MaxRegister hands out
+// this type too — the nonce stays behind in R). It caches the latest value read (prev_val) and its sequence
 // number (prev_sn); a read returns from the cache — a "silent" read — when
 // SN shows no new write, which is what guarantees each reader applies at most
 // one fetch&xor to R per sequence number (Lemma 17) and hence that no pad is

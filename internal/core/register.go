@@ -1,6 +1,7 @@
-// Package core implements Algorithm 1 of "Auditing without Leaks Despite
-// Curiosity" (Attiya et al., PODC 2025): a wait-free, linearizable,
-// multi-writer multi-reader auditable register.
+// Package core implements Algorithms 1 and 2 of "Auditing without Leaks
+// Despite Curiosity" (Attiya et al., PODC 2025): a wait-free, linearizable,
+// multi-writer multi-reader auditable register, and the auditable max
+// register, which is the same object with a different write (MaxRegister).
 //
 // The register guarantees, beyond linearizability of read/write/audit:
 //
@@ -17,7 +18,8 @@
 //
 // Shared state, as in the paper's pseudo-code:
 //
-//	R  — a TripleReg holding (seq, value, encrypted reader set)
+//	R  — a TripleReg holding (seq, value, nonce, encrypted reader set);
+//	     the nonce is Algorithm 2's and stays 0 under Algorithm 1
 //	SN — a SeqReg holding the announced sequence number
 //	V  — unbounded array of past values, indexed by sequence number
 //	B  — unbounded bit table of decrypted past reader sets
@@ -26,7 +28,8 @@
 // reading process (it carries the prev_sn/prev_val cache), one Writer per
 // writing process, one Auditor per auditing process (it carries the audit
 // set A and the cursor lsa). The Register itself is safe for concurrent use
-// through any number of handles.
+// through any number of handles. A MaxRegister hands out the very same Reader
+// and Auditor; only its writer differs.
 //
 // One deviation from the paper's model is opt-out rather than opt-in: for
 // word-sized values New defaults R to the allocation-free seqlock backend,
@@ -44,6 +47,7 @@ import (
 	"fmt"
 
 	"auditreg/internal/handle"
+	"auditreg/internal/maxreg"
 	"auditreg/internal/otp"
 	"auditreg/internal/probe"
 	"auditreg/internal/shmem"
@@ -115,14 +119,15 @@ type Option[V comparable] func(*config[V])
 type config[V comparable] struct {
 	tripleReg shmem.TripleReg[V]
 	seqReg    shmem.SeqReg
+	mreg      maxreg.MaxReg[Nonced[V]]
 	capacity  int
 }
 
 // WithTripleReg injects a custom backend for the register R (for example a
 // shmem.NewPtrTriple for strictly wait-free base objects, a
-// shmem.LockedTriple for cross-checking, a shmem.Packed64 for uint64 values,
-// or a scheduler-instrumented register). The backend must be initialized to
-// the triple (0, initial, pads.Mask(0)); New verifies this.
+// shmem.LockedTriple for cross-checking, or a scheduler-instrumented
+// register). The backend must be initialized to the triple
+// (0, initial, 0, pads.Mask(0)); New verifies this.
 func WithTripleReg[V comparable](r shmem.TripleReg[V]) Option[V] {
 	return func(c *config[V]) { c.tripleReg = r }
 }
@@ -143,15 +148,23 @@ func WithCapacity[V comparable](n int) Option[V] {
 // writers and auditors; handing it to readers would void the leak-freedom
 // guarantees.
 func New[V comparable](m int, initial V, pads otp.PadSource, opts ...Option[V]) (*Register[V], error) {
+	var cfg config[V]
+	for _, opt := range opts {
+		opt(&cfg)
+	}
+	if cfg.mreg != nil {
+		return nil, fmt.Errorf("core: WithM configures a max register; a plain register has no M")
+	}
+	return newRegister(m, initial, pads, cfg)
+}
+
+// newRegister builds the shared state both algorithms run on.
+func newRegister[V comparable](m int, initial V, pads otp.PadSource, cfg config[V]) (*Register[V], error) {
 	if m < 1 || m > MaxReaders {
 		return nil, fmt.Errorf("core: reader count m must be in [1, %d], got %d", MaxReaders, m)
 	}
 	if pads == nil {
 		return nil, fmt.Errorf("core: pad source must not be nil")
-	}
-	var cfg config[V]
-	for _, opt := range opts {
-		opt(&cfg)
 	}
 
 	maskM := otp.MaskBits(m)

@@ -2,6 +2,8 @@ package linearizability_test
 
 import (
 	"fmt"
+	"sort"
+	"strings"
 	"testing"
 
 	"auditreg/internal/core"
@@ -14,8 +16,7 @@ import (
 
 // newBackendReg builds a 2-reader uint64 register over the named R backend
 // with block-derived pads, so the scheduler-driven checks below exercise the
-// exact configuration of the fast path: seqlock or two-word-packed R plus
-// BlockPads.
+// exact configuration of the fast path: seqlock R plus BlockPads.
 func newBackendReg(t *testing.T, backend string, pads otp.PadSource) *core.Register[uint64] {
 	t.Helper()
 	init := shmem.Triple[uint64]{Seq: 0, Val: 0, Bits: pads.Mask(0) & otp.MaskBits(2)}
@@ -25,12 +26,6 @@ func newBackendReg(t *testing.T, backend string, pads otp.PadSource) *core.Regis
 		opts = append(opts, core.WithTripleReg[uint64](shmem.NewPtrTriple(init)))
 	case "seqlock":
 		opts = append(opts, core.WithTripleReg[uint64](shmem.NewSeqlockTriple(init)))
-	case "packed128":
-		r, err := shmem.NewPacked128(shmem.DefaultLayout128, init)
-		if err != nil {
-			t.Fatalf("NewPacked128: %v", err)
-		}
-		opts = append(opts, core.WithTripleReg[uint64](r))
 	default:
 		t.Fatalf("unknown backend %q", backend)
 	}
@@ -42,13 +37,17 @@ func newBackendReg(t *testing.T, backend string, pads otp.PadSource) *core.Regis
 }
 
 // TestBackendEquivalenceUnderScheduler (E2) drives the PtrTriple reference
-// and the allocation-free backends through scheduler-chosen interleavings and
+// and the allocation-free backend through scheduler-chosen interleavings and
 // checks every recorded history against the auditable-register specification:
-// the fast backends must be linearizable exactly where the reference is.
+// the fast backend must be linearizable exactly where the reference is. The
+// maxreg arm does the same for Algorithm 2 over the R its uint64 default now
+// selects: under one seed the schedule is a function of the primitive
+// sequence alone, so the seqlock register must return, operation for
+// operation, what the ptr and locked references return.
 func TestBackendEquivalenceUnderScheduler(t *testing.T) {
 	t.Parallel()
 	const seeds = 40
-	for _, backend := range []string{"ptr", "seqlock", "packed128"} {
+	for _, backend := range []string{"ptr", "seqlock"} {
 		backend := backend
 		t.Run(backend, func(t *testing.T) {
 			t.Parallel()
@@ -57,6 +56,37 @@ func TestBackendEquivalenceUnderScheduler(t *testing.T) {
 			}
 		})
 	}
+	t.Run("maxreg", func(t *testing.T) {
+		t.Parallel()
+		for seed := uint64(0); seed < seeds; seed++ {
+			pads, err := otp.NewBlockPads(otp.KeyFromSeed(seed), 2)
+			if err != nil {
+				t.Fatalf("pads: %v", err)
+			}
+			init := shmem.Triple[uint64]{Bits: pads.Mask(0) & otp.MaskBits(2)}
+			got := outputs(runScheduledMax(t, seed, pads)) // seqlock, by value type
+			for name, ref := range map[string][]core.Option[uint64]{
+				"ptr":    {core.WithTripleReg[uint64](shmem.NewPtrTriple(init))},
+				"locked": {core.WithTripleReg[uint64](shmem.NewLockedTriple(init)), core.WithSeqReg[uint64](&shmem.LockedSeq{})},
+			} {
+				if want := outputs(runScheduledMax(t, seed, pads, ref...)); got != want {
+					t.Fatalf("seed %d: seqlock history differs from %s reference:\n%s\nvs\n%s", seed, name, got, want)
+				}
+			}
+		}
+	})
+}
+
+// outputs renders what each process's operations returned, in program order
+// and without the timestamps (which depend on how the goroutines raced to
+// their first primitive, not on the schedule).
+func outputs(ops []history.Op) string {
+	sort.SliceStable(ops, func(i, j int) bool { return ops[i].Proc < ops[j].Proc })
+	var b strings.Builder
+	for _, o := range ops {
+		fmt.Fprintf(&b, "p%d.%s(%d)=%d%v\n", o.Proc, o.Call, o.Arg, o.Out, o.OutSet)
+	}
+	return b.String()
 }
 
 func runScheduledBackendCheck(t *testing.T, backend string, seed uint64) {

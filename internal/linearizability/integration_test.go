@@ -6,7 +6,6 @@ import (
 	"auditreg/internal/core"
 	"auditreg/internal/history"
 	"auditreg/internal/linearizability"
-	"auditreg/internal/maxreg"
 	"auditreg/internal/otp"
 	"auditreg/internal/sched"
 )
@@ -172,80 +171,90 @@ func TestMaxRegisterLinearizableUnderScheduler(t *testing.T) {
 	t.Parallel()
 	const seeds = 100
 	for seed := uint64(0); seed < seeds; seed++ {
-		s := sched.New(sched.NewRandomPolicy(seed))
 		pads, err := otp.NewKeyedPads(otp.KeyFromSeed(seed), 2)
 		if err != nil {
 			t.Fatalf("pads: %v", err)
 		}
-		reg, err := maxreg.NewAuditable(2, uint64(0), func(a, b uint64) bool { return a < b }, pads)
-		if err != nil {
-			t.Fatalf("NewAuditable: %v", err)
-		}
-		rd0, err := reg.Reader(0, core.WithProbe(s.Probe(0)))
-		if err != nil {
-			t.Fatalf("Reader: %v", err)
-		}
-		rd1, err := reg.Reader(1, core.WithProbe(s.Probe(1)))
-		if err != nil {
-			t.Fatalf("Reader: %v", err)
-		}
-		w1, err := reg.Writer(otp.NewSeededNonces(seed, 1), core.WithProbe(s.Probe(100)))
-		if err != nil {
-			t.Fatalf("Writer: %v", err)
-		}
-		w2, err := reg.Writer(otp.NewSeededNonces(seed, 2), core.WithProbe(s.Probe(101)))
-		if err != nil {
-			t.Fatalf("Writer: %v", err)
-		}
-		aud := reg.Auditor(core.WithProbe(s.Probe(200)))
-
-		var rec history.Recorder
-		if err := s.Run(map[int]func(){
-			0: func() {
-				p := rec.Begin(0, "read", 0)
-				p.SetOut(rd0.Read()).End()
-				p = rec.Begin(0, "read", 0)
-				p.SetOut(rd0.Read()).End()
-			},
-			1: func() {
-				p := rec.Begin(1, "read", 0)
-				p.SetOut(rd1.Read()).End()
-			},
-			100: func() {
-				p := rec.Begin(100, "writeMax", 5)
-				if err := w1.WriteMax(5); err != nil {
-					t.Errorf("writeMax: %v", err)
-					return
-				}
-				p.End()
-			},
-			101: func() {
-				p := rec.Begin(101, "writeMax", 3)
-				if err := w2.WriteMax(3); err != nil {
-					t.Errorf("writeMax: %v", err)
-					return
-				}
-				p.End()
-			},
-			200: func() {
-				p := rec.Begin(200, "audit", 0)
-				rep, err := aud.Audit()
-				if err != nil {
-					t.Errorf("audit: %v", err)
-					return
-				}
-				p.SetOutSet(auditPairs(rep)).End()
-			},
-		}); err != nil {
-			t.Fatalf("seed %d: Run: %v", seed, err)
-		}
-
-		res, err := linearizability.Check(linearizability.AuditableMaxModel{Initial: 0}, rec.Ops())
-		if err != nil {
-			t.Fatalf("seed %d: Check: %v", seed, err)
-		}
-		if !res.Ok {
-			t.Fatalf("seed %d: max history not linearizable:\n%v", seed, rec.Ops())
-		}
+		runScheduledMax(t, seed, pads)
 	}
+}
+
+// runScheduledMax drives a 2-reader uint64 max register — two readers, two
+// writeMax processes, one auditor — under the seed's schedule, checks the
+// recorded history against the auditable max specification and returns it.
+func runScheduledMax(t *testing.T, seed uint64, pads otp.PadSource, opts ...core.Option[uint64]) []history.Op {
+	t.Helper()
+	s := sched.New(sched.NewRandomPolicy(seed))
+	reg, err := core.NewMaxRegister(2, uint64(0), func(a, b uint64) bool { return a < b }, pads, opts...)
+	if err != nil {
+		t.Fatalf("NewMaxRegister: %v", err)
+	}
+	rd0, err := reg.Reader(0, core.WithProbe(s.Probe(0)))
+	if err != nil {
+		t.Fatalf("Reader: %v", err)
+	}
+	rd1, err := reg.Reader(1, core.WithProbe(s.Probe(1)))
+	if err != nil {
+		t.Fatalf("Reader: %v", err)
+	}
+	w1, err := reg.Writer(otp.NewSeededNonces(seed, 1), core.WithProbe(s.Probe(100)))
+	if err != nil {
+		t.Fatalf("Writer: %v", err)
+	}
+	w2, err := reg.Writer(otp.NewSeededNonces(seed, 2), core.WithProbe(s.Probe(101)))
+	if err != nil {
+		t.Fatalf("Writer: %v", err)
+	}
+	aud := reg.Auditor(core.WithProbe(s.Probe(200)))
+
+	var rec history.Recorder
+	if err := s.Run(map[int]func(){
+		0: func() {
+			p := rec.Begin(0, "read", 0)
+			p.SetOut(rd0.Read()).End()
+			p = rec.Begin(0, "read", 0)
+			p.SetOut(rd0.Read()).End()
+		},
+		1: func() {
+			p := rec.Begin(1, "read", 0)
+			p.SetOut(rd1.Read()).End()
+		},
+		100: func() {
+			p := rec.Begin(100, "writeMax", 5)
+			if err := w1.WriteMax(5); err != nil {
+				t.Errorf("writeMax: %v", err)
+				return
+			}
+			p.End()
+		},
+		101: func() {
+			p := rec.Begin(101, "writeMax", 3)
+			if err := w2.WriteMax(3); err != nil {
+				t.Errorf("writeMax: %v", err)
+				return
+			}
+			p.End()
+		},
+		200: func() {
+			p := rec.Begin(200, "audit", 0)
+			rep, err := aud.Audit()
+			if err != nil {
+				t.Errorf("audit: %v", err)
+				return
+			}
+			p.SetOutSet(auditPairs(rep)).End()
+		},
+	}); err != nil {
+		t.Fatalf("seed %d: Run: %v", seed, err)
+	}
+
+	ops := rec.Ops()
+	res, err := linearizability.Check(linearizability.AuditableMaxModel{Initial: 0}, ops)
+	if err != nil {
+		t.Fatalf("seed %d: Check: %v", seed, err)
+	}
+	if !res.Ok {
+		t.Fatalf("seed %d: max history not linearizable:\n%v", seed, ops)
+	}
+	return ops
 }

@@ -15,21 +15,24 @@ import (
 
 func lessU64(a, b uint64) bool { return a < b }
 
+// The tests below drive Algorithm 2 — core.MaxRegister, which runs on this
+// package's M — from here, over the default substrates and the references.
+
 // newAuditable builds an auditable max register over uint64 with m readers.
-func newAuditable(t *testing.T, m int, initial uint64, opts ...maxreg.AuditableOption[uint64]) *maxreg.Auditable[uint64] {
+func newAuditable(t *testing.T, m int, initial uint64, opts ...core.Option[uint64]) *core.MaxRegister[uint64] {
 	t.Helper()
 	pads, err := otp.NewKeyedPads(otp.KeyFromSeed(7), m)
 	if err != nil {
 		t.Fatalf("NewKeyedPads: %v", err)
 	}
-	reg, err := maxreg.NewAuditable(m, initial, lessU64, pads, opts...)
+	reg, err := core.NewMaxRegister(m, initial, lessU64, pads, opts...)
 	if err != nil {
-		t.Fatalf("NewAuditable: %v", err)
+		t.Fatalf("NewMaxRegister: %v", err)
 	}
 	return reg
 }
 
-func newWriter(t *testing.T, reg *maxreg.Auditable[uint64], id uint8) *maxreg.Writer[uint64] {
+func newWriter(t *testing.T, reg *core.MaxRegister[uint64], id uint8) *core.MaxWriter[uint64] {
 	t.Helper()
 	w, err := reg.Writer(otp.NewSeededNonces(uint64(id)+1, id))
 	if err != nil {
@@ -38,7 +41,7 @@ func newWriter(t *testing.T, reg *maxreg.Auditable[uint64], id uint8) *maxreg.Wr
 	return w
 }
 
-func newAudReader(t *testing.T, reg *maxreg.Auditable[uint64], j int, opts ...core.HandleOption) *maxreg.Reader[uint64] {
+func newAudReader(t *testing.T, reg *core.MaxRegister[uint64], j int, opts ...core.HandleOption) *core.Reader[uint64] {
 	t.Helper()
 	rd, err := reg.Reader(j, opts...)
 	if err != nil {
@@ -50,13 +53,13 @@ func newAudReader(t *testing.T, reg *maxreg.Auditable[uint64], j int, opts ...co
 func TestAuditableValidation(t *testing.T) {
 	t.Parallel()
 	pads, _ := otp.NewKeyedPads(otp.KeyFromSeed(1), 2)
-	if _, err := maxreg.NewAuditable[uint64](0, 0, lessU64, pads); err == nil {
+	if _, err := core.NewMaxRegister[uint64](0, 0, lessU64, pads); err == nil {
 		t.Error("m=0 accepted")
 	}
-	if _, err := maxreg.NewAuditable[uint64](2, 0, nil, pads); err == nil {
+	if _, err := core.NewMaxRegister[uint64](2, 0, nil, pads); err == nil {
 		t.Error("nil less accepted")
 	}
-	if _, err := maxreg.NewAuditable[uint64](2, 0, lessU64, nil); err == nil {
+	if _, err := core.NewMaxRegister[uint64](2, 0, lessU64, nil); err == nil {
 		t.Error("nil pads accepted")
 	}
 	reg := newAuditable(t, 2, 0)
@@ -105,7 +108,7 @@ func TestAuditableAuditMatchesSpec(t *testing.T) {
 	oracle := spec.NewAuditableMax[uint64](0, lessU64)
 	w := newWriter(t, reg, 1)
 	auditor := reg.Auditor()
-	readers := make([]*maxreg.Reader[uint64], m)
+	readers := make([]*core.Reader[uint64], m)
 	for j := range readers {
 		readers[j] = newAudReader(t, reg, j)
 	}
@@ -150,14 +153,12 @@ func TestAuditableLockedBackendCrossCheck(t *testing.T) {
 	t.Parallel()
 	const m = 2
 	pads, _ := otp.NewKeyedPads(otp.KeyFromSeed(7), m)
-	init := maxreg.Nonced[uint64]{Val: 0, Nonce: 0}
-	locked := shmem.NewLockedTriple(shmem.Triple[maxreg.Nonced[uint64]]{
-		Seq: 0, Val: init, Bits: pads.Mask(0),
-	})
-	reg, err := maxreg.NewAuditable(m, 0, lessU64, pads,
-		maxreg.WithAuditableTripleReg[uint64](locked),
-		maxreg.WithAuditableSeqReg[uint64](&shmem.LockedSeq{}),
-		maxreg.WithM[uint64](maxreg.NewLockedMax(init, func(a, b maxreg.Nonced[uint64]) bool {
+	init := core.Nonced[uint64]{Val: 0, Nonce: 0}
+	locked := shmem.NewLockedTriple(shmem.Triple[uint64]{Bits: pads.Mask(0)})
+	reg, err := core.NewMaxRegister(m, 0, lessU64, pads,
+		core.WithTripleReg[uint64](locked),
+		core.WithSeqReg[uint64](&shmem.LockedSeq{}),
+		core.WithM[uint64](maxreg.NewLockedMax(init, func(a, b core.Nonced[uint64]) bool {
 			if a.Val != b.Val {
 				return a.Val < b.Val
 			}
@@ -165,7 +166,7 @@ func TestAuditableLockedBackendCrossCheck(t *testing.T) {
 		})),
 	)
 	if err != nil {
-		t.Fatalf("NewAuditable: %v", err)
+		t.Fatalf("NewMaxRegister: %v", err)
 	}
 	w, err := reg.Writer(otp.NewSeededNonces(3, 1))
 	if err != nil {
@@ -231,7 +232,7 @@ func TestQuickAuditableMatchesSpec(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		reg, err := maxreg.NewAuditable[uint64](m, 0, lessU64, pads)
+		reg, err := core.NewMaxRegister[uint64](m, 0, lessU64, pads)
 		if err != nil {
 			return false
 		}
@@ -241,7 +242,7 @@ func TestQuickAuditableMatchesSpec(t *testing.T) {
 			return false
 		}
 		auditor := reg.Auditor()
-		readers := make([]*maxreg.Reader[uint64], m)
+		readers := make([]*core.Reader[uint64], m)
 		for j := range readers {
 			rd, err := reg.Reader(j)
 			if err != nil {

@@ -1,19 +1,24 @@
 // Package maxreg implements max registers: objects whose read returns the
 // largest value ever written (Aspnes, Attiya, Censor-Hillel).
 //
-// It provides three non-auditable max registers — the substrate M of
-// Algorithm 2 — and the paper's auditable max register itself:
+// It holds only the non-auditable substrate M that Algorithm 2's writers
+// share:
 //
-//   - CASMax: unbounded, lock-free, one atomic pointer + compare&swap;
-//   - LockedMax: mutex reference implementation for cross-checking;
-//   - TreeMax: the classic bounded wait-free construction from a binary tree
-//     of one-bit switches (Aspnes–Attiya–Censor-Hillel), lazily allocated;
-//   - Auditable: Algorithm 2 of the paper — an auditable max register whose
-//     effective reads are audited and whose reads/writes are uncompromised by
-//     readers, using random nonces to hide write multiplicity.
+//   - CASMax: unbounded, lock-free, one atomic pointer + compare&swap; what
+//     every auditable max register uses;
+//   - LockedMax: mutex reference implementation, never selected — tests
+//     cross-check CASMax against it.
+//
+// The auditable max register itself is core.MaxRegister: Algorithm 2 is
+// Algorithm 1's R, SN, V, B, read and audit with a different write, so it
+// lives on the register's body. This package's tests still drive it, over
+// both substrates.
 package maxreg
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // MaxReg is a (non-auditable) max register over values of type V.
 // Implementations must be safe for concurrent use.
@@ -34,14 +39,14 @@ type Less[V any] func(a, b V) bool
 //
 // Construct with NewCASMax; the zero value is not usable.
 type CASMax[V any] struct {
-	p    ptr[V]
+	p    atomic.Pointer[V]
 	less Less[V]
 }
 
 // NewCASMax returns a CASMax holding initial, ordered by less.
 func NewCASMax[V any](initial V, less Less[V]) *CASMax[V] {
 	r := &CASMax[V]{less: less}
-	r.p.store(&initial)
+	r.p.Store(&initial)
 	return r
 }
 
@@ -51,18 +56,18 @@ var _ MaxReg[int] = (*CASMax[int])(nil)
 func (r *CASMax[V]) WriteMax(v V) {
 	next := &v
 	for {
-		cur := r.p.load()
+		cur := r.p.Load()
 		if !r.less(*cur, v) {
 			return
 		}
-		if r.p.compareAndSwap(cur, next) {
+		if r.p.CompareAndSwap(cur, next) {
 			return
 		}
 	}
 }
 
 // Read implements MaxReg.
-func (r *CASMax[V]) Read() V { return *r.p.load() }
+func (r *CASMax[V]) Read() V { return *r.p.Load() }
 
 // LockedMax is the mutex-protected reference max register.
 // Construct with NewLockedMax; the zero value is not usable.

@@ -38,21 +38,16 @@ func TestLockedMaxSequential(t *testing.T) {
 }
 
 // TestQuickMaxBackendsAgree replays random writeMax/read scripts against
-// CASMax, LockedMax, and TreeMax; all must behave identically.
+// CASMax and the LockedMax reference; they must behave identically.
 func TestQuickMaxBackendsAgree(t *testing.T) {
 	t.Parallel()
 	f := func(ops []uint16) bool {
 		lessU64 := func(a, b uint64) bool { return a < b }
 		cas := maxreg.NewCASMax[uint64](0, lessU64)
 		locked := maxreg.NewLockedMax[uint64](0, lessU64)
-		tree, err := maxreg.NewTreeMax(16)
-		if err != nil {
-			return false
-		}
 		for _, op := range ops {
 			if op%3 == 0 {
-				a, b, c := cas.Read(), locked.Read(), tree.Read()
-				if a != b || b != c {
+				if cas.Read() != locked.Read() {
 					return false
 				}
 				continue
@@ -60,9 +55,8 @@ func TestQuickMaxBackendsAgree(t *testing.T) {
 			v := uint64(op)
 			cas.WriteMax(v)
 			locked.WriteMax(v)
-			tree.WriteMax(v)
 		}
-		return cas.Read() == locked.Read() && locked.Read() == tree.Read()
+		return cas.Read() == locked.Read()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -92,14 +86,9 @@ func TestQuickMaxMonotoneReads(t *testing.T) {
 
 func TestMaxConcurrentConvergence(t *testing.T) {
 	t.Parallel()
-	tree, err := maxreg.NewTreeMax(20)
-	if err != nil {
-		t.Fatalf("NewTreeMax: %v", err)
-	}
 	regs := map[string]maxreg.MaxReg[uint64]{
 		"cas":    maxreg.NewCASMax[uint64](0, func(a, b uint64) bool { return a < b }),
 		"locked": maxreg.NewLockedMax[uint64](0, func(a, b uint64) bool { return a < b }),
-		"tree":   tree,
 	}
 	for name, r := range regs {
 		r := r
@@ -135,70 +124,5 @@ func TestMaxConcurrentConvergence(t *testing.T) {
 				t.Fatalf("final max = %d, want %d", got, want)
 			}
 		})
-	}
-}
-
-func TestTreeMaxValidation(t *testing.T) {
-	t.Parallel()
-	if _, err := maxreg.NewTreeMax(0); err == nil {
-		t.Error("height 0 accepted")
-	}
-	if _, err := maxreg.NewTreeMax(maxreg.MaxTreeHeight + 1); err == nil {
-		t.Error("excess height accepted")
-	}
-	r, err := maxreg.NewTreeMax(4)
-	if err != nil {
-		t.Fatalf("NewTreeMax: %v", err)
-	}
-	if r.Bound() != 16 {
-		t.Fatalf("Bound = %d, want 16", r.Bound())
-	}
-	if err := r.TryWriteMax(16); err == nil {
-		t.Error("out-of-range TryWriteMax accepted")
-	}
-	if err := r.TryWriteMax(15); err != nil {
-		t.Errorf("in-range TryWriteMax rejected: %v", err)
-	}
-	// WriteMax clamps.
-	r2, _ := maxreg.NewTreeMax(4)
-	r2.WriteMax(1 << 30)
-	if got := r2.Read(); got != 15 {
-		t.Fatalf("clamped write read back %d, want 15", got)
-	}
-}
-
-func TestTreeMaxExactValues(t *testing.T) {
-	t.Parallel()
-	r, err := maxreg.NewTreeMax(10)
-	if err != nil {
-		t.Fatalf("NewTreeMax: %v", err)
-	}
-	// Every value must read back exactly when written in increasing order.
-	for v := uint64(0); v < 1024; v++ {
-		r.WriteMax(v)
-		if got := r.Read(); got != v {
-			t.Fatalf("after WriteMax(%d): read %d", v, got)
-		}
-	}
-}
-
-func TestTreeMaxHighLowBoundary(t *testing.T) {
-	t.Parallel()
-	r, err := maxreg.NewTreeMax(8)
-	if err != nil {
-		t.Fatalf("NewTreeMax: %v", err)
-	}
-	r.WriteMax(127) // all-low path
-	if got := r.Read(); got != 127 {
-		t.Fatalf("read = %d, want 127", got)
-	}
-	r.WriteMax(128) // flips the root switch
-	if got := r.Read(); got != 128 {
-		t.Fatalf("read = %d, want 128", got)
-	}
-	// A later smaller write must not lower the register.
-	r.WriteMax(64)
-	if got := r.Read(); got != 128 {
-		t.Fatalf("read after low write = %d, want 128", got)
 	}
 }

@@ -8,147 +8,82 @@ import (
 	"auditreg/internal/shmem"
 )
 
-// TestFastBackendsAllocationFree: the whole point of the seqlock and
-// two-word-packed backends is that no primitive heap-allocates.
+// TestFastBackendsAllocationFree: the whole point of the seqlock backend is
+// that no primitive heap-allocates.
 func TestFastBackendsAllocationFree(t *testing.T) {
-	init := shmem.Triple[uint64]{Seq: 0, Val: 1, Bits: 0}
-	packed128, err := shmem.NewPacked128(shmem.DefaultLayout128, init)
-	if err != nil {
-		t.Fatalf("NewPacked128: %v", err)
-	}
-	for name, r := range map[string]shmem.TripleReg[uint64]{
-		"seqlock":   shmem.NewSeqlockTriple(init),
-		"packed128": packed128,
-	} {
-		r := r
-		t.Run(name, func(t *testing.T) {
-			var seq uint64
-			if n := testing.AllocsPerRun(200, func() {
-				cur := r.Load()
-				next := shmem.Triple[uint64]{Seq: seq + 1, Val: cur.Val + 1, Bits: cur.Bits}
-				if !r.CompareAndSwap(cur, next) {
-					t.Fatal("sequential CAS failed")
-				}
-				seq++
-				r.FetchXor(0b11)
-				r.Load()
-			}); n != 0 {
-				t.Fatalf("load/cas/xor cycle allocated %v times per run", n)
+	r := shmem.NewSeqlockTriple(shmem.Triple[uint64]{Seq: 0, Val: 1, Bits: 0})
+	t.Run("seqlock", func(t *testing.T) {
+		var seq uint64
+		if n := testing.AllocsPerRun(200, func() {
+			cur := r.Load()
+			next := shmem.Triple[uint64]{Seq: seq + 1, Val: cur.Val + 1, Nonce: seq, Bits: cur.Bits}
+			if !r.CompareAndSwap(cur, next) {
+				t.Fatal("sequential CAS failed")
 			}
-		})
-	}
-}
-
-// TestPacked128Validation: layouts and triples outside the representable
-// range are rejected at construction, and unrepresentable or non-monotone
-// CAS arguments fail without corrupting the register.
-func TestPacked128Validation(t *testing.T) {
-	t.Parallel()
-	if err := (shmem.Layout128{SeqBits: 0, ValBits: 8, ReaderBits: 8}).Validate(); err == nil {
-		t.Error("zero seq bits accepted")
-	}
-	if err := (shmem.Layout128{SeqBits: 60, ValBits: 8, ReaderBits: 8}).Validate(); err == nil {
-		t.Error("word0 overflow accepted")
-	}
-	if err := (shmem.Layout128{SeqBits: 8, ValBits: 56, ReaderBits: 8}).Validate(); err == nil {
-		t.Error("sub-16-bit sequence tag accepted")
-	}
-	if _, err := shmem.NewPacked128(shmem.DefaultLayout128, shmem.Triple[uint64]{Val: 1 << 40}); err == nil {
-		t.Error("unrepresentable init accepted")
-	}
-
-	r, err := shmem.NewPacked128(shmem.Layout128{SeqBits: 8, ValBits: 8, ReaderBits: 8}, shmem.Triple[uint64]{Val: 1})
-	if err != nil {
-		t.Fatalf("NewPacked128: %v", err)
-	}
-	cur := r.Load()
-	if r.CompareAndSwap(cur, shmem.Triple[uint64]{Seq: 1, Val: 1 << 20}) {
-		t.Error("CAS to unrepresentable triple succeeded")
-	}
-	// Same seq, different value: outside the seq-monotone contract.
-	if r.CompareAndSwap(cur, shmem.Triple[uint64]{Seq: cur.Seq, Val: cur.Val + 1}) {
-		t.Error("same-seq value change succeeded")
-	}
-	// Decreasing seq.
-	if !r.CompareAndSwap(cur, shmem.Triple[uint64]{Seq: 5, Val: 2}) {
-		t.Fatal("monotone CAS failed")
-	}
-	if r.CompareAndSwap(r.Load(), shmem.Triple[uint64]{Seq: 3, Val: 3}) {
-		t.Error("seq decrease succeeded")
-	}
-	// Fabricated old: current seq with a value the register never held.
-	if r.CompareAndSwap(shmem.Triple[uint64]{Seq: 5, Val: 99}, shmem.Triple[uint64]{Seq: 6, Val: 4}) {
-		t.Error("CAS from fabricated old succeeded")
-	}
-	if got := r.Load(); got.Seq != 5 || got.Val != 2 {
-		t.Fatalf("register corrupted: %+v", got)
-	}
+			seq++
+			r.FetchXor(0b11)
+			r.Load()
+		}); n != 0 {
+			t.Fatalf("load/cas/xor cycle allocated %v times per run", n)
+		}
+	})
 }
 
 // TestFastBackendsWriterReaderStress runs the register's actual access
-// pattern — one writer CASing monotone (seq, val) pairs, readers loading and
-// xoring — and checks every observed triple is internally consistent
-// (val == seq+base, a relation the writer maintains). Run with -race this
-// doubles as the memory-model check for the seqlock and two-word protocols.
+// pattern — one writer CASing monotone (seq, val, nonce) triples, readers
+// loading and xoring — and checks every observed triple is internally
+// consistent (val == seq+base and nonce == ^seq, relations the writer
+// maintains). Run with -race this doubles as the memory-model check for the
+// seqlock protocol.
 func TestFastBackendsWriterReaderStress(t *testing.T) {
 	t.Parallel()
 	const base = 1000
-	init := shmem.Triple[uint64]{Seq: 0, Val: base, Bits: 0}
-	packed128, err := shmem.NewPacked128(shmem.DefaultLayout128, init)
-	if err != nil {
-		t.Fatalf("NewPacked128: %v", err)
-	}
-	for name, r := range map[string]shmem.TripleReg[uint64]{
-		"seqlock":   shmem.NewSeqlockTriple(init),
-		"packed128": packed128,
-	} {
-		r := r
-		t.Run(name, func(t *testing.T) {
-			t.Parallel()
-			const writes = 20000
-			var bad atomic.Uint64
-			var wg sync.WaitGroup
-			stop := make(chan struct{})
-			check := func(tr shmem.Triple[uint64]) {
-				if tr.Val != tr.Seq+base {
-					bad.Add(1)
-				}
+	r := shmem.NewSeqlockTriple(shmem.Triple[uint64]{Seq: 0, Val: base, Nonce: ^uint64(0), Bits: 0})
+	t.Run("seqlock", func(t *testing.T) {
+		t.Parallel()
+		const writes = 20000
+		var bad atomic.Uint64
+		var wg sync.WaitGroup
+		stop := make(chan struct{})
+		check := func(tr shmem.Triple[uint64]) {
+			if tr.Val != tr.Seq+base || tr.Nonce != ^tr.Seq {
+				bad.Add(1)
 			}
-			for g := 0; g < 3; g++ {
-				g := g
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for i := 0; ; i++ {
-						select {
-						case <-stop:
-							return
-						default:
-						}
-						if i%4 == 0 {
-							check(r.FetchXor(1 << uint(g)))
-						} else {
-							check(r.Load())
-						}
+		}
+		for g := 0; g < 3; g++ {
+			g := g
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; ; i++ {
+					select {
+					case <-stop:
+						return
+					default:
 					}
-				}()
-			}
-			for i := uint64(0); i < writes; {
-				cur := r.Load()
-				check(cur)
-				next := shmem.Triple[uint64]{Seq: cur.Seq + 1, Val: cur.Seq + 1 + base, Bits: cur.Bits}
-				if r.CompareAndSwap(cur, next) {
-					i++
+					if i%4 == 0 {
+						check(r.FetchXor(1 << uint(g)))
+					} else {
+						check(r.Load())
+					}
 				}
+			}()
+		}
+		for i := uint64(0); i < writes; {
+			cur := r.Load()
+			check(cur)
+			next := shmem.Triple[uint64]{Seq: cur.Seq + 1, Val: cur.Seq + 1 + base, Nonce: ^(cur.Seq + 1), Bits: cur.Bits}
+			if r.CompareAndSwap(cur, next) {
+				i++
 			}
-			close(stop)
-			wg.Wait()
-			if n := bad.Load(); n != 0 {
-				t.Fatalf("%d torn (seq, val) pairs observed", n)
-			}
-			if got := r.Load(); got.Seq != writes {
-				t.Fatalf("final seq %d, want %d", got.Seq, writes)
-			}
-		})
-	}
+		}
+		close(stop)
+		wg.Wait()
+		if n := bad.Load(); n != 0 {
+			t.Fatalf("%d torn (seq, val, nonce) triples observed", n)
+		}
+		if got := r.Load(); got.Seq != writes {
+			t.Fatalf("final seq %d, want %d", got.Seq, writes)
+		}
+	})
 }

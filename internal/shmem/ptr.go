@@ -2,8 +2,9 @@ package shmem
 
 import "sync/atomic"
 
-// PtrTriple is the default, lock-free TripleReg backend: an atomic pointer to
-// an immutable Triple. CompareAndSwap compares triple values (not pointers),
+// PtrTriple is the lock-free TripleReg backend for values wider than a word
+// (core selects it for every value type but uint64): an atomic pointer to an
+// immutable Triple, one heap allocation per mutation. CompareAndSwap compares triple values (not pointers),
 // so it is immune to pointer-identity ABA: a swap succeeds exactly when the
 // register's current content equals old at the instant of the underlying
 // pointer CAS.

@@ -3,20 +3,22 @@
 // compare&swap, and fetch&xor primitives.
 //
 // The central object is the register R of Algorithms 1 and 2, which holds a
-// triple (sequence number, value, m-bit tracking string). Three backends
-// implement the same TripleReg interface:
+// triple (sequence number, value, m-bit tracking string) — the value carrying
+// the nonce Algorithm 2 appends to it. Three backends implement the same
+// TripleReg interface, and nobody picks between the first two by hand:
 //
-//   - PtrTriple: lock-free, built on a pointer to an immutable triple with
-//     pointer compare&swap (the default);
+//   - SeqlockTriple: allocation-free, for word-sized values; core selects it
+//     whenever the value type is uint64;
+//   - PtrTriple: lock-free and strictly wait-free, built on a pointer to an
+//     immutable triple with pointer compare&swap; core selects it for every
+//     other value type;
 //   - LockedTriple: a mutex-protected reference implementation, trivially
-//     linearizable, used to cross-check the lock-free backends;
-//   - Packed64: the whole triple packed into a single 64-bit word operated on
-//     with sync/atomic, the closest analogue of the hardware register the
-//     paper assumes.
+//     linearizable. It is never selected: tests cross-check the other two
+//     against it, and so do LockedSeq against AtomicSeq.
 //
 // Go's sync/atomic has no fetch&xor (only And/Or since Go 1.23), so every
 // backend realizes fetch&xor as a linearizable read-modify-write: a CAS retry
-// loop for the lock-free backends, a critical section for LockedTriple. Each
+// loop for PtrTriple, a critical section for the other two. Each
 // fetch&xor still takes effect atomically, which is the only property the
 // paper's proofs rely on; the step-count bounds (Lemma 2) are asserted in the
 // deterministic scheduler where a fetch&xor is a single step.
@@ -33,6 +35,10 @@ type Triple[V comparable] struct {
 	Seq uint64
 	// Val is the register's current value.
 	Val V
+	// Nonce is the random nonce Algorithm 2's writeMax appends to Val; the
+	// pair (Val, Nonce) is what its order compares. Always 0 under
+	// Algorithm 1.
+	Nonce uint64
 	// Bits is the one-time-pad-encrypted reader set of Val.
 	Bits uint64
 }

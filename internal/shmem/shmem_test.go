@@ -9,33 +9,22 @@ import (
 )
 
 // backendNames lists every TripleReg backend, first entry the reference.
-var backendNames = []string{"ptr", "locked", "packed", "seqlock", "packed128"}
+var backendNames = []string{"locked", "ptr", "seqlock"}
 
 // newBackends returns one of each TripleReg backend holding init, for
-// cross-checking tests. Values must fit 16 bits for the packed register.
-func newBackends(t *testing.T, init shmem.Triple[uint64]) map[string]shmem.TripleReg[uint64] {
-	t.Helper()
-	packed, err := shmem.NewPacked64(shmem.Layout{SeqBits: 28, ValBits: 16, ReaderBits: 20}, init)
-	if err != nil {
-		t.Fatalf("NewPacked64: %v", err)
-	}
-	packed128, err := shmem.NewPacked128(shmem.DefaultLayout128, init)
-	if err != nil {
-		t.Fatalf("NewPacked128: %v", err)
-	}
+// cross-checking tests.
+func newBackends(init shmem.Triple[uint64]) map[string]shmem.TripleReg[uint64] {
 	return map[string]shmem.TripleReg[uint64]{
-		"ptr":       shmem.NewPtrTriple(init),
-		"locked":    shmem.NewLockedTriple(init),
-		"packed":    packed,
-		"seqlock":   shmem.NewSeqlockTriple(init),
-		"packed128": packed128,
+		"locked":  shmem.NewLockedTriple(init),
+		"ptr":     shmem.NewPtrTriple(init),
+		"seqlock": shmem.NewSeqlockTriple(init),
 	}
 }
 
 func TestTripleRegBasics(t *testing.T) {
 	t.Parallel()
-	init := shmem.Triple[uint64]{Seq: 0, Val: 5, Bits: 0b1010}
-	for name, r := range newBackends(t, init) {
+	init := shmem.Triple[uint64]{Seq: 0, Val: 5, Nonce: 3, Bits: 0b1010}
+	for name, r := range newBackends(init) {
 		r := r
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
@@ -46,8 +35,12 @@ func TestTripleRegBasics(t *testing.T) {
 			if r.CompareAndSwap(shmem.Triple[uint64]{Seq: 9}, shmem.Triple[uint64]{Seq: 1}) {
 				t.Fatal("CAS with wrong old succeeded")
 			}
+			// Failed CAS: old differs in the nonce alone.
+			if r.CompareAndSwap(shmem.Triple[uint64]{Seq: 0, Val: 5, Nonce: 4, Bits: 0b1010}, shmem.Triple[uint64]{Seq: 1}) {
+				t.Fatal("CAS with wrong nonce succeeded")
+			}
 			// Successful CAS.
-			next := shmem.Triple[uint64]{Seq: 1, Val: 7, Bits: 0b0101}
+			next := shmem.Triple[uint64]{Seq: 1, Val: 7, Nonce: 11, Bits: 0b0101}
 			if !r.CompareAndSwap(init, next) {
 				t.Fatal("CAS with correct old failed")
 			}
@@ -76,11 +69,11 @@ func TestTripleRegCrossCheck(t *testing.T) {
 		Op   uint8 // mod 3: 0 load, 1 cas, 2 xor
 		Seq  uint8
 		Val  uint16
-		Bits uint16 // masked to 16 bits (within every backend's reader field)
+		Bits uint16
 	}
 	f := func(steps []step) bool {
 		init := shmem.Triple[uint64]{Seq: 0, Val: 1, Bits: 0}
-		regs := newBackends(t, init)
+		regs := newBackends(init)
 		names := backendNames
 		for _, s := range steps {
 			switch s.Op % 3 {
@@ -98,7 +91,7 @@ func TestTripleRegCrossCheck(t *testing.T) {
 				if s.Seq%2 == 0 {
 					old.Seq++ // make it fail half the time
 				}
-				next := shmem.Triple[uint64]{Seq: old.Seq + 1, Val: uint64(s.Val), Bits: uint64(s.Bits)}
+				next := shmem.Triple[uint64]{Seq: old.Seq + 1, Val: uint64(s.Val), Nonce: uint64(s.Seq), Bits: uint64(s.Bits)}
 				want := regs[names[0]].CompareAndSwap(old, next)
 				for _, n := range names[1:] {
 					if regs[n].CompareAndSwap(old, next) != want {
@@ -128,7 +121,7 @@ func TestTripleRegCrossCheck(t *testing.T) {
 func TestTripleRegConcurrentXorsCommute(t *testing.T) {
 	t.Parallel()
 	init := shmem.Triple[uint64]{Seq: 3, Val: 9, Bits: 0}
-	for name, r := range newBackends(t, init) {
+	for name, r := range newBackends(init) {
 		r := r
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
@@ -155,76 +148,6 @@ func TestTripleRegConcurrentXorsCommute(t *testing.T) {
 				seen[p.Bits] = true
 			}
 		})
-	}
-}
-
-func TestLayoutValidate(t *testing.T) {
-	t.Parallel()
-	cases := []struct {
-		name   string
-		layout shmem.Layout
-		ok     bool
-	}{
-		{"default", shmem.DefaultLayout, true},
-		{"exact64", shmem.Layout{SeqBits: 32, ValBits: 16, ReaderBits: 16}, true},
-		{"over64", shmem.Layout{SeqBits: 33, ValBits: 16, ReaderBits: 16}, false},
-		{"zeroSeq", shmem.Layout{SeqBits: 0, ValBits: 16, ReaderBits: 16}, false},
-		{"zeroVal", shmem.Layout{SeqBits: 16, ValBits: 0, ReaderBits: 16}, false},
-		{"zeroReaders", shmem.Layout{SeqBits: 16, ValBits: 16, ReaderBits: 0}, false},
-	}
-	for _, c := range cases {
-		if err := c.layout.Validate(); (err == nil) != c.ok {
-			t.Errorf("%s: Validate() = %v, want ok=%t", c.name, err, c.ok)
-		}
-	}
-}
-
-func TestLayoutPackUnpackRoundTrip(t *testing.T) {
-	t.Parallel()
-	layout := shmem.Layout{SeqBits: 20, ValBits: 24, ReaderBits: 20}
-	f := func(seq, val, bits uint64) bool {
-		tr := shmem.Triple[uint64]{
-			Seq:  seq & layout.MaxSeq(),
-			Val:  val & layout.MaxVal(),
-			Bits: bits & (1<<20 - 1),
-		}
-		w, err := layout.Pack(tr)
-		if err != nil {
-			return false
-		}
-		return layout.Unpack(w) == tr
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestLayoutPackRejectsOverflow(t *testing.T) {
-	t.Parallel()
-	layout := shmem.Layout{SeqBits: 8, ValBits: 8, ReaderBits: 8}
-	if _, err := layout.Pack(shmem.Triple[uint64]{Seq: 256}); err == nil {
-		t.Error("seq overflow accepted")
-	}
-	if _, err := layout.Pack(shmem.Triple[uint64]{Val: 256}); err == nil {
-		t.Error("val overflow accepted")
-	}
-	if _, err := layout.Pack(shmem.Triple[uint64]{Bits: 256}); err == nil {
-		t.Error("bits overflow accepted")
-	}
-}
-
-func TestPacked64RejectsUnrepresentableCAS(t *testing.T) {
-	t.Parallel()
-	layout := shmem.Layout{SeqBits: 8, ValBits: 8, ReaderBits: 8}
-	r, err := shmem.NewPacked64(layout, shmem.Triple[uint64]{Val: 1})
-	if err != nil {
-		t.Fatalf("NewPacked64: %v", err)
-	}
-	if r.CompareAndSwap(r.Load(), shmem.Triple[uint64]{Seq: 1, Val: 1 << 20}) {
-		t.Fatal("CAS to unrepresentable triple succeeded")
-	}
-	if got := r.Load(); got.Val != 1 {
-		t.Fatalf("register corrupted: %+v", got)
 	}
 }
 

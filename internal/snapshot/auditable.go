@@ -6,7 +6,6 @@ import (
 
 	"auditreg/internal/core"
 	"auditreg/internal/handle"
-	"auditreg/internal/maxreg"
 	"auditreg/internal/otp"
 	"auditreg/internal/probe"
 )
@@ -66,7 +65,7 @@ type Auditable[V comparable] struct {
 	n    int
 	m    int
 	s    Store[comp[V]]
-	mreg *maxreg.Auditable[view[V]]
+	mreg *core.MaxRegister[view[V]]
 }
 
 // AuditableOption configures an auditable snapshot.
@@ -117,10 +116,10 @@ func NewAuditable[V comparable](n, m int, initial V, pads otp.PadSource, opts ..
 		initData[i] = initial
 	}
 	initView := view[V]{vn: 0, data: &initData}
-	mreg, err := maxreg.NewAuditable(m, initView,
+	mreg, err := core.NewMaxRegister(m, initView,
 		func(a, b view[V]) bool { return a.vn < b.vn },
 		pads,
-		maxreg.WithAuditableCapacity[view[V]](cfg.capacity),
+		core.WithCapacity[view[V]](cfg.capacity),
 	)
 	if err != nil {
 		return nil, err
@@ -140,7 +139,7 @@ type SnapUpdater[V comparable] struct {
 	reg   *Auditable[V]
 	i     int
 	sn    uint64
-	mw    *maxreg.Writer[view[V]]
+	mw    *core.MaxWriter[view[V]]
 	pid   int
 	probe probe.Probe
 }
@@ -195,7 +194,7 @@ func (u *SnapUpdater[V]) Update(v V) error {
 // is a single read of the auditable max register M, so it is effective — and
 // audited — exactly when that read is.
 type SnapScanner[V comparable] struct {
-	mr *maxreg.Reader[view[V]]
+	mr *core.Reader[view[V]]
 	j  int
 }
 
@@ -226,7 +225,7 @@ func (sc *SnapScanner[V]) Scan() []V {
 // many entries of M's report it has folded into it, and a hash index over the
 // list, so an audit costs what M's auditor found new.
 type SnapAuditor[V comparable] struct {
-	ma     *maxreg.Auditor[view[V]]
+	ma     *core.Auditor[view[V]]
 	folded int            // entries of M's cumulative report already in out
 	out    []ViewEntry[V] // distinct by (scanner, view content); append-only
 	// index is an open-addressed table of 1+position into out (0: empty),

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"auditreg/internal/core"
-	"auditreg/internal/maxreg"
 	"auditreg/internal/otp"
 )
 
@@ -24,12 +23,12 @@ type Out[O comparable] struct {
 // Construct with NewAuditable.
 type Auditable[I any, O comparable] struct {
 	base Base[I, O]
-	mreg *maxreg.Auditable[Out[O]]
+	mreg *core.MaxRegister[Out[O]]
 }
 
 // NewAuditable wraps the versioned implementation base (whose current version
 // must be 0) into an auditable object for m readers.
-func NewAuditable[I any, O comparable](m int, base Base[I, O], pads otp.PadSource, opts ...maxreg.AuditableOption[Out[O]]) (*Auditable[I, O], error) {
+func NewAuditable[I any, O comparable](m int, base Base[I, O], pads otp.PadSource) (*Auditable[I, O], error) {
 	if base == nil {
 		return nil, fmt.Errorf("versioned: base implementation must not be nil")
 	}
@@ -37,9 +36,8 @@ func NewAuditable[I any, O comparable](m int, base Base[I, O], pads otp.PadSourc
 	if vn0 != 0 {
 		return nil, fmt.Errorf("versioned: base must start at version 0, got %d", vn0)
 	}
-	mreg, err := maxreg.NewAuditable(m, Out[O]{VN: 0, Val: o0},
-		func(a, b Out[O]) bool { return a.VN < b.VN },
-		pads, opts...)
+	mreg, err := core.NewMaxRegister(m, Out[O]{VN: 0, Val: o0},
+		func(a, b Out[O]) bool { return a.VN < b.VN }, pads)
 	if err != nil {
 		return nil, err
 	}
@@ -53,7 +51,7 @@ func (reg *Auditable[I, O]) Readers() int { return reg.mreg.Readers() }
 // use; create one per updating process.
 type AuditableUpdater[I any, O comparable] struct {
 	reg *Auditable[I, O]
-	mw  *maxreg.Writer[Out[O]]
+	mw  *core.MaxWriter[Out[O]]
 }
 
 // Updater returns an update handle drawing nonces from the given source.
@@ -76,7 +74,7 @@ func (u *AuditableUpdater[I, O]) Update(v I) error {
 // AuditableReader is the per-process read handle. Not safe for concurrent
 // use.
 type AuditableReader[I any, O comparable] struct {
-	mr *maxreg.Reader[Out[O]]
+	mr *core.Reader[Out[O]]
 	j  int
 }
 
@@ -103,7 +101,7 @@ func (rd *AuditableReader[I, O]) ReadVersioned() (O, uint64) {
 
 // AuditableAuditor is the per-process audit handle.
 type AuditableAuditor[I any, O comparable] struct {
-	ma *maxreg.Auditor[Out[O]]
+	ma *core.Auditor[Out[O]]
 }
 
 // Auditor returns an auditor handle with its own cumulative audit set.

@@ -11,10 +11,13 @@ import (
 // TestGroupCommitAbsorbsConcurrentMutators pins the adaptive commit window:
 // many goroutines writing under SyncAlways must share fsyncs — far fewer
 // syncs than records — and the batch-size histogram must record multi-record
-// syncs, while every write still blocks until stable.
+// syncs, while every write still blocks until stable. Stripes is pinned to 1
+// because the window is per stripe: left at its GOMAXPROCS default, the eight
+// objects hash onto as many stripes as the box has CPUs, and on a 2-CPU box
+// the "8 concurrent blocked writers" below are about 4 per window.
 func TestGroupCommitAbsorbsConcurrentMutators(t *testing.T) {
 	dir := t.TempDir()
-	w, _, st := openWAL(t, dir, Options{Policy: SyncAlways, BatchDelay: 2 * time.Millisecond})
+	w, _, st := openWAL(t, dir, Options{Policy: SyncAlways, BatchDelay: 2 * time.Millisecond, Stripes: 1})
 	const writers = 8
 	const perWriter = 50
 	objs := make([]*store.Object[uint64], writers)

@@ -50,14 +50,13 @@ type AuditPool[V comparable] struct {
 	lastErr atomic.Pointer[error]
 }
 
-// auditCursor is one object's audit state: the persistent per-kind auditor
-// handle (not safe for concurrent use, hence the mutex) and the latest
-// published report.
+// auditCursor is one object's audit state: the persistent auditor handle
+// (not safe for concurrent use, hence the mutex) — aud for a Register or
+// MaxRegister, snapAud for a Snapshot — and the latest published report.
 type auditCursor[V comparable] struct {
 	mu      sync.Mutex
 	obj     *Object[V]
-	regAud  *auditreg.Auditor[V]
-	maxAud  *auditreg.MaxAuditor[V]
+	aud     *auditreg.Auditor[V]
 	snapAud *auditreg.SnapshotAuditor[V]
 	// journaled is the pair count at the last journaled cursor advance.
 	// The zero value doubles as "never journaled": empty reports are not
@@ -243,14 +242,10 @@ func (p *AuditPool[V]) Rows(name string, fresh bool, since uint64, limit int, em
 	}
 	cur.mu.Lock()
 	defer cur.mu.Unlock()
-	switch obj.kind {
-	case Register:
-		next, more, err = cur.regAud.Rows(since, limit, emit)
-	case MaxRegister:
-		next, more, err = cur.maxAud.Rows(since, limit, emit)
-	default:
-		err = fmt.Errorf("store: pool audit %q: %v objects have no audit rows: %w", name, obj.kind, ErrKindMismatch)
+	if cur.aud == nil {
+		return obj.kind, 0, false, fmt.Errorf("store: pool audit %q: %v objects have no audit rows: %w", name, obj.kind, ErrKindMismatch)
 	}
+	next, more, err = cur.aud.Rows(since, limit, emit)
 	return obj.kind, next, more, err
 }
 
@@ -301,13 +296,10 @@ func (p *AuditPool[V]) Err() error {
 
 func newAuditCursor[V comparable](obj *Object[V]) *auditCursor[V] {
 	cur := &auditCursor[V]{obj: obj}
-	switch obj.kind {
-	case Register:
-		cur.regAud = obj.reg.Auditor()
-	case MaxRegister:
-		cur.maxAud = obj.max.Auditor()
-	case Snapshot:
+	if obj.kind == Snapshot {
 		cur.snapAud = obj.snap.Auditor()
+	} else {
+		cur.aud = obj.regs.Auditor()
 	}
 	return cur
 }
@@ -319,12 +311,9 @@ func (c *auditCursor[V]) audit() error {
 	defer c.mu.Unlock()
 	rep := ObjectAudit[V]{Object: c.obj.name, Kind: c.obj.kind}
 	var err error
-	switch c.obj.kind {
-	case Register:
-		rep.Report, err = c.regAud.Audit()
-	case MaxRegister:
-		rep.Report, err = c.maxAud.Audit()
-	case Snapshot:
+	if c.aud != nil {
+		rep.Report, err = c.aud.Audit()
+	} else {
 		rep.Views, err = c.snapAud.Audit()
 	}
 	if err != nil {

@@ -229,6 +229,96 @@ func TestPoolCursorIsIncremental(t *testing.T) {
 	}
 }
 
+// TestPoolRowsTailEqualsFresh drives both register kinds through the one
+// read and audit path they share — ReadFetch, Announce, AuditPool.Rows — under
+// a seeded schedule, with an auditor that tails (asks only for rows since its
+// cursor, three at a time, and keeps the cumulative set itself). After every
+// tail step the set must equal what a cold replay from row 0 yields and what a
+// fresh per-object audit reports: tail == fresh, for Register and MaxRegister
+// alike.
+func TestPoolRowsTailEqualsFresh(t *testing.T) {
+	type pair struct {
+		reader int
+		val    uint64
+	}
+	for _, kind := range []store.Kind{store.Register, store.MaxRegister} {
+		t.Run(kind.String(), func(t *testing.T) {
+			st := newTestStore(t)
+			obj, err := st.Open("obj", kind)
+			if err != nil {
+				t.Fatalf("Open: %v", err)
+			}
+			pool, err := st.NewAuditPool()
+			if err != nil {
+				t.Fatalf("NewAuditPool: %v", err)
+			}
+			// replay pages rows [since, ...) into set and returns the cursor.
+			replay := func(fresh bool, since uint64, set map[pair]bool) uint64 {
+				for {
+					k, next, more, err := pool.Rows("obj", fresh, since, 3, func(val, readers uint64) {
+						for j := 0; j < st.Readers(); j++ {
+							if readers>>uint(j)&1 == 1 {
+								set[pair{j, val}] = true
+							}
+						}
+					})
+					if err != nil {
+						t.Fatalf("Rows(since=%d): %v", since, err)
+					}
+					if k != kind {
+						t.Fatalf("Rows reports kind %v, want %v", k, kind)
+					}
+					if !more {
+						return next
+					}
+					fresh, since = false, next
+				}
+			}
+
+			rng := rand.New(rand.NewSource(20))
+			tail, cursor := map[pair]bool{}, uint64(0)
+			for step := 0; step < 600; step++ {
+				switch r := rng.Intn(10); {
+				case r < 4:
+					if err := obj.Write(uint64(rng.Intn(50))); err != nil {
+						t.Fatalf("Write: %v", err)
+					}
+				case r < 9:
+					reader := rng.Intn(st.Readers())
+					_, seq, fetched, err := obj.ReadFetch(reader)
+					if err != nil {
+						t.Fatalf("ReadFetch: %v", err)
+					}
+					if fetched && rng.Intn(4) > 0 { // some announces are dropped
+						if err := obj.Announce(reader, seq); err != nil {
+							t.Fatalf("Announce: %v", err)
+						}
+					}
+				default:
+					cursor = replay(true, cursor, tail)
+					cold := map[pair]bool{}
+					replay(false, 0, cold)
+					ground, err := obj.Audit()
+					if err != nil {
+						t.Fatalf("Audit: %v", err)
+					}
+					if len(tail) != len(cold) || len(tail) != ground.Report.Len() {
+						t.Fatalf("step %d: tail has %d pairs, cold replay %d, fresh audit %d", step, len(tail), len(cold), ground.Report.Len())
+					}
+					for p := range tail {
+						if !cold[p] || !ground.Report.Contains(p.reader, p.val) {
+							t.Fatalf("step %d: tail pair %v missing from cold replay or fresh audit", step, p)
+						}
+					}
+				}
+			}
+			if len(tail) == 0 || cursor == 0 {
+				t.Fatalf("schedule audited nothing: %d pairs, cursor %d", len(tail), cursor)
+			}
+		})
+	}
+}
+
 // TestPoolStartTwice ensures the pool rejects a second Start and Stop is
 // idempotent.
 func TestPoolStartStop(t *testing.T) {

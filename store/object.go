@@ -24,23 +24,32 @@ type Object[V comparable] struct {
 	reg  *auditreg.Register[V]
 	max  *auditreg.MaxRegister[V]
 	snap *auditreg.Snapshot[V]
+	// regs is reg or max, whichever the kind made: the two differ in their
+	// write alone, so reads and audits go through here without asking.
+	regs registerHandles[V]
 
 	readSlots []readSlot[V]
 	comps     []compSlot[V] // Snapshot only: per-component updater
 	writers   sync.Pool     // Register/MaxRegister write handles
 }
 
+// registerHandles is what a Register and a MaxRegister share: Algorithm 1's
+// read and audit handles.
+type registerHandles[V comparable] interface {
+	Reader(j int, opts ...auditreg.HandleOption) (*auditreg.Reader[V], error)
+	Auditor(opts ...auditreg.HandleOption) *auditreg.Auditor[V]
+}
+
 // readSlot serializes one reader principal's accesses. The handle is created
-// on first use; which field is populated follows the object's kind.
+// on first use: reader for a Register or MaxRegister, scanner for a Snapshot.
 type readSlot[V comparable] struct {
 	mu      sync.Mutex
 	reader  *auditreg.Reader[V]
-	maxRd   *auditreg.MaxReader[V]
 	scanner *auditreg.SnapshotScanner[V]
 	// Slots lie side by side and every read locks its own: without the
 	// padding two reader principals on two cores steal one cache line from
 	// each other on every read of the object.
-	_ [32]byte
+	_ [40]byte
 }
 
 // compSlot serializes updates of one snapshot component, upholding the
@@ -78,11 +87,13 @@ func (st *Store[V]) newObject(name string, kind Kind, cfg openConfig) (*Object[V
 	switch kind {
 	case Register:
 		obj.reg, err = auditreg.NewRegister(st.readers, st.initial, pads, auditreg.WithCapacity[V](cfg.capacity))
+		obj.regs = obj.reg
 	case MaxRegister:
 		if st.less == nil {
 			return nil, fmt.Errorf("store: open %q: MaxRegister needs store.WithLess", name)
 		}
 		obj.max, err = auditreg.NewMaxRegister(st.readers, st.initial, st.less, pads, auditreg.WithMaxCapacity[V](cfg.capacity))
+		obj.regs = obj.max
 	case Snapshot:
 		obj.snap, err = auditreg.NewSnapshot(cfg.components, st.readers, st.initial, pads, auditreg.WithSnapshotCapacity[V](cfg.capacity))
 		obj.comps = make([]compSlot[V], cfg.components)
@@ -219,64 +230,38 @@ func (o *Object[V]) WriteAsync(v V) (commit func() error, err error) {
 // reader index out across goroutines and needs the stronger ordering must
 // keep using ReadFetch.
 func (o *Object[V]) ReadFetchAsync(reader int) (val V, seq uint64, fetched bool, commit func() error, err error) {
-	var zero V
-	if reader < 0 || reader >= len(o.readSlots) {
-		return zero, 0, false, nil, fmt.Errorf("store: read-fetch %q: reader %d out of range [0, %d)", o.name, reader, len(o.readSlots))
+	s, err := o.lockReader("read-fetch", reader)
+	if err != nil {
+		return val, 0, false, nil, err
 	}
-	s := &o.readSlots[reader]
-	switch o.kind {
-	case Register:
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		rd, err := s.ensureRegReader(o, reader)
-		if err != nil {
-			return zero, 0, false, nil, err
-		}
-		val, seq, fetched = rd.ReadFetch()
-	case MaxRegister:
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		rd, err := s.ensureMaxReader(o, reader)
-		if err != nil {
-			return zero, 0, false, nil, err
-		}
-		val, seq, fetched = rd.ReadFetch()
-	default:
-		return zero, 0, false, nil, fmt.Errorf("store: read-fetch %q: %v objects take Scan, not ReadFetch: %w", o.name, o.kind, ErrKindMismatch)
-	}
-	if fetched {
+	defer s.mu.Unlock()
+	if val, seq, fetched = s.reader.ReadFetch(); fetched {
 		commit, err = o.journalAsync(JournalRecord[V]{Op: JournalFetch, Name: o.name, Kind: o.kind, Reader: reader, Seq: seq, Value: val})
-		if err != nil {
-			return val, seq, fetched, nil, err
-		}
 	}
-	return val, seq, fetched, commit, nil
+	return val, seq, fetched, commit, err
 }
 
-// ensureRegReader lazily creates the slot's Register read handle. The slot's
-// mutex must be held.
-func (s *readSlot[V]) ensureRegReader(o *Object[V], reader int) (*auditreg.Reader[V], error) {
+// lockReader locks the given reader principal's slot and returns it with the
+// register read handle in place; the caller unlocks. A MaxRegister's reader
+// is the Register's, so what follows is one code path for both kinds.
+func (o *Object[V]) lockReader(op string, reader int) (*readSlot[V], error) {
+	if reader < 0 || reader >= len(o.readSlots) {
+		return nil, fmt.Errorf("store: %s %q: reader %d out of range [0, %d)", op, o.name, reader, len(o.readSlots))
+	}
+	if o.regs == nil {
+		return nil, fmt.Errorf("store: %s %q: %v objects take Scan: %w", op, o.name, o.kind, ErrKindMismatch)
+	}
+	s := &o.readSlots[reader]
+	s.mu.Lock()
 	if s.reader == nil {
-		rd, err := o.reg.Reader(reader)
+		rd, err := o.regs.Reader(reader)
 		if err != nil {
+			s.mu.Unlock()
 			return nil, err
 		}
 		s.reader = rd
 	}
-	return s.reader, nil
-}
-
-// ensureMaxReader lazily creates the slot's MaxRegister read handle. The
-// slot's mutex must be held.
-func (s *readSlot[V]) ensureMaxReader(o *Object[V], reader int) (*auditreg.MaxReader[V], error) {
-	if s.maxRd == nil {
-		rd, err := o.max.Reader(reader)
-		if err != nil {
-			return nil, err
-		}
-		s.maxRd = rd
-	}
-	return s.maxRd, nil
+	return s, nil
 }
 
 // Read returns the current value as seen by the given reader index: the
@@ -289,15 +274,9 @@ func (s *readSlot[V]) ensureMaxReader(o *Object[V], reader int) (*auditreg.MaxRe
 // fetch record per effective read (an announce failure is not surfaced; like
 // the network client's pipelined announce, it is pure helping).
 func (o *Object[V]) Read(reader int) (V, error) {
-	var zero V
-	if o.kind != Register && o.kind != MaxRegister {
-		return zero, fmt.Errorf("store: read %q: %v objects take Scan, not Read: %w", o.name, o.kind, ErrKindMismatch)
-	}
-	if reader < 0 || reader >= len(o.readSlots) {
-		return zero, fmt.Errorf("store: read %q: reader %d out of range [0, %d)", o.name, reader, len(o.readSlots))
-	}
 	val, seq, fetched, err := o.ReadFetch(reader)
 	if err != nil {
+		var zero V
 		return zero, err
 	}
 	if fetched {
@@ -319,41 +298,19 @@ func (o *Object[V]) Read(reader int) (V, error) {
 // how a remote client behaves. Snapshot objects have no split read (scans go
 // through Scan) and return ErrKindMismatch.
 func (o *Object[V]) ReadFetch(reader int) (val V, seq uint64, fetched bool, err error) {
-	var zero V
-	if reader < 0 || reader >= len(o.readSlots) {
-		return zero, 0, false, fmt.Errorf("store: read-fetch %q: reader %d out of range [0, %d)", o.name, reader, len(o.readSlots))
+	s, err := o.lockReader("read-fetch", reader)
+	if err != nil {
+		return val, 0, false, err
 	}
-	s := &o.readSlots[reader]
-	switch o.kind {
-	case Register:
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		rd, err := s.ensureRegReader(o, reader)
-		if err != nil {
-			return zero, 0, false, err
-		}
-		val, seq, fetched = rd.ReadFetch()
-	case MaxRegister:
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		rd, err := s.ensureMaxReader(o, reader)
-		if err != nil {
-			return zero, 0, false, err
-		}
-		val, seq, fetched = rd.ReadFetch()
-	default:
-		return zero, 0, false, fmt.Errorf("store: read-fetch %q: %v objects take Scan, not ReadFetch: %w", o.name, o.kind, ErrKindMismatch)
-	}
-	if fetched {
+	defer s.mu.Unlock()
+	if val, seq, fetched = s.reader.ReadFetch(); fetched {
 		// The read just became effective; make its audit trace durable
 		// before acknowledging it. The record carries the observed value, so
 		// it can stand in for the write it observed should that write's own
 		// record miss the final group commit of a crashing server.
-		if err := o.journal(JournalRecord[V]{Op: JournalFetch, Name: o.name, Kind: o.kind, Reader: reader, Seq: seq, Value: val}); err != nil {
-			return val, seq, fetched, err
-		}
+		err = o.journal(JournalRecord[V]{Op: JournalFetch, Name: o.name, Kind: o.kind, Reader: reader, Seq: seq, Value: val})
 	}
-	return val, seq, fetched, nil
+	return val, seq, fetched, err
 }
 
 // Announce performs the announce half of a read: help complete the seq-th
@@ -363,30 +320,12 @@ func (o *Object[V]) ReadFetch(reader int) (val V, seq uint64, fetched bool, err 
 // Announce is safe to drive from untrusted remote clients and ignores the
 // outcome of the underlying CAS.
 func (o *Object[V]) Announce(reader int, seq uint64) error {
-	if reader < 0 || reader >= len(o.readSlots) {
-		return fmt.Errorf("store: announce %q: reader %d out of range [0, %d)", o.name, reader, len(o.readSlots))
+	s, err := o.lockReader("announce", reader)
+	if err != nil {
+		return err
 	}
-	s := &o.readSlots[reader]
-	switch o.kind {
-	case Register:
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		rd, err := s.ensureRegReader(o, reader)
-		if err != nil {
-			return err
-		}
-		rd.Announce(seq)
-	case MaxRegister:
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		rd, err := s.ensureMaxReader(o, reader)
-		if err != nil {
-			return err
-		}
-		rd.Announce(seq)
-	default:
-		return fmt.Errorf("store: announce %q: %v objects take Scan, not Announce: %w", o.name, o.kind, ErrKindMismatch)
-	}
+	defer s.mu.Unlock()
+	s.reader.Announce(seq)
 	// Journaled for operational fidelity only: announcing is pure helping,
 	// so recovery ignores these records and journals never block on them.
 	return o.journal(JournalRecord[V]{Op: JournalAnnounce, Name: o.name, Kind: o.kind, Reader: reader, Seq: seq})
@@ -458,13 +397,10 @@ func (o *Object[V]) Peek() (V, error) {
 func (o *Object[V]) Audit() (ObjectAudit[V], error) {
 	out := ObjectAudit[V]{Object: o.name, Kind: o.kind}
 	var err error
-	switch o.kind {
-	case Register:
-		out.Report, err = o.reg.Auditor().Audit()
-	case MaxRegister:
-		out.Report, err = o.max.Auditor().Audit()
-	case Snapshot:
+	if o.kind == Snapshot {
 		out.Views, err = o.snap.Auditor().Audit()
+	} else {
+		out.Report, err = o.regs.Auditor().Audit()
 	}
 	if err != nil {
 		return ObjectAudit[V]{}, fmt.Errorf("store: audit %q: %w", o.name, err)
