@@ -203,7 +203,8 @@ func TestWriteErrorMidBatch(t *testing.T) {
 	go func() { first <- obj.Write(9) }()
 	<-parked
 
-	out := make(chan ShareResult, 2*legsN) // room to show a second delivery
+	out := NewRound() // a second delivery of a leg would show as one result more
+	defer out.Release()
 	for i := 0; i < legsN; i++ {
 		if !obj.StartShareRead(i, i, out) {
 			t.Fatalf("leg %d did not start on a live connection", i)
@@ -232,12 +233,12 @@ func TestWriteErrorMidBatch(t *testing.T) {
 
 	wantConnLost(t, "the flusher's own request", <-first, addr)
 	// The flusher ran every completion before its send returned.
-	if len(out) != legsN {
-		t.Fatalf("%d leg results delivered, want exactly %d", len(out), legsN)
+	results, _ := out.Wait(0, nil)
+	if len(results) != legsN {
+		t.Fatalf("%d leg results delivered, want exactly %d", len(results), legsN)
 	}
 	seen := make(map[int]bool)
-	for i := 0; i < legsN; i++ {
-		r := <-out
+	for _, r := range results {
 		wantConnLost(t, fmt.Sprintf("leg %d", r.Tag), r.Err, addr)
 		if seen[r.Tag] {
 			t.Errorf("leg %d completed twice", r.Tag)
@@ -276,7 +277,8 @@ func TestCloseCompletesLegs(t *testing.T) {
 	fc.mu.Unlock()
 
 	const legsN = 6
-	out := make(chan ShareResult, 2*legsN)
+	out := NewRound()
+	defer out.Release()
 	for i := 0; i < legsN; i++ {
 		started := false
 		if i%2 == 0 {
@@ -289,11 +291,11 @@ func TestCloseCompletesLegs(t *testing.T) {
 		}
 	}
 	cl.Close()
-	if len(out) != legsN {
-		t.Fatalf("%d leg results after Close, want exactly %d", len(out), legsN)
+	results, _ := out.Wait(0, nil)
+	if len(results) != legsN {
+		t.Fatalf("%d leg results after Close, want exactly %d", len(results), legsN)
 	}
-	for i := 0; i < legsN; i++ {
-		r := <-out
+	for _, r := range results {
 		var ne *NodeError
 		if !errors.As(r.Err, &ne) {
 			t.Errorf("leg %d completed with %v, want a NodeError", r.Tag, r.Err)
@@ -358,7 +360,8 @@ func TestLegTimeoutAndSlot(t *testing.T) {
 
 	fab.SetDelay("cli", "node", time.Hour)
 	fab.SetDelay("node", "cli", time.Hour)
-	out := make(chan ShareResult, 2)
+	out := NewRound()
+	defer out.Release()
 	start := time.Now()
 	if !obj.StartShareRead(0, 1, out) {
 		t.Fatal("first leg did not start on a live connection")
@@ -369,9 +372,10 @@ func TestLegTimeoutAndSlot(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > timeout/2 {
 		t.Fatalf("starting legs against a silent node took %v", elapsed)
 	}
-	r := <-out
+	results, _ := out.Wait(1, nil)
+	r := results[0]
 	var ne *NodeError
-	if r.Tag != 1 || !errors.Is(r.Err, ErrTimeout) || !errors.As(r.Err, &ne) || ne.Addr != "node" {
+	if len(results) != 1 || r.Tag != 1 || !errors.Is(r.Err, ErrTimeout) || !errors.As(r.Err, &ne) || ne.Addr != "node" {
 		t.Fatalf("silent node's leg = %+v, want tag 1 failing with a NodeError wrapping ErrTimeout", r)
 	}
 	if elapsed := time.Since(start); elapsed < timeout/2 || elapsed > 20*timeout {
@@ -447,7 +451,8 @@ func TestLegBusyRetry(t *testing.T) {
 	<-p // the holder's reader sits in the tap, the shard is its
 
 	const burst = 128
-	out := make(chan ShareResult, burst)
+	out := NewRound()
+	defer out.Release()
 	for i := 0; i < burst; i++ {
 		if !obj.StartShareWrite(uint64(i+1), uint64(i), 3, i, out) {
 			t.Fatalf("leg %d did not start", i)
@@ -472,8 +477,9 @@ func TestLegBusyRetry(t *testing.T) {
 	if err := <-held; err != nil {
 		t.Fatalf("holder's Write: %v", err)
 	}
-	for i := 0; i < burst; i++ {
-		if r := <-out; r.Err != nil {
+	results, _ := out.Wait(burst, nil)
+	for _, r := range results {
+		if r.Err != nil {
 			t.Fatalf("leg %d failed: %v", r.Tag, r.Err)
 		}
 	}

@@ -11,23 +11,130 @@ import (
 )
 
 // ShareResult is one node's answer to one leg of a fan-out, delivered into
-// the channel the leg was started with. Tag is the caller's label for the
-// leg (a cluster fan-out tags each leg with its node's membership position);
-// Value is what the blocking form of the op returns — the reader's current
-// packed share for a fetch, the resident write id for a share write.
+// the Round the leg was started with. Tag is the caller's label for the leg (a
+// cluster fan-out tags each leg with its node's membership position); Value
+// is what the blocking form of the op returns — the reader's current packed
+// share for a fetch, the resident write id for a share write.
 type ShareResult struct {
 	Tag   int
 	Value uint64
 	Err   error
 }
 
+// Round is where the legs of one operation deliver and its one collector
+// waits: a mutex, the results in arrival order and a one-token wake channel.
+// The collector names how many deliveries are worth waking it for; a delivery
+// short of that just appends. A blocking call is a Round of one leg.
+//
+// Pooled and reference counted — the collector holds it from NewRound to
+// Release, each leg from Expect to its Deliver, the last hold recycles it —
+// so a straggler delivering after its collector returned writes into a Round
+// nobody else has yet, never into another operation's.
+type Round struct {
+	mu     sync.Mutex
+	refs   int           // the collector, plus the legs that have not delivered
+	res    []ShareResult // every delivery, in arrival order
+	taken  int           // how many of them Wait has handed out
+	need   int           // len(res) worth waking the parked collector for
+	parked bool          // the collector is in Wait's select; cleared by whoever wakes it
+	wake   chan struct{} // one token, sent by the deliverer that cleared parked
+}
+
+var rounds = sync.Pool{New: func() any { return &Round{wake: make(chan struct{}, 1)} }}
+
+// NewRound returns an empty Round held by the caller, its collector.
+func NewRound() *Round {
+	r := rounds.Get().(*Round)
+	r.refs, r.res, r.taken = 1, r.res[:0], 0
+	return r
+}
+
+// Expect registers one more leg: exactly one Deliver will follow.
+func (r *Round) Expect() {
+	r.mu.Lock()
+	r.refs++
+	r.mu.Unlock()
+}
+
+// Deliver records one leg's result and lets go of the leg's hold. It wakes
+// the collector if this is the delivery it parked for, or a failure, and
+// never blocks: only the deliverer that found the collector parked sends a
+// token, and the collector takes it before it parks (or lets go) again.
+func (r *Round) Deliver(res ShareResult) {
+	r.mu.Lock()
+	r.res = append(r.res, res)
+	wake := r.parked && (len(r.res) >= r.need || res.Err != nil)
+	if wake {
+		r.parked = false
+	}
+	r.unhold()
+	if wake {
+		r.wake <- struct{}{}
+	}
+}
+
+// Release lets go of the collector's hold, or that of a leg that will not
+// deliver after all.
+func (r *Round) Release() {
+	r.mu.Lock()
+	r.unhold()
+}
+
+// unhold drops one hold and unlocks mu; the last hold recycles the Round.
+func (r *Round) unhold() {
+	r.refs--
+	free := r.refs == 0
+	r.mu.Unlock()
+	if free {
+		rounds.Put(r)
+	}
+}
+
+// Wait blocks the collector until need results have been delivered in all,
+// one it has not seen yet is a failure, or timeout (nil: never) fires first,
+// which it reports. It returns the results delivered since the last Wait,
+// valid until the collector's Release.
+func (r *Round) Wait(need int, timeout <-chan struct{}) (fresh []ShareResult, timedOut bool) {
+	r.mu.Lock()
+	ready := len(r.res) >= need
+	for _, res := range r.res[r.taken:] {
+		ready = ready || res.Err != nil
+	}
+	if !ready {
+		r.need, r.parked = need, true
+		r.mu.Unlock()
+		if timeout == nil { // the blocking calls' path: a plain receive, not a select
+			<-r.wake
+		} else {
+			select {
+			case <-r.wake:
+			case <-timeout:
+				r.mu.Lock()
+				if timedOut = r.parked; timedOut {
+					r.parked = false
+				}
+				r.mu.Unlock()
+				if !timedOut { // a deliverer got there first: its token is on the way
+					<-r.wake
+				}
+			}
+		}
+		r.mu.Lock()
+	}
+	fresh = r.res[r.taken:len(r.res):len(r.res)] // later deliveries append past it
+	r.taken = len(r.res)
+	r.mu.Unlock()
+	return fresh, timedOut
+}
+
 // leg is one request of a hot verb (WRITE, READ-FETCH, SHARE-WRITE,
 // SHARE-FETCH) in flight on a connection, and the completion the read loop
 // runs for it: decode the response where it arrived, bring the reader's slot
-// up to date and release it, deliver one ShareResult. The blocking calls
-// (Object.Write, Read, ShareWrite, ShareRead) park on that result; a fan-out
-// leg (StartShareWrite, StartShareRead) hands it to the collector's
-// channel, so no goroutine exists for a leg while it is on the wire.
+// up to date and release it, deliver one ShareResult into the leg's Round.
+// The blocking calls (Object.Write, Read, ShareWrite, ShareRead) are the
+// collector of a Round of their own; a fan-out leg (StartShareWrite,
+// StartShareRead) delivers into its caller's, so no goroutine exists for a
+// leg while it is on the wire.
 //
 // The value fields describe the request, so a shed leg can be issued again.
 type leg struct {
@@ -54,19 +161,17 @@ type leg struct {
 
 	timer *time.Timer // request timeout, nil when none is configured
 	tag   int
-	out   chan<- ShareResult // room for this leg's one result, always
+	out   *Round // start takes a hold on it for the leg's one Deliver
 }
 
 var legs = sync.Pool{New: func() any { return new(leg) }}
-
-// results pools the one-slot channels the blocking calls park on.
-var results = sync.Pool{New: func() any { return make(chan ShareResult, 1) }}
 
 // start encodes l's request and sends it on cn, whose OpenResp for the
 // object is or; l.slot, if any, is locked by the caller. It owns the leg in
 // every outcome: after a nil return the leg belongs to the connection and
 // its completion runs exactly once, maybe before start returns; on error
-// nothing was sent, the slot is released and the leg recycled.
+// nothing was sent and nothing will be delivered: the slot and the hold on
+// its Round that start took for the leg are released and the leg recycled.
 func (l *leg) start(cn *conn, or wire.OpenResp) error {
 	name := l.o.name
 	b := wire.GetBuf(wire.FramePrefix + 32 + len(name))
@@ -95,12 +200,14 @@ func (l *leg) start(cn *conn, or wire.OpenResp) error {
 		}
 	}
 	l.timer = cn.arm()
+	l.out.Expect()
 	err := cn.send(l.verb, b, l)
 	if err != nil {
 		disarm(l.timer)
 		if l.slot != nil {
 			l.slot.mu.Unlock()
 		}
+		l.out.Release()
 		legs.Put(l)
 	}
 	return err
@@ -127,7 +234,7 @@ func (l *leg) complete(verb wire.Verb, body []byte, err error) {
 		l.o.c.rtt.Observe(uint64(l.t0), telem.Now()-l.t0)
 	}
 	legs.Put(l)
-	out <- res
+	out.Deliver(res)
 }
 
 // decode turns the response into the op's result; a fetch also brings the
@@ -177,13 +284,14 @@ func (l *leg) decode(verb wire.Verb, body []byte) (uint64, error) {
 // stopwatch spans the retry loop: the recorded latency is what the caller
 // experienced, backoff and redials included.
 func (o *Object) await(p leg) (uint64, error) {
-	ch := results.Get().(chan ShareResult)
-	defer results.Put(ch)
-	p.o, p.out, p.fanOut = o, ch, false
+	rd := NewRound()
+	defer rd.Release()
+	p.o, p.out, p.fanOut = o, rd, false
 	if p.t0 == 0 { // a re-issued fan-out leg keeps its first start
 		p.t0 = telem.Now()
 	}
 	var res ShareResult
+	sent := 0
 	err := retryBusy(func() error {
 		cn := o.c.pick()
 		or, err := cn.open(o.name, o.wkind, 0)
@@ -198,7 +306,9 @@ func (o *Object) await(p leg) (uint64, error) {
 		if err := l.start(cn, or); err != nil {
 			return err
 		}
-		res = <-ch
+		sent++
+		fresh, _ := rd.Wait(sent, nil) // one delivery per attempt sent
+		res = fresh[0]
 		return res.Err
 	})
 	o.c.rtt.Observe(uint64(p.t0), telem.Now()-p.t0)
@@ -209,10 +319,10 @@ func (o *Object) await(p leg) (uint64, error) {
 // blocking it, reporting whether it did. The fast path applies only when
 // nothing has to be waited for: the next pool connection is alive with the
 // object open on it, and — for a fetch — the reader's slot is free (a
-// straggler of the reader's previous round may still hold it). Otherwise
-// nothing was sent and the caller runs the blocking form on a goroutine of
-// its own.
-func (o *Object) launch(p leg, tag int, out chan<- ShareResult) bool {
+// straggler of an earlier round may still hold it). Otherwise nothing was
+// sent, and a caller that needs the leg runs the blocking form on a goroutine
+// of its own.
+func (o *Object) launch(p leg, tag int, out *Round) bool {
 	cn, _, _ := o.c.next()
 	or, ok := cn.isOpen(o.name, o.wkind)
 	if !ok {
@@ -232,5 +342,5 @@ func (o *Object) launch(p leg, tag int, out chan<- ShareResult) bool {
 func (o *Object) reissue(p leg) {
 	busySleep(busyJitter(busyBaseDelay))
 	v, err := o.await(p)
-	p.out <- ShareResult{Tag: p.tag, Value: v, Err: err}
+	p.out.Deliver(ShareResult{Tag: p.tag, Value: v, Err: err})
 }

@@ -210,12 +210,13 @@ func TestLegDropsCacheAcrossRestart(t *testing.T) {
 	if _, err := obj.ShareWrite(1, 0xAAAA, shareLen); err != nil {
 		t.Fatalf("ShareWrite: %v", err)
 	}
-	out := make(chan client.ShareResult, 1)
+	out := client.NewRound()
+	defer out.Release()
 	if !obj.StartShareRead(0, 0, out) {
 		t.Fatal("leg did not start against server A")
 	}
-	if r := <-out; r.Err != nil || r.Value != packedA { // slot: (seq 1, packedA)
-		t.Fatalf("leg against server A = %+v, want %#x", r, packedA)
+	if r, _ := out.Wait(1, nil); r[0].Err != nil || r[0].Value != packedA { // slot: (seq 1, packedA)
+		t.Fatalf("leg against server A = %+v, want %#x", r[0], packedA)
 	}
 	stopA()
 
@@ -241,7 +242,7 @@ func TestLegDropsCacheAcrossRestart(t *testing.T) {
 	if !obj.StartShareRead(0, 0, out) {
 		t.Fatal("leg did not start on the reopened connection")
 	}
-	if r := <-out; r.Err != nil || r.Value != packedB {
-		t.Fatalf("leg against server B = %+v, want %#x (stale cache served across restart)", r, packedB)
+	if r, _ := out.Wait(2, nil); r[0].Err != nil || r[0].Value != packedB {
+		t.Fatalf("leg against server B = %+v, want %#x (stale cache served across restart)", r[0], packedB)
 	}
 }

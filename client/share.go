@@ -44,12 +44,12 @@ func (o *Object) ShareRead(reader int) (uint64, error) {
 
 // StartShareWrite is ShareWrite as one leg of a fan-out: when it reports
 // true the request is on its way and exactly one ShareResult tagged tag will
-// be delivered into out — which must have room for it — by the connection's
-// read loop; the caller's goroutine never waited. False means the leg cannot
-// start without waiting (dead or not yet opened connection, invalid
-// arguments): nothing was sent, and the caller runs ShareWrite on a
+// be delivered into out by the connection's read loop; the caller's goroutine
+// never waited. False means the leg cannot start without waiting (dead or not
+// yet opened connection, invalid arguments): nothing was sent and nothing
+// will be delivered, and a caller that needs the leg runs ShareWrite on a
 // goroutine of its own, which redials, opens and reports errors.
-func (o *Object) StartShareWrite(wid, share uint64, shareLen, tag int, out chan<- ShareResult) bool {
+func (o *Object) StartShareWrite(wid, share uint64, shareLen, tag int, out *Round) bool {
 	if shareLen < 1 || shareLen > wire.MaxShareLen {
 		return false
 	}
@@ -59,8 +59,8 @@ func (o *Object) StartShareWrite(wid, share uint64, shareLen, tag int, out chan<
 // StartShareRead is ShareRead as one leg of a fan-out; see StartShareWrite.
 // It also reports false while an earlier fetch of the same reader is still
 // on the wire — a straggler of the reader's previous round holds the slot —
-// so a hung node costs the next round a goroutine, never its caller's time.
-func (o *Object) StartShareRead(reader, tag int, out chan<- ShareResult) bool {
+// so a hung node never costs the next round its caller's time.
+func (o *Object) StartShareRead(reader, tag int, out *Round) bool {
 	if reader < 0 || reader >= o.readers {
 		return false
 	}

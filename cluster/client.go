@@ -27,6 +27,15 @@ type Client struct {
 	suspects *suspectSet // Byzantine quarantine state (cluster/suspect.go)
 	ctr      counters    // detection counters, snapshot via Counters()
 
+	// The hedge clock: one goroutine ticks every hedgeDelay, and tick holds
+	// the channel it will close at the tick after next, so a read round that
+	// loads it when it starts sees it close one to two hedgeDelays later. A
+	// timer per round would go on and off the runtime's timer heap 20,000
+	// times a second to fire once in a blue moon (5 % of the op's CPU on the
+	// ladder); this is one atomic load a round.
+	tick       atomic.Pointer[chan struct{}]
+	stop, done chan struct{} // closed by Close, by the hedge clock on its way out
+
 	mu      sync.Mutex
 	objects map[string]*Object
 	closed  bool
@@ -69,7 +78,12 @@ func Dial(m Membership, opts ...Option) (*Client, error) {
 		clients:  make([]*client.Client, m.N()),
 		suspects: newSuspectSet(m.N()),
 		objects:  make(map[string]*Object),
+		stop:     make(chan struct{}),
+		done:     make(chan struct{}),
 	}
+	tick := make(chan struct{})
+	c.tick.Store(&tick)
+	go c.hedgeClock()
 	alive := 0
 	var firstErr error
 	for i, nd := range m.Nodes {
@@ -110,12 +124,32 @@ func (c *Client) Close() error {
 	}
 	c.closed = true
 	c.mu.Unlock()
+	close(c.stop)
+	<-c.done
 	for _, cl := range c.clients {
 		if cl != nil {
 			cl.Close()
 		}
 	}
 	return nil
+}
+
+// hedgeClock ticks until Close.
+func (c *Client) hedgeClock() {
+	defer close(c.done)
+	t := time.NewTicker(hedgeDelay)
+	defer t.Stop()
+	near := make(chan struct{}) // closes at the next tick; the one in c.tick a tick later
+	for {
+		select {
+		case <-t.C:
+			close(near)
+			far := make(chan struct{})
+			near = *c.tick.Swap(&far)
+		case <-c.stop:
+			return
+		}
+	}
 }
 
 // Open returns the dispersed object stored under name, creating its share
@@ -134,7 +168,7 @@ func (c *Client) Open(name string) (*Object, error) {
 	}
 	c.mu.Unlock()
 
-	o := &Object{c: c, name: name, nodes: make([]atomic.Pointer[client.Object], c.m.N())}
+	o := &Object{c: c, name: name, nodes: make([]atomic.Pointer[client.Object], c.m.N()), healing: make([]atomic.Bool, c.m.N())}
 	type res struct {
 		i   int
 		obj *client.Object
@@ -197,7 +231,8 @@ type Object struct {
 	name    string
 	readers int
 
-	nodes []atomic.Pointer[client.Object] // nil where the node has not been opened yet
+	nodes   []atomic.Pointer[client.Object] // nil where the node has not been opened yet
+	healing []atomic.Bool                   // by position: a reader's probe is redialing the node (startWave)
 
 	wmu    sync.Mutex
 	synced bool   // wid recovered from a quorum this session
@@ -213,21 +248,26 @@ type Object struct {
 // writeRound is the writer's scratch, guarded by wmu. A fan-out's legs get
 // their masked share by value, so a straggler never reads it.
 type writeRound struct {
-	shares  [][]byte // the split of the value being written
-	masked  []uint64 // shares[i] under node i's SharePad
-	results []client.ShareResult
-	ida     ida.Scratch
+	shares [][]byte // the split of the value being written
+	masked []uint64 // shares[i] under node i's SharePad
+	ida    ida.Scratch
 }
 
-// readRound is one reader's scratch, guarded by mu (which also serializes
-// the reader's ReadTraced calls). Only the collecting goroutine touches it:
-// a straggler's answer lands in its round's channel and nowhere else.
+// readRound is one reader's state, guarded by mu (which also serializes the
+// reader's ReadTraced calls). Only the collecting goroutine touches it: a
+// straggler's answer lands in its round's client.Round and nowhere else.
 type readRound struct {
 	mu    sync.Mutex
-	wid   []uint64 // by position: the write id this round's answer carried
-	have  []bool   // by position: answered this round
-	share [][]byte // by position: the unmasked share
-	cand  []int    // the positions holding the candidate wid
+	n     uint64    // rounds this reader has run: whose turn it is to sit out, and when to probe
+	first int       // this round's order of asking starts here
+	legs  int       // legs started this round
+	asked []bool    // by position: a leg was started this round
+	quar  []bool    // by position: quarantined when the round began
+	wid   []uint64  // by position: the write id this round's answer carried
+	have  []bool    // by position: answered this round
+	share [][]byte  // by position: the unmasked share
+	pads  []padMemo // by position: the pad of the wid the node last answered with
+	cand  []int     // the positions holding the candidate wid
 	dec   decoder
 }
 
@@ -253,51 +293,14 @@ func (o *Object) node(i int) (*client.Object, error) {
 	return obj, nil
 }
 
-// fanOut starts one leg against every node — reader's share fetch, or, with
-// reader < 0, the share write of wid, masked[i] going to node i (wid 0 with
-// no shares is the wid-sync probe) — and returns the result channel, which
-// will eventually carry exactly n results, each tagged with its node's
-// membership position. Legs start from the calling goroutine and complete on
-// their connections' read loops (client.StartShareRead / StartShareWrite):
-// in the common case a round spawns nothing. Only a leg whose fast path does
-// not apply — the node was never opened, its connection is dead, or the
-// reader's slot there is still held by a straggler of the previous round —
-// gets a goroutine, which runs the blocking form (lazy open, redial, slot
-// wait) without costing the caller anything; it is handed its share by
-// value, so the caller's scratch is its own again the moment the round
+// slowLeg runs node i's leg of a round — reader's share fetch, or, with
+// reader < 0, the share write of (wid, share) — through the blocking client
+// calls and delivers into rd, which already expects it. It is for a leg that
+// cannot start from the caller's goroutine without waiting (lazy open,
+// redial, the reader's slot) and runs on a goroutine of its own; it is handed
+// its share by value, so the caller's scratch is its own when the round
 // returns.
-//
-// The channel is buffered to n, so every leg completes into it no matter
-// when (or whether) the caller stops reading — a collector that returns at a
-// decisive quorum detaches, and the buffer is the drainer; nothing leaks and
-// neither a goroutine nor a read loop ever blocks on an abandoned round
-// (invariant: fan-out-never-blocks-past-quorum). A hung node's straggling
-// answer lands in the buffer and is garbage-collected with it.
-func (o *Object) fanOut(reader int, wid uint64, masked []uint64) <-chan client.ShareResult {
-	n := o.c.m.N()
-	ch := make(chan client.ShareResult, n)
-	for i := 0; i < n; i++ {
-		var share uint64
-		if masked != nil {
-			share = masked[i]
-		}
-		started := false
-		switch obj := o.nodes[i].Load(); {
-		case obj == nil:
-		case reader >= 0:
-			started = obj.StartShareRead(reader, i, ch)
-		default:
-			started = obj.StartShareWrite(wid, share, o.c.shareLen, i, ch)
-		}
-		if !started {
-			go o.slowLeg(reader, wid, share, i, ch)
-		}
-	}
-	return ch
-}
-
-// slowLeg runs node i's leg of a round through the blocking client calls.
-func (o *Object) slowLeg(reader int, wid, share uint64, i int, ch chan<- client.ShareResult) {
+func (o *Object) slowLeg(reader int, wid, share uint64, i int, rd *client.Round) {
 	res := client.ShareResult{Tag: i}
 	obj, err := o.node(i)
 	switch {
@@ -308,28 +311,51 @@ func (o *Object) slowLeg(reader int, wid, share uint64, i int, ch chan<- client.
 	default:
 		res.Value, res.Err = obj.ShareWrite(wid, share, o.c.shareLen)
 	}
-	ch <- res
+	rd.Deliver(res)
 }
 
-// collectQuorum reads a write fan-out's results into the writer's scratch
-// until the outcome is decided: success once quorum (n−f) calls acked,
-// failure once more than f have errored (quorum is then unreachable).
-// Stragglers stay in the fan-out buffer. It returns the results seen, the
-// ack count, and the first error. Caller holds wmu.
-func (o *Object) collectQuorum(ch <-chan client.ShareResult) (results []client.ShareResult, acks int, firstErr error) {
+// writeQuorum runs one n-wide write fan-out — the share write of wid,
+// masked[i] going to node i; wid 0 with no shares is the wid-sync probe —
+// until it is decided: success once quorum (n−f) nodes acked, failure once
+// more than f have errored. It returns the ack count, the newest resident wid
+// the acks reported and the first error. Caller holds wmu.
+//
+// Legs start from the calling goroutine and complete on their connections'
+// read loops; the collector is woken once, by the ack that completes the
+// quorum. Writes stay n-wide whatever the readers do: quorum intersection and
+// quarantine-never-blocks-writes need it. Stragglers deliver into the Round
+// after this returns (invariant: fan-out-never-blocks-past-quorum).
+func (o *Object) writeQuorum(wid uint64, masked []uint64) (acks int, resident uint64, firstErr error) {
 	n, q := o.c.m.N(), o.c.m.Quorum()
-	results = o.w.results[:0]
-	for len(results) < n && acks < q && len(results)-acks <= n-q {
-		r := <-ch
-		results = append(results, r)
-		if r.Err == nil {
-			acks++
-		} else if firstErr == nil {
-			firstErr = r.Err
+	rd := client.NewRound()
+	defer rd.Release()
+	for i := 0; i < n; i++ {
+		var share uint64
+		if masked != nil {
+			share = masked[i]
+		}
+		if obj := o.nodes[i].Load(); obj == nil || !obj.StartShareWrite(wid, share, o.c.shareLen, i, rd) {
+			rd.Expect()
+			go o.slowLeg(-1, wid, share, i, rd)
 		}
 	}
-	o.w.results = results
-	return results, acks, firstErr
+	for got := 0; got < n && acks < q && got-acks <= n-q; {
+		fresh, _ := rd.Wait(got+q-acks, nil)
+		for _, r := range fresh {
+			got++
+			if r.Err != nil {
+				if firstErr == nil {
+					firstErr = r.Err
+				}
+				continue
+			}
+			acks++
+			if r.Value > resident {
+				resident = r.Value
+			}
+		}
+	}
+	return acks, resident, firstErr
 }
 
 // syncWid recovers the writer's wid from a quorum of probe responses: the
@@ -338,18 +364,12 @@ func (o *Object) collectQuorum(ch <-chan client.ShareResult) (results []client.S
 // issuing from there preserves monotonicity across writer restarts.
 // Caller holds wmu.
 func (o *Object) syncWid() error {
-	results, acks, firstErr := o.collectQuorum(o.fanOut(-1, 0, nil))
-	var max uint64
-	for _, r := range results {
-		if r.Err == nil && r.Value > max {
-			max = r.Value
-		}
-	}
+	acks, resident, firstErr := o.writeQuorum(0, nil)
 	if acks < o.c.m.Quorum() {
 		return fmt.Errorf("cluster: wid sync %q reached %d of %d nodes, need %d: %w", o.name, acks, o.c.m.N(), o.c.m.Quorum(), firstErr)
 	}
-	if max > o.wid {
-		o.wid = max
+	if resident > o.wid {
+		o.wid = resident
 	}
 	o.synced = true
 	return nil
@@ -389,17 +409,10 @@ func (o *Object) Write(v uint64) error {
 		w.masked[i] = shareToUint(sh) ^ SharePad(o.c.m.Secret, o.c.m.Nodes[i].ID, o.name, wid, o.c.shareLen)
 	}
 
-	// The collector returns at quorum acks (the write is then complete by
-	// definition — any later quorum read intersects the ack set in ≥ k
-	// nodes) or once more than f nodes errored; a hung node's share install
+	// The write is complete at quorum acks by definition — any later quorum
+	// read intersects the ack set in ≥ k nodes; a hung node's share install
 	// proceeds in the background and lands whenever it lands.
-	results, acks, firstErr := o.collectQuorum(o.fanOut(-1, wid, w.masked))
-	var maxResident uint64
-	for _, r := range results {
-		if r.Err == nil && r.Value > maxResident {
-			maxResident = r.Value
-		}
-	}
+	acks, maxResident, firstErr := o.writeQuorum(wid, w.masked)
 	// Adopt whatever newer wid the cluster reports — a recovered node may
 	// hold a wid this writer issued before a crash and forgot.
 	if maxResident > wid {
@@ -463,8 +476,9 @@ const (
 )
 
 // ReadTraced performs the cluster read and returns its trace: share fetches
-// fan out to all n nodes, the round waits for n−f answers, and the newest
-// write id holding ≥ k shares among them is unmasked and IDA-reconstructed.
+// go to a quorum of n−f nodes (and to the rest only on evidence, see
+// readOnce), the round waits for n−f answers, and the newest write id holding
+// ≥ k shares among them is unmasked and IDA-reconstructed.
 // Quorum intersection guarantees ≥ k responses at or above the newest
 // completed write's wid; when they are split across that wid and an
 // in-flight successor (so no single wid reaches k), the round is
@@ -487,6 +501,7 @@ func (o *Object) ReadTraced(reader int) (uint64, ReadTrace, error) {
 	if rs.wid == nil {
 		n := o.c.m.N()
 		rs.wid, rs.have, rs.cand = make([]uint64, n), make([]bool, n), make([]int, 0, n)
+		rs.asked, rs.quar, rs.pads = make([]bool, n), make([]bool, n), make([]padMemo, n)
 		rs.share = ida.ShareRows(n, o.c.shareLen)
 		rs.dec.init(o.c)
 	}
@@ -512,50 +527,173 @@ func (o *Object) ReadTraced(reader int) (uint64, ReadTrace, error) {
 	}
 }
 
-// readOnce runs one fan-out round; done=false means the round was
-// inconclusive and the caller should retry (err then describes why, in case
-// the retry window runs out first).
+// hedgeDelay is the least a round waits for its first wave before it widens
+// (twice it the most, see Client.tick): above a healthy fetch even when
+// the answer waits for a journal fsync (p99 ≈ 8 ms on the reference VM; 2 ms
+// fired on six durable rounds in ten), two orders below the request timeouts
+// in use.
+const hedgeDelay = 10 * time.Millisecond
+
+// probeEvery is how often a reader asks the positions it leaves out for
+// cause: one round in 16 keeps that under a tenth of a leg per read.
+const probeEvery = 16
+
+// Why a round widened; the index into counters.widened.
+const (
+	widenLegError = iota
+	widenInconclusive
+	widenHedge
+)
+
+// startWave starts the first wave of reader's round into rd: share fetches
+// to a quorum of q = n−f nodes, not to the membership — a fetch is a logged
+// access, and one the read does not need charges the reader for nothing. Who
+// sits out, in this order: a position whose leg cannot start inline (never
+// opened, dead connection, the reader's slot there held by a straggler); a
+// quarantined one; the f positions at the reader's turn, which moves one a
+// round so every node keeps serving n−f reads in n. Nothing here looks at a
+// value, a wid or the reader's index (DESIGN.md, "Quorum rules").
 //
-// The round returns as soon as the outcome is decided — usually at the
-// first quorum of answers — but an INCONCLUSIVE quorum keeps collecting
-// stragglers up to all n before giving up on the round: when shares
-// disagree (a Byzantine node in the quorum) or a write is mid-flight, the
-// extra answers are exactly what tips the consensus rule over its support
-// threshold. With a request timeout configured, a hung straggler bounds the
-// wait instead of wedging it.
+// Every probeEvery-th round a position that sat out for cause is asked all
+// the same: a quarantined node inline, so that its share is voted on, the
+// others through a healing slow leg, which redials, reopens and waits for the
+// slot. It returns how many legs the collector should wait for before
+// deciding: the quorum, or every inline leg of a probe round.
+func (o *Object) startWave(reader int, rs *readRound, rd *client.Round) (await int) {
+	n, q := o.c.m.N(), o.c.m.Quorum()
+	rs.n++
+	rs.first = int(rs.n%uint64(n)) + o.c.m.F // the turn's f positions come last
+	suspects := o.c.suspects.quarantined(rs.quar)
+	rs.legs = 0
+	clear(rs.asked)
+	want := q
+	if skipped := o.inline(reader, rs, rd, q, true); (suspects || skipped) && rs.n%probeEvery == 0 {
+		want = n
+		o.c.ctr.fullWaveReads.Add(1)
+	}
+	o.inline(reader, rs, rd, want, false)
+	await = max(rs.legs, q)
+	o.slow(reader, rs, rd, q, false)
+	o.slow(reader, rs, rd, want, true)
+	o.c.ctr.fetchLegs.Add(uint64(rs.legs))
+	return await
+}
+
+// inline starts, in the round's order, the legs that can start from this
+// goroutine until want are on their way, passing over quarantined positions
+// when trusted is set. It reports whether some leg could not start.
+func (o *Object) inline(reader int, rs *readRound, rd *client.Round, want int, trusted bool) (skipped bool) {
+	for j := 0; j < len(rs.asked) && rs.legs < want; j++ {
+		i := (rs.first + j) % len(rs.asked)
+		if rs.asked[i] || trusted && rs.quar[i] {
+			continue
+		}
+		obj := o.nodes[i].Load()
+		if rs.asked[i] = obj != nil && obj.StartShareRead(reader, i, rd); rs.asked[i] {
+			rs.legs++
+		} else {
+			skipped = true
+		}
+	}
+	return skipped
+}
+
+// slow starts slowLeg goroutines for positions not asked yet until want legs
+// are on their way. A healing leg is a probe nobody waits for, one per
+// position at a time: a node that stays away parks one goroutine.
+func (o *Object) slow(reader int, rs *readRound, rd *client.Round, want int, heal bool) {
+	for i := 0; i < len(rs.asked) && rs.legs < want; i++ {
+		if rs.asked[i] || heal && !o.healing[i].CompareAndSwap(false, true) {
+			continue
+		}
+		rs.asked[i] = true
+		rs.legs++
+		rd.Expect()
+		go func() {
+			o.slowLeg(reader, 0, 0, i, rd)
+			if heal {
+				o.healing[i].Store(false)
+			}
+		}()
+	}
+}
+
+// widen asks every position the round has not asked yet.
+func (o *Object) widen(reader int, rs *readRound, rd *client.Round, cause int) {
+	before := rs.legs
+	o.inline(reader, rs, rd, len(rs.asked), false)
+	o.slow(reader, rs, rd, len(rs.asked), false)
+	if rs.legs > before {
+		o.c.ctr.widened[cause].Add(1)
+		o.c.ctr.fetchLegs.Add(uint64(rs.legs - before))
+	}
+}
+
+// readOnce runs one round; done=false means the round was inconclusive and
+// the caller should retry (err then describes why, in case the retry window
+// runs out first).
+//
+// The round returns as soon as the outcome is decided — usually when the
+// quorum's last answer is in, the one time the collector is woken — and
+// widens on evidence that the quorum will not do: a leg failed; its answers
+// are inconclusive (shares disagree or a write is mid-flight, and the extra
+// answers are what tips the consensus rule); or hedgeDelay passed with the
+// wave still short. From then on it is woken per answer and gives up only
+// when every node has answered (a request timeout bounds a hung straggler).
 func (o *Object) readOnce(reader int, rs *readRound, trace *ReadTrace) (v uint64, done bool, err error) {
 	n, q := o.c.m.N(), o.c.m.Quorum()
-	ch := o.fanOut(reader, 0, nil)
+	rd := client.NewRound()
+	defer rd.Release()
+	need := o.startWave(reader, rs, rd)
+	var tick <-chan struct{} // nil once the round has nobody left to ask and nothing extra to wait for
+	if rs.legs < n || need > q {
+		tick = *o.c.tick.Load()
+	}
 
 	trace.Responded, trace.Failed, trace.Corrupted = 0, trace.Failed[:0], trace.Corrupted[:0]
 	clear(rs.have)
 	var firstErr, lastReason error
-	for got := 0; got < n; got++ {
-		r := <-ch
-		if r.Err != nil {
-			trace.Failed = append(trace.Failed, o.c.m.Nodes[r.Tag].ID)
-			if firstErr == nil {
-				firstErr = r.Err
+	for got := 0; got < rs.legs; {
+		fresh, hedged := rd.Wait(need, tick)
+		if hedged {
+			tick = nil
+		}
+		cause := -1
+		for _, r := range fresh {
+			got++
+			if r.Err != nil {
+				cause = widenLegError
+				trace.Failed = append(trace.Failed, o.c.m.Nodes[r.Tag].ID)
+				if firstErr == nil {
+					firstErr = r.Err
+				}
+				if len(trace.Failed) > n-q {
+					return 0, false, fmt.Errorf("cluster: read %q answered by %d of %d nodes, need %d: %w",
+						o.name, trace.Responded, n, q, firstErr)
+				}
+				continue
 			}
-			if len(trace.Failed) > n-q {
-				return 0, false, fmt.Errorf("cluster: read %q answered by %d of %d nodes, need %d: %w",
-					o.name, trace.Responded, n, q, firstErr)
+			trace.Responded++
+			wid, masked := Unpack(r.Value, o.c.shareLen)
+			rs.have[r.Tag], rs.wid[r.Tag] = true, wid
+			pad := rs.pads[r.Tag].get(o.c.m.Secret, o.c.m.Nodes[r.Tag].ID, o.name, wid, o.c.shareLen)
+			uintToShare(rs.share[r.Tag], masked^pad)
+		}
+		if trace.Responded >= q {
+			if v, done, err = o.resolveRead(rs, trace); done {
+				return v, true, err
 			}
-			continue
+			lastReason = err
+			if cause < 0 {
+				cause = widenInconclusive
+			}
+		} else if hedged && cause < 0 {
+			cause = widenHedge
 		}
-		trace.Responded++
-		wid, masked := Unpack(r.Value, o.c.shareLen)
-		rs.have[r.Tag], rs.wid[r.Tag] = true, wid
-		uintToShare(rs.share[r.Tag], masked^SharePad(o.c.m.Secret, o.c.m.Nodes[r.Tag].ID, o.name, wid, o.c.shareLen))
-
-		if trace.Responded < q {
-			continue
+		if cause >= 0 {
+			o.widen(reader, rs, rd, cause)
 		}
-		v, done, err = o.resolveRead(rs, trace)
-		if done {
-			return v, true, err
-		}
-		lastReason = err
+		need = got + max(1, q-trace.Responded)
 	}
 	if lastReason == nil {
 		lastReason = firstErr

@@ -89,16 +89,32 @@ func dialCluster(t testing.TB, tc *testCluster) *cluster.Client {
 	return cc
 }
 
-// settle waits until every node has executed every leg of the operations
-// issued so far: share-writes equal to writes and share-fetches +
-// share-silent equal to reads, on all n nodes. Cluster operations return at
-// the n−f quorum with up to f legs still in flight (DESIGN.md, invariant
-// quorum-early-return), and a straggling leg may be overtaken by the same
-// client's next operation in either direction. A test that needs a quiet run
-// — one where no leg of one operation lands among the legs of another —
+// shareLegs sums what one node's STATS say it has executed on the share
+// plane: share writes, and share fetches effective or silent.
+func shareLegs(ns cluster.NodeStat) (writes, fetches uint64) {
+	for _, p := range ns.Resp.Pairs {
+		switch p.Name {
+		case "share-writes":
+			writes = p.Value
+		case "share-fetches", "share-silent":
+			fetches += p.Value
+		}
+	}
+	return writes, fetches
+}
+
+// settle waits until the nodes have executed every leg cc has started: each
+// of the n nodes has served writes share writes (a write is n-wide), and
+// together they have served as many share fetches as the client's FetchLegs
+// counter says it started (a read asks a quorum, and which nodes that was is
+// the client's business). Cluster operations return at the n−f quorum with up
+// to f write legs — after a widened read, fetch legs — still in flight
+// (DESIGN.md, invariant quorum-early-return), and a straggling leg may be
+// overtaken by the same client's next operation. A test that needs a quiet
+// run — one where no leg of one operation lands among the legs of another —
 // calls settle between operations. It polls real completion counters up to a
 // bounded deadline; it is not a sleep.
-func settle(t *testing.T, cc *cluster.Client, writes, reads uint64) {
+func settle(t *testing.T, cc *cluster.Client, writes uint64) {
 	t.Helper()
 	var last string
 	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(200 * time.Microsecond) {
@@ -106,26 +122,22 @@ func settle(t *testing.T, cc *cluster.Client, writes, reads uint64) {
 		if err != nil {
 			t.Fatalf("NodeStats: %v", err)
 		}
-		quiet := true
+		last = ""
+		var fetched uint64
 		for _, ns := range stats {
 			if ns.Err != nil {
 				t.Fatalf("node %d stats: %v", ns.Node, ns.Err)
 			}
-			var w, r uint64
-			for _, p := range ns.Resp.Pairs {
-				switch p.Name {
-				case "share-writes":
-					w = p.Value
-				case "share-fetches", "share-silent":
-					r += p.Value
-				}
-			}
-			if w != writes || r != reads {
-				quiet = false
-				last = fmt.Sprintf("node %d: share-writes=%d (want %d), share-fetches+silent=%d (want %d)", ns.Node, w, writes, r, reads)
+			w, r := shareLegs(ns)
+			fetched += r
+			if w != writes {
+				last = fmt.Sprintf("node %d: share-writes=%d (want %d)", ns.Node, w, writes)
 			}
 		}
-		if quiet {
+		if legs := cc.Counters().FetchLegs; fetched != legs {
+			last = fmt.Sprintf("share-fetches+silent over all nodes = %d, client started %d fetch legs", fetched, legs)
+		}
+		if last == "" {
 			return
 		}
 	}
@@ -262,13 +274,13 @@ func TestAuditMergeExact(t *testing.T) {
 	// Every operation is followed by settle: "quiet" means no leg of one
 	// operation lands among the legs of another, and a quorum-early return
 	// alone does not give that.
-	var writes, reads uint64
+	var writes uint64
 	write := func(v uint64) {
 		if err := obj.Write(v); err != nil {
 			t.Fatal(err)
 		}
 		writes++
-		settle(t, cc, writes, reads)
+		settle(t, cc, writes)
 	}
 	read := func(r int) {
 		v, err := obj.Read(r)
@@ -278,8 +290,7 @@ func TestAuditMergeExact(t *testing.T) {
 		if v != 0 {
 			observed[pair{r, v}] = true
 		}
-		reads++
-		settle(t, cc, writes, reads)
+		settle(t, cc, writes)
 	}
 
 	write(0x1111)
@@ -365,7 +376,7 @@ func TestNodeStats(t *testing.T) {
 	if err := obj.Write(7); err != nil {
 		t.Fatal(err)
 	}
-	settle(t, cc, 1, 0) // Write returned at quorum; wait out the straggling leg
+	settle(t, cc, 1) // Write returned at quorum; wait out the straggling leg
 	stats, err := cc.NodeStats()
 	if err != nil {
 		t.Fatalf("NodeStats: %v", err)

@@ -75,7 +75,7 @@ func TestClusterOverFabric(t *testing.T) {
 		t.Fatalf("Read = %#x, %v", v, err)
 	}
 
-	// Cut the client off from node 2 and keep operating: the fan-out counts
+	// Cut the client off from node 2 and keep operating: the write counts
 	// node 2 against f and the quorum carries on.
 	fab.Partition("principal", "node2")
 	if err := obj.Write(0x2002); err != nil {
@@ -88,8 +88,10 @@ func TestClusterOverFabric(t *testing.T) {
 	if v != 0x2002 {
 		t.Fatalf("Read under partition = %#x, want 0x2002", v)
 	}
-	if len(trace.Failed) == 0 {
-		t.Fatal("trace under partition reports no failed node")
+	// The write found node 2's connection dead, so the read left the node out
+	// or, if it asked, counted it against f: nobody else may have failed.
+	if trace.Responded < m.Quorum() || len(trace.Failed) > 1 || (len(trace.Failed) == 1 && trace.Failed[0] != 2) {
+		t.Fatalf("trace under partition: %d responded, failed %v; want a quorum, and node 2 the only failure", trace.Responded, trace.Failed)
 	}
 
 	// Heal and merge: both observed pairs must be charged, node 2 included
@@ -132,7 +134,8 @@ type fabCluster struct {
 // fabNode is one daemon of a fabCluster. journal counts the records the node
 // journals by op (volatile nodes only: a data dir brings its own journal);
 // frames counts share-plane frames in and out; fetches keeps the decoded
-// SHARE-FETCH requests.
+// SHARE-FETCH requests; onFetch, when set, runs as one arrives, before the
+// node executes it.
 type fabNode struct {
 	cfg  server.Config
 	srv  *server.Server
@@ -143,6 +146,7 @@ type fabNode struct {
 	journal map[store.JournalOp]int
 	frames  int
 	fetches []wire.ShareFetchReq
+	onFetch func()
 }
 
 func (nd *fabNode) Record(r store.JournalRecord[uint64]) error {
@@ -158,11 +162,16 @@ func (nd *fabNode) tap(outbound bool, frame []byte) {
 		return
 	}
 	nd.mu.Lock()
-	defer nd.mu.Unlock()
 	nd.frames++
 	var req wire.ShareFetchReq
+	var hook func()
 	if !outbound && f.Verb == wire.VerbShareFetch && req.Decode(f.Body) == nil {
 		nd.fetches = append(nd.fetches, req)
+		hook = nd.onFetch
+	}
+	nd.mu.Unlock()
+	if hook != nil {
+		hook()
 	}
 }
 
@@ -174,8 +183,9 @@ func (nd *fabNode) counts() (fetch, announce, frames int) {
 }
 
 // startFabric boots n nodes named node1..noden on an instant fabric; dirs, if
-// non-nil, makes node i durable under dirs[i].
-func startFabric(t *testing.T, n, f int, seed uint64, dirs []string) *fabCluster {
+// non-nil, makes node i durable under dirs[i]; cfgHooks run against each
+// node's config before its first boot.
+func startFabric(t *testing.T, n, f int, seed uint64, dirs []string, cfgHooks ...func(i int, cfg *server.Config)) *fabCluster {
 	t.Helper()
 	fc := &fabCluster{fab: netsim.NewFabric(seed, 0)}
 	addrs := make([]string, n)
@@ -194,6 +204,9 @@ func startFabric(t *testing.T, n, f int, seed uint64, dirs []string) *fabCluster
 		}
 		if dirs != nil {
 			nd.cfg.DataDir, nd.cfg.Fsync = dirs[i], persist.SyncNever
+		}
+		for _, hook := range cfgHooks {
+			hook(i, &nd.cfg)
 		}
 		fc.nodes = append(fc.nodes, nd)
 		fc.boot(t, i)
@@ -242,9 +255,15 @@ func (fc *fabCluster) stop(i int) {
 // dial connects a cluster client named "principal", one connection per node.
 func (fc *fabCluster) dial(t *testing.T, reqTimeout time.Duration) *cluster.Client {
 	t.Helper()
+	return fc.dialAs(t, "principal", reqTimeout)
+}
+
+// dialAs connects a cluster client under the given fabric endpoint name.
+func (fc *fabCluster) dialAs(t *testing.T, name string, reqTimeout time.Duration) *cluster.Client {
+	t.Helper()
 	cc, err := cluster.Dial(fc.m, cluster.WithClientOptions(func(cluster.Node) []client.Option {
 		return []client.Option{
-			client.WithDialer(fc.fab.Dialer("principal")),
+			client.WithDialer(fc.fab.Dialer(name)),
 			client.WithConns(1),
 			client.WithDialTimeout(2 * time.Second),
 			client.WithRequestTimeout(reqTimeout),
@@ -268,22 +287,18 @@ func shareReads(t *testing.T, cc *cluster.Client, i int) (uint64, error) {
 	if stats[i].Err != nil {
 		return 0, stats[i].Err
 	}
-	var n uint64
-	for _, p := range stats[i].Resp.Pairs {
-		if p.Name == "share-fetches" || p.Name == "share-silent" {
-			n += p.Value
-		}
-	}
+	_, n := shareLegs(stats[i])
 	return n, nil
 }
 
 // TestSilentNodeDoesNotBlockItsReader holds one node silent — connected, never
-// answering — and has one reader read again and again. The first read's leg
-// to that node straggles and keeps the reader's slot there; every later read
-// must still return at quorum, its leg for that node falling back to a
-// goroutine instead of queueing its caller behind the straggler
-// (fan-out-never-blocks-past-quorum). The straggler's own request timer
-// reaps it; once the node answers again the reader's fetches reach it again.
+// answering — and has one reader read again and again. The first read that
+// asks the node waits one hedge delay for it and widens; its leg straggles
+// and keeps the reader's slot there, so every later read leaves the node out
+// and returns at quorum — neither queueing its caller behind the straggler
+// nor spending a goroutine on it (fan-out-never-blocks-past-quorum). The
+// straggler's own request timer reaps it; once the node answers again a probe
+// round redials it and the reader's fetches reach it again.
 func TestSilentNodeDoesNotBlockItsReader(t *testing.T) {
 	const timeout, silent = 400 * time.Millisecond, 2
 	fc := startFabric(t, 5, 1, 311, nil)
@@ -298,7 +313,7 @@ func TestSilentNodeDoesNotBlockItsReader(t *testing.T) {
 	if v, err := obj.Read(0); err != nil || v != 0x1001 {
 		t.Fatalf("Read = %#x, %v", v, err)
 	}
-	settle(t, cc, 1, 1)
+	settle(t, cc, 1)
 	before, err := shareReads(t, cc, silent)
 	if err != nil {
 		t.Fatalf("stats of node %d: %v", silent+1, err)
@@ -338,10 +353,11 @@ func TestSilentNodeDoesNotBlockItsReader(t *testing.T) {
 	}
 }
 
-// TestEffectiveReadIsOneRoundTrip pins what a read leaves behind on every
-// node: a fetched read one fetch record, one announce record (the node's own
-// helping — nobody sends it one) and exactly two frames, request and
-// response; a silent read no record and, again, two frames.
+// TestEffectiveReadIsOneRoundTrip pins what a read leaves behind: on each of
+// the n−f nodes it asked exactly two frames, request and response — and, the
+// first time the reader's fetch finds the value new there, one fetch record
+// and one announce record (the node's own helping — nobody sends it one); a
+// silent read no record. On the node that sat out, nothing.
 func TestEffectiveReadIsOneRoundTrip(t *testing.T) {
 	fc := startFabric(t, 5, 1, 312, nil)
 	cc := fc.dial(t, 0)
@@ -352,7 +368,7 @@ func TestEffectiveReadIsOneRoundTrip(t *testing.T) {
 	if err := obj.Write(0x77); err != nil {
 		t.Fatalf("Write: %v", err)
 	}
-	settle(t, cc, 1, 0)
+	settle(t, cc, 1)
 
 	type counts struct{ fetch, announce, frames int }
 	snap := func() []counts {
@@ -362,17 +378,29 @@ func TestEffectiveReadIsOneRoundTrip(t *testing.T) {
 		}
 		return out
 	}
-	for round, want := range []counts{{1, 1, 2}, {0, 0, 2}} { // effective, then silent
+	fetched := make([]bool, len(fc.nodes)) // the reader has the value from this node
+	for round := 0; round < 2*len(fc.nodes); round++ {
 		before := snap()
 		if v, err := obj.Read(1); err != nil || v != 0x77 {
 			t.Fatalf("Read = %#x, %v", v, err)
 		}
-		settle(t, cc, 1, uint64(round+1))
+		settle(t, cc, 1)
+		asked := 0
 		for i, after := range snap() {
 			got := counts{after.fetch - before[i].fetch, after.announce - before[i].announce, after.frames - before[i].frames}
+			want := counts{}
+			if got.frames != 0 {
+				asked++
+				if want = (counts{0, 0, 2}); !fetched[i] {
+					want, fetched[i] = counts{1, 1, 2}, true
+				}
+			}
 			if got != want {
 				t.Errorf("read #%d on node %d left %+v, want %+v", round, i+1, got, want)
 			}
+		}
+		if asked != fc.m.Quorum() {
+			t.Errorf("read #%d asked %d nodes, want the quorum %d", round, asked, fc.m.Quorum())
 		}
 	}
 	stats, err := cc.NodeStats()
@@ -391,8 +419,10 @@ func TestEffectiveReadIsOneRoundTrip(t *testing.T) {
 // TestRestartDropsSlotCache kills a durable node and restarts it from its
 // WAL — new boot epoch, renumbered sequence numbers — while a reader holds a
 // slot cache filled before the kill. The reader's next fetch that reaches
-// the node must carry no previous sequence number (the epoch rule), and the
-// cluster read must return the newest value with nobody blamed.
+// the node must carry no previous sequence number (the epoch rule), and every
+// cluster read on the way there must return the newest value with nobody
+// blamed. A read asks a quorum, so both times the reader reads until the
+// node has been asked.
 func TestRestartDropsSlotCache(t *testing.T) {
 	const n, victim = 5, 1
 	dirs := make([]string, n)
@@ -408,10 +438,20 @@ func TestRestartDropsSlotCache(t *testing.T) {
 	if err := obj.Write(0x1111); err != nil {
 		t.Fatalf("Write: %v", err)
 	}
-	if v, err := obj.Read(0); err != nil || v != 0x1111 {
-		t.Fatalf("Read = %#x, %v", v, err)
+	nd := fc.nodes[victim]
+	asked := func() []wire.ShareFetchReq {
+		nd.mu.Lock()
+		defer nd.mu.Unlock()
+		return append([]wire.ShareFetchReq(nil), nd.fetches...)
 	}
-	settle(t, cc, 1, 1) // reader 0 now caches a share of every node
+	for deadline := time.Now().Add(10 * time.Second); len(asked()) == 0; settle(t, cc, 1) {
+		if v, err := obj.Read(0); err != nil || v != 0x1111 {
+			t.Fatalf("Read = %#x, %v", v, err)
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("reader 0 never asked node %d", victim+1)
+		}
+	} // reader 0 now caches the victim's share
 
 	fc.stop(victim)
 	if err := obj.Write(0x2222); err != nil {
@@ -439,19 +479,15 @@ func TestRestartDropsSlotCache(t *testing.T) {
 		}
 	}
 
-	nd := fc.nodes[victim]
 	nd.mu.Lock()
 	nd.fetches = nil
 	nd.mu.Unlock()
-	v, trace, err := obj.ReadTraced(0)
-	if err != nil || v != 0x3333 || len(trace.Corrupted) != 0 {
-		t.Fatalf("Read after the restart = %#x, %v, trace %+v", v, err, trace)
-	}
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-		nd.mu.Lock()
-		fetches := append([]wire.ShareFetchReq(nil), nd.fetches...)
-		nd.mu.Unlock()
-		if len(fetches) > 0 {
+		v, trace, err := obj.ReadTraced(0)
+		if err != nil || v != 0x3333 || len(trace.Corrupted) != 0 {
+			t.Fatalf("Read after the restart = %#x, %v, trace %+v", v, err, trace)
+		}
+		if fetches := asked(); len(fetches) > 0 {
 			if f := fetches[0]; f.Reader != 0 || f.PrevSeq != ^uint64(0) {
 				t.Fatalf("first fetch on the restarted node = %+v: the slot cache survived the restart", f)
 			}
@@ -508,9 +544,15 @@ func TestTailingMergeEqualsFresh(t *testing.T) {
 		}
 	}
 
-	// legs counts, per node, the share writes and share fetches it must have
-	// executed since it booted; quiesce waits for exactly that.
-	var legs [n]struct{ writes, fetches uint64 }
+	// quiesce waits until every leg started so far has been executed. Writes
+	// are n-wide: writes[i] counts the share writes node i must have executed
+	// since it booted. A read asks a quorum of the client's choosing, so the
+	// fetches are counted in all: the nodes that are up must together show the
+	// fetch legs cc started plus the curious reader's peeks, less gone — the
+	// fetches no node that is up will ever show, because the victim served
+	// them before it was killed or they were sent its way while it was down.
+	var writes [n]uint64
+	var peeks, gone uint64
 	up := func(i int) bool { return fc.nodes[i].srv != nil }
 	quiesce := func(step int) {
 		t.Helper()
@@ -521,22 +563,19 @@ func TestTailingMergeEqualsFresh(t *testing.T) {
 				t.Fatalf("seed %d step %d: NodeStats: %v", seed, step, err)
 			}
 			last = ""
+			var fetched uint64
 			for i, ns := range stats {
 				if !up(i) {
 					continue
 				}
-				var w, r uint64
-				for _, p := range ns.Resp.Pairs {
-					switch p.Name {
-					case "share-writes":
-						w = p.Value
-					case "share-fetches", "share-silent":
-						r += p.Value
-					}
+				w, r := shareLegs(ns)
+				fetched += r
+				if ns.Err != nil || w != writes[i] {
+					last = fmt.Sprintf("node %d: err %v, share-writes %d (want %d)", ns.Node, ns.Err, w, writes[i])
 				}
-				if ns.Err != nil || w != legs[i].writes || r != legs[i].fetches {
-					last = fmt.Sprintf("node %d: err %v, share-writes %d (want %d), share fetches %d (want %d)", ns.Node, ns.Err, w, legs[i].writes, r, legs[i].fetches)
-				}
+			}
+			if want := cc.Counters().FetchLegs + peeks - gone; fetched != want {
+				last = fmt.Sprintf("share fetches over the nodes that are up = %d, want %d", fetched, want)
 			}
 			if last == "" {
 				return
@@ -549,9 +588,9 @@ func TestTailingMergeEqualsFresh(t *testing.T) {
 		if err := obj.Write(uint64(1 + rng.Intn(4))); err != nil { // few values: one value under several wids
 			t.Fatalf("seed %d step %d: Write: %v", seed, step, err)
 		}
-		for i := range legs {
+		for i := range writes {
 			if up(i) {
-				legs[i].writes++
+				writes[i]++
 			}
 		}
 	}
@@ -578,13 +617,15 @@ func TestTailingMergeEqualsFresh(t *testing.T) {
 	}
 	read := func(step, reader int) {
 		t.Helper()
-		if _, err := obj.Read(reader); err != nil {
+		before := cc.Counters().FetchLegs
+		_, trace, err := obj.ReadTraced(reader)
+		if err != nil {
 			t.Fatalf("seed %d step %d: Read: %v", seed, step, err)
 		}
-		for i := range legs {
-			if up(i) {
-				legs[i].fetches++
-			}
+		if !up(victim) {
+			// The n−f nodes that are up are the quorum: every round asked each
+			// of them, and whatever else it started went the victim's way.
+			gone += cc.Counters().FetchLegs - before - uint64((n-f)*(1+trace.Retries))
 		}
 	}
 	// peek is the curious reader taking one more share of the current write,
@@ -594,7 +635,7 @@ func TestTailingMergeEqualsFresh(t *testing.T) {
 		if _, err := single[i].ShareRead(curious); err != nil {
 			t.Fatalf("seed %d step %d: ShareRead on node %d: %v", seed, step, i+1, err)
 		}
-		legs[i].fetches++
+		peeks++
 	}
 	// lie puts a share the writer never sent into the liar's journal, under
 	// the resident wid: it raises one zero bit (a max register only takes a
@@ -664,10 +705,16 @@ func TestTailingMergeEqualsFresh(t *testing.T) {
 	phase(0, 60, true)
 	// With a node down the cluster has no fault left to spend on a lying
 	// share (f = 1): the phase opens with a clean write and tells no lies.
+	stats, err := cc.NodeStats()
+	if err != nil || stats[victim].Err != nil {
+		t.Fatalf("seed %d: stats of node %d before it is killed: %v, %v", seed, victim+1, err, stats[victim].Err)
+	}
+	_, served := shareLegs(stats[victim])
+	gone += served
 	fc.stop(victim)
 	phase(60, 90, false)
 	fc.boot(t, victim)
-	legs[victim].writes, legs[victim].fetches = 0, 0
+	writes[victim] = 0
 	phase(90, 150, true)
 	if !sawUndecided || !sawCorrupted {
 		t.Fatalf("seed %d: the history never reached every verdict: undecided seen %v, corrupted seen %v", seed, sawUndecided, sawCorrupted)

@@ -26,8 +26,8 @@ const sharePadTag = "auditreg/cluster/share-pad/v1\x00"
 // derives wid w's shares once, and redeliveries repeat the identical
 // ciphertext.
 //
-// It sits on the per-share fast path of every cluster write and read, five
-// times an op: the digest input is assembled in a stack buffer of three
+// It sits on the per-share path of every cluster write, n times a write, and
+// of every read answer whose wid differs from the node's last (padMemo): the digest input is assembled in a stack buffer of three
 // SHA-256 blocks, which holds any ordinary name (118 bytes) and costs little
 // to clear, and the call allocates nothing (the CI alloc gate pins this).
 // A longer name streams through a hasher instead; the digest is the same.
@@ -49,6 +49,21 @@ func SharePad(secret auditreg.Key, node uint32, name string, wid uint64, shareLe
 		h.Sum(sum[:0])
 	}
 	return binary.BigEndian.Uint64(sum[:8]) & shareMask(shareLen)
+}
+
+// padMemo is the share pad a reader last derived for one node of one object:
+// a node repeats its last wid whenever nothing was written in between, and
+// within one (object, position) only the wid can change. next is that wid
+// plus one, so the zero memo is empty.
+type padMemo struct{ next, pad uint64 }
+
+// get is SharePad for the (secret, node, name) the memo belongs to, skipping
+// the hash when wid is the one it was last asked.
+func (m *padMemo) get(secret auditreg.Key, node uint32, name string, wid uint64, shareLen int) uint64 {
+	if m.next != wid+1 {
+		m.next, m.pad = wid+1, SharePad(secret, node, name, wid, shareLen)
+	}
+	return m.pad
 }
 
 // shareMask returns the mask of the low 8*shareLen bits.

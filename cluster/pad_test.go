@@ -57,6 +57,42 @@ func TestSharePadDomains(t *testing.T) {
 	}
 }
 
+// TestPadMemoNeverReusesAcrossInputs drives the read path's pad cache the way
+// a reader does — one memo per (object, position), the wids of successive
+// answers repeating, advancing, falling back (a stale node), starting at the
+// wid an empty memo might be mistaken for and reaching the largest — and holds every answer to a fresh derivation. A
+// memo knows only the wid it was last asked: what keeps a changed node or
+// name from reusing a pad is that they never share a memo, so the test keeps
+// a memo per (name, node) exactly as readRound.pads does and interleaves
+// them.
+func TestPadMemoNeverReusesAcrossInputs(t *testing.T) {
+	secret := auditreg.KeyFromSeed(5)
+	names := []string{"obj", "obj2"}
+	const nodes, shareLen = 5, 3
+	memos := make(map[string][]padMemo)
+	for _, name := range names {
+		memos[name] = make([]padMemo, nodes)
+	}
+	maxWid := uint64(1)<<(64-8*shareLen) - 1
+	for step, wid := range []uint64{0, 0, 1, 1, 1, 2, 1, 2, 7, 7, maxWid, maxWid, 0, 3} {
+		for _, name := range names {
+			for i := range memos[name] {
+				node := uint32(i + 1)
+				got := memos[name][i].get(secret, node, name, wid, shareLen)
+				if want := SharePad(secret, node, name, wid, shareLen); got != want {
+					t.Fatalf("step %d: memoized pad of (%q, node %d, wid %d) = %#x, want %#x", step, name, node, wid, got, want)
+				}
+			}
+		}
+	}
+	if avg := testing.AllocsPerRun(200, func() {
+		memos["obj"][0].get(secret, 1, "obj", 3, shareLen)
+		memos["obj"][0].get(secret, 1, "obj", 4, shareLen)
+	}); avg != 0 {
+		t.Fatalf("padMemo.get allocates %.1f times per call, want 0", avg)
+	}
+}
+
 // TestSharePadVectors pins the derivation bit for bit — shares already on
 // disk sit under these pads — on both sides of the stack buffer's edge (a
 // 118-byte name is the longest it holds) and of wire.MaxName. The values were

@@ -27,8 +27,9 @@ var errInconclusive = errors.New("cluster: shares inconclusive: no value reaches
 // its answers re-enter the decode only as votes (a share matching the
 // accepted value clears the suspicion — the node "decodes cleanly again").
 type suspectSet struct {
-	mu  sync.Mutex
-	bad []bool // by node position: quarantined
+	mu    sync.Mutex
+	bad   []bool       // by node position: quarantined
+	count atomic.Int32 // how many are; written under mu
 }
 
 func newSuspectSet(n int) *suspectSet { return &suspectSet{bad: make([]bool, n)} }
@@ -44,6 +45,19 @@ func (s *suspectSet) indexes() []int {
 		}
 	}
 	return out
+}
+
+// quarantined copies the quarantine flags into dst and reports whether any
+// is set: the healthy cluster's answer is one atomic load and a clear.
+func (s *suspectSet) quarantined(dst []bool) bool {
+	if s.count.Load() == 0 {
+		clear(dst)
+		return false
+	}
+	s.mu.Lock()
+	copy(dst, s.bad)
+	s.mu.Unlock()
+	return true
 }
 
 // trusted appends to dst the positions of pos that are not quarantined and
@@ -86,6 +100,7 @@ func (s *suspectSet) vote(pos, corrupted []int) (marks, clears uint64) {
 			}
 		}
 	}
+	s.count.Add(int32(marks) - int32(clears))
 	return marks, clears
 }
 
@@ -108,6 +123,19 @@ type Counters struct {
 	// oscillating between the two is corrupting intermittently.
 	SuspectMarks  uint64
 	SuspectClears uint64
+
+	// The read path's accounting, client-side only. FetchLegs: share fetches
+	// started (a quiet round costs n−f). WidenedOn*: rounds that asked the
+	// nodes their first wave left out, by the evidence — a first-wave leg
+	// failed, the quorum did not decide, the hedge delay passed with it still
+	// short. FullWaveReads: rounds that probed beyond the quorum unprompted.
+	FetchLegs, FullWaveReads                                 uint64
+	WidenedOnLegError, WidenedOnInconclusive, WidenedOnHedge uint64
+}
+
+// WidenedReads is the number of read rounds that widened, whatever the cause.
+func (c Counters) WidenedReads() uint64 {
+	return c.WidenedOnLegError + c.WidenedOnInconclusive + c.WidenedOnHedge
 }
 
 // counters is the atomic backing store of Counters.
@@ -117,6 +145,9 @@ type counters struct {
 	corruptShares    atomic.Uint64
 	suspectMarks     atomic.Uint64
 	suspectClears    atomic.Uint64
+	fetchLegs        atomic.Uint64
+	widened          [3]atomic.Uint64 // by cause: widenLegError, widenInconclusive, widenHedge
+	fullWaveReads    atomic.Uint64
 }
 
 func (c *counters) snapshot() Counters {
@@ -126,6 +157,12 @@ func (c *counters) snapshot() Counters {
 		CorruptShares:    c.corruptShares.Load(),
 		SuspectMarks:     c.suspectMarks.Load(),
 		SuspectClears:    c.suspectClears.Load(),
+
+		FetchLegs:             c.fetchLegs.Load(),
+		WidenedOnLegError:     c.widened[widenLegError].Load(),
+		WidenedOnInconclusive: c.widened[widenInconclusive].Load(),
+		WidenedOnHedge:        c.widened[widenHedge].Load(),
+		FullWaveReads:         c.fullWaveReads.Load(),
 	}
 }
 

@@ -97,8 +97,12 @@ func TestRunSuspect(t *testing.T) {
 	if err := obj.Write(77); err != nil {
 		t.Fatalf("Write: %v", err)
 	}
-	if v, err := obj.Read(0); err != nil || v != 77 {
-		t.Fatalf("Read = %d, %v; want 77, nil", v, err)
+	// A read asks a quorum and the position that sits out moves one a read:
+	// n reads have asked every node, the corruptor included.
+	for i := 0; i < m.N(); i++ {
+		if v, err := obj.Read(0); err != nil || v != 77 {
+			t.Fatalf("Read = %d, %v; want 77, nil", v, err)
+		}
 	}
 
 	code, out := runCtl(t, "-nodes", nodes, "-f", "1", "-seed", fmt.Sprint(seed))

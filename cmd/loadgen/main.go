@@ -179,10 +179,14 @@ func main() {
 				fatalf("objects=%d goroutines=%d: %v", n, p, err)
 			}
 			results = append(results, res)
-			fmt.Printf("%-44s %10.0f ns/op %12.0f ops/s  reads=%.0f writes=%.0f audits=%.0f pool-audits=%.0f pairs=%.0f\n",
+			fmt.Printf("%-44s %10.0f ns/op %12.0f ops/s  reads=%.0f writes=%.0f audits=%.0f pool-audits=%.0f pairs=%.0f",
 				res.Name, res.Metrics["ns/op"], res.Metrics["ops/s"],
 				res.Metrics["reads"], res.Metrics["writes"], res.Metrics["audit-lookups"],
 				res.Metrics["pool-audits"], res.Metrics["audited-pairs"])
+			if legs, ok := res.Metrics["fetch-legs/read"]; ok { // the cluster cells
+				fmt.Printf(" fetch-legs/read=%.2f widened-reads=%.0f", legs, res.Metrics["widened-reads"])
+			}
+			fmt.Println()
 		}
 	}
 

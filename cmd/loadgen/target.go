@@ -58,8 +58,9 @@ type auditView struct {
 	// single store's audit in two ways the verifier must know. A read that
 	// beat the first write fetched nothing dispersed and is not charged,
 	// so observations of the initial value 0 are not expected in it. And a
-	// dispersed read fans out to every node, so a reader that overlapped a
-	// write or a crash holds k shares of neighbouring write ids too: the
+	// dispersed read asks a quorum of nodes — all of them once it widens — so
+	// a reader that overlapped a write or a crash may hold k shares of a
+	// neighbouring write id too: the
 	// merge correctly charges what the reader could reconstruct, not just
 	// what the client's selection rule returned.
 	dispersed bool
@@ -310,8 +311,8 @@ func (t *nodeTarget) close() error {
 
 // clusterTarget is a dispersal cluster behind cluster.Client (-cluster E19,
 // -chaos E20): every write is split into per-node masked IDA shares, every
-// read fans out to all n nodes and returns at the n−f quorum, and audit is
-// the k-agreement merge of all n nodes' logs.
+// read asks a quorum of n−f nodes and the other f only on evidence, and audit
+// is the k-agreement merge of all n nodes' logs.
 type clusterTarget struct {
 	mem   cluster.Membership
 	conns int
@@ -326,8 +327,8 @@ type clusterTarget struct {
 	names []string
 	objs  []*cluster.Object
 
-	readRetries, staleReads, failedNodeReads, corruptedReads atomic.Uint64
-	mislabeled                                               atomic.Pointer[string]
+	readRounds, readRetries, staleReads, failedNodeReads, corruptedReads atomic.Uint64
+	mislabeled                                                           atomic.Pointer[string]
 }
 
 func (t *clusterTarget) open(cfg cellConfig) ([]string, int, error) {
@@ -356,6 +357,7 @@ func (t *clusterTarget) write(obj int, v uint64) error { return t.objs[obj].Writ
 
 func (t *clusterTarget) read(obj, reader int) (uint64, error) {
 	v, trace, err := t.objs[obj].ReadTraced(reader)
+	t.readRounds.Add(uint64(1 + trace.Retries)) // failed or not: its legs are in FetchLegs
 	if err != nil {
 		return 0, err
 	}
@@ -415,7 +417,7 @@ func (t *clusterTarget) audit(obj int) (auditView, error) {
 	if err := o.Write(sentinel); err != nil {
 		return auditView{}, fmt.Errorf("post-fault write: %w", err)
 	}
-	if v, err := o.Read(0); err != nil || v != sentinel {
+	if v, err := t.read(obj, 0); err != nil || v != sentinel {
 		return auditView{}, fmt.Errorf("post-fault read = %#x, %v; want %#x", v, err, sentinel)
 	}
 	return auditView{
@@ -442,6 +444,15 @@ func (t *clusterTarget) counters() ([]any, map[string]benchfmt.StageLatency, err
 		"corrupt-shares", ctr.CorruptShares,
 		"suspect-marks", ctr.SuspectMarks,
 		"suspect-clears", ctr.SuspectClears,
+		// What a read round costs in share fetches: quorum = n−f when nothing
+		// is wrong, one round in probeEvery n while a node is left out for
+		// cause, n for a round that widened.
+		"fetch-legs/read", float64(ctr.FetchLegs) / float64(max(t.readRounds.Load(), 1)),
+		"widened-reads", ctr.WidenedReads(),
+		"widened-on-leg-error", ctr.WidenedOnLegError,
+		"widened-on-inconclusive", ctr.WidenedOnInconclusive,
+		"widened-on-hedge", ctr.WidenedOnHedge,
+		"full-wave-reads", ctr.FullWaveReads,
 		"nodes", t.mem.N(),
 		"faults", t.mem.F,
 		"conns", t.conns,

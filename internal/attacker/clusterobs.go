@@ -186,13 +186,14 @@ func (l *ClusterLab) trial(unmasked bool, reads func(obj *cluster.Object) error)
 		return nil, err
 	}
 	// Drain, identically in both branches: reader 2 never read this object,
-	// so its first cluster read is an effective fetch on every node and its
-	// second is silent everywhere. Nothing is pipelined behind a fetch any
-	// more (each node announces for itself), but a cluster read returns at
-	// quorum with up to f legs still on the wire. Each node's single
+	// so its first cluster read is an effective fetch on every node it asks
+	// and its second is silent wherever the first was served. A read asks a
+	// quorum and waits for all of it, and on a fresh object the positions
+	// that sit out of a reader's first two rounds are 1 and 2, so the tapped
+	// node (position 0) answers both; the write before is n-wide and returns
+	// at quorum with up to f legs still on the wire. Each node's single
 	// connection is FIFO, so a node that answered the second drain read has
-	// consumed every frame the game reads above sent it. The window is
-	// clean unless the tapped node trails the quorum by two whole rounds.
+	// consumed every frame sent it above.
 	for i := 0; i < 2; i++ {
 		if _, err := obj.Read(2); err != nil {
 			return nil, err

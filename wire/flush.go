@@ -6,9 +6,9 @@ import (
 )
 
 // Flusher turns a slice of pooled frame buffers into one scatter-gather
-// write, reusing its iovec across flushes. Both conn writers — the server's
-// writer goroutine and the client's combining flush — hand their pending
-// frames to a Flusher, so a batch costs one writev however many frames are
+// write, reusing its iovec across flushes. Both ends' combining flushes — the
+// server connection's and the client connection's, each run by whichever
+// goroutine finds nobody flushing — hand their pending frames to a Flusher, so a batch costs one writev however many frames are
 // pending; the ownership rule is uniform: Flush consumes the frames,
 // recycling every buffer whatever the outcome.
 type Flusher struct {
