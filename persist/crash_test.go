@@ -1,6 +1,7 @@
 package persist
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"os"
@@ -154,7 +155,8 @@ func TestCrashInjection(t *testing.T) {
 		truncating := trial%2 == 0
 		if truncating {
 			// Truncate a random stripe's active (last) segment at a random
-			// offset: the torn-tail case recovery must absorb.
+			// offset, inside its records or inside the preallocated zeros
+			// behind them: the tails recovery must absorb.
 			segs := ds.segments[rng.Intn(ds.maxStripe+1)]
 			seg := filepath.Join(dir, segs[len(segs)-1].name)
 			info, err := os.Stat(seg)
@@ -166,7 +168,8 @@ func TestCrashInjection(t *testing.T) {
 				t.Fatal(err)
 			}
 		} else {
-			// Flip a random byte in a random record file.
+			// Flip a random byte in a random record file — a byte of its
+			// records: the zeros behind them would draw nearly every flip.
 			var files []string
 			for _, sfs := range ds.segments {
 				for _, sf := range sfs {
@@ -179,11 +182,7 @@ func TestCrashInjection(t *testing.T) {
 				}
 			}
 			path := filepath.Join(dir, files[rng.Intn(len(files))])
-			info, err := os.Stat(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			corruptByte(t, path, rng.Int63n(info.Size()))
+			corruptByte(t, path, rng.Int63n(validLenOf(t, path)))
 		}
 
 		stRec := newTestStore(t)
@@ -216,6 +215,47 @@ func TestCrashInjection(t *testing.T) {
 	if recovered == 0 || halted == 0 {
 		t.Fatalf("harness degenerate: %d recovered, %d halted — both paths must be exercised", recovered, halted)
 	}
+
+	// The last frame of the log is complete and acknowledged like any other:
+	// damage inside it must halt recovery, never pass for a torn tail and
+	// recover one record short. (Its length field is left alone: a frame
+	// claiming to run into the zeros behind it is what a torn write looks
+	// like, as one claiming to run past the end of the file always was.)
+	ds, err := readDir(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seg string // a stripe's active segment that holds a frame
+	for _, segs := range ds.segments {
+		if name := segs[len(segs)-1].name; validLenOf(t, filepath.Join(ref, name)) > headerLen {
+			seg = name
+		}
+	}
+	start, end := lastFrameOf(t, filepath.Join(ref, seg))
+	for _, off := range []int64{start + 4, start + 8, start + frameOverhead, end - 1} {
+		dir := filepath.Join(baseDir, fmt.Sprintf("final-%d", off))
+		copyDir(t, ref, dir)
+		corruptByte(t, filepath.Join(dir, seg), off)
+		if w, _, err := Open(dir, testKey(), newTestStore(t), Options{}); err == nil {
+			w.Close()
+			t.Fatalf("flip at offset %d of the final frame [%d, %d) recovered", off, start, end)
+		}
+	}
+}
+
+// lastFrameOf returns the extent of the last valid frame of a record file.
+func lastFrameOf(t *testing.T, path string) (start, end int64) {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	end = validLenOf(t, path)
+	for next := int64(headerLen); next < end; {
+		start = next
+		next += 8 + int64(binary.BigEndian.Uint32(b[start:]))
+	}
+	return start, end
 }
 
 // TestStripedRecoveryMatchesSingleStripe is the striped-recovery

@@ -67,21 +67,100 @@ func FuzzWALRecord(f *testing.F) {
 	})
 }
 
-// TestWriteSeedCorpus regenerates the checked-in seed corpus under
-// testdata/fuzz/FuzzWALRecord from fuzzSeeds. It is a maintenance switch,
+// tailSeed is one FuzzSegmentTail input: the bytes behind a valid prefix and
+// the count of zeros behind those.
+type tailSeed struct {
+	tail []byte
+	pad  uint16
+}
+
+// tailSeeds returns one input per shape the tail rule names: nothing, zeros,
+// another whole frame, that frame cut at a sector boundary, cut mid-sector,
+// cut by the end of the file, damaged, a seal, and plain garbage.
+func tailSeeds(fx tailFixture) []tailSeed {
+	frame := fx.img[fx.last:]
+	damaged := bytes.Clone(frame)
+	damaged[frameOverhead] ^= 0xFF
+	return []tailSeed{
+		{nil, 0},
+		{nil, 4096},
+		{frame, 0},
+		{frame, 4096},
+		{frame[:fx.cut-fx.last], 4096},
+		{frame[:fx.cut-fx.last+100], 4096},
+		{frame[:len(frame)-9], 0},
+		{damaged, 4096},
+		{appendFrame(nil, fx.ps, fx.last, 3, &Record{Op: OpSeal}), 0},
+		{[]byte{0, 0, 1, 0, 0xde, 0xad}, 512},
+	}
+}
+
+// FuzzSegmentTail fuzzes the tail classifier — the part of readRecordFile
+// that decides whether what follows the last good frame is the end of the
+// log, a torn write to discard, or corruption to halt on. The input is laid
+// behind a valid two-frame prefix, zero padding behind it. Whatever it is,
+// the parse must either fail or return the prefix's records, whole and in
+// order, followed only by records that are really in the file: each
+// re-encodes to exactly the bytes at its place.
+func FuzzSegmentTail(f *testing.F) {
+	fx := newTailFixture(f, fuzzKey())
+	prefix, want := fx.img[:fx.last], fx.recs[:len(fx.recs)-1]
+	for _, seed := range tailSeeds(fx) {
+		f.Add(seed.tail, seed.pad)
+	}
+	path := filepath.Join(f.TempDir(), segmentName(0, 1))
+	f.Fuzz(func(t *testing.T, tail []byte, pad uint16) {
+		img := bytes.Join([][]byte{prefix, tail, make([]byte, pad)}, nil)
+		if err := os.WriteFile(path, img, 0o600); err != nil {
+			t.Fatal(err)
+		}
+		fr, err := readRecordFile(path, segMagic, fuzzKey())
+		if err != nil {
+			return
+		}
+		if len(fr.recs) < len(want) {
+			t.Fatalf("%d records recovered, the prefix holds %d", len(fr.recs), len(want))
+		}
+		off := int64(headerLen)
+		for i := range fr.recs {
+			if i < len(want) && fr.recs[i] != want[i] {
+				t.Fatalf("record %d = %+v, want %+v", i, fr.recs[i], want[i])
+			}
+			frame := appendFrame(nil, fx.ps, off, fr.lsns[i], &fr.recs[i])
+			if !bytes.HasPrefix(img[off:], frame) {
+				t.Fatalf("record %d = %+v is not what the file holds at offset %d", i, fr.recs[i], off)
+			}
+			off += int64(len(frame))
+		}
+		if off > fr.validLen || !fr.sealed && off != fr.validLen {
+			t.Fatalf("records end at offset %d, validLen %d (sealed %v)", off, fr.validLen, fr.sealed)
+		}
+	})
+}
+
+// TestWriteSeedCorpus regenerates the checked-in seed corpora under
+// testdata/fuzz from fuzzSeeds and tailSeeds. It is a maintenance switch,
 // not a test: set PERSIST_WRITE_CORPUS=1 after changing the frame format.
 func TestWriteSeedCorpus(t *testing.T) {
 	if os.Getenv("PERSIST_WRITE_CORPUS") == "" {
 		t.Skip("set PERSIST_WRITE_CORPUS=1 to regenerate the seed corpus")
 	}
-	dir := filepath.Join("testdata", "fuzz", "FuzzWALRecord")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
+	corpus := map[string][]string{}
+	for _, seed := range fuzzSeeds() {
+		corpus["FuzzWALRecord"] = append(corpus["FuzzWALRecord"], fmt.Sprintf("[]byte(%q)\n", seed))
 	}
-	for i, seed := range fuzzSeeds() {
-		content := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", seed)
-		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("seed-%02d", i)), []byte(content), 0o644); err != nil {
+	for _, seed := range tailSeeds(newTailFixture(t, fuzzKey())) {
+		corpus["FuzzSegmentTail"] = append(corpus["FuzzSegmentTail"], fmt.Sprintf("[]byte(%q)\nuint16(%d)\n", seed.tail, seed.pad))
+	}
+	for target, seeds := range corpus {
+		dir := filepath.Join("testdata", "fuzz", target)
+		if err := os.MkdirAll(dir, 0o755); err != nil {
 			t.Fatal(err)
+		}
+		for i, seed := range seeds {
+			if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("seed-%02d", i)), []byte("go test fuzz v1\n"+seed), 0o644); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 }

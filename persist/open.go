@@ -24,8 +24,9 @@ type RecoverResult struct {
 	// SnapshotCut is the highest cut LSN among the snapshots that seeded
 	// recovery, 0 when the directory had none.
 	SnapshotCut uint64
-	// TornBytes is the total size of the torn tails discarded from the
-	// stripes' active segments (records never acknowledged as durable).
+	// TornBytes is the total size of the partial frames discarded from the
+	// tails of the stripes' crashed active segments (writes never acknowledged
+	// as durable); the zeros a preallocated segment ends in are never counted.
 	TornBytes int64
 	// AuditedNames lists the objects whose audit cursors had published
 	// reports before the crash; the server re-audits them on boot.
@@ -247,19 +248,19 @@ func open(dir string, key auditreg.Key, st *store.Store[uint64], opts Options, l
 				if err := writeSealedFile(dir, b.activeName, segMagic, b.activeBase, key, b.activeFR.recs, b.activeFR.lsns); err != nil {
 					return fail(err)
 				}
-			} else {
-				if err := os.Remove(path); err != nil {
-					return fail(err)
-				}
-				if err := syncDir(dir); err != nil {
-					return fail(err)
-				}
+			} else if err := os.Remove(path); err != nil {
+				return fail(err)
 			}
 		}
 		if err := s.openSegment(s.nextLSN); err != nil {
 			return fail(err)
 		}
 		w.groups[sid] = s
+	}
+	// One directory sync for the whole boot: every stripe's first segment
+	// (and any removal above) becomes durable before a writer starts.
+	if err := syncDir(dir); err != nil {
+		return fail(err)
 	}
 	for _, s := range w.groups {
 		s.start()

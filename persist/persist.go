@@ -52,6 +52,19 @@
 // halts recovery with an explicit error; the only tolerated damage is a torn
 // tail at the very end of the active segment.
 //
+// The active segment is preallocated a chunk ahead of its appends
+// (fallocate; see openSegment), so a crashed one ends in zeros; sealing
+// truncates them away, so sealed segments and snapshots are exactly their
+// records. The tail reads by one rule (readRecordFile): nothing but zeros is
+// the clean end of the log; a last frame cut short — by the end of a file
+// that grows per append (no fallocate, or an older directory), or by zeros
+// running from a sector boundary inside the frame to the end of the file —
+// is a torn tail, discarded and counted; a complete frame with a bad CRC
+// halts even when it is the last, as does any non-zero byte after a zero
+// frame header. The failure model behind the sector rule: a crash leaves each
+// sector of a write whole or untouched, in order; a process kill tears
+// nothing.
+//
 // Snapshot compacts: it seals the active segment, scans everything sealed
 // into the minimal record sequence that reproduces an audit-equivalent store
 // (one write per audited value, one fetch per audited pair, the final

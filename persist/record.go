@@ -253,15 +253,19 @@ func appendFrame(dst []byte, ps padStream, off int64, lsn uint64, rec *Record) [
 	return dst
 }
 
-// errTornFrame reports a frame cut short by the end of the input: the one
-// kind of damage recovery tolerates, and only at the very tail of the active
-// segment.
-var errTornFrame = fmt.Errorf("persist: torn frame")
+// errTornFrame reports a frame cut short by the end of the input — the
+// damage recovery tolerates at the very tail of the active segment — and
+// errFrameCRC one that is all there but fails its checksum: corruption,
+// unless readRecordFile finds it cut short by preallocated zeros instead.
+var (
+	errTornFrame = fmt.Errorf("persist: torn frame")
+	errFrameCRC  = fmt.Errorf("persist: frame crc mismatch")
+)
 
 // parseFrame decodes the first frame of b — located at file offset off —
 // returning the record, its lsn, and the unconsumed remainder. errTornFrame
-// (possibly wrapped) reports that the input ends mid-frame; any other error
-// is corruption.
+// (wrapped) reports that the input ends mid-frame and errFrameCRC (wrapped)
+// a checksum mismatch; any other error is corruption.
 func parseFrame(b []byte, ps padStream, off int64) (rec Record, lsn uint64, rest []byte, err error) {
 	if len(b) < 8 {
 		return rec, 0, b, fmt.Errorf("%w: %d header bytes", errTornFrame, len(b))
@@ -275,7 +279,7 @@ func parseFrame(b []byte, ps padStream, off int64) (rec Record, lsn uint64, rest
 	}
 	payload := b[8 : 8+n]
 	if got, want := crc32.Checksum(payload, castagnoli), binary.BigEndian.Uint32(b[4:]); got != want {
-		return rec, 0, b, fmt.Errorf("persist: frame crc mismatch (%08x != %08x)", got, want)
+		return rec, 0, b, fmt.Errorf("%w (%08x != %08x)", errFrameCRC, got, want)
 	}
 	lsn = binary.BigEndian.Uint64(payload)
 	plain := append([]byte(nil), payload[8:]...)

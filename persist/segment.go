@@ -1,6 +1,7 @@
 package persist
 
 import (
+	"bytes"
 	"crypto/rand"
 	"encoding/binary"
 	"errors"
@@ -115,16 +116,33 @@ type fileRecords struct {
 	recs      []Record
 	lsns      []uint64
 	sealed    bool  // the file ends with an OpSeal record
-	tornBytes int64 // bytes discarded at a torn tail (unsealed files only)
+	tornBytes int64 // bytes of the partial frame discarded at a torn tail (unsealed files only)
 	validLen  int64 // offset one past the last valid frame
 }
 
-// readRecordFile parses a whole segment or snapshot file. A torn tail —
-// the input ending mid-frame — is tolerated and reported via tornBytes;
-// every other malformation (CRC mismatch, bad record body, data after a
-// seal) is corruption and returns an error naming the file and offset.
-// Callers enforce their own sealing policy: recovery requires every file
-// except the active segment to be sealed.
+// sectorSize is the unit of the failure model the tail rule rests on: a
+// crash leaves each sector of an interrupted write whole or untouched (a
+// killed process tears nothing), so a write cut short ends at a sector
+// boundary with the preallocated zeros still behind it.
+const sectorSize = 512
+
+// readRecordFile parses a whole segment or snapshot file. Where the frames
+// stop, an unsealed file may end in three tolerated ways (validLen, tornBytes):
+//
+//   - nothing, or nothing but zeros: the clean end of the log, the zeros being
+//     preallocated space no write reached (tornBytes 0);
+//   - the file ending inside the last frame: a torn tail in a segment that
+//     grows with every append;
+//   - a last frame failing its CRC with zeros running from a sector boundary
+//     inside the frame's claimed extent to the end of the file: a torn tail in
+//     a preallocated segment.
+//
+// tornBytes counts the partial frame up to its last non-zero byte, never the
+// zeros behind it. Everything else is corruption and returns an error naming
+// the file and offset: a bad record body, bytes after a seal, a complete
+// frame with a bad CRC — last frame or not — any non-zero byte after a zero
+// frame header. Callers enforce their own sealing policy: recovery requires
+// every file except the active segment to be sealed.
 func readRecordFile(path, magic string, key auditreg.Key) (fileRecords, error) {
 	var fr fileRecords
 	b, err := os.ReadFile(path)
@@ -146,12 +164,20 @@ func readRecordFile(path, magic string, key auditreg.Key) (fileRecords, error) {
 		}
 		rec, lsn, after, err := parseFrame(rest, ps, off)
 		if err != nil {
-			if errors.Is(err, errTornFrame) {
-				fr.tornBytes = int64(len(rest))
-				fr.validLen = off
-				return fr, nil
+			// live is where the zeros that run to the end of the file begin,
+			// cut the first sector boundary there; a CRC error vouches for
+			// the length field's range.
+			live := int64(len(bytes.TrimRight(rest, "\x00")))
+			cut := (off + live + sectorSize - 1) / sectorSize * sectorSize
+			clean := live == 0
+			torn := errors.Is(err, errTornFrame) ||
+				errors.Is(err, errFrameCRC) && cut < off+8+int64(binary.BigEndian.Uint32(rest))
+			if !clean && !torn {
+				return fr, fmt.Errorf("persist: %s: offset %d: %w", path, off, err)
 			}
-			return fr, fmt.Errorf("persist: %s: offset %d: %w", path, off, err)
+			fr.tornBytes = live
+			fr.validLen = off
+			return fr, nil
 		}
 		off += int64(len(rest) - len(after))
 		rest = after

@@ -22,6 +22,11 @@ import (
 // the directory.
 const lockFileName = "wal.lock"
 
+// preallocChunk is how far ahead of its appends a stripe allocates its active
+// segment (see openSegment): 1 MiB is one file-size change per ≈ 19,000
+// records instead of one per record, and 4 MiB measured the same.
+const preallocChunk = 1 << 20
+
 // pending is one record awaiting a stripe's group-commit writer; done is
 // non-nil when the mutator blocks for durability (SyncAlways opens, writes,
 // and fetches).
@@ -141,6 +146,7 @@ type walStripe struct {
 	activePads  padStream
 	activeBase  uint64
 	activeSize  int64
+	activeAlloc int64 // preallocated size of the active file; 0 when it grows with every append
 	nextLSN     uint64
 	lastSync    time.Time
 	dirty       bool      // appended records not yet covered by an issued fsync
@@ -602,7 +608,9 @@ func batchBytes(batch []pending) int {
 
 // appendBatch encodes the batch into the reused frame buffer and appends it
 // to the active segment with one write, rotating first when the segment is
-// over size (callers on the pipelined path have already barriered).
+// over size (callers on the pipelined path have already barriered) and
+// preallocating another chunk first when the write would cross the
+// allocation.
 func (s *walStripe) appendBatch(batch []pending) error {
 	if len(batch) == 0 {
 		return nil
@@ -617,10 +625,15 @@ func (s *walStripe) appendBatch(batch []pending) error {
 		buf = appendFrame(buf, s.activePads, s.activeSize+int64(len(buf)), s.nextLSN, &batch[i].rec)
 		s.nextLSN++
 	}
+	s.encBuf = buf
+	if need := s.activeSize + int64(len(buf)); s.activeAlloc > 0 && need > s.activeAlloc {
+		if err := s.reserve(s.active, need); err != nil {
+			return err
+		}
+	}
 	n, err := s.active.Write(buf)
 	s.activeSize += int64(n)
 	s.bytes.Add(uint64(n))
-	s.encBuf = buf
 	if err != nil {
 		return err
 	}
@@ -743,7 +756,7 @@ func (s *walStripe) fail(batch []pending, err error) {
 }
 
 // rotate seals the active segment and opens a fresh one whose base is the
-// next LSN.
+// next LSN, making its directory entry durable before anything is appended.
 func (s *walStripe) rotate() error {
 	if err := s.sealActive(); err != nil {
 		return err
@@ -751,12 +764,32 @@ func (s *walStripe) rotate() error {
 	if err := s.openSegment(s.nextLSN); err != nil {
 		return err
 	}
+	if err := syncDir(s.dir); err != nil {
+		return err
+	}
 	s.rotations.Add(1)
 	return nil
 }
 
-// sealActive appends the seal record, fsyncs, and closes the active
-// segment.
+// reserve preallocates f, the stripe's active segment, up to the first whole
+// chunk that holds need bytes — a chunk being preallocChunk, or SegmentBytes
+// where that is smaller. A filesystem without fallocate leaves activeAlloc 0:
+// the segment grows with every append, decided once per segment.
+func (s *walStripe) reserve(f *os.File, need int64) error {
+	chunk := min(preallocChunk, s.opts.SegmentBytes)
+	alloc := (need + chunk - 1) / chunk * chunk
+	ok, err := preallocate(f, alloc)
+	if !ok {
+		alloc = 0
+	}
+	s.activeAlloc = alloc
+	return err
+}
+
+// sealActive cuts the preallocated padding off the active segment, appends
+// the seal record, fsyncs, and closes it: a sealed file is exactly its
+// records. Truncating first means no crash leaves bytes after a seal; a kill
+// between the two leaves an unsealed segment without padding.
 func (s *walStripe) sealActive() error {
 	if s.active == nil {
 		return nil
@@ -769,6 +802,9 @@ func (s *walStripe) sealActive() error {
 		err := s.active.Close()
 		s.active = nil
 		s.dirty = false
+		return err
+	}
+	if err := s.active.Truncate(s.activeSize); err != nil {
 		return err
 	}
 	seal := Record{Op: OpSeal}
@@ -789,7 +825,11 @@ func (s *walStripe) sealActive() error {
 }
 
 // openSegment creates and syncs a fresh active segment with the given base
-// LSN, deriving the segment's pad stream from its header nonce.
+// LSN, deriving the segment's pad stream from its header nonce. The file is
+// preallocated a chunk ahead (reserve): appends land inside its size, so the
+// fdatasync behind every acknowledgement flushes data only, where a growing
+// file has it commit a new size through the filesystem journal each time.
+// The caller syncs the directory (rotate; open once for all stripes).
 func (s *walStripe) openSegment(base uint64) error {
 	hdr, nonce, err := newHeader(segMagic, base)
 	if err != nil {
@@ -799,15 +839,15 @@ func (s *walStripe) openSegment(base uint64) error {
 	if err != nil {
 		return err
 	}
+	if err := s.reserve(f, headerLen); err != nil {
+		f.Close()
+		return err
+	}
 	if _, err := f.Write(hdr); err != nil {
 		f.Close()
 		return err
 	}
 	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := syncDir(s.dir); err != nil {
 		f.Close()
 		return err
 	}

@@ -1,6 +1,8 @@
 package persist
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"os"
@@ -229,22 +231,27 @@ func TestRecoverTornTail(t *testing.T) {
 	want := auditAll(t, st, names)
 	w.abandon()
 
-	// Append half a frame of garbage to the active segment: a torn final
-	// write, as a crash mid-write leaves it.
+	// A torn final write, as a crash mid-write leaves it: the frame's leading
+	// sectors landed where the log ended, the rest of its claimed extent is
+	// still the preallocated zeros.
 	seg := lastSegment(t, dir)
-	f, err := os.OpenFile(seg, os.O_WRONLY|os.O_APPEND, 0o600)
+	at := validLenOf(t, seg)
+	cut := (at + 8 + sectorSize) / sectorSize * sectorSize // a sector boundary past the frame's header
+	half := bytes.Repeat([]byte{0xde}, int(cut-at))
+	binary.BigEndian.PutUint32(half, uint32(cut-at)+100) // the frame claims to run past the cut
+	f, err := os.OpenFile(seg, os.O_WRONLY, 0o600)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Write([]byte{0x00, 0x00, 0x01, 0x00, 0xde, 0xad}); err != nil {
+	if _, err := f.WriteAt(half, at); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
 
 	w2, res, st2 := openWAL(t, dir, Options{})
 	defer w2.Close()
-	if res.TornBytes == 0 {
-		t.Fatal("torn tail not reported")
+	if res.TornBytes != cut-at {
+		t.Fatalf("TornBytes = %d, want the %d bytes of the partial frame", res.TornBytes, cut-at)
 	}
 	requireSameAudits(t, want, st2, names)
 }
@@ -465,6 +472,21 @@ func lastSegment(t *testing.T, dir string) string {
 		t.Fatal("no segments")
 	}
 	return segs[len(segs)-1]
+}
+
+// validLenOf returns the offset one past the last valid frame of a record
+// file: where the next write would have landed.
+func validLenOf(t *testing.T, path string) int64 {
+	t.Helper()
+	magic := segMagic
+	if strings.HasSuffix(path, ".snap") {
+		magic = snapMagic
+	}
+	fr, err := readRecordFile(path, magic, testKey())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fr.validLen
 }
 
 func corruptByte(t *testing.T, path string, off int64) {
