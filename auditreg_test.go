@@ -142,6 +142,47 @@ func TestFacadeSnapshot(t *testing.T) {
 	}
 }
 
+// TestFacadeSnapshotSecondUpdaterHandle: a component's writer may be handed a
+// new handle (the old one is retired); its updates must land. A handle that
+// restarted the component's sequence tag at 0 published views whose version
+// number M had already passed, and every one of them was dropped.
+func TestFacadeSnapshotSecondUpdaterHandle(t *testing.T) {
+	t.Parallel()
+	pads, err := auditreg.NewKeyedPads(auditreg.KeyFromSeed(5), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := auditreg.NewSnapshot(2, 1, uint64(0), pads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := snap.Scanner(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u1, err := snap.Updater(0, auditreg.NewSeededNonces(6, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []uint64{1, 2, 3} {
+		if err := u1.Update(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	u2, err := snap.Updater(0, auditreg.NewSeededNonces(7, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []uint64{99, 100} {
+		if err := u2.Update(v); err != nil {
+			t.Fatal(err)
+		}
+		if got := sc.Scan(); got[0] != v || got[1] != 0 {
+			t.Fatalf("scan after second handle's Update(%d) = %v", v, got)
+		}
+	}
+}
+
 func TestFacadeVersioned(t *testing.T) {
 	t.Parallel()
 	pads, err := auditreg.NewKeyedPads(auditreg.KeyFromSeed(4), 1)

@@ -410,6 +410,7 @@ func BenchmarkE10SnapshotUpdate(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				u.Update(uint64(i))
@@ -424,6 +425,7 @@ func BenchmarkE10SnapshotUpdate(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if err := u.Update(uint64(i)); err != nil {
@@ -441,6 +443,7 @@ func BenchmarkE10SnapshotScan(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				_ = s.Scan()
@@ -455,6 +458,7 @@ func BenchmarkE10SnapshotScan(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				_ = sc.Scan()

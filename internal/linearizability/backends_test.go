@@ -84,7 +84,7 @@ func outputs(ops []history.Op) string {
 	sort.SliceStable(ops, func(i, j int) bool { return ops[i].Proc < ops[j].Proc })
 	var b strings.Builder
 	for _, o := range ops {
-		fmt.Fprintf(&b, "p%d.%s(%d)=%d%v\n", o.Proc, o.Call, o.Arg, o.Out, o.OutSet)
+		fmt.Fprintf(&b, "p%d.%s(%d)=%d%v%v\n", o.Proc, o.Call, o.Arg, o.Out, o.OutSet, o.OutVec)
 	}
 	return b.String()
 }

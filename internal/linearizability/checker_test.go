@@ -141,6 +141,14 @@ func TestCheckerSnapshotModel(t *testing.T) {
 	if res := check(t, linearizability.SnapshotModel{N: 2}, ops); !res.Ok {
 		t.Fatal("snapshot history rejected")
 	}
+	audited := append(ops, history.Op{Proc: 200, Call: "audit", OutSet: []history.Pair{{Reader: 9, Value: 0}}, Inv: 5, Ret: 6})
+	if res := check(t, linearizability.SnapshotModel{N: 2}, audited); !res.Ok {
+		t.Fatal("audit of the one scan rejected")
+	}
+	audited[2].OutSet = nil
+	if res := check(t, linearizability.SnapshotModel{N: 2}, audited); res.Ok {
+		t.Fatal("audit missing a completed scan accepted")
+	}
 	ops[1].OutVec = []uint64{0, 4} // wrong component
 	if res := check(t, linearizability.SnapshotModel{N: 2}, ops); res.Ok {
 		t.Fatal("misplaced component accepted")

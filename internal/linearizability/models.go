@@ -122,9 +122,12 @@ func (s plainState) Apply(op history.Op) (State, bool) {
 // Key implements State.
 func (s plainState) Key() string { return fmt.Sprintf("%d", s.cur) }
 
-// SnapshotModel is the sequential specification of an n-component snapshot
-// with per-component single writers: update(i, v) encoded as Call "update"
-// with Proc = i and Arg = v; scans return the component vector.
+// SnapshotModel is the sequential specification of an n-component auditable
+// snapshot with per-component single writers: update(i, v) encoded as Call
+// "update" with Proc = i and Arg = v; scans return the component vector in
+// OutVec and, in Out, the history's name for that vector (equal vectors,
+// equal names); an audit returns exactly the pairs (scanner, name) of the
+// scans linearized before it.
 type SnapshotModel struct {
 	// N is the component count.
 	N int
@@ -132,11 +135,12 @@ type SnapshotModel struct {
 
 // Init implements Model.
 func (m SnapshotModel) Init() State {
-	return snapState{view: make([]uint64, m.N)}
+	return snapState{view: make([]uint64, m.N), pairs: map[history.Pair]struct{}{}}
 }
 
 type snapState struct {
-	view []uint64
+	view  []uint64
+	pairs map[history.Pair]struct{}
 }
 
 // Apply implements State.
@@ -149,7 +153,7 @@ func (s snapState) Apply(op history.Op) (State, bool) {
 		next := make([]uint64, len(s.view))
 		copy(next, s.view)
 		next[op.Proc] = op.Arg
-		return snapState{view: next}, true
+		return snapState{view: next, pairs: s.pairs}, true
 	case "scan":
 		if len(op.OutVec) != len(s.view) {
 			return nil, false
@@ -159,11 +163,15 @@ func (s snapState) Apply(op history.Op) (State, bool) {
 				return nil, false
 			}
 		}
-		return s, true
+		next := clonePairs(s.pairs)
+		next[history.Pair{Reader: op.Proc, Value: op.Out}] = struct{}{}
+		return snapState{view: s.view, pairs: next}, true
+	case "audit":
+		return s, samePairSet(s.pairs, op.OutSet)
 	default:
 		return nil, false
 	}
 }
 
 // Key implements State.
-func (s snapState) Key() string { return fmt.Sprint(s.view) }
+func (s snapState) Key() string { return fmt.Sprintf("%v|%s", s.view, pairSetKey(s.pairs)) }

@@ -19,10 +19,11 @@ import (
 // makes scan wait-free after at most n+1 double collects).
 //
 // Construct with NewAfek. Scan may be called by any number of goroutines;
-// Update(i, ...) must only be called by component i's designated writer (use
-// Updater handles to enforce this).
+// component i is written through its Updater handle, by one goroutine at a
+// time.
 type Afek[V any] struct {
-	regs []atomic.Pointer[afekCell[V]]
+	regs    []atomic.Pointer[afekCell[V]]
+	borrows atomic.Uint64 // scans that took the moved-twice path; read by tests only
 }
 
 type afekCell[V any] struct {
@@ -50,86 +51,83 @@ func NewAfek[V any](n int, initial V) (*Afek[V], error) {
 // Components returns the number of components n.
 func (s *Afek[V]) Components() int { return len(s.regs) }
 
-// Scan returns an atomic view of all components.
+// Scan returns an atomic view of all components. Any goroutine may call it,
+// so it brings its own working memory; a writer scans through its handle.
 func (s *Afek[V]) Scan() []V {
 	n := len(s.regs)
-	moved := make([]uint8, n)
-	c1 := s.collect()
-	for {
-		c2 := s.collect()
-		if sameCollect(c1, c2) {
-			// Clean double collect: the memory was still in between,
-			// so the values form an atomic view.
-			out := make([]V, n)
-			for i, c := range c2 {
-				out[i] = c.val
-			}
-			return out
-		}
-		for i := range c1 {
-			if c1[i].seq != c2[i].seq {
-				if moved[i] > 0 {
-					// Component i moved twice during this scan:
-					// its writer completed a full update — and
-					// hence a full embedded scan — inside our
-					// interval. Borrow it.
-					out := make([]V, n)
-					copy(out, c2[i].view)
-					return out
-				}
-				moved[i]++
-			}
-		}
-		c1 = c2
-	}
-}
-
-// Update sets component i to v. Must be called only by component i's single
-// designated writer.
-func (s *Afek[V]) Update(i int, v V) error {
-	if i < 0 || i >= len(s.regs) {
-		return fmt.Errorf("snapshot: component %d out of range [0, %d)", i, len(s.regs))
-	}
-	view := s.Scan() // the embedded scan that enables helping
-	cur := s.regs[i].Load()
-	s.regs[i].Store(&afekCell[V]{val: v, seq: cur.seq + 1, view: view})
-	return nil
-}
-
-func (s *Afek[V]) collect() []*afekCell[V] {
-	out := make([]*afekCell[V], len(s.regs))
-	for i := range s.regs {
-		out[i] = s.regs[i].Load()
-	}
+	out := make([]V, n)
+	(&Updater[V]{s: s, cells: make([]*afekCell[V], 2*n), moved: make([]uint8, n)}).ScanInto(out)
 	return out
 }
 
-func sameCollect[V any](a, b []*afekCell[V]) bool {
-	for i := range a {
-		if a[i].seq != b[i].seq {
-			return false
-		}
+func (s *Afek[V]) collect(into []*afekCell[V]) {
+	for i := range s.regs {
+		into[i] = s.regs[i].Load()
 	}
-	return true
 }
 
-// Updater is the single-writer handle for one component; it enforces the
-// single-writer-per-component discipline of the object.
+// Updater is the single-writer handle for one component. Being
+// single-threaded already, it owns the working memory of its scans for its
+// lifetime, so that an update allocates only what it publishes.
 type Updater[V any] struct {
-	s *Afek[V]
-	i int
+	s     *Afek[V]
+	i     int
+	cells []*afekCell[V] // the two collects of the current double collect
+	moved []uint8        // how often each component was seen to move
 }
 
 // Updater returns the write handle for component i.
-func (s *Afek[V]) Updater(i int) (*Updater[V], error) {
-	if i < 0 || i >= len(s.regs) {
-		return nil, fmt.Errorf("snapshot: component %d out of range [0, %d)", i, len(s.regs))
+func (s *Afek[V]) Updater(i int) (StoreUpdater[V], error) {
+	n := len(s.regs)
+	if i < 0 || i >= n {
+		return nil, fmt.Errorf("snapshot: component %d out of range [0, %d)", i, n)
 	}
-	return &Updater[V]{s: s, i: i}, nil
+	return &Updater[V]{s: s, i: i, cells: make([]*afekCell[V], 2*n), moved: make([]uint8, n)}, nil
 }
 
-// Component returns the component index this handle writes.
-func (u *Updater[V]) Component() int { return u.i }
+// Update sets the component to v. The embedded scan that enables helping is
+// written into a fresh view every time: scanners that borrow it may still be
+// copying it out when this handle's next update runs.
+func (u *Updater[V]) Update(v V) {
+	view := make([]V, len(u.s.regs))
+	u.ScanInto(view)
+	reg := &u.s.regs[u.i]
+	reg.Store(&afekCell[V]{val: v, seq: reg.Load().seq + 1, view: view})
+}
 
-// Update sets the component to v.
-func (u *Updater[V]) Update(v V) { _ = u.s.Update(u.i, v) }
+// ScanInto writes an atomic view of all components into dst, of length n.
+func (u *Updater[V]) ScanInto(dst []V) {
+	s, n := u.s, len(u.moved)
+	c1, c2 := u.cells[:n], u.cells[n:]
+	clear(u.moved)
+	s.collect(c1)
+	for {
+		s.collect(c2)
+		clean := true
+		for i := range c1 {
+			if c1[i].seq == c2[i].seq {
+				continue
+			}
+			clean = false
+			if u.moved[i] > 0 {
+				// Component i moved twice during this scan: its
+				// writer completed a full update — and hence a
+				// full embedded scan — inside our interval.
+				// Borrow it.
+				copy(dst, c2[i].view)
+				s.borrows.Add(1)
+				return
+			}
+			u.moved[i]++
+		}
+		if clean {
+			// Clean double collect: the memory was still in between,
+			// so the values form an atomic view.
+			for i, c := range c2 {
+				dst[i] = c.val
+			}
+			return
+		}
+		c1, c2 = c2, c1
+	}
+}

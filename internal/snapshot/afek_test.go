@@ -20,8 +20,8 @@ func TestAfekValidation(t *testing.T) {
 	if s.Components() != 3 {
 		t.Fatalf("Components = %d", s.Components())
 	}
-	if err := s.Update(3, 0); err == nil {
-		t.Error("out-of-range update accepted")
+	if _, err := s.Updater(3); err == nil {
+		t.Error("out-of-range updater accepted")
 	}
 	if _, err := s.Updater(-1); err == nil {
 		t.Error("negative updater accepted")
@@ -79,6 +79,11 @@ func TestQuickAfekMatchesLocked(t *testing.T) {
 		if err != nil {
 			return false
 		}
+		var au, lu [n]snapshot.StoreUpdater[uint64]
+		for i := range au {
+			au[i], _ = afek.Updater(i)
+			lu[i], _ = locked.Updater(i)
+		}
 		for _, o := range ops {
 			if o.Scan {
 				a, l := afek.Scan(), locked.Scan()
@@ -90,12 +95,8 @@ func TestQuickAfekMatchesLocked(t *testing.T) {
 				continue
 			}
 			i := int(o.Comp) % n
-			if err := afek.Update(i, uint64(o.Val)); err != nil {
-				return false
-			}
-			if err := locked.Update(i, uint64(o.Val)); err != nil {
-				return false
-			}
+			au[i].Update(uint64(o.Val))
+			lu[i].Update(uint64(o.Val))
 		}
 		return true
 	}

@@ -3,6 +3,7 @@ package snapshot
 import (
 	"fmt"
 	"hash/maphash"
+	"unsafe"
 
 	"auditreg/internal/core"
 	"auditreg/internal/handle"
@@ -11,14 +12,22 @@ import (
 )
 
 // Store is the substrate snapshot interface of Algorithm 3: any linearizable,
-// wait-free snapshot object (Afek by default, Locked for cross-checking).
+// wait-free snapshot object (Afek by default, Locked for cross-checking), as
+// Algorithm 3 reaches it — through its writers' handles.
 type Store[V any] interface {
-	// Scan returns an atomic view of all components.
-	Scan() []V
-	// Update sets component i to v (single writer per component).
-	Update(i int, v V) error
-	// Components returns the number of components.
-	Components() int
+	// Updater returns component i's writer handle (single writer per
+	// component: one goroutine at a time uses it).
+	Updater(i int) (StoreUpdater[V], error)
+}
+
+// StoreUpdater is one component's writer handle on a Store. The writer also
+// scans through it, so that the scan can work in memory the handle owns.
+type StoreUpdater[V any] interface {
+	// Update sets the component to v.
+	Update(v V)
+	// ScanInto writes an atomic view of all components into dst, which
+	// has length n.
+	ScanInto(dst []V)
 }
 
 var (
@@ -40,9 +49,16 @@ type comp[V comparable] struct {
 // along the linearization of S, so any two views with the same vn have equal
 // content.
 type view[V comparable] struct {
-	vn   uint64
-	data *[]V
+	vn uint64
+	// data points at the first of the view's n components. A slice would
+	// make view incomparable and a pointer to one costs a second
+	// allocation per update; every holder knows the object's n.
+	data *V
 }
+
+// slice returns the view's n components: v.data is &s[0] of an s made with
+// length n, here or in NewAuditable. Read-only.
+func (v view[V]) slice(n int) []V { return unsafe.Slice(v.data, n) }
 
 // ViewEntry is one audited snapshot access: the scanner and the view it
 // effectively obtained.
@@ -72,7 +88,6 @@ type Auditable[V comparable] struct {
 type AuditableOption[V comparable] func(*auditableConfig[V])
 
 type auditableConfig[V comparable] struct {
-	store    Store[comp[V]]
 	locked   bool
 	capacity int
 }
@@ -115,7 +130,7 @@ func NewAuditable[V comparable](n, m int, initial V, pads otp.PadSource, opts ..
 	for i := range initData {
 		initData[i] = initial
 	}
-	initView := view[V]{vn: 0, data: &initData}
+	initView := view[V]{vn: 0, data: &initData[0]}
 	mreg, err := core.NewMaxRegister(m, initView,
 		func(a, b view[V]) bool { return a.vn < b.vn },
 		pads,
@@ -136,9 +151,10 @@ func (reg *Auditable[V]) Scanners() int { return reg.m }
 // SnapUpdater is the single-writer update handle for one component
 // (Algorithm 3 lines 1-5). Not safe for concurrent use.
 type SnapUpdater[V comparable] struct {
-	reg   *Auditable[V]
 	i     int
 	sn    uint64
+	s     StoreUpdater[comp[V]]
+	sview []comp[V] // line 3's scan result; looked at, never published
 	mw    *core.MaxWriter[view[V]]
 	pid   int
 	probe probe.Probe
@@ -155,7 +171,16 @@ func (reg *Auditable[V]) Updater(i int, nonces otp.NonceSource, opts ...core.Han
 	if err != nil {
 		return nil, err
 	}
-	return &SnapUpdater[V]{reg: reg, i: i, mw: mw, pid: cfg.PID, probe: cfg.Probe}, nil
+	s, err := reg.s.Updater(i)
+	if err != nil {
+		return nil, err
+	}
+	// sn_i resumes from the component's tag in S: a handle that restarted
+	// it at 0 would publish version numbers M has already passed, and M
+	// would drop its views.
+	sview := make([]comp[V], reg.n)
+	s.ScanInto(sview)
+	return &SnapUpdater[V]{i: i, sn: sview[i].sn, s: s, sview: sview, mw: mw, pid: cfg.PID, probe: cfg.Probe}, nil
 }
 
 // Component returns the component index this handle updates.
@@ -164,30 +189,28 @@ func (u *SnapUpdater[V]) Component() int { return u.i }
 // Update sets component i to v: bump the local sequence number, install the
 // tagged value in S, scan S, and publish (version, view) to M (lines 2-5).
 func (u *SnapUpdater[V]) Update(v V) error {
-	reg := u.reg
-
 	// Line 2: sn_i++ ; S.update_i((sn_i, v)).
 	u.sn++
 	u.probe.Emit(probe.Event{PID: u.pid, Kind: probe.Invoke, Prim: probe.SUpdate})
-	if err := reg.s.Update(u.i, comp[V]{sn: u.sn, val: v}); err != nil {
-		return err
-	}
+	u.s.Update(comp[V]{sn: u.sn, val: v})
 	u.probe.Emit(probe.Event{PID: u.pid, Kind: probe.Return, Prim: probe.SUpdate})
 
 	// Line 3: sview <- S.scan(); vn <- sum of sequence tags.
 	u.probe.Emit(probe.Event{PID: u.pid, Kind: probe.Invoke, Prim: probe.SScan})
-	sview := reg.s.Scan()
+	u.s.ScanInto(u.sview)
 	u.probe.Emit(probe.Event{PID: u.pid, Kind: probe.Return, Prim: probe.SScan})
 
+	// The stripped view is what M publishes and scanners and auditors
+	// keep: the one thing this update allocates itself.
 	var vn uint64
-	data := make([]V, len(sview))
-	for k, c := range sview {
+	data := make([]V, len(u.sview))
+	for k, c := range u.sview {
 		vn += c.sn
 		data[k] = c.val // line 4: strip the tags
 	}
 
 	// Line 5: M.writeMax((vn, view)).
-	return u.mw.WriteMax(view[V]{vn: vn, data: &data})
+	return u.mw.WriteMax(view[V]{vn: vn, data: &data[0]})
 }
 
 // SnapScanner is the per-process scan handle (Algorithm 3 lines 6-7): a scan
@@ -196,6 +219,7 @@ func (u *SnapUpdater[V]) Update(v V) error {
 type SnapScanner[V comparable] struct {
 	mr *core.Reader[view[V]]
 	j  int
+	n  int
 }
 
 // Scanner returns the handle for scanner j (0 <= j < m). Not safe for
@@ -205,7 +229,7 @@ func (reg *Auditable[V]) Scanner(j int, opts ...core.HandleOption) (*SnapScanner
 	if err != nil {
 		return nil, err
 	}
-	return &SnapScanner[V]{mr: mr, j: j}, nil
+	return &SnapScanner[V]{mr: mr, j: j, n: reg.n}, nil
 }
 
 // Index returns the scanner's index j.
@@ -213,9 +237,9 @@ func (sc *SnapScanner[V]) Index() int { return sc.j }
 
 // Scan returns an atomic view of the snapshot.
 func (sc *SnapScanner[V]) Scan() []V {
-	v := sc.mr.Read()
-	out := make([]V, len(*v.data))
-	copy(out, *v.data)
+	v := sc.mr.Read().slice(sc.n)
+	out := make([]V, len(v))
+	copy(out, v)
 	return out
 }
 
@@ -226,6 +250,7 @@ func (sc *SnapScanner[V]) Scan() []V {
 // list, so an audit costs what M's auditor found new.
 type SnapAuditor[V comparable] struct {
 	ma     *core.Auditor[view[V]]
+	n      int
 	folded int            // entries of M's cumulative report already in out
 	out    []ViewEntry[V] // distinct by (scanner, view content); append-only
 	// index is an open-addressed table of 1+position into out (0: empty),
@@ -233,11 +258,17 @@ type SnapAuditor[V comparable] struct {
 	// content dedup costs, where a Go map would cost an entry.
 	index []uint32
 	seed  maphash.Seed
+	// The last view hashed and its content hash. M's report lists a
+	// version's scanners in consecutive rows that carry one view, and out
+	// keeps that order, so a view is hashed once per version and each of
+	// its rows mixes in only the scanner.
+	hashed  *V
+	content uint64
 }
 
 // Auditor returns an auditor handle with its own cumulative audit set.
 func (reg *Auditable[V]) Auditor(opts ...core.HandleOption) *SnapAuditor[V] {
-	return &SnapAuditor[V]{ma: reg.mreg.Auditor(opts...), seed: maphash.MakeSeed()}
+	return &SnapAuditor[V]{ma: reg.mreg.Auditor(opts...), n: reg.n, seed: maphash.MakeSeed()}
 }
 
 // Audit reports the set of (scanner, view) pairs such that the scanner has an
@@ -251,7 +282,7 @@ func (a *SnapAuditor[V]) Audit() ([]ViewEntry[V], error) {
 		return nil, err
 	}
 	for _, e := range rep.From(a.folded) {
-		a.add(ViewEntry[V]{Reader: e.Reader, View: *e.Value.data})
+		a.add(ViewEntry[V]{Reader: e.Reader, View: e.Value.slice(a.n)})
 	}
 	a.folded = rep.Len()
 	return a.out[:len(a.out):len(a.out)], nil
@@ -274,14 +305,16 @@ func (a *SnapAuditor[V]) add(e ViewEntry[V]) {
 // slot returns e's place in the index: where it sits, or the empty slot its
 // probe sequence ends at.
 func (a *SnapAuditor[V]) slot(e ViewEntry[V]) int {
-	var h maphash.Hash
-	h.SetSeed(a.seed)
-	maphash.WriteComparable(&h, e.Reader)
-	for _, x := range e.View {
-		maphash.WriteComparable(&h, x)
+	if p := &e.View[0]; p != a.hashed {
+		var h maphash.Hash
+		h.SetSeed(a.seed)
+		for _, x := range e.View {
+			maphash.WriteComparable(&h, x)
+		}
+		a.hashed, a.content = p, h.Sum64()
 	}
 	mask := len(a.index) - 1
-	i := int(h.Sum64()) & mask
+	i := int(a.content^uint64(e.Reader)*0x9e3779b97f4a7c15) & mask
 	for a.index[i] != 0 && !sameViewEntry(a.out[a.index[i]-1], e) {
 		i = (i + 1) & mask
 	}

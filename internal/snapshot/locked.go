@@ -30,20 +30,35 @@ func (s *Locked[V]) Components() int { return len(s.state) }
 
 // Scan returns an atomic view of all components.
 func (s *Locked[V]) Scan() []V {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	out := make([]V, len(s.state))
-	copy(out, s.state)
+	(&LockedUpdater[V]{s: s}).ScanInto(out)
 	return out
 }
 
-// Update sets component i to v.
-func (s *Locked[V]) Update(i int, v V) error {
+// LockedUpdater is the write handle for one component of a Locked snapshot.
+type LockedUpdater[V any] struct {
+	s *Locked[V]
+	i int
+}
+
+// Updater returns the write handle for component i.
+func (s *Locked[V]) Updater(i int) (StoreUpdater[V], error) {
 	if i < 0 || i >= len(s.state) {
-		return fmt.Errorf("snapshot: component %d out of range [0, %d)", i, len(s.state))
+		return nil, fmt.Errorf("snapshot: component %d out of range [0, %d)", i, len(s.state))
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.state[i] = v
-	return nil
+	return &LockedUpdater[V]{s: s, i: i}, nil
+}
+
+// Update sets the component to v.
+func (u *LockedUpdater[V]) Update(v V) {
+	u.s.mu.Lock()
+	defer u.s.mu.Unlock()
+	u.s.state[u.i] = v
+}
+
+// ScanInto writes an atomic view of all components into dst, of length n.
+func (u *LockedUpdater[V]) ScanInto(dst []V) {
+	u.s.mu.Lock()
+	defer u.s.mu.Unlock()
+	copy(dst, u.s.state)
 }
