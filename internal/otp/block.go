@@ -113,20 +113,28 @@ func (p *BlockPads) Mask(s uint64) uint64 {
 	return blk.masks[s%MasksPerBlock] & p.maskM
 }
 
-// derive computes the block for index b: one SHA-256 over 41 bytes (a single
-// compression-function call), cut into four little-endian words.
+// derive computes the block for index b, to be cached in the window.
 func (p *BlockPads) derive(b uint64) *padBlock {
+	return &padBlock{idx: b, masks: p.Block(b)}
+}
+
+// Block returns the four masks of block b — Mask(4b) .. Mask(4b+3) — by
+// value, past the window: one SHA-256 over 41 bytes (a single
+// compression-function call), cut into four little-endian words. A
+// sequential pass that visits every block once (a recovery scan) gains
+// nothing from a cached block and would pay one allocation for each.
+func (p *BlockPads) Block(b uint64) [MasksPerBlock]uint64 {
 	p.derivations.Add(1)
 	var buf [41]byte
 	copy(buf[:32], p.key[:])
 	binary.LittleEndian.PutUint64(buf[32:40], b)
 	buf[40] = blockDomain
 	sum := sha256.Sum256(buf[:])
-	blk := &padBlock{idx: b}
-	for i := range blk.masks {
-		blk.masks[i] = binary.LittleEndian.Uint64(sum[8*i:])
+	var masks [MasksPerBlock]uint64
+	for i := range masks {
+		masks[i] = binary.LittleEndian.Uint64(sum[8*i:]) & p.maskM
 	}
-	return blk
+	return masks
 }
 
 // PadCache is a small direct-mapped per-handle memo in front of a PadSource.

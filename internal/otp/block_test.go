@@ -94,6 +94,27 @@ func TestBlockPadsRespectWidth(t *testing.T) {
 	}
 }
 
+// TestBlockIsFourMasks: Block(b), the uncached whole-block read, is exactly
+// Mask(4b) .. Mask(4b+3), at any reader width.
+func TestBlockIsFourMasks(t *testing.T) {
+	t.Parallel()
+	f := func(seed uint64, mRaw uint8, b uint32) bool {
+		p, err := otp.NewBlockPads(otp.KeyFromSeed(seed), int(mRaw)%otp.MaxReaders+1)
+		if err != nil {
+			return false
+		}
+		for i, mask := range p.Block(uint64(b)) {
+			if mask != p.Mask(uint64(b)*otp.MasksPerBlock+uint64(i)) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestBlockPadsDisjointFromKeyedPads: under the same key, the block-derived
 // sequence must be unrelated to the legacy per-sequence-number sequence — the
 // domain byte keeps their digest inputs disjoint.

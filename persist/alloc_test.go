@@ -28,20 +28,34 @@ func TestFrameEncodeAllocationBound(t *testing.T) {
 	}
 }
 
-// TestFrameDecodeAllocationBound pins the recovery-side decode cost: one
-// allocation for the decrypted body copy and one for the record's name
-// string — nothing proportional to scan length beyond the records
-// themselves.
+// TestFrameDecodeAllocationBound pins the recovery-side decode cost: a frame
+// is decrypted into the decoder's own buffer against a pad block held by
+// value, so the one allocation left is the record's name string — and a
+// scan that interns names against its model (the second case) has none.
 func TestFrameDecodeAllocationBound(t *testing.T) {
 	ps := newPadStream(testKey(), &fuzzNonce)
 	rec := Record{Op: OpFetch, Name: "acct/0000001", Kind: uint8(store.Register), Reader: 3, Seq: 9, Value: 0xA1B2}
 	frame := appendFrame(nil, ps, int64(headerLen), 7, &rec)
-	if n := testing.AllocsPerRun(1000, func() {
-		got, lsn, rest, err := parseFrame(frame, ps, int64(headerLen))
-		if err != nil || lsn != 7 || len(rest) != 0 || got.Name != rec.Name {
-			t.Fatalf("parse: %v %d %d", err, lsn, len(rest))
+	m := newRecoverModel()
+	if err := m.add(&rec); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		intern func([]byte) string
+		bound  float64
+	}{
+		{"fresh names", freshName, 1},
+		{"interned names", m.intern, 0},
+	} {
+		d := &frameDecoder{ps: ps, intern: tc.intern}
+		if n := testing.AllocsPerRun(1000, func() {
+			got, lsn, rest, err := d.parseFrame(frame, int64(headerLen))
+			if err != nil || lsn != 7 || len(rest) != 0 || got != rec {
+				t.Fatalf("parse: %v %d %d %+v", err, lsn, len(rest), got)
+			}
+		}); n > tc.bound {
+			t.Errorf("%s: frame decode allocated %v times per run, want <= %v", tc.name, n, tc.bound)
 		}
-	}); n > 2 {
-		t.Fatalf("frame decode allocated %v times per run, want <= 2 (body copy + name)", n)
 	}
 }

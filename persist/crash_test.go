@@ -84,7 +84,7 @@ func modelPairs(t *testing.T, dir string) map[string]pairSet {
 	return out
 }
 
-func copyDir(t *testing.T, src, dst string) {
+func copyDir(t testing.TB, src, dst string) {
 	t.Helper()
 	entries, err := os.ReadDir(src)
 	if err != nil {

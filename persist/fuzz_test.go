@@ -52,7 +52,8 @@ func FuzzWALRecord(f *testing.F) {
 	}
 	ps := newPadStream(fuzzKey(), &fuzzNonce)
 	f.Fuzz(func(t *testing.T, b []byte) {
-		rec, lsn, rest, err := parseFrame(b, ps, 0)
+		d := frameDecoder{ps: ps, intern: freshName}
+		rec, lsn, rest, err := d.parseFrame(b, 0)
 		if err != nil {
 			if errors.Is(err, errTornFrame) && len(b) >= maxFrame {
 				t.Fatalf("%d bytes reported as torn frame", len(b))
@@ -95,7 +96,7 @@ func tailSeeds(fx tailFixture) []tailSeed {
 	}
 }
 
-// FuzzSegmentTail fuzzes the tail classifier — the part of readRecordFile
+// FuzzSegmentTail fuzzes the tail classifier — the part of scanRecords
 // that decides whether what follows the last good frame is the end of the
 // log, a torn write to discard, or corruption to halt on. The input is laid
 // behind a valid two-frame prefix, zero padding behind it. Whatever it is,
@@ -168,13 +169,13 @@ func TestWriteSeedCorpus(t *testing.T) {
 // TestFuzzSeedsParse pins that every checked-in seed is a valid frame (the
 // fuzzer's corpus must start from the accepting path).
 func TestFuzzSeedsParse(t *testing.T) {
-	ps := newPadStream(fuzzKey(), &fuzzNonce)
+	d := frameDecoder{ps: newPadStream(fuzzKey(), &fuzzNonce), intern: freshName}
 	for i, seed := range fuzzSeeds() {
 		rest := seed
 		for len(rest) > 0 {
 			off := int64(len(seed) - len(rest))
 			var err error
-			_, _, rest, err = parseFrame(rest, ps, off)
+			_, _, rest, err = d.parseFrame(rest, off)
 			if err != nil {
 				t.Fatalf("seed %d does not parse: %v", i, err)
 			}

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"sync"
 
 	"auditreg"
 	"auditreg/store"
@@ -35,22 +36,25 @@ type RecoverResult struct {
 	UnknownFiles []string
 }
 
-// stripeBoot is what recovery hands each stripe group before its writer
-// starts: where its LSN space continues, and its crashed active segment (if
-// any) awaiting a rewrite.
-type stripeBoot struct {
-	nextLSN    uint64
-	activeFR   *fileRecords
-	activeBase uint64
-	activeName string
+// stripeRecovery is what one stripe's recovery goroutine hands back: the
+// content of its files, what it counted on the way, and the covered files a
+// crash kept from being deleted. No other stripe sees it before the join.
+type stripeRecovery struct {
+	model       *recoverModel
+	segments    int
+	snapshotCut uint64
+	tornBytes   int64
+	stale       []string
+	err         error
 }
 
 // Open recovers the data directory into st — which must be fresh and
 // journal-less — and returns a running WAL ready to be attached with
 // st.SetJournal. A directory that cannot be replayed exactly (corrupt
 // snapshot, corrupt sealed segment, impossible record structure) fails with
-// an explicit error; the only damage Open repairs silently is a torn tail
-// at the end of each stripe's active segment, whose byte count it reports.
+// an explicit error — when several stripes are damaged, the lowest one's —
+// and the only damage Open repairs silently is a torn tail at the end of
+// each stripe's active segment, whose byte count it reports.
 //
 // The directory is created if absent and held under an advisory lock for
 // the WAL's lifetime (released by Close, or by the operating system on
@@ -75,6 +79,10 @@ func Open(dir string, key auditreg.Key, st *store.Store[uint64], opts Options) (
 	return w, res, nil
 }
 
+// open is recovery proper. The stripes recover side by side, a goroutine
+// each (recoverStripe), sharing nothing; open waits for all of them whatever
+// happens to any, joins their models in stripe order, replays the objects
+// (replayInto) and only then, after one directory sync, starts the writers.
 func open(dir string, key auditreg.Key, st *store.Store[uint64], opts Options, lock *os.File) (*WAL, *RecoverResult, error) {
 	ds, err := readDir(dir)
 	if err != nil {
@@ -90,139 +98,16 @@ func open(dir string, key auditreg.Key, st *store.Store[uint64], opts Options, l
 		}
 		opts.Stripes = pinned
 	}
-	res := &RecoverResult{UnknownFiles: ds.others, Stripes: opts.Stripes}
-	model := newRecoverModel()
-	var stale []string // fully covered files to delete after replay
-	boots := make([]stripeBoot, opts.Stripes)
-
-	// Scan each stripe: seed from its newest snapshot — which must be
-	// complete: it was published by an atomic rename and sealed, so
-	// anything less is corruption, and the segments it replaced are gone —
-	// then its segment tail. Every record lands in ONE shared model: the
-	// model is order-insensitive per object, and one object's records all
-	// live in one stripe, so the cross-stripe merge is exactly the
-	// single-log replay re-partitioned.
-	for sid := range boots {
-		b := &boots[sid]
-		b.nextLSN = 1
-		var cut uint64
-		if snaps := ds.snapshots[sid]; len(snaps) > 0 {
-			newest := snaps[len(snaps)-1]
-			cut = newest.meta
-			path := filepath.Join(dir, newest.name)
-			fr, err := readRecordFile(path, snapMagic, key)
-			if err != nil {
-				return nil, nil, err
-			}
-			if !fr.sealed || fr.tornBytes > 0 {
-				return nil, nil, fmt.Errorf("persist: snapshot %s is not sealed", path)
-			}
-			for i := range fr.recs {
-				if err := model.add(&fr.recs[i]); err != nil {
-					return nil, nil, fmt.Errorf("%s: %w", path, err)
-				}
-			}
-			if cut > res.SnapshotCut {
-				res.SnapshotCut = cut
-			}
-			if cut > b.nextLSN {
-				b.nextLSN = cut
-			}
-			for _, old := range snaps[:len(snaps)-1] {
-				stale = append(stale, old.name)
-			}
-		}
-
-		// The stripe's segment tail. Segments below the cut are fully
-		// covered by the snapshot (a crash interrupted their deletion);
-		// every tail segment but the last must be sealed; the last may end
-		// in a torn tail.
-		var tail []walFile
-		for _, sf := range ds.segments[sid] {
-			if sf.meta < cut {
-				stale = append(stale, sf.name)
-				continue
-			}
-			tail = append(tail, sf)
-		}
-		for i, sf := range tail {
-			path := filepath.Join(dir, sf.name)
-			fr, err := readRecordFile(path, segMagic, key)
-			if err != nil {
-				return nil, nil, err
-			}
-			last := i == len(tail)-1
-			if !last && (!fr.sealed || fr.tornBytes > 0) {
-				return nil, nil, fmt.Errorf("persist: non-final segment %s is not sealed", path)
-			}
-			res.Segments++
-			if sf.meta > b.nextLSN {
-				b.nextLSN = sf.meta
-			}
-			for k := range fr.recs {
-				if err := model.add(&fr.recs[k]); err != nil {
-					return nil, nil, fmt.Errorf("%s: %w", path, err)
-				}
-				if fr.lsns[k] >= b.nextLSN {
-					b.nextLSN = fr.lsns[k] + 1
-				}
-			}
-			if fr.sealed {
-				// The seal record consumed an LSN too.
-				b.nextLSN++
-			}
-			if last {
-				res.TornBytes += fr.tornBytes
-				if !fr.sealed {
-					frCopy := fr
-					b.activeFR = &frCopy
-					b.activeBase = sf.meta
-					b.activeName = sf.name
-				}
-			}
-		}
-	}
-	res.Records = model.records
-
-	stats, err := model.replayInto(st)
-	if err != nil {
-		return nil, nil, err
-	}
-	res.Replay = stats
-	seqBase := make(map[string]uint64, len(model.objects))
-	for name, om := range model.objects {
-		if om.maxSeq > 0 {
-			seqBase[name] = om.maxSeq
-		}
-	}
-	for name := range model.audited {
-		res.AuditedNames = append(res.AuditedNames, name)
-	}
-	sort.Strings(res.AuditedNames)
-
-	// Finish any interrupted cleanup before going live.
-	for _, name := range stale {
-		if err := os.Remove(filepath.Join(dir, name)); err != nil && !os.IsNotExist(err) {
-			return nil, nil, err
-		}
-	}
-	if len(stale) > 0 {
-		if err := syncDir(dir); err != nil {
-			return nil, nil, err
-		}
-	}
-
 	w := &WAL{
-		dir:     dir,
-		key:     key,
-		opts:    opts,
-		lock:    lock,
-		gmask:   uint64(opts.Stripes - 1),
-		stopc:   make(chan struct{}),
-		killc:   make(chan struct{}),
-		seqBase: seqBase,
+		dir:    dir,
+		key:    key,
+		opts:   opts,
+		lock:   lock,
+		gmask:  uint64(opts.Stripes - 1),
+		stopc:  make(chan struct{}),
+		killc:  make(chan struct{}),
+		groups: make([]*walStripe, opts.Stripes),
 	}
-	w.groups = make([]*walStripe, opts.Stripes)
 	fail := func(err error) (*WAL, *RecoverResult, error) {
 		for _, s := range w.groups {
 			if s != nil && s.active != nil {
@@ -231,31 +116,55 @@ func open(dir string, key auditreg.Key, st *store.Store[uint64], opts Options, l
 		}
 		return nil, nil, err
 	}
-	for sid := range w.groups {
-		s := newStripe(w, sid)
-		b := &boots[sid]
-		s.nextLSN = b.nextLSN
-		if b.activeFR != nil {
-			// The crashed run's active segment is never appended to again:
-			// its torn tail may hold a partial frame whose keystream prefix
-			// already reached an attacker's disk image, so reusing its
-			// (nonce, lsn) stream would be a two-time pad. Rewrite the valid
-			// records into a sealed replacement under a fresh nonce (atomic
-			// rename), or drop the file entirely when it holds none, and
-			// start a fresh segment.
-			path := filepath.Join(dir, b.activeName)
-			if len(b.activeFR.recs) > 0 {
-				if err := writeSealedFile(dir, b.activeName, segMagic, b.activeBase, key, b.activeFR.recs, b.activeFR.lsns); err != nil {
-					return fail(err)
-				}
-			} else if err := os.Remove(path); err != nil {
-				return fail(err)
-			}
+
+	recs := make([]stripeRecovery, opts.Stripes)
+	var wg sync.WaitGroup
+	for sid := range recs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			recs[sid].err = w.recoverStripe(sid, &ds, &recs[sid])
+		}()
+	}
+	wg.Wait()
+
+	res := &RecoverResult{UnknownFiles: ds.others, Stripes: opts.Stripes}
+	var stale []string // fully covered files to delete after replay
+	for sid := range recs {
+		r := &recs[sid]
+		if r.err != nil {
+			return fail(r.err)
 		}
-		if err := s.openSegment(s.nextLSN); err != nil {
+		res.Records += r.model.records
+		res.Segments += r.segments
+		res.SnapshotCut = max(res.SnapshotCut, r.snapshotCut)
+		res.TornBytes += r.tornBytes
+		stale = append(stale, r.stale...)
+		for name := range r.model.audited {
+			res.AuditedNames = append(res.AuditedNames, name)
+		}
+	}
+	sort.Strings(res.AuditedNames)
+
+	objs, err := joinModels(recs)
+	if err != nil {
+		return fail(err)
+	}
+	if res.Replay, err = replayInto(st, objs); err != nil {
+		return fail(err)
+	}
+	w.seqBase = make(map[string]uint64, len(objs))
+	for _, om := range objs {
+		if om.maxSeq > 0 {
+			w.seqBase[om.name] = om.maxSeq
+		}
+	}
+
+	// Finish any interrupted cleanup before going live.
+	for _, name := range stale {
+		if err := os.Remove(filepath.Join(dir, name)); err != nil && !os.IsNotExist(err) {
 			return fail(err)
 		}
-		w.groups[sid] = s
 	}
 	// One directory sync for the whole boot: every stripe's first segment
 	// (and any removal above) becomes durable before a writer starts.
@@ -266,6 +175,107 @@ func open(dir string, key auditreg.Key, st *store.Store[uint64], opts Options, l
 		s.start()
 	}
 	return w, res, nil
+}
+
+// recoverStripe is one stripe's recovery, on its own goroutine: seed the
+// stripe's model from its newest snapshot — which must be complete: it was
+// published by an atomic rename and sealed, so anything less is corruption,
+// and the segments it replaced are gone — stream its segment tail into the
+// same model, rewrite a crashed active segment, and open the stripe's first
+// segment of this run (w.groups[sid], nil on error). The model is
+// order-insensitive per object and one object's records all live in one
+// stripe, so the models laid end to end are the single-log replay exactly.
+func (w *WAL) recoverStripe(sid int, ds *dirState, out *stripeRecovery) error {
+	m := newRecoverModel()
+	out.model = m
+	nextLSN := uint64(1)
+	var cut uint64
+	if snaps := ds.snapshots[sid]; len(snaps) > 0 {
+		newest := snaps[len(snaps)-1]
+		cut = newest.meta
+		path := filepath.Join(w.dir, newest.name)
+		sc, err := m.addFile(path, snapMagic, w.key)
+		if err != nil {
+			return err
+		}
+		if !sc.sealed || sc.tornBytes > 0 {
+			return fmt.Errorf("persist: snapshot %s is not sealed", path)
+		}
+		out.snapshotCut = cut
+		nextLSN = max(nextLSN, cut)
+		for _, old := range snaps[:len(snaps)-1] {
+			out.stale = append(out.stale, old.name)
+		}
+	}
+
+	// The stripe's segment tail. Segments below the cut are fully covered by
+	// the snapshot (a crash interrupted their deletion); every tail segment
+	// but the last must be sealed; the last may end in a torn tail.
+	var tail []walFile
+	for _, sf := range ds.segments[sid] {
+		if sf.meta < cut {
+			out.stale = append(out.stale, sf.name)
+			continue
+		}
+		tail = append(tail, sf)
+	}
+	for i, sf := range tail {
+		path := filepath.Join(w.dir, sf.name)
+		img, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		out.segments++
+		nextLSN = max(nextLSN, sf.meta)
+		sc, err := scanRecords(path, img, segMagic, w.key, m.intern, func(rec Record, lsn uint64) error {
+			nextLSN = max(nextLSN, lsn+1)
+			return m.add(&rec)
+		})
+		if err != nil {
+			return err
+		}
+		if sc.sealed {
+			// The seal record consumed an LSN too.
+			nextLSN++
+			continue
+		}
+		if i < len(tail)-1 {
+			return fmt.Errorf("persist: non-final segment %s is not sealed", path)
+		}
+		// The crashed run's active segment: the one file whose records are
+		// kept, for the rewrite, by a second pass over its image.
+		out.tornBytes = sc.tornBytes
+		var recs []Record
+		var lsns []uint64
+		_, err = scanRecords(path, img, segMagic, w.key, m.intern, func(rec Record, lsn uint64) error {
+			recs, lsns = append(recs, rec), append(lsns, lsn)
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+		// The crashed run's active segment is never appended to again: its
+		// torn tail may hold a partial frame whose keystream prefix already
+		// reached an attacker's disk image, so reusing its (nonce, lsn)
+		// stream would be a two-time pad. Rewrite the valid records into a
+		// sealed replacement under a fresh nonce (atomic rename), or drop
+		// the file entirely when it holds none, and start a fresh segment.
+		if len(recs) > 0 {
+			if err := writeSealedFile(w.dir, sf.name, segMagic, sf.meta, w.key, recs, lsns); err != nil {
+				return err
+			}
+		} else if err := os.Remove(path); err != nil {
+			return err
+		}
+	}
+
+	s := newStripe(w, sid)
+	s.nextLSN = nextLSN
+	if err := s.openSegment(nextLSN); err != nil {
+		return err
+	}
+	w.groups[sid] = s
+	return nil
 }
 
 // Snapshot compacts the log, one stripe at a time: flush and seal the
@@ -330,17 +340,12 @@ func (s *walStripe) snapshot() (uint64, error) {
 	}
 	if prevCut > 0 {
 		path := filepath.Join(s.dir, prevName)
-		fr, err := readRecordFile(path, snapMagic, s.key)
+		sc, err := model.addFile(path, snapMagic, s.key)
 		if err != nil {
 			return 0, err
 		}
-		if !fr.sealed || fr.tornBytes > 0 {
+		if !sc.sealed || sc.tornBytes > 0 {
 			return 0, fmt.Errorf("persist: snapshot %s is not sealed", path)
-		}
-		for i := range fr.recs {
-			if err := model.add(&fr.recs[i]); err != nil {
-				return 0, fmt.Errorf("%s: %w", path, err)
-			}
 		}
 	}
 	for _, sf := range ds.snapshots[s.id] {
@@ -357,17 +362,12 @@ func (s *walStripe) snapshot() (uint64, error) {
 			continue // already inside the previous snapshot
 		}
 		path := filepath.Join(s.dir, sf.name)
-		fr, err := readRecordFile(path, segMagic, s.key)
+		sc, err := model.addFile(path, segMagic, s.key)
 		if err != nil {
 			return 0, err
 		}
-		if !fr.sealed || fr.tornBytes > 0 {
+		if !sc.sealed || sc.tornBytes > 0 {
 			return 0, fmt.Errorf("persist: segment %s is not sealed at snapshot time", path)
-		}
-		for i := range fr.recs {
-			if err := model.add(&fr.recs[i]); err != nil {
-				return 0, fmt.Errorf("%s: %w", path, err)
-			}
 		}
 	}
 

@@ -52,10 +52,20 @@
 // halts recovery with an explicit error; the only tolerated damage is a torn
 // tail at the very end of the active segment.
 //
+// Recovery is as wide as the log: every stripe recovers on a goroutine of its
+// own — its files streamed frame by frame into its own model, its crashed
+// tail rewritten, its first segment opened — and shares nothing until all
+// have returned; their models are then laid end to end (an object found in
+// two stripes' files halts) and their errors read in stripe order. From there
+// the store is the only shared object, used as serving uses it: objects are
+// opened one after the other, so the store is built in the same order every
+// time, then replayed by GOMAXPROCS workers, one object's operations in
+// sequence. What Open returns does not depend on the schedule.
+//
 // The active segment is preallocated a chunk ahead of its appends
 // (fallocate; see openSegment), so a crashed one ends in zeros; sealing
 // truncates them away, so sealed segments and snapshots are exactly their
-// records. The tail reads by one rule (readRecordFile): nothing but zeros is
+// records. The tail reads by one rule (scanRecords): nothing but zeros is
 // the clean end of the log; a last frame cut short — by the end of a file
 // that grows per append (no fallocate, or an older directory), or by zeros
 // running from a sector boundary inside the frame to the end of the file —

@@ -96,8 +96,10 @@ func (r *Record) appendPlain(dst []byte) []byte {
 	return dst
 }
 
-// decodePlain parses a record body. The body must be fully consumed.
-func decodePlain(b []byte) (Record, error) {
+// decodePlain parses a record body, which must be fully consumed. intern
+// makes the name's string (it may hold one for those bytes already); b is
+// not retained.
+func decodePlain(b []byte, intern func([]byte) string) (Record, error) {
 	var r Record
 	if len(b) < 3 {
 		return r, fmt.Errorf("persist: record body of %d bytes", len(b))
@@ -111,7 +113,7 @@ func decodePlain(b []byte) (Record, error) {
 	if len(b) < n {
 		return r, fmt.Errorf("persist: record name truncated")
 	}
-	r.Name = string(b[:n])
+	r.Name = intern(b[:n])
 	b = b[n:]
 	need := func(k int) bool { return len(b) >= k }
 	switch r.Op {
@@ -256,17 +258,46 @@ func appendFrame(dst []byte, ps padStream, off int64, lsn uint64, rec *Record) [
 // errTornFrame reports a frame cut short by the end of the input — the
 // damage recovery tolerates at the very tail of the active segment — and
 // errFrameCRC one that is all there but fails its checksum: corruption,
-// unless readRecordFile finds it cut short by preallocated zeros instead.
+// unless scanRecords finds it cut short by preallocated zeros instead.
 var (
 	errTornFrame = fmt.Errorf("persist: torn frame")
 	errFrameCRC  = fmt.Errorf("persist: frame crc mismatch")
 )
 
+// frameDecoder decodes the frames of one record file, front to back: the
+// file's pad stream, the pad block the last frame ended in (a scan derives
+// each block once and caches none), the one plaintext buffer every frame is
+// decrypted into, and where names are interned.
+type frameDecoder struct {
+	ps     padStream
+	intern func([]byte) string
+	block  uint64 // index+1 of the pad block held in masks; 0 = none yet
+	masks  [otp.MasksPerBlock]uint64
+	plain  [maxPlain]byte
+}
+
+// padBlockLen is the keystream a pad block covers, in bytes.
+const padBlockLen = 8 * otp.MasksPerBlock
+
+// decrypt XORs src, the ciphertext at file offset off, with the pad stream
+// into the decoder's plaintext buffer; src stays as it is on disk.
+func (d *frameDecoder) decrypt(src []byte, off int64) []byte {
+	q := uint64(off)
+	for i, c := range src {
+		if b := q/padBlockLen + 1; b != d.block {
+			d.masks, d.block = d.ps.pads.Block(b-1), b
+		}
+		d.plain[i] = c ^ byte(d.masks[q%padBlockLen/8]>>(8*(q%8)))
+		q++
+	}
+	return d.plain[:len(src)]
+}
+
 // parseFrame decodes the first frame of b — located at file offset off —
 // returning the record, its lsn, and the unconsumed remainder. errTornFrame
 // (wrapped) reports that the input ends mid-frame and errFrameCRC (wrapped)
 // a checksum mismatch; any other error is corruption.
-func parseFrame(b []byte, ps padStream, off int64) (rec Record, lsn uint64, rest []byte, err error) {
+func (d *frameDecoder) parseFrame(b []byte, off int64) (rec Record, lsn uint64, rest []byte, err error) {
 	if len(b) < 8 {
 		return rec, 0, b, fmt.Errorf("%w: %d header bytes", errTornFrame, len(b))
 	}
@@ -282,9 +313,7 @@ func parseFrame(b []byte, ps padStream, off int64) (rec Record, lsn uint64, rest
 		return rec, 0, b, fmt.Errorf("%w (%08x != %08x)", errFrameCRC, got, want)
 	}
 	lsn = binary.BigEndian.Uint64(payload)
-	plain := append([]byte(nil), payload[8:]...)
-	ps.xor(plain, off+frameOverhead)
-	rec, err = decodePlain(plain)
+	rec, err = decodePlain(d.decrypt(payload[8:], off+frameOverhead), d.intern)
 	if err != nil {
 		return rec, lsn, b, err
 	}

@@ -1,9 +1,15 @@
 package persist
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"os"
+	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
 
+	"auditreg"
 	"auditreg/store"
 )
 
@@ -44,6 +50,25 @@ type fetchEv struct {
 
 func newRecoverModel() *recoverModel {
 	return &recoverModel{objects: make(map[string]*objModel), audited: make(map[string]bool)}
+}
+
+// intern returns the model's own string for an object it already holds: a
+// scan allocates a name per object, not per record.
+func (m *recoverModel) intern(name []byte) string {
+	if om, ok := m.objects[string(name)]; ok {
+		return om.name
+	}
+	return string(name)
+}
+
+// addFile streams one whole record file into the model; whether it had to be
+// sealed is the caller's rule.
+func (m *recoverModel) addFile(path, magic string, key auditreg.Key) (fileScan, error) {
+	b, err := os.ReadFile(path)
+	if err != nil {
+		return fileScan{}, err
+	}
+	return scanRecords(path, b, magic, key, m.intern, func(rec Record, _ uint64) error { return m.add(&rec) })
 }
 
 // obj returns (creating if needed) the model of the named object. A missing
@@ -117,7 +142,8 @@ func (m *recoverModel) add(rec *Record) error {
 
 // regEvent is one sequence-number slot of a Register's replay schedule: the
 // write that installed it (possibly absent — then the slot's fetches testify
-// to its value) and the effective reads that observed it.
+// to its value) and the effective reads that observed it, a window of the
+// model's fetch list.
 type regEvent struct {
 	seq      uint64
 	value    uint64
@@ -125,67 +151,65 @@ type regEvent struct {
 	fetches  []fetchEv
 }
 
+// readerSet marks the readers seen in one slot; a record's reader is a byte.
+type readerSet [4]uint64
+
+// add marks reader r and reports whether it was marked already.
+func (s *readerSet) add(r int) (dup bool) {
+	w, bit := &s[r>>6&3], uint64(1)<<(r&63)
+	dup = *w&bit != 0
+	*w |= bit
+	return dup
+}
+
 // registerSchedule validates and orders a Register object's events: writes
-// sorted by install seq, fetches attached to the seq they observed. It
-// returns the schedule and the final register value (the value of the
-// highest slot), hasFinal false when the object saw no events.
+// sorted by install seq, fetches attached to the seq they observed. It sorts
+// the model's own lists (stably: a slot's records stay in arrival order) and
+// walks them side by side, allocating the schedule and nothing per record.
+// It returns the schedule and the final register value (the value of the
+// highest slot), hasFinal false when the object saw no events. Slots ascend
+// and hold a reader once, so every reader's fetch seqs strictly increase
+// along the schedule, as they do in any real history.
 func (om *objModel) registerSchedule() (events []regEvent, finalValue uint64, hasFinal bool, err error) {
-	slots := make(map[uint64]*regEvent)
-	slot := func(seq uint64) *regEvent {
-		ev, ok := slots[seq]
-		if !ok {
-			ev = &regEvent{seq: seq}
-			slots[seq] = ev
+	slices.SortStableFunc(om.writes, func(a, b writeEv) int { return cmp.Compare(a.seq, b.seq) })
+	slices.SortStableFunc(om.fetches, func(a, b fetchEv) int { return cmp.Compare(a.seq, b.seq) })
+	w, f := om.writes, om.fetches
+	events = make([]regEvent, 0, len(w)+1)
+	for len(w) > 0 || len(f) > 0 {
+		ev := regEvent{}
+		if len(f) == 0 || len(w) > 0 && w[0].seq <= f[0].seq {
+			ev.seq = w[0].seq
+		} else {
+			ev.seq = f[0].seq
 		}
-		return ev
-	}
-	for _, wr := range om.writes {
-		ev := slot(wr.seq)
-		if ev.hasWrite && ev.value != wr.value {
-			return nil, 0, false, fmt.Errorf("persist: %q: conflicting writes at seq %d (%d and %d)", om.name, wr.seq, ev.value, wr.value)
-		}
-		ev.hasWrite = true
-		ev.value = wr.value
-	}
-	seen := make(map[[2]uint64]bool) // (reader, seq) pairs
-	for _, f := range om.fetches {
-		k := [2]uint64{uint64(f.reader), f.seq}
-		if seen[k] {
-			return nil, 0, false, fmt.Errorf("persist: %q: duplicate fetch record for reader %d at seq %d", om.name, f.reader, f.seq)
-		}
-		seen[k] = true
-		if f.seq == 0 {
-			// Seq 0 is the initial value: no write slot to check against.
-			ev := slot(0)
-			ev.value = f.value
-			ev.fetches = append(ev.fetches, f)
-			continue
-		}
-		ev := slot(f.seq)
-		if ev.hasWrite && ev.value != f.value {
-			return nil, 0, false, fmt.Errorf("persist: %q: fetch at seq %d observed %d but the write installed %d", om.name, f.seq, f.value, ev.value)
-		}
-		if !ev.hasWrite && len(ev.fetches) > 0 && ev.value != f.value {
-			return nil, 0, false, fmt.Errorf("persist: %q: fetches at seq %d observed both %d and %d", om.name, f.seq, ev.value, f.value)
-		}
-		ev.value = f.value
-		ev.fetches = append(ev.fetches, f)
-	}
-	events = make([]regEvent, 0, len(slots))
-	for _, ev := range slots {
-		events = append(events, *ev)
-	}
-	sort.Slice(events, func(i, j int) bool { return events[i].seq < events[j].seq })
-	// Per-reader fetch seqs must be strictly increasing — they are in any
-	// real history (SN is monotone and a reader fetches a seq at most once).
-	last := make(map[int]uint64)
-	for _, ev := range events {
-		for _, f := range ev.fetches {
-			if prev, ok := last[f.reader]; ok && f.seq <= prev {
-				return nil, 0, false, fmt.Errorf("persist: %q: reader %d fetch seqs not increasing (%d after %d)", om.name, f.reader, f.seq, prev)
+		for ; len(w) > 0 && w[0].seq == ev.seq; w = w[1:] {
+			if ev.hasWrite && ev.value != w[0].value {
+				return nil, 0, false, fmt.Errorf("persist: %q: conflicting writes at seq %d (%d and %d)", om.name, ev.seq, ev.value, w[0].value)
 			}
-			last[f.reader] = f.seq
+			ev.hasWrite, ev.value = true, w[0].value
 		}
+		n := 0
+		for n < len(f) && f[n].seq == ev.seq {
+			n++
+		}
+		ev.fetches, f = f[:n:n], f[n:]
+		var seen readerSet
+		for i, fe := range ev.fetches {
+			if seen.add(fe.reader) {
+				return nil, 0, false, fmt.Errorf("persist: %q: duplicate fetch record for reader %d at seq %d", om.name, fe.reader, fe.seq)
+			}
+			// Seq 0 is the initial value: no write slot to check against.
+			if ev.seq > 0 {
+				if ev.hasWrite && ev.value != fe.value {
+					return nil, 0, false, fmt.Errorf("persist: %q: fetch at seq %d observed %d but the write installed %d", om.name, fe.seq, fe.value, ev.value)
+				}
+				if !ev.hasWrite && i > 0 && ev.value != fe.value {
+					return nil, 0, false, fmt.Errorf("persist: %q: fetches at seq %d observed both %d and %d", om.name, fe.seq, ev.value, fe.value)
+				}
+			}
+			ev.value = fe.value
+		}
+		events = append(events, ev)
 	}
 	if n := len(events); n > 0 {
 		lastEv := events[n-1]
@@ -198,26 +222,26 @@ func (om *objModel) registerSchedule() (events []regEvent, finalValue uint64, ha
 
 // maxSchedule validates and orders a MaxRegister object's events: fetches in
 // seq (chronological) order — whose observed values must be nondecreasing,
-// as a max register's reads are — and writes in value order.
+// as a max register's reads are — and writes in value order. Both are the
+// model's own lists, sorted in place.
 func (om *objModel) maxSchedule() (writes []writeEv, fetches []fetchEv, err error) {
-	writes = append([]writeEv(nil), om.writes...)
-	sort.SliceStable(writes, func(i, j int) bool { return writes[i].value < writes[j].value })
-	fetches = append([]fetchEv(nil), om.fetches...)
-	sort.SliceStable(fetches, func(i, j int) bool { return fetches[i].seq < fetches[j].seq })
-	seen := make(map[[2]uint64]bool)
+	slices.SortStableFunc(om.writes, func(a, b writeEv) int { return cmp.Compare(a.value, b.value) })
+	slices.SortStableFunc(om.fetches, func(a, b fetchEv) int { return cmp.Compare(a.seq, b.seq) })
+	var seen readerSet // readers at the current seq
 	var lastVal uint64
-	for i, f := range fetches {
-		k := [2]uint64{uint64(f.reader), f.seq}
-		if seen[k] {
+	for i, f := range om.fetches {
+		if i > 0 && f.seq != om.fetches[i-1].seq {
+			seen = readerSet{}
+		}
+		if seen.add(f.reader) {
 			return nil, nil, fmt.Errorf("persist: %q: duplicate fetch record for reader %d at seq %d", om.name, f.reader, f.seq)
 		}
-		seen[k] = true
 		if i > 0 && f.value < lastVal {
 			return nil, nil, fmt.Errorf("persist: %q: fetched values not nondecreasing (%d after %d)", om.name, f.value, lastVal)
 		}
 		lastVal = f.value
 	}
-	return writes, fetches, nil
+	return om.writes, om.fetches, nil
 }
 
 // ReplayStats summarizes what recovery reconstructed.
@@ -228,36 +252,86 @@ type ReplayStats struct {
 	Synthesized int // writes re-created from the fetch records that observed them
 }
 
-// replayInto re-executes the model against a fresh store. The store must be
-// journal-less (recovery must not re-journal itself); the caller attaches
-// the WAL afterwards. Replay is serial, so every operation completes and
-// the resulting audit state is exactly the model's pair set; any observation
-// that cannot be reproduced — a fetch whose value the replayed object does
-// not return — halts with an error rather than dropping an audited read.
-func (m *recoverModel) replayInto(st *store.Store[uint64]) (ReplayStats, error) {
+// joinModels lays the stripes' models end to end, in stripe order. One
+// object's records all live in one stripe, so the join is a concatenation:
+// an object two stripes' files both speak of (a renamed or copied segment)
+// is corruption, never two histories to merge.
+func joinModels(stripes []stripeRecovery) ([]*objModel, error) {
+	var objs []*objModel
+	owner := make(map[string]int) // object -> the stripe whose files hold it
+	for sid := range stripes {
+		m := stripes[sid].model
+		for _, name := range m.order {
+			if first, ok := owner[name]; ok {
+				return nil, fmt.Errorf("persist: object %q has records in the files of stripe %d and of stripe %d", name, first, sid)
+			}
+			owner[name] = sid
+			objs = append(objs, m.objects[name])
+		}
+	}
+	return objs, nil
+}
+
+// replayInto re-executes the joined models against a fresh store, which must
+// be journal-less (recovery must not re-journal itself); the caller attaches
+// the WAL afterwards. The objects are opened one after the other, so the
+// store is built in the same order on every run; then GOMAXPROCS workers
+// replay them side by side, using the store as serving does — any number of
+// goroutines, one object's operations in sequence — so every operation
+// completes and the resulting audit state is exactly the models' pair set,
+// whichever worker took which object. Any observation that cannot be
+// reproduced — a fetch whose value the replayed object does not return —
+// halts rather than dropping an audited read, with the error of the first
+// such object in order, whatever the workers' timing.
+func replayInto(st *store.Store[uint64], objs []*objModel) (ReplayStats, error) {
 	var stats ReplayStats
 	if st.Journaled() {
 		return stats, fmt.Errorf("persist: replay target store already has a journal attached")
 	}
-	for _, name := range m.order {
-		om := m.objects[name]
+	opened := make([]*store.Object[uint64], len(objs))
+	for i, om := range objs {
 		var opts []store.OpenOption
 		if om.capacity > 0 {
 			opts = append(opts, store.WithObjectCapacity(int(om.capacity)))
 		}
-		obj, err := st.Open(name, om.kind, opts...)
+		obj, err := st.Open(om.name, om.kind, opts...)
 		if err != nil {
-			return stats, fmt.Errorf("persist: replay open %q: %w", name, err)
+			return stats, fmt.Errorf("persist: replay open %q: %w", om.name, err)
 		}
-		stats.Objects++
-		switch om.kind {
-		case store.Register:
-			err = replayRegister(obj, om, &stats)
-		case store.MaxRegister:
-			err = replayMax(obj, om, &stats)
-		default:
-			err = fmt.Errorf("persist: replay %q: unreplayable kind %v", name, om.kind)
-		}
+		opened[i] = obj
+	}
+	stats.Objects = len(objs)
+
+	// A worker takes the next object not yet taken; its own stats, summed below.
+	errs := make([]error, len(objs))
+	parts := make([]ReplayStats, min(runtime.GOMAXPROCS(0), len(objs)))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for k := range parts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var part ReplayStats
+			for i := int(next.Add(1)) - 1; i < len(objs); i = int(next.Add(1)) - 1 {
+				switch om := objs[i]; om.kind {
+				case store.Register:
+					errs[i] = replayRegister(opened[i], om, &part)
+				case store.MaxRegister:
+					errs[i] = replayMax(opened[i], om, &part)
+				default:
+					errs[i] = fmt.Errorf("persist: replay %q: unreplayable kind %v", om.name, om.kind)
+				}
+			}
+			parts[k] = part
+		}()
+	}
+	wg.Wait()
+	for _, part := range parts {
+		stats.Writes += part.Writes
+		stats.Fetches += part.Fetches
+		stats.Synthesized += part.Synthesized
+	}
+	for _, err := range errs {
 		if err != nil {
 			return stats, err
 		}

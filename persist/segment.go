@@ -109,12 +109,8 @@ func parseHeader(b []byte, magic string) (meta uint64, nonce [fileNonceLen]byte,
 	return meta, nonce, nil
 }
 
-// fileRecords is the parse result of one record file.
-type fileRecords struct {
-	meta      uint64 // base LSN (segment) or cut LSN (snapshot)
-	nonce     [fileNonceLen]byte
-	recs      []Record
-	lsns      []uint64
+// fileScan is what a pass over one record file found besides its records.
+type fileScan struct {
 	sealed    bool  // the file ends with an OpSeal record
 	tornBytes int64 // bytes of the partial frame discarded at a torn tail (unsealed files only)
 	validLen  int64 // offset one past the last valid frame
@@ -126,8 +122,10 @@ type fileRecords struct {
 // boundary with the preallocated zeros still behind it.
 const sectorSize = 512
 
-// readRecordFile parses a whole segment or snapshot file. Where the frames
-// stop, an unsealed file may end in three tolerated ways (validLen, tornBytes):
+// scanRecords streams the records of a whole segment or snapshot image b,
+// read from path, into visit, in file order, keeping none; a record's Name
+// is whatever intern made of the name's bytes. Where the frames stop, an
+// unsealed file may end in three tolerated ways (validLen, tornBytes):
 //
 //   - nothing, or nothing but zeros: the clean end of the log, the zeros being
 //     preallocated space no write reached (tornBytes 0);
@@ -141,28 +139,23 @@ const sectorSize = 512
 // zeros behind it. Everything else is corruption and returns an error naming
 // the file and offset: a bad record body, bytes after a seal, a complete
 // frame with a bad CRC — last frame or not — any non-zero byte after a zero
-// frame header. Callers enforce their own sealing policy: recovery requires
-// every file except the active segment to be sealed.
-func readRecordFile(path, magic string, key auditreg.Key) (fileRecords, error) {
-	var fr fileRecords
-	b, err := os.ReadFile(path)
+// frame header; so does a record visit refuses. Callers enforce their own
+// sealing policy: recovery requires every file except the active segment to
+// be sealed.
+func scanRecords(path string, b []byte, magic string, key auditreg.Key, intern func([]byte) string, visit func(rec Record, lsn uint64) error) (fileScan, error) {
+	var sc fileScan
+	_, nonce, err := parseHeader(b, magic)
 	if err != nil {
-		return fr, err
+		return sc, fmt.Errorf("%s: %w", path, err)
 	}
-	meta, nonce, err := parseHeader(b, magic)
-	if err != nil {
-		return fr, fmt.Errorf("%s: %w", path, err)
-	}
-	fr.meta = meta
-	fr.nonce = nonce
-	ps := newPadStream(key, &nonce)
+	d := frameDecoder{ps: newPadStream(key, &nonce), intern: intern}
 	rest := b[headerLen:]
 	off := int64(headerLen)
 	for len(rest) > 0 {
-		if fr.sealed {
-			return fr, fmt.Errorf("persist: %s: %d bytes after seal at offset %d", path, len(rest), off)
+		if sc.sealed {
+			return sc, fmt.Errorf("persist: %s: %d bytes after seal at offset %d", path, len(rest), off)
 		}
-		rec, lsn, after, err := parseFrame(rest, ps, off)
+		rec, lsn, after, err := d.parseFrame(rest, off)
 		if err != nil {
 			// live is where the zeros that run to the end of the file begin,
 			// cut the first sector boundary there; a CRC error vouches for
@@ -173,23 +166,24 @@ func readRecordFile(path, magic string, key auditreg.Key) (fileRecords, error) {
 			torn := errors.Is(err, errTornFrame) ||
 				errors.Is(err, errFrameCRC) && cut < off+8+int64(binary.BigEndian.Uint32(rest))
 			if !clean && !torn {
-				return fr, fmt.Errorf("persist: %s: offset %d: %w", path, off, err)
+				return sc, fmt.Errorf("persist: %s: offset %d: %w", path, off, err)
 			}
-			fr.tornBytes = live
-			fr.validLen = off
-			return fr, nil
+			sc.tornBytes = live
+			sc.validLen = off
+			return sc, nil
 		}
 		off += int64(len(rest) - len(after))
 		rest = after
 		if rec.Op == OpSeal {
-			fr.sealed = true
+			sc.sealed = true
 			continue
 		}
-		fr.recs = append(fr.recs, rec)
-		fr.lsns = append(fr.lsns, lsn)
+		if err := visit(rec, lsn); err != nil {
+			return sc, fmt.Errorf("%s: %w", path, err)
+		}
 	}
-	fr.validLen = off
-	return fr, nil
+	sc.validLen = off
+	return sc, nil
 }
 
 // walFile is one recognized directory entry: its numeric part and its actual

@@ -47,7 +47,33 @@ func newTailFixture(t testing.TB, key auditreg.Key) tailFixture {
 	return fx
 }
 
-// TestSegmentTailRule has one row per sentence of readRecordFile's tail
+// fileRecords is a whole record file, parsed and kept: what the tests look
+// at where recovery only streams.
+type fileRecords struct {
+	fileScan
+	recs []Record
+	lsns []uint64
+}
+
+// freshName is the intern of a scan with no model: a string per record.
+func freshName(b []byte) string { return string(b) }
+
+// readRecordFile parses a whole segment or snapshot file with scanRecords.
+func readRecordFile(path, magic string, key auditreg.Key) (fileRecords, error) {
+	var fr fileRecords
+	b, err := os.ReadFile(path)
+	if err != nil {
+		return fr, err
+	}
+	fr.fileScan, err = scanRecords(path, b, magic, key, freshName, func(rec Record, lsn uint64) error {
+		fr.recs = append(fr.recs, rec)
+		fr.lsns = append(fr.lsns, lsn)
+		return nil
+	})
+	return fr, err
+}
+
+// TestSegmentTailRule has one row per sentence of scanRecords' tail
 // rule: which ends of an unsealed segment are a clean end of log, which are
 // a torn tail, and which keep halting recovery.
 func TestSegmentTailRule(t *testing.T) {

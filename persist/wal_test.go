@@ -19,7 +19,7 @@ const testReaders = 8
 func testKey() auditreg.Key { return DeriveKey(auditreg.KeyFromSeed(42)) }
 
 // newTestStore builds a journal-less store shaped like the server's.
-func newTestStore(t *testing.T) *store.Store[uint64] {
+func newTestStore(t testing.TB) *store.Store[uint64] {
 	t.Helper()
 	st, err := store.New[uint64](auditreg.KeyFromSeed(42),
 		store.WithReaders[uint64](testReaders),
@@ -32,7 +32,7 @@ func newTestStore(t *testing.T) *store.Store[uint64] {
 }
 
 // openWAL opens dir into a fresh store and attaches the WAL.
-func openWAL(t *testing.T, dir string, opts Options) (*WAL, *RecoverResult, *store.Store[uint64]) {
+func openWAL(t testing.TB, dir string, opts Options) (*WAL, *RecoverResult, *store.Store[uint64]) {
 	t.Helper()
 	st := newTestStore(t)
 	w, res, err := Open(dir, testKey(), st, opts)
@@ -47,7 +47,7 @@ func openWAL(t *testing.T, dir string, opts Options) (*WAL, *RecoverResult, *sto
 // objects, interleaved writes and reads from several reader principals.
 // Object names embed tag so successive phases create distinct or identical
 // names as the test needs.
-func drive(t *testing.T, st *store.Store[uint64], seed int64, objects, ops int) []string {
+func drive(t testing.TB, st *store.Store[uint64], seed int64, objects, ops int) []string {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	names := make([]string, objects)
@@ -450,7 +450,7 @@ func TestFetchValueMismatchHalts(t *testing.T) {
 
 // --- helpers ---
 
-func allSegments(t *testing.T, dir string) []string {
+func allSegments(t testing.TB, dir string) []string {
 	t.Helper()
 	ds, err := readDir(dir)
 	if err != nil {
