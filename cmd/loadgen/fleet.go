@@ -18,10 +18,9 @@ import (
 // daemonTuning carries the auditd tuning flags loadgen forwards to the
 // daemons it spawns (zero values: the daemon's defaults).
 type daemonTuning struct {
-	walBatchDelay time.Duration
-	shards        int // execution shards (-shards)
-	walStripes    int // WAL stripe groups (-wal-stripes)
-	shardQueue    int // per-shard queue depth (-shard-queue)
+	shards     int // execution shards (-shards)
+	walStripes int // WAL stripe groups (-wal-stripes)
+	shardQueue int // per-shard queue depth (-shard-queue)
 	// metricsAddr is the daemon's -metrics-addr and nodeID its -node-id.
 	// Neither is a tuning knob (the cell picks the port; the cluster geometry
 	// is in the cell name already), so both stay out of suffix(). A restart
@@ -81,9 +80,6 @@ func (f *fleet) add(dataDir string, seed uint64, tune daemonTuning) error {
 		"-data-dir", dataDir,
 		"-fsync", "always",
 		"-poolinterval", "2ms",
-	}
-	if tune.walBatchDelay != 0 {
-		args = append(args, "-wal-batch-delay", tune.walBatchDelay.String())
 	}
 	if tune.shards != 0 {
 		args = append(args, "-shards", fmt.Sprint(tune.shards))

@@ -110,7 +110,6 @@ func main() {
 	flag.StringVar(&m.dataDir, "data-dir", "", "base directory for -durable data dirs (default: a temp dir)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole grid to this file")
 	memProfile := flag.String("memprofile", "", "write an allocation profile to this file at exit")
-	flag.DurationVar(&m.tune.walBatchDelay, "wal-batch-delay", 0, "forwarded to spawned auditd daemons in -durable mode (0: daemon default)")
 	flag.IntVar(&m.tune.shards, "shards", 0, "auditd execution shards, forwarded in -durable mode (0: daemon default, GOMAXPROCS)")
 	flag.IntVar(&m.tune.walStripes, "wal-stripes", 0, "auditd WAL stripe groups, forwarded in -durable mode (0: daemon default, GOMAXPROCS)")
 	flag.IntVar(&m.tune.shardQueue, "shard-queue", 0, "auditd per-shard queue depth, forwarded in -durable mode (0: daemon default)")

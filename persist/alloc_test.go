@@ -3,6 +3,7 @@ package persist
 import (
 	"testing"
 
+	"auditreg/internal/race"
 	"auditreg/store"
 )
 
@@ -57,5 +58,58 @@ func TestFrameDecodeAllocationBound(t *testing.T) {
 		}); n > tc.bound {
 			t.Errorf("%s: frame decode allocated %v times per run, want <= %v", tc.name, n, tc.bound)
 		}
+	}
+}
+
+// TestBlockingRecordAllocations pins what one WAL.Record costs the heap. A
+// blocking write waits out its fdatasync on a pooled completion channel, and
+// AllocsPerRun counts the commit loop's share too (its counters are
+// process-wide): what is left is the pad blocks the frame derives, 1 per
+// record measured. An announce returns before the commit loop touches it and
+// allocates nothing on its caller's side; the loop is parked for that
+// measurement, since when it runs relative to the count would otherwise
+// decide the result.
+func TestBlockingRecordAllocations(t *testing.T) {
+	if race.Enabled {
+		t.Skip("a sync.Pool discards at random under -race")
+	}
+	w, _, _ := openWAL(t, t.TempDir(), Options{Policy: SyncAlways, Stripes: 1})
+	defer w.Close()
+	record := func(r store.JournalRecord[uint64]) func() {
+		return func() {
+			if err := w.Record(r); err != nil {
+				t.Fatalf("Record(%v): %v", r.Op, err)
+			}
+		}
+	}
+	write := record(store.JournalRecord[uint64]{Op: store.JournalWrite, Name: "acct/0000001", Kind: store.Register, Seq: 1, Value: 0xA1B2})
+	announce := record(store.JournalRecord[uint64]{Op: store.JournalAnnounce, Name: "acct/0000001", Kind: store.Register, Reader: 3, Seq: 1})
+
+	for range 50 { // warm the buffers and the completion-channel pool
+		write()
+	}
+	if n := testing.AllocsPerRun(200, write); n > 2 {
+		t.Errorf("blocking write: WAL.Record allocated %v times per run, want <= 2", n)
+	}
+
+	// park holds the commit loop in a flush barrier until the returned
+	// channel is read: appends queue in the buffer, untouched.
+	park := func() chan error {
+		reply := make(chan error)
+		w.groups[0].flushc <- reply
+		return reply
+	}
+	parked := park()
+	for range 300 { // grow the append buffer past what the count appends
+		announce()
+	}
+	<-parked
+	parked = park()
+	n := testing.AllocsPerRun(200, announce)
+	if err := <-parked; err != nil {
+		t.Fatalf("flush: %v", err)
+	}
+	if n != 0 {
+		t.Errorf("announce: WAL.Record allocated %v times per run, want 0", n)
 	}
 }

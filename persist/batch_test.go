@@ -1,6 +1,8 @@
 package persist
 
 import (
+	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -8,16 +10,18 @@ import (
 	"auditreg/store"
 )
 
-// TestGroupCommitAbsorbsConcurrentMutators pins the adaptive commit window:
-// many goroutines writing under SyncAlways must share fsyncs — far fewer
-// syncs than records — and the batch-size histogram must record multi-record
-// syncs, while every write still blocks until stable. Stripes is pinned to 1
-// because the window is per stripe: left at its GOMAXPROCS default, the eight
-// objects hash onto as many stripes as the box has CPUs, and on a 2-CPU box
-// the "8 concurrent blocked writers" below are about 4 per window.
+// TestGroupCommitAbsorbsConcurrentMutators pins the group commit: many
+// goroutines writing under SyncAlways must share fsyncs — far fewer syncs
+// than records — and the batch-size histogram must record multi-record
+// syncs, while every write still blocks until stable. The grouping comes from
+// arrivals alone: whatever the other writers append while one commit's
+// fdatasync runs is the next commit's batch. Stripes is pinned to 1 because
+// batches form per stripe: left at its GOMAXPROCS default, the eight objects
+// hash onto as many stripes as the box has CPUs, and on a 2-CPU box the "8
+// concurrent blocked writers" below are about 4 per stripe.
 func TestGroupCommitAbsorbsConcurrentMutators(t *testing.T) {
 	dir := t.TempDir()
-	w, _, st := openWAL(t, dir, Options{Policy: SyncAlways, BatchDelay: 2 * time.Millisecond, Stripes: 1})
+	w, _, st := openWAL(t, dir, Options{Policy: SyncAlways, Stripes: 1})
 	const writers = 8
 	const perWriter = 50
 	objs := make([]*store.Object[uint64], writers)
@@ -48,9 +52,9 @@ func TestGroupCommitAbsorbsConcurrentMutators(t *testing.T) {
 	if stats.Records < writers*perWriter {
 		t.Fatalf("recorded %d records, want >= %d", stats.Records, writers*perWriter)
 	}
-	// With 8 concurrent blocked writers the window must coalesce: demand
-	// strictly better than one fsync per two records (the pre-adaptive
-	// behavior hovered at ~2 records/sync under much higher concurrency).
+	// With 8 concurrent blocked writers each fdatasync finds the others'
+	// records queued behind it: demand strictly better than one fsync per two
+	// records.
 	if stats.Syncs == 0 || stats.Records/stats.Syncs < 2 {
 		t.Fatalf("group commit did not batch: %d syncs for %d records", stats.Syncs, stats.Records)
 	}
@@ -66,34 +70,6 @@ func TestGroupCommitAbsorbsConcurrentMutators(t *testing.T) {
 	}
 	if multi == 0 {
 		t.Fatalf("no sync batched more than 2 records; histogram %v", stats.SyncHist)
-	}
-}
-
-// TestUncontendedWritePaysNoWindow pins the adaptive half of the window: a
-// single blocking mutator (waiters == batch) must commit without waiting out
-// BatchDelay. With a deliberately enormous delay, 20 sequential writes only
-// finish in reasonable time if the window closes immediately.
-func TestUncontendedWritePaysNoWindow(t *testing.T) {
-	dir := t.TempDir()
-	w, _, st := openWAL(t, dir, Options{Policy: SyncAlways, BatchDelay: time.Second})
-	obj, err := st.Open("solo", store.Register)
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	start := time.Now()
-	for k := 0; k < 20; k++ {
-		if err := obj.Write(uint64(k + 1)); err != nil {
-			t.Fatalf("Write: %v", err)
-		}
-	}
-	elapsed := time.Since(start)
-	if err := w.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	// 20 windows of 1s would take 20s; even one would take 1s. Allow wide
-	// slack for slow CI disks — the point is the order of magnitude.
-	if elapsed > 5*time.Second {
-		t.Fatalf("20 uncontended writes took %v; the commit window is not closing early", elapsed)
 	}
 }
 
@@ -125,5 +101,113 @@ func TestSyncAlwaysAnnouncesDoNotSync(t *testing.T) {
 	// The announce still becomes durable on close (drain forces a sync).
 	if err := w.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
+	}
+}
+
+// TestEveryBlockingWriteIsCoveredByASync pins that no wakeup releases a
+// waiter unsynced. Each of 500 sequential rounds writes and then reads: the
+// read's fetch blocks, its announce does not, so the stripe is left dirty
+// and the tick — its Interval shorter than one commit — forces an fdatasync
+// that the next blocking record often arrives during. The tick and the
+// append notification are then both ready, and the two drain the blocking
+// records' batches interleaved. Every blocking operation must still return
+// only after an fdatasync of its own batch, so the sync count moves across
+// each one.
+func TestEveryBlockingWriteIsCoveredByASync(t *testing.T) {
+	w, _, st := openWAL(t, t.TempDir(), Options{Policy: SyncAlways, Interval: 20 * time.Microsecond, Stripes: 1})
+	defer w.Close()
+	obj, err := st.Open("covered", store.Register)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	covered := func(what string, k int, op func() error) {
+		t.Helper()
+		before := w.Stats().Syncs
+		if err := op(); err != nil {
+			t.Fatalf("%s %d: %v", what, k, err)
+		}
+		if after := w.Stats().Syncs; after <= before {
+			t.Fatalf("%s %d returned with no fdatasync after it: syncs %d -> %d", what, k, before, after)
+		}
+	}
+	for k := range 500 {
+		covered("Write", k, func() error { return obj.Write(uint64(k + 1)) })
+		covered("Read", k, func() error { _, err := obj.Read(k % testReaders); return err })
+	}
+}
+
+// TestCloseRacingBlockedWriters closes the WAL under eight writers, some
+// blocked on their fdatasync and some appending. Every Write must return —
+// nil or the closed error — and every Write that returned nil must be
+// durable: each writer writes rising values to its own register and stops at
+// its first error, so after reopen the register holds exactly its last
+// acknowledged value. One writer calls Close itself, right after a commit
+// released it, so the others' records are often queued when the loop sees
+// the stop; twenty rounds make that certain. No goroutine of the WAL may
+// outlive Close.
+func TestCloseRacingBlockedWriters(t *testing.T) {
+	const writers, rounds = 8, 20
+	baseline := runtime.NumGoroutine()
+	for round := range rounds {
+		dir := t.TempDir()
+		w, _, st := openWAL(t, dir, Options{Policy: SyncAlways, Stripes: 1})
+		names := make([]string, writers)
+		objs := make([]*store.Object[uint64], writers)
+		for i := range objs {
+			names[i] = fmt.Sprintf("racer-%d", i)
+			var err error
+			if objs[i], err = st.Open(names[i], store.Register); err != nil {
+				t.Fatalf("Open: %v", err)
+			}
+		}
+		acked := make([]uint64, writers)
+		closed := make(chan error, 1)
+		var wg sync.WaitGroup
+		for i := range objs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for v := uint64(1); v <= 1_000_000; v++ {
+					if objs[i].Write(v) != nil {
+						return
+					}
+					acked[i] = v
+					if i == 0 && v == 25 {
+						closed <- w.Close()
+					}
+				}
+			}()
+		}
+		finished := make(chan struct{})
+		go func() { wg.Wait(); close(finished) }()
+		select {
+		case <-finished:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("round %d: a Write racing Close never returned", round)
+		}
+		if err := <-closed; err != nil {
+			t.Fatalf("round %d: Close: %v", round, err)
+		}
+
+		w2, _, st2 := openWAL(t, dir, Options{Policy: SyncAlways})
+		for i, name := range names {
+			got, err := st2.Read(name, 0)
+			if err != nil {
+				t.Fatalf("round %d: recovered Read(%s): %v", round, name, err)
+			}
+			if got != acked[i] {
+				t.Errorf("round %d: %s recovered %d, last acknowledged write was %d", round, name, got, acked[i])
+			}
+		}
+		if err := w2.Close(); err != nil {
+			t.Fatalf("round %d: Close after reopen: %v", round, err)
+		}
+	}
+
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close, %d before Open", runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

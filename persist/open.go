@@ -82,7 +82,8 @@ func Open(dir string, key auditreg.Key, st *store.Store[uint64], opts Options) (
 // open is recovery proper. The stripes recover side by side, a goroutine
 // each (recoverStripe), sharing nothing; open waits for all of them whatever
 // happens to any, joins their models in stripe order, replays the objects
-// (replayInto) and only then, after one directory sync, starts the writers.
+// (replayInto) and only then, after one directory sync, starts the commit
+// loops.
 func open(dir string, key auditreg.Key, st *store.Store[uint64], opts Options, lock *os.File) (*WAL, *RecoverResult, error) {
 	ds, err := readDir(dir)
 	if err != nil {
@@ -167,7 +168,7 @@ func open(dir string, key auditreg.Key, st *store.Store[uint64], opts Options, l
 		}
 	}
 	// One directory sync for the whole boot: every stripe's first segment
-	// (and any removal above) becomes durable before a writer starts.
+	// (and any removal above) becomes durable before a commit loop starts.
 	if err := syncDir(dir); err != nil {
 		return fail(err)
 	}
@@ -285,7 +286,7 @@ func (w *WAL) recoverStripe(sid int, ds *dirState, out *stripeRecovery) error {
 // older snapshots. The per-stripe compaction is sound because one object's
 // records all live in one stripe, so each scan sees whole per-object
 // histories. Traffic keeps flowing while the scans run; only each stripe's
-// flush-and-rotate moment synchronizes with its writer. It returns the
+// flush-and-rotate moment synchronizes with its commit loop. It returns the
 // highest cut LSN among the stripes.
 func (w *WAL) Snapshot() (uint64, error) {
 	w.snapMu.Lock()

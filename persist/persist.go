@@ -24,17 +24,18 @@
 // Options.Stripes independently committing stripe groups, and an object's
 // mutations always land in the stripe its name hashes to (the same hash the
 // store's shard map uses), so per-object record order survives the fan-out.
-// Each stripe owns its segment files and runs its own writer goroutine,
-// which drains the stripe's append buffer, assigns that stripe's log
+// Each stripe owns its segment files and runs one goroutine, a loop that on
+// every wakeup — an append, the Interval tick, or a barrier (Sync, Snapshot,
+// Close) — drains the stripe's append buffer, assigns that stripe's log
 // sequence numbers, encrypts the whole batch against the active segment's
-// block-derived pad stream, appends, and fsyncs per policy — SyncAlways
-// (adaptive group commit with a pipelined fsync: mutators block until their
-// batch is stable, and the writer holds the commit window open up to
-// Options.BatchDelay while more blocked mutators are in flight on the same
-// stripe, so one fsync absorbs them all; announce and audit records ride
-// along without ever paying for, or causing, a sync), SyncInterval (bounded
-// data loss window), or SyncNever (page cache only). The hot path is never
-// serialized through a single lock or a single disk queue: stripes contend
+// block-derived pad stream, appends it with one write, calls fdatasync per
+// policy, and releases the batch's waiters. Under SyncAlways mutators block
+// until their batch is stable, and whatever arrives during one fdatasync is
+// the next batch — that is the group commit; announce and audit records ride
+// along without ever causing a sync, and the tick makes them stable at most
+// one Interval later. SyncInterval bounds the data-loss window; SyncNever
+// leaves flushing to the page cache. The hot path is never serialized
+// through a single lock or a single disk queue: stripes contend
 // only within themselves, commits on distinct stripes fsync concurrently,
 // and only SyncAlways mutators wait. Stats.SyncHist — surfaced through the
 // server's STATS verb, summed across stripes — histograms records-per-fsync,
@@ -91,7 +92,7 @@ import (
 	"auditreg/internal/telem"
 )
 
-// Policy selects when the WAL writer calls fsync.
+// Policy selects when a WAL stripe's commit loop calls fdatasync.
 type Policy uint8
 
 const (
@@ -145,12 +146,10 @@ func ParsePolicy(s string) (Policy, bool) {
 const (
 	DefaultInterval     = 50 * time.Millisecond
 	DefaultSegmentBytes = 64 << 20
-	DefaultBatchDelay   = 500 * time.Microsecond
-	DefaultBatchBytes   = 1 << 20
 )
 
 // MaxStripes bounds the stripe-group count: the stripe id is rendered as two
-// hex digits in file names, and 256 writer goroutines is already far past
+// hex digits in file names, and 256 commit loops is already far past
 // any sensible configuration.
 const MaxStripes = 256
 
@@ -159,17 +158,17 @@ const MaxStripes = 256
 type Options struct {
 	// Policy selects the fsync policy (default SyncAlways).
 	Policy Policy
-	// Interval is the flush+fsync cadence under SyncInterval (default
-	// DefaultInterval). Ignored by the other policies.
+	// Interval is the flush+fsync cadence under SyncInterval, and under
+	// SyncAlways the longest announce and audit records wait for a sync
+	// (default DefaultInterval).
 	Interval time.Duration
 	// SegmentBytes rotates the active segment once it exceeds this size
 	// (default DefaultSegmentBytes).
 	SegmentBytes int64
 	// Stripes is the number of WAL stripe groups (default
 	// runtime.GOMAXPROCS(0), rounded up to a power of two, capped at
-	// MaxStripes). Each stripe owns its segment files, its writer
-	// goroutine, its adaptive group-commit window, and its pipelined
-	// fsync, so commits on distinct stripes proceed — and sync — in
+	// MaxStripes). Each stripe owns its segment files and its commit
+	// loop, so commits on distinct stripes proceed — and sync — in
 	// parallel. One object's records always land in one stripe (chosen by
 	// the same name hash the store's shard map uses), preserving their
 	// order; per-stripe snapshots therefore always see whole per-object
@@ -181,17 +180,6 @@ type Options struct {
 	// under a different configuration. To restripe, compact into a fresh
 	// directory.
 	Stripes int
-	// BatchDelay bounds the adaptive group-commit window under SyncAlways:
-	// when more blocking mutators are in flight than the drained batch
-	// already holds, the writer waits up to this long for their records
-	// before the one fsync that makes the whole batch stable. The window
-	// closes as soon as every known waiter is absorbed, so an uncontended
-	// log pays none of it. 0 selects DefaultBatchDelay; negative disables
-	// the window. Ignored by the other policies.
-	BatchDelay time.Duration
-	// BatchBytes closes the window early once the pending batch's encoded
-	// size exceeds it (default DefaultBatchBytes).
-	BatchBytes int
 	// SyncLatency, when non-nil, receives one observation per fdatasync on
 	// segment data — the wall-clock cost of making a group commit stable.
 	// Each stripe observes on its own histogram stripe (by stripe id), so
@@ -218,12 +206,6 @@ func (o Options) withDefaults() Options {
 		n <<= 1
 	}
 	o.Stripes = n
-	if o.BatchDelay == 0 {
-		o.BatchDelay = DefaultBatchDelay
-	}
-	if o.BatchBytes <= 0 {
-		o.BatchBytes = DefaultBatchBytes
-	}
 	return o
 }
 

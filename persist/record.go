@@ -203,7 +203,7 @@ const padTag = "auditreg/persist/pads/v2\x00"
 
 // padStream is the keystream of one record file, derived in blocks from
 // otp.BlockPads. Safe for concurrent use (distinct files are scanned
-// concurrently with the writer appending to the active one; each has its
+// concurrently with the commit loop appending to the active one; each has its
 // own stream).
 type padStream struct {
 	pads *otp.BlockPads

@@ -2,7 +2,6 @@ package persist
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 	"os"
 	"path/filepath"
@@ -27,23 +26,17 @@ const lockFileName = "wal.lock"
 // records instead of one per record, and 4 MiB measured the same.
 const preallocChunk = 1 << 20
 
-// pending is one record awaiting a stripe's group-commit writer; done is
-// non-nil when the mutator blocks for durability (SyncAlways opens, writes,
-// and fetches).
+// pending is one record awaiting its stripe's commit loop; done is non-nil
+// when the mutator blocks for durability (SyncAlways opens, writes, and
+// fetches).
 type pending struct {
 	rec  Record
 	done chan error
 }
 
-// encSize estimates the record's encoded frame size, for the BatchBytes
-// window cutoff.
-func (p *pending) encSize() int {
-	return frameOverhead + 16 + len(p.rec.Name)
-}
-
 // doneChans pools the one-shot completion channels of blocking records: the
-// writer sends exactly one verdict, the mutator consumes it and returns the
-// empty channel — so a blocking mutation costs no channel allocation at
+// commit loop sends exactly one verdict, the mutator consumes it and returns
+// the empty channel — so a blocking mutation costs no channel allocation at
 // steady state.
 var doneChans = sync.Pool{New: func() any { return make(chan error, 1) }}
 
@@ -65,10 +58,10 @@ func syncBucket(n int) int {
 }
 
 // WAL is the write-ahead log over one data directory: Options.Stripes
-// independently committing stripe groups, each with its own segment files,
-// writer goroutine, adaptive commit window, and pipelined fsync. An object's
-// records always land in the stripe its name hashes to, so per-object order
-// — the property recovery and snapshots rely on — survives the fan-out.
+// independently committing stripe groups, each with its own segment files
+// and its own commit loop (walStripe.run). An object's records always land
+// in the stripe its name hashes to, so per-object order — the property
+// recovery and snapshots rely on — survives the fan-out.
 //
 // It implements store.Journal[uint64]: attach it with store.Store.SetJournal
 // (after recovery) or store.WithJournal (fresh store). Construct with Open;
@@ -85,7 +78,7 @@ type WAL struct {
 	// on-disk seqs strictly increasing across process generations —
 	// otherwise a later recovery would see two different writes claiming
 	// one seq and halt on perfectly healthy data. Built once before the
-	// writers start; read-only afterwards.
+	// commit loops start; read-only afterwards.
 	seqBase map[string]uint64
 
 	lock   *os.File
@@ -105,9 +98,8 @@ type WAL struct {
 	snaps  atomic.Uint64
 }
 
-// walStripe is one stripe group: an append buffer, a writer goroutine
-// (run), a sync goroutine (syncLoop), and the stripe's own segment files and
-// LSN space.
+// walStripe is one stripe group: an append buffer, the one goroutine that
+// commits it (run), and the stripe's own segment files and LSN space.
 type walStripe struct {
 	id   int
 	dir  string
@@ -124,23 +116,12 @@ type walStripe struct {
 	mu   sync.Mutex
 	recs []pending
 
-	notify   chan struct{}
-	rotatec  chan chan rotateReply
-	flushc   chan chan error
-	done     chan struct{}
-	syncc    chan syncJob // writer → sync goroutine (unbuffered; one job in flight)
-	syncack  chan syncAck // sync goroutine → writer (buffered; never blocks the syncer)
-	syncdone chan struct{}
+	notify  chan struct{}
+	rotatec chan chan rotateReply
+	flushc  chan chan error
+	done    chan struct{}
 
-	// waiters counts blocking mutators whose records this stripe's writer
-	// has not yet committed (incremented on entry to append, decremented
-	// when the record completes). The adaptive commit window compares it
-	// against the blocking records already drained: while more waiters are
-	// known to be in flight on this stripe, holding the fsync open a little
-	// longer absorbs them into the same batch.
-	waiters atomic.Int64
-
-	// Writer-goroutine state; untouched by other goroutines.
+	// Commit-loop state; untouched by other goroutines.
 	active      *os.File
 	activeNonce [fileNonceLen]byte
 	activePads  padStream
@@ -149,19 +130,10 @@ type walStripe struct {
 	activeAlloc int64 // preallocated size of the active file; 0 when it grows with every append
 	nextLSN     uint64
 	lastSync    time.Time
-	dirty       bool      // appended records not yet covered by an issued fsync
+	dirty       bool      // appended records not yet covered by an fdatasync
 	cur         []pending // batch buffer for the next drain
-	spare       []pending // second batch buffer (ping-pong with the in-flight job)
 	encBuf      []byte    // reused frame encode buffer
-	sinceSync   int       // records appended since the last issued fsync
-	blockSync   int       // blocking records appended since the last issued fsync
-	inFlight    bool      // a syncJob is with the sync goroutine
-
-	// cohort is the EWMA of blocking records per fsync on this stripe —
-	// the concurrency estimate steering the adaptive window. Written by the
-	// sync goroutine, read by the writer (absorb); float bits in an atomic
-	// word.
-	cohort atomic.Uint64
+	sinceSync   int       // records appended since the last fdatasync
 
 	records   atomic.Uint64
 	batches   atomic.Uint64
@@ -196,35 +168,30 @@ func lockDir(dir string) (*os.File, error) {
 
 // newStripe builds one stripe group wired to the WAL's shared state. The
 // caller sets nextLSN and opens the active segment before starting the
-// goroutines (start).
+// commit loop (start).
 func newStripe(w *WAL, id int) *walStripe {
 	return &walStripe{
-		id:       id,
-		dir:      w.dir,
-		key:      w.key,
-		opts:     w.opts,
-		failed:   &w.failed,
-		closed:   &w.closed,
-		stopc:    w.stopc,
-		killc:    w.killc,
-		notify:   make(chan struct{}, 1),
-		rotatec:  make(chan chan rotateReply),
-		flushc:   make(chan chan error),
-		done:     make(chan struct{}),
-		syncc:    make(chan syncJob),
-		syncack:  make(chan syncAck, 1),
-		syncdone: make(chan struct{}),
-		cur:      make([]pending, 0, 64),
-		spare:    make([]pending, 0, 64),
-		nextLSN:  1,
+		id:      id,
+		dir:     w.dir,
+		key:     w.key,
+		opts:    w.opts,
+		failed:  &w.failed,
+		closed:  &w.closed,
+		stopc:   w.stopc,
+		killc:   w.killc,
+		notify:  make(chan struct{}, 1),
+		rotatec: make(chan chan rotateReply),
+		flushc:  make(chan chan error),
+		done:    make(chan struct{}),
+		cur:     make([]pending, 0, 64),
+		nextLSN: 1,
 	}
 }
 
-// start launches the stripe's writer and sync goroutines.
+// start launches the stripe's commit loop.
 func (s *walStripe) start() {
 	s.lastSync = time.Now()
 	go s.run()
-	go s.syncLoop()
 }
 
 // stripeOf picks the stripe group for an object name, hashing exactly as the
@@ -265,17 +232,15 @@ func (w *WAL) append(r *store.JournalRecord[uint64]) (*walStripe, chan error, er
 	s := w.stripeOf(r.Name)
 	if blocking {
 		p.done = doneChans.Get().(chan error)
-		s.waiters.Add(1)
 	}
 	s.mu.Lock()
-	// Re-check under the stripe lock: the writer's final drain on stopc
+	// Re-check under the stripe lock: the commit loop's final drain on stopc
 	// takes this lock after Close sets closed, so a record appended while
 	// closed is still false here is guaranteed to be in that drain — no
 	// record can be acknowledged and then stranded in a buffer.
 	if w.closed.Load() {
 		s.mu.Unlock()
 		if blocking {
-			s.waiters.Add(-1)
 			doneChans.Put(p.done)
 		}
 		return nil, nil, fmt.Errorf("persist: wal is closed")
@@ -293,7 +258,7 @@ func (s *walStripe) wait(done chan error) error {
 		doneChans.Put(done)
 		return err
 	case <-s.done:
-		// The writer exited (Close racing this append). It may still have
+		// The loop exited (Close racing this append). It may still have
 		// committed the record in its final drain; prefer that verdict.
 		select {
 		case err := <-done:
@@ -309,8 +274,8 @@ func (s *walStripe) wait(done chan error) error {
 
 // Record implements store.Journal: encode the mutation, append it to the
 // name's stripe, and — under SyncAlways, for records with durability
-// semantics — block until that stripe's group-commit writer reports the
-// record stable. Announce and audit records never block: they are pure
+// semantics — block until that stripe's commit loop reports the record
+// stable. Announce and audit records never block: they are pure
 // helping and derived state.
 func (w *WAL) Record(r store.JournalRecord[uint64]) error {
 	s, done, err := w.append(&r)
@@ -323,8 +288,8 @@ func (w *WAL) Record(r store.JournalRecord[uint64]) error {
 // RecordAsync implements store.AsyncJournal: append like Record, but hand
 // the durability wait back to the caller as a commit closure, so a
 // pipelined caller (the network server) can keep executing requests while
-// the stripe's group-commit writer absorbs every in-flight mutation — the
-// whole pending buffer — into one fsync.
+// the stripe's commit loop takes every mutation that arrived during its
+// previous fdatasync — the whole pending buffer — into the next one.
 func (w *WAL) RecordAsync(r store.JournalRecord[uint64]) (func() error, error) {
 	s, done, err := w.append(&r)
 	if err != nil || done == nil {
@@ -344,7 +309,7 @@ func (w *WAL) err() error {
 	return nil
 }
 
-// kick nudges the stripe's writer without blocking.
+// kick nudges the stripe's commit loop without blocking.
 func (s *walStripe) kick() {
 	select {
 	case s.notify <- struct{}{}:
@@ -352,36 +317,14 @@ func (s *walStripe) kick() {
 	}
 }
 
-// syncJob is one batch handed to the sync goroutine: fsync fd, then
-// complete the batch's waiters. records/blocking carry the counts since the
-// previous issued fsync, for the histogram and the cohort estimate.
-type syncJob struct {
-	fd       *os.File
-	batch    []pending
-	records  int
-	blocking int
-}
-
-// syncAck returns the fsync verdict and the job's batch buffer (for the
-// writer's ping-pong reuse).
-type syncAck struct {
-	err error
-	buf []pending
-}
-
-// run is the stripe's group-commit writer: drain the append buffer, hold the
-// adaptive commit window open while the blocked-mutator cohort is still
-// arriving, assign LSNs, encrypt the batch against the active segment's pad
-// stream, and append. Under SyncAlways the fsync itself is pipelined: a
-// dedicated sync goroutine (syncLoop) carries at most one fsync in flight
-// while this goroutine keeps draining and appending the next batch — the
-// ZooKeeper-style batched-fsync pipeline, where the next group forms for
-// free during the previous group's fsync and the commit cycle is max(fsync,
-// arrivals) rather than their sum. Other policies fsync inline, as does
-// every barrier path (rotate, flush, close).
+// run is the stripe's commit loop, its one goroutine. Every wakeup — an
+// append (notify), the Interval tick, or a barrier (Sync's flush, Snapshot's
+// rotate, Close) — runs the same commit, and the only thing that differs
+// between them is whether the commit must end in an fdatasync (force).
+// Records that arrive while a commit's fdatasync is in progress queue in the
+// append buffer and form the next batch: that is the whole group commit.
 func (s *walStripe) run() {
 	defer close(s.done)
-	defer close(s.syncc)
 	tick := time.NewTicker(s.opts.Interval)
 	defer tick.Stop()
 	for {
@@ -390,132 +333,99 @@ func (s *walStripe) run() {
 			// Crash simulation (tests): stop dead, no drain, no seal.
 			return
 		case <-s.stopc:
-			s.syncBarrier()
-			batch := s.drain(s.cur)
-			s.commitInline(batch, true)
+			s.commit(true)
 			s.sealActive()
 			return
 		case reply := <-s.rotatec:
-			s.syncBarrier()
-			batch := s.drain(s.cur)
-			s.commitInline(batch, true)
-			s.cur = batch[:0]
-			var rr rotateReply
-			rr.err = s.rotate()
-			rr.cutLSN = s.activeBase
-			if e := s.failed.Load(); rr.err == nil && e != nil {
-				rr.err = *e
+			s.commit(true)
+			err := s.rotate()
+			if err == nil {
+				err = s.failure()
 			}
-			reply <- rr
+			reply <- rotateReply{cutLSN: s.activeBase, err: err}
 		case reply := <-s.flushc:
-			s.syncBarrier()
-			batch := s.drain(s.cur)
-			s.commitInline(batch, true)
-			s.cur = batch[:0]
-			var err error
-			if e := s.failed.Load(); e != nil {
-				err = *e
-			}
-			reply <- err
+			s.commit(true)
+			reply <- s.failure()
 		case <-s.notify:
-			if s.opts.Policy == SyncAlways {
-				s.pipelineCommit()
-			} else {
-				// Not forced: commit syncs exactly when the interval is due.
-				batch := s.drain(s.cur)
-				s.commitInline(batch, false)
-				s.cur = batch[:0]
-			}
+			s.commit(false)
 		case <-tick.C:
-			// Flush leftovers (announce records appended since the last
-			// sync) so helping state lags stability by at most one interval.
-			s.syncBarrier()
-			batch := s.drain(s.cur)
-			s.commitInline(batch, s.opts.Policy == SyncAlways)
-			s.cur = batch[:0]
+			// Under SyncAlways announce and audit records never cause a sync
+			// of their own; the forced tick makes them stable at most one
+			// Interval later. Under SyncInterval the tick is the cadence.
+			s.commit(s.opts.Policy == SyncAlways)
 		}
 	}
 }
 
-// pipelineCommit handles one notify wakeup under SyncAlways: drain, keep
-// absorbing arrivals for as long as the in-flight fsync forms a free commit
-// window (bounded by BatchBytes), optionally top the batch up to the
-// predicted cohort (absorb), then append and hand off. A shutdown or crash
-// signal parks the batch on s.cur for the outer loop to finish.
-func (s *walStripe) pipelineCommit() {
+// commit drains the append buffer, appends the batch with one write, calls
+// fdatasync when force or the policy asks for it, and releases the batch's
+// waiters. Under SyncAlways a batch with a waiter always syncs, so a waiter
+// is released only after an fdatasync issued after its bytes were written.
+func (s *walStripe) commit(force bool) {
 	batch := s.drain(s.cur)
-	approx := batchBytes(batch)
-	for s.inFlight && approx < s.opts.BatchBytes {
-		select {
-		case <-s.notify:
-			before := len(batch)
-			batch = s.drain(batch)
-			for i := before; i < len(batch); i++ {
-				approx += batch[i].encSize()
-			}
-		case ack := <-s.syncack:
-			s.inFlight = false
-			s.spare = ack.buf[:0]
-		case <-s.stopc:
-			s.cur = batch
-			return
-		case <-s.killc:
-			s.cur = batch
-			return
-		}
-	}
-	batch = s.absorb(batch)
-	s.commitPipelined(batch)
-}
-
-// syncLoop is the fsync half of the pipelined group commit: one job at a
-// time, fsync, publish the batching telemetry, wake the job's waiters,
-// hand the buffer back.
-func (s *walStripe) syncLoop() {
-	defer close(s.syncdone)
-	for job := range s.syncc {
-		t0 := telem.Now()
-		err := fdatasync(job.fd)
-		if h := s.opts.SyncLatency; h != nil {
-			h.Observe(uint64(s.id), telem.Now()-t0)
+	s.cur = batch[:0]
+	err := s.failure()
+	if err == nil {
+		err = s.appendBatch(batch)
+		if err == nil && s.dirty && s.syncDue(batch, force) {
+			err = s.sync()
 		}
 		if err != nil {
-			err = fmt.Errorf("persist: wal fsync: %w", err)
-			s.failed.CompareAndSwap(nil, &err)
-			s.fail(job.batch, err)
-		} else {
-			s.syncs.Add(1)
-			s.syncHist[syncBucket(job.records)].Add(1)
-			if job.blocking > 0 {
-				s.setCohort(0.75*s.cohortEstimate() + 0.25*float64(job.blocking))
-			}
-			for i := range job.batch {
-				if job.batch[i].done != nil {
-					s.waiters.Add(-1)
-					job.batch[i].done <- nil
-				}
+			err = fmt.Errorf("persist: wal commit: %w", err)
+			sticky := err // its own variable: &err would move err to the heap on every commit
+			s.failed.CompareAndSwap(nil, &sticky)
+		}
+	}
+	for i := range batch {
+		if batch[i].done != nil {
+			batch[i].done <- err
+		}
+	}
+}
+
+// syncDue reports whether committing batch must end in an fdatasync.
+func (s *walStripe) syncDue(batch []pending, force bool) bool {
+	switch {
+	case force:
+		return true
+	case s.opts.Policy == SyncAlways:
+		for i := range batch {
+			if batch[i].done != nil {
+				return true
 			}
 		}
-		s.syncack <- syncAck{err: err, buf: job.batch}
+	case s.opts.Policy == SyncInterval:
+		return time.Since(s.lastSync) >= s.opts.Interval
 	}
+	return false
 }
 
-// syncBarrier waits out the in-flight fsync, if any, reclaiming its batch
-// buffer. Every non-pipelined touch of the active file (inline sync,
-// rotation, seal) starts here.
-func (s *walStripe) syncBarrier() {
-	if !s.inFlight {
-		return
+// sync makes everything appended to the active segment stable, observing
+// the fdatasync on Options.SyncLatency.
+func (s *walStripe) sync() error {
+	t0 := telem.Now()
+	err := fdatasync(s.active)
+	if h := s.opts.SyncLatency; h != nil {
+		h.Observe(uint64(s.id), telem.Now()-t0)
 	}
-	ack := <-s.syncack
-	s.inFlight = false
-	s.spare = ack.buf[:0]
+	if err != nil {
+		return err
+	}
+	s.dirty = false
+	s.lastSync = time.Now()
+	s.syncs.Add(1)
+	s.syncHist[syncBucket(s.sinceSync)].Add(1)
+	s.sinceSync = 0
+	return nil
 }
 
-// cohortEstimate and setCohort move the concurrency EWMA across the
-// writer/syncer boundary.
-func (s *walStripe) cohortEstimate() float64 { return math.Float64frombits(s.cohort.Load()) }
-func (s *walStripe) setCohort(v float64)     { s.cohort.Store(math.Float64bits(v)) }
+// failure returns the sticky failure, if any.
+func (s *walStripe) failure() error {
+	if e := s.failed.Load(); e != nil {
+		return *e
+	}
+	return nil
+}
 
 // drain steals the stripe's pending records, appending them to batch (a
 // reused buffer).
@@ -529,88 +439,10 @@ func (s *walStripe) drain(batch []pending) []pending {
 	return batch
 }
 
-// blockingRecords counts the batch's records with waiters attached.
-func blockingRecords(batch []pending) int {
-	n := 0
-	for i := range batch {
-		if batch[i].done != nil {
-			n++
-		}
-	}
-	return n
-}
-
-// absorb is the adaptive commit window: hold the fsync open — up to
-// BatchDelay, bounded by BatchBytes — while the blocked-mutator cohort is
-// still arriving, so one fsync covers it whole. Two signals open the
-// window: waiters the writer can already see (blocking mutators in flight
-// on this stripe beyond the batch), and the cohort EWMA — the recent
-// blocking-records-per-fsync average — which predicts the stragglers it
-// cannot see yet: under concurrency, a record that lands right after a sync
-// would otherwise commit alone, and the next conn's record half a
-// round-trip behind it would buy a second fsync. The window closes as soon
-// as the batch reaches the predicted cohort with no further waiters in
-// flight; with a single steady mutator the EWMA decays to one and the
-// window stops opening at all — an uncontended stripe adds no latency.
-// Shutdown and crash signals abort the window.
-func (s *walStripe) absorb(batch []pending) []pending {
-	nb := blockingRecords(batch)
-	if s.opts.BatchDelay <= 0 || nb == 0 {
-		return batch
-	}
-	target := int(s.cohortEstimate() + 0.5)
-	if int64(nb) >= s.waiters.Load() && nb >= target {
-		return batch
-	}
-	var timer *time.Timer
-	defer func() {
-		if timer != nil {
-			timer.Stop()
-		}
-	}()
-	approx := batchBytes(batch)
-	for approx < s.opts.BatchBytes {
-		if timer == nil {
-			timer = time.NewTimer(s.opts.BatchDelay)
-		}
-		select {
-		case <-s.notify:
-			before := len(batch)
-			batch = s.drain(batch)
-			for i := before; i < len(batch); i++ {
-				if batch[i].done != nil {
-					nb++
-				}
-				approx += batch[i].encSize()
-			}
-			if int64(nb) >= s.waiters.Load() && nb >= target {
-				return batch
-			}
-		case <-timer.C:
-			return batch
-		case <-s.stopc:
-			return batch
-		case <-s.killc:
-			return batch
-		}
-	}
-	return batch
-}
-
-// batchBytes estimates the encoded size of a batch.
-func batchBytes(batch []pending) int {
-	n := 0
-	for i := range batch {
-		n += batch[i].encSize()
-	}
-	return n
-}
-
 // appendBatch encodes the batch into the reused frame buffer and appends it
 // to the active segment with one write, rotating first when the segment is
-// over size (callers on the pipelined path have already barriered) and
-// preallocating another chunk first when the write would cross the
-// allocation.
+// over size and preallocating another chunk first when the write would cross
+// the allocation.
 func (s *walStripe) appendBatch(batch []pending) error {
 	if len(batch) == 0 {
 		return nil
@@ -639,120 +471,9 @@ func (s *walStripe) appendBatch(batch []pending) error {
 	}
 	s.dirty = true
 	s.sinceSync += len(batch)
-	s.blockSync += blockingRecords(batch)
 	s.records.Add(uint64(len(batch)))
 	s.batches.Add(1)
 	return nil
-}
-
-// commitPipelined is the SyncAlways notify path: append the batch, and —
-// when it carries waiters — hand it to the sync goroutine. The barrier
-// before the handoff keeps exactly one fsync in flight per stripe;
-// everything appended before the handoff is covered by the fsync it
-// triggers (the syscall is issued strictly after the writes). A batch with
-// no waiters appends without syncing: pure helping never pays for, or
-// causes, a sync. The writer reclaims the previous job's buffer at the
-// barrier, so two batch buffers ping-pong between the halves with no
-// allocation.
-func (s *walStripe) commitPipelined(batch []pending) {
-	if e := s.failed.Load(); e != nil {
-		s.fail(batch, *e)
-		s.cur = batch[:0]
-		return
-	}
-	rotating := len(batch) > 0 && s.activeSize > s.opts.SegmentBytes
-	if rotating || blockingRecords(batch) > 0 {
-		// The in-flight fsync must finish before we seal its file or issue
-		// the next one.
-		s.syncBarrier()
-	}
-	if err := s.appendBatch(batch); err != nil {
-		err = fmt.Errorf("persist: wal append: %w", err)
-		s.failed.CompareAndSwap(nil, &err)
-		s.fail(batch, err)
-		s.cur = batch[:0]
-		return
-	}
-	if blockingRecords(batch) == 0 {
-		s.cur = batch[:0] // keep the buffer; nobody waits
-		return
-	}
-	s.syncc <- syncJob{fd: s.active, batch: batch, records: s.sinceSync, blocking: s.blockSync}
-	s.inFlight = true
-	s.dirty = false // the issued fsync covers everything appended so far
-	s.sinceSync, s.blockSync = 0, 0
-	s.cur = s.spare[:0]
-	s.spare = nil
-}
-
-// commitInline writes one batch to the active segment and fsyncs when the
-// policy (or force) calls for it, then completes the batch's waiters — the
-// non-pipelined path, used by the Interval/Never policies and by every
-// barrier (rotate, flush, close, tick leftovers). Pipelined callers
-// syncBarrier first.
-func (s *walStripe) commitInline(batch []pending, force bool) {
-	if e := s.failed.Load(); e != nil {
-		s.fail(batch, *e)
-		return
-	}
-	err := s.appendBatch(batch)
-	if err == nil && s.dirty {
-		sync := force
-		if !sync {
-			switch s.opts.Policy {
-			case SyncAlways:
-				// Whatever drained this batch (notify, tick), a waiter must
-				// never be released before its record is stable.
-				sync = blockingRecords(batch) > 0
-			case SyncInterval:
-				if time.Since(s.lastSync) >= s.opts.Interval {
-					sync = true
-				}
-			}
-		}
-		if sync {
-			t0 := telem.Now()
-			err = fdatasync(s.active)
-			if h := s.opts.SyncLatency; h != nil {
-				h.Observe(uint64(s.id), telem.Now()-t0)
-			}
-			if err == nil {
-				s.dirty = false
-				s.lastSync = time.Now()
-				s.syncs.Add(1)
-				s.syncHist[syncBucket(s.sinceSync)].Add(1)
-				if s.blockSync > 0 {
-					// Update the concurrency estimate from syncs that carried
-					// waiters (tick-driven announce flushes say nothing about
-					// mutator concurrency).
-					s.setCohort(0.75*s.cohortEstimate() + 0.25*float64(s.blockSync))
-				}
-				s.sinceSync, s.blockSync = 0, 0
-			}
-		}
-	}
-	if err != nil {
-		err = fmt.Errorf("persist: wal append: %w", err)
-		s.failed.CompareAndSwap(nil, &err)
-		s.fail(batch, err)
-		return
-	}
-	for i := range batch {
-		if batch[i].done != nil {
-			s.waiters.Add(-1)
-			batch[i].done <- nil
-		}
-	}
-}
-
-// fail completes a batch's waiters with err.
-func (s *walStripe) fail(batch []pending, err error) {
-	for i := range batch {
-		if batch[i].done != nil {
-			s.waiters.Add(-1)
-			batch[i].done <- err
-		}
-	}
 }
 
 // rotate seals the active segment and opens a fresh one whose base is the
@@ -904,15 +625,14 @@ func (w *WAL) Close() error {
 	return err
 }
 
-// join waits for every stripe's writer and sync goroutine to exit.
+// join waits for every stripe's commit loop to exit.
 func (w *WAL) join() {
 	for _, s := range w.groups {
 		<-s.done
-		<-s.syncdone
 	}
 }
 
-// abandon simulates kill -9 for in-process tests: every stripe's writer
+// abandon simulates kill -9 for in-process tests: every stripe's commit loop
 // stops without draining its buffer or sealing its active segment, and the
 // directory lock is released so the "restarted" process can take it.
 // Everything the OS already has (every completed Write syscall) stays on
@@ -923,7 +643,7 @@ func (w *WAL) abandon() {
 		return
 	}
 	close(w.killc)
-	w.join() // in-flight fsyncs finish before the fds close
+	w.join() // a commit in progress finishes before the fds close
 	for _, s := range w.groups {
 		if s.active != nil {
 			s.active.Close()
@@ -941,7 +661,7 @@ func (w *WAL) abandon() {
 type Stats struct {
 	Stripes   int    // stripe groups (pinned by the data directory)
 	Records   uint64 // records appended
-	Batches   uint64 // group commits
+	Batches   uint64 // append writes
 	Syncs     uint64 // fsync calls on segment data
 	Rotations uint64 // segment rotations
 	Snapshots uint64 // snapshots taken

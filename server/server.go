@@ -119,11 +119,6 @@ type Config struct {
 	Fsync         persist.Policy
 	FsyncInterval time.Duration
 	SegmentBytes  int64
-	// WALBatchDelay and WALBatchBytes tune the WAL's adaptive group-commit
-	// window (defaults persist.DefaultBatchDelay/DefaultBatchBytes; a
-	// negative delay disables the window). See persist.Options.
-	WALBatchDelay time.Duration
-	WALBatchBytes int
 	// WALStripes is the WAL stripe-group count (default in persist:
 	// runtime.GOMAXPROCS(0)). A non-empty data directory pins its own
 	// count; see persist.Options.Stripes.
@@ -268,8 +263,6 @@ func New(cfg Config) (*Server, error) {
 			Interval:     cfg.FsyncInterval,
 			SegmentBytes: cfg.SegmentBytes,
 			Stripes:      cfg.WALStripes,
-			BatchDelay:   cfg.WALBatchDelay,
-			BatchBytes:   cfg.WALBatchBytes,
 			SyncLatency:  tel.walFsync,
 		})
 		if err != nil {
