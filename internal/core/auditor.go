@@ -39,6 +39,17 @@ type Auditor[V comparable] struct {
 // uninitialized history slot, which can occur only after a writer hit the
 // history-capacity bound.
 func (a *Auditor[V]) Audit() (Report[V], error) {
+	if err := a.AuditRows(nil); err != nil {
+		return Report[V]{}, err
+	}
+	return a.set.View(), nil
+}
+
+// AuditRows is Audit for a caller that keeps the cumulative set itself: each
+// decrypted row, history rows [lsa, rsn) then the current row as Rows replays
+// them, goes to emit instead of into the handle's set (emit nil: Audit). A
+// handle is driven through one of the two, never both.
+func (a *Auditor[V]) AuditRows(emit func(val V, readers uint64)) error {
 	reg := a.reg
 
 	// Line 17: (rsn, rval, rbits) <- R.read(). The audit linearizes here.
@@ -52,7 +63,9 @@ func (a *Auditor[V]) Audit() (Report[V], error) {
 
 	// Lines 18-20: collect readers of past values from V and B. The scan
 	// starts at lsa, not 0: rows below lsa were already folded into A.
-	a.set.Reserve(t.Seq - a.lsa)
+	if emit == nil {
+		a.set.Reserve(t.Seq - a.lsa)
+	}
 	for s := a.lsa; s < t.Seq; s++ {
 		if a.probe != nil {
 			a.probe.Emit(probe.Event{PID: a.pid, Kind: probe.Invoke, Prim: probe.VLoad})
@@ -62,7 +75,7 @@ func (a *Auditor[V]) Audit() (Report[V], error) {
 			a.probe.Emit(probe.Event{PID: a.pid, Kind: probe.Return, Prim: probe.VLoad, Detail: val})
 		}
 		if !ok {
-			return Report[V]{}, fmt.Errorf("core: audit found uninitialized V[%d]; history capacity was exceeded", s)
+			return fmt.Errorf("core: audit found uninitialized V[%d]; history capacity was exceeded", s)
 		}
 		if a.probe != nil {
 			a.probe.Emit(probe.Event{PID: a.pid, Kind: probe.Invoke, Prim: probe.BRow})
@@ -71,12 +84,20 @@ func (a *Auditor[V]) Audit() (Report[V], error) {
 		if a.probe != nil {
 			a.probe.Emit(probe.Event{PID: a.pid, Kind: probe.Return, Prim: probe.BRow, Detail: row})
 		}
-		a.set.Add(row&reg.maskM, val)
+		if emit == nil {
+			a.set.Add(row&reg.maskM, val)
+		} else {
+			emit(val, row&reg.maskM)
+		}
 	}
 
 	// Line 21: decrypt the current value's tracking bits.
 	a.rval, a.rbits = t.Val, (t.Bits^a.padc.Mask(t.Seq))&reg.maskM
-	a.set.Add(a.rbits, a.rval)
+	if emit == nil {
+		a.set.Add(a.rbits, a.rval)
+	} else {
+		emit(a.rval, a.rbits)
+	}
 
 	// Line 22: advance the cursor to rsn (not rsn+1: more readers may
 	// still join the current sequence number) and help complete the
@@ -89,8 +110,7 @@ func (a *Auditor[V]) Audit() (Report[V], error) {
 	if a.probe != nil {
 		a.probe.Emit(probe.Event{PID: a.pid, Kind: probe.Return, Prim: probe.SNCAS, Detail: ok})
 	}
-
-	return a.set.View(), nil
+	return nil
 }
 
 // Rows replays what the audits so far scanned to a party that keeps its own

@@ -9,6 +9,7 @@ package shard
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 )
@@ -28,13 +29,28 @@ const MaxShards = 1 << 20
 // NewMap.
 type Map[T any] struct {
 	mask    uint64
+	shift   int // log2 of the shard count
 	buckets []bucket[T]
 }
 
+// bucket is one shard. Creations fill a slot of its table in place, and at
+// 3/4 load publish a doubled copy; a lookup that loaded the old table misses
+// only names created after it started.
 type bucket[T any] struct {
-	mu sync.Mutex // serializes creation, which is what makes it exactly-once
-	m  sync.Map   // name -> T
-	n  atomic.Int64
+	mu  sync.Mutex // serializes creation, which is what makes it exactly-once
+	tab atomic.Pointer[table[T]]
+	n   atomic.Int64
+}
+
+// table is a power-of-two array of entry slots, probed linearly. Slots only
+// go from nil to an entry, so a probe ends at the first empty one. Shards
+// start on one shared empty slot that their first creation grows away from.
+type table[T any] []atomic.Pointer[entry[T]]
+
+type entry[T any] struct {
+	hash uint64 // the name's hash above the shard bits
+	name string
+	val  T
 }
 
 // NewMap returns a map with the given shard count rounded up to a power of
@@ -50,7 +66,12 @@ func NewMap[T any](shards int) (*Map[T], error) {
 	for n < shards {
 		n <<= 1
 	}
-	return &Map[T]{mask: uint64(n - 1), buckets: make([]bucket[T], n)}, nil
+	m := &Map[T]{mask: uint64(n - 1), shift: bits.TrailingZeros(uint(n)), buckets: make([]bucket[T], n)}
+	empty := make(table[T], 1)
+	for i := range m.buckets {
+		m.buckets[i].tab.Store(&empty)
+	}
+	return m, nil
 }
 
 // Shards returns the shard count (a power of two).
@@ -67,18 +88,12 @@ func Hash(name string) uint64 { return fnv1a(name) }
 // HashBytes is Hash over a byte slice, for callers that hold an object name
 // as bytes inside a larger frame and must not allocate a string to route it
 // (the server's shard dispatcher). HashBytes(b) == Hash(string(b)) always.
-func HashBytes(b []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(b); i++ {
-		h ^= uint64(b[i])
-		h *= 1099511628211
-	}
-	return h
-}
+func HashBytes(b []byte) uint64 { return fnv1a(b) }
 
-// fnv1a is the 64-bit FNV-1a hash; inlined to keep Get allocation-free
-// (hash/fnv would force the string through an io.Writer).
-func fnv1a(s string) uint64 {
+// fnv1a is the 64-bit FNV-1a hash of a string or of bytes, neither
+// converted; inlined to keep Get allocation-free (hash/fnv would force the
+// string through an io.Writer).
+func fnv1a[S string | []byte](s S) uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(s); i++ {
 		h ^= uint64(s[i])
@@ -88,13 +103,23 @@ func fnv1a(s string) uint64 {
 }
 
 // Get returns the value stored under name, if any.
-func (m *Map[T]) Get(name string) (T, bool) {
-	v, ok := m.buckets[m.ShardOf(name)].m.Load(name)
-	if !ok {
-		var zero T
-		return zero, false
+func (m *Map[T]) Get(name string) (v T, ok bool) {
+	h := fnv1a(name)
+	if e, _ := m.buckets[h&m.mask].tab.Load().find(h>>m.shift, name); e != nil {
+		v, ok = e.val, true
 	}
-	return v.(T), true
+	return v, ok
+}
+
+// find returns the entry of name, whose hash above the shard bits is h, and
+// its slot, or nil and the empty slot the probe ended at.
+func (t table[T]) find(h uint64, name string) (*entry[T], uint64) {
+	mask := uint64(len(t) - 1)
+	for i := h & mask; ; i = (i + 1) & mask {
+		if e := t[i].Load(); e == nil || e.hash == h && e.name == name {
+			return e, i
+		}
+	}
 }
 
 // GetOrCreate returns the value stored under name, creating it with create
@@ -105,20 +130,35 @@ func (m *Map[T]) Get(name string) (T, bool) {
 // create runs while the shard's creations are locked out: it must be quick
 // and must not create in this Map.
 func (m *Map[T]) GetOrCreate(name string, create func() (T, error)) (v T, created bool, err error) {
-	if v, ok := m.Get(name); ok {
-		return v, false, nil
+	h := fnv1a(name)
+	b, h := &m.buckets[h&m.mask], h>>m.shift
+	if e, _ := b.tab.Load().find(h, name); e != nil {
+		return e.val, false, nil
 	}
-	b := &m.buckets[m.ShardOf(name)]
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if v, ok := m.Get(name); ok {
-		return v, false, nil
+	t := b.tab.Load()
+	e, i := t.find(h, name)
+	if e != nil {
+		return e.val, false, nil
 	}
 	if v, err = create(); err != nil {
 		var zero T
 		return zero, false, err
 	}
-	b.m.Store(name, v)
+	if 4*(b.n.Load()+1) > 3*int64(len(*t)) {
+		grown := make(table[T], max(8, 2*len(*t)))
+		for j := range *t {
+			if e := (*t)[j].Load(); e != nil {
+				_, k := grown.find(e.hash, e.name)
+				grown[k].Store(e)
+			}
+		}
+		b.tab.Store(&grown)
+		t = &grown
+		_, i = grown.find(h, name)
+	}
+	(*t)[i].Store(&entry[T]{hash: h, name: name, val: v})
 	b.n.Add(1)
 	return v, true, nil
 }
@@ -149,10 +189,11 @@ func (m *Map[T]) Range(f func(name string, v T) bool) {
 // sweep ran to completion (false if f stopped it). Like Range, f runs
 // without any lock held.
 func (m *Map[T]) RangeShard(i int, f func(name string, v T) bool) bool {
-	done := true
-	m.buckets[i].m.Range(func(name, v any) bool {
-		done = f(name.(string), v.(T))
-		return done
-	})
-	return done
+	t := *m.buckets[i].tab.Load()
+	for j := range t {
+		if e := t[j].Load(); e != nil && !f(e.name, e.val) {
+			return false
+		}
+	}
+	return true
 }

@@ -143,6 +143,106 @@ func TestRangeShardPartition(t *testing.T) {
 	}
 }
 
+// TestGetDuringGrowth fills one shard from several creators while readers
+// loop on Get, so lookups run against tables being filled and doubled.
+func TestGetDuringGrowth(t *testing.T) {
+	const names, creators, readers = 4096, 2, 2
+	m, _ := NewMap[int](1)
+	name := make([]string, names)
+	for i := range name {
+		name[i] = fmt.Sprintf("g%d", i)
+	}
+	// Creator c creates names c, c+creators, ... in order and publishes how
+	// many of its own have returned.
+	var progress [creators]atomic.Int64
+	var done atomic.Bool
+	var ready, readWG, createWG sync.WaitGroup
+	ready.Add(readers)
+	for r := 0; r < readers; r++ {
+		readWG.Add(1)
+		go func() {
+			defer readWG.Done()
+			ready.Done()
+			for k := 0; !done.Load(); k++ {
+				c := k % creators
+				p := progress[c].Load() // names below p were created before this Get starts
+				j := int64(k/creators) % min(p+1, names/creators)
+				i := c + creators*int(j)
+				v, ok := m.Get(name[i])
+				if ok && v != i {
+					t.Errorf("Get(%s) = %d, want %d", name[i], v, i)
+					return
+				}
+				if !ok && j < p {
+					t.Errorf("Get(%s) missed a name whose GetOrCreate had returned", name[i])
+					return
+				}
+			}
+		}()
+	}
+	ready.Wait()
+	for c := 0; c < creators; c++ {
+		createWG.Add(1)
+		go func() {
+			defer createWG.Done()
+			for i := c; i < names; i += creators {
+				if _, _, err := m.GetOrCreate(name[i], func() (int, error) { return i, nil }); err != nil {
+					t.Errorf("GetOrCreate(%s): %v", name[i], err)
+					return
+				}
+				progress[c].Add(1)
+			}
+		}()
+	}
+	createWG.Wait()
+	done.Store(true)
+	readWG.Wait()
+	if got := m.Len(); got != names {
+		t.Errorf("Len() = %d, want %d", got, names)
+	}
+	for i := range name {
+		if v, ok := m.Get(name[i]); !ok || v != i {
+			t.Fatalf("after growth Get(%s) = (%d, %v), want (%d, true)", name[i], v, ok, i)
+		}
+	}
+}
+
+func TestGetAllocationFree(t *testing.T) {
+	m, _ := NewMap[*int](DefaultShards)
+	for i := 0; i < 1024; i++ {
+		m.GetOrCreate(fmt.Sprintf("object-%d", i), func() (*int, error) { return &i, nil })
+	}
+	for _, name := range []string{"object-17", "absent"} {
+		if n := testing.AllocsPerRun(1000, func() { m.Get(name) }); n != 0 {
+			t.Errorf("Get(%q) allocates %.1f times, want 0", name, n)
+		}
+	}
+}
+
+// BenchmarkGet looks up existing names round-robin: the name lookup every
+// store operation starts with.
+func BenchmarkGet(b *testing.B) {
+	for _, n := range []int{1024, 65536} {
+		b.Run(fmt.Sprintf("names=%d", n), func(b *testing.B) {
+			m, _ := NewMap[*int](DefaultShards)
+			names := make([]string, n)
+			for i := range names {
+				names[i] = fmt.Sprintf("object-%d", i)
+				m.GetOrCreate(names[i], func() (*int, error) { return &i, nil })
+			}
+			i := 0
+			for b.Loop() {
+				if _, ok := m.Get(names[i]); !ok {
+					b.Fatal("miss")
+				}
+				if i++; i == n {
+					i = 0
+				}
+			}
+		})
+	}
+}
+
 func TestRangeCallbackMayReenter(t *testing.T) {
 	m, _ := NewMap[int](2)
 	m.GetOrCreate("a", func() (int, error) { return 1, nil })

@@ -77,5 +77,14 @@ func TestAuditableSnapshotAllocations(t *testing.T) {
 		if withUpdate > 6+2 {
 			t.Errorf("n=%d: Update + effective Scan allocated %v times per run, want <= 8", n, withUpdate)
 		}
+		// An audit that finds nothing new allocates nothing: the row
+		// callback it hands M's auditor stays on its stack.
+		a := reg.Auditor()
+		if _, err := a.Audit(); err != nil {
+			t.Fatal(err)
+		}
+		if got := testing.AllocsPerRun(200, func() { a.Audit() }); got != 0 {
+			t.Errorf("n=%d: idle Audit allocated %v times per run, want 0", n, got)
+		}
 	}
 }

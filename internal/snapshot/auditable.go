@@ -3,6 +3,7 @@ package snapshot
 import (
 	"fmt"
 	"hash/maphash"
+	"math/bits"
 	"unsafe"
 
 	"auditreg/internal/core"
@@ -245,14 +246,13 @@ func (sc *SnapScanner[V]) Scan() []V {
 
 // SnapAuditor is the per-process audit handle (lines 8-10): an audit of the
 // snapshot is an audit of M with version numbers stripped. Like the auditor
-// of M it wraps, it is incremental: it keeps the cumulative view list, how
-// many entries of M's report it has folded into it, and a hash index over the
-// list, so an audit costs what M's auditor found new.
+// of M it wraps, it is incremental: it keeps the cumulative view list and a
+// hash index over it, and folds in M's decrypted rows directly — M's auditor
+// keeps no set of its own — so an audit costs the rows M's cursor scans.
 type SnapAuditor[V comparable] struct {
-	ma     *core.Auditor[view[V]]
-	n      int
-	folded int            // entries of M's cumulative report already in out
-	out    []ViewEntry[V] // distinct by (scanner, view content); append-only
+	ma  *core.Auditor[view[V]]
+	n   int
+	out []ViewEntry[V] // distinct by (scanner, view content); append-only
 	// index is an open-addressed table of 1+position into out (0: empty),
 	// a power of two at least twice len(out): four bytes per slot is what
 	// content dedup costs, where a Go map would cost an entry.
@@ -277,15 +277,18 @@ func (reg *Auditable[V]) Auditor(opts ...core.HandleOption) *SnapAuditor[V] {
 // cumulative list, shared with later audits and with the register's history:
 // read-only.
 func (a *SnapAuditor[V]) Audit() ([]ViewEntry[V], error) {
-	rep, err := a.ma.Audit()
-	if err != nil {
+	if err := a.ma.AuditRows(a.foldRow); err != nil {
 		return nil, err
 	}
-	for _, e := range rep.From(a.folded) {
-		a.add(ViewEntry[V]{Reader: e.Reader, View: e.Value.slice(a.n)})
-	}
-	a.folded = rep.Len()
 	return a.out[:len(a.out):len(a.out)], nil
+}
+
+// foldRow adds one of M's decrypted rows, scanners in ascending order: the
+// order M's own set would have listed them in.
+func (a *SnapAuditor[V]) foldRow(v view[V], readers uint64) {
+	for r := readers; r != 0; r &= r - 1 {
+		a.add(ViewEntry[V]{Reader: bits.TrailingZeros64(r), View: v.slice(a.n)})
+	}
 }
 
 // add appends e to the list unless an entry of equal content is there.
@@ -333,17 +336,13 @@ func sameViewEntry[V comparable](x, e ViewEntry[V]) bool {
 	return true
 }
 
-func containsViewEntry[V comparable](entries []ViewEntry[V], e ViewEntry[V]) bool {
+// ContainsView reports whether entries includes (reader, view), comparing
+// views by content. Exported for tests and examples.
+func ContainsView[V comparable](entries []ViewEntry[V], reader int, v []V) bool {
 	for _, x := range entries {
-		if sameViewEntry(x, e) {
+		if sameViewEntry(x, ViewEntry[V]{Reader: reader, View: v}) {
 			return true
 		}
 	}
 	return false
-}
-
-// ContainsView reports whether entries includes (reader, view), comparing
-// views by content. Exported for tests and examples.
-func ContainsView[V comparable](entries []ViewEntry[V], reader int, v []V) bool {
-	return containsViewEntry(entries, ViewEntry[V]{Reader: reader, View: v})
 }

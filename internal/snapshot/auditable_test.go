@@ -286,7 +286,10 @@ func TestAuditableSnapshotConcurrent(t *testing.T) {
 // observed itself. Components take few distinct values, so the same content
 // keeps coming back under new version numbers — which the max register's
 // report lists as distinct entries and the snapshot's must not — and the
-// scripts are long enough for the hash index to grow several times.
+// scripts are long enough for the hash index to grow several times. The
+// tailing auditor's list must also equal, element by element, the list
+// stripped from a max register auditor's cumulative report, while the max
+// register auditor inside it keeps no set of its own.
 func TestIncrementalAuditEqualsRebuild(t *testing.T) {
 	t.Parallel()
 	const n, m, steps = 3, 4, 600
@@ -306,7 +309,7 @@ func TestIncrementalAuditEqualsRebuild(t *testing.T) {
 			view   [n]uint64
 		}
 		observed := map[seen]bool{}
-		tail := reg.Auditor()
+		tail, ref := reg.Auditor(), snapshot.ReferenceAuditor(reg)
 		for step := 0; step < steps; step++ {
 			switch r := rng.Intn(10); {
 			case r < 4:
@@ -324,6 +327,21 @@ func TestIncrementalAuditEqualsRebuild(t *testing.T) {
 				rebuilt, err := reg.Auditor().Audit()
 				if err != nil {
 					t.Fatalf("seed %d step %d: fresh Audit: %v", seed, step, err)
+				}
+				want, err := ref()
+				if err != nil {
+					t.Fatalf("seed %d step %d: reference Audit: %v", seed, step, err)
+				}
+				if len(got) != len(want) {
+					t.Fatalf("seed %d step %d: tail has %d entries, reference %d", seed, step, len(got), len(want))
+				}
+				for i := range want {
+					if got[i].Reader != want[i].Reader || &got[i].View[0] != &want[i].View[0] {
+						t.Fatalf("seed %d step %d: entry %d is (%d, %v), reference (%d, %v)", seed, step, i, got[i].Reader, got[i].View, want[i].Reader, want[i].View)
+					}
+				}
+				if pairs, views := snapshot.MHeld(tail); pairs != 0 || views != 0 {
+					t.Fatalf("seed %d step %d: the max register auditor holds %d pairs of %d views, want none", seed, step, pairs, views)
 				}
 				if len(got) != len(observed) || len(rebuilt) != len(observed) {
 					t.Fatalf("seed %d step %d: tail has %d entries, rebuild %d, observed %d", seed, step, len(got), len(rebuilt), len(observed))

@@ -320,7 +320,7 @@ func (st *Store[V]) Len() int { return st.objects.Len() }
 func (st *Store[V]) Readers() int { return st.readers }
 
 // Range calls f for every hosted object until f returns false, shard by
-// shard, in name order within a shard.
+// shard, in unspecified order within a shard.
 func (st *Store[V]) Range(f func(*Object[V]) bool) {
 	st.objects.Range(func(_ string, obj *Object[V]) bool { return f(obj) })
 }

@@ -290,3 +290,25 @@ func TestRange(t *testing.T) {
 		t.Fatalf("Range visited %d objects, want %d", len(got), len(want))
 	}
 }
+
+// TestLookupAllocationFree pins the name lookup every store operation starts
+// with, and a register's read and write behind it, at zero allocations.
+func TestLookupAllocationFree(t *testing.T) {
+	st := newTestStore(t)
+	for i := 0; i < 256; i++ {
+		if _, err := st.Open(fmt.Sprintf("obj-%d", i), store.Register); err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+	}
+	cases := map[string]func(){
+		"Lookup hit":  func() { st.Lookup("obj-17") },
+		"Lookup miss": func() { st.Lookup("absent") },
+		"Write":       func() { st.Write("obj-17", 5) },
+		"Read":        func() { st.Read("obj-17", 3) },
+	}
+	for name, f := range cases {
+		if n := testing.AllocsPerRun(1000, f); n != 0 {
+			t.Errorf("%s allocates %.1f times, want 0", name, n)
+		}
+	}
+}
