@@ -406,7 +406,7 @@ func (o *Object) Write(v uint64) error {
 	}
 	o.c.cod.SplitInto(w.shares, data[:], &w.ida)
 	for i, sh := range w.shares {
-		w.masked[i] = shareToUint(sh) ^ SharePad(o.c.m.Secret, o.c.m.Nodes[i].ID, o.name, wid, o.c.shareLen)
+		w.masked[i] = ShareToUint(sh) ^ SharePad(o.c.m.Secret, o.c.m.Nodes[i].ID, o.name, wid, o.c.shareLen)
 	}
 
 	// The write is complete at quorum acks by definition — any later quorum

@@ -83,8 +83,8 @@ func Unpack(packed uint64, shareLen int) (wid, maskedShare uint64) {
 	return packed >> (8 * uint(shareLen)), packed & shareMask(shareLen)
 }
 
-// shareToUint packs shareLen share bytes (big-endian) into a uint64.
-func shareToUint(b []byte) uint64 {
+// ShareToUint packs shareLen share bytes (big-endian) into a uint64.
+func ShareToUint(b []byte) uint64 {
 	var v uint64
 	for _, x := range b {
 		v = v<<8 | uint64(x)

@@ -117,7 +117,7 @@ func TestSharePadVectors(t *testing.T) {
 // share slices and their packed uint64 transport form.
 func TestShareBytesRoundTrip(t *testing.T) {
 	for _, b := range [][]byte{{0x01}, {0xAB, 0xCD}, {0x00, 0x01, 0x02}, {0xDE, 0xAD, 0xBE, 0xEF}} {
-		v := shareToUint(b)
+		v := ShareToUint(b)
 		out := make([]byte, len(b))
 		uintToShare(out, v)
 		for i := range b {

@@ -144,86 +144,30 @@ func classic(trials int, seed uint64, dir string) (failures int, err error) {
 // records, returning how many rows failed.
 func e18(trials int, delta float64, seed uint64, addr, metricsURL string, dir string) (failures int, err error) {
 	fmt.Printf("E18 adversarial audit lab (statistical distinguishers, %d trials, delta %.2f)\n", trials, delta)
-
-	wire, err := attacker.NewWireLab(seed)
-	if err != nil {
-		return 0, fmt.Errorf("wire lab: %w", err)
-	}
-	defer wire.Close()
-	clusterLab, err := attacker.NewClusterLab(seed)
-	if err != nil {
-		return 0, fmt.Errorf("cluster lab: %w", err)
-	}
-	defer clusterLab.Close()
-	diskDir, err := os.MkdirTemp(dir, "e18-disk-*")
+	labDir, err := os.MkdirTemp(dir, "e18-*")
 	if err != nil {
 		return 0, err
 	}
-	disk := attacker.NewDiskLab(diskDir, seed)
-	statsDir, err := os.MkdirTemp(dir, "e18-stats-*")
+	games, stop, err := attacker.E18(attacker.Config{Seed: seed, Addr: addr, MetricsURL: metricsURL, Dir: labDir})
 	if err != nil {
-		return 0, err
+		return 0, fmt.Errorf("e18 lab: %w", err)
 	}
-	stats, err := attacker.NewStatsLab(addr, statsDir, seed)
-	if err != nil {
-		return 0, fmt.Errorf("stats lab: %w", err)
-	}
-	defer stats.Close()
-	timing, err := attacker.NewTimingLab(addr, seed)
-	if err != nil {
-		return 0, fmt.Errorf("timing lab: %w", err)
-	}
-	defer timing.Close()
-	metrics, err := attacker.NewMetricsLab(addr, metricsURL, seed)
-	if err != nil {
-		return 0, fmt.Errorf("metrics lab: %w", err)
-	}
-	defer metrics.Close()
+	defer stop()
 
-	games := []attacker.Distinguisher{
-		wire.Occurrence(false),
-		wire.Identity(false),
-		wire.Occurrence(true),
-		wire.Identity(true),
-		wire.AuditTail(false),
-		wire.AuditTail(true),
-		clusterLab.Occurrence(false),
-		clusterLab.Identity(false),
-		clusterLab.Occurrence(true),
-		clusterLab.Identity(true),
-		disk.Identity(false),
-		disk.Identity(true),
-		stats.Identity(),
-		stats.Occurrence(),
-		metrics.Occurrence(),
-		metrics.Identity(),
-		metrics.OccurrenceLeaky(),
-		timing.SilentRead(),
-		timing.EffectiveRead(),
+	width := 0
+	for _, g := range games {
+		width = max(width, len(g.Name))
 	}
-
-	fmt.Printf("    %-30s %-8s %-9s %-18s %-30s %s\n",
-		"game", "role", "accuracy", "wilson95", "verdict", "result")
+	fmt.Println("    " + attacker.TableHeader(width))
 	for _, g := range games {
 		v, err := attacker.RunDistinguisher(g, trials, delta, seed)
 		if err != nil {
 			return failures, fmt.Errorf("%s: %w", g.Name, err)
 		}
-		role := "honest"
-		if v.Control {
-			role = "control"
-		}
-		verdict := "no leak"
-		if v.Leak {
-			verdict = fmt.Sprintf("LEAK via %s", v.TopFeature)
-		}
-		result := "ok"
 		if !v.Passed() {
-			result = "FAIL"
 			failures++
 		}
-		fmt.Printf("    %-30s %-8s %-9.3f [%.3f, %.3f]     %-30s %s\n",
-			v.Name, role, v.Accuracy, v.WilsonLow, v.WilsonHigh, verdict, result)
+		fmt.Println("    " + v.Row(width))
 	}
 	fmt.Println("    (honest rows must hold no-leak; control rows must leak, proving the lab's power)")
 	return failures, nil

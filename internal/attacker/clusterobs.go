@@ -1,10 +1,8 @@
 package attacker
 
 import (
-	"context"
 	"fmt"
 	"net"
-	"time"
 
 	"auditreg/client"
 	"auditreg/cluster"
@@ -43,134 +41,64 @@ const (
 	clusterObsF     = 1
 )
 
-// ClusterLab hosts an in-process n-node dispersal cluster with a frame tap
-// on node 1 plus a cluster client that is both the victim (the dispersed
+// clusterLab is an in-process n-node dispersal cluster with a frame tap on
+// node 1 plus a cluster client that is both the victim (the dispersed
 // writes and reads under test) and the auditor (the merged audit whose
-// node-1 exchange is the observed window). One lab serves any number of
-// distinguisher runs; trials use fresh objects.
-type ClusterLab struct {
-	m    cluster.Membership
-	srvs []*server.Server
-	lns  []net.Listener
-	tap  *frameTap
-	cc   *cluster.Client
-	cod  *ida.Coder
-	ctr  int
+// node-1 exchange is the observed window). Trials use fresh objects.
+type clusterLab struct {
+	m   cluster.Membership
+	tap *frameTap
+	cc  *cluster.Client
+	cod *ida.Coder
+	ctr int
 }
 
-// NewClusterLab starts the lab's daemons and cluster client.
-func NewClusterLab(seed uint64) (*ClusterLab, error) {
-	l := &ClusterLab{tap: &frameTap{}}
+func clusterGames(l *lab, cfg Config) ([]Distinguisher, error) {
+	c := &clusterLab{tap: &frameTap{}}
+	// The membership names every node's address, so the listeners come
+	// first.
 	addrs := make([]string, clusterObsNodes)
-	l.lns = make([]net.Listener, clusterObsNodes)
-	for i := range addrs {
+	lns := make([]net.Listener, clusterObsNodes)
+	for i := range lns {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
-			l.Close()
 			return nil, err
 		}
-		l.lns[i] = ln
-		addrs[i] = ln.Addr().String()
+		l.onClose(func() { ln.Close() })
+		lns[i], addrs[i] = ln, ln.Addr().String()
 	}
-	l.m = cluster.SeededMembership(addrs, clusterObsF, seed)
-	for i := 0; i < clusterObsNodes; i++ {
-		cfg := server.Config{
-			Key:     l.m.Nodes[i].Key,
-			Readers: wireReaders,
-			NodeID:  l.m.Nodes[i].ID,
-		}
+	c.m = cluster.SeededMembership(addrs, clusterObsF, cfg.Seed)
+	for i, ln := range lns {
+		scfg := server.Config{Key: c.m.Nodes[i].Key, Readers: wireReaders, NodeID: c.m.Nodes[i].ID}
 		if i == 0 {
-			cfg.FrameTap = l.tap.tap // the observed node
+			scfg.FrameTap = c.tap.tap // the observed node
 		}
-		srv, err := server.New(cfg)
-		if err != nil {
-			l.Close()
+		if _, _, err := l.serve(scfg, ln); err != nil {
 			return nil, err
 		}
-		l.srvs = append(l.srvs, srv)
-		go srv.Serve(l.lns[i])
 	}
-	cod, err := ida.New(clusterObsNodes, l.m.Threshold())
-	if err != nil {
-		l.Close()
+	var err error
+	if c.cod, err = ida.New(clusterObsNodes, c.m.Threshold()); err != nil {
 		return nil, err
 	}
-	l.cod = cod
 	// Single-connection pools: per-conn FIFO makes the drain below airtight
 	// and keeps each trial's observation window down to the audit exchange.
-	cc, err := cluster.Dial(l.m, cluster.WithClientOptions(func(cluster.Node) []client.Option {
+	c.cc, err = cluster.Dial(c.m, cluster.WithClientOptions(func(cluster.Node) []client.Option {
 		return []client.Option{client.WithConns(1)}
 	}))
 	if err != nil {
-		l.Close()
 		return nil, err
 	}
-	l.cc = cc
-	return l, nil
-}
-
-// Close tears the lab down.
-func (l *ClusterLab) Close() {
-	if l.cc != nil {
-		l.cc.Close()
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	for _, srv := range l.srvs {
-		srv.Shutdown(ctx)
-	}
-	for _, ln := range l.lns {
-		if ln != nil {
-			ln.Close()
-		}
-	}
-}
-
-// Occurrence is the read-occurrence game on the dispersed object: reader 1
-// always reads the current value; the secret is whether reader 0 read it
-// too. unmasked selects the positive control (node 1's frames with the
-// audit masks stripped).
-func (l *ClusterLab) Occurrence(unmasked bool) Distinguisher {
-	return Distinguisher{
-		Name:     gameName("cluster/read-occurrence", unmasked),
-		Control:  unmasked,
-		Features: wireFeatures(),
-		Trial: func(b int) ([]float64, error) {
-			return l.trial(unmasked, func(obj *cluster.Object) error {
-				if _, err := obj.Read(1); err != nil {
-					return err
-				}
-				if b == 1 {
-					if _, err := obj.Read(0); err != nil {
-						return err
-					}
-				}
-				return nil
-			})
-		},
-	}
-}
-
-// Identity is the reader-identity game: exactly one dispersed read happens;
-// the secret is whether reader 0 or reader 1 performed it.
-func (l *ClusterLab) Identity(unmasked bool) Distinguisher {
-	return Distinguisher{
-		Name:     gameName("cluster/reader-identity", unmasked),
-		Control:  unmasked,
-		Features: wireFeatures(),
-		Trial: func(b int) ([]float64, error) {
-			return l.trial(unmasked, func(obj *cluster.Object) error {
-				_, err := obj.Read(b)
-				return err
-			})
-		},
-	}
+	l.onClose(func() { c.cc.Close() })
+	// The positive control sees node 1's frames with the audit masks
+	// stripped.
+	return readGames("cluster", wireFeatures(), c.trial), nil
 }
 
 // trial plays one round: fresh dispersed object, one cluster write, the
 // game's cluster reads, a drain, then — inside the observation window — one
 // merged audit, of which node 1's exchange is what the tap sees.
-func (l *ClusterLab) trial(unmasked bool, reads func(obj *cluster.Object) error) ([]float64, error) {
+func (l *clusterLab) trial(unmasked bool, play game, b int) ([]float64, error) {
 	l.ctr++
 	name := fmt.Sprintf("e18/cluster/%08d", l.ctr)
 	value := 0xC1_0000_0000 + uint64(l.ctr)
@@ -182,7 +110,7 @@ func (l *ClusterLab) trial(unmasked bool, reads func(obj *cluster.Object) error)
 	if err := obj.Write(value); err != nil {
 		return nil, err
 	}
-	if err := reads(obj); err != nil {
+	if err := play(obj, b); err != nil {
 		return nil, err
 	}
 	// Drain, identically in both branches: reader 2 never read this object,
@@ -211,7 +139,7 @@ func (l *ClusterLab) trial(unmasked bool, reads func(obj *cluster.Object) error)
 	}
 	shares := l.cod.Split(data[:])
 	shareLen := l.m.ShareLen()
-	masked := shareToUintObs(shares[0]) ^ cluster.SharePad(l.m.Secret, l.m.Nodes[0].ID, name, 1, shareLen)
+	masked := cluster.ShareToUint(shares[0]) ^ cluster.SharePad(l.m.Secret, l.m.Nodes[0].ID, name, 1, shareLen)
 	packed := cluster.Pack(1, masked, shareLen)
 
 	l.tap.reset()
@@ -222,14 +150,4 @@ func (l *ClusterLab) trial(unmasked bool, reads func(obj *cluster.Object) error)
 	// lab's, so feature extraction is shared: traffic shape plus the
 	// (un)masked tracking bits of the located row.
 	return wireFeaturesOf(l.tap.snapshot(), packed, unmasked, l.m.Nodes[0].Key, nil)
-}
-
-// shareToUintObs packs share bytes big-endian, mirroring the cluster
-// client's on-wire share encoding.
-func shareToUintObs(b []byte) uint64 {
-	var v uint64
-	for _, x := range b {
-		v = v<<8 | uint64(x)
-	}
-	return v
 }

@@ -38,17 +38,12 @@ const diskImageBytes = 512
 // read.
 const diskWrites = 3
 
-// DiskLab runs paired journaled executions under a base directory.
-type DiskLab struct {
+// diskLab runs paired journaled executions, one subdirectory of base per
+// trial, removed as the trial ends.
+type diskLab struct {
 	base string
 	ctr  uint64
 	seed uint64
-}
-
-// NewDiskLab creates a lab whose trial directories live under base (one
-// subdirectory per trial, removed as each trial ends).
-func NewDiskLab(base string, seed uint64) *DiskLab {
-	return &DiskLab{base: base, seed: seed}
 }
 
 func diskFeatures() []string {
@@ -59,23 +54,26 @@ func diskFeatures() []string {
 	return names
 }
 
-// Identity is the reader-identity game over disk images: the secret is
-// whether reader 0 or reader 1 read the last written value. leaky selects
-// the positive control, which adds the cleartext sidecar log.
-func (l *DiskLab) Identity(leaky bool) Distinguisher {
-	return Distinguisher{
-		Name:     gameName("disk/reader-identity", leaky),
-		Control:  leaky,
-		Features: diskFeatures(),
-		Trial: func(b int) ([]float64, error) {
-			return l.trial(b, leaky)
-		},
+// diskGames is the reader-identity game over disk images: the secret is
+// whether reader 0 or reader 1 read the last written value. Its positive
+// control adds the cleartext sidecar log.
+func diskGames(_ *lab, cfg Config) ([]Distinguisher, error) {
+	d := &diskLab{base: filepath.Join(cfg.Dir, "disk"), seed: cfg.Seed}
+	var rows []Distinguisher
+	for _, leaky := range []bool{false, true} {
+		rows = append(rows, Distinguisher{
+			Name:     gameName("disk/reader-identity", leaky),
+			Control:  leaky,
+			Features: diskFeatures(),
+			Trial:    func(b int) ([]float64, error) { return d.trial(b, leaky) },
+		})
 	}
+	return rows, nil
 }
 
 // trial runs one journaled execution end to end and returns the image
 // features of the data directory it leaves behind.
-func (l *DiskLab) trial(b int, leaky bool) ([]float64, error) {
+func (l *diskLab) trial(b int, leaky bool) ([]float64, error) {
 	l.ctr++
 	dir := filepath.Join(l.base, fmt.Sprintf("trial-%08d", l.ctr))
 	defer os.RemoveAll(dir)

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	mathrand "math/rand/v2"
+
+	"auditreg/internal/shard"
 )
 
 // This file is the statistical half of the adversarial audit lab (E18): a
@@ -82,14 +84,30 @@ func (v Verdict) Passed() bool {
 	return !v.Leak
 }
 
-// String renders the verdict as one report line.
-func (v Verdict) String() string {
+// TableHeader is the column header over Row lines whose names are padded
+// to width.
+func TableHeader(width int) string {
+	return fmt.Sprintf("%-*s %-8s %-9s %-18s %-30s %s", width, "game", "role", "accuracy", "wilson95", "verdict", "result")
+}
+
+// Row renders the verdict as one line of the E18 table, its name padded to
+// width: role, accuracy, Wilson interval, verdict, and ok — or FAIL when
+// the verdict is not the required one.
+func (v Verdict) Row(width int) string {
+	role := "honest"
+	if v.Control {
+		role = "control"
+	}
 	verdict := "no leak"
 	if v.Leak {
-		verdict = fmt.Sprintf("LEAK via %s (sep %.2f)", v.TopFeature, v.Separation)
+		verdict = "LEAK via " + v.TopFeature
 	}
-	return fmt.Sprintf("%-28s acc %.3f  wilson95 [%.3f, %.3f]  %s",
-		v.Name, v.Accuracy, v.WilsonLow, v.WilsonHigh, verdict)
+	result := "ok"
+	if !v.Passed() {
+		result = "FAIL"
+	}
+	return fmt.Sprintf("%-*s %-8s %-9.3f [%.3f, %.3f]     %-30s %s",
+		width, v.Name, role, v.Accuracy, v.WilsonLow, v.WilsonHigh, verdict, result)
 }
 
 // minTrials is the floor RunDistinguisher pads requests up to: below it the
@@ -111,7 +129,7 @@ func RunDistinguisher(d Distinguisher, trials int, delta float64, seed uint64) (
 		trials = minTrials
 	}
 	trials -= trials % 4
-	rng := mathrand.New(mathrand.NewPCG(seed, hashName(d.Name)))
+	rng := mathrand.New(mathrand.NewPCG(seed, shard.Hash(d.Name)))
 
 	half := trials / 2
 	bits := append(balancedBits(half, rng), balancedBits(half, rng)...)
@@ -229,13 +247,4 @@ func wilson(correct, n int, z float64) (lo, hi float64) {
 	center := p + z*z/(2*nf)
 	margin := z * math.Sqrt(p*(1-p)/nf+z*z/(4*nf*nf))
 	return math.Max(0, (center-margin)/denom), math.Min(1, (center+margin)/denom)
-}
-
-// hashName seeds each distinguisher's RNG stream distinctly (FNV-1a).
-func hashName(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h = (h ^ uint64(s[i])) * 1099511628211
-	}
-	return h
 }

@@ -1,7 +1,6 @@
 package attacker
 
 import (
-	"context"
 	"fmt"
 	"net"
 	"runtime"
@@ -43,7 +42,7 @@ const (
 	// tight-loop poller of ANY request kind is visible to a stopwatch simply
 	// by occupying the machine, which is why the lab paces the honest poller
 	// and routes it to a different shard than the victim (see
-	// NewTimingLab), leaving shared-state contention as the only signal the
+	// timingGames), leaving shared-state contention as the only signal the
 	// game can carry.
 	timingPollGap = time.Millisecond
 	// loudWindow is how many requests each of the control's connections
@@ -70,11 +69,8 @@ func timingPollTarget() string {
 	}
 }
 
-// TimingLab drives the timing games against a live auditd, remote (addr) or
-// in-process (addr == "").
-type TimingLab struct {
-	sleep  func() // lets the CPUs halt again (see NewTimingLab)
-	srv    *server.Server
+// timingLab drives the timing games against a live auditd.
+type timingLab struct {
 	writer *client.Client
 	poller *client.Client
 	addr   string
@@ -83,118 +79,70 @@ type TimingLab struct {
 	ctr    uint64
 }
 
-// NewTimingLab dials addr, or boots an in-process auditd when addr is empty
-// (volatile — timing needs no data directory), and warms both targets.
+// timingGames observes cfg.Addr, or an in-process auditd (volatile —
+// timing needs no data directory), and warms both targets.
 //
 // The CPUs are kept from halting for the lab's lifetime (package awake): the
 // stopwatch compares a run with a poller against a run with nothing else on
 // the machine, and on a host whose idle CPUs halt, which of the two is the
 // faster depends on the halt regime of the moment.
-func NewTimingLab(addr string, seed uint64) (*TimingLab, error) {
-	l := &TimingLab{}
-	_, l.sleep = awake.Keep()
-	if addr == "" {
-		srv, err := server.New(server.Config{Key: auditreg.KeyFromSeed(seed), Readers: 4})
-		if err != nil {
-			return nil, err
-		}
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, err
-		}
-		l.srv = srv
-		go srv.Serve(ln)
-		addr = ln.Addr().String()
-	}
-	l.addr = addr
+func timingGames(l *lab, cfg Config) ([]Distinguisher, error) {
+	_, sleep := awake.Keep()
+	l.onClose(sleep)
+	t := &timingLab{addr: cfg.Addr}
 	var err error
-	if l.writer, err = client.Dial(addr, client.WithConns(1)); err != nil {
-		l.Close()
+	if t.addr == "" {
+		if _, t.addr, err = l.serve(server.Config{Key: auditreg.KeyFromSeed(cfg.Seed), Readers: 4}, nil); err != nil {
+			return nil, err
+		}
+	}
+	if t.writer, err = l.dial(t.addr, client.WithConns(1)); err != nil {
 		return nil, err
 	}
 	// The poller gets its own connection pool: the honest-but-curious reader
 	// is a separate process, and sharing the writer's pipe would measure
 	// head-of-line blocking in the lab's own client, not the server.
-	if l.poller, err = client.Dial(addr, client.WithConns(1)); err != nil {
-		l.Close()
+	if t.poller, err = l.dial(t.addr, client.WithConns(1)); err != nil {
 		return nil, err
 	}
-	if l.wObj, err = l.writer.Open(timingWriteTarget, store.Register); err != nil {
-		l.Close()
+	if t.wObj, err = t.writer.Open(timingWriteTarget, store.Register); err != nil {
 		return nil, err
 	}
-	if l.pObj, err = l.poller.Open(timingPollTarget(), store.Register); err != nil {
-		l.Close()
+	if t.pObj, err = t.poller.Open(timingPollTarget(), store.Register); err != nil {
 		return nil, err
 	}
 	// Warm both objects: a write each, and a first (effective) read of the
 	// poll target so the poller's subsequent reads are silent.
-	if err = l.wObj.Write(1); err != nil {
-		l.Close()
+	if err = t.wObj.Write(1); err != nil {
 		return nil, err
 	}
-	if err = l.pObj.Write(1); err != nil {
-		l.Close()
+	if err = t.pObj.Write(1); err != nil {
 		return nil, err
 	}
-	if _, err = l.pObj.Read(0); err != nil {
-		l.Close()
+	if _, err = t.pObj.Read(0); err != nil {
 		return nil, err
 	}
-	return l, nil
-}
-
-// Close tears the lab down.
-func (l *TimingLab) Close() {
-	l.sleep()
-	if l.writer != nil {
-		l.writer.Close()
-	}
-	if l.poller != nil {
-		l.poller.Close()
-	}
-	if l.srv != nil {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		l.srv.Shutdown(ctx)
-	}
-}
-
-func timingFeatures() []string {
-	return []string{"mean-ns", "p50-ns", "p90-ns", "min-ns"}
-}
-
-// SilentRead is the honest game: the secret is whether a paced silent-read
-// poller runs against a *different* object while the victim writes. Silence
-// means the writer's latency distribution cannot tell.
-func (l *TimingLab) SilentRead() Distinguisher {
-	return Distinguisher{
-		Name:     "timing/silent-read",
-		Features: timingFeatures(),
-		Trial: func(b int) ([]float64, error) {
-			return l.trial(b, l.pollSilent)
-		},
-	}
-}
-
-// EffectiveRead is the positive control: pipelined pollers keep effective
-// reads of the write target itself in flight, contending on its shared
-// state, its shard and its cores. The stopwatch must see this.
-func (l *TimingLab) EffectiveRead() Distinguisher {
-	return Distinguisher{
-		Name:     "timing/effective-read+loud",
-		Control:  true,
-		Features: timingFeatures(),
-		Trial: func(b int) ([]float64, error) {
-			return l.trial(b, l.pollEffective)
-		},
-	}
+	features := []string{"mean-ns", "p50-ns", "p90-ns", "min-ns"}
+	return []Distinguisher{
+		// The honest game: the secret is whether a paced silent-read poller
+		// runs against a *different* object while the victim writes.
+		// Silence means the writer's latency distribution cannot tell.
+		{Name: "timing/silent-read", Features: features, Trial: func(b int) ([]float64, error) {
+			return t.trial(b, t.pollSilent)
+		}},
+		// The positive control: pipelined pollers keep effective reads of
+		// the write target itself in flight, contending on its shared
+		// state, its shard and its cores. The stopwatch must see this.
+		{Name: "timing/effective-read+loud", Control: true, Features: features, Trial: func(b int) ([]float64, error) {
+			return t.trial(b, t.pollEffective)
+		}},
+	}, nil
 }
 
 // trial measures timingWrites write latencies; with b == 1 the given poller
 // runs concurrently — the stopwatch starts once it says it is under way —
 // until the measurements end.
-func (l *TimingLab) trial(b int, poll func(ready chan<- struct{}, stop <-chan struct{}) error) ([]float64, error) {
+func (l *timingLab) trial(b int, poll func(ready chan<- struct{}, stop <-chan struct{}) error) ([]float64, error) {
 	stop := make(chan struct{})
 	pollErr := make(chan error, 1)
 	if b == 1 {
@@ -233,7 +181,7 @@ func (l *TimingLab) trial(b int, poll func(ready chan<- struct{}, stop <-chan st
 // pollSilent reads the poll target — a stable object the poller's cache is
 // already current for, so every round is a silent fetch — paced at
 // timingPollGap, until stopped.
-func (l *TimingLab) pollSilent(ready chan<- struct{}, stop <-chan struct{}) error {
+func (l *timingLab) pollSilent(ready chan<- struct{}, stop <-chan struct{}) error {
 	tick := time.NewTicker(timingPollGap)
 	defer tick.Stop()
 	close(ready)
@@ -254,7 +202,7 @@ func (l *TimingLab) pollSilent(ready chan<- struct{}, stop <-chan struct{}) erro
 // trips, a server reader busy with the victim's object is on its shard and
 // on its core. It reports ready once every connection has requests queued
 // (or has failed: the error then surfaces when the trial stops the rest).
-func (l *TimingLab) pollEffective(ready chan<- struct{}, stop <-chan struct{}) error {
+func (l *timingLab) pollEffective(ready chan<- struct{}, stop <-chan struct{}) error {
 	n := runtime.GOMAXPROCS(0)
 	up, errs := make(chan struct{}, n), make(chan error, n)
 	for i := 0; i < n; i++ {
@@ -284,7 +232,7 @@ func (l *TimingLab) pollEffective(ready chan<- struct{}, stop <-chan struct{}) e
 // chance in a third of the runs). With loudWindow requests always queued,
 // the server's reader for this connection runs them to completion back to
 // back, no wake-up in between.
-func (l *TimingLab) pollLoud(up chan<- struct{}, stop <-chan struct{}) error {
+func (l *timingLab) pollLoud(up chan<- struct{}, stop <-chan struct{}) error {
 	queued := false
 	defer func() {
 		if !queued {

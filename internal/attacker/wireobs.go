@@ -1,11 +1,8 @@
 package attacker
 
 import (
-	"context"
 	"fmt"
-	"net"
 	"sync"
-	"time"
 
 	"auditreg"
 	"auditreg/client"
@@ -66,59 +63,36 @@ func (t *frameTap) snapshot() []tappedFrame {
 // one tracking-bit feature per reader.
 const wireReaders = 4
 
-// WireLab hosts an in-process auditd with a frame tap plus a victim client
+// wireLab is one in-process auditd with a frame tap plus a victim client
 // (the read traffic under test) and an auditor client (the observed
-// channel). One lab serves any number of distinguisher runs; trials use
-// fresh objects.
-type WireLab struct {
+// channel). Trials use fresh objects.
+type wireLab struct {
 	key    auditreg.Key
-	srv    *server.Server
 	tap    *frameTap
 	victim *client.Client
 	audit  *client.Client
 	ctr    int
 }
 
-// NewWireLab starts the lab's server and clients.
-func NewWireLab(seed uint64) (*WireLab, error) {
-	l := &WireLab{key: auditreg.KeyFromSeed(seed), tap: &frameTap{}}
-	srv, err := server.New(server.Config{Key: l.key, Readers: wireReaders, FrameTap: l.tap.tap})
+func wireGames(l *lab, cfg Config) ([]Distinguisher, error) {
+	w := &wireLab{key: auditreg.KeyFromSeed(cfg.Seed), tap: &frameTap{}}
+	_, addr, err := l.serve(server.Config{Key: w.key, Readers: wireReaders, FrameTap: w.tap.tap}, nil)
 	if err != nil {
 		return nil, err
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	l.srv = srv
-	go srv.Serve(ln)
-	addr := ln.Addr().String()
 	// Single-connection clients: the per-conn open cache keeps every trial's
 	// observation window down to exactly the audit exchange.
-	if l.victim, err = client.Dial(addr, client.WithConns(1)); err != nil {
-		l.Close()
+	if w.victim, err = l.dial(addr, client.WithConns(1)); err != nil {
 		return nil, err
 	}
-	if l.audit, err = client.Dial(addr, client.WithKey(l.key), client.WithConns(1)); err != nil {
-		l.Close()
+	if w.audit, err = l.dial(addr, client.WithKey(w.key), client.WithConns(1)); err != nil {
 		return nil, err
 	}
-	return l, nil
-}
-
-// Close tears the lab down.
-func (l *WireLab) Close() {
-	if l.victim != nil {
-		l.victim.Close()
-	}
-	if l.audit != nil {
-		l.audit.Close()
-	}
-	if l.srv != nil {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		l.srv.Shutdown(ctx)
-	}
+	// In the read games traffic volume is identical in both branches by
+	// construction, so the only possible signal is the audited row's masked
+	// reader set. The positive control sees the frames a leaky server
+	// (plaintext tracking bits) would have transmitted.
+	return append(readGames("wire", wireFeatures(), w.trial), w.auditTail(false), w.auditTail(true)), nil
 }
 
 // wireFeatures names the audit-channel feature vector: traffic shape
@@ -131,57 +105,7 @@ func wireFeatures() []string {
 	return names
 }
 
-// Occurrence is the read-occurrence game: reader 1 always reads the current
-// value; the secret is whether reader 0 read it too. Traffic volume is
-// identical in both branches by construction, so the only possible signal is
-// the audited row's masked reader set. unmasked selects the positive
-// control: the observer sees the frames a leaky server (plaintext tracking
-// bits) would have transmitted.
-func (l *WireLab) Occurrence(unmasked bool) Distinguisher {
-	return Distinguisher{
-		Name:     gameName("wire/read-occurrence", unmasked),
-		Control:  unmasked,
-		Features: wireFeatures(),
-		Trial: func(b int) ([]float64, error) {
-			return l.trial(unmasked, func(obj *client.Object) error {
-				if _, err := obj.Read(1); err != nil {
-					return err
-				}
-				if b == 1 {
-					if _, err := obj.Read(0); err != nil {
-						return err
-					}
-				}
-				return nil
-			})
-		},
-	}
-}
-
-// Identity is the reader-identity game: exactly one read happens; the secret
-// is whether reader 0 or reader 1 performed it.
-func (l *WireLab) Identity(unmasked bool) Distinguisher {
-	return Distinguisher{
-		Name:     gameName("wire/reader-identity", unmasked),
-		Control:  unmasked,
-		Features: wireFeatures(),
-		Trial: func(b int) ([]float64, error) {
-			return l.trial(unmasked, func(obj *client.Object) error {
-				_, err := obj.Read(b)
-				return err
-			})
-		},
-	}
-}
-
-func gameName(base string, control bool) string {
-	if control {
-		return base + "+leaky"
-	}
-	return base
-}
-
-// AuditTail is the tailing-auditor game: an auditor that already audited the
+// auditTail is the tailing-auditor game: an auditor that already audited the
 // object audits it again, and the secret is whether, in between, a second
 // reader read the same current value. The response to a cursor is a function
 // of the sequence range alone — the current row goes out again, whole, under
@@ -190,7 +114,7 @@ func gameName(base string, control bool) string {
 // entry-index delta would have answered it, sending only the rows that hold a
 // pair the auditor does not have yet — one row more exactly when the second
 // reader read.
-func (l *WireLab) AuditTail(leaky bool) Distinguisher {
+func (l *wireLab) auditTail(leaky bool) Distinguisher {
 	return Distinguisher{
 		Name:     gameName("wire/audit-tail", leaky),
 		Control:  leaky,
@@ -236,7 +160,7 @@ func (l *WireLab) AuditTail(leaky bool) Distinguisher {
 
 // open starts one round: a fresh object holding one written value, and the
 // auditor's handle on it.
-func (l *WireLab) open() (obj *client.Object, aud *client.Auditor, value uint64, err error) {
+func (l *wireLab) open() (obj *client.Object, aud *client.Auditor, value uint64, err error) {
 	l.ctr++
 	name := fmt.Sprintf("e18/wire/%08d", l.ctr)
 	value = 0xE18_0000_0000 + uint64(l.ctr)
@@ -256,12 +180,12 @@ func (l *WireLab) open() (obj *client.Object, aud *client.Auditor, value uint64,
 
 // trial plays one round: fresh object, one write, the game's reads, a
 // drain, then — inside the observation window — one audit.
-func (l *WireLab) trial(unmasked bool, reads func(obj *client.Object) error) ([]float64, error) {
+func (l *wireLab) trial(unmasked bool, play game, b int) ([]float64, error) {
 	obj, aud, value, err := l.open()
 	if err != nil {
 		return nil, err
 	}
-	if err := reads(obj); err != nil {
+	if err := play(obj, b); err != nil {
 		return nil, err
 	}
 	// Drain, identically in both branches: reader 2 never read this object,

@@ -6,7 +6,7 @@
 //
 // # Leak contract
 //
-// Telemetry is itself an observable channel — the E18 lab's metricsobs
+// Telemetry is itself an observable channel — the E18 lab's metrics
 // observer attacks it — so the package enforces the shape that keeps it
 // safe by construction: everything is aggregate-only. A histogram carries
 // no per-object, per-reader, or per-connection dimension, and its buckets
