@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"auditreg"
-	"auditreg/internal/benchfmt"
 )
 
 // retryPause separates two attempts of one operation: long enough not to
@@ -65,7 +64,7 @@ type workerLog struct {
 // and did not is a lost op, whatever else verified. retried-ops counts ops
 // that succeeded after at least one failure — the requests whose first ack a
 // fault genuinely lost.
-func runCell(cfg cellConfig, t target, p plan) (res benchfmt.Result, err error) {
+func runCell(cfg cellConfig, t target, p plan) (res Result, err error) {
 	defer func() {
 		if cerr := t.close(); err == nil {
 			err = cerr
@@ -227,7 +226,7 @@ func runCell(cfg cellConfig, t target, p plan) (res benchfmt.Result, err error) 
 	}
 
 	totalOps := opsDone()
-	metrics, err := benchfmt.Metric(append([]any{
+	metrics, err := metric(append([]any{
 		"ns/op", float64(elapsed.Nanoseconds()) / float64(totalOps),
 		"ops/s", float64(totalOps) / elapsed.Seconds(),
 		"allocs/op", float64(mallocs1-mallocs0) / float64(totalOps),
@@ -252,9 +251,8 @@ func runCell(cfg cellConfig, t target, p plan) (res benchfmt.Result, err error) 
 	if err != nil {
 		return res, err
 	}
-	return benchfmt.Result{
+	return Result{
 		Name:    cfg.name,
-		Package: "auditreg/cmd/loadgen",
 		Iters:   int64(totalOps),
 		Metrics: metrics,
 		Stages:  stages,

@@ -21,30 +21,12 @@ type daemonTuning struct {
 	shards     int // execution shards (-shards)
 	walStripes int // WAL stripe groups (-wal-stripes)
 	shardQueue int // per-shard queue depth (-shard-queue)
-	// metricsAddr is the daemon's -metrics-addr and nodeID its -node-id.
-	// Neither is a tuning knob (the cell picks the port; the cluster geometry
-	// is in the cell name already), so both stay out of suffix(). A restart
-	// reuses them: the restarted daemon re-listens on the same metrics port
-	// and the end-of-cell scrape works whichever process is alive.
+	// metricsAddr is the daemon's -metrics-addr and nodeID its -node-id. A
+	// restart reuses them: the restarted daemon re-listens on the same
+	// metrics port and the end-of-cell scrape works whichever process is
+	// alive.
 	metricsAddr string
 	nodeID      uint32
-}
-
-// suffix renders the non-default tuning knobs as extra benchmark name
-// dimensions, so cells measured under different daemon tunings keep
-// distinct names when several runs are merged into one BENCH_*.json.
-func (t daemonTuning) suffix() string {
-	var s string
-	if t.shards != 0 {
-		s += fmt.Sprintf("/shards=%d", t.shards)
-	}
-	if t.walStripes != 0 {
-		s += fmt.Sprintf("/stripes=%d", t.walStripes)
-	}
-	if t.shardQueue != 0 {
-		s += fmt.Sprintf("/queue=%d", t.shardQueue)
-	}
-	return s
 }
 
 // fleet owns the auditd processes a spawning cell runs against: one for

@@ -1,21 +1,19 @@
 // Command loadgen drives mixed read/write/audit traffic against the auditable
 // object stack and checks, end to end, the paper's two-sided claim: a read is
 // audited iff it became effective. It measures what the per-object benchmarks
-// of cmd/benchjson cannot see — N named objects under P client goroutines —
-// and writes results in the same BENCH_*.json schema (internal/benchfmt), so
-// workload numbers join the perf trajectory alongside benchmark numbers. Its
-// exit status is the assertion: CI trusts it across the wire, a SIGKILL, a
-// dispersal cluster and four fault phases. See EXPERIMENTS.md, series E12–E20,
-// for the methodology.
+// cannot see — N named objects under P client goroutines — and -out writes
+// each grid cell's metrics as JSON (report.go). Its exit status is the
+// assertion: CI trusts it across the wire, a SIGKILL, a dispersal cluster and
+// four fault phases. See EXPERIMENTS.md, series E12–E20, for the methodology.
 //
 // Usage:
 //
 //	go run ./cmd/loadgen                                        # default grid, text summary
-//	go run ./cmd/loadgen -objects 64,1024 -goroutines 1,8 -out BENCH_2.json
+//	go run ./cmd/loadgen -objects 64,1024 -goroutines 1,8 -out /tmp/local.json
 //	go run -race ./cmd/loadgen -objects 1024 -goroutines 8      # correctness soak
-//	go run ./cmd/loadgen -remote 127.0.0.1:7433 -out BENCH_3.json
+//	go run ./cmd/loadgen -remote 127.0.0.1:7433 -out /tmp/remote.json
 //	go build -o /tmp/auditd ./cmd/auditd
-//	go run ./cmd/loadgen -durable -auditd /tmp/auditd -objects 64 -goroutines 8 -conns 1 -out BENCH_5.json
+//	go run ./cmd/loadgen -durable -auditd /tmp/auditd -objects 64 -goroutines 8 -conns 1 -out /tmp/e16.json
 //	go run ./cmd/loadgen -cluster [-chaos] -auditd /tmp/auditd -cluster-n 5 -cluster-f 1 -objects 32 -goroutines 8 -conns 2
 //
 // There is one driver (driver.go): each (objects, goroutines) grid cell runs
@@ -58,12 +56,11 @@
 //
 // -metrics-url (or the spawned daemon's own endpoint in -durable mode) adds
 // the per-stage latency breakdown to the result. -cpuprofile/-memprofile
-// write driver-side pprof profiles; -baseline gates a run against a
-// checked-in BENCH_*.json, failing beyond -max-regress-pct ops/s regression
-// (the CI bench-smoke job).
+// write driver-side pprof profiles.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -77,65 +74,79 @@ import (
 	"auditreg"
 	"auditreg/client"
 	"auditreg/cluster"
-	"auditreg/internal/benchfmt"
 	"auditreg/internal/netsim"
 )
 
 func main() {
+	os.Exit(run(os.Args[1:]))
+}
+
+// run is the whole command. It returns the exit status instead of exiting,
+// so every deferred cleanup — the temporary data dir, the CPU profile — runs
+// on every path out, a failed cell's included.
+func run(args []string) (code int) {
+	fs := flag.NewFlagSet("loadgen", flag.ContinueOnError)
 	var (
 		m    mode       // what a cell runs against and which faults it suffers
 		base cellConfig // everything about a cell but its grid coordinates
 	)
-	objectsFlag := flag.String("objects", "64,1024", "comma-separated object counts (grid axis)")
-	goroutinesFlag := flag.String("goroutines", "1,8", "comma-separated client goroutine counts (grid axis)")
-	flag.IntVar(&base.ops, "ops", 200000, "total operations per grid cell")
-	flag.IntVar(&base.writePct, "writepct", 25, "percent of operations that write")
-	flag.IntVar(&base.auditPct, "auditpct", 5, "percent of operations that fetch the pool's audit report")
-	flag.IntVar(&base.readers, "readers", 0, "reader principals per object (0: min(goroutines, 64))")
-	flag.IntVar(&base.components, "components", 4, "components per snapshot object")
-	flag.IntVar(&base.poolWorkers, "poolworkers", 4, "audit pool worker goroutines")
-	flag.DurationVar(&base.poolInterval, "poolinterval", 2*time.Millisecond, "audit pool sweep interval")
-	flag.IntVar(&base.verify, "verify", 64, "objects per cell to check against a fresh synchronous audit (0: none)")
-	flag.Uint64Var(&base.seed, "seed", 1, "base seed for keys, nonces, and traffic")
-	out := flag.String("out", "", "write results as BENCH_*.json to this file")
-	flag.StringVar(&m.remote, "remote", "", "drive a live auditd at this address instead of a local store (E13)")
-	flag.StringVar(&m.metricsURL, "metrics-url", "", "the remote daemon's metrics endpoint (http://host:port/metrics); scraped at cell end for the per-stage latency breakdown in -remote mode")
-	flag.IntVar(&m.conns, "conns", 4, "client connection pool size in -remote mode")
-	flag.BoolVar(&m.durable, "durable", false, "durability mode (E14/E16): spawn auditd with a data dir, kill -9 it mid-cell, restart, verify audit exactness")
-	flag.BoolVar(&m.cluster, "cluster", false, "dispersal-cluster mode (E19): spawn -cluster-n durable auditd nodes, kill -9 one mid-cell, restart it, verify merged audit exactness")
-	flag.IntVar(&m.clusterN, "cluster-n", 5, "cluster node count in -cluster mode (needs n >= 2f+2)")
-	flag.IntVar(&m.clusterF, "cluster-f", 1, "cluster crash-fault budget in -cluster mode")
-	flag.BoolVar(&m.chaos, "chaos", false, "fault-injection mode (E20, with -cluster): cycle crash, partition, hang, and Byzantine faults through a netsim fabric, asserting zero wrong reads, zero lost acked ops, corruptor detection, and bounded latency")
-	flag.StringVar(&m.auditdBin, "auditd", "", "path to a prebuilt auditd binary (required with -durable and -cluster)")
-	flag.StringVar(&m.dataDir, "data-dir", "", "base directory for -durable data dirs (default: a temp dir)")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole grid to this file")
-	memProfile := flag.String("memprofile", "", "write an allocation profile to this file at exit")
-	flag.IntVar(&m.tune.shards, "shards", 0, "auditd execution shards, forwarded in -durable mode (0: daemon default, GOMAXPROCS)")
-	flag.IntVar(&m.tune.walStripes, "wal-stripes", 0, "auditd WAL stripe groups, forwarded in -durable mode (0: daemon default, GOMAXPROCS)")
-	flag.IntVar(&m.tune.shardQueue, "shard-queue", 0, "auditd per-shard queue depth, forwarded in -durable mode (0: daemon default)")
-	baseline := flag.String("baseline", "", "BENCH_*.json to gate against: fail on ops/s regression beyond -max-regress-pct")
-	maxRegress := flag.Float64("max-regress-pct", 20, "largest tolerated ops/s regression vs -baseline, in percent")
-	flag.Parse()
+	objectsFlag := fs.String("objects", "64,1024", "comma-separated object counts (grid axis)")
+	goroutinesFlag := fs.String("goroutines", "1,8", "comma-separated client goroutine counts (grid axis)")
+	fs.IntVar(&base.ops, "ops", 200000, "total operations per grid cell")
+	fs.IntVar(&base.writePct, "writepct", 25, "percent of operations that write")
+	fs.IntVar(&base.auditPct, "auditpct", 5, "percent of operations that fetch the pool's audit report")
+	fs.IntVar(&base.readers, "readers", 0, "reader principals per object (0: min(goroutines, 64))")
+	fs.IntVar(&base.components, "components", 4, "components per snapshot object")
+	fs.IntVar(&base.poolWorkers, "poolworkers", 4, "audit pool worker goroutines")
+	fs.DurationVar(&base.poolInterval, "poolinterval", 2*time.Millisecond, "audit pool sweep interval")
+	fs.IntVar(&base.verify, "verify", 64, "objects per cell to check against a fresh synchronous audit (0: none)")
+	fs.Uint64Var(&base.seed, "seed", 1, "base seed for keys, nonces, and traffic")
+	out := fs.String("out", "", "write the cells' results as JSON to this file")
+	fs.StringVar(&m.remote, "remote", "", "drive a live auditd at this address instead of a local store (E13)")
+	fs.StringVar(&m.metricsURL, "metrics-url", "", "the remote daemon's metrics endpoint (http://host:port/metrics); scraped at cell end for the per-stage latency breakdown in -remote mode")
+	fs.IntVar(&m.conns, "conns", 4, "client connection pool size in -remote mode")
+	fs.BoolVar(&m.durable, "durable", false, "durability mode (E14/E16): spawn auditd with a data dir, kill -9 it mid-cell, restart, verify audit exactness")
+	fs.BoolVar(&m.cluster, "cluster", false, "dispersal-cluster mode (E19): spawn -cluster-n durable auditd nodes, kill -9 one mid-cell, restart it, verify merged audit exactness")
+	fs.IntVar(&m.clusterN, "cluster-n", 5, "cluster node count in -cluster mode (needs n >= 2f+2)")
+	fs.IntVar(&m.clusterF, "cluster-f", 1, "cluster crash-fault budget in -cluster mode")
+	fs.BoolVar(&m.chaos, "chaos", false, "fault-injection mode (E20, with -cluster): cycle crash, partition, hang, and Byzantine faults through a netsim fabric, asserting zero wrong reads, zero lost acked ops, corruptor detection, and bounded latency")
+	fs.StringVar(&m.auditdBin, "auditd", "", "path to a prebuilt auditd binary (required with -durable and -cluster)")
+	fs.StringVar(&m.dataDir, "data-dir", "", "base directory for -durable data dirs (default: a temp dir)")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the whole grid to this file")
+	memProfile := fs.String("memprofile", "", "write an allocation profile to this file at exit")
+	fs.IntVar(&m.tune.shards, "shards", 0, "auditd execution shards, forwarded in -durable mode (0: daemon default, GOMAXPROCS)")
+	fs.IntVar(&m.tune.walStripes, "wal-stripes", 0, "auditd WAL stripe groups, forwarded in -durable mode (0: daemon default, GOMAXPROCS)")
+	fs.IntVar(&m.tune.shardQueue, "shard-queue", 0, "auditd per-shard queue depth, forwarded in -durable mode (0: daemon default)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
+	fail := func(format string, a ...any) int {
+		fmt.Fprintf(os.Stderr, "loadgen: "+format+"\n", a...)
+		return 1
+	}
 	objectCounts, err := parseInts(*objectsFlag)
 	if err != nil {
-		fatalf("bad -objects: %v", err)
+		return fail("bad -objects: %v", err)
 	}
 	goroutineCounts, err := parseInts(*goroutinesFlag)
 	if err != nil {
-		fatalf("bad -goroutines: %v", err)
+		return fail("bad -goroutines: %v", err)
 	}
 	if base.writePct < 0 || base.auditPct < 0 || base.writePct+base.auditPct > 100 {
-		fatalf("-writepct + -auditpct must fit in [0, 100]")
+		return fail("-writepct + -auditpct must fit in [0, 100]")
 	}
 	if m.durable || m.cluster {
 		if m.auditdBin == "" {
-			fatalf("spawning modes need -auditd (path to a prebuilt auditd binary)")
+			return fail("spawning modes need -auditd (path to a prebuilt auditd binary)")
 		}
 		if m.dataDir == "" {
 			dir, err := os.MkdirTemp("", "loadgen-durable-*")
 			if err != nil {
-				fatalf("%v", err)
+				return fail("%v", err)
 			}
 			defer os.RemoveAll(dir)
 			m.dataDir = dir
@@ -144,10 +155,11 @@ func main() {
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
-			fatalf("%v", err)
+			return fail("%v", err)
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fatalf("cpuprofile: %v", err)
+			f.Close()
+			return fail("cpuprofile: %v", err)
 		}
 		defer func() {
 			pprof.StopCPUProfile()
@@ -158,24 +170,25 @@ func main() {
 		defer func() {
 			f, err := os.Create(*memProfile)
 			if err != nil {
-				fatalf("%v", err)
+				code = fail("%v", err)
+				return
 			}
 			defer f.Close()
 			runtime.GC()
 			if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
-				fatalf("memprofile: %v", err)
+				code = fail("memprofile: %v", err)
 			}
 		}()
 	}
 
-	var results []benchfmt.Result
+	var results []Result
 	for _, n := range objectCounts {
 		for _, p := range goroutineCounts {
 			cfg := base
 			cfg.objects, cfg.goroutines = n, p
 			res, err := m.cell(cfg)
 			if err != nil {
-				fatalf("objects=%d goroutines=%d: %v", n, p, err)
+				return fail("objects=%d goroutines=%d: %v", n, p, err)
 			}
 			results = append(results, res)
 			fmt.Printf("%-44s %10.0f ns/op %12.0f ops/s  reads=%.0f writes=%.0f audits=%.0f pool-audits=%.0f pairs=%.0f",
@@ -189,67 +202,17 @@ func main() {
 		}
 	}
 
-	if *baseline != "" {
-		if err := checkBaseline(results, *baseline, *maxRegress); err != nil {
-			pprof.StopCPUProfile() // flush before the hard exit
-			fatalf("%v", err)
-		}
-		fmt.Printf("loadgen: within %.0f%% of baseline %s\n", *maxRegress, *baseline)
-	}
-
 	if *out != "" {
-		series, _, _ := strings.Cut(results[0].Name, "/")
-		rep := benchfmt.NewReport(
-			fmt.Sprintf("%s/objects=%s/goroutines=%s", series, *objectsFlag, *goroutinesFlag),
-			fmt.Sprintf("%dx", base.ops), 1, []string{"auditreg/cmd/loadgen"})
-		rep.Results = results
-		if err := rep.WriteFile(*out); err != nil {
-			fatalf("%v", err)
+		if err := writeReport(*out, results); err != nil {
+			return fail("%v", err)
 		}
 		fmt.Printf("loadgen: %d configurations -> %s\n", len(results), *out)
 	}
-}
-
-// checkBaseline compares each result's ops/s against the same-named result
-// of a checked-in baseline report, failing on a regression beyond
-// maxRegressPct. Results absent from the baseline pass (new cells enter the
-// trajectory freely), but at least one must match — a gate that compares
-// nothing protects nothing. Cross-machine caveat: BENCH numbers are
-// comparable only on similar hardware; the CI gate pairs this with a wide
-// tolerance.
-func checkBaseline(results []benchfmt.Result, path string, maxRegressPct float64) error {
-	rep, err := benchfmt.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	base := make(map[string]float64, len(rep.Results))
-	for _, r := range rep.Results {
-		if v, ok := r.Metrics["ops/s"]; ok {
-			base[r.Name] = v
-		}
-	}
-	matched := 0
-	for _, r := range results {
-		want, ok := base[r.Name]
-		if !ok {
-			continue
-		}
-		matched++
-		got := r.Metrics["ops/s"]
-		floor := want * (1 - maxRegressPct/100)
-		if got < floor {
-			return fmt.Errorf("%s: %.0f ops/s is a >%.0f%% regression vs baseline %.0f (floor %.0f)",
-				r.Name, got, maxRegressPct, want, floor)
-		}
-	}
-	if matched == 0 {
-		return fmt.Errorf("baseline %s shares no result names with this run", path)
-	}
-	return nil
+	return 0
 }
 
 type cellConfig struct {
-	name                     string // result name: series, geometry, grid cell, tuning
+	name                     string // result name: series, geometry, grid cell
 	objects, goroutines, ops int
 	writePct, auditPct       int
 	readers, components      int
@@ -285,7 +248,7 @@ type mode struct {
 // runs it. A spawning mode's daemons live exactly as long as the cell: they
 // are drained (SIGTERM) once it has verified, and a node that cannot drain
 // fails it.
-func (m mode) cell(cfg cellConfig) (benchfmt.Result, error) {
+func (m mode) cell(cfg cellConfig) (Result, error) {
 	grid := fmt.Sprintf("objects=%d/goroutines=%d", cfg.objects, cfg.goroutines)
 	p := plan{opDeadline: opDeadline}
 	fl := &fleet{bin: m.auditdBin, readers: cfg.readerCount()}
@@ -295,7 +258,7 @@ func (m mode) cell(cfg cellConfig) (benchfmt.Result, error) {
 	case m.cluster:
 		n, f := m.clusterN, m.clusterF
 		if m.chaos && f < 1 {
-			return benchfmt.Result{}, fmt.Errorf("chaos mode needs f >= 1 (got f=%d): every phase spends exactly one fault", f)
+			return Result{}, fmt.Errorf("chaos mode needs f >= 1 (got f=%d): every phase spends exactly one fault", f)
 		}
 		series, tag := "LoadgenCluster", "e19"
 		if m.chaos {
@@ -309,7 +272,7 @@ func (m mode) cell(cfg cellConfig) (benchfmt.Result, error) {
 		for i := 0; i < n; i++ {
 			dir := filepath.Join(m.dataDir, fmt.Sprintf("%s-o%d-g%d", tag, cfg.objects, cfg.goroutines), fmt.Sprintf("node%d", i+1))
 			if err := fl.add(dir, cfg.seed+uint64(i)+1, daemonTuning{nodeID: uint32(i + 1)}); err != nil {
-				return benchfmt.Result{}, err
+				return Result{}, err
 			}
 		}
 		ct := &clusterTarget{conns: m.conns, tag: tag}
@@ -322,7 +285,7 @@ func (m mode) cell(cfg cellConfig) (benchfmt.Result, error) {
 			fab := netsim.NewFabric(cfg.seed, 0)
 			var err error
 			if addrs, err = fl.bridge(fab); err != nil {
-				return benchfmt.Result{}, err
+				return Result{}, err
 			}
 			ct.byzantine = 1 // the node id phase 4 turns Byzantine
 			ct.extra = []client.Option{
@@ -333,17 +296,17 @@ func (m mode) cell(cfg cellConfig) (benchfmt.Result, error) {
 		}
 		ct.mem = cluster.SeededMembership(addrs, f, cfg.seed)
 		if err := ct.mem.Validate(); err != nil {
-			return benchfmt.Result{}, err
+			return Result{}, err
 		}
 	case m.durable:
-		cfg.name = "LoadgenDurable/" + grid + m.tune.suffix()
+		cfg.name = "LoadgenDurable/" + grid
 		tune := m.tune
 		var err error
 		if tune.metricsAddr, err = freePort(); err != nil {
-			return benchfmt.Result{}, err
+			return Result{}, err
 		}
 		if err := fl.add(filepath.Join(m.dataDir, fmt.Sprintf("cell-o%d-g%d", cfg.objects, cfg.goroutines)), cfg.seed, tune); err != nil {
-			return benchfmt.Result{}, err
+			return Result{}, err
 		}
 		t = &nodeTarget{addr: fl.addrs()[0], conns: m.conns, tag: "e14", metricsURL: "http://" + tune.metricsAddr + "/metrics"}
 		p.run = killRestart(fl, 0, 0)
@@ -378,9 +341,4 @@ func parseInts(s string) ([]int, error) {
 		return nil, fmt.Errorf("empty list")
 	}
 	return out, nil
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "loadgen: "+format+"\n", args...)
-	os.Exit(1)
 }

@@ -6,16 +6,15 @@ import (
 	"time"
 
 	"auditreg/client"
-	"auditreg/internal/benchfmt"
 	"auditreg/internal/telem"
 )
 
 // scrapeStages pulls the daemon's metrics endpoint and folds the per-stage
-// latency summaries into the BENCH result's stages map — so an E-series
+// latency summaries into the result's stages map — so an E-series
 // cell records where its latency went (queue wait vs store op vs fsync)
 // instead of leaving stage attribution to be inferred from aggregate
 // counters.
-func scrapeStages(metricsURL string) (map[string]benchfmt.StageLatency, error) {
+func scrapeStages(metricsURL string) (map[string]StageLatency, error) {
 	hc := http.Client{Timeout: 10 * time.Second}
 	resp, err := hc.Get(metricsURL)
 	if err != nil {
@@ -29,7 +28,7 @@ func scrapeStages(metricsURL string) (map[string]benchfmt.StageLatency, error) {
 	if err != nil {
 		return nil, err
 	}
-	stages := make(map[string]benchfmt.StageLatency)
+	stages := make(map[string]StageLatency)
 	for key, v := range samples {
 		var stage, q string
 		if n, _ := fmt.Sscanf(key, "auditreg_stage_latency_ns{stage=%q,q=%q}", &stage, &q); n == 2 {
@@ -55,9 +54,9 @@ func scrapeStages(metricsURL string) (map[string]benchfmt.StageLatency, error) {
 // rttStage renders the client's retry-inclusive RTT histogram as one more
 // stage row — the client-side end of the same pipeline trace, in the same
 // quantized units.
-func rttStage(cl *client.Client) benchfmt.StageLatency {
+func rttStage(cl *client.Client) StageLatency {
 	s := cl.RTT()
-	return benchfmt.StageLatency{
+	return StageLatency{
 		P50Ns: float64(s.Quantile(0.50)),
 		P99Ns: float64(s.Quantile(0.99)),
 		MaxNs: float64(s.Max()),

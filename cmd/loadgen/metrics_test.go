@@ -9,7 +9,7 @@ import (
 )
 
 // TestScrapeStages round-trips a real exposition: histograms rendered by
-// telem.WriteStages, served over HTTP, scraped back into the BENCH stages
+// telem.WriteStages, served over HTTP, scraped back into the result's stages
 // map. It pins the label-parsing in scrapeStages to the exact key format
 // prom.go writes.
 func TestScrapeStages(t *testing.T) {

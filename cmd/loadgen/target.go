@@ -11,7 +11,6 @@ import (
 	"auditreg"
 	"auditreg/client"
 	"auditreg/cluster"
-	"auditreg/internal/benchfmt"
 	"auditreg/store"
 )
 
@@ -37,7 +36,7 @@ type target interface {
 	audit(obj int) (auditView, error)
 	// counters reports the target's own tallies as alternating metric key,
 	// value pairs, plus the per-stage latency breakdown where one exists.
-	counters() ([]any, map[string]benchfmt.StageLatency, error)
+	counters() ([]any, map[string]StageLatency, error)
 	close() error
 }
 
@@ -171,7 +170,7 @@ func (t *localTarget) audit(obj int) (auditView, error) {
 	return auditView{charged: charged, nodes: 1}, nil
 }
 
-func (t *localTarget) counters() ([]any, map[string]benchfmt.StageLatency, error) {
+func (t *localTarget) counters() ([]any, map[string]StageLatency, error) {
 	return []any{"pool-audits", t.pool.Audited(), "pool-sweeps", t.pool.Sweeps()}, nil, nil
 }
 
@@ -259,7 +258,7 @@ func (t *nodeTarget) stats() (map[string]uint64, error) {
 // where the latency went: the daemon's per-stage histograms scraped off its
 // metrics endpoint, with the client's retry-inclusive RTT as one more stage —
 // the same trace, seen from both ends of the wire.
-func (t *nodeTarget) counters() ([]any, map[string]benchfmt.StageLatency, error) {
+func (t *nodeTarget) counters() ([]any, map[string]StageLatency, error) {
 	after, err := t.stats()
 	if err != nil {
 		return nil, nil, err
@@ -289,7 +288,7 @@ func (t *nodeTarget) counters() ([]any, map[string]benchfmt.StageLatency, error)
 		out = append(out, "srv-"+name, after[name]-t.before[name])
 	}
 
-	stages := map[string]benchfmt.StageLatency{"client-rtt": rttStage(t.cl)}
+	stages := map[string]StageLatency{"client-rtt": rttStage(t.cl)}
 	if t.metricsURL != "" {
 		scraped, err := scrapeStages(t.metricsURL)
 		if err != nil {
@@ -429,7 +428,7 @@ func (t *clusterTarget) audit(obj int) (auditView, error) {
 	}, nil
 }
 
-func (t *clusterTarget) counters() ([]any, map[string]benchfmt.StageLatency, error) {
+func (t *clusterTarget) counters() ([]any, map[string]StageLatency, error) {
 	if err := t.check(); err != nil {
 		return nil, nil, err
 	}

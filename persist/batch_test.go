@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,12 +14,18 @@ import (
 // TestGroupCommitAbsorbsConcurrentMutators pins the group commit: many
 // goroutines writing under SyncAlways must share fsyncs — far fewer syncs
 // than records — and the batch-size histogram must record multi-record
-// syncs, while every write still blocks until stable. The grouping comes from
-// arrivals alone: whatever the other writers append while one commit's
-// fdatasync runs is the next commit's batch. Stripes is pinned to 1 because
-// batches form per stripe: left at its GOMAXPROCS default, the eight objects
-// hash onto as many stripes as the box has CPUs, and on a 2-CPU box the "8
-// concurrent blocked writers" below are about 4 per stripe.
+// syncs, while every write still blocks until stable. Whatever the other
+// writers append while one commit's fdatasync runs is the next commit's
+// batch. That window is tens of microseconds on a fast disk, so whether the
+// writers land in it was up to the scheduler: under a loaded full-suite run
+// the unpaced version read 219 syncs for 408 records. Each round therefore
+// parks the commit loop in a flush barrier — a stand-in for a slow
+// fdatasync — and releases it once every writer has either appended behind
+// it or, having slipped into the barrier's own commit, returned. A round's
+// eight writes so land in at most two commits, and one of them carries at
+// least four. Stripes is pinned to 1 because batches form per stripe: left
+// at its GOMAXPROCS default, the eight objects hash onto as many stripes as
+// the box has CPUs.
 func TestGroupCommitAbsorbsConcurrentMutators(t *testing.T) {
 	dir := t.TempDir()
 	w, _, st := openWAL(t, dir, Options{Policy: SyncAlways, Stripes: 1})
@@ -31,20 +38,40 @@ func TestGroupCommitAbsorbsConcurrentMutators(t *testing.T) {
 			t.Fatalf("Open: %v", err)
 		}
 	}
-	var wg sync.WaitGroup
-	for i := 0; i < writers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			for k := 0; k < perWriter; k++ {
+	s := w.groups[0]
+	queued := func() int {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return len(s.recs)
+	}
+	for k := 0; k < perWriter; k++ {
+		parked := make(chan error)
+		s.flushc <- parked
+		var wg sync.WaitGroup
+		var returned atomic.Int64
+		for i := range objs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
 				if err := objs[i].Write(uint64(k + 1)); err != nil {
 					t.Errorf("Write: %v", err)
-					return
 				}
+				returned.Add(1)
+			}()
+		}
+		for deadline := time.Now().Add(10 * time.Second); queued()+int(returned.Load()) < writers; time.Sleep(10 * time.Microsecond) {
+			if time.Now().After(deadline) {
+				n, r := queued(), returned.Load()
+				<-parked
+				wg.Wait()
+				t.Fatalf("round %d: %d writes queued and %d returned of %d", k, n, r, writers)
 			}
-		}(i)
+		}
+		if err := <-parked; err != nil {
+			t.Fatalf("flush: %v", err)
+		}
+		wg.Wait()
 	}
-	wg.Wait()
 	stats := w.Stats()
 	if err := w.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
