@@ -9,23 +9,22 @@ import (
 
 // TestFrameEncodeAllocationBound pins the WAL writer's per-record encode
 // cost: appending an encrypted frame into a reused batch buffer allocates
-// nothing except the pad blocks the stream derives — one small cached block
-// per 32 keystream bytes, amortized across adjacent records of the batch
-// (the BlockPads window serves re-walks of the same region for free).
+// nothing. The cursor derives its pad blocks by value, so walking fresh
+// keystream — every run below appends at the next offset — is as free as
+// re-walking the block the last frame ended in.
 func TestFrameEncodeAllocationBound(t *testing.T) {
 	ps := newPadStream(testKey(), &fuzzNonce)
 	rec := Record{Op: OpFetch, Name: "acct/0000001", Kind: uint8(store.Register), Reader: 3, Seq: 9, Value: 0xA1B2}
 	buf := make([]byte, 0, 4096)
 	off := int64(headerLen)
-	// Warm the pad window for the offsets the loop below revisits.
-	_ = appendFrame(buf, ps, off, 7, &rec)
 	if n := testing.AllocsPerRun(1000, func() {
-		out := appendFrame(buf, ps, off, 7, &rec)
+		out := appendFrame(buf, &ps, off, 7, &rec)
 		if len(out) < frameOverhead {
 			t.Fatal("short frame")
 		}
+		off += int64(len(out))
 	}); n != 0 {
-		t.Fatalf("frame encode allocated %v times per run (pad window warm)", n)
+		t.Fatalf("frame encode allocated %v times per run, want 0", n)
 	}
 }
 
@@ -36,7 +35,7 @@ func TestFrameEncodeAllocationBound(t *testing.T) {
 func TestFrameDecodeAllocationBound(t *testing.T) {
 	ps := newPadStream(testKey(), &fuzzNonce)
 	rec := Record{Op: OpFetch, Name: "acct/0000001", Kind: uint8(store.Register), Reader: 3, Seq: 9, Value: 0xA1B2}
-	frame := appendFrame(nil, ps, int64(headerLen), 7, &rec)
+	frame := appendFrame(nil, &ps, int64(headerLen), 7, &rec)
 	m := newRecoverModel()
 	if err := m.add(&rec); err != nil {
 		t.Fatal(err)
@@ -61,14 +60,13 @@ func TestFrameDecodeAllocationBound(t *testing.T) {
 	}
 }
 
-// TestBlockingRecordAllocations pins what one WAL.Record costs the heap. A
-// blocking write waits out its fdatasync on a pooled completion channel, and
+// TestBlockingRecordAllocations pins what one WAL.Record costs the heap:
+// nothing. A blocking write waits out its fdatasync on a pooled ticket, and
 // AllocsPerRun counts the commit loop's share too (its counters are
-// process-wide): what is left is the pad blocks the frame derives, 1 per
-// record measured. An announce returns before the commit loop touches it and
-// allocates nothing on its caller's side; the loop is parked for that
-// measurement, since when it runs relative to the count would otherwise
-// decide the result.
+// process-wide), whose keystream cursor derives pad blocks by value. An
+// announce returns before the commit loop touches it and allocates nothing
+// on its caller's side; the loop is parked for that measurement, since when
+// it runs relative to the count would otherwise decide the result.
 func TestBlockingRecordAllocations(t *testing.T) {
 	if race.Enabled {
 		t.Skip("a sync.Pool discards at random under -race")
@@ -85,11 +83,11 @@ func TestBlockingRecordAllocations(t *testing.T) {
 	write := record(store.JournalRecord[uint64]{Op: store.JournalWrite, Name: "acct/0000001", Kind: store.Register, Seq: 1, Value: 0xA1B2})
 	announce := record(store.JournalRecord[uint64]{Op: store.JournalAnnounce, Name: "acct/0000001", Kind: store.Register, Reader: 3, Seq: 1})
 
-	for range 50 { // warm the buffers and the completion-channel pool
+	for range 50 { // warm the buffers and the ticket pool
 		write()
 	}
-	if n := testing.AllocsPerRun(200, write); n > 2 {
-		t.Errorf("blocking write: WAL.Record allocated %v times per run, want <= 2", n)
+	if n := testing.AllocsPerRun(200, write); n != 0 {
+		t.Errorf("blocking write: WAL.Record allocated %v times per run, want 0", n)
 	}
 
 	// park holds the commit loop in a flush barrier until the returned

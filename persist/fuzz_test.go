@@ -2,10 +2,13 @@ package persist
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"auditreg"
@@ -33,10 +36,10 @@ func fuzzSeeds() [][]byte {
 	ps := newPadStream(key, &fuzzNonce)
 	var out [][]byte
 	for i := range recs {
-		out = append(out, appendFrame(nil, ps, 0, uint64(i+1), &recs[i]))
+		out = append(out, appendFrame(nil, &ps, 0, uint64(i+1), &recs[i]))
 	}
-	stream := appendFrame(nil, ps, 0, 10, &recs[1])
-	stream = appendFrame(stream, ps, int64(len(stream)), 11, &recs[2])
+	stream := appendFrame(nil, &ps, 0, 10, &recs[1])
+	stream = appendFrame(stream, &ps, int64(len(stream)), 11, &recs[2])
 	out = append(out, stream)
 	return out
 }
@@ -61,7 +64,7 @@ func FuzzWALRecord(f *testing.F) {
 			return
 		}
 		consumed := b[:len(b)-len(rest)]
-		re := appendFrame(nil, ps, 0, lsn, &rec)
+		re := appendFrame(nil, &ps, 0, lsn, &rec)
 		if !bytes.Equal(re, consumed) {
 			t.Fatalf("accepted frame does not round-trip:\n in  %x\n out %x", consumed, re)
 		}
@@ -91,7 +94,7 @@ func tailSeeds(fx tailFixture) []tailSeed {
 		{frame[:fx.cut-fx.last+100], 4096},
 		{frame[:len(frame)-9], 0},
 		{damaged, 4096},
-		{appendFrame(nil, fx.ps, fx.last, 3, &Record{Op: OpSeal}), 0},
+		{appendFrame(nil, &fx.ps, fx.last, 3, &Record{Op: OpSeal}), 0},
 		{[]byte{0, 0, 1, 0, 0xde, 0xad}, 512},
 	}
 }
@@ -127,7 +130,7 @@ func FuzzSegmentTail(f *testing.F) {
 			if i < len(want) && fr.recs[i] != want[i] {
 				t.Fatalf("record %d = %+v, want %+v", i, fr.recs[i], want[i])
 			}
-			frame := appendFrame(nil, fx.ps, off, fr.lsns[i], &fr.recs[i])
+			frame := appendFrame(nil, &fx.ps, off, fr.lsns[i], &fr.recs[i])
 			if !bytes.HasPrefix(img[off:], frame) {
 				t.Fatalf("record %d = %+v is not what the file holds at offset %d", i, fr.recs[i], off)
 			}
@@ -180,5 +183,69 @@ func TestFuzzSeedsParse(t *testing.T) {
 				t.Fatalf("seed %d does not parse: %v", i, err)
 			}
 		}
+	}
+}
+
+// TestFrameBytesAreTheFormats pins the on-disk bytes themselves. Encode and
+// decode share one keystream cursor, so a round trip — and every fuzz seed
+// — would pass a cursor that walked the stream wrong the same way on both
+// sides; a constant cannot be fooled like that. Under a fixed key and nonce
+// it encodes a segment image whose frames start mid-block, straddle a
+// 32-byte pad block boundary, outgrow a block, and end in a seal, and
+// compares its SHA-256 with the one the file format has always produced.
+// Change the constant only together with fileVersion.
+func TestFrameBytesAreTheFormats(t *testing.T) {
+	const want = "26f19b498535eb8677b012f5177ce4763cf32cebbc69196b0f62457200df76e6"
+	recs := []Record{
+		{Op: OpOpen, Name: "a", Kind: uint8(store.Register), Capacity: 64},
+		{Op: OpWrite, Name: "acct/7", Kind: uint8(store.Register), Seq: 3, Value: 0xA1B2C3D4E5F60718},
+		{Op: OpFetch, Name: strings.Repeat("n", 40), Kind: uint8(store.MaxRegister), Reader: 5, Seq: 9, Value: 0x0102030405060708},
+		{Op: OpSeal},
+	}
+	img, _, err := newHeader(segMagic, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(img[headerLen-fileNonceLen:], fuzzNonce[:])
+	ps := newPadStream(fuzzKey(), &fuzzNonce)
+	type span struct{ from, to int } // a frame's ciphertext
+	var spans []span
+	for i := range recs {
+		start := len(img)
+		img = appendFrame(img, &ps, int64(start), uint64(i+1), &recs[i])
+		spans = append(spans, span{start + frameOverhead, len(img)})
+	}
+	block := func(off int) int { return off / padBlockLen }
+	if s := spans[0]; s.from%padBlockLen == 0 || block(s.from) != block(s.to-1) {
+		t.Fatalf("frame 0's ciphertext %v does not start mid-block inside one block", s)
+	}
+	if s := spans[1]; block(s.from) == block(s.to-1) {
+		t.Fatalf("frame 1's ciphertext %v does not straddle a block boundary", s)
+	}
+	if s := spans[2]; s.to-s.from <= padBlockLen {
+		t.Fatalf("frame 2's ciphertext %v is no longer than a block", s)
+	}
+	if sum := sha256.Sum256(img); hex.EncodeToString(sum[:]) != want {
+		t.Fatalf("segment image hashes to %x, the format's is %s", sum, want)
+	}
+
+	var got []Record
+	sc, err := scanRecords("golden", img, segMagic, fuzzKey(), freshName, func(rec Record, lsn uint64) error {
+		if lsn != uint64(len(got)+1) {
+			t.Errorf("record %d at lsn %d", len(got), lsn)
+		}
+		got = append(got, rec)
+		return nil
+	})
+	if err != nil || !sc.sealed || sc.validLen != int64(len(img)) {
+		t.Fatalf("scan: %+v, %v", sc, err)
+	}
+	for i := range got {
+		if got[i] != recs[i] {
+			t.Fatalf("record %d decoded as %+v, want %+v", i, got[i], recs[i])
+		}
+	}
+	if len(got) != len(recs)-1 {
+		t.Fatalf("decoded %d records, want %d before the seal", len(got), len(recs)-1)
 	}
 }

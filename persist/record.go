@@ -180,8 +180,8 @@ func decodePlain(b []byte, intern func([]byte) string) (Record, error) {
 // derivation paid for the same coverage — keyed by SHA-256(tag, key, file
 // nonce) and indexed by the byte offset of the ciphertext within the file.
 // A group commit therefore encrypts its whole batch against one dense,
-// shared pad stream (adjacent records share pad blocks; the BlockPads window
-// makes the reuse one cache hit, not a re-derivation).
+// shared pad stream: the file's cursor (padStream) holds the block the last
+// record ended in, so adjacent records share it without re-deriving it.
 //
 // Pads never repeat: offsets are unique within a file (frames are written
 // sequentially, and a crashed active segment is never appended to — see
@@ -201,13 +201,19 @@ const fileNonceLen = 16
 
 const padTag = "auditreg/persist/pads/v2\x00"
 
-// padStream is the keystream of one record file, derived in blocks from
-// otp.BlockPads. Safe for concurrent use (distinct files are scanned
-// concurrently with the commit loop appending to the active one; each has its
-// own stream).
+// padStream is a cursor over the keystream of one record file: the file's
+// pads and the block it derived last, held by value. Encoding and decoding
+// walk a file front to back, so each block is derived once and nothing is
+// cached or allocated. Not safe for concurrent use: a cursor has one owner
+// (the commit loop for the active segment, one scan per file in recovery).
 type padStream struct {
-	pads *otp.BlockPads
+	pads  *otp.BlockPads
+	block uint64 // index+1 of the pad block held in masks; 0 = none yet
+	masks [otp.MasksPerBlock]uint64
 }
+
+// padBlockLen is the keystream a pad block covers, in bytes.
+const padBlockLen = 8 * otp.MasksPerBlock
 
 // newPadStream derives the file's pad stream from the persist key and the
 // file's nonce.
@@ -218,9 +224,9 @@ func newPadStream(key auditreg.Key, nonce *[fileNonceLen]byte) padStream {
 	h.Write(nonce[:])
 	var fileKey auditreg.Key
 	h.Sum(fileKey[:0])
-	// MaxReaders-wide pads are full 64-bit words: the stream is a general
-	// keystream here, not an m-bit reader-set mask.
-	pads, err := otp.NewBlockPads(fileKey, otp.MaxReaders)
+	// MaxReaders-wide pads are full 64-bit words, a general keystream; the
+	// cursor derives blocks with Block, past the window, so one slot will do.
+	pads, err := otp.NewBlockPadsWindow(fileKey, otp.MaxReaders, 1)
 	if err != nil {
 		// Unreachable: MaxReaders is a valid reader count by definition.
 		panic(fmt.Sprintf("persist: pad stream: %v", err))
@@ -228,28 +234,29 @@ func newPadStream(key auditreg.Key, nonce *[fileNonceLen]byte) padStream {
 	return padStream{pads: pads}
 }
 
-// xor XORs buf in place with the pad stream covering file bytes
-// [off, off+len(buf)).
-func (p padStream) xor(buf []byte, off int64) {
+// xor writes src, the bytes at file offset off, XORed with the pad stream
+// into dst (which may be src itself).
+func (p *padStream) xor(dst, src []byte, off int64) {
 	q := uint64(off)
-	for i := 0; i < len(buf); {
-		w := p.pads.Mask(q / 8)
-		for b := q % 8; b < 8 && i < len(buf); b, q, i = b+1, q+1, i+1 {
-			buf[i] ^= byte(w >> (8 * b))
+	for i, c := range src {
+		if b := q/padBlockLen + 1; b != p.block {
+			p.masks, p.block = p.pads.Block(b-1), b
 		}
+		dst[i] = c ^ byte(p.masks[q%padBlockLen/8]>>(8*(q%8)))
+		q++
 	}
 }
 
 // appendFrame appends the complete encrypted frame for rec at lsn onto dst,
 // where off is the file offset the frame starts at (that is, where
 // dst[len(dst)] will land on disk).
-func appendFrame(dst []byte, ps padStream, off int64, lsn uint64, rec *Record) []byte {
+func appendFrame(dst []byte, ps *padStream, off int64, lsn uint64, rec *Record) []byte {
 	start := len(dst)
 	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0) // frameLen + crc placeholders
 	dst = binary.BigEndian.AppendUint64(dst, lsn)
 	body := len(dst)
 	dst = rec.appendPlain(dst)
-	ps.xor(dst[body:], off+frameOverhead)
+	ps.xor(dst[body:], dst[body:], off+frameOverhead)
 	binary.BigEndian.PutUint32(dst[start:], uint32(len(dst)-start-8))
 	binary.BigEndian.PutUint32(dst[start+4:], crc32.Checksum(dst[start+8:], castagnoli))
 	return dst
@@ -265,32 +272,12 @@ var (
 )
 
 // frameDecoder decodes the frames of one record file, front to back: the
-// file's pad stream, the pad block the last frame ended in (a scan derives
-// each block once and caches none), the one plaintext buffer every frame is
-// decrypted into, and where names are interned.
+// file's keystream cursor, the one plaintext buffer every frame is decrypted
+// into, and where names are interned.
 type frameDecoder struct {
 	ps     padStream
 	intern func([]byte) string
-	block  uint64 // index+1 of the pad block held in masks; 0 = none yet
-	masks  [otp.MasksPerBlock]uint64
 	plain  [maxPlain]byte
-}
-
-// padBlockLen is the keystream a pad block covers, in bytes.
-const padBlockLen = 8 * otp.MasksPerBlock
-
-// decrypt XORs src, the ciphertext at file offset off, with the pad stream
-// into the decoder's plaintext buffer; src stays as it is on disk.
-func (d *frameDecoder) decrypt(src []byte, off int64) []byte {
-	q := uint64(off)
-	for i, c := range src {
-		if b := q/padBlockLen + 1; b != d.block {
-			d.masks, d.block = d.ps.pads.Block(b-1), b
-		}
-		d.plain[i] = c ^ byte(d.masks[q%padBlockLen/8]>>(8*(q%8)))
-		q++
-	}
-	return d.plain[:len(src)]
 }
 
 // parseFrame decodes the first frame of b — located at file offset off —
@@ -313,7 +300,10 @@ func (d *frameDecoder) parseFrame(b []byte, off int64) (rec Record, lsn uint64, 
 		return rec, 0, b, fmt.Errorf("%w (%08x != %08x)", errFrameCRC, got, want)
 	}
 	lsn = binary.BigEndian.Uint64(payload)
-	rec, err = decodePlain(d.decrypt(payload[8:], off+frameOverhead), d.intern)
+	// Decrypt into the decoder's buffer: b stays as it is on disk.
+	plain := d.plain[:n-8]
+	d.ps.xor(plain, payload[8:], off+frameOverhead)
+	rec, err = decodePlain(plain, d.intern)
 	if err != nil {
 		return rec, lsn, b, err
 	}

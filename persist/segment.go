@@ -272,13 +272,13 @@ func writeSealedFile(dir, name, magic string, meta uint64, key auditreg.Key, rec
 	buf := hdr
 	sealLSN := uint64(0)
 	for i := range recs {
-		buf = appendFrame(buf, ps, int64(len(buf)), lsns[i], &recs[i])
+		buf = appendFrame(buf, &ps, int64(len(buf)), lsns[i], &recs[i])
 		if lsns[i] >= sealLSN {
 			sealLSN = lsns[i] + 1
 		}
 	}
 	seal := Record{Op: OpSeal}
-	buf = appendFrame(buf, ps, int64(len(buf)), sealLSN, &seal)
+	buf = appendFrame(buf, &ps, int64(len(buf)), sealLSN, &seal)
 
 	tmp := filepath.Join(dir, name+".tmp")
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o600)

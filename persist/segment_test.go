@@ -38,7 +38,7 @@ func newTailFixture(t testing.TB, key auditreg.Key) tailFixture {
 	}}
 	for i := range fx.recs {
 		fx.last = int64(len(fx.img))
-		fx.img = appendFrame(fx.img, ps, fx.last, uint64(i+1), &fx.recs[i])
+		fx.img = appendFrame(fx.img, &ps, fx.last, uint64(i+1), &fx.recs[i])
 	}
 	fx.cut = (fx.last + 8 + sectorSize) / sectorSize * sectorSize
 	if fx.cut >= int64(len(fx.img)) {
@@ -86,7 +86,7 @@ func TestSegmentTailRule(t *testing.T) {
 		b[off] ^= 0xFF
 		return b
 	}
-	seal := appendFrame(nil, fx.ps, whole, 4, &Record{Op: OpSeal})
+	seal := appendFrame(nil, &fx.ps, whole, 4, &Record{Op: OpSeal})
 
 	for _, tc := range []struct {
 		name     string

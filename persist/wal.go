@@ -26,19 +26,45 @@ const lockFileName = "wal.lock"
 // records instead of one per record, and 4 MiB measured the same.
 const preallocChunk = 1 << 20
 
-// pending is one record awaiting its stripe's commit loop; done is non-nil
+// pending is one record awaiting its stripe's commit loop; t is non-nil
 // when the mutator blocks for durability (SyncAlways opens, writes, and
 // fetches).
 type pending struct {
-	rec  Record
-	done chan error
+	rec Record
+	t   *ticket
 }
 
-// doneChans pools the one-shot completion channels of blocking records: the
-// commit loop sends exactly one verdict, the mutator consumes it and returns
-// the empty channel — so a blocking mutation costs no channel allocation at
-// steady state.
-var doneChans = sync.Pool{New: func() any { return make(chan error, 1) }}
+// ticket is a blocking record's store.Verdict: the commit loop sends exactly
+// one verdict on c, and Wait consumes it and returns the ticket to the pool —
+// so a blocking mutation allocates neither a channel nor a closure at steady
+// state.
+type ticket struct {
+	c chan error
+	s *walStripe // whose commit loop sends the verdict
+}
+
+var tickets = sync.Pool{New: func() any { return &ticket{c: make(chan error, 1)} }}
+
+// Wait implements store.Verdict. The ticket is recycled by the time it
+// returns.
+func (t *ticket) Wait() error {
+	var err error
+	select {
+	case err = <-t.c:
+	case <-t.s.done:
+		// The loop exited (Close racing this append). It may still have
+		// committed the record in its final drain; prefer that verdict.
+		select {
+		case err = <-t.c:
+		default:
+			// The channel may yet receive a late verdict; let the ticket go
+			// to the collector instead of poisoning the pool.
+			return fmt.Errorf("persist: wal closed before the record committed")
+		}
+	}
+	tickets.Put(t)
+	return err
+}
 
 // SyncHistBuckets is the number of buckets of the group-commit batch-size
 // histogram: records per fsync, in power-of-two buckets ≤1, ≤2, ≤4, ...,
@@ -123,7 +149,6 @@ type walStripe struct {
 
 	// Commit-loop state; untouched by other goroutines.
 	active      *os.File
-	activeNonce [fileNonceLen]byte
 	activePads  padStream
 	activeBase  uint64
 	activeSize  int64
@@ -201,20 +226,20 @@ func (w *WAL) stripeOf(name string) *walStripe {
 }
 
 // append encodes the mutation and appends it to the name's stripe, returning
-// the stripe and the completion channel for blocking records (nil
-// otherwise). Shared core of Record and RecordAsync.
-func (w *WAL) append(r *store.JournalRecord[uint64]) (*walStripe, chan error, error) {
+// the ticket of a blocking record (nil otherwise). Shared core of Record and
+// RecordAsync.
+func (w *WAL) append(r *store.JournalRecord[uint64]) (*ticket, error) {
 	if err := w.err(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	rec := fromJournal(r)
 	if rec.Op == 0 {
-		return nil, nil, fmt.Errorf("persist: unknown journal op %d", r.Op)
+		return nil, fmt.Errorf("persist: unknown journal op %d", r.Op)
 	}
 	if len(r.Name) > maxName {
 		// Refuse rather than write a frame the decoder must reject: one
 		// oversized record would make every future recovery halt.
-		return nil, nil, fmt.Errorf("persist: object name of %d bytes exceeds %d", len(r.Name), maxName)
+		return nil, fmt.Errorf("persist: object name of %d bytes exceeds %d", len(r.Name), maxName)
 	}
 	if base := w.seqBase[r.Name]; base > 0 {
 		switch rec.Op {
@@ -231,7 +256,8 @@ func (w *WAL) append(r *store.JournalRecord[uint64]) (*walStripe, chan error, er
 	p := pending{rec: rec}
 	s := w.stripeOf(r.Name)
 	if blocking {
-		p.done = doneChans.Get().(chan error)
+		p.t = tickets.Get().(*ticket)
+		p.t.s = s
 	}
 	s.mu.Lock()
 	// Re-check under the stripe lock: the commit loop's final drain on stopc
@@ -240,36 +266,12 @@ func (w *WAL) append(r *store.JournalRecord[uint64]) (*walStripe, chan error, er
 	// record can be acknowledged and then stranded in a buffer.
 	if w.closed.Load() {
 		s.mu.Unlock()
-		if blocking {
-			doneChans.Put(p.done)
-		}
-		return nil, nil, fmt.Errorf("persist: wal is closed")
+		return nil, fmt.Errorf("persist: wal is closed") // p.t goes to the collector
 	}
 	s.recs = append(s.recs, p)
 	s.mu.Unlock()
 	s.kick()
-	return s, p.done, nil
-}
-
-// wait collects the durability verdict of one appended blocking record.
-func (s *walStripe) wait(done chan error) error {
-	select {
-	case err := <-done:
-		doneChans.Put(done)
-		return err
-	case <-s.done:
-		// The loop exited (Close racing this append). It may still have
-		// committed the record in its final drain; prefer that verdict.
-		select {
-		case err := <-done:
-			doneChans.Put(done)
-			return err
-		default:
-			// The channel may yet receive a late verdict; let it go to the
-			// collector instead of poisoning the pool.
-			return fmt.Errorf("persist: wal closed before the record committed")
-		}
-	}
+	return p.t, nil
 }
 
 // Record implements store.Journal: encode the mutation, append it to the
@@ -278,24 +280,24 @@ func (s *walStripe) wait(done chan error) error {
 // stable. Announce and audit records never block: they are pure
 // helping and derived state.
 func (w *WAL) Record(r store.JournalRecord[uint64]) error {
-	s, done, err := w.append(&r)
-	if err != nil || done == nil {
+	t, err := w.append(&r)
+	if err != nil || t == nil {
 		return err
 	}
-	return s.wait(done)
+	return t.Wait()
 }
 
 // RecordAsync implements store.AsyncJournal: append like Record, but hand
-// the durability wait back to the caller as a commit closure, so a
-// pipelined caller (the network server) can keep executing requests while
+// the durability wait back to the caller as the record's pooled ticket, so
+// a pipelined caller (the network server) can keep executing requests while
 // the stripe's commit loop takes every mutation that arrived during its
 // previous fdatasync — the whole pending buffer — into the next one.
-func (w *WAL) RecordAsync(r store.JournalRecord[uint64]) (func() error, error) {
-	s, done, err := w.append(&r)
-	if err != nil || done == nil {
-		return nil, err
+func (w *WAL) RecordAsync(r store.JournalRecord[uint64]) (store.Verdict, error) {
+	t, err := w.append(&r)
+	if err != nil || t == nil {
+		return nil, err // a nil *ticket must not become a non-nil Verdict
 	}
-	return func() error { return s.wait(done) }, nil
+	return t, nil
 }
 
 // err returns the sticky failure, if any.
@@ -377,8 +379,8 @@ func (s *walStripe) commit(force bool) {
 		}
 	}
 	for i := range batch {
-		if batch[i].done != nil {
-			batch[i].done <- err
+		if batch[i].t != nil {
+			batch[i].t.c <- err
 		}
 	}
 }
@@ -390,7 +392,7 @@ func (s *walStripe) syncDue(batch []pending, force bool) bool {
 		return true
 	case s.opts.Policy == SyncAlways:
 		for i := range batch {
-			if batch[i].done != nil {
+			if batch[i].t != nil {
 				return true
 			}
 		}
@@ -454,7 +456,7 @@ func (s *walStripe) appendBatch(batch []pending) error {
 	}
 	buf := s.encBuf[:0]
 	for i := range batch {
-		buf = appendFrame(buf, s.activePads, s.activeSize+int64(len(buf)), s.nextLSN, &batch[i].rec)
+		buf = appendFrame(buf, &s.activePads, s.activeSize+int64(len(buf)), s.nextLSN, &batch[i].rec)
 		s.nextLSN++
 	}
 	s.encBuf = buf
@@ -529,7 +531,7 @@ func (s *walStripe) sealActive() error {
 		return err
 	}
 	seal := Record{Op: OpSeal}
-	buf := appendFrame(s.encBuf[:0], s.activePads, s.activeSize, s.nextLSN, &seal)
+	buf := appendFrame(s.encBuf[:0], &s.activePads, s.activeSize, s.nextLSN, &seal)
 	s.nextLSN++
 	n, err := s.active.Write(buf)
 	s.activeSize += int64(n)
@@ -573,7 +575,6 @@ func (s *walStripe) openSegment(base uint64) error {
 		return err
 	}
 	s.active = f
-	s.activeNonce = nonce
 	s.activePads = newPadStream(s.key, &nonce)
 	s.activeBase = base
 	s.activeSize = headerLen

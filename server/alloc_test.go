@@ -1,11 +1,14 @@
 package server
 
 import (
+	"context"
 	"encoding/binary"
 	"testing"
 
 	"auditreg"
+	"auditreg/internal/race"
 	"auditreg/internal/telem"
+	"auditreg/persist"
 	"auditreg/store"
 	"auditreg/wire"
 )
@@ -42,7 +45,7 @@ func TestServerFastPathAllocationFree(t *testing.T) {
 
 	// Warm every path: handles, history chunks, pad windows.
 	for i := 0; i < 8; i++ {
-		if _, v, commit := c.handleWrite(wbody, dst[:0]); v != wire.VerbWrite || commit != nil {
+		if _, v, commit := c.handleWrite(wbody, dst[:0]); v != wire.VerbWrite || commit.Pending() {
 			t.Fatalf("warm write answered %v", v)
 		}
 		c.handleReadFetch(fbody, dst[:0])
@@ -158,5 +161,44 @@ func TestInstrumentedPathAllocationFree(t *testing.T) {
 		instrumented(wbody, wire.VerbWrite)
 	}); n >= 1 {
 		t.Fatalf("instrumented write allocated %v times per run, want < 1", n)
+	}
+}
+
+// TestDurableWriteAllocations pins a durable write's whole server-side cost:
+// the handler, then the Wait of the Commit it hands the completion stage,
+// which returns once the record is through fdatasync. Neither the Commit nor
+// the WAL's ticket behind it allocates, and the commit loop's keystream
+// cursor derives its pad blocks by value, so what is left is the register's
+// amortized pad block: under one allocation per write.
+func TestDurableWriteAllocations(t *testing.T) {
+	if race.Enabled {
+		t.Skip("a sync.Pool discards at random under -race")
+	}
+	srv, err := New(Config{Key: auditreg.KeyFromSeed(5), Readers: 8, DataDir: t.TempDir(), Fsync: persist.SyncAlways, WALStripes: 1})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer srv.Shutdown(context.Background())
+	c := &conn{srv: srv}
+	const name = "alloc/durable"
+	if _, err := srv.Store().Open(name, store.Register); err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	dst := make([]byte, 0, 256)
+	wbody := (&wire.WriteReq{Name: name, Value: 1}).Append(nil)
+	write := func() {
+		_, v, commit := c.handleWrite(wbody, dst[:0])
+		if v != wire.VerbWrite || !commit.Pending() {
+			t.Fatalf("durable write answered %v, pending %v", v, commit.Pending())
+		}
+		if err := commit.Wait(); err != nil {
+			t.Fatalf("Wait: %v", err)
+		}
+	}
+	for range 50 { // warm the handles, the WAL's buffers and its ticket pool
+		write()
+	}
+	if n := testing.AllocsPerRun(200, write); n >= 1 {
+		t.Fatalf("durable write allocated %v times per run, want < 1", n)
 	}
 }

@@ -78,7 +78,7 @@ type conn struct {
 type pendingResp struct {
 	id     uint64
 	buf    *wire.Buf
-	commit func() error
+	commit store.Commit
 	enq    int64 // telem.Now() at hand-off to the completion stage
 }
 
@@ -148,7 +148,7 @@ func (c *conn) completionLoop() {
 	defer close(c.cdone)
 	for pr := range c.donec {
 		t0 := telem.Now()
-		err := pr.commit()
+		err := pr.commit.Wait()
 		c.srv.tel.walCommit.Observe(c.tslot, telem.Now()-t0)
 		if err != nil {
 			b, verb := storeErr(wire.BeginFrame(pr.buf.B[:0]), err)
@@ -298,7 +298,7 @@ func (c *conn) execute(id uint64, verb wire.Verb, body []byte) {
 	out := wire.GetBuf(hint)
 	b := wire.BeginFrame(out.B[:0])
 	var rverb wire.Verb
-	var commit func() error
+	var commit store.Commit
 	switch verb {
 	case wire.VerbOpen:
 		b, rverb = c.handleOpen(body, b)
@@ -330,7 +330,7 @@ func (c *conn) execute(id uint64, verb wire.Verb, body []byte) {
 		s.errs.Add(1)
 	}
 	out.B = b
-	if commit != nil {
+	if commit.Pending() {
 		c.donec <- pendingResp{id: id, buf: out, commit: commit, enq: telem.Now()}
 		return
 	}
@@ -350,6 +350,11 @@ func errBody(dst []byte, code wire.ErrCode, msg string) ([]byte, wire.Verb) {
 // storeErr appends an ErrResp body for a store error onto dst.
 func storeErr(dst []byte, err error) ([]byte, wire.Verb) {
 	return errBody(dst, errCode(err), err.Error())
+}
+
+// noCommit is a mutation handler's answer with nothing to make durable.
+func noCommit(b []byte, v wire.Verb) ([]byte, wire.Verb, store.Commit) {
+	return b, v, store.Commit{}
 }
 
 func (c *conn) handleOpen(body, dst []byte) ([]byte, wire.Verb) {
@@ -382,48 +387,41 @@ func (c *conn) handleOpen(body, dst []byte) ([]byte, wire.Verb) {
 	return resp.Append(dst), wire.VerbOpen
 }
 
-func (c *conn) handleWrite(body, dst []byte) ([]byte, wire.Verb, func() error) {
+func (c *conn) handleWrite(body, dst []byte) ([]byte, wire.Verb, store.Commit) {
 	var req wire.WriteReq
 	if err := req.DecodeView(body); err != nil {
-		b, v := errBody(dst, wire.CodeBadRequest, err.Error())
-		return b, v, nil
+		return noCommit(errBody(dst, wire.CodeBadRequest, err.Error()))
 	}
 	obj, ok := c.srv.st.Lookup(req.Name)
 	if !ok {
-		b, v := errBody(dst, wire.CodeNotFound, fmt.Sprintf("write %q: object not found", req.Name))
-		return b, v, nil
+		return noCommit(errBody(dst, wire.CodeNotFound, fmt.Sprintf("write %q: object not found", req.Name)))
 	}
 	commit, err := obj.WriteAsync(req.Value)
 	if err != nil {
-		b, v := storeErr(dst, err)
-		return b, v, nil
+		return noCommit(storeErr(dst, err))
 	}
 	c.srv.writes.Add(1)
 	return dst, wire.VerbWrite, commit
 }
 
-func (c *conn) handleReadFetch(body, dst []byte) ([]byte, wire.Verb, func() error) {
+func (c *conn) handleReadFetch(body, dst []byte) ([]byte, wire.Verb, store.Commit) {
 	var req wire.ReadFetchReq
 	if err := req.DecodeView(body); err != nil {
-		b, v := errBody(dst, wire.CodeBadRequest, err.Error())
-		return b, v, nil
+		return noCommit(errBody(dst, wire.CodeBadRequest, err.Error()))
 	}
 	if int(req.Reader) >= c.srv.st.Readers() {
-		b, v := errBody(dst, wire.CodeBadRequest, fmt.Sprintf("read-fetch %q: reader %d out of range [0, %d)", req.Name, req.Reader, c.srv.st.Readers()))
-		return b, v, nil
+		return noCommit(errBody(dst, wire.CodeBadRequest, fmt.Sprintf("read-fetch %q: reader %d out of range [0, %d)", req.Name, req.Reader, c.srv.st.Readers())))
 	}
 	obj, ok := c.srv.st.Lookup(req.Name)
 	if !ok {
-		b, v := errBody(dst, wire.CodeNotFound, fmt.Sprintf("read-fetch %q: object not found", req.Name))
-		return b, v, nil
+		return noCommit(errBody(dst, wire.CodeNotFound, fmt.Sprintf("read-fetch %q: object not found", req.Name)))
 	}
 	// The fetch record is appended before ReadFetchAsync returns; the
 	// completion stage withholds the response until the record is stable,
 	// so an acknowledged effective read is still always durable.
 	val, seq, fetched, commit, err := obj.ReadFetchAsync(int(req.Reader))
 	if err != nil {
-		b, v := storeErr(dst, err)
-		return b, v, nil
+		return noCommit(storeErr(dst, err))
 	}
 	if fetched {
 		c.srv.readsFetched.Add(1)
@@ -506,54 +504,45 @@ func (c *conn) handleStats(body, dst []byte) ([]byte, wire.Verb) {
 // (wid, masked share) value, journaled through the WAL like any write. Wid 0
 // is the wid-sync probe — a pure query of the resident write id through the
 // store's unaudited Peek, no write, no journal record.
-func (c *conn) handleShareWrite(body, dst []byte) ([]byte, wire.Verb, func() error) {
+func (c *conn) handleShareWrite(body, dst []byte) ([]byte, wire.Verb, store.Commit) {
 	var req wire.ShareWriteReq
 	if err := req.DecodeView(body); err != nil {
-		b, v := errBody(dst, wire.CodeBadRequest, err.Error())
-		return b, v, nil
+		return noCommit(errBody(dst, wire.CodeBadRequest, err.Error()))
 	}
 	if req.ShareLen < 1 || req.ShareLen > wire.MaxShareLen {
-		b, v := errBody(dst, wire.CodeBadRequest, fmt.Sprintf("share-write %q: share-len %d out of range [1, %d]", req.Name, req.ShareLen, wire.MaxShareLen))
-		return b, v, nil
+		return noCommit(errBody(dst, wire.CodeBadRequest, fmt.Sprintf("share-write %q: share-len %d out of range [1, %d]", req.Name, req.ShareLen, wire.MaxShareLen)))
 	}
 	shareBits := 8 * uint(req.ShareLen)
 	if req.Share>>shareBits != 0 {
-		b, v := errBody(dst, wire.CodeBadRequest, fmt.Sprintf("share-write %q: share wider than %d bytes", req.Name, req.ShareLen))
-		return b, v, nil
+		return noCommit(errBody(dst, wire.CodeBadRequest, fmt.Sprintf("share-write %q: share wider than %d bytes", req.Name, req.ShareLen)))
 	}
 	if req.Wid>>(64-shareBits) != 0 {
-		b, v := errBody(dst, wire.CodeBadRequest, fmt.Sprintf("share-write %q: wid %d overflows the packing", req.Name, req.Wid))
-		return b, v, nil
+		return noCommit(errBody(dst, wire.CodeBadRequest, fmt.Sprintf("share-write %q: wid %d overflows the packing", req.Name, req.Wid)))
 	}
 	obj, ok := c.srv.st.Lookup(req.Name)
 	if !ok {
-		b, v := errBody(dst, wire.CodeNotFound, fmt.Sprintf("share-write %q: object not found", req.Name))
-		return b, v, nil
+		return noCommit(errBody(dst, wire.CodeNotFound, fmt.Sprintf("share-write %q: object not found", req.Name)))
 	}
 	if obj.Kind() != store.MaxRegister {
-		b, v := errBody(dst, wire.CodeShareMode, fmt.Sprintf("share-write %q: share objects are max registers, not %v", req.Name, obj.Kind()))
-		return b, v, nil
+		return noCommit(errBody(dst, wire.CodeShareMode, fmt.Sprintf("share-write %q: share objects are max registers, not %v", req.Name, obj.Kind())))
 	}
 	if prev, ok := c.srv.pinShareLen(req.Name, req.ShareLen); !ok {
-		b, v := errBody(dst, wire.CodeShareMode, fmt.Sprintf("share-write %q: share-len %d conflicts with the object's pinned %d", req.Name, req.ShareLen, prev))
-		return b, v, nil
+		return noCommit(errBody(dst, wire.CodeShareMode, fmt.Sprintf("share-write %q: share-len %d conflicts with the object's pinned %d", req.Name, req.ShareLen, prev)))
 	}
-	var commit func() error
+	var commit store.Commit
 	if req.Wid == 0 {
 		c.srv.shareProbes.Add(1)
 	} else {
 		var err error
 		commit, err = obj.WriteAsync(req.Wid<<shareBits | req.Share)
 		if err != nil {
-			b, v := storeErr(dst, err)
-			return b, v, nil
+			return noCommit(storeErr(dst, err))
 		}
 		c.srv.shareWrites.Add(1)
 	}
 	cur, err := obj.Peek()
 	if err != nil {
-		b, v := storeErr(dst, err)
-		return b, v, nil
+		return noCommit(storeErr(dst, err))
 	}
 	resp := wire.ShareWriteResp{Wid: cur >> shareBits}
 	return resp.Append(dst), wire.VerbShareWrite, commit
@@ -564,29 +553,24 @@ func (c *conn) handleShareWrite(body, dst []byte) ([]byte, wire.Verb, func() err
 // packed value is what crosses the wire, the cluster layer unpacks and
 // unmasks the share bits. The response echoes the node id so a dispersing
 // client can reject a misrouted connection's shares.
-func (c *conn) handleShareFetch(body, dst []byte) ([]byte, wire.Verb, func() error) {
+func (c *conn) handleShareFetch(body, dst []byte) ([]byte, wire.Verb, store.Commit) {
 	var req wire.ShareFetchReq
 	if err := req.DecodeView(body); err != nil {
-		b, v := errBody(dst, wire.CodeBadRequest, err.Error())
-		return b, v, nil
+		return noCommit(errBody(dst, wire.CodeBadRequest, err.Error()))
 	}
 	if int(req.Reader) >= c.srv.st.Readers() {
-		b, v := errBody(dst, wire.CodeBadRequest, fmt.Sprintf("share-fetch %q: reader %d out of range [0, %d)", req.Name, req.Reader, c.srv.st.Readers()))
-		return b, v, nil
+		return noCommit(errBody(dst, wire.CodeBadRequest, fmt.Sprintf("share-fetch %q: reader %d out of range [0, %d)", req.Name, req.Reader, c.srv.st.Readers())))
 	}
 	obj, ok := c.srv.st.Lookup(req.Name)
 	if !ok {
-		b, v := errBody(dst, wire.CodeNotFound, fmt.Sprintf("share-fetch %q: object not found", req.Name))
-		return b, v, nil
+		return noCommit(errBody(dst, wire.CodeNotFound, fmt.Sprintf("share-fetch %q: object not found", req.Name)))
 	}
 	if obj.Kind() != store.MaxRegister {
-		b, v := errBody(dst, wire.CodeShareMode, fmt.Sprintf("share-fetch %q: share objects are max registers, not %v", req.Name, obj.Kind()))
-		return b, v, nil
+		return noCommit(errBody(dst, wire.CodeShareMode, fmt.Sprintf("share-fetch %q: share objects are max registers, not %v", req.Name, obj.Kind())))
 	}
 	val, seq, fetched, commit, err := obj.ReadFetchAsync(int(req.Reader))
 	if err != nil {
-		b, v := storeErr(dst, err)
-		return b, v, nil
+		return noCommit(storeErr(dst, err))
 	}
 	if fetched {
 		c.srv.shareFetch.Add(1)

@@ -3,10 +3,12 @@ package server_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"net"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -141,6 +143,72 @@ func TestShutdownDrainsInFlightCommits(t *testing.T) {
 	}
 	if v, err := objB.Read(0); err != nil || (v != 0 && (v < 0x1000 || v >= 0x1000+writes)) {
 		t.Errorf("pipelined object recovered %#x, %v; want 0 or an attempted value", v, err)
+	}
+}
+
+// failingJournal accepts every record and fails the durability verdict of
+// every blocking one — a write's, an effective read's — with cause: a disk
+// that took the append and lost the fdatasync.
+type failingJournal struct{ cause error }
+
+func (j *failingJournal) Record(store.JournalRecord[uint64]) error { return nil }
+
+func (j *failingJournal) RecordAsync(r store.JournalRecord[uint64]) (store.Verdict, error) {
+	if r.Op != store.JournalWrite && r.Op != store.JournalFetch {
+		return nil, nil
+	}
+	return j, nil
+}
+
+func (j *failingJournal) Wait() error { return j.cause }
+
+// TestFailedVerdictIsAnErrorFrame: a mutation whose durability verdict fails
+// took effect in memory, but it was never durable, so the completion stage
+// must answer it with an error frame carrying the cause — never with the
+// success response already encoded for it — and count the error.
+func TestFailedVerdictIsAnErrorFrame(t *testing.T) {
+	key := auditreg.KeyFromSeed(79)
+	srv, err := server.New(server.Config{Key: key, Readers: 8, PoolInterval: time.Millisecond})
+	if err != nil {
+		t.Fatalf("server.New: %v", err)
+	}
+	cause := errors.New("fdatasync: input/output error")
+	srv.Store().SetJournal(&failingJournal{cause: cause})
+	serve(t, srv)
+	cl, err := client.Dial(addrOf(t, srv), client.WithKey(key), client.WithConns(1))
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer cl.Close()
+	obj, err := cl.Open("verdict/reg", store.Register)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	errs := func() uint64 {
+		pairs, err := cl.Stats()
+		if err != nil {
+			t.Fatalf("Stats: %v", err)
+		}
+		for _, p := range pairs {
+			if p.Name == "errors" {
+				return p.Value
+			}
+		}
+		t.Fatal("STATS has no errors counter")
+		return 0
+	}
+	before := errs()
+
+	if err := obj.Write(7); err == nil || !strings.Contains(err.Error(), cause.Error()) {
+		t.Errorf("Write with a failed verdict = %v, want an error carrying %q", err, cause)
+	}
+	// The write took effect in memory, so reader 0's first read fetches it:
+	// an effective read, whose fetch record's verdict fails the same way.
+	if v, err := obj.Read(0); err == nil || !strings.Contains(err.Error(), cause.Error()) {
+		t.Errorf("effective Read with a failed verdict = %d, %v; want an error carrying %q", v, err, cause)
+	}
+	if got := errs() - before; got != 2 {
+		t.Errorf("errors counter rose by %d, want 2", got)
 	}
 }
 

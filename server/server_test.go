@@ -27,6 +27,13 @@ func startServer(t *testing.T, cfg server.Config) *server.Server {
 	if err != nil {
 		t.Fatalf("server.New: %v", err)
 	}
+	serve(t, srv)
+	return srv
+}
+
+// serve serves srv on a free port and registers its shutdown.
+func serve(t *testing.T, srv *server.Server) {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("listen: %v", err)
@@ -43,7 +50,6 @@ func startServer(t *testing.T, cfg server.Config) *server.Server {
 			t.Errorf("Serve: %v", err)
 		}
 	})
-	return srv
 }
 
 func addrOf(t *testing.T, srv *server.Server) string {

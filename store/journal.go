@@ -1,5 +1,7 @@
 package store
 
+import "fmt"
+
 // JournalOp identifies the kind of store mutation carried by a
 // JournalRecord.
 type JournalOp uint8
@@ -87,13 +89,44 @@ type Journal[V comparable] interface {
 // record's fsync when the journal's commit loop could be taking every
 // in-flight mutation into the same batch. RecordAsync returns as soon as
 // the record is appended (same ordering guarantees as Record); the returned
-// commit blocks until the record's durability verdict and must be called
-// exactly once. A nil commit means the record has no pending verdict (a
-// non-blocking record under the journal's policy): the mutation is as
-// settled as Record would have left it.
+// Verdict's Wait blocks until the record's durability verdict and must be
+// called exactly once. A nil Verdict means the record has no pending verdict
+// (a non-blocking record under the journal's policy): the mutation is as
+// settled as Record would have left it. An implementation may recycle a
+// Verdict once its Wait has returned, so a caller keeps none past that.
 type AsyncJournal[V comparable] interface {
 	Journal[V]
-	RecordAsync(r JournalRecord[V]) (commit func() error, err error)
+	RecordAsync(r JournalRecord[V]) (Verdict, error)
+}
+
+// Verdict is the pending durability verdict of one journaled record.
+type Verdict interface {
+	Wait() error
+}
+
+// Commit is the durability wait WriteAsync and ReadFetchAsync split off: the
+// journal's verdict and what its error names. A value: handing it on to the
+// goroutine that waits allocates nothing. The zero Commit has nothing pending.
+type Commit struct {
+	v    Verdict
+	op   JournalOp
+	name string
+}
+
+// Pending reports whether Wait has a verdict to wait for.
+func (c Commit) Pending() bool { return c.v != nil }
+
+// Wait blocks until the mutation's record is durable and reports the
+// verdict, wrapped as Record's error would be. It must be called exactly
+// once when Pending.
+func (c Commit) Wait() error {
+	if c.v == nil {
+		return nil
+	}
+	if err := c.v.Wait(); err != nil {
+		return fmt.Errorf("store: %v %q: journal: %w", c.op, c.name, err)
+	}
+	return nil
 }
 
 // maxJournaledName bounds object names on a journaled store. It matches

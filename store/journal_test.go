@@ -204,34 +204,38 @@ func TestJournalAuditCursorAdvance(t *testing.T) {
 }
 
 // asyncMemJournal is memJournal plus the AsyncJournal extension: records
-// append immediately; commits report against a programmable verdict and
-// count their invocations.
+// append immediately; verdicts report against a programmable error and
+// count their waits.
 type asyncMemJournal struct {
 	memJournal
 	commitErr error
 	commits   int
 }
 
-func (j *asyncMemJournal) RecordAsync(r JournalRecord[uint64]) (func() error, error) {
+func (j *asyncMemJournal) RecordAsync(r JournalRecord[uint64]) (Verdict, error) {
 	if err := j.Record(r); err != nil {
 		return nil, err
 	}
 	if r.Op == JournalAnnounce || r.Op == JournalAudit {
 		return nil, nil // non-blocking records have no pending verdict
 	}
-	return func() error {
-		j.mu.Lock()
-		defer j.mu.Unlock()
-		j.commits++
-		return j.commitErr
-	}, nil
+	return j, nil
+}
+
+// Wait implements Verdict: every record's verdict is the journal's current
+// programmed error.
+func (j *asyncMemJournal) Wait() error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.commits++
+	return j.commitErr
 }
 
 // TestWriteAsyncSplitsDurabilityWait pins the async contract: the record is
-// appended before WriteAsync returns, the commit carries the verdict
+// appended before WriteAsync returns, the Commit carries the verdict
 // (including failure, wrapped like the synchronous path), and callers
-// against a plain Journal fall back to synchronous semantics with a nil
-// commit.
+// against a plain Journal fall back to synchronous semantics with nothing
+// pending.
 func TestWriteAsyncSplitsDurabilityWait(t *testing.T) {
 	j := &asyncMemJournal{}
 	st := newJournaledStore(t, j)
@@ -244,28 +248,29 @@ func TestWriteAsyncSplitsDurabilityWait(t *testing.T) {
 	if err != nil {
 		t.Fatalf("WriteAsync: %v", err)
 	}
-	if commit == nil {
-		t.Fatal("WriteAsync against an AsyncJournal returned a nil commit")
+	if !commit.Pending() {
+		t.Fatal("WriteAsync against an AsyncJournal returned no pending verdict")
 	}
 	recs := j.records()
 	if got := recs[len(recs)-1]; got.Op != JournalWrite || got.Value != 7 {
 		t.Fatalf("record not appended before WriteAsync returned: %+v", got)
 	}
-	if err := commit(); err != nil {
+	if err := commit.Wait(); err != nil {
 		t.Fatalf("commit: %v", err)
 	}
 
-	// A failing verdict surfaces through commit, wrapped like journal errors.
+	// A failing verdict surfaces through Wait, wrapped like journal errors.
+	fsyncErr := errors.New("fsync exploded")
 	j.mu.Lock()
-	j.commitErr = errors.New("fsync exploded")
+	j.commitErr = fsyncErr
 	j.mu.Unlock()
 	commit, err = obj.WriteAsync(8)
 	if err != nil {
 		t.Fatalf("WriteAsync: %v", err)
 	}
-	err = commit()
-	if err == nil || !strings.Contains(err.Error(), "journal") || !strings.Contains(err.Error(), "fsync exploded") {
-		t.Fatalf("commit error = %v, want wrapped fsync failure", err)
+	err = commit.Wait()
+	if !errors.Is(err, fsyncErr) || !strings.Contains(err.Error(), `write "acct/a": journal`) {
+		t.Fatalf("commit error = %v, want the fsync failure wrapped as a journal error", err)
 	}
 
 	// The effective read's fetch record is appended before ReadFetchAsync
@@ -277,21 +282,21 @@ func TestWriteAsyncSplitsDurabilityWait(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ReadFetchAsync: %v", err)
 	}
-	if !fetched || rcommit == nil {
-		t.Fatalf("fetched=%v commit-nil=%v, want an effective read with a pending verdict", fetched, rcommit == nil)
+	if !fetched || !rcommit.Pending() {
+		t.Fatalf("fetched=%v pending=%v, want an effective read with a pending verdict", fetched, rcommit.Pending())
 	}
 	recs = j.records()
 	if got := recs[len(recs)-1]; got.Op != JournalFetch || got.Reader != 1 {
 		t.Fatalf("fetch record not appended before return: %+v", got)
 	}
-	if err := rcommit(); err != nil {
+	if err := rcommit.Wait(); err != nil {
 		t.Fatalf("fetch commit: %v", err)
 	}
 
 	// A silent read has no record and no verdict.
 	_, _, fetched, rcommit, err = obj.ReadFetchAsync(1)
-	if err != nil || fetched || rcommit != nil {
-		t.Fatalf("silent read: fetched=%v commit-nil=%v err=%v, want nothing pending", fetched, rcommit == nil, err)
+	if err != nil || fetched || rcommit.Pending() {
+		t.Fatalf("silent read: fetched=%v pending=%v err=%v, want nothing pending", fetched, rcommit.Pending(), err)
 	}
 
 	// Plain (non-async) journals degrade to the synchronous path.
@@ -305,8 +310,8 @@ func TestWriteAsyncSplitsDurabilityWait(t *testing.T) {
 	if err != nil {
 		t.Fatalf("WriteAsync (sync fallback): %v", err)
 	}
-	if commit != nil {
-		t.Fatal("sync-journal fallback must return a nil commit (already settled)")
+	if commit.Pending() {
+		t.Fatal("sync-journal fallback must leave nothing pending (already settled)")
 	}
 	recs2 := sj.records()
 	if got := recs2[len(recs2)-1]; got.Op != JournalWrite || got.Value != 9 {

@@ -128,10 +128,10 @@ func (o *Object[V]) Components() int { return len(o.comps) }
 // stable.
 func (o *Object[V]) Write(v V) error {
 	commit, err := o.WriteAsync(v)
-	if err != nil || commit == nil {
+	if err != nil {
 		return err
 	}
-	return commit()
+	return commit.Wait()
 }
 
 // journal hands a record to the store's journal, if one is attached.
@@ -146,43 +146,34 @@ func (o *Object[V]) journal(r JournalRecord[V]) error {
 
 // journalAsync hands a record to the store's journal without waiting for
 // its durability verdict when the journal supports that (AsyncJournal);
-// otherwise it falls back to the blocking path. The returned commit (nil
-// when there is nothing to wait for) reports the verdict, wrapped exactly
-// as journal would have.
-func (o *Object[V]) journalAsync(r JournalRecord[V]) (func() error, error) {
+// otherwise it falls back to the blocking path. The returned Commit (the
+// zero Commit when there is nothing to wait for) reports the verdict,
+// wrapped exactly as journal would have.
+func (o *Object[V]) journalAsync(r JournalRecord[V]) (Commit, error) {
 	j := o.st.journal
 	if j == nil {
-		return nil, nil
+		return Commit{}, nil
 	}
 	aj, ok := j.(AsyncJournal[V])
 	if !ok {
-		return nil, o.journal(r)
+		return Commit{}, o.journal(r)
 	}
-	commit, err := aj.RecordAsync(r)
+	v, err := aj.RecordAsync(r)
 	if err != nil {
-		return nil, fmt.Errorf("store: %v %q: journal: %w", r.Op, o.name, err)
+		return Commit{}, fmt.Errorf("store: %v %q: journal: %w", r.Op, o.name, err)
 	}
-	if commit == nil {
-		return nil, nil
-	}
-	op, name := r.Op, o.name
-	return func() error {
-		if err := commit(); err != nil {
-			return fmt.Errorf("store: %v %q: journal: %w", op, name, err)
-		}
-		return nil
-	}, nil
+	return Commit{v: v, op: r.Op, name: o.name}, nil
 }
 
 // WriteAsync is Write with the durability wait split off: the write takes
 // effect in memory and its record is appended to the journal, but instead
-// of blocking for the fsync, WriteAsync returns a commit the caller invokes
-// (exactly once) to collect the verdict. commit is nil when there is
-// nothing to wait for — no journal, or a non-blocking policy. The network
-// server uses this to keep executing a connection's requests while a whole
-// batch of mutations rides one group commit; Write is WriteAsync plus the
-// immediate commit.
-func (o *Object[V]) WriteAsync(v V) (commit func() error, err error) {
+// of blocking for the fsync, WriteAsync returns a Commit whose Wait the
+// caller calls (exactly once) to collect the verdict. The Commit is not
+// Pending when there is nothing to wait for — no journal, or a non-blocking
+// policy. The network server uses this to keep executing a connection's
+// requests while a whole batch of mutations rides one group commit; Write
+// is WriteAsync plus the immediate Wait.
+func (o *Object[V]) WriteAsync(v V) (Commit, error) {
 	switch o.kind {
 	case Register:
 		w, _ := o.writers.Get().(*auditreg.Writer[V])
@@ -192,7 +183,7 @@ func (o *Object[V]) WriteAsync(v V) (commit func() error, err error) {
 		seq, installed, err := w.WriteSeq(v)
 		o.writers.Put(w)
 		if err != nil || !installed {
-			return nil, err
+			return Commit{}, err
 		}
 		return o.journalAsync(JournalRecord[V]{Op: JournalWrite, Name: o.name, Kind: Register, Seq: seq, Value: v})
 	case MaxRegister:
@@ -201,25 +192,25 @@ func (o *Object[V]) WriteAsync(v V) (commit func() error, err error) {
 			var werr error
 			w, werr = o.max.Writer(o.st.nonces(o.st.nonceID.Add(1)))
 			if werr != nil {
-				return nil, werr
+				return Commit{}, werr
 			}
 		}
 		err := w.WriteMax(v)
 		o.writers.Put(w)
 		if err != nil {
-			return nil, err
+			return Commit{}, err
 		}
 		return o.journalAsync(JournalRecord[V]{Op: JournalWrite, Name: o.name, Kind: MaxRegister, Value: v})
 	default:
-		return nil, fmt.Errorf("store: write %q: %v objects take UpdateAt, not Write: %w", o.name, o.kind, ErrKindMismatch)
+		return Commit{}, fmt.Errorf("store: write %q: %v objects take UpdateAt, not Write: %w", o.name, o.kind, ErrKindMismatch)
 	}
 }
 
 // ReadFetchAsync is ReadFetch with the durability wait split off, exactly
 // as WriteAsync splits Write: an effective read's fetch record is appended
-// before the call returns, and commit (nil when there is nothing to wait
-// for) blocks until it is stable. The caller must not acknowledge the read
-// to anyone before commit returns nil.
+// before the call returns, and commit's Wait (commit is not Pending when
+// there is nothing to wait for) blocks until it is stable. The caller must
+// not acknowledge the read to anyone before Wait returns nil.
 //
 // Unlike ReadFetch — which holds the reader slot across its journal wait,
 // so concurrent goroutines driving one reader index can never complete a
@@ -229,10 +220,10 @@ func (o *Object[V]) WriteAsync(v V) (commit func() error, err error) {
 // withheld per in-flight fetch) is unaffected; a caller that fans one
 // reader index out across goroutines and needs the stronger ordering must
 // keep using ReadFetch.
-func (o *Object[V]) ReadFetchAsync(reader int) (val V, seq uint64, fetched bool, commit func() error, err error) {
+func (o *Object[V]) ReadFetchAsync(reader int) (val V, seq uint64, fetched bool, commit Commit, err error) {
 	s, err := o.lockReader("read-fetch", reader)
 	if err != nil {
-		return val, 0, false, nil, err
+		return val, 0, false, commit, err
 	}
 	defer s.mu.Unlock()
 	if val, seq, fetched = s.reader.ReadFetch(); fetched {
