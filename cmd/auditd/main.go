@@ -97,7 +97,7 @@ func main() {
 		fatalf("%v", err)
 	}
 	if rec := srv.Recovery(); rec != nil {
-		fmt.Printf("auditd: recovered %s: %d objects, %d writes, %d reads (%d synthesized), %d records",
+		fmt.Printf("auditd: recovered %s: %d objects, %d writes and %d reads re-executed after compaction (%d writes synthesized), %d records",
 			*dataDir, rec.Replay.Objects, rec.Replay.Writes, rec.Replay.Fetches, rec.Replay.Synthesized, rec.Records)
 		if rec.SnapshotCut > 0 {
 			fmt.Printf(", snapshot cut %d", rec.SnapshotCut)

@@ -179,35 +179,20 @@ func open(dir string, key auditreg.Key, st *store.Store[uint64], opts Options, l
 }
 
 // recoverStripe is one stripe's recovery, on its own goroutine: seed the
-// stripe's model from its newest snapshot — which must be complete: it was
-// published by an atomic rename and sealed, so anything less is corruption,
-// and the segments it replaced are gone — stream its segment tail into the
-// same model, rewrite a crashed active segment, and open the stripe's first
-// segment of this run (w.groups[sid], nil on error). The model is
+// stripe's model from its newest snapshot (seedSnapshot), stream its segment
+// tail into the same model, rewrite a crashed active segment, and open the
+// stripe's first segment of this run (w.groups[sid], nil on error). The model is
 // order-insensitive per object and one object's records all live in one
 // stripe, so the models laid end to end are the single-log replay exactly.
 func (w *WAL) recoverStripe(sid int, ds *dirState, out *stripeRecovery) error {
 	m := newRecoverModel()
 	out.model = m
-	nextLSN := uint64(1)
-	var cut uint64
-	if snaps := ds.snapshots[sid]; len(snaps) > 0 {
-		newest := snaps[len(snaps)-1]
-		cut = newest.meta
-		path := filepath.Join(w.dir, newest.name)
-		sc, err := m.addFile(path, snapMagic, w.key)
-		if err != nil {
-			return err
-		}
-		if !sc.sealed || sc.tornBytes > 0 {
-			return fmt.Errorf("persist: snapshot %s is not sealed", path)
-		}
-		out.snapshotCut = cut
-		nextLSN = max(nextLSN, cut)
-		for _, old := range snaps[:len(snaps)-1] {
-			out.stale = append(out.stale, old.name)
-		}
+	cut, older, err := seedSnapshot(w.dir, ds.snapshots[sid], m, w.key)
+	if err != nil {
+		return err
 	}
+	out.snapshotCut, out.stale = cut, older
+	nextLSN := max(1, cut)
 
 	// The stripe's segment tail. Segments below the cut are fully covered by
 	// the snapshot (a crash interrupted their deletion); every tail segment
@@ -279,6 +264,30 @@ func (w *WAL) recoverStripe(sid int, ds *dirState, out *stripeRecovery) error {
 	return nil
 }
 
+// seedSnapshot streams a stripe's newest snapshot (snaps ascend by cut) into
+// m. It must be complete: it was published by an atomic rename and sealed,
+// so anything less is corruption, and the segments it replaced are gone. It
+// returns the snapshot's cut, 0 when the stripe has none, and the names of
+// the older snapshots it supersedes.
+func seedSnapshot(dir string, snaps []walFile, m *recoverModel, key auditreg.Key) (cut uint64, older []string, err error) {
+	if len(snaps) == 0 {
+		return 0, nil, nil
+	}
+	newest := snaps[len(snaps)-1]
+	path := filepath.Join(dir, newest.name)
+	sc, err := m.addFile(path, snapMagic, key)
+	if err != nil {
+		return 0, nil, err
+	}
+	if !sc.sealed || sc.tornBytes > 0 {
+		return 0, nil, fmt.Errorf("persist: snapshot %s is not sealed", path)
+	}
+	for _, old := range snaps[:len(snaps)-1] {
+		older = append(older, old.name)
+	}
+	return newest.meta, older, nil
+}
+
 // Snapshot compacts the log, one stripe at a time: flush and seal the
 // stripe's active segment (the stripe's cut), scan everything sealed in
 // that stripe into the minimal audit-equivalent record sequence, publish it
@@ -329,30 +338,17 @@ func (s *walStripe) snapshot() (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
+	snaps := ds.snapshots[s.id]
+	if n := len(snaps); n > 0 && snaps[n-1].meta >= cut {
+		return 0, fmt.Errorf("persist: stripe %d snapshot %d already covers cut %d", s.id, snaps[n-1].meta, cut)
+	}
 	model := newRecoverModel()
-	var prevCut uint64
-	var prevName string
-	var covered []string
-	for _, sf := range ds.snapshots[s.id] {
-		if sf.meta >= cut {
-			return 0, fmt.Errorf("persist: stripe %d snapshot %d already covers cut %d", s.id, sf.meta, cut)
-		}
-		prevCut, prevName = sf.meta, sf.name
+	prevCut, covered, err := seedSnapshot(s.dir, snaps, model, s.key)
+	if err != nil {
+		return 0, err
 	}
-	if prevCut > 0 {
-		path := filepath.Join(s.dir, prevName)
-		sc, err := model.addFile(path, snapMagic, s.key)
-		if err != nil {
-			return 0, err
-		}
-		if !sc.sealed || sc.tornBytes > 0 {
-			return 0, fmt.Errorf("persist: snapshot %s is not sealed", path)
-		}
-	}
-	for _, sf := range ds.snapshots[s.id] {
-		if sf.meta < cut {
-			covered = append(covered, sf.name)
-		}
+	if n := len(snaps); n > 0 {
+		covered = append(covered, snaps[n-1].name)
 	}
 	for _, sf := range ds.segments[s.id] {
 		if sf.meta >= cut {

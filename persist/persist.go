@@ -43,15 +43,19 @@
 //
 // # Recovery and snapshots
 //
-// Recovery replays a data directory into a fresh store: the newest snapshot
-// first, then every sealed segment, then the torn tail of the active
-// segment. Replay is ordered per object by the sequence numbers recorded at
-// journal time (concurrent writers may journal out of install order), and a
-// fetch record can stand in for the write it observed when that write's own
-// record missed the final group commit — an acknowledged effective read is
-// therefore never silently dropped. Anything that cannot be replayed exactly
-// halts recovery with an explicit error; the only tolerated damage is a torn
-// tail at the very end of the active segment.
+// Recovery reads a data directory — the newest snapshot, then every sealed
+// segment, then the torn tail of the active segment — into a model of each
+// object's history, and replays into a fresh store the records Snapshot would
+// write for it. An audit is the set of (reader, value) pairs of effective
+// reads, so that compacted form is all a log has to reproduce: per object,
+// one fetch per pair behind a write of the value it observed, then a write of
+// the current value. Compaction orders an object by the sequence numbers
+// recorded at journal time (concurrent writers may journal out of install
+// order), and a fetch record stands in for the write it observed when that
+// write's own record missed the final group commit — an acknowledged
+// effective read is therefore never silently dropped. Anything that cannot be
+// replayed exactly halts recovery with an explicit error; the only tolerated
+// damage is a torn tail at the very end of the active segment.
 //
 // Recovery is as wide as the log: every stripe recovers on a goroutine of its
 // own — its files streamed frame by frame into its own model, its crashed
@@ -60,8 +64,8 @@
 // two stripes' files halts) and their errors read in stripe order. From there
 // the store is the only shared object, used as serving uses it: objects are
 // opened one after the other, so the store is built in the same order every
-// time, then replayed by GOMAXPROCS workers, one object's operations in
-// sequence. What Open returns does not depend on the schedule.
+// time, then compacted and replayed by GOMAXPROCS workers, one object's
+// operations in sequence. What Open returns does not depend on the schedule.
 //
 // The active segment is preallocated a chunk ahead of its appends
 // (fallocate; see openSegment), so a crashed one ends in zeros; sealing
@@ -76,11 +80,10 @@
 // sector of a write whole or untouched, in order; a process kill tears
 // nothing.
 //
-// Snapshot compacts: it seals the active segment, scans everything sealed
-// into the minimal record sequence that reproduces an audit-equivalent store
-// (one write per audited value, one fetch per audited pair, the final
-// value), writes it as a snapshot file via atomic rename, and deletes the
-// covered segments and older snapshots. auditd triggers it on SIGHUP.
+// Snapshot compacts: it seals the active segment, runs the same compaction
+// over everything sealed, writes the result as a snapshot file via atomic
+// rename, and deletes the covered segments and older snapshots; a log and its
+// snapshot therefore recover alike. auditd triggers it on SIGHUP.
 package persist
 
 import (

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"auditreg/internal/race"
 	"auditreg/store"
 )
 
@@ -82,18 +83,22 @@ func BenchmarkRecover(b *testing.B) {
 
 // TestRecoverAllocationBound pins what recovery allocates per record it
 // recovers, scan and replay together: the scan decodes in place against pad
-// blocks it holds by value and interns names, the schedules sort the model's
-// own lists, and what is left is what the store's own write and fetch
-// allocate: 0.44 measured here.
+// blocks it holds by value and interns names, each replay worker compacts
+// into one record buffer and pair set of its own, and what is left is what
+// the store's own write and fetch allocate for the compacted form: 0.18
+// measured on a 2-core x86-64 VM.
 func TestRecoverAllocationBound(t *testing.T) {
+	if race.Enabled {
+		t.Skip("a sync.Pool discards at random under -race, and the store's writes recycle their handles")
+	}
 	dir := recoveryDir(t, 30000)
 	recoverOnce(t, dir) // pools and lazy set-up
 	res, _, mallocs := recoverOnce(t, dir)
 	if res.Records < 10000 || res.Stripes != 2 {
 		t.Fatalf("fixture: %d records on %d stripes", res.Records, res.Stripes)
 	}
-	if per := float64(mallocs) / float64(res.Records); per > 2 {
-		t.Fatalf("recovery allocated %.2f times per record (%d over %d records), want <= 2", per, mallocs, res.Records)
+	if per := float64(mallocs) / float64(res.Records); per > 0.2 {
+		t.Fatalf("recovery allocated %.2f times per record (%d over %d records), want <= 0.2", per, mallocs, res.Records)
 	}
 }
 
@@ -305,6 +310,52 @@ func TestRecoveryIsScheduleIndependent(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRecoverReplaysTheSnapshotForm: recovery replays each object's compacted
+// form, so a log and the snapshot Snapshot makes of it recover alike. A
+// seeded four-stripe log is recovered as written and, from a copy, after a
+// Snapshot: values, audit pairs and ReplayStats must be equal. A write the
+// log holds only as the fetches that observed it is a write record in the
+// snapshot, so Writes and Synthesized compare as one sum.
+func TestRecoverReplaysTheSnapshotForm(t *testing.T) {
+	ref := filepath.Join(t.TempDir(), "ref")
+	w, _, st := openWAL(t, ref, Options{Stripes: 4, SegmentBytes: 8 << 10, Policy: SyncNever})
+	names := drive(t, st, 31, 12, 3000)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	snap := filepath.Join(t.TempDir(), "snap")
+	copyDir(t, ref, snap)
+	w, _, _ = openWAL(t, snap, Options{})
+	if _, err := w.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	recoverDir := func(dir string) (ReplayStats, map[string]pairSet, map[string]uint64) {
+		w, res, st := openWAL(t, dir, Options{})
+		pairs := pairsOf(t, st)
+		vals := valuesOf(t, st, names)
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return res.Replay, pairs, vals
+	}
+	logStats, logPairs, logVals := recoverDir(ref)
+	snapStats, snapPairs, snapVals := recoverDir(snap)
+	if logStats.Objects != len(names) || logStats.Writes == 0 || logStats.Fetches == 0 {
+		t.Fatalf("fixture replayed %+v", logStats)
+	}
+	if !equalPairs(logPairs, snapPairs) || !reflect.DeepEqual(logVals, snapVals) {
+		t.Errorf("the log and its snapshot recovered other audits or values")
+	}
+	if logStats.Objects != snapStats.Objects || logStats.Fetches != snapStats.Fetches ||
+		logStats.Writes+logStats.Synthesized != snapStats.Writes+snapStats.Synthesized || snapStats.Synthesized != 0 {
+		t.Errorf("the log replayed %+v, its snapshot %+v", logStats, snapStats)
 	}
 }
 

@@ -14,17 +14,16 @@ import (
 )
 
 // recoverModel accumulates the logical content of a record stream (snapshot
-// plus segment tail) before it is replayed into a store or compacted into a
-// fresh snapshot. Records may arrive in any interleaving across objects;
-// within one object the model keeps arrival order and sorts by sequence
-// number where replay demands it.
+// plus segment tail) before it is compacted: into a fresh snapshot, or into
+// the records recovery re-executes against a store. Records may arrive in any
+// interleaving across objects; within one object the model keeps arrival
+// order and the compaction sorts by sequence number.
 type recoverModel struct {
 	objects map[string]*objModel
 	order   []string
 	audited map[string]bool
 
-	records   int
-	announces int
+	records int
 }
 
 type objModel struct {
@@ -128,7 +127,7 @@ func (m *recoverModel) add(rec *Record) error {
 		}
 		om.fetches = append(om.fetches, fetchEv{reader: int(rec.Reader), seq: rec.Seq, value: rec.Value})
 	case OpAnnounce:
-		m.announces++
+		// Pure helping: nothing to replay.
 	case OpAudit:
 		m.audited[rec.Name] = true
 	case OpSeal:
@@ -138,17 +137,6 @@ func (m *recoverModel) add(rec *Record) error {
 		return fmt.Errorf("persist: unknown record op %d", uint8(rec.Op))
 	}
 	return nil
-}
-
-// regEvent is one sequence-number slot of a Register's replay schedule: the
-// write that installed it (possibly absent — then the slot's fetches testify
-// to its value) and the effective reads that observed it, a window of the
-// model's fetch list.
-type regEvent struct {
-	seq      uint64
-	value    uint64
-	hasWrite bool
-	fetches  []fetchEv
 }
 
 // readerSet marks the readers seen in one slot; a record's reader is a byte.
@@ -162,94 +150,14 @@ func (s *readerSet) add(r int) (dup bool) {
 	return dup
 }
 
-// registerSchedule validates and orders a Register object's events: writes
-// sorted by install seq, fetches attached to the seq they observed. It sorts
-// the model's own lists (stably: a slot's records stay in arrival order) and
-// walks them side by side, allocating the schedule and nothing per record.
-// It returns the schedule and the final register value (the value of the
-// highest slot), hasFinal false when the object saw no events. Slots ascend
-// and hold a reader once, so every reader's fetch seqs strictly increase
-// along the schedule, as they do in any real history.
-func (om *objModel) registerSchedule() (events []regEvent, finalValue uint64, hasFinal bool, err error) {
-	slices.SortStableFunc(om.writes, func(a, b writeEv) int { return cmp.Compare(a.seq, b.seq) })
-	slices.SortStableFunc(om.fetches, func(a, b fetchEv) int { return cmp.Compare(a.seq, b.seq) })
-	w, f := om.writes, om.fetches
-	events = make([]regEvent, 0, len(w)+1)
-	for len(w) > 0 || len(f) > 0 {
-		ev := regEvent{}
-		if len(f) == 0 || len(w) > 0 && w[0].seq <= f[0].seq {
-			ev.seq = w[0].seq
-		} else {
-			ev.seq = f[0].seq
-		}
-		for ; len(w) > 0 && w[0].seq == ev.seq; w = w[1:] {
-			if ev.hasWrite && ev.value != w[0].value {
-				return nil, 0, false, fmt.Errorf("persist: %q: conflicting writes at seq %d (%d and %d)", om.name, ev.seq, ev.value, w[0].value)
-			}
-			ev.hasWrite, ev.value = true, w[0].value
-		}
-		n := 0
-		for n < len(f) && f[n].seq == ev.seq {
-			n++
-		}
-		ev.fetches, f = f[:n:n], f[n:]
-		var seen readerSet
-		for i, fe := range ev.fetches {
-			if seen.add(fe.reader) {
-				return nil, 0, false, fmt.Errorf("persist: %q: duplicate fetch record for reader %d at seq %d", om.name, fe.reader, fe.seq)
-			}
-			// Seq 0 is the initial value: no write slot to check against.
-			if ev.seq > 0 {
-				if ev.hasWrite && ev.value != fe.value {
-					return nil, 0, false, fmt.Errorf("persist: %q: fetch at seq %d observed %d but the write installed %d", om.name, fe.seq, fe.value, ev.value)
-				}
-				if !ev.hasWrite && i > 0 && ev.value != fe.value {
-					return nil, 0, false, fmt.Errorf("persist: %q: fetches at seq %d observed both %d and %d", om.name, fe.seq, ev.value, fe.value)
-				}
-			}
-			ev.value = fe.value
-		}
-		events = append(events, ev)
-	}
-	if n := len(events); n > 0 {
-		lastEv := events[n-1]
-		if lastEv.seq > 0 || lastEv.hasWrite {
-			finalValue, hasFinal = lastEv.value, true
-		}
-	}
-	return events, finalValue, hasFinal, nil
-}
-
-// maxSchedule validates and orders a MaxRegister object's events: fetches in
-// seq (chronological) order — whose observed values must be nondecreasing,
-// as a max register's reads are — and writes in value order. Both are the
-// model's own lists, sorted in place.
-func (om *objModel) maxSchedule() (writes []writeEv, fetches []fetchEv, err error) {
-	slices.SortStableFunc(om.writes, func(a, b writeEv) int { return cmp.Compare(a.value, b.value) })
-	slices.SortStableFunc(om.fetches, func(a, b fetchEv) int { return cmp.Compare(a.seq, b.seq) })
-	var seen readerSet // readers at the current seq
-	var lastVal uint64
-	for i, f := range om.fetches {
-		if i > 0 && f.seq != om.fetches[i-1].seq {
-			seen = readerSet{}
-		}
-		if seen.add(f.reader) {
-			return nil, nil, fmt.Errorf("persist: %q: duplicate fetch record for reader %d at seq %d", om.name, f.reader, f.seq)
-		}
-		if i > 0 && f.value < lastVal {
-			return nil, nil, fmt.Errorf("persist: %q: fetched values not nondecreasing (%d after %d)", om.name, f.value, lastVal)
-		}
-		lastVal = f.value
-	}
-	return om.writes, om.fetches, nil
-}
-
-// ReplayStats summarizes what recovery reconstructed.
+// ReplayStats summarizes what recovery re-executed. Recovery replays each
+// object's compacted form — the records a snapshot taken now would hold —
+// so the counts are of that form, not of the records in the log.
 type ReplayStats struct {
 	Objects     int // objects re-opened
-	Writes      int // write records replayed
-	Fetches     int // effective reads replayed (and re-audited)
-	Synthesized int // writes re-created from the fetch records that observed them
+	Writes      int // writes re-executed after compaction, each held by a write record
+	Fetches     int // effective reads re-executed (and re-audited): one per (reader, value) pair
+	Synthesized int // writes re-executed after compaction that only fetch records testify to
 }
 
 // joinModels lays the stripes' models end to end, in stripe order. One
@@ -276,13 +184,13 @@ func joinModels(stripes []stripeRecovery) ([]*objModel, error) {
 // be journal-less (recovery must not re-journal itself); the caller attaches
 // the WAL afterwards. The objects are opened one after the other, so the
 // store is built in the same order on every run; then GOMAXPROCS workers
-// replay them side by side, using the store as serving does — any number of
-// goroutines, one object's operations in sequence — so every operation
-// completes and the resulting audit state is exactly the models' pair set,
+// each take the next object not yet taken, compact it exactly as Snapshot
+// would, and re-execute the result (replayRecords), using the store as
+// serving does — any number of goroutines, one object's operations in
+// sequence — so the resulting audit state is exactly the models' pair set,
 // whichever worker took which object. Any observation that cannot be
-// reproduced — a fetch whose value the replayed object does not return —
-// halts rather than dropping an audited read, with the error of the first
-// such object in order, whatever the workers' timing.
+// reproduced halts rather than dropping an audited read, with the error of
+// the first such object in order, whatever the workers' timing.
 func replayInto(st *store.Store[uint64], objs []*objModel) (ReplayStats, error) {
 	var stats ReplayStats
 	if st.Journaled() {
@@ -302,7 +210,8 @@ func replayInto(st *store.Store[uint64], objs []*objModel) (ReplayStats, error) 
 	}
 	stats.Objects = len(objs)
 
-	// A worker takes the next object not yet taken; its own stats, summed below.
+	// A worker takes the next object not yet taken, compacting it into one
+	// record buffer and pair set of its own; its stats are summed below.
 	errs := make([]error, len(objs))
 	parts := make([]ReplayStats, min(runtime.GOMAXPROCS(0), len(objs)))
 	var next atomic.Int64
@@ -312,14 +221,15 @@ func replayInto(st *store.Store[uint64], objs []*objModel) (ReplayStats, error) 
 		go func() {
 			defer wg.Done()
 			var part ReplayStats
+			var recs []Record
+			paired := make(map[[2]uint64]bool)
 			for i := int(next.Add(1)) - 1; i < len(objs); i = int(next.Add(1)) - 1 {
-				switch om := objs[i]; om.kind {
-				case store.Register:
-					errs[i] = replayRegister(opened[i], om, &part)
-				case store.MaxRegister:
-					errs[i] = replayMax(opened[i], om, &part)
-				default:
-					errs[i] = fmt.Errorf("persist: replay %q: unreplayable kind %v", om.name, om.kind)
+				var synth int
+				if recs, synth, errs[i] = objs[i].compact(recs[:0], paired); errs[i] == nil {
+					errs[i] = replayRecords(opened[i], recs, &part)
+					// Of the writes just re-executed, synth had no write record.
+					part.Writes -= synth
+					part.Synthesized += synth
 				}
 			}
 			parts[k] = part
@@ -339,113 +249,44 @@ func replayInto(st *store.Store[uint64], objs []*objModel) (ReplayStats, error) 
 	return stats, nil
 }
 
-func replayRegister(obj *store.Object[uint64], om *objModel, stats *ReplayStats) error {
-	events, _, _, err := om.registerSchedule()
-	if err != nil {
-		return err
-	}
-	for _, ev := range events {
-		if ev.seq > 0 {
-			if err := obj.Write(ev.value); err != nil {
-				return fmt.Errorf("persist: replay write %q: %w", om.name, err)
+// replayRecords re-executes one object's compacted records against it: a
+// write installs its value, a fetch re-executes the effective read and must
+// observe the value the log recorded.
+func replayRecords(obj *store.Object[uint64], recs []Record, stats *ReplayStats) error {
+	for i := range recs {
+		switch r := &recs[i]; r.Op {
+		case OpWrite:
+			if err := obj.Write(r.Value); err != nil {
+				return fmt.Errorf("persist: replay write %q: %w", r.Name, err)
 			}
-			if ev.hasWrite {
-				stats.Writes++
-			} else {
-				stats.Synthesized++
-			}
-		}
-		for _, f := range ev.fetches {
-			if err := replayFetch(obj, om.name, f, stats); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-func replayMax(obj *store.Object[uint64], om *objModel, stats *ReplayStats) error {
-	writes, fetches, err := om.maxSchedule()
-	if err != nil {
-		return err
-	}
-	var appliedMax uint64
-	hasApplied := false
-	apply := func(v uint64, synth bool) error {
-		if err := obj.Write(v); err != nil {
-			return fmt.Errorf("persist: replay writeMax %q: %w", om.name, err)
-		}
-		if !hasApplied || v > appliedMax {
-			appliedMax, hasApplied = v, true
-		}
-		if synth {
-			stats.Synthesized++
-		} else {
 			stats.Writes++
-		}
-		return nil
-	}
-	wi := 0
-	for _, f := range fetches {
-		for wi < len(writes) && writes[wi].value <= f.value {
-			if err := apply(writes[wi].value, false); err != nil {
-				return err
+		case OpFetch:
+			val, _, _, err := obj.ReadFetch(int(r.Reader))
+			if err != nil {
+				return fmt.Errorf("persist: replay fetch %q reader %d: %w", r.Name, r.Reader, err)
 			}
-			wi++
-		}
-		// Seq 0 observes the initial value; nothing to synthesize for it.
-		if f.seq > 0 && (!hasApplied || appliedMax < f.value) {
-			if err := apply(f.value, true); err != nil {
-				return err
+			if val != r.Value {
+				return fmt.Errorf("persist: replay fetch %q reader %d at seq %d observed %d, log recorded %d — refusing to drop an audited read", r.Name, r.Reader, r.Seq, val, r.Value)
 			}
-		}
-		if err := replayFetch(obj, om.name, f, stats); err != nil {
-			return err
+			stats.Fetches++
 		}
 	}
-	for ; wi < len(writes); wi++ {
-		if err := apply(writes[wi].value, false); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// replayFetch re-executes one effective read and verifies it observes the
-// recorded value.
-func replayFetch(obj *store.Object[uint64], name string, f fetchEv, stats *ReplayStats) error {
-	val, _, _, err := obj.ReadFetch(f.reader)
-	if err != nil {
-		return fmt.Errorf("persist: replay fetch %q reader %d: %w", name, f.reader, err)
-	}
-	if val != f.value {
-		return fmt.Errorf("persist: replay fetch %q reader %d at seq %d observed %d, log recorded %d — refusing to drop an audited read", name, f.reader, f.seq, val, f.value)
-	}
-	stats.Fetches++
 	return nil
 }
 
 // compact emits the minimal record sequence that reproduces the model's
-// audit state: per object, one open record, one write per value that must be
-// observable, one fetch per audited (reader, value) pair, and a final write
-// restoring the current value; plus one audit record per object that had a
-// published report. Original sequence numbers are preserved so records in
-// segment tails beyond the snapshot keep interleaving correctly.
+// audit state: per object, one open record and its compacted records (see
+// objModel.compact); plus one audit record per object that had a published
+// report. Original sequence numbers are preserved so records in segment
+// tails beyond the snapshot keep interleaving correctly.
 func (m *recoverModel) compact() ([]Record, error) {
 	var out []Record
+	paired := make(map[[2]uint64]bool)
 	for _, name := range m.order {
 		om := m.objects[name]
 		out = append(out, Record{Op: OpOpen, Name: name, Kind: uint8(om.kind), Capacity: om.capacity})
 		var err error
-		switch om.kind {
-		case store.Register:
-			out, err = om.compactRegister(out)
-		case store.MaxRegister:
-			out, err = om.compactMax(out)
-		default:
-			err = fmt.Errorf("persist: compact %q: unreplayable kind %v", name, om.kind)
-		}
-		if err != nil {
+		if out, _, err = om.compact(out, paired); err != nil {
 			return nil, err
 		}
 	}
@@ -457,69 +298,141 @@ func (m *recoverModel) compact() ([]Record, error) {
 	return out, nil
 }
 
-func (om *objModel) compactRegister(out []Record) ([]Record, error) {
-	events, finalValue, hasFinal, err := om.registerSchedule()
-	if err != nil {
-		return nil, err
+// compact validates the object's history and appends its compacted form to
+// out: one fetch per (reader, value) pair, each behind a write of the value
+// it observed unless the object already holds it, and a final write
+// restoring the current value. It sorts the model's own lists in place and
+// uses paired — cleared here — as its scratch set of pairs already emitted,
+// so a caller compacting many objects allocates neither per object. synth
+// counts the emitted writes no write record holds: re-created from the fetch
+// records that observed them.
+func (om *objModel) compact(out []Record, paired map[[2]uint64]bool) (_ []Record, synth int, err error) {
+	clear(paired)
+	switch om.kind {
+	case store.Register:
+		return om.compactRegister(out, paired)
+	case store.MaxRegister:
+		return om.compactMax(out, paired)
 	}
-	paired := make(map[[2]uint64]bool) // (reader, value) pairs already emitted
-	var lastEmitted uint64
-	hasEmitted := false
-	for _, ev := range events {
-		for _, f := range ev.fetches {
-			k := [2]uint64{uint64(f.reader), f.value}
+	return nil, 0, fmt.Errorf("persist: compact %q: unreplayable kind %v", om.name, om.kind)
+}
+
+// compactRegister walks a Register's writes and fetches side by side in
+// install-seq order (sorted stably: a slot's records stay in arrival order),
+// one sequence-number slot at a time. A slot's writes must agree and its
+// readers be distinct; its fetches must have observed the write's value or,
+// with the write record missing, agree on one value — which the slot's write
+// is then re-created from. Slots ascend and hold a reader once, so every
+// reader's emitted fetch seqs strictly increase, as in any real history. The
+// final write restores the highest slot's value.
+func (om *objModel) compactRegister(out []Record, paired map[[2]uint64]bool) (_ []Record, synth int, err error) {
+	slices.SortStableFunc(om.writes, func(a, b writeEv) int { return cmp.Compare(a.seq, b.seq) })
+	slices.SortStableFunc(om.fetches, func(a, b fetchEv) int { return cmp.Compare(a.seq, b.seq) })
+	w, f := om.writes, om.fetches
+	var seq, value, held uint64 // the slot, its value, the value the emitted writes installed last
+	var hasWrite, holds bool
+	for len(w) > 0 || len(f) > 0 {
+		if len(f) == 0 || len(w) > 0 && w[0].seq <= f[0].seq {
+			seq = w[0].seq
+		} else {
+			seq = f[0].seq
+		}
+		hasWrite = false
+		for ; len(w) > 0 && w[0].seq == seq; w = w[1:] {
+			if hasWrite && value != w[0].value {
+				return nil, 0, fmt.Errorf("persist: %q: conflicting writes at seq %d (%d and %d)", om.name, seq, value, w[0].value)
+			}
+			hasWrite, value = true, w[0].value
+		}
+		var seen readerSet
+		for i := 0; len(f) > 0 && f[0].seq == seq; i, f = i+1, f[1:] {
+			fe := f[0]
+			if seen.add(fe.reader) {
+				return nil, 0, fmt.Errorf("persist: %q: duplicate fetch record for reader %d at seq %d", om.name, fe.reader, seq)
+			}
+			// Seq 0 is the initial value: no write slot to check against.
+			if seq > 0 && hasWrite && value != fe.value {
+				return nil, 0, fmt.Errorf("persist: %q: fetch at seq %d observed %d but the write installed %d", om.name, seq, fe.value, value)
+			}
+			if seq > 0 && !hasWrite && i > 0 && value != fe.value {
+				return nil, 0, fmt.Errorf("persist: %q: fetches at seq %d observed both %d and %d", om.name, seq, value, fe.value)
+			}
+			value = fe.value
+			k := [2]uint64{uint64(fe.reader), fe.value}
 			if paired[k] {
 				continue
 			}
 			paired[k] = true
-			if ev.seq > 0 && (!hasEmitted || lastEmitted != ev.value) {
-				out = append(out, Record{Op: OpWrite, Name: om.name, Kind: uint8(store.Register), Seq: ev.seq, Value: ev.value})
-				lastEmitted, hasEmitted = ev.value, true
+			if seq > 0 && (!holds || held != value) {
+				out = append(out, Record{Op: OpWrite, Name: om.name, Kind: uint8(store.Register), Seq: seq, Value: value})
+				held, holds = value, true
+				if !hasWrite {
+					synth++
+				}
 			}
-			out = append(out, Record{Op: OpFetch, Name: om.name, Kind: uint8(store.Register), Reader: uint8(f.reader), Seq: ev.seq, Value: f.value})
+			out = append(out, Record{Op: OpFetch, Name: om.name, Kind: uint8(store.Register), Reader: uint8(fe.reader), Seq: seq, Value: fe.value})
 		}
 	}
-	if hasFinal && (!hasEmitted || lastEmitted != finalValue) {
-		out = append(out, Record{Op: OpWrite, Name: om.name, Kind: uint8(store.Register), Seq: events[len(events)-1].seq, Value: finalValue})
+	if seq > 0 && (!holds || held != value) {
+		out = append(out, Record{Op: OpWrite, Name: om.name, Kind: uint8(store.Register), Seq: seq, Value: value})
+		if !hasWrite {
+			synth++
+		}
 	}
-	return out, nil
+	return out, synth, nil
 }
 
-func (om *objModel) compactMax(out []Record) ([]Record, error) {
-	writes, fetches, err := om.maxSchedule()
-	if err != nil {
-		return nil, err
+// compactMax walks a MaxRegister's fetches in seq (chronological) order:
+// readers distinct per seq, and observed values nondecreasing, as a max
+// register's reads are. A fetch's write is re-created from its value; the
+// writes, sorted by value, only say whether a write record held that value
+// and what the final write — the highest value written or observed — is.
+func (om *objModel) compactMax(out []Record, paired map[[2]uint64]bool) (_ []Record, synth int, err error) {
+	slices.SortStableFunc(om.writes, func(a, b writeEv) int { return cmp.Compare(a.value, b.value) })
+	slices.SortStableFunc(om.fetches, func(a, b fetchEv) int { return cmp.Compare(a.seq, b.seq) })
+	written := func(v uint64) bool {
+		_, ok := slices.BinarySearchFunc(om.writes, v, func(w writeEv, v uint64) int { return cmp.Compare(w.value, v) })
+		return ok
 	}
-	var finalMax uint64
-	hasMax := false
-	note := func(v uint64) {
-		if !hasMax || v > finalMax {
-			finalMax, hasMax = v, true
+	var top, held uint64 // the highest value written or observed; the highest emitted
+	hasTop, holds := len(om.writes) > 0, false
+	if hasTop {
+		top = om.writes[len(om.writes)-1].value
+	}
+	var seen readerSet // readers at the current seq
+	for i, fe := range om.fetches {
+		if i > 0 && fe.seq != om.fetches[i-1].seq {
+			seen = readerSet{}
 		}
-	}
-	for _, wr := range writes {
-		note(wr.value)
-	}
-	paired := make(map[[2]uint64]bool)
-	var lastEmitted uint64
-	hasEmitted := false
-	for _, f := range fetches {
-		if f.seq > 0 {
-			note(f.value)
+		if seen.add(fe.reader) {
+			return nil, 0, fmt.Errorf("persist: %q: duplicate fetch record for reader %d at seq %d", om.name, fe.reader, fe.seq)
 		}
-		k := [2]uint64{uint64(f.reader), f.value}
+		if i > 0 && fe.value < om.fetches[i-1].value {
+			return nil, 0, fmt.Errorf("persist: %q: fetched values not nondecreasing (%d after %d)", om.name, fe.value, om.fetches[i-1].value)
+		}
+		// Seq 0 observes the initial value; nothing to re-create for it.
+		if fe.seq > 0 && (!hasTop || fe.value > top) {
+			top, hasTop = fe.value, true
+		}
+		k := [2]uint64{uint64(fe.reader), fe.value}
 		if paired[k] {
 			continue
 		}
 		paired[k] = true
-		if f.seq > 0 && (!hasEmitted || lastEmitted < f.value) {
-			out = append(out, Record{Op: OpWrite, Name: om.name, Kind: uint8(store.MaxRegister), Value: f.value})
-			lastEmitted, hasEmitted = f.value, true
+		if fe.seq > 0 && (!holds || held < fe.value) {
+			out = append(out, Record{Op: OpWrite, Name: om.name, Kind: uint8(store.MaxRegister), Value: fe.value})
+			held, holds = fe.value, true
+			if !written(fe.value) {
+				synth++
+			}
 		}
-		out = append(out, Record{Op: OpFetch, Name: om.name, Kind: uint8(store.MaxRegister), Reader: uint8(f.reader), Seq: f.seq, Value: f.value})
+		out = append(out, Record{Op: OpFetch, Name: om.name, Kind: uint8(store.MaxRegister), Reader: uint8(fe.reader), Seq: fe.seq, Value: fe.value})
 	}
-	if hasMax && (!hasEmitted || lastEmitted < finalMax) {
-		out = append(out, Record{Op: OpWrite, Name: om.name, Kind: uint8(store.MaxRegister), Value: finalMax})
+	if hasTop && (!holds || held < top) {
+		out = append(out, Record{Op: OpWrite, Name: om.name, Kind: uint8(store.MaxRegister), Value: top})
+		if !written(top) {
+			synth++
+		}
 	}
-	return out, nil
+	return out, synth, nil
 }

@@ -399,33 +399,41 @@ func TestDirLockExcludesSecondWAL(t *testing.T) {
 
 // TestSynthesizedWriteFromFetch crafts a log whose fetch record survived but
 // whose write record did not (the write missed the final group commit): the
-// fetch must stand in for the write, so the audited read is not dropped.
+// fetch must stand in for the write, so the audited read is not dropped — for
+// a register's slot and for a max register's value alike.
 func TestSynthesizedWriteFromFetch(t *testing.T) {
-	dir := t.TempDir()
-	recs := []Record{
-		{Op: OpOpen, Name: "acct", Kind: uint8(store.Register), Capacity: 1024},
-		// No OpWrite for seq 1: only the read that observed it survived.
-		{Op: OpFetch, Name: "acct", Kind: uint8(store.Register), Reader: 3, Seq: 1, Value: 777},
-	}
-	lsns := []uint64{1, 2}
-	if err := writeSealedFile(dir, segmentName(0, 1), segMagic, 1, testKey(), recs, lsns); err != nil {
-		t.Fatalf("writeSealedFile: %v", err)
-	}
+	for _, kind := range []store.Kind{store.Register, store.MaxRegister} {
+		t.Run(kind.String(), func(t *testing.T) {
+			dir := t.TempDir()
+			recs := []Record{
+				{Op: OpOpen, Name: "acct", Kind: uint8(kind), Capacity: 1024},
+				// No OpWrite for seq 1: only the read that observed it survived.
+				{Op: OpFetch, Name: "acct", Kind: uint8(kind), Reader: 3, Seq: 1, Value: 777},
+			}
+			lsns := []uint64{1, 2}
+			if err := writeSealedFile(dir, segmentName(0, 1), segMagic, 1, testKey(), recs, lsns); err != nil {
+				t.Fatalf("writeSealedFile: %v", err)
+			}
 
-	w, res, st := openWAL(t, dir, Options{})
-	defer w.Close()
-	if res.Replay.Synthesized != 1 {
-		t.Fatalf("synthesized %d writes, want 1", res.Replay.Synthesized)
-	}
-	aud, err := st.Audit("acct")
-	if err != nil {
-		t.Fatalf("Audit: %v", err)
-	}
-	if !aud.Report.Contains(3, 777) {
-		t.Fatalf("audit %v does not contain the recovered read (3, 777)", aud.Report)
-	}
-	if v, err := st.Read("acct", 0); err != nil || v != 777 {
-		t.Fatalf("recovered value = %d, %v; want 777", v, err)
+			w, res, st := openWAL(t, dir, Options{})
+			defer w.Close()
+			if res.Replay.Synthesized != 1 {
+				t.Fatalf("synthesized %d writes, want 1", res.Replay.Synthesized)
+			}
+			if res.Replay.Writes != 0 {
+				t.Fatalf("replayed %d writes from write records, and the log holds none", res.Replay.Writes)
+			}
+			aud, err := st.Audit("acct")
+			if err != nil {
+				t.Fatalf("Audit: %v", err)
+			}
+			if !aud.Report.Contains(3, 777) {
+				t.Fatalf("audit %v does not contain the recovered read (3, 777)", aud.Report)
+			}
+			if v, err := st.Read("acct", 0); err != nil || v != 777 {
+				t.Fatalf("recovered value = %d, %v; want 777", v, err)
+			}
+		})
 	}
 }
 
