@@ -193,11 +193,8 @@ func (l *leg) start(cn *conn, or wire.OpenResp) error {
 			s.prevSeq = ^uint64(0) // the paper's prev_sn = -1
 		}
 		l.session = or.Session
-		if l.verb == wire.VerbReadFetch {
-			b.B = (&wire.ReadFetchReq{Name: name, Reader: l.reader, PrevSeq: s.prevSeq}).Append(b.B)
-		} else {
-			b.B = (&wire.ShareFetchReq{Name: name, Reader: l.reader, PrevSeq: s.prevSeq}).Append(b.B)
-		}
+		// READ-FETCH and SHARE-FETCH carry the same body.
+		b.B = (&wire.ReadFetchReq{Name: name, Reader: l.reader, PrevSeq: s.prevSeq}).Append(b.B)
 	}
 	l.timer = cn.arm()
 	l.out.Expect()
@@ -243,7 +240,6 @@ func (l *leg) decode(verb wire.Verb, body []byte) (uint64, error) {
 	if verb != l.verb {
 		return 0, respError(verb, body, l.verb)
 	}
-	var seq, masked uint64
 	switch verb {
 	case wire.VerbWrite:
 		if len(body) != 0 {
@@ -254,23 +250,15 @@ func (l *leg) decode(verb wire.Verb, body []byte) (uint64, error) {
 		var r wire.ShareWriteResp
 		err := r.Decode(body)
 		return r.Wid, err
-	case wire.VerbReadFetch:
-		var r wire.ReadFetchResp
-		if err := r.Decode(body); err != nil {
-			return 0, err
-		}
-		seq, masked = r.Seq, r.Value
-	default:
-		var r wire.ShareFetchResp
-		if err := r.Decode(body); err != nil {
-			return 0, err
-		}
-		seq, masked = r.Seq, r.Value
+	}
+	var r wire.ReadFetchResp // either fetch verb
+	if err := r.Decode(body); err != nil {
+		return 0, err
 	}
 	s := l.slot
-	if seq != s.prevSeq {
-		s.prevVal = masked ^ wire.ValueMask(l.session, l.o.name, l.reader, seq)
-		s.prevSeq = seq
+	if r.Seq != s.prevSeq {
+		s.prevVal = r.Value ^ wire.ValueMask(l.session, l.o.name, l.reader, r.Seq)
+		s.prevSeq = r.Seq
 	}
 	return s.prevVal, nil
 }

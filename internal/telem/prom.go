@@ -45,11 +45,6 @@ func WriteStages(w io.Writer, stages []StageSnapshot) error {
 	return bw.Flush()
 }
 
-// WriteCounter writes one counter-typed sample.
-func WriteCounter(w io.Writer, name string, v uint64) {
-	fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", name, name, v)
-}
-
 // formatSeconds renders a nanosecond count as seconds without float round
 // trips ("0.000016384"), the unit Prometheus histograms conventionally use.
 func formatSeconds(ns uint64) string {

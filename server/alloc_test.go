@@ -48,13 +48,13 @@ func TestServerFastPathAllocationFree(t *testing.T) {
 		if _, v, commit := c.handleWrite(wbody, dst[:0]); v != wire.VerbWrite || commit.Pending() {
 			t.Fatalf("warm write answered %v", v)
 		}
-		c.handleReadFetch(fbody, dst[:0])
+		c.handleFetch(wire.VerbReadFetch, fbody, dst[:0])
 	}
 
 	// Silent read: the reader's cache is current (same PrevSeq resend), no
 	// fetch&xor, no journal — the paper's hot path. Exactly zero.
 	var resp wire.ReadFetchResp
-	out, v, _ := c.handleReadFetch(fbody, dst[:0])
+	out, v, _ := c.handleFetch(wire.VerbReadFetch, fbody, dst[:0])
 	if v != wire.VerbReadFetch {
 		t.Fatalf("fetch answered %v", v)
 	}
@@ -62,9 +62,9 @@ func TestServerFastPathAllocationFree(t *testing.T) {
 		t.Fatalf("decode: %v", err)
 	}
 	silent := (&wire.ReadFetchReq{Name: name, Reader: 0, PrevSeq: resp.Seq}).Append(nil)
-	c.handleReadFetch(silent, dst[:0])
+	c.handleFetch(wire.VerbReadFetch, silent, dst[:0])
 	if n := testing.AllocsPerRun(1000, func() {
-		if _, v, _ := c.handleReadFetch(silent, dst[:0]); v != wire.VerbReadFetch {
+		if _, v, _ := c.handleFetch(wire.VerbReadFetch, silent, dst[:0]); v != wire.VerbReadFetch {
 			t.Fatal("silent fetch failed")
 		}
 	}); n != 0 {
@@ -88,7 +88,7 @@ func TestServerFastPathAllocationFree(t *testing.T) {
 	f1body := (&wire.ReadFetchReq{Name: name, Reader: 1, PrevSeq: 0}).Append(nil)
 	fetch1 := func(prev uint64) uint64 {
 		binary.BigEndian.PutUint64(f1body[len(f1body)-8:], prev)
-		out, v, _ := c.handleReadFetch(f1body, dst[:0])
+		out, v, _ := c.handleFetch(wire.VerbReadFetch, f1body, dst[:0])
 		if v != wire.VerbReadFetch {
 			t.Fatalf("fetch answered %v", v)
 		}
@@ -126,10 +126,10 @@ func TestInstrumentedPathAllocationFree(t *testing.T) {
 	fbody := (&wire.ReadFetchReq{Name: name, Reader: 0, PrevSeq: ^uint64(0)}).Append(nil)
 	for i := 0; i < 8; i++ {
 		c.handleWrite(wbody, dst[:0])
-		c.handleReadFetch(fbody, dst[:0])
+		c.handleFetch(wire.VerbReadFetch, fbody, dst[:0])
 	}
 	var resp wire.ReadFetchResp
-	out, _, _ := c.handleReadFetch(fbody, dst[:0])
+	out, _, _ := c.handleFetch(wire.VerbReadFetch, fbody, dst[:0])
 	if err := resp.Decode(out); err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -144,7 +144,7 @@ func TestInstrumentedPathAllocationFree(t *testing.T) {
 		if want == wire.VerbWrite {
 			_, v, _ = c.handleWrite(body, dst[:0])
 		} else {
-			_, v, _ = c.handleReadFetch(body, dst[:0])
+			_, v, _ = c.handleFetch(wire.VerbReadFetch, body, dst[:0])
 		}
 		tel.storeOp.Observe(0, telem.Now()-t0)
 		tel.connDecode.Observe(c.tslot, telem.Now()-tr)

@@ -304,16 +304,14 @@ func (c *conn) execute(id uint64, verb wire.Verb, body []byte) {
 		b, rverb = c.handleOpen(body, b)
 	case wire.VerbWrite:
 		b, rverb, commit = c.handleWrite(body, b)
-	case wire.VerbReadFetch:
-		b, rverb, commit = c.handleReadFetch(body, b)
+	case wire.VerbReadFetch, wire.VerbShareFetch:
+		b, rverb, commit = c.handleFetch(verb, body, b)
 	case wire.VerbAudit:
 		b, rverb = c.handleAudit(body, b)
 	case wire.VerbStats:
 		b, rverb = c.handleStats(body, b)
 	case wire.VerbShareWrite:
 		b, rverb, commit = c.handleShareWrite(body, b)
-	case wire.VerbShareFetch:
-		b, rverb, commit = c.handleShareFetch(body, b)
 	default:
 		b, rverb = errBody(b, wire.CodeBadRequest, fmt.Sprintf("unknown verb %d", uint8(verb)))
 	}
@@ -404,17 +402,32 @@ func (c *conn) handleWrite(body, dst []byte) ([]byte, wire.Verb, store.Commit) {
 	return dst, wire.VerbWrite, commit
 }
 
-func (c *conn) handleReadFetch(body, dst []byte) ([]byte, wire.Verb, store.Commit) {
+// handleFetch answers READ-FETCH and SHARE-FETCH, which share their bodies:
+// the silent-read check and at most one fetch&xor through the server's
+// per-(object, reader) handle, the helping announce after a fetch, and the
+// value masked under this connection's session pad. A share object is a
+// max register read exactly as a register is; the share verb only insists
+// the object is one, counts apart, and is where CorruptShares lies.
+func (c *conn) handleFetch(verb wire.Verb, body, dst []byte) ([]byte, wire.Verb, store.Commit) {
+	s := c.srv
+	share := verb == wire.VerbShareFetch
+	op, fetches, silent := "read-fetch", &s.readsFetched, &s.readsSilent
+	if share {
+		op, fetches, silent = "share-fetch", &s.shareFetch, &s.shareSilent
+	}
 	var req wire.ReadFetchReq
 	if err := req.DecodeView(body); err != nil {
 		return noCommit(errBody(dst, wire.CodeBadRequest, err.Error()))
 	}
-	if int(req.Reader) >= c.srv.st.Readers() {
-		return noCommit(errBody(dst, wire.CodeBadRequest, fmt.Sprintf("read-fetch %q: reader %d out of range [0, %d)", req.Name, req.Reader, c.srv.st.Readers())))
+	if int(req.Reader) >= s.st.Readers() {
+		return noCommit(errBody(dst, wire.CodeBadRequest, fmt.Sprintf("%s %q: reader %d out of range [0, %d)", op, req.Name, req.Reader, s.st.Readers())))
 	}
-	obj, ok := c.srv.st.Lookup(req.Name)
+	obj, ok := s.st.Lookup(req.Name)
 	if !ok {
-		return noCommit(errBody(dst, wire.CodeNotFound, fmt.Sprintf("read-fetch %q: object not found", req.Name)))
+		return noCommit(errBody(dst, wire.CodeNotFound, fmt.Sprintf("%s %q: object not found", op, req.Name)))
+	}
+	if share && obj.Kind() != store.MaxRegister {
+		return noCommit(errBody(dst, wire.CodeShareMode, fmt.Sprintf("%s %q: share objects are max registers, not %v", op, req.Name, obj.Kind())))
 	}
 	// The fetch record is appended before ReadFetchAsync returns; the
 	// completion stage withholds the response until the record is stable,
@@ -424,21 +437,31 @@ func (c *conn) handleReadFetch(body, dst []byte) ([]byte, wire.Verb, store.Commi
 		return noCommit(storeErr(dst, err))
 	}
 	if fetched {
-		c.srv.readsFetched.Add(1)
+		fetches.Add(1)
 		c.helpAnnounce(obj, int(req.Reader), seq)
 	} else {
-		c.srv.readsSilent.Add(1)
+		silent.Add(1)
 	}
-	if c.srv.cfg.LeakyPerObjectReads {
-		c.srv.recordLeakyRead(req.Name)
+	if s.cfg.LeakyPerObjectReads {
+		s.recordLeakyRead(req.Name)
 	}
 	resp := wire.ReadFetchResp{Fetched: fetched, Seq: seq}
 	if seq != req.PrevSeq {
 		// The client's cache is stale: ship the value, masked under this
 		// connection's session pad; the client unmasks locally.
 		resp.Value = val ^ wire.ValueMask(c.session, req.Name, req.Reader, seq)
+		if share && s.cfg.CorruptShares {
+			// Byzantine test hook: flip the low bit of the packed value on
+			// the wire. The low bits are the share (the wid rides the high
+			// bits), so the corrupted share stays a plausible field element
+			// at the advertised wid — the hardest wire corruption for a
+			// client to detect short of verified reconstruction. The journal
+			// keeps the honest value; only the serving path lies.
+			resp.Value ^= 1
+			s.shareCorrupt.Add(1)
+		}
 	}
-	return resp.Append(dst), wire.VerbReadFetch, commit
+	return resp.Append(dst), verb, commit
 }
 
 // helpAnnounce is the announce half of an effective read (Algorithm 1 line
@@ -492,8 +515,8 @@ func (c *conn) handleStats(body, dst []byte) ([]byte, wire.Verb) {
 	resp := wire.StatsResp{
 		GoVersion:  runtime.Version(),
 		GoMaxProcs: uint32(runtime.GOMAXPROCS(0)),
-		UptimeMs:   snap.uptimeMs,
-		StatsEpoch: snap.epoch,
+		UptimeMs:   snap.v[rowUptime],
+		StatsEpoch: snap.v[rowEpoch],
 		Pairs:      c.srv.statPairs(snap),
 	}
 	return resp.Append(dst), wire.VerbStats
@@ -546,54 +569,4 @@ func (c *conn) handleShareWrite(body, dst []byte) ([]byte, wire.Verb, store.Comm
 	}
 	resp := wire.ShareWriteResp{Wid: cur >> shareBits}
 	return resp.Append(dst), wire.VerbShareWrite, commit
-}
-
-// handleShareFetch is handleReadFetch over a share object: the same
-// silent-read check, fetch&xor, journal append, and ValueMask masking — the
-// packed value is what crosses the wire, the cluster layer unpacks and
-// unmasks the share bits. The response echoes the node id so a dispersing
-// client can reject a misrouted connection's shares.
-func (c *conn) handleShareFetch(body, dst []byte) ([]byte, wire.Verb, store.Commit) {
-	var req wire.ShareFetchReq
-	if err := req.DecodeView(body); err != nil {
-		return noCommit(errBody(dst, wire.CodeBadRequest, err.Error()))
-	}
-	if int(req.Reader) >= c.srv.st.Readers() {
-		return noCommit(errBody(dst, wire.CodeBadRequest, fmt.Sprintf("share-fetch %q: reader %d out of range [0, %d)", req.Name, req.Reader, c.srv.st.Readers())))
-	}
-	obj, ok := c.srv.st.Lookup(req.Name)
-	if !ok {
-		return noCommit(errBody(dst, wire.CodeNotFound, fmt.Sprintf("share-fetch %q: object not found", req.Name)))
-	}
-	if obj.Kind() != store.MaxRegister {
-		return noCommit(errBody(dst, wire.CodeShareMode, fmt.Sprintf("share-fetch %q: share objects are max registers, not %v", req.Name, obj.Kind())))
-	}
-	val, seq, fetched, commit, err := obj.ReadFetchAsync(int(req.Reader))
-	if err != nil {
-		return noCommit(storeErr(dst, err))
-	}
-	if fetched {
-		c.srv.shareFetch.Add(1)
-		c.helpAnnounce(obj, int(req.Reader), seq)
-	} else {
-		c.srv.shareSilent.Add(1)
-	}
-	if c.srv.cfg.LeakyPerObjectReads {
-		c.srv.recordLeakyRead(req.Name)
-	}
-	resp := wire.ShareFetchResp{Fetched: fetched, Seq: seq, Node: c.srv.cfg.NodeID}
-	if seq != req.PrevSeq {
-		resp.Value = val ^ wire.ValueMask(c.session, req.Name, req.Reader, seq)
-		if c.srv.cfg.CorruptShares {
-			// Byzantine test hook: flip the low bit of the packed value on
-			// the wire. The low bits are the share (the wid rides the high
-			// bits), so the corrupted share stays a plausible field element
-			// at the advertised wid — the hardest wire corruption for a
-			// client to detect short of verified reconstruction. The journal
-			// keeps the honest value; only the serving path lies.
-			resp.Value ^= 1
-			c.srv.shareCorrupt.Add(1)
-		}
-	}
-	return resp.Append(dst), wire.VerbShareFetch, commit
 }

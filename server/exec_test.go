@@ -154,10 +154,7 @@ func TestShardQueueShedsWithBusy(t *testing.T) {
 	recycle(c)
 
 	// The shed surfaces in STATS under the names the bench drivers read.
-	stats := make(map[string]uint64)
-	for _, p := range srv.statPairs(srv.snapshotCounters()) {
-		stats[p.Name] = p.Value
-	}
+	stats := statsByName(srv)
 	if stats["shard-sheds"] != 1 || stats["shard-enqueues"] != 1 || stats["shard-depth"] != 1 {
 		t.Errorf("stats = sheds %d, enqueues %d, depth %d; want 1, 1, 1",
 			stats["shard-sheds"], stats["shard-enqueues"], stats["shard-depth"])

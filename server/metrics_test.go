@@ -45,7 +45,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		// Feed the stage histograms the way a drain does.
 		t0 := telem.Now()
 		c.handleWrite(wbody, dst[:0])
-		c.handleReadFetch(fbody, dst[:0])
+		c.handleFetch(wire.VerbReadFetch, fbody, dst[:0])
 		srv.tel.storeOp.Observe(0, telem.Now()-t0)
 	}
 
@@ -100,8 +100,8 @@ func TestMetricsLeakControl(t *testing.T) {
 	// The handler sees the name as a view into a reused buffer; mutate the
 	// buffer after the call to prove the map key was copied.
 	fbody := (&wire.ReadFetchReq{Name: name, Reader: 0, PrevSeq: ^uint64(0)}).Append(nil)
-	c.handleReadFetch(fbody, dst[:0])
-	c.handleReadFetch(fbody, dst[:0])
+	c.handleFetch(wire.VerbReadFetch, fbody, dst[:0])
+	c.handleFetch(wire.VerbReadFetch, fbody, dst[:0])
 	for i := range fbody {
 		fbody[i] = 0
 	}

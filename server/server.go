@@ -67,7 +67,6 @@ import (
 	"fmt"
 	"net"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -196,29 +195,15 @@ type Server struct {
 
 	wg sync.WaitGroup
 
-	opens        atomic.Uint64
-	writes       atomic.Uint64
-	readsFetched atomic.Uint64
-	readsSilent  atomic.Uint64
-	announces    atomic.Uint64
-	audits       atomic.Uint64
-	errs         atomic.Uint64
-	framesIn     atomic.Uint64
-	framesOut    atomic.Uint64
-	connsTotal   atomic.Uint64
-
-	// Cluster share-path counters (the STATS cluster block).
-	shareWrites  atomic.Uint64
-	shareProbes  atomic.Uint64
-	shareFetch   atomic.Uint64
-	shareSilent  atomic.Uint64
-	shareCorrupt atomic.Uint64 // shares deliberately corrupted (Config.CorruptShares)
-
-	// Coalesced-flush counters: one flush is one writev on one connection,
-	// however many response frames it carried. frames-out over conn-flushes
-	// is the observed write-coalescing factor.
-	connFlushes     atomic.Uint64
-	connFlushFrames atomic.Uint64
+	// The hot-path counters. Each is exported by exactly one row of the
+	// counter table (metrics.go), which says under what names.
+	opens, writes, announces, audits, errs atomic.Uint64
+	readsFetched, readsSilent              atomic.Uint64
+	framesIn, framesOut, connsTotal        atomic.Uint64
+	connFlushes, connFlushFrames           atomic.Uint64
+	shareWrites, shareProbes               atomic.Uint64
+	shareFetch, shareSilent                atomic.Uint64
+	shareCorrupt                           atomic.Uint64 // shares deliberately corrupted (Config.CorruptShares)
 }
 
 // New returns a server hosting a fresh store configured per cfg. With a
@@ -499,86 +484,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		}
 	}
 	return err
-}
-
-// statPairs renders one coherent counter snapshot (see snapshotCounters) as
-// the STATS verb's sorted pair list, with quantized per-stage latency
-// summaries appended.
-func (s *Server) statPairs(snap counterSnap) []wire.StatPair {
-	pairs := []wire.StatPair{
-		{Name: "announces", Value: snap.announces},
-		{Name: "audits", Value: snap.audits},
-		{Name: "conn-flushed-frames", Value: snap.connFlushFrames},
-		{Name: "conn-flushes", Value: snap.connFlushes},
-		{Name: "conns", Value: snap.connsTotal},
-		{Name: "errors", Value: snap.errs},
-		{Name: "frames-in", Value: snap.framesIn},
-		{Name: "frames-out", Value: snap.framesOut},
-		{Name: "objects", Value: snap.objects},
-		{Name: "opens", Value: snap.opens},
-		{Name: "pool-audits", Value: snap.poolAudits},
-		{Name: "pool-sweeps", Value: snap.poolSweeps},
-		{Name: "reads-fetched", Value: snap.readsFetched},
-		{Name: "reads-silent", Value: snap.readsSilent},
-		{Name: "stats-epoch", Value: snap.epoch},
-		{Name: "uptime-ms", Value: snap.uptimeMs},
-		{Name: "writes", Value: snap.writes},
-	}
-	// The cluster block: this node's identity and its share-path traffic. A
-	// node id of 0 marks a standalone daemon; share counters stay zero until
-	// a dispersing client targets the node.
-	pairs = append(pairs,
-		wire.StatPair{Name: "node-id", Value: uint64(s.cfg.NodeID)},
-		wire.StatPair{Name: "share-writes", Value: snap.shareWrites},
-		wire.StatPair{Name: "share-probes", Value: snap.shareProbes},
-		wire.StatPair{Name: "share-fetches", Value: snap.shareFetch},
-		wire.StatPair{Name: "share-silent", Value: snap.shareSilent},
-		wire.StatPair{Name: "share-objects", Value: snap.shareObjects},
-		wire.StatPair{Name: "share-corrupts-served", Value: snap.shareCorrupt},
-	)
-	// Shard occupancy: enqueues/sheds are cumulative, depth is the
-	// instantaneous total queue occupancy across shards — nonzero sheds with
-	// bounded depth is what admission control looks like under overload.
-	pairs = append(pairs,
-		wire.StatPair{Name: "shards", Value: uint64(len(s.shards))},
-		wire.StatPair{Name: "shard-queue-cap", Value: uint64(cap(s.shards[0].queue))},
-		wire.StatPair{Name: "shard-enqueues", Value: snap.shardEnqueues},
-		wire.StatPair{Name: "shard-sheds", Value: snap.shardSheds},
-		wire.StatPair{Name: "shard-depth", Value: snap.shardDepth},
-	)
-	if ws := snap.wal; ws != nil {
-		pairs = append(pairs,
-			wire.StatPair{Name: "wal-records", Value: ws.Records},
-			wire.StatPair{Name: "wal-batches", Value: ws.Batches},
-			wire.StatPair{Name: "wal-syncs", Value: ws.Syncs},
-			wire.StatPair{Name: "wal-rotations", Value: ws.Rotations},
-			wire.StatPair{Name: "wal-snapshots", Value: ws.Snapshots},
-			wire.StatPair{Name: "wal-bytes", Value: ws.Bytes},
-		)
-		// The group-commit batch-size histogram: records per fsync, in
-		// power-of-two buckets (the last collects everything larger). This
-		// is what makes the batching claim observable: syncs piling into
-		// the upper buckets, not a ratio inferred after the fact.
-		for i, n := range ws.SyncHist {
-			name := fmt.Sprintf("wal-sync-batch-le-%d", 1<<i)
-			if i == len(ws.SyncHist)-1 {
-				name = fmt.Sprintf("wal-sync-batch-gt-%d", 1<<(i-1))
-			}
-			pairs = append(pairs, wire.StatPair{Name: name, Value: n})
-		}
-	}
-	// Per-stage latency summaries: quantized bucket upper bounds, the same
-	// numbers the metrics endpoint serves — aggregate-only by construction.
-	for _, st := range s.tel.reg.Snapshot() {
-		pairs = append(pairs,
-			wire.StatPair{Name: "stage-" + st.Name + "-p50-ns", Value: st.Quantile(0.50)},
-			wire.StatPair{Name: "stage-" + st.Name + "-p99-ns", Value: st.Quantile(0.99)},
-			wire.StatPair{Name: "stage-" + st.Name + "-max-ns", Value: st.Max()},
-			wire.StatPair{Name: "stage-" + st.Name + "-count", Value: st.Count},
-		)
-	}
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].Name < pairs[j].Name })
-	return pairs
 }
 
 // The wire kind bytes coincide with store.Kind by construction, so kind

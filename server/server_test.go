@@ -1,7 +1,6 @@
 package server_test
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -259,13 +258,13 @@ func TestRemoteErrors(t *testing.T) {
 		t.Fatalf("raw dial: %v", err)
 	}
 	defer nc.Close()
-	br := bufio.NewReader(nc)
+	sc := wire.NewFrameScanner(nc, 0)
 	send := func(id uint64, verb wire.Verb, body []byte) wire.Frame {
 		t.Helper()
 		if _, err := nc.Write(wire.AppendFrame(nil, id, verb, body)); err != nil {
 			t.Fatalf("write: %v", err)
 		}
-		f, err := wire.ReadFrame(br)
+		f, err := sc.Next() // the body is valid until the next send
 		if err != nil {
 			t.Fatalf("read: %v", err)
 		}

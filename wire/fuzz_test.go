@@ -8,32 +8,6 @@ import (
 	"auditreg/wire"
 )
 
-// decoderFor returns a fresh message of the type(s) a verb can carry in the
-// given direction; both directions are tried by the fuzzer since a frame's
-// direction is not self-describing.
-func decodersFor(verb wire.Verb) []message {
-	switch verb {
-	case wire.VerbErr:
-		return []message{&wire.ErrResp{}}
-	case wire.VerbOpen:
-		return []message{&wire.OpenReq{}, &wire.OpenResp{}}
-	case wire.VerbWrite:
-		return []message{&wire.WriteReq{}}
-	case wire.VerbReadFetch:
-		return []message{&wire.ReadFetchReq{}, &wire.ReadFetchResp{}}
-	case wire.VerbAudit:
-		return []message{&wire.AuditReq{}, &wire.AuditResp{}}
-	case wire.VerbStats:
-		return []message{&wire.StatsReq{}, &wire.StatsResp{}}
-	case wire.VerbShareWrite:
-		return []message{&wire.ShareWriteReq{}, &wire.ShareWriteResp{}}
-	case wire.VerbShareFetch:
-		return []message{&wire.ShareFetchReq{}, &wire.ShareFetchResp{}}
-	default:
-		return nil
-	}
-}
-
 // FuzzFrame hammers the frame parser and every message decoder with
 // arbitrary bytes: no panic, no out-of-bounds, and for every body that
 // decodes, re-encoding and re-decoding must reproduce the same message
@@ -44,12 +18,16 @@ func decodersFor(verb wire.Verb) []message {
 //	go test -fuzz FuzzFrame -fuzztime 30s ./wire
 func FuzzFrame(f *testing.F) {
 	// In-code seeds complement the checked-in corpus: one frame per sample
-	// message, a concatenation, and truncations.
+	// message under its own verb, a concatenation, and truncations. A frame's
+	// direction is not self-describing, so each verb is decoded as every body
+	// the sample table lists under it.
 	var all []byte
-	for i, msg := range sampleMessages() {
-		frame := wire.AppendFrame(nil, uint64(i), wire.VerbOpen+wire.Verb(i%8), msg.Append(nil))
+	bodies := make(map[wire.Verb][]reflect.Type)
+	for i, s := range sampleMessages() {
+		frame := wire.AppendFrame(nil, uint64(i), s.verb, s.msg.Append(nil))
 		f.Add(frame)
 		all = append(all, frame...)
+		bodies[s.verb] = append(bodies[s.verb], reflect.TypeOf(s.msg).Elem())
 	}
 	f.Add(all)
 	f.Add(all[:len(all)/2])
@@ -69,12 +47,13 @@ func FuzzFrame(f *testing.F) {
 			if len(next) >= len(rest) {
 				t.Fatalf("ParseFrame consumed nothing")
 			}
-			for _, dec := range decodersFor(frame.Verb) {
+			for _, typ := range bodies[frame.Verb] {
+				dec := reflect.New(typ).Interface().(message)
 				if err := dec.Decode(frame.Body); err != nil {
 					continue
 				}
 				body2 := dec.Append(nil)
-				dec2 := reflect.New(reflect.TypeOf(dec).Elem()).Interface().(message)
+				dec2 := zeroOf(dec)
 				if err := dec2.Decode(body2); err != nil {
 					t.Fatalf("%T: re-decode of re-encoding failed: %v", dec, err)
 				}

@@ -435,64 +435,19 @@ func (m *ShareWriteResp) Decode(body []byte) error {
 	return c.done()
 }
 
-// ShareFetchReq performs the fetch half of a dispersed read against one
-// node: identical semantics to ReadFetchReq — the silent-read check and (at
-// most) one fetch&xor, audited server-side — over the share object's packed
-// values. PrevSeq is the node-local sequence number of the client's cached
-// share (each node numbers its own writes; write ids align shares across
-// nodes, sequence numbers never leave their node).
-type ShareFetchReq struct {
-	Name    string
-	Reader  uint8
-	PrevSeq uint64
-}
-
-// Append serializes the message body onto dst.
-func (m *ShareFetchReq) Append(dst []byte) []byte {
-	dst = appendStr(dst, m.Name)
-	dst = append(dst, m.Reader)
-	return binary.BigEndian.AppendUint64(dst, m.PrevSeq)
-}
-
-// Decode parses a message body; the body must be fully consumed.
-func (m *ShareFetchReq) Decode(body []byte) error {
-	c := cursor{b: body}
-	m.Name = c.str(MaxName)
-	m.Reader = c.u8()
-	m.PrevSeq = c.u64()
-	return c.done()
-}
-
-// ShareFetchResp answers a SHARE-FETCH exactly as ReadFetchResp answers a
-// READ-FETCH: Value is the packed share, XOR-masked with
-// ValueMask(session, name, reader, Seq) and zero when the client's cache is
-// current. Node echoes the server's node id so a dispersing client can
-// reject shares from a misrouted connection before feeding them to the
-// combiner.
-type ShareFetchResp struct {
-	Fetched bool
-	Seq     uint64
-	Value   uint64
-	Node    uint32
-}
-
-// Append serializes the message body onto dst.
-func (m *ShareFetchResp) Append(dst []byte) []byte {
-	dst = appendBool(dst, m.Fetched)
-	dst = binary.BigEndian.AppendUint64(dst, m.Seq)
-	dst = binary.BigEndian.AppendUint64(dst, m.Value)
-	return binary.BigEndian.AppendUint32(dst, m.Node)
-}
-
-// Decode parses a message body; the body must be fully consumed.
-func (m *ShareFetchResp) Decode(body []byte) error {
-	c := cursor{b: body}
-	m.Fetched = c.bool()
-	m.Seq = c.u64()
-	m.Value = c.u64()
-	m.Node = c.u32()
-	return c.done()
-}
+// ShareFetchReq and ShareFetchResp are SHARE-FETCH's bodies: READ-FETCH's
+// own, under VerbShareFetch. A share object is a max register, and a max
+// register reads as a register does (Algorithm 2 reads by Algorithm 1), so a
+// share fetch is the same audited fetch&xor over the packed values. PrevSeq
+// is the node-local sequence number of the client's cached share (each node
+// numbers its own writes; write ids align shares across nodes, sequence
+// numbers never leave their node), and Value is the packed share under
+// ValueMask. No response echoes the node id: a connection's node is checked
+// once, at OPEN.
+type (
+	ShareFetchReq  = ReadFetchReq
+	ShareFetchResp = ReadFetchResp
+)
 
 // ErrResp reports a failed request under VerbErr.
 type ErrResp struct {

@@ -64,13 +64,3 @@ func (m *ShareWriteReq) DecodeView(body []byte) error {
 	m.ShareLen = c.u8()
 	return c.done()
 }
-
-// DecodeView parses a message body with Name aliasing body; see the
-// package's zero-copy decoding rules. The body must be fully consumed.
-func (m *ShareFetchReq) DecodeView(body []byte) error {
-	c := cursor{b: body}
-	m.Name = c.strView(MaxName)
-	m.Reader = c.u8()
-	m.PrevSeq = c.u64()
-	return c.done()
-}

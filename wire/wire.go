@@ -51,6 +51,13 @@
 // The share bits arrive already XOR-masked under a per-node pad derived from
 // a cluster secret the node never holds; see cluster.SharePad.
 //
+// SHARE-FETCH carries READ-FETCH's request and response bodies
+// (ShareFetchReq and ShareFetchResp are aliases): the max register reads as
+// the register does, so a share fetch is READ-FETCH on a share object, with
+// no per-response node echo — the connection's node is checked once, at
+// OPEN. The verb stays distinct so the server can refuse a non-MaxRegister
+// (CodeShareMode) and count share reads apart from register reads.
+//
 // # What crosses the wire encrypted
 //
 // Reader sets never cross the wire in the clear — not in either direction,
@@ -71,7 +78,6 @@
 package wire
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -201,46 +207,11 @@ func ParseFrame(b []byte) (Frame, []byte, error) {
 	}, b[4+n:], nil
 }
 
-// ReadFrame reads exactly one frame from br, blocking as needed. The body is
-// freshly allocated. It returns io.EOF only on a clean boundary (no bytes
-// read); a frame cut short mid-way returns io.ErrUnexpectedEOF.
-func ReadFrame(br *bufio.Reader) (Frame, error) {
-	var head [4]byte
-	if _, err := io.ReadFull(br, head[:1]); err != nil {
-		return Frame{}, err // io.EOF on a clean boundary
-	}
-	if _, err := io.ReadFull(br, head[1:]); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return Frame{}, err
-	}
-	n := binary.BigEndian.Uint32(head[:])
-	if n < HeaderLen {
-		return Frame{}, fmt.Errorf("wire: frame length %d shorter than header", n)
-	}
-	if n > MaxFrame {
-		return Frame{}, fmt.Errorf("wire: frame length %d exceeds MaxFrame %d", n, MaxFrame)
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(br, payload); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return Frame{}, err
-	}
-	return Frame{
-		ID:   binary.BigEndian.Uint64(payload),
-		Verb: Verb(payload[8]),
-		Body: payload[9:],
-	}, nil
-}
-
 // FrameScanner reads frames from a stream through one growable, reusable
-// buffer: the allocation-free replacement for per-frame ReadFrame on hot
-// read loops. Next returns frames whose Body aliases the internal buffer —
-// a decode view, valid only until the next Next call; a caller that hands
-// the body to another goroutine must copy it first (into a pooled Buf).
+// buffer, allocation-free at steady state. Next returns frames whose Body
+// aliases the internal buffer — a decode view, valid only until the next
+// Next call; a caller that hands the body to another goroutine must copy it
+// first (into a pooled Buf).
 //
 // Next always drains buffered complete frames before touching the
 // underlying reader, so a connection being drained — its socket reads

@@ -1,7 +1,6 @@
 package wire_test
 
 import (
-	"bufio"
 	"bytes"
 	"fmt"
 	"io"
@@ -19,8 +18,16 @@ type message interface {
 	Decode(body []byte) error
 }
 
-// sampleMessages returns one populated instance of every message type.
-func sampleMessages() []message {
+// sample is one populated message and the verb it travels under.
+type sample struct {
+	verb wire.Verb
+	msg  message
+}
+
+// sampleMessages returns one populated instance of every message body, each
+// under its verb: the round-trip tests walk it, and the fuzzer seeds from it
+// and decodes each verb as the bodies listed under it here.
+func sampleMessages() []sample {
 	session := [wire.SessionLen]byte{}
 	for i := range session {
 		session[i] = byte(i * 7)
@@ -29,30 +36,36 @@ func sampleMessages() []message {
 	for i := range nonce {
 		nonce[i] = byte(255 - i)
 	}
-	return []message{
-		&wire.OpenReq{Name: "acct/42", Kind: wire.KindRegister, Capacity: 1 << 16, Node: 3},
-		&wire.OpenResp{Kind: wire.KindMaxRegister, Readers: 64, Epoch: 0xFEED_BEEF_0042_1111, Session: session, Node: 3},
-		&wire.WriteReq{Name: "acct/42", Value: 0xdeadbeefcafe},
-		&wire.ReadFetchReq{Name: "acct/42", Reader: 63, PrevSeq: ^uint64(0)},
-		&wire.ReadFetchResp{Fetched: true, Seq: 12, Value: 0x1234},
-		&wire.AuditReq{Name: "acct/42", Fresh: true, Since: 41},
-		&wire.AuditResp{Kind: wire.KindRegister, Nonce: nonce, Next: 43, More: true, Rows: []wire.AuditRow{
+	return []sample{
+		{wire.VerbOpen, &wire.OpenReq{Name: "acct/42", Kind: wire.KindRegister, Capacity: 1 << 16, Node: 3}},
+		{wire.VerbOpen, &wire.OpenResp{Kind: wire.KindMaxRegister, Readers: 64, Epoch: 0xFEED_BEEF_0042_1111, Session: session, Node: 3}},
+		{wire.VerbWrite, &wire.WriteReq{Name: "acct/42", Value: 0xdeadbeefcafe}},
+		{wire.VerbReadFetch, &wire.ReadFetchReq{Name: "acct/42", Reader: 63, PrevSeq: ^uint64(0)}},
+		{wire.VerbReadFetch, &wire.ReadFetchResp{Fetched: true, Seq: 12, Value: 0x1234}},
+		{wire.VerbAudit, &wire.AuditReq{Name: "acct/42", Fresh: true, Since: 41}},
+		{wire.VerbAudit, &wire.AuditResp{Kind: wire.KindRegister, Nonce: nonce, Next: 43, More: true, Rows: []wire.AuditRow{
 			{Value: 7, Readers: 0b101}, {Value: 9, Readers: 1 << 63},
-		}},
-		&wire.StatsReq{},
-		&wire.StatsResp{GoVersion: "go1.22.1", GoMaxProcs: 8, UptimeMs: 123456, StatsEpoch: 7, Pairs: []wire.StatPair{{Name: "writes", Value: 3}, {Name: "reads-fetched", Value: 9}}},
-		&wire.ShareWriteReq{Name: "acct/42", Wid: 99, Share: 0xBEEF12, ShareLen: 3},
-		&wire.ShareWriteResp{Wid: 99},
-		&wire.ShareFetchReq{Name: "acct/42", Reader: 5, PrevSeq: ^uint64(0)},
-		&wire.ShareFetchResp{Fetched: true, Seq: 4, Value: 0x63_0000BEEF12, Node: 2},
-		&wire.ErrResp{Code: wire.CodeKindMismatch, Msg: "open \"x\" as register: object is a maxregister"},
+		}}},
+		{wire.VerbStats, &wire.StatsReq{}},
+		{wire.VerbStats, &wire.StatsResp{GoVersion: "go1.22.1", GoMaxProcs: 8, UptimeMs: 123456, StatsEpoch: 7, Pairs: []wire.StatPair{{Name: "writes", Value: 3}, {Name: "reads-fetched", Value: 9}}}},
+		{wire.VerbShareWrite, &wire.ShareWriteReq{Name: "acct/42", Wid: 99, Share: 0xBEEF12, ShareLen: 3}},
+		{wire.VerbShareWrite, &wire.ShareWriteResp{Wid: 99}},
+		{wire.VerbShareFetch, &wire.ShareFetchReq{Name: "acct/42", Reader: 5, PrevSeq: ^uint64(0)}},
+		{wire.VerbShareFetch, &wire.ShareFetchResp{Fetched: true, Seq: 4, Value: 0x63_0000BEEF12}},
+		{wire.VerbErr, &wire.ErrResp{Code: wire.CodeKindMismatch, Msg: "open \"x\" as register: object is a maxregister"}},
 	}
 }
 
+// zeroOf returns a zero message of msg's type.
+func zeroOf(msg message) message {
+	return reflect.New(reflect.TypeOf(msg).Elem()).Interface().(message)
+}
+
 func TestMessageRoundTrip(t *testing.T) {
-	for _, msg := range sampleMessages() {
+	for _, s := range sampleMessages() {
+		msg := s.msg
 		body := msg.Append(nil)
-		fresh := reflect.New(reflect.TypeOf(msg).Elem()).Interface().(message)
+		fresh := zeroOf(msg)
 		if err := fresh.Decode(body); err != nil {
 			t.Fatalf("%T: Decode: %v", msg, err)
 		}
@@ -80,28 +93,21 @@ func TestMessageRoundTrip(t *testing.T) {
 
 func TestFrameRoundTrip(t *testing.T) {
 	var stream []byte
-	msgs := sampleMessages()
-	verbs := []wire.Verb{
-		wire.VerbOpen, wire.VerbOpen, wire.VerbWrite, wire.VerbReadFetch,
-		wire.VerbReadFetch, wire.VerbAudit,
-		wire.VerbAudit, wire.VerbStats, wire.VerbStats, wire.VerbShareWrite,
-		wire.VerbShareWrite, wire.VerbShareFetch, wire.VerbShareFetch,
-		wire.VerbErr,
-	}
-	for i, msg := range msgs {
-		stream = wire.AppendFrame(stream, uint64(i+1), verbs[i], msg.Append(nil))
+	samples := sampleMessages()
+	for i, s := range samples {
+		stream = wire.AppendFrame(stream, uint64(i+1), s.verb, s.msg.Append(nil))
 	}
 
 	// ParseFrame walks the concatenation.
 	rest := stream
-	for i := range msgs {
+	for i, s := range samples {
 		var f wire.Frame
 		var err error
 		f, rest, err = wire.ParseFrame(rest)
 		if err != nil {
 			t.Fatalf("ParseFrame %d: %v", i, err)
 		}
-		if f.ID != uint64(i+1) || f.Verb != verbs[i] {
+		if f.ID != uint64(i+1) || f.Verb != s.verb {
 			t.Fatalf("frame %d: id=%d verb=%v", i, f.ID, f.Verb)
 		}
 	}
@@ -109,26 +115,26 @@ func TestFrameRoundTrip(t *testing.T) {
 		t.Fatalf("%d bytes left after parsing all frames", len(rest))
 	}
 
-	// ReadFrame sees the same frames through a reader.
-	br := bufio.NewReader(bytes.NewReader(stream))
-	for i, msg := range msgs {
-		f, err := wire.ReadFrame(br)
+	// A FrameScanner sees the same frames through a reader.
+	sc := wire.NewFrameScanner(bytes.NewReader(stream), 0)
+	for i, s := range samples {
+		f, err := sc.Next()
 		if err != nil {
-			t.Fatalf("ReadFrame %d: %v", i, err)
+			t.Fatalf("Next %d: %v", i, err)
 		}
-		if f.ID != uint64(i+1) || f.Verb != verbs[i] {
+		if f.ID != uint64(i+1) || f.Verb != s.verb {
 			t.Fatalf("frame %d: id=%d verb=%v", i, f.ID, f.Verb)
 		}
-		fresh := reflect.New(reflect.TypeOf(msg).Elem()).Interface().(message)
-		if err := fresh.Decode(f.Body); err != nil {
+		msg := zeroOf(s.msg)
+		if err := msg.Decode(f.Body); err != nil {
 			t.Fatalf("frame %d body: %v", i, err)
 		}
-		if !reflect.DeepEqual(msg, fresh) {
-			t.Fatalf("frame %d: %+v -> %+v", i, msg, fresh)
+		if !reflect.DeepEqual(s.msg, msg) {
+			t.Fatalf("frame %d: %+v -> %+v", i, s.msg, msg)
 		}
 	}
-	if _, err := wire.ReadFrame(br); err != io.EOF {
-		t.Fatalf("ReadFrame at end = %v, want io.EOF", err)
+	if _, err := sc.Next(); err != io.EOF {
+		t.Fatalf("Next at end = %v, want io.EOF", err)
 	}
 }
 
@@ -141,9 +147,8 @@ func TestFrameLimits(t *testing.T) {
 		}
 	}
 	// Mid-frame EOF through a reader is ErrUnexpectedEOF, not EOF.
-	br := bufio.NewReader(bytes.NewReader(frame[:len(frame)-1]))
-	if _, err := wire.ReadFrame(br); err != io.ErrUnexpectedEOF {
-		t.Fatalf("ReadFrame(truncated) err = %v, want ErrUnexpectedEOF", err)
+	if _, err := wire.NewFrameScanner(bytes.NewReader(frame[:len(frame)-1]), 0).Next(); err != io.ErrUnexpectedEOF {
+		t.Fatalf("Next(truncated) err = %v, want ErrUnexpectedEOF", err)
 	}
 	// Undersized and oversized length prefixes are protocol errors.
 	under := []byte{0, 0, 0, wire.HeaderLen - 1}
@@ -154,8 +159,8 @@ func TestFrameLimits(t *testing.T) {
 	if _, _, err := wire.ParseFrame(over); err == nil || err == io.ErrUnexpectedEOF {
 		t.Fatalf("oversized length err = %v", err)
 	}
-	if _, err := wire.ReadFrame(bufio.NewReader(bytes.NewReader(over))); err == nil {
-		t.Fatal("ReadFrame accepted an oversized length")
+	if _, err := wire.NewFrameScanner(bytes.NewReader(over), 0).Next(); err == nil {
+		t.Fatal("FrameScanner accepted an oversized length")
 	}
 	// Overlong names are rejected.
 	long := &wire.OpenReq{Name: strings.Repeat("x", wire.MaxName+1), Kind: wire.KindRegister}
