@@ -29,9 +29,8 @@ func TestSilentReadAllocationFree(t *testing.T) {
 // TestUint64WriteAllocationFree: on the auto-selected seqlock backend an
 // uncontended uint64 write performs no heap allocation — the triple CAS, the
 // value log store, and the bit-table OR all work in place. FixedPads isolate
-// the register path from pad derivation (BlockPads amortize one small block
-// allocation over four sequence numbers; see
-// TestUint64WriteBlockPadsAmortized).
+// the register path from pad derivation (see
+// TestUint64WriteBlockPadsAllocationFree).
 func TestUint64WriteAllocationFree(t *testing.T) {
 	pads, err := otp.NewFixedPads(0xA5A5, 0x5A5A, 0xFFFF, 0x0101)
 	if err != nil {
@@ -61,12 +60,15 @@ func TestUint64WriteAllocationFree(t *testing.T) {
 }
 
 // TestUint64MaxRegisterAllocations: a uint64 max register runs on the same
-// seqlock R and inline V as the plain register, so its reads allocate
-// nothing and a writeMax allocates only the box CASMax swaps into M.
+// seqlock R and inline V as the plain register, keeps M's (value, nonce) pair
+// in a seqlock register too, and draws its pads from BlockPads' in-place
+// window, so neither its reads nor its writeMaxes allocate. A run is eight
+// writeMaxes, two pad blocks' worth, so a block allocated per miss would
+// show.
 func TestUint64MaxRegisterAllocations(t *testing.T) {
-	pads, err := otp.NewFixedPads(0xA5A5, 0x5A5A, 0xFFFF, 0x0101)
+	pads, err := otp.NewBlockPads(otp.KeyFromSeed(9), 4)
 	if err != nil {
-		t.Fatalf("NewFixedPads: %v", err)
+		t.Fatalf("NewBlockPads: %v", err)
 	}
 	reg, err := core.NewMaxRegister[uint64](4, 0, func(a, b uint64) bool { return a < b }, pads)
 	if err != nil {
@@ -88,34 +90,37 @@ func TestUint64MaxRegisterAllocations(t *testing.T) {
 		t.Fatalf("silent Read allocated %v times per run", n)
 	}
 	i := uint64(1)
-	if n := testing.AllocsPerRun(200, func() {
-		i++
-		if err := w.WriteMax(i); err != nil {
-			t.Fatal(err)
+	if n := testing.AllocsPerRun(50, func() {
+		for range 8 {
+			i++
+			if err := w.WriteMax(i); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}); n > 1 {
-		t.Fatalf("WriteMax allocated %v times per run, want <= 1 (M's box)", n)
+	}); n != 0 {
+		t.Fatalf("8 WriteMaxes allocated %v times per run, want 0", n)
 	}
-	// Every read below follows a new maximum, so each is effective; the
-	// pair must still cost no more than the writeMax alone.
-	if n := testing.AllocsPerRun(200, func() {
-		i++
-		if err := w.WriteMax(i); err != nil {
-			t.Fatal(err)
+	// Every read below follows a new maximum, so each is effective.
+	if n := testing.AllocsPerRun(50, func() {
+		for range 8 {
+			i++
+			if err := w.WriteMax(i); err != nil {
+				t.Fatal(err)
+			}
+			if rd.Read() != i {
+				t.Fatal("effective read missed the new maximum")
+			}
 		}
-		if rd.Read() != i {
-			t.Fatal("effective read missed the new maximum")
-		}
-	}); n > 1 {
-		t.Fatalf("WriteMax + effective Read allocated %v times per run, want <= 1", n)
+	}); n != 0 {
+		t.Fatalf("8 WriteMax + effective Read pairs allocated %v times per run, want 0", n)
 	}
 }
 
-// TestUint64WriteBlockPadsAmortized: with the production BlockPads source the
-// only write-path allocation left is the pad block itself — one small object
-// per four sequence numbers, amortizing to zero in AllocsPerRun's integer
-// average.
-func TestUint64WriteBlockPadsAmortized(t *testing.T) {
+// TestUint64WriteBlockPadsAllocationFree: with the production BlockPads
+// source a write still allocates nothing — a window miss derives its block
+// by value and publishes it into the slot in place. A run is eight writes,
+// two pad blocks' worth, so a block allocated per miss would show.
+func TestUint64WriteBlockPadsAllocationFree(t *testing.T) {
 	pads, err := otp.NewBlockPads(otp.KeyFromSeed(9), 4)
 	if err != nil {
 		t.Fatalf("NewBlockPads: %v", err)
@@ -129,13 +134,15 @@ func TestUint64WriteBlockPadsAmortized(t *testing.T) {
 		t.Fatalf("Write: %v", err)
 	}
 	var i uint64
-	if n := testing.AllocsPerRun(500, func() {
-		i++
-		if err := w.Write(i); err != nil {
-			t.Fatal(err)
+	if n := testing.AllocsPerRun(50, func() {
+		for range 8 {
+			i++
+			if err := w.Write(i); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}); n >= 1 {
-		t.Fatalf("uint64 Write under BlockPads allocated %v times per run, want amortized < 1", n)
+	}); n != 0 {
+		t.Fatalf("8 uint64 Writes under BlockPads allocated %v times per run, want 0", n)
 	}
 }
 

@@ -44,15 +44,15 @@ type MaxRegister[V comparable] struct {
 }
 
 // WithM injects the non-auditable max register substrate M (for example a
-// maxreg.LockedMax for cross-checking). It must hold the initial value passed
-// to NewMaxRegister with nonce 0.
+// maxreg.LockedMax for cross-checking, or a non-blocking maxreg.CASMax). It
+// must hold the initial value passed to NewMaxRegister with nonce 0.
 func WithM[V comparable](m maxreg.MaxReg[Nonced[V]]) Option[V] {
 	return func(c *config[V]) { c.mreg = m }
 }
 
 // NewMaxRegister returns an auditable max register for m readers holding
 // initial (with nonce 0), ordered by less. It takes the register's options;
-// R and V are chosen from the value type exactly as New chooses them.
+// R, V and M are chosen from the value type (see New and defaultM).
 func NewMaxRegister[V comparable](m int, initial V, less maxreg.Less[V], pads otp.PadSource, opts ...Option[V]) (*MaxRegister[V], error) {
 	if less == nil {
 		return nil, fmt.Errorf("core: ordering must not be nil")
@@ -68,12 +68,46 @@ func NewMaxRegister[V comparable](m int, initial V, less maxreg.Less[V], pads ot
 	reg := &MaxRegister[V]{body: body, less: less, mreg: cfg.mreg}
 	init := Nonced[V]{Val: initial}
 	if reg.mreg == nil {
-		reg.mreg = maxreg.NewCASMax(init, reg.lessNonced)
+		reg.mreg = defaultM(init, reg.lessNonced)
 	} else if got := reg.mreg.Read(); got != init {
 		return nil, fmt.Errorf("core: injected M holds %+v, want %+v", got, init)
 	}
 	return reg, nil
 }
+
+// defaultM picks M when none is injected, as defaultTripleReg picks R: for
+// word values CASMax's dominance loop over the seqlock register, which keeps
+// the pair in place, and CASMax itself otherwise.
+func defaultM[V comparable](init Nonced[V], less maxreg.Less[Nonced[V]]) maxreg.MaxReg[Nonced[V]] {
+	if _, ok := any(init.Val).(uint64); ok {
+		return &tripleM[V]{r: defaultTripleReg(shmem.Triple[V]{Val: init.Val, Nonce: init.Nonce}), less: less}
+	}
+	return maxreg.NewCASMax(init, less)
+}
+
+// tripleM is M held in a TripleReg's Val and Nonce, with Seq and Bits left at
+// 0, and raised by CASMax's dominance loop.
+type tripleM[V comparable] struct {
+	r    shmem.TripleReg[V]
+	less maxreg.Less[Nonced[V]]
+}
+
+// WriteMax implements maxreg.MaxReg.
+func (m *tripleM[V]) WriteMax(v Nonced[V]) {
+	next := shmem.Triple[V]{Val: v.Val, Nonce: v.Nonce}
+	for {
+		cur := m.r.Load()
+		if !m.less(nonced(cur), v) || m.r.CompareAndSwap(cur, next) {
+			return
+		}
+	}
+}
+
+// Read implements maxreg.MaxReg.
+func (m *tripleM[V]) Read() Nonced[V] { return nonced(m.r.Load()) }
+
+// nonced is the (Val, Nonce) pair a triple holds.
+func nonced[V comparable](t shmem.Triple[V]) Nonced[V] { return Nonced[V]{Val: t.Val, Nonce: t.Nonce} }
 
 // lessNonced orders Nonced pairs lexicographically: by user value, then by
 // nonce.
@@ -181,7 +215,7 @@ func (w *MaxWriter[V]) WriteMax(val V) error {
 		}
 
 		// Line 27: a value >= v is already installed.
-		if !w.reg.lessNonced(Nonced[V]{Val: t.Val, Nonce: t.Nonce}, v) {
+		if !w.reg.lessNonced(nonced(t), v) {
 			sn = t.Seq
 			break
 		}

@@ -32,15 +32,15 @@
 // and Auditor; only its writer differs.
 //
 // One deviation from the paper's model is opt-out rather than opt-in: for
-// word-sized values New defaults R to the allocation-free seqlock backend,
-// which is linearizable but not strictly wait-free — a mutator preempted
-// inside its few-instruction critical section briefly delays other
-// processes' steps on R. The paper's per-operation step bounds are
-// unchanged; only the assumption that every base-object primitive completes
-// regardless of other processes' speed is weakened to the scheduler not
-// parking a process inside those few instructions indefinitely. Inject
-// shmem.NewPtrTriple via WithTripleReg to restore fully wait-free base
-// objects at one heap allocation per mutation.
+// word-sized values R and a max register's M default to the allocation-free
+// seqlock backend, which is linearizable but not strictly wait-free — a
+// mutator preempted inside its few-instruction critical section briefly
+// delays other processes' steps on R or M. The paper's per-operation step
+// bounds are unchanged; only the assumption that every base-object primitive
+// completes regardless of other processes' speed is weakened to the scheduler
+// not parking a process inside those few instructions indefinitely. Inject
+// shmem.NewPtrTriple via WithTripleReg and a maxreg.CASMax via WithM to
+// restore non-blocking base objects at one heap allocation per mutation.
 package core
 
 import (

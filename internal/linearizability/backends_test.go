@@ -9,6 +9,7 @@ import (
 	"auditreg/internal/core"
 	"auditreg/internal/history"
 	"auditreg/internal/linearizability"
+	"auditreg/internal/maxreg"
 	"auditreg/internal/otp"
 	"auditreg/internal/sched"
 	"auditreg/internal/shmem"
@@ -40,10 +41,11 @@ func newBackendReg(t *testing.T, backend string, pads otp.PadSource) *core.Regis
 // and the allocation-free backend through scheduler-chosen interleavings and
 // checks every recorded history against the auditable-register specification:
 // the fast backend must be linearizable exactly where the reference is. The
-// maxreg arm does the same for Algorithm 2 over the R its uint64 default now
-// selects: under one seed the schedule is a function of the primitive
-// sequence alone, so the seqlock register must return, operation for
-// operation, what the ptr and locked references return.
+// maxreg arm does the same for Algorithm 2 over the R and M its uint64
+// default selects: under one seed the schedule is a function of the
+// primitive sequence alone, so the seqlock R and word M must return,
+// operation for operation, what the ptr and locked references of R return,
+// and what CASMax as M returns.
 func TestBackendEquivalenceUnderScheduler(t *testing.T) {
 	t.Parallel()
 	const seeds = 40
@@ -64,10 +66,11 @@ func TestBackendEquivalenceUnderScheduler(t *testing.T) {
 				t.Fatalf("pads: %v", err)
 			}
 			init := shmem.Triple[uint64]{Bits: pads.Mask(0) & otp.MaskBits(2)}
-			got := outputs(runScheduledMax(t, seed, pads)) // seqlock, by value type
+			got := outputs(runScheduledMax(t, seed, pads)) // seqlock R, word M: by value type
 			for name, ref := range map[string][]core.Option[uint64]{
 				"ptr":    {core.WithTripleReg[uint64](shmem.NewPtrTriple(init))},
 				"locked": {core.WithTripleReg[uint64](shmem.NewLockedTriple(init)), core.WithSeqReg[uint64](&shmem.LockedSeq{})},
+				"cas-M":  {core.WithM[uint64](maxreg.NewCASMax(core.Nonced[uint64]{}, lessNonced))},
 			} {
 				if want := outputs(runScheduledMax(t, seed, pads, ref...)); got != want {
 					t.Fatalf("seed %d: seqlock history differs from %s reference:\n%s\nvs\n%s", seed, name, got, want)
@@ -75,6 +78,14 @@ func TestBackendEquivalenceUnderScheduler(t *testing.T) {
 			}
 		}
 	})
+}
+
+// lessNonced is the order a uint64 max register keeps M in.
+func lessNonced(a, b core.Nonced[uint64]) bool {
+	if a.Val != b.Val {
+		return a.Val < b.Val
+	}
+	return a.Nonce < b.Nonce
 }
 
 // outputs renders what each process's operations returned, in program order

@@ -158,12 +158,7 @@ func TestAuditableLockedBackendCrossCheck(t *testing.T) {
 	reg, err := core.NewMaxRegister(m, 0, lessU64, pads,
 		core.WithTripleReg[uint64](locked),
 		core.WithSeqReg[uint64](&shmem.LockedSeq{}),
-		core.WithM[uint64](maxreg.NewLockedMax(init, func(a, b core.Nonced[uint64]) bool {
-			if a.Val != b.Val {
-				return a.Val < b.Val
-			}
-			return a.Nonce < b.Nonce
-		})),
+		core.WithM[uint64](maxreg.NewLockedMax(init, lessNonced)),
 	)
 	if err != nil {
 		t.Fatalf("NewMaxRegister: %v", err)
@@ -284,15 +279,24 @@ func TestQuickAuditableMatchesSpec(t *testing.T) {
 }
 
 // TestAuditableConcurrent verifies the quiescent audit-equivalence property
-// and read monotonicity under concurrent writers, readers, and auditors.
+// and read monotonicity under concurrent writers, readers, and auditors, over
+// each M.
 func TestAuditableConcurrent(t *testing.T) {
 	t.Parallel()
+	for name, opts := range mBackends {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			testAuditableConcurrent(t, newAuditable(t, 6, 0, opts()...))
+		})
+	}
+}
+
+func testAuditableConcurrent(t *testing.T, reg *core.MaxRegister[uint64]) {
 	const (
 		m       = 6
 		writers = 3
 		perProc = 150
 	)
-	reg := newAuditable(t, m, 0)
 
 	var wg sync.WaitGroup
 	returned := make([]map[uint64]struct{}, m)

@@ -4,8 +4,8 @@
 // It holds only the non-auditable substrate M that Algorithm 2's writers
 // share:
 //
-//   - CASMax: unbounded, lock-free, one atomic pointer + compare&swap; what
-//     every auditable max register uses;
+//   - CASMax: unbounded, lock-free, one atomic pointer + compare&swap; M for
+//     non-word values (core keeps a uint64 M in place in a seqlock register);
 //   - LockedMax: mutex reference implementation, never selected — tests
 //     cross-check CASMax against it.
 //

@@ -17,12 +17,12 @@ const MasksPerBlock = 4
 // under the same key.
 const blockDomain = 0xB1
 
-// DefaultPadWindow is the default number of pad blocks the lock-free window
-// cache of BlockPads retains (a power of two). It covers
-// DefaultPadWindow*MasksPerBlock consecutive sequence numbers, comfortably
-// more than the spread between the register's current sequence number and the
-// trailing writers and auditors that still decode it.
-const DefaultPadWindow = 64
+// DefaultPadWindow is the number of pad blocks BlockPads' window retains (a
+// power of two): 32 sequence numbers in 384 bytes. Pads are looked up only
+// near R's current sequence number — by writers for lsn and sn, by an auditor
+// for rsn alone, its history rows coming from B in plaintext — so the window
+// spans that spread, not an audit backlog.
+const DefaultPadWindow = 8
 
 // DerivationCounter is implemented by pad sources that count how many SHA-256
 // digest computations they have performed. Benchmarks use it to report
@@ -32,11 +32,13 @@ type DerivationCounter interface {
 	Derivations() uint64
 }
 
-// padBlock is one derived block: the four masks for sequence numbers
-// [4*idx, 4*idx+3].
-type padBlock struct {
-	idx   uint64
-	masks [MasksPerBlock]uint64
+// padSlot is one window entry, a 48-byte seqlock record: ver is odd while a
+// publisher rewrites the slot, idx holds the cached block index plus one (0
+// while empty), and masks holds that block's four pads.
+type padSlot struct {
+	ver   atomic.Uint64
+	idx   atomic.Uint64
+	masks [MasksPerBlock]atomic.Uint64
 }
 
 // BlockPads derives pads in blocks: one SHA-256 digest over
@@ -59,7 +61,7 @@ type BlockPads struct {
 	maskM uint64
 
 	windowMask  uint64
-	window      []atomic.Pointer[padBlock]
+	window      []padSlot
 	derivations atomic.Uint64
 }
 
@@ -74,8 +76,8 @@ func NewBlockPads(key Key, m int) (*BlockPads, error) {
 }
 
 // NewBlockPadsWindow is NewBlockPads with an explicit window size, which must
-// be a power of two. Smaller windows stress eviction in tests; larger windows
-// serve deeper incremental-audit backlogs without re-hashing.
+// be a power of two. Smaller windows stress eviction in tests; one wider than
+// DefaultPadWindow saves no digest (see there).
 func NewBlockPadsWindow(key Key, m, window int) (*BlockPads, error) {
 	if m < 1 || m > MaxReaders {
 		return nil, fmt.Errorf("otp: m must be in [1, %d], got %d", MaxReaders, m)
@@ -88,7 +90,7 @@ func NewBlockPadsWindow(key Key, m, window int) (*BlockPads, error) {
 		m:          m,
 		maskM:      MaskBits(m),
 		windowMask: uint64(window - 1),
-		window:     make([]atomic.Pointer[padBlock], window),
+		window:     make([]padSlot, window),
 	}, nil
 }
 
@@ -98,31 +100,35 @@ func (p *BlockPads) Readers() int { return p.m }
 // Derivations implements DerivationCounter.
 func (p *BlockPads) Derivations() uint64 { return p.derivations.Load() }
 
-// Mask implements PadSource. A hit in the window cache is two atomic loads;
-// a miss derives the whole four-mask block and publishes it. Concurrent
-// misses on the same block may derive it more than once; the derivation is
-// deterministic, so every copy is identical and last-publish-wins is safe.
+// Mask implements PadSource, allocation-free. A hit reads the slot's version
+// and index, then the mask, then the version again. A miss derives the whole
+// block by value and publishes it only if it wins the slot's version CAS; a
+// loser, like a racing miss on the same block, serves its identical copy.
 func (p *BlockPads) Mask(s uint64) uint64 {
 	b := s / MasksPerBlock
 	slot := &p.window[b&p.windowMask]
-	if blk := slot.Load(); blk != nil && blk.idx == b {
-		return blk.masks[s%MasksPerBlock] & p.maskM
+	if v := slot.ver.Load(); v&1 == 0 && slot.idx.Load() == b+1 {
+		m := slot.masks[s%MasksPerBlock].Load()
+		if slot.ver.Load() == v {
+			return m
+		}
 	}
-	blk := p.derive(b)
-	slot.Store(blk)
-	return blk.masks[s%MasksPerBlock] & p.maskM
-}
-
-// derive computes the block for index b, to be cached in the window.
-func (p *BlockPads) derive(b uint64) *padBlock {
-	return &padBlock{idx: b, masks: p.Block(b)}
+	masks := p.Block(b)
+	if v := slot.ver.Load(); v&1 == 0 && slot.ver.CompareAndSwap(v, v+1) {
+		for i, m := range masks {
+			slot.masks[i].Store(m)
+		}
+		slot.idx.Store(b + 1)
+		slot.ver.Store(v + 2)
+	}
+	return masks[s%MasksPerBlock]
 }
 
 // Block returns the four masks of block b — Mask(4b) .. Mask(4b+3) — by
 // value, past the window: one SHA-256 over 41 bytes (a single
 // compression-function call), cut into four little-endian words. A
 // sequential pass that visits every block once (a recovery scan) gains
-// nothing from a cached block and would pay one allocation for each.
+// nothing from the window.
 func (p *BlockPads) Block(b uint64) [MasksPerBlock]uint64 {
 	p.derivations.Add(1)
 	var buf [41]byte

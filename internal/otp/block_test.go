@@ -3,8 +3,10 @@ package otp_test
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"fmt"
 	"math/rand/v2"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -169,43 +171,65 @@ func TestBlockPadsAmortizedDerivations(t *testing.T) {
 	}
 }
 
-// TestBlockPadsConcurrent hammers one source from many goroutines; run under
-// -race this checks the lock-free window, and the per-goroutine comparison
-// against the naive derivation checks that racing publishes never serve a
-// wrong block.
+// TestBlockPadsConcurrent hammers one source from many goroutines through a
+// window of one and of two slots, so nearly every lookup fights over a slot
+// another goroutine is rewriting. Each mask is compared against the naive
+// derivation: a slot whose index is published outside the version's odd
+// window, or a hit that skips the version re-check, serves a torn block.
 func TestBlockPadsConcurrent(t *testing.T) {
 	t.Parallel()
 	key := otp.KeyFromSeed(21)
 	const m = 64
-	p, err := otp.NewBlockPadsWindow(key, m, 4)
-	if err != nil {
-		t.Fatalf("NewBlockPadsWindow: %v", err)
-	}
-	var wg sync.WaitGroup
-	errs := make(chan string, 8)
-	for g := 0; g < 8; g++ {
-		g := g
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			rng := rand.New(rand.NewPCG(uint64(g), 9))
-			for i := 0; i < 3000; i++ {
-				s := rng.Uint64N(256)
-				if got, want := p.Mask(s), naiveBlockMask(key, m, s); got != want {
-					select {
-					case errs <- "mask mismatch under concurrency":
-					default:
-					}
-					return
-				}
+	for _, window := range []int{1, 2} {
+		t.Run(fmt.Sprintf("window=%d", window), func(t *testing.T) {
+			t.Parallel()
+			p, err := otp.NewBlockPadsWindow(key, m, window)
+			if err != nil {
+				t.Fatalf("NewBlockPadsWindow: %v", err)
 			}
-		}()
+			var want [16]uint64 // four blocks
+			for s := range want {
+				want[s] = naiveBlockMask(key, m, uint64(s))
+			}
+			var wg sync.WaitGroup
+			var bad atomic.Uint64
+			for g := 0; g < 8; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					rng := rand.New(rand.NewPCG(uint64(g), 9))
+					for i := 0; i < 3000; i++ {
+						s := rng.Uint64N(uint64(len(want)))
+						if p.Mask(s) != want[s] {
+							bad.Add(1)
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			if n := bad.Load(); n != 0 {
+				t.Fatalf("%d of 24000 masks wrong under concurrency", n)
+			}
+		})
 	}
-	wg.Wait()
-	select {
-	case msg := <-errs:
-		t.Fatal(msg)
-	default:
+}
+
+// TestBlockPadsAllocationFree: a window miss derives its block by value and
+// publishes it into the slot in place, so neither a scan that misses once per
+// block nor the hits between allocate.
+func TestBlockPadsAllocationFree(t *testing.T) {
+	p, err := otp.NewBlockPads(otp.KeyFromSeed(5), 32)
+	if err != nil {
+		t.Fatalf("NewBlockPads: %v", err)
+	}
+	var s uint64
+	if n := testing.AllocsPerRun(100, func() {
+		for range 8 { // two blocks: two misses, six hits
+			p.Mask(s)
+			s++
+		}
+	}); n != 0 {
+		t.Fatalf("8 Mask lookups allocated %v times per run, want 0", n)
 	}
 }
 

@@ -27,11 +27,10 @@ func newBenchConn(t testing.TB) (*Server, *conn) {
 // TestServerFastPathAllocationFree pins the server's request fast path at
 // zero heap allocations per op: decode-in-place request views, in-place
 // store operations, and response encodes into a reused buffer. The silent
-// read — the paper's common case — is exactly zero; the write and effective
-// fetch paths (the fetch includes the server's own helping announce) are
-// bounded below one allocation per op (the store's block pad derivation
-// amortizes one small block over four sequence numbers; see internal/core's
-// alloc tests).
+// read — the paper's common case — the write and the effective fetch (which
+// includes the server's own helping announce) are all exactly zero: the
+// store's pad window derives a missing block by value and keeps it in place
+// (see internal/core's alloc tests).
 func TestServerFastPathAllocationFree(t *testing.T) {
 	srv, c := newBenchConn(t)
 	const name = "alloc/reg"
@@ -71,18 +70,18 @@ func TestServerFastPathAllocationFree(t *testing.T) {
 		t.Fatalf("silent read-fetch allocated %v times per run", n)
 	}
 
-	// Repeated same-value writes: the handler and wire layers add zero; the
-	// register's pad stream amortizes one block per four sequence numbers.
+	// Repeated same-value writes: the handler and wire layers add zero, and
+	// so does the register, pad blocks included.
 	if n := testing.AllocsPerRun(1000, func() {
 		if _, v, _ := c.handleWrite(wbody, dst[:0]); v != wire.VerbWrite {
 			t.Fatal("write failed")
 		}
-	}); n >= 1 {
-		t.Fatalf("write allocated %v times per run, want < 1 (amortized pad blocks only)", n)
+	}); n != 0 {
+		t.Fatalf("write allocated %v times per run, want 0", n)
 	}
 
 	// Effective fetch: reader 1 lags, fetch&xor plus the helping announce
-	// plus masked response. Same amortized bound. The request body is patched in place (PrevSeq is its
+	// plus masked response. Also zero. The request body is patched in place (PrevSeq is its
 	// last 8 bytes), as a pipelining client's encoder would reuse its
 	// buffer.
 	f1body := (&wire.ReadFetchReq{Name: name, Reader: 1, PrevSeq: 0}).Append(nil)
@@ -104,8 +103,8 @@ func TestServerFastPathAllocationFree(t *testing.T) {
 			t.Fatal("write failed")
 		}
 		seq = fetch1(seq)
-	}); n >= 2 {
-		t.Fatalf("write+fetch pair allocated %v times per run, want < 2", n)
+	}); n != 0 {
+		t.Fatalf("write+fetch pair allocated %v times per run, want 0", n)
 	}
 }
 
@@ -113,8 +112,7 @@ func TestServerFastPathAllocationFree(t *testing.T) {
 // the dispatch loops add — the exact observe sequence a routed request pays:
 // conn-decode on the reader, queue-wait + store-op under the shard, and the
 // handler itself. Telemetry must be free on the paths it measures: the
-// silent read stays at exactly zero allocations, the write keeps its
-// amortized sub-one bound.
+// silent read and the write stay at exactly zero allocations.
 func TestInstrumentedPathAllocationFree(t *testing.T) {
 	srv, c := newBenchConn(t)
 	const name = "alloc/telem"
@@ -159,17 +157,18 @@ func TestInstrumentedPathAllocationFree(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(1000, func() {
 		instrumented(wbody, wire.VerbWrite)
-	}); n >= 1 {
-		t.Fatalf("instrumented write allocated %v times per run, want < 1", n)
+	}); n != 0 {
+		t.Fatalf("instrumented write allocated %v times per run, want 0", n)
 	}
 }
 
 // TestDurableWriteAllocations pins a durable write's whole server-side cost:
 // the handler, then the Wait of the Commit it hands the completion stage,
 // which returns once the record is through fdatasync. Neither the Commit nor
-// the WAL's ticket behind it allocates, and the commit loop's keystream
-// cursor derives its pad blocks by value, so what is left is the register's
-// amortized pad block: under one allocation per write.
+// the WAL's ticket behind it allocates, the commit loop's keystream cursor
+// derives its pad blocks by value, and the register's pad window keeps its
+// blocks in place: a durable write reads 0. The bound stays under one
+// because the ticket comes from a sync.Pool, which a collection may empty.
 func TestDurableWriteAllocations(t *testing.T) {
 	if race.Enabled {
 		t.Skip("a sync.Pool discards at random under -race")

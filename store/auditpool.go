@@ -169,7 +169,8 @@ func (p *AuditPool[V]) auditOne(name string, obj *Object[V]) (*auditCursor[V], e
 	})
 	if err := cur.audit(); err != nil {
 		p.errs.Add(1)
-		p.lastErr.Store(&err)
+		e := err // stored by address: a copy here keeps err itself off the heap
+		p.lastErr.Store(&e)
 		return nil, err
 	}
 	p.audited.Add(1)
@@ -305,7 +306,8 @@ func newAuditCursor[V comparable](obj *Object[V]) *auditCursor[V] {
 }
 
 // audit advances the cursor by one incremental audit and publishes the
-// resulting cumulative report.
+// cumulative report if it grew (audit sets only grow, so an unchanged pair
+// count is an unchanged set): an idle sweep allocates nothing.
 func (c *auditCursor[V]) audit() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -319,12 +321,14 @@ func (c *auditCursor[V]) audit() error {
 	if err != nil {
 		return fmt.Errorf("store: pool audit %q: %w", c.obj.name, err)
 	}
-	c.rep.Store(&rep)
+	if old := c.rep.Load(); old == nil || old.Len() != rep.Len() {
+		published := rep
+		c.rep.Store(&published)
+	}
 	// Journal the cursor advance so recovery knows which objects had
-	// published reports — but only when the report actually grew (audit
-	// sets only grow, so an unchanged pair count is an unchanged set):
-	// idle sweeps must not trickle-fill the log. Journals never block on
-	// these (derived state).
+	// published reports — but only when the report actually grew: idle
+	// sweeps must not trickle-fill the log. Journals never block on these
+	// (derived state).
 	if j := c.obj.st.journal; j != nil && rep.Len() != c.journaled {
 		if err := j.Record(JournalRecord[V]{Op: JournalAudit, Name: c.obj.name, Kind: c.obj.kind, Pairs: rep.Len()}); err != nil {
 			return fmt.Errorf("store: pool audit %q: journal: %w", c.obj.name, err)

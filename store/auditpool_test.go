@@ -346,3 +346,50 @@ func TestPoolOptionValidation(t *testing.T) {
 		t.Error("zero interval must fail")
 	}
 }
+
+// TestIdlePoolSweepAllocationFree pins what a sweep costs when nothing
+// happened since the last one: every cursor re-audits, finds its set
+// unchanged, and keeps the report it already published, so a Flush over
+// idle registers and max registers allocates nothing. A report that grew is
+// published afresh.
+func TestIdlePoolSweepAllocationFree(t *testing.T) {
+	st := newTestStore(t)
+	for i := 0; i < 16; i++ {
+		kind := []store.Kind{store.Register, store.MaxRegister}[i%2]
+		name := fmt.Sprintf("idle-%02d", i)
+		if _, err := st.Open(name, kind); err != nil {
+			t.Fatalf("Open(%s): %v", name, err)
+		}
+		if err := st.Write(name, uint64(i+1)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := st.Read(name, i%8); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pool, err := st.NewAuditPool()
+	if err != nil {
+		t.Fatalf("NewAuditPool: %v", err)
+	}
+	if err := pool.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	before, _ := pool.Report("idle-03")
+	if n := testing.AllocsPerRun(100, func() {
+		if err := pool.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("idle Flush over 16 objects allocated %v times per run, want 0", n)
+	}
+	if _, err := st.Read("idle-03", 7); err != nil {
+		t.Fatal(err)
+	}
+	if err := pool.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	after, _ := pool.Report("idle-03")
+	if before.Len() != 1 || after.Len() != 2 || !after.Report.Contains(7, 4) {
+		t.Fatalf("reports %v then %v, want (3, 4) then also (7, 4)", before.Report, after.Report)
+	}
+}
