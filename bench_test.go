@@ -437,7 +437,7 @@ func BenchmarkE10SnapshotUpdate(b *testing.B) {
 }
 
 func BenchmarkE10SnapshotScan(b *testing.B) {
-	for _, n := range []int{2, 8} {
+	for _, n := range []int{2, 8, 16} {
 		b.Run(benchName("afek/n", n), func(b *testing.B) {
 			s, err := snapshot.NewAfek(n, uint64(0))
 			if err != nil {

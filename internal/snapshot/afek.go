@@ -4,6 +4,8 @@
 // it Algorithm 3 of "Auditing without Leaks Despite Curiosity": an auditable
 // snapshot whose effective scans are audited and whose scans/updates are
 // uncompromised by scanners.
+// Algorithm 3's M holds version numbers, words, so it takes core's seqlock
+// trade: linearizable, but a process parked mid-mutation delays the others.
 package snapshot
 
 import (

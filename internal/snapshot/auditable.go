@@ -4,12 +4,14 @@ import (
 	"fmt"
 	"hash/maphash"
 	"math/bits"
+	"sync/atomic"
 	"unsafe"
 
 	"auditreg/internal/core"
 	"auditreg/internal/handle"
 	"auditreg/internal/otp"
 	"auditreg/internal/probe"
+	"auditreg/internal/unbounded"
 )
 
 // Store is the substrate snapshot interface of Algorithm 3: any linearizable,
@@ -44,22 +46,25 @@ type comp[V comparable] struct {
 	val V
 }
 
-// view is the value type written to the auditable max register M: the
-// version number paired with an immutable snapshot view. Pointer identity
-// stands in for content equality: version numbers uniquely identify states
-// along the linearization of S, so any two views with the same vn have equal
-// content.
-type view[V comparable] struct {
-	vn uint64
-	// data points at the first of the view's n components. A slice would
-	// make view incomparable and a pointer to one costs a second
-	// allocation per update; every holder knows the object's n.
-	data *V
-}
+// viewLog holds the views Algorithm 3 publishes, &data[0] of n components,
+// indexed by version number; M holds the number alone. A slot is set once, by
+// CAS from nil, before its vn reaches M. Two updaters whose scans returned
+// one vn saw one state of S (the sum of the tags grows by one per update), so
+// the CAS's loser loses nothing. Chunks are allocated on first use.
+type viewLog[V any] []atomic.Pointer[[logChunk]atomic.Pointer[V]]
 
-// slice returns the view's n components: v.data is &s[0] of an s made with
-// length n, here or in NewAuditable. Read-only.
-func (v view[V]) slice(n int) []V { return unsafe.Slice(v.data, n) }
+const logChunk = 1 << 10 // views a chunk of the log holds
+
+// slot returns vn's slot, allocating its chunk if it has none.
+func (l viewLog[V]) slot(vn uint64) (*atomic.Pointer[V], error) {
+	if vn/logChunk >= uint64(len(l)) {
+		return nil, fmt.Errorf("snapshot: version %d beyond the view log's capacity %d", vn, len(l)*logChunk)
+	}
+	if d := &l[vn/logChunk]; d.Load() == nil {
+		d.CompareAndSwap(nil, new([logChunk]atomic.Pointer[V]))
+	}
+	return &l[vn/logChunk].Load()[vn%logChunk], nil
+}
 
 // ViewEntry is one audited snapshot access: the scanner and the view it
 // effectively obtained.
@@ -73,16 +78,19 @@ type ViewEntry[V comparable] struct {
 // Auditable is the auditable n-component snapshot of Algorithm 3, built from
 // a non-auditable snapshot S and an auditable max register M (Algorithm 2).
 //
-// Guarantees (Theorem 12): wait-free and linearizable; audits report exactly
-// the effective scans; scans are uncompromised by other scanners; updates are
-// uncompromised by scanners.
+// Guarantees (Theorem 12): linearizable; audits report exactly the effective
+// scans; scans are uncompromised by other scanners; updates are uncompromised
+// by scanners. Wait-free but for package core's seqlock trade, which M takes
+// since it holds a word: a preempted mutator briefly delays others' steps.
 //
 // Construct with NewAuditable.
 type Auditable[V comparable] struct {
-	n    int
-	m    int
-	s    Store[comp[V]]
-	mreg *core.MaxRegister[view[V]]
+	n     int
+	m     int
+	s     Store[comp[V]]
+	mreg  *core.MaxRegister[uint64]
+	init  []V // the view of vn 0, outside the log: opening allocates no chunk
+	views viewLog[V]
 }
 
 // AuditableOption configures an auditable snapshot.
@@ -131,16 +139,23 @@ func NewAuditable[V comparable](n, m int, initial V, pads otp.PadSource, opts ..
 	for i := range initData {
 		initData[i] = initial
 	}
-	initView := view[V]{vn: 0, data: &initData[0]}
-	mreg, err := core.NewMaxRegister(m, initView,
-		func(a, b view[V]) bool { return a.vn < b.vn },
-		pads,
-		core.WithCapacity[view[V]](cfg.capacity),
-	)
+	mreg, err := core.NewMaxRegister(m, 0, func(a, b uint64) bool { return a < b }, pads, core.WithCapacity[uint64](cfg.capacity))
 	if err != nil {
 		return nil, err
 	}
-	return &Auditable[V]{n: n, m: m, s: store, mreg: mreg}, nil
+	// An update returns only past a raise of M made during it, and a raise falls
+	// within one update per component at most: vn <= n·(rows+1) until M overflows.
+	rows := unbounded.Slots(cfg.capacity)
+	return &Auditable[V]{n: n, m: m, s: store, mreg: mreg, init: initData, views: make(viewLog[V], n*(rows+1)/logChunk+1)}, nil
+}
+
+// viewAt returns the view published under vn. M holds no vn whose view was
+// not published first. Read-only.
+func (reg *Auditable[V]) viewAt(vn uint64) []V {
+	if vn == 0 {
+		return reg.init
+	}
+	return unsafe.Slice(reg.views[vn/logChunk].Load()[vn%logChunk].Load(), reg.n)
 }
 
 // Components returns the number of components n.
@@ -156,7 +171,8 @@ type SnapUpdater[V comparable] struct {
 	sn    uint64
 	s     StoreUpdater[comp[V]]
 	sview []comp[V] // line 3's scan result; looked at, never published
-	mw    *core.MaxWriter[view[V]]
+	views viewLog[V]
+	mw    *core.MaxWriter[uint64]
 	pid   int
 	probe probe.Probe
 }
@@ -181,14 +197,15 @@ func (reg *Auditable[V]) Updater(i int, nonces otp.NonceSource, opts ...core.Han
 	// would drop its views.
 	sview := make([]comp[V], reg.n)
 	s.ScanInto(sview)
-	return &SnapUpdater[V]{i: i, sn: sview[i].sn, s: s, sview: sview, mw: mw, pid: cfg.PID, probe: cfg.Probe}, nil
+	return &SnapUpdater[V]{i: i, sn: sview[i].sn, s: s, sview: sview, views: reg.views, mw: mw, pid: cfg.PID, probe: cfg.Probe}, nil
 }
 
 // Component returns the component index this handle updates.
 func (u *SnapUpdater[V]) Component() int { return u.i }
 
 // Update sets component i to v: bump the local sequence number, install the
-// tagged value in S, scan S, and publish (version, view) to M (lines 2-5).
+// tagged value in S, scan S, publish the view under its version number, and
+// raise M to that number (lines 2-5).
 func (u *SnapUpdater[V]) Update(v V) error {
 	// Line 2: sn_i++ ; S.update_i((sn_i, v)).
 	u.sn++
@@ -201,26 +218,41 @@ func (u *SnapUpdater[V]) Update(v V) error {
 	u.s.ScanInto(u.sview)
 	u.probe.Emit(probe.Event{PID: u.pid, Kind: probe.Return, Prim: probe.SScan})
 
-	// The stripped view is what M publishes and scanners and auditors
-	// keep: the one thing this update allocates itself.
 	var vn uint64
-	data := make([]V, len(u.sview))
-	for k, c := range u.sview {
+	for _, c := range u.sview {
 		vn += c.sn
-		data[k] = c.val // line 4: strip the tags
+	}
+	slot, err := u.views.slot(vn)
+	if err != nil {
+		return err
+	}
+	// The stripped view is what scanners and auditors keep: the one thing
+	// this update allocates itself, unless another updater published vn.
+	// It is published before vn reaches M, so whoever reads vn finds it.
+	if slot.Load() == nil {
+		data := make([]V, len(u.sview))
+		for k, c := range u.sview {
+			data[k] = c.val // line 4: strip the tags
+		}
+		slot.CompareAndSwap(nil, &data[0])
 	}
 
-	// Line 5: M.writeMax((vn, view)).
-	return u.mw.WriteMax(view[V]{vn: vn, data: &data[0]})
+	// Line 5: M.writeMax((vn, view)), the view being the one under vn.
+	return u.mw.WriteMax(vn)
 }
 
 // SnapScanner is the per-process scan handle (Algorithm 3 lines 6-7): a scan
 // is a single read of the auditable max register M, so it is effective — and
 // audited — exactly when that read is.
 type SnapScanner[V comparable] struct {
-	mr *core.Reader[view[V]]
-	j  int
-	n  int
+	mr    *core.Reader[uint64]
+	j     int
+	views viewLog[V]
+	// The version last read, its view and its log chunk: a silent scan
+	// skips the log, an effective one the directory until vn leaves chunk.
+	vn    uint64
+	view  []V
+	chunk *[logChunk]atomic.Pointer[V]
 }
 
 // Scanner returns the handle for scanner j (0 <= j < m). Not safe for
@@ -230,7 +262,7 @@ func (reg *Auditable[V]) Scanner(j int, opts ...core.HandleOption) (*SnapScanner
 	if err != nil {
 		return nil, err
 	}
-	return &SnapScanner[V]{mr: mr, j: j, n: reg.n}, nil
+	return &SnapScanner[V]{mr: mr, j: j, views: reg.views, view: reg.init}, nil
 }
 
 // Index returns the scanner's index j.
@@ -238,9 +270,14 @@ func (sc *SnapScanner[V]) Index() int { return sc.j }
 
 // Scan returns an atomic view of the snapshot.
 func (sc *SnapScanner[V]) Scan() []V {
-	v := sc.mr.Read().slice(sc.n)
-	out := make([]V, len(v))
-	copy(out, v)
+	if vn := sc.mr.Read(); vn != sc.vn {
+		if sc.chunk == nil || vn/logChunk != sc.vn/logChunk {
+			sc.chunk = sc.views[vn/logChunk].Load()
+		}
+		sc.vn, sc.view = vn, unsafe.Slice(sc.chunk[vn%logChunk].Load(), len(sc.view))
+	}
+	out := make([]V, len(sc.view))
+	copy(out, sc.view)
 	return out
 }
 
@@ -250,8 +287,8 @@ func (sc *SnapScanner[V]) Scan() []V {
 // hash index over it, and folds in M's decrypted rows directly — M's auditor
 // keeps no set of its own — so an audit costs the rows M's cursor scans.
 type SnapAuditor[V comparable] struct {
-	ma  *core.Auditor[view[V]]
-	n   int
+	ma  *core.Auditor[uint64]
+	reg *Auditable[V]
 	out []ViewEntry[V] // distinct by (scanner, view content); append-only
 	// index is an open-addressed table of 1+position into out (0: empty),
 	// a power of two at least twice len(out): four bytes per slot is what
@@ -268,7 +305,7 @@ type SnapAuditor[V comparable] struct {
 
 // Auditor returns an auditor handle with its own cumulative audit set.
 func (reg *Auditable[V]) Auditor(opts ...core.HandleOption) *SnapAuditor[V] {
-	return &SnapAuditor[V]{ma: reg.mreg.Auditor(opts...), n: reg.n, seed: maphash.MakeSeed()}
+	return &SnapAuditor[V]{ma: reg.mreg.Auditor(opts...), reg: reg, seed: maphash.MakeSeed()}
 }
 
 // Audit reports the set of (scanner, view) pairs such that the scanner has an
@@ -283,11 +320,13 @@ func (a *SnapAuditor[V]) Audit() ([]ViewEntry[V], error) {
 	return a.out[:len(a.out):len(a.out)], nil
 }
 
-// foldRow adds one of M's decrypted rows, scanners in ascending order: the
-// order M's own set would have listed them in.
-func (a *SnapAuditor[V]) foldRow(v view[V], readers uint64) {
+// foldRow adds one of M's decrypted rows, the view under vn for each of its
+// scanners in ascending order: the order M's own set would have listed them
+// in.
+func (a *SnapAuditor[V]) foldRow(vn uint64, readers uint64) {
+	v := a.reg.viewAt(vn)
 	for r := readers; r != 0; r &= r - 1 {
-		a.add(ViewEntry[V]{Reader: bits.TrailingZeros64(r), View: v.slice(a.n)})
+		a.add(ViewEntry[V]{Reader: bits.TrailingZeros64(r), View: v})
 	}
 }
 

@@ -2,12 +2,17 @@ package snapshot_test
 
 import (
 	"math/rand"
+	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
 	"time"
 
+	"auditreg/internal/core"
 	"auditreg/internal/otp"
+	"auditreg/internal/probe"
 	"auditreg/internal/snapshot"
 	"auditreg/internal/spec"
 )
@@ -355,6 +360,180 @@ func TestIncrementalAuditEqualsRebuild(t *testing.T) {
 		}
 		if len(observed) < 20 {
 			t.Fatalf("seed %d: only %d distinct views observed; the script is too short to grow the index", seed, len(observed))
+		}
+	}
+}
+
+// TestScanFindsEveryPublishedVersion holds the view log to its one invariant:
+// a version number read from M resolves to the view published under it, and
+// that view never changes. Updater i writes its own update count, so a view
+// is the state of S whose version number is the sum of its components. Every
+// scan and every audit row, while n updaters race, must resolve its version
+// number to a view of that sum; every process that resolves one version must
+// find the same view, the one the log holds at the end; and the views, in
+// version order, must grow component-wise, as the states of S do. Updaters
+// yield at every step, so that two of them often scan the same state of S and
+// publish the same version number. A watcher reads the log directly, not
+// through M: it sees a slot the moment it is set, before its version number
+// can reach M, so a second store to the slot shows.
+func TestScanFindsEveryPublishedVersion(t *testing.T) {
+	t.Parallel()
+	const n, m, per = 4, 3, 400
+	reg := newAuditableSnap(t, n, m, 0, snapshot.WithSnapshotCapacity[uint64](n*per+1))
+
+	// records[p] is process p's view of each version it resolved: scanners
+	// 0..m-1, then the auditor, then the watcher.
+	records := make([]map[uint64]*uint64, m+2)
+	check := func(p int, vn uint64, view []uint64) bool {
+		var sum uint64
+		for _, x := range view {
+			sum += x
+		}
+		if len(view) != n || sum != vn {
+			t.Errorf("process %d: version %d resolved to %v", p, vn, view)
+			return false
+		}
+		if q, ok := records[p][vn]; ok && q != &view[0] {
+			t.Errorf("process %d: version %d resolved to two views", p, vn)
+			return false
+		}
+		records[p][vn] = &view[0]
+		return true
+	}
+
+	var updaters, others sync.WaitGroup
+	done := make(chan struct{})
+	// spin calls f, yielding in between, until f fails or the updaters are
+	// done.
+	spin := func(f func() bool) {
+		others.Add(1)
+		go func() {
+			defer others.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if !f() {
+					return
+				}
+				runtime.Gosched()
+			}
+		}()
+	}
+	yield := core.WithProbe(func(probe.Event) { runtime.Gosched() })
+	for i := 0; i < n; i++ {
+		u, err := reg.Updater(i, otp.NewSeededNonces(uint64(i)+1, uint8(i)), yield)
+		if err != nil {
+			t.Fatalf("Updater: %v", err)
+		}
+		updaters.Add(1)
+		go func() {
+			defer updaters.Done()
+			for k := uint64(1); k <= per; k++ {
+				if err := u.Update(k); err != nil {
+					t.Errorf("update: %v", err)
+					return
+				}
+			}
+		}()
+	}
+	for j := range records {
+		records[j] = map[uint64]*uint64{}
+	}
+	for j := 0; j < m; j++ {
+		sc, err := reg.Scanner(j)
+		if err != nil {
+			t.Fatalf("Scanner: %v", err)
+		}
+		spin(func() bool {
+			got := sc.Scan()
+			vn, view := snapshot.LastScan(sc)
+			return check(j, vn, view) && equalViews(got, view)
+		})
+	}
+	audit := snapshot.AuditVersions(reg, func(vn uint64, view []uint64, _ uint64) { check(m, vn, view) })
+	spin(func() bool {
+		err := audit()
+		if err != nil {
+			t.Errorf("audit: %v", err)
+		}
+		return err == nil
+	})
+	top := uint64(1) // the highest version the watcher has seen published
+	spin(func() bool {
+		for vn := top - min(top-1, 8); vn <= top+8; vn++ {
+			if p := snapshot.Published(reg, vn); p != nil {
+				if q, ok := records[m+1][vn]; ok && q != p {
+					t.Errorf("watcher: the view under version %d changed", vn)
+					return false
+				}
+				records[m+1][vn], top = p, max(top, vn)
+			}
+		}
+		return true
+	})
+	updaters.Wait()
+	close(done)
+	others.Wait()
+
+	all := map[uint64]*uint64{}
+	for _, r := range records {
+		for vn, p := range r {
+			if q, ok := all[vn]; ok && q != p {
+				t.Fatalf("version %d resolved to two views by two processes", vn)
+			}
+			all[vn] = p
+		}
+	}
+	vns := make([]uint64, 0, len(all))
+	for vn, p := range all {
+		if view := snapshot.ViewAt(reg, vn); &view[0] != p {
+			t.Fatalf("version %d: the log holds %v, not the view it was resolved to", vn, view)
+		}
+		vns = append(vns, vn)
+	}
+	slices.Sort(vns)
+	for k := 1; k < len(vns); k++ {
+		prev, next := snapshot.ViewAt(reg, vns[k-1]), snapshot.ViewAt(reg, vns[k])
+		for i := range next {
+			if next[i] < prev[i] {
+				t.Fatalf("version %d holds %v after version %d holds %v", vns[k], next, vns[k-1], prev)
+			}
+		}
+	}
+	if len(records[m+1]) < per {
+		t.Fatalf("the watcher saw %d versions published, want at least %d", len(records[m+1]), per)
+	}
+}
+
+// TestViewLogNeverOverflowsFirst races updaters on a short history until it
+// overflows: the view log is sized from the history, so the error every
+// updater gets is the history's, never the log's.
+func TestViewLogNeverOverflowsFirst(t *testing.T) {
+	t.Parallel()
+	const n = 4
+	reg := newAuditableSnap(t, n, 2, 0, snapshot.WithSnapshotCapacity[uint64](64))
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		u, err := reg.Updater(i, otp.NewSeededNonces(uint64(i)+1, uint8(i)))
+		if err != nil {
+			t.Fatalf("Updater: %v", err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := uint64(1); errs[i] == nil; k++ {
+				errs[i] = u.Update(k)
+			}
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if !strings.HasPrefix(err.Error(), "unbounded:") {
+			t.Errorf("updater %d: %v, want the history's overflow", i, err)
 		}
 	}
 }

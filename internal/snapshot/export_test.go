@@ -28,10 +28,35 @@ func ReferenceAuditor[V comparable](reg *Auditable[V]) func() ([]ViewEntry[V], e
 		}
 		var out []ViewEntry[V]
 		for _, e := range rep.Entries() {
-			if v := e.Value.slice(reg.n); !ContainsView(out, e.Reader, v) {
+			if v := reg.viewAt(e.Value); !ContainsView(out, e.Reader, v) {
 				out = append(out, ViewEntry[V]{Reader: e.Reader, View: v})
 			}
 		}
 		return out, nil
 	}
+}
+
+// LastScan returns the version number sc last read from M and the view it
+// resolved that number to: the handle's cache, which the next silent Scan
+// copies.
+func LastScan[V comparable](sc *SnapScanner[V]) (vn uint64, view []V) { return sc.vn, sc.view }
+
+// ViewAt returns the view reg's log resolves vn to.
+func ViewAt[V comparable](reg *Auditable[V], vn uint64) []V { return reg.viewAt(vn) }
+
+// AuditVersions runs an audit of reg's M and hands emit each decrypted row:
+// the version number, the view the log resolves it to, and the scanners.
+func AuditVersions[V comparable](reg *Auditable[V], emit func(vn uint64, view []V, readers uint64)) func() error {
+	ma := reg.mreg.Auditor()
+	return func() error {
+		return ma.AuditRows(func(vn, readers uint64) { emit(vn, reg.viewAt(vn), readers) })
+	}
+}
+
+// Published returns what reg's log holds under vn, nil if nothing.
+func Published[V comparable](reg *Auditable[V], vn uint64) *V {
+	if s, err := reg.views.slot(vn); err == nil {
+		return s.Load()
+	}
+	return nil
 }

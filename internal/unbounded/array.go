@@ -21,6 +21,15 @@ const (
 // DefaultCapacity is the default maximum index plus one.
 const DefaultCapacity = 1 << 24
 
+// Slots returns how many slots a structure built with the given capacity
+// addresses: the capacity, DefaultCapacity for 0, rounded up to whole chunks.
+func Slots(capacity int) int {
+	if capacity == 0 {
+		capacity = DefaultCapacity
+	}
+	return (capacity + chunkSize - 1) &^ (chunkSize - 1)
+}
+
 // Array is an unbounded array of T with atomic Store and Load per slot.
 // Slots follow the register semantics of the paper's V[s]: concurrent stores
 // to the same slot always carry the same value (established by Lemma 18), so
@@ -38,14 +47,10 @@ type chunk[T any] struct {
 // NewArray returns an array addressable on [0, capacity). A capacity of 0
 // selects DefaultCapacity.
 func NewArray[T any](capacity int) (*Array[T], error) {
-	if capacity == 0 {
-		capacity = DefaultCapacity
-	}
 	if capacity < 0 {
 		return nil, fmt.Errorf("unbounded: negative capacity %d", capacity)
 	}
-	nChunks := (capacity + chunkSize - 1) / chunkSize
-	return &Array[T]{dir: make([]atomic.Pointer[chunk[T]], nChunks)}, nil
+	return &Array[T]{dir: make([]atomic.Pointer[chunk[T]], Slots(capacity)/chunkSize)}, nil
 }
 
 // Capacity returns the number of addressable slots.

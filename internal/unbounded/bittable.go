@@ -24,14 +24,10 @@ type bitChunk struct {
 // NewBitTable returns a table addressable on rows [0, capacity). A capacity
 // of 0 selects DefaultCapacity.
 func NewBitTable(capacity int) (*BitTable, error) {
-	if capacity == 0 {
-		capacity = DefaultCapacity
-	}
 	if capacity < 0 {
 		return nil, fmt.Errorf("unbounded: negative capacity %d", capacity)
 	}
-	nChunks := (capacity + chunkSize - 1) / chunkSize
-	return &BitTable{dir: make([]atomic.Pointer[bitChunk], nChunks)}, nil
+	return &BitTable{dir: make([]atomic.Pointer[bitChunk], Slots(capacity)/chunkSize)}, nil
 }
 
 // Capacity returns the number of addressable rows.

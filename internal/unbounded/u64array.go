@@ -29,14 +29,10 @@ type u64Chunk struct {
 // NewU64Array returns an array addressable on [0, capacity). A capacity of 0
 // selects DefaultCapacity.
 func NewU64Array(capacity int) (*U64Array, error) {
-	if capacity == 0 {
-		capacity = DefaultCapacity
-	}
 	if capacity < 0 {
 		return nil, fmt.Errorf("unbounded: negative capacity %d", capacity)
 	}
-	nChunks := (capacity + chunkSize - 1) / chunkSize
-	return &U64Array{dir: make([]atomic.Pointer[u64Chunk], nChunks)}, nil
+	return &U64Array{dir: make([]atomic.Pointer[u64Chunk], Slots(capacity)/chunkSize)}, nil
 }
 
 // Capacity returns the number of addressable slots.

@@ -312,3 +312,36 @@ func TestLookupAllocationFree(t *testing.T) {
 		}
 	}
 }
+
+// TestSnapshotObjectAllocations pins a snapshot object's update at what
+// Algorithm 3 publishes — S's cell and embedded view and the logged view; M
+// holds a version number in place — and its silent scan at the copy it
+// returns, through the object's handle slots and locks.
+func TestSnapshotObjectAllocations(t *testing.T) {
+	st := newTestStore(t)
+	obj, err := st.Open("snap", store.Snapshot)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	v := uint64(0)
+	update := func() {
+		v++
+		if err := obj.UpdateAt(1, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	update() // the handle, M's first history chunk, the log's first chunk
+	if n := testing.AllocsPerRun(200, update); n > 3 {
+		t.Errorf("UpdateAt allocates %.1f times, want <= 3", n)
+	}
+	if _, err := obj.Scan(2); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		if view, _ := obj.Scan(2); view[1] != v {
+			t.Fatalf("silent scan shows component 1 = %d, want %d", view[1], v)
+		}
+	}); n > 1 {
+		t.Errorf("silent Scan allocates %.1f times, want <= 1 (the copy)", n)
+	}
+}
