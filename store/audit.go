@@ -63,7 +63,7 @@ func (a ObjectAudit[V]) Subset(b ObjectAudit[V]) bool {
 		}
 		return true
 	}
-	for _, e := range a.Report.Entries() {
+	for _, e := range a.Report.From(0) {
 		if !b.Report.Contains(e.Reader, e.Value) {
 			return false
 		}

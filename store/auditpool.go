@@ -6,8 +6,10 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"auditreg"
+	"auditreg/internal/core"
 	"auditreg/internal/shard"
 )
 
@@ -53,16 +55,20 @@ type AuditPool[V comparable] struct {
 // auditCursor is one object's audit state: the persistent auditor handle
 // (not safe for concurrent use, hence the mutex) — aud for a Register or
 // MaxRegister, snapAud for a Snapshot — and the latest published report.
+// The report is two words: n, its pair count plus one (0: none yet), and
+// base (vbase for a snapshot), the first entry of the auditor's append-only
+// list, stored only when the list was reallocated and always before n. A
+// reader loads n first: the base it then loads holds n entries for good.
 type auditCursor[V comparable] struct {
 	mu      sync.Mutex
 	obj     *Object[V]
 	aud     *auditreg.Auditor[V]
 	snapAud *auditreg.SnapshotAuditor[V]
-	// journaled is the pair count at the last journaled cursor advance.
-	// The zero value doubles as "never journaled": empty reports are not
-	// worth a record, so only growth to a nonzero count emits one.
-	journaled int
-	rep       atomic.Pointer[ObjectAudit[V]]
+	// journaled: the audited mark went to the journal this boot.
+	journaled bool
+	n         atomic.Int64
+	base      atomic.Pointer[auditreg.Entry[V]]
+	vbase     atomic.Pointer[auditreg.ViewEntry[V]]
 }
 
 // PoolOption configures an AuditPool.
@@ -220,7 +226,8 @@ func (p *AuditPool[V]) AuditObject(name string) (ObjectAudit[V], error) {
 	if err != nil {
 		return ObjectAudit[V]{}, err
 	}
-	return *cur.rep.Load(), nil
+	rep, _ := cur.report()
+	return rep, nil
 }
 
 // Rows is AuditObject for a caller that keeps the cumulative set itself and
@@ -236,7 +243,7 @@ func (p *AuditPool[V]) Rows(name string, fresh bool, since uint64, limit int, em
 		return 0, 0, false, fmt.Errorf("store: pool audit %q: %w", name, ErrNotFound)
 	}
 	cur, ok := p.cursors.Get(name)
-	if fresh || !ok || cur.rep.Load() == nil {
+	if fresh || !ok || cur.n.Load() == 0 {
 		if cur, err = p.auditOne(name, obj); err != nil {
 			return obj.kind, 0, false, err
 		}
@@ -251,19 +258,15 @@ func (p *AuditPool[V]) Rows(name string, fresh bool, since uint64, limit int, em
 }
 
 // Report returns the named object's latest published audit, if the pool has
-// audited it: a shard-map lookup (lock-free) plus an atomic load
-// of the published report — it never contends with an in-progress audit of
-// the object.
+// audited it: a shard-map lookup (lock-free) plus two atomic loads, the
+// published pair count and then the list it counts — it never contends with
+// an in-progress audit of the object.
 func (p *AuditPool[V]) Report(name string) (ObjectAudit[V], bool) {
 	cur, ok := p.cursors.Get(name)
 	if !ok {
 		return ObjectAudit[V]{}, false
 	}
-	rep := cur.rep.Load()
-	if rep == nil {
-		return ObjectAudit[V]{}, false
-	}
-	return *rep, true
+	return cur.report()
 }
 
 // Merged returns the latest published audit of every audited object, sorted
@@ -272,8 +275,8 @@ func (p *AuditPool[V]) Report(name string) (ObjectAudit[V], bool) {
 func (p *AuditPool[V]) Merged() []ObjectAudit[V] {
 	var out []ObjectAudit[V]
 	p.cursors.Range(func(_ string, cur *auditCursor[V]) bool {
-		if rep := cur.rep.Load(); rep != nil {
-			out = append(out, *rep)
+		if rep, ok := cur.report(); ok {
+			out = append(out, rep)
 		}
 		return true
 	})
@@ -305,35 +308,61 @@ func newAuditCursor[V comparable](obj *Object[V]) *auditCursor[V] {
 	return cur
 }
 
+// report rebuilds the published report from n and the base loaded after
+// it: a read-only view of the auditor's list, its capacity its length.
+func (c *auditCursor[V]) report() (ObjectAudit[V], bool) {
+	n := int(c.n.Load()) - 1
+	if n < 0 {
+		return ObjectAudit[V]{}, false
+	}
+	rep := ObjectAudit[V]{Object: c.obj.name, Kind: c.obj.kind}
+	if c.snapAud != nil {
+		rep.Views = unsafe.Slice(c.vbase.Load(), n)
+	} else {
+		rep.Report = core.NewReportView(unsafe.Slice(c.base.Load(), n))
+	}
+	return rep, true
+}
+
 // audit advances the cursor by one incremental audit and publishes the
 // cumulative report if it grew (audit sets only grow, so an unchanged pair
-// count is an unchanged set): an idle sweep allocates nothing.
+// count is an unchanged set); a sweep allocates only when the list regrows.
 func (c *auditCursor[V]) audit() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	rep := ObjectAudit[V]{Object: c.obj.name, Kind: c.obj.kind}
-	var err error
+	var n int
 	if c.aud != nil {
-		rep.Report, err = c.aud.Audit()
+		rep, err := c.aud.Audit()
+		if err != nil {
+			return fmt.Errorf("store: pool audit %q: %w", c.obj.name, err)
+		}
+		entries := rep.From(0)
+		if b := unsafe.SliceData(entries); b != c.base.Load() {
+			c.base.Store(b)
+		}
+		n = len(entries)
 	} else {
-		rep.Views, err = c.snapAud.Audit()
+		views, err := c.snapAud.Audit()
+		if err != nil {
+			return fmt.Errorf("store: pool audit %q: %w", c.obj.name, err)
+		}
+		if b := unsafe.SliceData(views); b != c.vbase.Load() {
+			c.vbase.Store(b)
+		}
+		n = len(views)
 	}
-	if err != nil {
-		return fmt.Errorf("store: pool audit %q: %w", c.obj.name, err)
+	if int(c.n.Load()) != n+1 {
+		c.n.Store(int64(n) + 1)
 	}
-	if old := c.rep.Load(); old == nil || old.Len() != rep.Len() {
-		published := rep
-		c.rep.Store(&published)
-	}
-	// Journal the cursor advance so recovery knows which objects had
-	// published reports — but only when the report actually grew: idle
-	// sweeps must not trickle-fill the log. Journals never block on these
-	// (derived state).
-	if j := c.obj.st.journal; j != nil && rep.Len() != c.journaled {
-		if err := j.Record(JournalRecord[V]{Op: JournalAudit, Name: c.obj.name, Kind: c.obj.kind, Pairs: rep.Len()}); err != nil {
+	// Journal the object's audited mark so recovery knows it had a published
+	// report — once a boot, at its first nonempty report: recovery reads only
+	// the mark, and idle sweeps must not trickle-fill the log. Journals never
+	// block on these (derived state).
+	if j := c.obj.st.journal; j != nil && !c.journaled && n > 0 {
+		if err := j.Record(JournalRecord[V]{Op: JournalAudit, Name: c.obj.name, Kind: c.obj.kind, Pairs: n}); err != nil {
 			return fmt.Errorf("store: pool audit %q: journal: %w", c.obj.name, err)
 		}
-		c.journaled = rep.Len()
+		c.journaled = true
 	}
 	return nil
 }

@@ -3,7 +3,10 @@ package store_test
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -391,5 +394,245 @@ func TestIdlePoolSweepAllocationFree(t *testing.T) {
 	after, _ := pool.Report("idle-03")
 	if before.Len() != 1 || after.Len() != 2 || !after.Report.Contains(7, 4) {
 		t.Fatalf("reports %v then %v, want (3, 4) then also (7, 4)", before.Report, after.Report)
+	}
+}
+
+// TestGrownReportPublishAllocationFree pins what a sweep costs when every
+// report grew in place: a new reader of a value already read adds one pair,
+// the auditor's list has capacity to spare, and publishing the longer report
+// stores a count, not a fresh box, so a Flush over 16 grown registers and
+// max registers allocates nothing. The flushes are counted alone, reads
+// outside, and averaged as testing.AllocsPerRun averages (an integer mean):
+// the runtime now and then allocates a few objects of its own early in a
+// test, as often during an idle flush as during a grown one.
+func TestGrownReportPublishAllocationFree(t *testing.T) {
+	const pairs, readers = 17, 32 // 17 pairs grow the list to a capacity of 32
+	st := newTestStore(t, store.WithReaders[uint64](readers))
+	names := make([]string, 16)
+	for i := range names {
+		names[i] = fmt.Sprintf("grown-%02d", i)
+		if _, err := st.Open(names[i], []store.Kind{store.Register, store.MaxRegister}[i%2]); err != nil {
+			t.Fatalf("Open(%s): %v", names[i], err)
+		}
+		if err := st.Write(names[i], uint64(i+1)); err != nil {
+			t.Fatal(err)
+		}
+		for j := 0; j < pairs; j++ {
+			if _, err := st.Read(names[i], j); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	pool, err := st.NewAuditPool()
+	if err != nil {
+		t.Fatalf("NewAuditPool: %v", err)
+	}
+	if err := pool.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	var (
+		ms      runtime.MemStats
+		mallocs uint64
+	)
+	for j := pairs; j < readers; j++ {
+		for _, name := range names {
+			if _, err := st.Read(name, j); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&ms)
+		before := ms.Mallocs
+		if err := pool.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&ms)
+		mallocs += ms.Mallocs - before
+		for i, name := range names {
+			if rep, _ := pool.Report(name); rep.Len() != j+1 || !rep.Report.Contains(j, uint64(i+1)) {
+				t.Fatalf("%s report %v, want %d pairs with (%d, %d)", name, rep.Report, j+1, j, i+1)
+			}
+		}
+	}
+	if rounds := uint64(readers - pairs); mallocs/rounds != 0 {
+		t.Fatalf("%d Flushes over 16 reports grown by one pair each allocated %d times, want 0 per Flush", rounds, mallocs)
+	}
+}
+
+// TestPoolReportsGrowByPrefix checks the publication order of a cursor's
+// report — the list's base stored before the count, the count loaded before
+// the base — against readers that never lock: pool workers sweep every
+// millisecond while writers and readers grow the lists through many
+// reallocations, and report checkers call Report and Merged throughout.
+// Every report a checker sees must keep the previous one as its prefix, so
+// its length never falls, and every pair it saw must be one a reader really
+// read.
+func TestPoolReportsGrowByPrefix(t *testing.T) {
+	const (
+		readers = 16
+		values  = 300
+	)
+	st := newTestStore(t, store.WithReaders[uint64](readers))
+	kinds := []store.Kind{store.Register, store.MaxRegister, store.Snapshot, store.Register}
+	kinds = append(kinds, kinds...)
+	names := make([]string, len(kinds))
+	for i, kind := range kinds {
+		names[i] = fmt.Sprintf("prefix-%d", i)
+		if _, err := st.Open(names[i], kind, store.WithObjectComponents(2)); err != nil {
+			t.Fatalf("Open(%s): %v", names[i], err)
+		}
+	}
+	pool, err := st.NewAuditPool(store.WithPoolWorkers(2), store.WithPoolInterval(time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pool.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Stop()
+
+	// A pair is (reader, value, 0) for a register and (scanner, view[0],
+	// view[1]) for a snapshot; ok is false for a view that cannot be one.
+	type pair [3]uint64
+	pairsOf := func(rep store.ObjectAudit[uint64]) (out []pair, ok bool) {
+		if rep.Kind != store.Snapshot {
+			for _, e := range rep.Report.From(0) {
+				out = append(out, pair{uint64(e.Reader), e.Value})
+			}
+			return out, true
+		}
+		for _, e := range rep.Views {
+			if len(e.View) != 2 {
+				return nil, false
+			}
+			out = append(out, pair{uint64(e.Reader), e.View[0], e.View[1]})
+		}
+		return out, true
+	}
+	observed := make([]sync.Map, len(names)) // pairs readers read
+	var traffic sync.WaitGroup
+	for i, name := range names {
+		obj, _ := st.Lookup(name)
+		traffic.Add(1)
+		go func() {
+			defer traffic.Done()
+			for v := uint64(1); v <= values; v++ {
+				var err error
+				if kinds[i] == store.Snapshot {
+					err = obj.UpdateAt(int(v)%2, v)
+				} else {
+					err = obj.Write(v)
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				// Several new readers of each value: the lists grow by
+				// batches and reallocate again and again.
+				for j := int(v) % 3; j < readers; j += 3 {
+					if kinds[i] == store.Snapshot {
+						view, err := obj.Scan(j)
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						observed[i].Store(pair{uint64(j), view[0], view[1]}, true)
+						continue
+					}
+					got, err := obj.Read(j)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					observed[i].Store(pair{uint64(j), got}, true)
+				}
+				if v%4 == 0 {
+					time.Sleep(50 * time.Microsecond) // let sweeps publish partway
+				}
+			}
+		}()
+	}
+
+	var (
+		done     atomic.Bool
+		checkers sync.WaitGroup
+		seen     = make([]sync.Map, len(names)) // pairs any checker saw
+	)
+	for c := 0; c < 2; c++ {
+		checkers.Add(1)
+		go func() {
+			defer checkers.Done()
+			prev := make([][]pair, len(names))
+			check := func(i int, rep store.ObjectAudit[uint64]) bool {
+				got, ok := pairsOf(rep)
+				switch {
+				case rep.Object != names[i] || rep.Kind != kinds[i]:
+					t.Errorf("report of %s names %s/%v", names[i], rep.Object, rep.Kind)
+				case !ok:
+					t.Errorf("%s: report holds a view that is not one", names[i])
+				case len(got) < len(prev[i]) || !slices.Equal(got[:len(prev[i])], prev[i]):
+					t.Errorf("%s: report of %d pairs does not extend the previous one of %d", names[i], len(got), len(prev[i]))
+				default:
+					for _, p := range got[len(prev[i]):] {
+						seen[i].Store(p, true)
+					}
+					prev[i] = got
+					return true
+				}
+				return false
+			}
+			for round := 0; !done.Load(); round++ {
+				if round%2 == 0 {
+					for i, name := range names {
+						if rep, ok := pool.Report(name); ok && !check(i, rep) {
+							return
+						}
+					}
+					continue
+				}
+				for _, rep := range pool.Merged() {
+					if i := slices.Index(names, rep.Object); i < 0 || !check(i, rep) {
+						return
+					}
+				}
+			}
+		}()
+	}
+	// A prober only loads reports, as fast as it can, so it often sits
+	// between a report's two loads while a sweep publishes: a base too old
+	// for its count shows as a length that fell, a view that is no pair, or
+	// under -race as checkptr's straddling-slice fault.
+	checkers.Add(1)
+	go func() {
+		defer checkers.Done()
+		lens := make([]int, len(names))
+		for !done.Load() {
+			for i, name := range names {
+				rep, _ := pool.Report(name)
+				if rep.Len() < lens[i] {
+					t.Errorf("%s: report length fell from %d to %d", name, lens[i], rep.Len())
+					return
+				}
+				lens[i] = rep.Len()
+			}
+		}
+	}()
+	traffic.Wait()
+	done.Store(true)
+	checkers.Wait()
+	if err := pool.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for i, name := range names {
+		seen[i].Range(func(p, _ any) bool {
+			if _, ok := observed[i].Load(p); !ok {
+				t.Errorf("%s: a checker saw pair %v that no reader read", name, p)
+			}
+			return true
+		})
+		var read int
+		observed[i].Range(func(_, _ any) bool { read++; return true })
+		if rep, _ := pool.Report(name); rep.Len() != read {
+			t.Errorf("%s: final report has %d pairs, readers read %d", name, rep.Len(), read)
+		}
 	}
 }

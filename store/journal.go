@@ -29,9 +29,9 @@ const (
 	// JournalAnnounce records the announce half of a read: pure helping,
 	// journaled for operational fidelity, ignored by recovery.
 	JournalAnnounce
-	// JournalAudit records an audit-cursor advance: the named object's
-	// incremental audit published a report of Pairs pairs. Recovery uses it
-	// to re-publish reports for objects that had them before a crash.
+	// JournalAudit marks the named object audited: an audit pool journals
+	// it once a boot, at the object's first nonempty report. Recovery reads
+	// only the name, to re-publish reports objects had before a crash.
 	JournalAudit
 )
 
@@ -63,7 +63,7 @@ type JournalRecord[V comparable] struct {
 	Reader   int    // JournalFetch, JournalAnnounce: reader index
 	Seq      uint64 // install/fetch/announce sequence number
 	Value    V      // JournalWrite, JournalFetch
-	Pairs    int    // JournalAudit: size of the published report
+	Pairs    int    // JournalAudit: report size when marked; informational
 }
 
 // Journal receives every mutation of a journaled store, in per-object order

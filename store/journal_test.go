@@ -167,8 +167,8 @@ func TestJournalErrorFailsOperation(t *testing.T) {
 	}
 }
 
-// TestJournalAuditCursorAdvance pins that pool cursor advances are journaled
-// with the published pair count.
+// TestJournalAuditCursorAdvance pins that a pool cursor's first nonempty
+// report journals the object's audited mark, carrying the pair count it had.
 func TestJournalAuditCursorAdvance(t *testing.T) {
 	j := &memJournal{}
 	st := newJournaledStore(t, j)
@@ -200,6 +200,48 @@ func TestJournalAuditCursorAdvance(t *testing.T) {
 	}
 	if audits[0].Name != "acct/1" || audits[0].Pairs != 1 {
 		t.Errorf("audit record = %+v, want acct/1 with 1 pair", audits[0])
+	}
+}
+
+// TestJournalAuditOncePerBoot pins that the audited mark is journaled once
+// a boot, not on every growth: recovery reads only the name, and re-audits
+// it. A report that grows three times leaves one JournalAudit record.
+func TestJournalAuditOncePerBoot(t *testing.T) {
+	j := &memJournal{}
+	st := newJournaledStore(t, j)
+	obj, err := st.Open("acct/1", Register)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	pool, err := st.NewAuditPool()
+	if err != nil {
+		t.Fatalf("NewAuditPool: %v", err)
+	}
+	if err := pool.Flush(); err != nil {
+		t.Fatalf("Flush: %v", err)
+	}
+	for v := uint64(1); v <= 3; v++ {
+		if err := obj.Write(v); err != nil {
+			t.Fatalf("Write: %v", err)
+		}
+		if _, err := obj.Read(int(v)); err != nil {
+			t.Fatalf("Read: %v", err)
+		}
+		if err := pool.Flush(); err != nil {
+			t.Fatalf("Flush: %v", err)
+		}
+		if rep, _ := pool.Report("acct/1"); rep.Len() != int(v) {
+			t.Fatalf("report after growth %d has %d pairs", v, rep.Len())
+		}
+	}
+	var audits []JournalRecord[uint64]
+	for _, r := range j.records() {
+		if r.Op == JournalAudit {
+			audits = append(audits, r)
+		}
+	}
+	if len(audits) != 1 || audits[0].Name != "acct/1" || audits[0].Pairs != 1 {
+		t.Fatalf("audit records = %+v, want one for acct/1 with 1 pair", audits)
 	}
 }
 
