@@ -2,10 +2,13 @@ package persist
 
 import (
 	"bytes"
+	"crypto/aes"
+	"crypto/cipher"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
@@ -142,6 +145,23 @@ func FuzzSegmentTail(f *testing.F) {
 	})
 }
 
+// seedCorpus renders fuzzSeeds and tailSeeds as the checked-in corpus files:
+// target -> file name -> content.
+func seedCorpus(t *testing.T) map[string]map[string]string {
+	corpus := map[string]map[string]string{"FuzzWALRecord": {}, "FuzzSegmentTail": {}}
+	add := func(target, seed string) {
+		files := corpus[target]
+		files[fmt.Sprintf("seed-%02d", len(files))] = "go test fuzz v1\n" + seed
+	}
+	for _, seed := range fuzzSeeds() {
+		add("FuzzWALRecord", fmt.Sprintf("[]byte(%q)\n", seed))
+	}
+	for _, seed := range tailSeeds(newTailFixture(t, fuzzKey())) {
+		add("FuzzSegmentTail", fmt.Sprintf("[]byte(%q)\nuint16(%d)\n", seed.tail, seed.pad))
+	}
+	return corpus
+}
+
 // TestWriteSeedCorpus regenerates the checked-in seed corpora under
 // testdata/fuzz from fuzzSeeds and tailSeeds. It is a maintenance switch,
 // not a test: set PERSIST_WRITE_CORPUS=1 after changing the frame format.
@@ -149,21 +169,37 @@ func TestWriteSeedCorpus(t *testing.T) {
 	if os.Getenv("PERSIST_WRITE_CORPUS") == "" {
 		t.Skip("set PERSIST_WRITE_CORPUS=1 to regenerate the seed corpus")
 	}
-	corpus := map[string][]string{}
-	for _, seed := range fuzzSeeds() {
-		corpus["FuzzWALRecord"] = append(corpus["FuzzWALRecord"], fmt.Sprintf("[]byte(%q)\n", seed))
-	}
-	for _, seed := range tailSeeds(newTailFixture(t, fuzzKey())) {
-		corpus["FuzzSegmentTail"] = append(corpus["FuzzSegmentTail"], fmt.Sprintf("[]byte(%q)\nuint16(%d)\n", seed.tail, seed.pad))
-	}
-	for target, seeds := range corpus {
+	for target, files := range seedCorpus(t) {
 		dir := filepath.Join("testdata", "fuzz", target)
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			t.Fatal(err)
 		}
-		for i, seed := range seeds {
-			if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("seed-%02d", i)), []byte("go test fuzz v1\n"+seed), 0o644); err != nil {
+		for name, content := range files {
+			if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644); err != nil {
 				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// TestSeedCorpusIsCurrent fails when the checked-in corpus is not what
+// fuzzSeeds and tailSeeds generate: after a format change, stale seeds would
+// stop reaching the accepting path and nothing else would say so.
+// Regenerate with PERSIST_WRITE_CORPUS=1 go test -run TestWriteSeedCorpus.
+func TestSeedCorpusIsCurrent(t *testing.T) {
+	for target, files := range seedCorpus(t) {
+		dir := filepath.Join("testdata", "fuzz", target)
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) != len(files) {
+			t.Errorf("%s holds %d files, the seeds are %d", dir, len(entries), len(files))
+		}
+		for name, want := range files {
+			got, err := os.ReadFile(filepath.Join(dir, name))
+			if err != nil || string(got) != want {
+				t.Errorf("%s/%s is stale (%v): regenerate the corpus", dir, name, err)
 			}
 		}
 	}
@@ -186,6 +222,60 @@ func TestFuzzSeedsParse(t *testing.T) {
 	}
 }
 
+// TestPadStreamIsAESCTR checks the keystream cursor against the standard
+// library's counter mode under the file key (zero IV) over a 4 KiB image:
+// at 16- and 32-byte boundaries, at random (offset, length) pairs that jump
+// back as often as forward, in place and not, and through a cursor copied
+// after use.
+func TestPadStreamIsAESCTR(t *testing.T) {
+	key := fuzzKey()
+	h := sha256.New()
+	h.Write([]byte(padTag))
+	h.Write(key[:])
+	h.Write(fuzzNonce[:])
+	c, err := aes.NewCipher(h.Sum(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ks := make([]byte, 4096)
+	cipher.NewCTR(c, make([]byte, aes.BlockSize)).XORKeyStream(ks, ks)
+
+	rng := rand.New(rand.NewSource(1))
+	src := make([]byte, len(ks))
+	rng.Read(src)
+	check := func(ps *padStream, off, n int, inPlace bool) {
+		t.Helper()
+		dst := make([]byte, n)
+		if inPlace {
+			copy(dst, src[off:])
+			ps.xor(dst, dst, int64(off))
+		} else {
+			ps.xor(dst, src[off:off+n], int64(off))
+		}
+		for i := range dst {
+			if dst[i] != src[off+i]^ks[off+i] {
+				t.Fatalf("xor at offset %d, length %d (in place %v): byte %d differs from AES-CTR", off, n, inPlace, off+i)
+			}
+		}
+	}
+	ps := newPadStream(key, &fuzzNonce)
+	for _, off := range []int{0, 1, 15, 16, 17, 31, 32, 33, 47, 48, 63, 64, 4032} {
+		for _, n := range []int{0, 1, 15, 16, 17, 31, 32, 33, 64} {
+			check(&ps, off, n, n%2 == 0)
+		}
+	}
+	for i := 0; i < 2000; i++ {
+		off := rng.Intn(len(ks))
+		check(&ps, off, rng.Intn(min(len(ks)-off, 100)+1), i%2 == 0)
+	}
+	cp := ps
+	for i := 0; i < 200; i++ {
+		off := rng.Intn(len(ks) - 64)
+		check(&cp, off, 64, false)
+		check(&ps, len(ks)-1-off-63, 64, true)
+	}
+}
+
 // TestFrameBytesAreTheFormats pins the on-disk bytes themselves. Encode and
 // decode share one keystream cursor, so a round trip — and every fuzz seed
 // — would pass a cursor that walked the stream wrong the same way on both
@@ -195,7 +285,7 @@ func TestFuzzSeedsParse(t *testing.T) {
 // compares its SHA-256 with the one the file format has always produced.
 // Change the constant only together with fileVersion.
 func TestFrameBytesAreTheFormats(t *testing.T) {
-	const want = "26f19b498535eb8677b012f5177ce4763cf32cebbc69196b0f62457200df76e6"
+	const want = "356930c4d2537296e11565944cc3958b549d123a16453e497f90f7ca3db7455e"
 	recs := []Record{
 		{Op: OpOpen, Name: "a", Kind: uint8(store.Register), Capacity: 64},
 		{Op: OpWrite, Name: "acct/7", Kind: uint8(store.Register), Seq: 3, Value: 0xA1B2C3D4E5F60718},

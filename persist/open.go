@@ -41,6 +41,7 @@ type RecoverResult struct {
 // crash kept from being deleted. No other stripe sees it before the join.
 type stripeRecovery struct {
 	model       *recoverModel
+	nextLSN     uint64 // the LSN the stripe's first segment of this run starts at
 	segments    int
 	snapshotCut uint64
 	tornBytes   int64
@@ -81,9 +82,10 @@ func Open(dir string, key auditreg.Key, st *store.Store[uint64], opts Options) (
 
 // open is recovery proper. The stripes recover side by side, a goroutine
 // each (recoverStripe), sharing nothing; open waits for all of them whatever
-// happens to any, joins their models in stripe order, replays the objects
-// (replayInto) and only then, after one directory sync, starts the commit
-// loops.
+// happens to any and joins their models in stripe order. Then the replay
+// (replayInto) and the disk side of going live (goLive) run side by side,
+// and only once both are done do the commit loops start. Whatever fails,
+// the replay's error comes first, then the lowest stripe's disk error.
 func open(dir string, key auditreg.Key, st *store.Store[uint64], opts Options, lock *os.File) (*WAL, *RecoverResult, error) {
 	ds, err := readDir(dir)
 	if err != nil {
@@ -124,7 +126,7 @@ func open(dir string, key auditreg.Key, st *store.Store[uint64], opts Options, l
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			recs[sid].err = w.recoverStripe(sid, &ds, &recs[sid])
+			recs[sid].nextLSN, recs[sid].err = w.recoverStripe(sid, &ds, &recs[sid])
 		}()
 	}
 	wg.Wait()
@@ -151,7 +153,18 @@ func open(dir string, key auditreg.Key, st *store.Store[uint64], opts Options, l
 	if err != nil {
 		return fail(err)
 	}
-	if res.Replay, err = replayInto(st, objs); err != nil {
+	var diskErr error
+	disk := make(chan struct{})
+	go func() {
+		defer close(disk)
+		diskErr = w.goLive(recs, stale)
+	}()
+	res.Replay, err = replayInto(st, objs)
+	<-disk
+	if err == nil {
+		err = diskErr
+	}
+	if err != nil {
 		return fail(err)
 	}
 	w.seqBase = make(map[string]uint64, len(objs))
@@ -160,36 +173,47 @@ func open(dir string, key auditreg.Key, st *store.Store[uint64], opts Options, l
 			w.seqBase[om.name] = om.maxSeq
 		}
 	}
-
-	// Finish any interrupted cleanup before going live.
-	for _, name := range stale {
-		if err := os.Remove(filepath.Join(dir, name)); err != nil && !os.IsNotExist(err) {
-			return fail(err)
-		}
-	}
-	// One directory sync for the whole boot: every stripe's first segment
-	// (and any removal above) becomes durable before a commit loop starts.
-	if err := syncDir(dir); err != nil {
-		return fail(err)
-	}
 	for _, s := range w.groups {
 		s.start()
 	}
 	return w, res, nil
 }
 
+// goLive is the disk side of going live, beside the replay: it opens every
+// stripe's first segment of this run (w.groups, in stripe order, stopping at
+// the first error), finishes the cleanup a crash interrupted, and makes both
+// durable with one directory sync before a commit loop starts. Recovery
+// reads the directory the same whether the removals happened or not, so a
+// replay that fails meanwhile leaves nothing the next one reads otherwise.
+func (w *WAL) goLive(recs []stripeRecovery, stale []string) error {
+	for sid := range recs {
+		s := newStripe(w, sid)
+		s.nextLSN = recs[sid].nextLSN
+		if err := s.openSegment(s.nextLSN); err != nil {
+			return err
+		}
+		w.groups[sid] = s
+	}
+	for _, name := range stale {
+		if err := os.Remove(filepath.Join(w.dir, name)); err != nil && !os.IsNotExist(err) {
+			return err
+		}
+	}
+	return syncDir(w.dir)
+}
+
 // recoverStripe is one stripe's recovery, on its own goroutine: seed the
 // stripe's model from its newest snapshot (seedSnapshot), stream its segment
-// tail into the same model, rewrite a crashed active segment, and open the
-// stripe's first segment of this run (w.groups[sid], nil on error). The model is
+// tail into the same model and rewrite a crashed active segment. It returns
+// the LSN the stripe's first segment of this run starts at. The model is
 // order-insensitive per object and one object's records all live in one
 // stripe, so the models laid end to end are the single-log replay exactly.
-func (w *WAL) recoverStripe(sid int, ds *dirState, out *stripeRecovery) error {
+func (w *WAL) recoverStripe(sid int, ds *dirState, out *stripeRecovery) (uint64, error) {
 	m := newRecoverModel()
 	out.model = m
 	cut, older, err := seedSnapshot(w.dir, ds.snapshots[sid], m, w.key)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	out.snapshotCut, out.stale = cut, older
 	nextLSN := max(1, cut)
@@ -209,7 +233,7 @@ func (w *WAL) recoverStripe(sid int, ds *dirState, out *stripeRecovery) error {
 		path := filepath.Join(w.dir, sf.name)
 		img, err := os.ReadFile(path)
 		if err != nil {
-			return err
+			return 0, err
 		}
 		out.segments++
 		nextLSN = max(nextLSN, sf.meta)
@@ -218,7 +242,7 @@ func (w *WAL) recoverStripe(sid int, ds *dirState, out *stripeRecovery) error {
 			return m.add(&rec)
 		})
 		if err != nil {
-			return err
+			return 0, err
 		}
 		if sc.sealed {
 			// The seal record consumed an LSN too.
@@ -226,7 +250,7 @@ func (w *WAL) recoverStripe(sid int, ds *dirState, out *stripeRecovery) error {
 			continue
 		}
 		if i < len(tail)-1 {
-			return fmt.Errorf("persist: non-final segment %s is not sealed", path)
+			return 0, fmt.Errorf("persist: non-final segment %s is not sealed", path)
 		}
 		// The crashed run's active segment: the one file whose records are
 		// kept, for the rewrite, by a second pass over its image.
@@ -238,7 +262,7 @@ func (w *WAL) recoverStripe(sid int, ds *dirState, out *stripeRecovery) error {
 			return nil
 		})
 		if err != nil {
-			return err
+			return 0, err
 		}
 		// The crashed run's active segment is never appended to again: its
 		// torn tail may hold a partial frame whose keystream prefix already
@@ -248,20 +272,13 @@ func (w *WAL) recoverStripe(sid int, ds *dirState, out *stripeRecovery) error {
 		// the file entirely when it holds none, and start a fresh segment.
 		if len(recs) > 0 {
 			if err := writeSealedFile(w.dir, sf.name, segMagic, sf.meta, w.key, recs, lsns); err != nil {
-				return err
+				return 0, err
 			}
 		} else if err := os.Remove(path); err != nil {
-			return err
+			return 0, err
 		}
 	}
-
-	s := newStripe(w, sid)
-	s.nextLSN = nextLSN
-	if err := s.openSegment(nextLSN); err != nil {
-		return err
-	}
-	w.groups[sid] = s
-	return nil
+	return nextLSN, nil
 }
 
 // seedSnapshot streams a stripe's newest snapshot (snaps ascend by cut) into

@@ -9,8 +9,8 @@
 // decrypted reader set. This package extends the same invariant to stable
 // storage: every record body (object names, values, reader indices, sequence
 // numbers — everything after the fixed CRC frame) is XOR-encrypted under a
-// per-record pad stream derived from a persist key that lives only in server
-// memory, never in the data directory. A curious party with disk access, or
+// per-file AES-256-CTR keystream, keyed from a persist key that lives only in
+// server memory, never in the data directory. A curious party with disk access, or
 // a stolen snapshot, learns no more than a curious network observer: record
 // counts, sizes, and types, but no reader set, no register value, no object
 // name. persist's leak test sweeps the raw bytes of every file in a data
@@ -28,7 +28,7 @@
 // every wakeup — an append, the Interval tick, or a barrier (Sync, Snapshot,
 // Close) — drains the stripe's append buffer, assigns that stripe's log
 // sequence numbers, encrypts the whole batch against the active segment's
-// block-derived pad stream, appends it with one write, calls fdatasync per
+// keystream, appends it with one write, calls fdatasync per
 // policy, and releases the batch's waiters. Under SyncAlways mutators block
 // until their batch is stable, and whatever arrives during one fdatasync is
 // the next batch — that is the group commit; announce and audit records ride
@@ -59,13 +59,14 @@
 //
 // Recovery is as wide as the log: every stripe recovers on a goroutine of its
 // own — its files streamed frame by frame into its own model, its crashed
-// tail rewritten, its first segment opened — and shares nothing until all
-// have returned; their models are then laid end to end (an object found in
-// two stripes' files halts) and their errors read in stripe order. From there
-// the store is the only shared object, used as serving uses it: objects are
-// opened one after the other, so the store is built in the same order every
-// time, then compacted and replayed by GOMAXPROCS workers, one object's
-// operations in sequence. What Open returns does not depend on the schedule.
+// tail rewritten — and shares nothing until all have returned; their models
+// are then laid end to end (an object found in two stripes' files halts) and
+// their errors read in stripe order. From there the store is the only shared
+// object, used as serving uses it: objects are opened one after the other, so
+// the store is built in the same order every time, then compacted and
+// replayed by GOMAXPROCS workers, one object's operations in sequence, while
+// one more goroutine opens every stripe's first segment of the run beside
+// them. What Open returns does not depend on the schedule.
 //
 // The active segment is preallocated a chunk ahead of its appends
 // (fallocate; see openSegment), so a crashed one ends in zeros; sealing

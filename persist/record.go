@@ -1,13 +1,15 @@
 package persist
 
 import (
+	"crypto/aes"
+	"crypto/cipher"
 	"crypto/sha256"
+	"crypto/subtle"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 
 	"auditreg"
-	"auditreg/internal/otp"
 	"auditreg/store"
 )
 
@@ -174,20 +176,20 @@ func decodePlain(b []byte, intern func([]byte) string) (Record, error) {
 // frameLen+8 bytes on disk) and crc32c (Castagnoli) covering the lsn and the
 // ciphertext — corruption is detected without decrypting.
 //
-// The ciphertext is the record body XORed with the file's pad stream: a
-// per-file otp.BlockPads instance — one 41-byte SHA-256 digest yields 32
-// keystream bytes, against the two compression calls the v1 per-record
-// derivation paid for the same coverage — keyed by SHA-256(tag, key, file
-// nonce) and indexed by the byte offset of the ciphertext within the file.
-// A group commit therefore encrypts its whole batch against one dense,
-// shared pad stream: the file's cursor (padStream) holds the block the last
-// record ended in, so adjacent records share it without re-deriving it.
+// The ciphertext is the record body XORed with the file's keystream:
+// AES-256 in counter mode under a per-file key SHA-256(tag, key, file
+// nonce), indexed by the byte offset of the ciphertext within the file —
+// byte q is byte q mod 16 of AES(q/16), the counter block being eight zero
+// bytes and q/16 big-endian. A group commit therefore encrypts its whole
+// batch against one dense, shared keystream: the file's cursor (padStream)
+// holds the 32-byte pad block the last record ended in, so adjacent records
+// share it without re-encrypting it.
 //
 // Pads never repeat: offsets are unique within a file (frames are written
 // sequentially, and a crashed active segment is never appended to — see
-// open.go), and the per-file random nonce makes streams disjoint across
-// files. Relocating a frame breaks its decryption twice over: to a different
-// offset (the pad index moves) and to a different file (the pad key moves).
+// open.go), and the per-file random nonce makes keys disjoint across files.
+// Relocating a frame breaks its decryption twice over: to a different
+// offset (the counter moves) and to a different file (the key moves).
 const (
 	frameOverhead = 16 // len + crc + lsn
 	maxFrame      = frameOverhead + maxPlain
@@ -199,23 +201,27 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // header.
 const fileNonceLen = 16
 
-const padTag = "auditreg/persist/pads/v2\x00"
+const padTag = "auditreg/persist/pads/v3\x00"
+
+// padBlockLen is the keystream a cursor encrypts at a time: two AES blocks.
+const padBlockLen = 2 * aes.BlockSize
 
 // padStream is a cursor over the keystream of one record file: the file's
-// pads and the block it derived last, held by value. Encoding and decoding
-// walk a file front to back, so each block is derived once and nothing is
-// cached or allocated. Not safe for concurrent use: a cursor has one owner
-// (the commit loop for the active segment, one scan per file in recovery).
+// cipher and the pad block it encrypted last, held by value with the two
+// counter blocks behind it (a counter on the stack would escape through the
+// cipher.Block interface, one allocation per block). Encoding and decoding
+// walk a file front to back, so each block is encrypted once and nothing is
+// allocated; a copied cursor stays correct. Not safe for concurrent use: a
+// cursor has one owner (the commit loop for the active segment, one scan per
+// file in recovery).
 type padStream struct {
-	pads  *otp.BlockPads
-	block uint64 // index+1 of the pad block held in masks; 0 = none yet
-	masks [otp.MasksPerBlock]uint64
+	aes   cipher.Block
+	block uint64 // index+1 of the pad block held in pad; 0 = none yet
+	pad   [padBlockLen]byte
+	ctr   [padBlockLen]byte
 }
 
-// padBlockLen is the keystream a pad block covers, in bytes.
-const padBlockLen = 8 * otp.MasksPerBlock
-
-// newPadStream derives the file's pad stream from the persist key and the
+// newPadStream derives the file's keystream from the persist key and the
 // file's nonce.
 func newPadStream(key auditreg.Key, nonce *[fileNonceLen]byte) padStream {
 	h := sha256.New()
@@ -223,27 +229,28 @@ func newPadStream(key auditreg.Key, nonce *[fileNonceLen]byte) padStream {
 	h.Write(key[:])
 	h.Write(nonce[:])
 	var fileKey auditreg.Key
-	h.Sum(fileKey[:0])
-	// MaxReaders-wide pads are full 64-bit words, a general keystream; the
-	// cursor derives blocks with Block, past the window, so one slot will do.
-	pads, err := otp.NewBlockPadsWindow(fileKey, otp.MaxReaders, 1)
+	c, err := aes.NewCipher(h.Sum(fileKey[:0]))
 	if err != nil {
-		// Unreachable: MaxReaders is a valid reader count by definition.
+		// Unreachable: a SHA-256 digest is a valid AES-256 key.
 		panic(fmt.Sprintf("persist: pad stream: %v", err))
 	}
-	return padStream{pads: pads}
+	return padStream{aes: c}
 }
 
-// xor writes src, the bytes at file offset off, XORed with the pad stream
+// xor writes src, the bytes at file offset off, XORed with the keystream
 // into dst (which may be src itself).
 func (p *padStream) xor(dst, src []byte, off int64) {
 	q := uint64(off)
-	for i, c := range src {
+	for len(src) > 0 {
 		if b := q/padBlockLen + 1; b != p.block {
-			p.masks, p.block = p.pads.Block(b-1), b
+			binary.BigEndian.PutUint64(p.ctr[8:], 2*(b-1))
+			binary.BigEndian.PutUint64(p.ctr[aes.BlockSize+8:], 2*(b-1)+1)
+			p.aes.Encrypt(p.pad[:aes.BlockSize], p.ctr[:aes.BlockSize])
+			p.aes.Encrypt(p.pad[aes.BlockSize:], p.ctr[aes.BlockSize:])
+			p.block = b
 		}
-		dst[i] = c ^ byte(p.masks[q%padBlockLen/8]>>(8*(q%8)))
-		q++
+		n := subtle.XORBytes(dst, src, p.pad[q%padBlockLen:])
+		dst, src, q = dst[n:], src[n:], q+uint64(n)
 	}
 }
 

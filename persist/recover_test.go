@@ -1,6 +1,7 @@
 package persist
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"os"
@@ -228,6 +229,112 @@ func TestRecoverErrorIsLowestStripe(t *testing.T) {
 				t.Fatalf("open %d left %d goroutines, had %d", i, runtime.NumGoroutine(), goroutines)
 			}
 			time.Sleep(time.Millisecond)
+		}
+	}
+}
+
+// TestFailedReplayClosesEverything: a replay that fails — conflicting
+// register writes at one seq — while the stripes' first segments are opened
+// beside it returns the replay's error every time, and leaves no file open
+// and the directory unlocked, whichever side finished first.
+func TestFailedReplayClosesEverything(t *testing.T) {
+	dir := t.TempDir()
+	w, _, st := openWAL(t, dir, Options{Stripes: 4})
+	drive(t, st, 9, 16, 400)
+	name := nameOnStripe(t, w, 2)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	const base = 1 << 32
+	recs := []Record{
+		{Op: OpOpen, Name: name, Kind: uint8(store.Register)},
+		{Op: OpWrite, Name: name, Kind: uint8(store.Register), Seq: 1, Value: 10},
+		{Op: OpWrite, Name: name, Kind: uint8(store.Register), Seq: 1, Value: 11},
+	}
+	if err := writeSealedFile(dir, segmentName(2, base), segMagic, base, testKey(), recs, []uint64{base, base + 1, base + 2}); err != nil {
+		t.Fatal(err)
+	}
+
+	files := openFiles(t)
+	var want string
+	for i := 0; i < 10; i++ {
+		w, _, err := Open(dir, testKey(), newTestStore(t), Options{})
+		if err == nil {
+			w.Close()
+			t.Fatal("recovery replayed conflicting writes")
+		}
+		if i == 0 {
+			want = err.Error()
+		}
+		if !strings.Contains(err.Error(), "conflicting writes") || err.Error() != want {
+			t.Fatalf("open %d: %q, want the replay's error %q", i, err, want)
+		}
+		if f := openFiles(t); f > files {
+			t.Fatalf("open %d left %d files open, had %d", i, f, files)
+		}
+	}
+	lock, err := lockDir(dir)
+	if err != nil {
+		t.Fatalf("the failed opens kept the lock: %v", err)
+	}
+	lock.Close()
+}
+
+// TestOpenRefusesVersion2: a directory written at file version 2, whose
+// keystream this version no longer derives, is refused cleanly — an error
+// naming the file and its version, every file as it was, the lock released,
+// so that a second Open fails the same way and not on the lock.
+func TestOpenRefusesVersion2(t *testing.T) {
+	dir := t.TempDir()
+	w, _, st := openWAL(t, dir, Options{Stripes: 2})
+	drive(t, st, 7, 8, 200)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs := allSegments(t, dir)
+	for _, seg := range segs { // a v2 header differs in its version alone
+		img, err := os.ReadFile(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		binary.BigEndian.PutUint32(img[8:], 2)
+		if err := os.WriteFile(seg, img, 0o600); err != nil {
+			t.Fatal(err)
+		}
+	}
+	image := func() map[string]string {
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files := make(map[string]string, len(entries))
+		for _, e := range entries {
+			b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			files[e.Name()] = string(b)
+		}
+		return files
+	}
+	before := image()
+	var first error
+	for i := 0; i < 2; i++ {
+		w, _, err := Open(dir, testKey(), newTestStore(t), Options{})
+		if err == nil {
+			w.Close()
+			t.Fatal("a version 2 directory opened")
+		}
+		if !strings.Contains(err.Error(), segs[0]) || !strings.Contains(err.Error(), "unsupported file version 2") {
+			t.Fatalf("open %d: %q does not name %s and its version", i, err, segs[0])
+		}
+		if first == nil {
+			first = err
+		} else if err.Error() != first.Error() {
+			t.Fatalf("second open: %q, first %q", err, first)
+		}
+		if !reflect.DeepEqual(image(), before) {
+			t.Fatalf("open %d changed the directory", i)
 		}
 	}
 }

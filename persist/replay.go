@@ -22,6 +22,7 @@ type recoverModel struct {
 	objects map[string]*objModel
 	order   []string
 	audited map[string]bool
+	hit     *objModel // the object intern found last: the record add folds next
 
 	records int
 }
@@ -52,10 +53,11 @@ func newRecoverModel() *recoverModel {
 }
 
 // intern returns the model's own string for an object it already holds: a
-// scan allocates a name per object, not per record.
+// scan allocates a name per object, not per record. The object it found is
+// kept for obj, so a scanned record looks its object up once.
 func (m *recoverModel) intern(name []byte) string {
-	if om, ok := m.objects[string(name)]; ok {
-		return om.name
+	if m.hit = m.objects[string(name)]; m.hit != nil {
+		return m.hit.name
 	}
 	return string(name)
 }
@@ -74,8 +76,11 @@ func (m *recoverModel) addFile(path, magic string, key auditreg.Key) (fileScan, 
 // open record — possible when the open missed the final group commit but a
 // later mutation record survived — synthesizes one from the mutation's kind.
 func (m *recoverModel) obj(name string, kind store.Kind) (*objModel, error) {
-	om, ok := m.objects[name]
-	if !ok {
+	om := m.hit
+	if om == nil || om.name != name {
+		om = m.objects[name]
+	}
+	if om == nil {
 		om = &objModel{name: name, kind: kind}
 		m.objects[name] = om
 		m.order = append(m.order, name)

@@ -23,15 +23,15 @@ import (
 //
 // meta is the segment's base LSN (the LSN of its first record) or the
 // snapshot's cut LSN (the snapshot covers every record with lsn < cut). The
-// nonce is random per file and feeds every record pad, so pad streams never
-// repeat across files.
+// nonce is random per file and keys the file's keystream, so keystreams
+// never repeat across files.
 const (
 	segMagic  = "AWLSEG1\x00"
 	snapMagic = "AWLSNP1\x00"
-	// fileVersion 2 switched the record keystream from per-record SHA-256
-	// derivation to the offset-indexed block pad stream (see record.go);
-	// version 1 files fail loudly here instead of decrypting to garbage.
-	fileVersion = 2
+	// fileVersion 3 switched the record keystream from SHA-256 pad blocks
+	// to AES-256 in counter mode (see record.go); files of versions 1 and 2
+	// fail loudly here instead of decrypting to garbage.
+	fileVersion = 3
 	headerLen   = 8 + 4 + 8 + fileNonceLen
 )
 
@@ -260,7 +260,7 @@ func syncDir(dir string) error {
 
 // writeSealedFile writes a complete record file — header, records, seal —
 // through a temp file and an atomic rename. Record i carries lsn lsns[i] and
-// is encrypted against the file's pad stream at its own offset under the
+// is encrypted against the file's keystream at its own offset under the
 // fresh nonce; the seal takes the first lsn past them. Offsets are unique
 // within the file, so no pad is ever applied twice.
 func writeSealedFile(dir, name, magic string, meta uint64, key auditreg.Key, recs []Record, lsns []uint64) error {
