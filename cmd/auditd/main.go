@@ -67,7 +67,7 @@ func main() {
 	fsync := flag.String("fsync", "always", "WAL fsync policy: always, interval, never")
 	fsyncInterval := flag.Duration("fsync-interval", 0, "fsync cadence under -fsync interval; under always, the longest an announce or audit record waits for a sync (0: persist default)")
 	segmentBytes := flag.Int64("segment-bytes", 0, "WAL segment rotation size (0: persist default)")
-	walStripes := flag.Int("wal-stripes", 0, "WAL stripe groups, each with its own segment files and commit loop (0: GOMAXPROCS; a non-empty -data-dir pins its own count)")
+	walStripes := flag.Int("wal-stripes", 0, "WAL stripe groups, each with its own segment files and commit lock (0: GOMAXPROCS; a non-empty -data-dir pins its own count)")
 	metricsAddr := flag.String("metrics-addr", "", "HTTP listen address for /metrics (Prometheus text) and /debug/pprof/ (empty: disabled)")
 	nodeID := flag.Uint("node-id", 0, "cluster node identity asserted by dispersal clients at OPEN (0: standalone, assertions refused)")
 	corruptShares := flag.Bool("corrupt-shares", false, "BYZANTINE TEST HOOK: flip one bit of every served share on the wire (chaos-lab positive control; never in production)")

@@ -61,12 +61,12 @@ func TestFrameDecodeAllocationBound(t *testing.T) {
 }
 
 // TestBlockingRecordAllocations pins what one WAL.Record costs the heap:
-// nothing. A blocking write waits out its fdatasync on a pooled ticket, and
-// AllocsPerRun counts the commit loop's share too (its counters are
-// process-wide), whose keystream cursor derives pad blocks by value. An
-// announce returns before the commit loop touches it and allocates nothing
-// on its caller's side; the loop is parked for that measurement, since when
-// it runs relative to the count would otherwise decide the result.
+// nothing. A blocking write commits its stripe on its caller's goroutine —
+// batch buffers recycled, the keystream cursor deriving pad blocks by value —
+// and waits out its fdatasync on a pooled ticket. An announce returns before
+// any commit touches it and allocates nothing on its caller's side; the
+// stripe's loop is parked for that measurement, since when its tick runs
+// relative to the count would otherwise decide the result.
 func TestBlockingRecordAllocations(t *testing.T) {
 	if race.Enabled {
 		t.Skip("a sync.Pool discards at random under -race")
@@ -90,7 +90,7 @@ func TestBlockingRecordAllocations(t *testing.T) {
 		t.Errorf("blocking write: WAL.Record allocated %v times per run, want 0", n)
 	}
 
-	// park holds the commit loop in a flush barrier until the returned
+	// park holds the stripe's loop in a flush barrier until the returned
 	// channel is read: appends queue in the buffer, untouched.
 	park := func() chan error {
 		reply := make(chan error)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -14,18 +13,17 @@ import (
 // TestGroupCommitAbsorbsConcurrentMutators pins the group commit: many
 // goroutines writing under SyncAlways must share fsyncs — far fewer syncs
 // than records — and the batch-size histogram must record multi-record
-// syncs, while every write still blocks until stable. Whatever the other
-// writers append while one commit's fdatasync runs is the next commit's
-// batch. That window is tens of microseconds on a fast disk, so whether the
-// writers land in it was up to the scheduler: under a loaded full-suite run
-// the unpaced version read 219 syncs for 408 records. Each round therefore
-// parks the commit loop in a flush barrier — a stand-in for a slow
-// fdatasync — and releases it once every writer has either appended behind
-// it or, having slipped into the barrier's own commit, returned. A round's
-// eight writes so land in at most two commits, and one of them carries at
-// least four. Stripes is pinned to 1 because batches form per stripe: left
-// at its GOMAXPROCS default, the eight objects hash onto as many stripes as
-// the box has CPUs.
+// syncs, while every write still blocks until stable. A blocked writer
+// commits its stripe itself, taking everything queued when it gets the
+// commit lock, so whether the others have appended by then was up to the
+// scheduler: under a loaded full-suite run the unpaced version read 219
+// syncs for 408 records, and parking only the stripe's loop (the version
+// before writers committed) read 307. Each round therefore holds the commit
+// lock — a stand-in for committers busy on slow fdatasyncs — until all eight
+// writes are queued, then lets go: the first writer through takes all eight
+// into one batch. Stripes is pinned to 1 because batches form per stripe:
+// left at its GOMAXPROCS default, the eight objects hash onto as many
+// stripes as the box has CPUs.
 func TestGroupCommitAbsorbsConcurrentMutators(t *testing.T) {
 	dir := t.TempDir()
 	w, _, st := openWAL(t, dir, Options{Policy: SyncAlways, Stripes: 1})
@@ -45,10 +43,8 @@ func TestGroupCommitAbsorbsConcurrentMutators(t *testing.T) {
 		return len(s.recs)
 	}
 	for k := 0; k < perWriter; k++ {
-		parked := make(chan error)
-		s.flushc <- parked
+		s.cmu.Lock()
 		var wg sync.WaitGroup
-		var returned atomic.Int64
 		for i := range objs {
 			wg.Add(1)
 			go func() {
@@ -56,20 +52,17 @@ func TestGroupCommitAbsorbsConcurrentMutators(t *testing.T) {
 				if err := objs[i].Write(uint64(k + 1)); err != nil {
 					t.Errorf("Write: %v", err)
 				}
-				returned.Add(1)
 			}()
 		}
-		for deadline := time.Now().Add(10 * time.Second); queued()+int(returned.Load()) < writers; time.Sleep(10 * time.Microsecond) {
+		for deadline := time.Now().Add(10 * time.Second); queued() < writers; time.Sleep(10 * time.Microsecond) {
 			if time.Now().After(deadline) {
-				n, r := queued(), returned.Load()
-				<-parked
+				n := queued()
+				s.cmu.Unlock()
 				wg.Wait()
-				t.Fatalf("round %d: %d writes queued and %d returned of %d", k, n, r, writers)
+				t.Fatalf("round %d: %d writes queued of %d", k, n, writers)
 			}
 		}
-		if err := <-parked; err != nil {
-			t.Fatalf("flush: %v", err)
-		}
+		s.cmu.Unlock()
 		wg.Wait()
 	}
 	stats := w.Stats()
@@ -102,8 +95,9 @@ func TestGroupCommitAbsorbsConcurrentMutators(t *testing.T) {
 
 // TestSyncAlwaysAnnouncesDoNotSync pins that announce records — pure
 // helping, journaled non-blocking — do not trigger fsyncs of their own under
-// SyncAlways: after a read's fetch has synced, its pipelined announce leaves
-// the sync count alone (the periodic tick may flush it later).
+// SyncAlways: after a read's fetch has synced, its announce waits in the
+// append buffer, and the next blocking record's commit carries it into the
+// same fdatasync (the periodic tick would flush it otherwise).
 func TestSyncAlwaysAnnouncesDoNotSync(t *testing.T) {
 	dir := t.TempDir()
 	w, _, st := openWAL(t, dir, Options{Policy: SyncAlways, Interval: time.Hour})
@@ -117,15 +111,17 @@ func TestSyncAlwaysAnnouncesDoNotSync(t *testing.T) {
 	if _, err := obj.Read(0); err != nil { // fetch (blocking, syncs) + announce (not)
 		t.Fatalf("Read: %v", err)
 	}
-	base := w.Stats().Syncs
-	deadline := time.Now().Add(time.Second)
-	for w.Stats().Records < 4 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond) // let the writer consume the announce
+	base := w.Stats()
+	time.Sleep(10 * time.Millisecond) // room for a wrongly woken committer
+	if got := w.Stats(); got.Syncs != base.Syncs || got.Records != 3 {
+		t.Fatalf("announce was committed on its own: syncs %d -> %d, %d records (open, write, fetch: 3)", base.Syncs, got.Syncs, got.Records)
 	}
-	if got := w.Stats().Syncs; got != base {
-		t.Fatalf("announce record triggered a sync: %d -> %d", base, got)
+	if err := obj.Write(8); err != nil {
+		t.Fatalf("Write: %v", err)
 	}
-	// The announce still becomes durable on close (drain forces a sync).
+	if got := w.Stats(); got.Syncs != base.Syncs+1 || got.Records != 5 {
+		t.Fatalf("the write's commit did not carry the announce: syncs %d -> %d, %d records, want 5", base.Syncs, got.Syncs, got.Records)
+	}
 	if err := w.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}

@@ -84,7 +84,7 @@ func Open(dir string, key auditreg.Key, st *store.Store[uint64], opts Options) (
 // each (recoverStripe), sharing nothing; open waits for all of them whatever
 // happens to any and joins their models in stripe order. Then the replay
 // (replayInto) and the disk side of going live (goLive) run side by side,
-// and only once both are done do the commit loops start. Whatever fails,
+// and only once both are done do the stripes start. Whatever fails,
 // the replay's error comes first, then the lowest stripe's disk error.
 func open(dir string, key auditreg.Key, st *store.Store[uint64], opts Options, lock *os.File) (*WAL, *RecoverResult, error) {
 	ds, err := readDir(dir)
@@ -182,7 +182,7 @@ func open(dir string, key auditreg.Key, st *store.Store[uint64], opts Options, l
 // goLive is the disk side of going live, beside the replay: it opens every
 // stripe's first segment of this run (w.groups, in stripe order, stopping at
 // the first error), finishes the cleanup a crash interrupted, and makes both
-// durable with one directory sync before a commit loop starts. Recovery
+// durable with one directory sync before a stripe starts. Recovery
 // reads the directory the same whether the removals happened or not, so a
 // replay that fails meanwhile leaves nothing the next one reads otherwise.
 func (w *WAL) goLive(recs []stripeRecovery, stale []string) error {
@@ -312,7 +312,7 @@ func seedSnapshot(dir string, snaps []walFile, m *recoverModel, key auditreg.Key
 // older snapshots. The per-stripe compaction is sound because one object's
 // records all live in one stripe, so each scan sees whole per-object
 // histories. Traffic keeps flowing while the scans run; only each stripe's
-// flush-and-rotate moment synchronizes with its commit loop. It returns the
+// flush-and-rotate moment synchronizes with its committers. It returns the
 // highest cut LSN among the stripes.
 func (w *WAL) Snapshot() (uint64, error) {
 	w.snapMu.Lock()

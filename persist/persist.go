@@ -24,22 +24,24 @@
 // Options.Stripes independently committing stripe groups, and an object's
 // mutations always land in the stripe its name hashes to (the same hash the
 // store's shard map uses), so per-object record order survives the fan-out.
-// Each stripe owns its segment files and runs one goroutine, a loop that on
-// every wakeup — an append, the Interval tick, or a barrier (Sync, Snapshot,
-// Close) — drains the stripe's append buffer, assigns that stripe's log
-// sequence numbers, encrypts the whole batch against the active segment's
-// keystream, appends it with one write, calls fdatasync per
-// policy, and releases the batch's waiters. Under SyncAlways mutators block
-// until their batch is stable, and whatever arrives during one fdatasync is
-// the next batch — that is the group commit; announce and audit records ride
-// along without ever causing a sync, and the tick makes them stable at most
-// one Interval later. SyncInterval bounds the data-loss window; SyncNever
-// leaves flushing to the page cache. The hot path is never serialized
-// through a single lock or a single disk queue: stripes contend
-// only within themselves, commits on distinct stripes fsync concurrently,
-// and only SyncAlways mutators wait. Stats.SyncHist — surfaced through the
-// server's STATS verb, summed across stripes — histograms records-per-fsync,
-// making the batching observable rather than inferred.
+// Each stripe owns its segment files and a commit lock. A commit takes the
+// lock, drains the stripe's append buffer, assigns that stripe's log
+// sequence numbers, encrypts the batch against the active segment's
+// keystream and appends it with one write; the fdatasync runs after the lock
+// is let go. Under SyncAlways a blocked mutator commits its stripe itself
+// unless another committer already took its record. Up to two fdatasyncs run
+// per stripe; a third committer waits for one to settle and then takes
+// everything queued — that is the group commit. A batch is acknowledged only
+// once its own fdatasync and every earlier one on the stripe have succeeded;
+// a failure is sticky. Announce and audit records ride along without ever
+// causing a sync. A loop per stripe does what no waiter does: the Interval
+// tick (which makes announce and audit records stable at most one Interval
+// later), SyncInterval (a bounded data-loss window) and SyncNever (flushing
+// left to the page cache), and the barriers — Sync, Snapshot, Close — which,
+// like a rotation, first wait out the syncs in flight. Stripes contend only
+// within themselves, and only SyncAlways mutators wait. Stats.SyncHist —
+// surfaced through the server's STATS verb, summed across stripes —
+// histograms records-per-fsync, making the batching observable.
 //
 // # Recovery and snapshots
 //
@@ -96,7 +98,7 @@ import (
 	"auditreg/internal/telem"
 )
 
-// Policy selects when a WAL stripe's commit loop calls fdatasync.
+// Policy selects when a WAL stripe calls fdatasync.
 type Policy uint8
 
 const (
@@ -153,7 +155,7 @@ const (
 )
 
 // MaxStripes bounds the stripe-group count: the stripe id is rendered as two
-// hex digits in file names, and 256 commit loops is already far past
+// hex digits in file names, and 256 stripes is already far past
 // any sensible configuration.
 const MaxStripes = 256
 
@@ -172,7 +174,7 @@ type Options struct {
 	// Stripes is the number of WAL stripe groups (default
 	// runtime.GOMAXPROCS(0), rounded up to a power of two, capped at
 	// MaxStripes). Each stripe owns its segment files and its commit
-	// loop, so commits on distinct stripes proceed — and sync — in
+	// lock, so commits on distinct stripes proceed — and sync — in
 	// parallel. One object's records always land in one stripe (chosen by
 	// the same name hash the store's shard map uses), preserving their
 	// order; per-stripe snapshots therefore always see whole per-object

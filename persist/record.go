@@ -212,7 +212,7 @@ const padBlockLen = 2 * aes.BlockSize
 // cipher.Block interface, one allocation per block). Encoding and decoding
 // walk a file front to back, so each block is encrypted once and nothing is
 // allocated; a copied cursor stays correct. Not safe for concurrent use: a
-// cursor has one owner (the commit loop for the active segment, one scan per
+// cursor has one owner (the commit lock for the active segment, one scan per
 // file in recovery).
 type padStream struct {
 	aes   cipher.Block

@@ -26,7 +26,14 @@ const lockFileName = "wal.lock"
 // records instead of one per record, and 4 MiB measured the same.
 const preallocChunk = 1 << 20
 
-// pending is one record awaiting its stripe's commit loop; t is non-nil
+// maxSyncs bounds the fdatasyncs in flight on one stripe: the second one
+// buys the most overlap, and each one in flight is a batch nothing can join
+// (EXPERIMENTS.md, E39).
+const maxSyncs = 2
+
+var syncData = fdatasync // tests swap it to fail one sync of several
+
+// pending is one record awaiting its stripe's next commit; t is non-nil
 // when the mutator blocks for durability (SyncAlways opens, writes, and
 // fetches).
 type pending struct {
@@ -34,34 +41,24 @@ type pending struct {
 	t   *ticket
 }
 
-// ticket is a blocking record's store.Verdict: the commit loop sends exactly
-// one verdict on c, and Wait consumes it and returns the ticket to the pool —
-// so a blocking mutation allocates neither a channel nor a closure at steady
-// state.
+// ticket is a blocking record's store.Verdict: whoever commits the record
+// sends exactly one verdict on c, and Wait consumes it and returns the ticket
+// to the pool, so a blocking mutation allocates nothing at steady state.
 type ticket struct {
 	c chan error
-	s *walStripe // whose commit loop sends the verdict
+	s *walStripe // the record's stripe
 }
 
 var tickets = sync.Pool{New: func() any { return &ticket{c: make(chan error, 1)} }}
 
-// Wait implements store.Verdict. The ticket is recycled by the time it
+// Wait implements store.Verdict. Unless its verdict has already arrived, the
+// waiter commits the stripe itself. The ticket is recycled by the time Wait
 // returns.
 func (t *ticket) Wait() error {
-	var err error
-	select {
-	case err = <-t.c:
-	case <-t.s.done:
-		// The loop exited (Close racing this append). It may still have
-		// committed the record in its final drain; prefer that verdict.
-		select {
-		case err = <-t.c:
-		default:
-			// The channel may yet receive a late verdict; let the ticket go
-			// to the collector instead of poisoning the pool.
-			return fmt.Errorf("persist: wal closed before the record committed")
-		}
+	if len(t.c) == 0 {
+		t.s.commit(false)
 	}
+	err := <-t.c
 	tickets.Put(t)
 	return err
 }
@@ -85,7 +82,7 @@ func syncBucket(n int) int {
 
 // WAL is the write-ahead log over one data directory: Options.Stripes
 // independently committing stripe groups, each with its own segment files
-// and its own commit loop (walStripe.run). An object's records always land
+// and commit lock (walStripe). An object's records always land
 // in the stripe its name hashes to, so per-object order — the property
 // recovery and snapshots rely on — survives the fan-out.
 //
@@ -104,7 +101,7 @@ type WAL struct {
 	// on-disk seqs strictly increasing across process generations —
 	// otherwise a later recovery would see two different writes claiming
 	// one seq and halt on perfectly healthy data. Built once before the
-	// commit loops start; read-only afterwards.
+	// stripes start; read-only afterwards.
 	seqBase map[string]uint64
 
 	lock   *os.File
@@ -124,8 +121,8 @@ type WAL struct {
 	snaps  atomic.Uint64
 }
 
-// walStripe is one stripe group: an append buffer, the one goroutine that
-// commits it (run), and the stripe's own segment files and LSN space.
+// walStripe is one stripe group: an append buffer, a commit lock, a loop
+// (run), and the stripe's own segment files and LSN space.
 type walStripe struct {
 	id   int
 	dir  string
@@ -138,16 +135,19 @@ type walStripe struct {
 	stopc  chan struct{}
 	killc  chan struct{}
 
-	// The append buffer.
-	mu   sync.Mutex
-	recs []pending
+	// The append buffer, and the batch buffers committers drain it into.
+	mu    sync.Mutex
+	recs  []pending
+	spare [][]pending
 
 	notify  chan struct{}
 	rotatec chan chan rotateReply
 	flushc  chan chan error
 	done    chan struct{}
 
-	// Commit-loop state; untouched by other goroutines.
+	// cmu is the commit lock: its holder writes a batch, rotates or seals,
+	// and owns the fields below.
+	cmu         sync.Mutex
 	active      *os.File
 	activePads  padStream
 	activeBase  uint64
@@ -155,10 +155,16 @@ type walStripe struct {
 	activeAlloc int64 // preallocated size of the active file; 0 when it grows with every append
 	nextLSN     uint64
 	lastSync    time.Time
-	dirty       bool      // appended records not yet covered by an fdatasync
-	cur         []pending // batch buffer for the next drain
-	encBuf      []byte    // reused frame encode buffer
-	sinceSync   int       // records appended since the last fdatasync
+	dirty       bool   // appended records not yet covered by an fdatasync
+	encBuf      []byte // reused frame encode buffer
+	sinceSync   int    // records appended since the last fdatasync began
+
+	// Guarded by smu: fdatasyncs begun (under cmu too) and settled, the
+	// latter in the order they began; settledc signals each settle.
+	smu      sync.Mutex
+	settledc sync.Cond
+	issued   uint64
+	settled  uint64
 
 	records   atomic.Uint64
 	batches   atomic.Uint64
@@ -192,10 +198,9 @@ func lockDir(dir string) (*os.File, error) {
 }
 
 // newStripe builds one stripe group wired to the WAL's shared state. The
-// caller sets nextLSN and opens the active segment before starting the
-// commit loop (start).
+// caller sets nextLSN and opens the active segment before start.
 func newStripe(w *WAL, id int) *walStripe {
-	return &walStripe{
+	s := &walStripe{
 		id:      id,
 		dir:     w.dir,
 		key:     w.key,
@@ -208,12 +213,13 @@ func newStripe(w *WAL, id int) *walStripe {
 		rotatec: make(chan chan rotateReply),
 		flushc:  make(chan chan error),
 		done:    make(chan struct{}),
-		cur:     make([]pending, 0, 64),
 		nextLSN: 1,
 	}
+	s.settledc.L = &s.smu
+	return s
 }
 
-// start launches the stripe's commit loop.
+// start launches the stripe's loop.
 func (s *walStripe) start() {
 	s.lastSync = time.Now()
 	go s.run()
@@ -260,7 +266,7 @@ func (w *WAL) append(r *store.JournalRecord[uint64]) (*ticket, error) {
 		p.t.s = s
 	}
 	s.mu.Lock()
-	// Re-check under the stripe lock: the commit loop's final drain on stopc
+	// Re-check under the stripe lock: the loop's final drain on stopc
 	// takes this lock after Close sets closed, so a record appended while
 	// closed is still false here is guaranteed to be in that drain — no
 	// record can be acknowledged and then stranded in a buffer.
@@ -270,15 +276,17 @@ func (w *WAL) append(r *store.JournalRecord[uint64]) (*ticket, error) {
 	}
 	s.recs = append(s.recs, p)
 	s.mu.Unlock()
-	s.kick()
+	if w.opts.Policy != SyncAlways { // else the waiter or the tick commits
+		s.kick()
+	}
 	return p.t, nil
 }
 
 // Record implements store.Journal: encode the mutation, append it to the
 // name's stripe, and — under SyncAlways, for records with durability
-// semantics — block until that stripe's commit loop reports the record
-// stable. Announce and audit records never block: they are pure
-// helping and derived state.
+// semantics — commit the stripe and block until the record is stable.
+// Announce and audit records never block: they are pure helping and derived
+// state.
 func (w *WAL) Record(r store.JournalRecord[uint64]) error {
 	t, err := w.append(&r)
 	if err != nil || t == nil {
@@ -289,9 +297,9 @@ func (w *WAL) Record(r store.JournalRecord[uint64]) error {
 
 // RecordAsync implements store.AsyncJournal: append like Record, but hand
 // the durability wait back to the caller as the record's pooled ticket, so
-// a pipelined caller (the network server) can keep executing requests while
-// the stripe's commit loop takes every mutation that arrived during its
-// previous fdatasync — the whole pending buffer — into the next one.
+// a pipelined caller (the network server) can keep executing requests, and
+// whichever of their waits commits first takes every mutation queued on the
+// stripe by then into one fdatasync.
 func (w *WAL) RecordAsync(r store.JournalRecord[uint64]) (store.Verdict, error) {
 	t, err := w.append(&r)
 	if err != nil || t == nil {
@@ -311,7 +319,7 @@ func (w *WAL) err() error {
 	return nil
 }
 
-// kick nudges the stripe's commit loop without blocking.
+// kick nudges the stripe's loop without blocking.
 func (s *walStripe) kick() {
 	select {
 	case s.notify <- struct{}{}:
@@ -319,12 +327,9 @@ func (s *walStripe) kick() {
 	}
 }
 
-// run is the stripe's commit loop, its one goroutine. Every wakeup — an
-// append (notify), the Interval tick, or a barrier (Sync's flush, Snapshot's
-// rotate, Close) — runs the same commit, and the only thing that differs
-// between them is whether the commit must end in an fdatasync (force).
-// Records that arrive while a commit's fdatasync is in progress queue in the
-// append buffer and form the next batch: that is the whole group commit.
+// run is the stripe's loop: it commits what no waiter does — every record
+// under SyncInterval and SyncNever, the tick, and the barriers, which then
+// wait out the syncs in flight before they answer, rotate or seal.
 func (s *walStripe) run() {
 	defer close(s.done)
 	tick := time.NewTicker(s.opts.Interval)
@@ -336,15 +341,20 @@ func (s *walStripe) run() {
 			return
 		case <-s.stopc:
 			s.commit(true)
+			s.cmu.Lock()
 			s.sealActive()
+			s.cmu.Unlock()
 			return
 		case reply := <-s.rotatec:
 			s.commit(true)
+			s.cmu.Lock()
 			err := s.rotate()
+			cut := s.activeBase
+			s.cmu.Unlock()
 			if err == nil {
 				err = s.failure()
 			}
-			reply <- rotateReply{cutLSN: s.activeBase, err: err}
+			reply <- rotateReply{cutLSN: cut, err: err}
 		case reply := <-s.flushc:
 			s.commit(true)
 			reply <- s.failure()
@@ -359,30 +369,49 @@ func (s *walStripe) run() {
 	}
 }
 
-// commit drains the append buffer, appends the batch with one write, calls
-// fdatasync when force or the policy asks for it, and releases the batch's
-// waiters. Under SyncAlways a batch with a waiter always syncs, so a waiter
-// is released only after an fdatasync issued after its bytes were written.
+// commit drains the append buffer and writes the batch under the commit lock;
+// the fdatasync that force or the policy asks for runs after it, beside at
+// most one other. A third committer waits for one to settle, then takes all
+// that queued meanwhile: the group commit. A forced commit (a barrier) waits
+// out every sync in flight first. Waiters get their verdict once their sync
+// and every earlier one have settled.
 func (s *walStripe) commit(force bool) {
-	batch := s.drain(s.cur)
-	s.cur = batch[:0]
+	s.cmu.Lock()
+	s.smu.Lock()
+	for s.issued-s.settled >= maxSyncs || force && s.settled != s.issued {
+		s.settledc.Wait()
+	}
+	s.smu.Unlock()
+	batch := s.drain()
 	err := s.failure()
-	if err == nil {
-		err = s.appendBatch(batch)
-		if err == nil && s.dirty && s.syncDue(batch, force) {
-			err = s.sync()
+	if err == nil && len(batch) > 0 {
+		if s.active == nil { // abandoned (simulated kill): write nothing
+			err = fmt.Errorf("persist: wal closed before the record committed")
+		} else if err = s.appendBatch(batch); err != nil {
+			err = s.fail(err)
 		}
-		if err != nil {
-			err = fmt.Errorf("persist: wal commit: %w", err)
-			sticky := err // its own variable: &err would move err to the heap on every commit
-			s.failed.CompareAndSwap(nil, &sticky)
-		}
+	}
+	var k uint64
+	var f *os.File
+	var n int
+	if err == nil && s.dirty && s.syncDue(batch, force) {
+		f, n = s.active, s.sinceSync
+		s.dirty, s.sinceSync, s.lastSync = false, 0, time.Now()
+		s.smu.Lock()
+		s.issued++
+		k = s.issued
+		s.smu.Unlock()
+	}
+	s.cmu.Unlock()
+	if f != nil {
+		err = s.settle(k, s.sync(f, n))
 	}
 	for i := range batch {
 		if batch[i].t != nil {
 			batch[i].t.c <- err
 		}
 	}
+	s.recycle(batch)
 }
 
 // syncDue reports whether committing batch must end in an fdatasync.
@@ -402,23 +431,54 @@ func (s *walStripe) syncDue(batch []pending, force bool) bool {
 	return false
 }
 
-// sync makes everything appended to the active segment stable, observing
-// the fdatasync on Options.SyncLatency.
-func (s *walStripe) sync() error {
+// sync makes f, the active segment, stable up to its last write, and counts
+// it (records: appended since the sync before).
+func (s *walStripe) sync(f *os.File, records int) error {
 	t0 := telem.Now()
-	err := fdatasync(s.active)
+	err := syncData(f)
 	if h := s.opts.SyncLatency; h != nil {
 		h.Observe(uint64(s.id), telem.Now()-t0)
 	}
 	if err != nil {
 		return err
 	}
-	s.dirty = false
-	s.lastSync = time.Now()
 	s.syncs.Add(1)
-	s.syncHist[syncBucket(s.sinceSync)].Add(1)
-	s.sinceSync = 0
+	s.syncHist[syncBucket(records)].Add(1)
 	return nil
+}
+
+// settle decides the k-th sync's verdict after every earlier one's. A
+// failure is sticky: a later sync's success says nothing of the lost bytes.
+func (s *walStripe) settle(k uint64, err error) error {
+	s.smu.Lock()
+	for s.settled != k-1 {
+		s.settledc.Wait()
+	}
+	if err != nil {
+		s.fail(err)
+	}
+	err = s.failure()
+	s.settled = k
+	s.settledc.Broadcast()
+	s.smu.Unlock()
+	return err
+}
+
+// quiesce waits until every sync begun has settled; the caller holds cmu, so
+// none begins meanwhile. It precedes closing the file they sync.
+func (s *walStripe) quiesce() {
+	s.smu.Lock()
+	for s.settled != s.issued {
+		s.settledc.Wait()
+	}
+	s.smu.Unlock()
+}
+
+// fail sets the WAL's sticky failure unless one is set, returning err wrapped.
+func (s *walStripe) fail(err error) error {
+	err = fmt.Errorf("persist: wal commit: %w", err)
+	s.failed.CompareAndSwap(nil, &err)
+	return err
 }
 
 // failure returns the sticky failure, if any.
@@ -429,16 +489,27 @@ func (s *walStripe) failure() error {
 	return nil
 }
 
-// drain steals the stripe's pending records, appending them to batch (a
-// reused buffer).
-func (s *walStripe) drain(batch []pending) []pending {
+// drain copies the queued records into a spare batch buffer (nil when none
+// are queued); recycle hands the buffer back.
+func (s *walStripe) drain() (batch []pending) {
 	s.mu.Lock()
-	if len(s.recs) > 0 {
-		batch = append(batch, s.recs...)
-		s.recs = s.recs[:0]
+	if n := len(s.spare); n > 0 && len(s.recs) > 0 {
+		batch, s.spare = s.spare[n-1], s.spare[:n-1]
 	}
+	batch = append(batch, s.recs...)
+	clear(s.recs)
+	s.recs = s.recs[:0]
 	s.mu.Unlock()
 	return batch
+}
+
+func (s *walStripe) recycle(batch []pending) {
+	if batch != nil {
+		clear(batch)
+		s.mu.Lock()
+		s.spare = append(s.spare, batch[:0])
+		s.mu.Unlock()
+	}
 }
 
 // appendBatch encodes the batch into the reused frame buffer and appends it
@@ -479,7 +550,7 @@ func (s *walStripe) appendBatch(batch []pending) error {
 }
 
 // rotate seals the active segment and opens a fresh one whose base is the
-// next LSN, making its directory entry durable before anything is appended.
+// next LSN, its directory entry durable before any append (under cmu).
 func (s *walStripe) rotate() error {
 	if err := s.sealActive(); err != nil {
 		return err
@@ -509,14 +580,16 @@ func (s *walStripe) reserve(f *os.File, need int64) error {
 	return err
 }
 
-// sealActive cuts the preallocated padding off the active segment, appends
-// the seal record, fsyncs, and closes it: a sealed file is exactly its
-// records. Truncating first means no crash leaves bytes after a seal; a kill
-// between the two leaves an unsealed segment without padding.
+// sealActive waits out the syncs in flight, cuts the preallocated padding off
+// the active segment, appends the seal record, fsyncs, and closes it: a
+// sealed file is exactly its records. Truncating first means no crash leaves
+// bytes after a seal; a kill between the two leaves an unsealed segment
+// without padding. The caller holds cmu.
 func (s *walStripe) sealActive() error {
 	if s.active == nil {
 		return nil
 	}
+	s.quiesce()
 	if e := s.failed.Load(); e != nil {
 		// A sticky failure may have left a partial frame at the tail.
 		// Appending a valid seal after it would turn auto-repairable torn
@@ -626,15 +699,15 @@ func (w *WAL) Close() error {
 	return err
 }
 
-// join waits for every stripe's commit loop to exit.
+// join waits for every stripe's loop to exit.
 func (w *WAL) join() {
 	for _, s := range w.groups {
 		<-s.done
 	}
 }
 
-// abandon simulates kill -9 for in-process tests: every stripe's commit loop
-// stops without draining its buffer or sealing its active segment, and the
+// abandon simulates kill -9 for in-process tests: every stripe's loop stops
+// without draining its buffer or sealing its active segment, and the
 // directory lock is released so the "restarted" process can take it.
 // Everything the OS already has (every completed Write syscall) stays on
 // disk, exactly as after a real SIGKILL on one machine.
@@ -644,12 +717,16 @@ func (w *WAL) abandon() {
 		return
 	}
 	close(w.killc)
-	w.join() // a commit in progress finishes before the fds close
+	w.join()
 	for _, s := range w.groups {
+		// Syncs in flight settle first; later commits find no file.
+		s.cmu.Lock()
+		s.quiesce()
 		if s.active != nil {
 			s.active.Close()
 			s.active = nil
 		}
+		s.cmu.Unlock()
 	}
 	if w.lock != nil {
 		syscall.Flock(int(w.lock.Fd()), syscall.LOCK_UN)

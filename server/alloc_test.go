@@ -165,7 +165,7 @@ func TestInstrumentedPathAllocationFree(t *testing.T) {
 // TestDurableWriteAllocations pins a durable write's whole server-side cost:
 // the handler, then the Wait of the Commit it hands the completion stage,
 // which returns once the record is through fdatasync. Neither the Commit nor
-// the WAL's ticket behind it allocates, the commit loop's keystream cursor
+// the WAL's ticket behind it allocates, the committer's keystream cursor
 // derives its pad blocks by value, and the register's pad window keeps its
 // blocks in place: a durable write reads 0. The bound stays under one
 // because the ticket comes from a sync.Pool, which a collection may empty.

@@ -86,7 +86,7 @@ type Journal[V comparable] interface {
 
 // AsyncJournal is an optional Journal extension for pipelined callers: a
 // network server should not park a whole connection's dispatch loop on one
-// record's fsync when the journal's commit loop could be taking every
+// record's fsync when the journal's group commit could be taking every
 // in-flight mutation into the same batch. RecordAsync returns as soon as
 // the record is appended (same ordering guarantees as Record); the returned
 // Verdict's Wait blocks until the record's durability verdict and must be
