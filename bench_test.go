@@ -289,30 +289,38 @@ func BenchmarkE7BackendAblation(b *testing.B) {
 // --- E8: audit cost vs history length ---
 
 func BenchmarkE8AuditScan(b *testing.B) {
-	for _, hist := range []int{100, 1000, 10000, 100000} {
-		b.Run(benchName("hist", hist), func(b *testing.B) {
-			reg := benchReg(b, 2)
-			rd, err := reg.Reader(0)
-			if err != nil {
-				b.Fatal(err)
-			}
-			w := reg.Writer()
-			for i := 0; i < hist; i++ {
-				if err := w.Write(uint64(i) | 1<<20); err != nil {
+	// hist=N reads one write in 16, so most rows are empty; hist-read-all=N
+	// reads every write once, so every row is folded into the set.
+	for _, every := range []int{16, 1} {
+		name := "hist"
+		if every == 1 {
+			name = "hist-read-all"
+		}
+		for _, hist := range []int{100, 1000, 10000, 100000} {
+			b.Run(benchName(name, hist), func(b *testing.B) {
+				reg := benchReg(b, 2)
+				rd, err := reg.Reader(0)
+				if err != nil {
 					b.Fatal(err)
 				}
-				if i%16 == 0 {
-					rd.Read()
+				w := reg.Writer()
+				for i := 0; i < hist; i++ {
+					if err := w.Write(uint64(i) | 1<<20); err != nil {
+						b.Fatal(err)
+					}
+					if i%every == 0 {
+						rd.Read()
+					}
 				}
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				// A fresh auditor pays the full O(hist) scan.
-				if _, err := reg.Auditor().Audit(); err != nil {
-					b.Fatal(err)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					// A fresh auditor pays the full O(hist) scan.
+					if _, err := reg.Auditor().Audit(); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }
 

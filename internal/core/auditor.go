@@ -5,6 +5,7 @@ import (
 
 	"auditreg/internal/otp"
 	"auditreg/internal/probe"
+	"auditreg/internal/unbounded"
 )
 
 // Auditor is the per-process audit handle (Algorithm 1 lines 16-22, which
@@ -64,30 +65,35 @@ func (a *Auditor[V]) AuditRows(emit func(val V, readers uint64)) error {
 	// Lines 18-20: collect readers of past values from V and B. The scan
 	// starts at lsa, not 0: rows below lsa were already folded into A.
 	if emit == nil {
-		a.set.Reserve(t.Seq - a.lsa)
+		a.set.Reserve(int(t.Seq - a.lsa))
 	}
-	for s := a.lsa; s < t.Seq; s++ {
-		if a.probe != nil {
-			a.probe.Emit(probe.Event{PID: a.pid, Kind: probe.Invoke, Prim: probe.VLoad})
-		}
-		val, ok := reg.vals.Load(s)
-		if a.probe != nil {
-			a.probe.Emit(probe.Event{PID: a.pid, Kind: probe.Return, Prim: probe.VLoad, Detail: val})
-		}
-		if !ok {
-			return fmt.Errorf("core: audit found uninitialized V[%d]; history capacity was exceeded", s)
-		}
-		if a.probe != nil {
-			a.probe.Emit(probe.Event{PID: a.pid, Kind: probe.Invoke, Prim: probe.BRow})
-		}
-		row := reg.bits.Row(s)
-		if a.probe != nil {
-			a.probe.Emit(probe.Event{PID: a.pid, Kind: probe.Return, Prim: probe.BRow, Detail: row})
-		}
-		if emit == nil {
-			a.set.Add(row&reg.maskM, val)
-		} else {
-			emit(val, row&reg.maskM)
+	for s := a.lsa; s < t.Seq; {
+		// V and B are read a chunk at a time: one directory lookup each
+		// per chunk of rows, not per row.
+		vals, rows := reg.vals.Chunk(s), reg.bits.Chunk(s)
+		for end := min(t.Seq, unbounded.ChunkEnd(s)); s < end; s++ {
+			if a.probe != nil {
+				a.probe.Emit(probe.Event{PID: a.pid, Kind: probe.Invoke, Prim: probe.VLoad})
+			}
+			val, ok := vals.Load(s)
+			if a.probe != nil {
+				a.probe.Emit(probe.Event{PID: a.pid, Kind: probe.Return, Prim: probe.VLoad, Detail: val})
+			}
+			if !ok {
+				return fmt.Errorf("core: audit found uninitialized V[%d]; history capacity was exceeded", s)
+			}
+			if a.probe != nil {
+				a.probe.Emit(probe.Event{PID: a.pid, Kind: probe.Invoke, Prim: probe.BRow})
+			}
+			row := rows.Row(s)
+			if a.probe != nil {
+				a.probe.Emit(probe.Event{PID: a.pid, Kind: probe.Return, Prim: probe.BRow, Detail: row})
+			}
+			if emit == nil {
+				a.set.Add(row&reg.maskM, val)
+			} else {
+				emit(val, row&reg.maskM)
+			}
 		}
 	}
 
@@ -126,12 +132,15 @@ func (a *Auditor[V]) Rows(since uint64, limit int, emit func(val V, readers uint
 		return since, false, nil
 	}
 	s := since
-	for ; s < a.lsa && limit > 0; s, limit = s+1, limit-1 {
-		val, ok := a.reg.vals.Load(s)
-		if !ok {
-			return s, false, fmt.Errorf("core: audit found uninitialized V[%d]; history capacity was exceeded", s)
+	for s < a.lsa && limit > 0 {
+		vals, rows := a.reg.vals.Chunk(s), a.reg.bits.Chunk(s)
+		for end := min(a.lsa, unbounded.ChunkEnd(s)); s < end && limit > 0; s, limit = s+1, limit-1 {
+			val, ok := vals.Load(s)
+			if !ok {
+				return s, false, fmt.Errorf("core: audit found uninitialized V[%d]; history capacity was exceeded", s)
+			}
+			emit(val, rows.Row(s)&a.reg.maskM)
 		}
-		emit(val, a.reg.bits.Row(s)&a.reg.maskM)
 	}
 	if limit == 0 {
 		return s, true, nil

@@ -66,38 +66,8 @@ type Register[V comparable] struct {
 
 	r    shmem.TripleReg[V]
 	sn   shmem.SeqReg
-	vals valueLog[V]
+	vals *unbounded.Array[V]
 	bits *unbounded.BitTable
-}
-
-// valueLog abstracts the audit array V so word-sized values can use the
-// allocation-free inline store while arbitrary V keeps the boxed store.
-type valueLog[V comparable] interface {
-	Store(i uint64, v V) error
-	Load(i uint64) (V, bool)
-}
-
-// u64Log adapts unbounded.U64Array to valueLog[uint64]; its concrete method
-// signatures mean calls through the interface never box the value.
-type u64Log struct{ a *unbounded.U64Array }
-
-func (l u64Log) Store(i uint64, v uint64) error { return l.a.Store(i, v) }
-func (l u64Log) Load(i uint64) (uint64, bool)   { return l.a.Load(i) }
-
-// newValueLog picks the value store for V: the inline atomic array when V is
-// uint64, the boxed array otherwise.
-func newValueLog[V comparable](capacity int) (valueLog[V], error) {
-	var zero V
-	if _, is64 := any(zero).(uint64); is64 {
-		arr, err := unbounded.NewU64Array(capacity)
-		if err != nil {
-			return nil, err
-		}
-		if lg, ok := any(u64Log{a: arr}).(valueLog[V]); ok {
-			return lg, nil
-		}
-	}
-	return unbounded.NewArray[V](capacity)
 }
 
 // defaultTripleReg picks the backend for R when none is injected: the
@@ -168,7 +138,7 @@ func newRegister[V comparable](m int, initial V, pads otp.PadSource, cfg config[
 	}
 
 	maskM := otp.MaskBits(m)
-	vals, err := newValueLog[V](cfg.capacity)
+	vals, err := unbounded.NewArray[V](cfg.capacity)
 	if err != nil {
 		return nil, err
 	}

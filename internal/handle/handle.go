@@ -30,6 +30,9 @@ func WithPID(pid int) Option {
 
 // Apply resolves options over the given default process id.
 func Apply(defaultPID int, opts []Option) Config {
+	if len(opts) == 0 {
+		return Config{PID: defaultPID} // cfg below escapes into the options' calls: a heap object each
+	}
 	cfg := Config{PID: defaultPID}
 	for _, opt := range opts {
 		opt(&cfg)

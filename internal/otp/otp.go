@@ -159,7 +159,7 @@ type NonceSource interface {
 // concurrent use.
 type SeededNonces struct {
 	mu    sync.Mutex
-	rng   *mathrand.Rand
+	pcg   mathrand.PCG // by value: no Rand or Source to chase to it
 	owner uint8
 }
 
@@ -167,17 +167,14 @@ var _ NonceSource = (*SeededNonces)(nil)
 
 // NewSeededNonces returns a nonce source owned by the given 8-bit id.
 func NewSeededNonces(seed uint64, owner uint8) *SeededNonces {
-	return &SeededNonces{
-		rng:   mathrand.New(mathrand.NewPCG(seed, uint64(owner)+0x9e3779b97f4a7c15)),
-		owner: owner,
-	}
+	return &SeededNonces{pcg: *mathrand.NewPCG(seed, uint64(owner)+0x9e3779b97f4a7c15), owner: owner}
 }
 
 // Next implements NonceSource.
 func (n *SeededNonces) Next() uint64 {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.rng.Uint64()<<8 | uint64(n.owner)
+	return n.pcg.Uint64()<<8 | uint64(n.owner)
 }
 
 // FixedNonce always returns the same nonce. It is the "nonces off" ablation

@@ -1,6 +1,7 @@
 package otp_test
 
 import (
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 
@@ -140,6 +141,24 @@ func TestSeededNoncesDisjointAcrossOwners(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		if a.Next() == b.Next() {
 			t.Fatal("owners collided")
+		}
+	}
+}
+
+// TestSeededNoncesStream pins the stream to the PCG drawn through a Rand,
+// as sources were first built: seeded runs keep their nonces.
+func TestSeededNoncesStream(t *testing.T) {
+	t.Parallel()
+	for _, c := range []struct {
+		seed  uint64
+		owner uint8
+	}{{0, 0}, {1, 1}, {99, 7}, {1 << 40, 255}} {
+		src := otp.NewSeededNonces(c.seed, c.owner)
+		ref := rand.New(rand.NewPCG(c.seed, uint64(c.owner)+0x9e3779b97f4a7c15))
+		for i := range 1000 {
+			if got, want := src.Next(), ref.Uint64()<<8|uint64(c.owner); got != want {
+				t.Fatalf("seed %d owner %d: nonce %d is %#x, want %#x", c.seed, c.owner, i, got, want)
+			}
 		}
 	}
 }

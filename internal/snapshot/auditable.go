@@ -287,13 +287,10 @@ func (sc *SnapScanner[V]) Scan() []V {
 // hash index over it, and folds in M's decrypted rows directly — M's auditor
 // keeps no set of its own — so an audit costs the rows M's cursor scans.
 type SnapAuditor[V comparable] struct {
-	ma  *core.Auditor[uint64]
-	reg *Auditable[V]
-	out []ViewEntry[V] // distinct by (scanner, view content); append-only
-	// index is an open-addressed table of 1+position into out (0: empty),
-	// a power of two at least twice len(out): four bytes per slot is what
-	// content dedup costs, where a Go map would cost an entry.
-	index []uint32
+	ma    *core.Auditor[uint64]
+	reg   *Auditable[V]
+	out   []ViewEntry[V] // distinct by (scanner, view content); append-only
+	index core.Index     // over out, by content
 	seed  maphash.Seed
 	// The last view hashed and its content hash. M's report lists a
 	// version's scanners in consecutive rows that carry one view, and out
@@ -332,21 +329,16 @@ func (a *SnapAuditor[V]) foldRow(vn uint64, readers uint64) {
 
 // add appends e to the list unless an entry of equal content is there.
 func (a *SnapAuditor[V]) add(e ViewEntry[V]) {
-	if 2*(len(a.out)+1) > len(a.index) {
-		a.index = make([]uint32, max(16, 2*len(a.index)))
-		for i := range a.out {
-			a.index[a.slot(a.out[i])] = uint32(i + 1)
-		}
-	}
-	if i := a.slot(e); a.index[i] == 0 {
+	if _, added := a.index.Find(a.hash(e), len(a.out),
+		func(i int) bool { return sameViewEntry(a.out[i], e) },
+		func(i int) uint64 { return a.hash(a.out[i]) }); added {
 		a.out = append(a.out, e)
-		a.index[i] = uint32(len(a.out))
 	}
 }
 
-// slot returns e's place in the index: where it sits, or the empty slot its
-// probe sequence ends at.
-func (a *SnapAuditor[V]) slot(e ViewEntry[V]) int {
+// hash returns e's content hash: its view's, computed once per view, mixed
+// with the scanner.
+func (a *SnapAuditor[V]) hash(e ViewEntry[V]) uint64 {
 	if p := &e.View[0]; p != a.hashed {
 		var h maphash.Hash
 		h.SetSeed(a.seed)
@@ -355,12 +347,7 @@ func (a *SnapAuditor[V]) slot(e ViewEntry[V]) int {
 		}
 		a.hashed, a.content = p, h.Sum64()
 	}
-	mask := len(a.index) - 1
-	i := int(a.content^uint64(e.Reader)*0x9e3779b97f4a7c15) & mask
-	for a.index[i] != 0 && !sameViewEntry(a.out[a.index[i]-1], e) {
-		i = (i + 1) & mask
-	}
-	return i
+	return a.content ^ uint64(e.Reader)*0x9e3779b97f4a7c15
 }
 
 func sameViewEntry[V comparable](x, e ViewEntry[V]) bool {

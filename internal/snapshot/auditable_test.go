@@ -345,8 +345,8 @@ func TestIncrementalAuditEqualsRebuild(t *testing.T) {
 						t.Fatalf("seed %d step %d: entry %d is (%d, %v), reference (%d, %v)", seed, step, i, got[i].Reader, got[i].View, want[i].Reader, want[i].View)
 					}
 				}
-				if pairs, views := snapshot.MHeld(tail); pairs != 0 || views != 0 {
-					t.Fatalf("seed %d step %d: the max register auditor holds %d pairs of %d views, want none", seed, step, pairs, views)
+				if pairs, slots := snapshot.MHeld(tail); pairs != 0 || slots != 0 {
+					t.Fatalf("seed %d step %d: the max register auditor holds %d pairs and %d index slots, want none", seed, step, pairs, slots)
 				}
 				if len(got) != len(observed) || len(rebuilt) != len(observed) {
 					t.Fatalf("seed %d step %d: tail has %d entries, rebuild %d, observed %d", seed, step, len(got), len(rebuilt), len(observed))

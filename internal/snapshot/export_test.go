@@ -9,11 +9,11 @@ func Borrows[V comparable](reg *Auditable[V]) uint64 {
 	return reg.s.(*Afek[comp[V]]).borrows.Load()
 }
 
-// MHeld reports how many pairs and distinct views the max register auditor
+// MHeld reports how many pairs and index slots the max register auditor
 // inside a keeps in a cumulative set of its own (core.Auditor's set field).
-func MHeld[V comparable](a *SnapAuditor[V]) (pairs, views int) {
+func MHeld[V comparable](a *SnapAuditor[V]) (pairs, slots int) {
 	set := reflect.ValueOf(a.ma).Elem().FieldByName("set")
-	return set.FieldByName("entries").Len(), set.FieldByName("seenBits").Len()
+	return set.FieldByName("entries").Len(), set.FieldByName("index").FieldByName("slots").Len()
 }
 
 // ReferenceAuditor returns the audit SnapAuditor folds rows into directly, as

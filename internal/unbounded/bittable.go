@@ -14,35 +14,32 @@ import (
 //
 // Construct with NewBitTable; the zero value is not usable.
 type BitTable struct {
-	dir []atomic.Pointer[bitChunk]
-}
-
-type bitChunk struct {
-	rows [chunkSize]atomic.Uint64
+	dir directory[[chunkSize]atomic.Uint64]
 }
 
 // NewBitTable returns a table addressable on rows [0, capacity). A capacity
 // of 0 selects DefaultCapacity.
 func NewBitTable(capacity int) (*BitTable, error) {
-	if capacity < 0 {
-		return nil, fmt.Errorf("unbounded: negative capacity %d", capacity)
+	dir, err := newDirectory[[chunkSize]atomic.Uint64](capacity)
+	if err != nil {
+		return nil, err
 	}
-	return &BitTable{dir: make([]atomic.Pointer[bitChunk], Slots(capacity)/chunkSize)}, nil
+	return &BitTable{dir: dir}, nil
 }
 
 // Capacity returns the number of addressable rows.
-func (t *BitTable) Capacity() uint64 { return uint64(len(t.dir)) * chunkSize }
+func (t *BitTable) Capacity() uint64 { return t.dir.capacity() }
 
 // Or atomically ORs bits into row s.
 func (t *BitTable) Or(s uint64, bits uint64) error {
 	if bits == 0 {
 		return nil
 	}
-	c, err := t.chunkFor(s, true)
+	c, err := t.dir.chunk(s)
 	if err != nil {
 		return err
 	}
-	c.rows[s&(chunkSize-1)].Or(bits)
+	c[s&(chunkSize-1)].Or(bits)
 	return nil
 }
 
@@ -56,28 +53,19 @@ func (t *BitTable) Set(s uint64, j int) error {
 }
 
 // Row returns the current bits of row s (zero if never written).
-func (t *BitTable) Row(s uint64) uint64 {
-	c, err := t.chunkFor(s, false)
-	if err != nil || c == nil {
+func (t *BitTable) Row(s uint64) uint64 { return t.Chunk(s).Row(s) }
+
+// Chunk returns a view of the chunk holding row s: a reader walking up the
+// rows looks the chunk up in the directory once, not once per row.
+func (t *BitTable) Chunk(s uint64) RowChunk { return RowChunk{t.dir.lookup(s)} }
+
+// RowChunk is one chunk of a BitTable; an absent chunk's rows read zero.
+type RowChunk struct{ c *[chunkSize]atomic.Uint64 }
+
+// Row returns the current bits of row s, which must lie in the chunk.
+func (c RowChunk) Row(s uint64) uint64 {
+	if c.c == nil {
 		return 0
 	}
-	return c.rows[s&(chunkSize-1)].Load()
-}
-
-func (t *BitTable) chunkFor(s uint64, create bool) (*bitChunk, error) {
-	ci := s >> chunkBits
-	if ci >= uint64(len(t.dir)) {
-		return nil, fmt.Errorf("unbounded: row %d beyond capacity %d", s, t.Capacity())
-	}
-	if c := t.dir[ci].Load(); c != nil {
-		return c, nil
-	}
-	if !create {
-		return nil, nil
-	}
-	fresh := new(bitChunk)
-	if t.dir[ci].CompareAndSwap(nil, fresh) {
-		return fresh, nil
-	}
-	return t.dir[ci].Load(), nil
+	return c.c[s&(chunkSize-1)].Load()
 }

@@ -9,9 +9,9 @@ import (
 
 func TestU64ArrayStoreLoad(t *testing.T) {
 	t.Parallel()
-	a, err := unbounded.NewU64Array(0)
+	a, err := unbounded.NewArray[uint64](0)
 	if err != nil {
-		t.Fatalf("NewU64Array: %v", err)
+		t.Fatalf("NewArray: %v", err)
 	}
 	if _, ok := a.Load(0); ok {
 		t.Fatal("empty slot reported written")
@@ -36,9 +36,9 @@ func TestU64ArrayStoreLoad(t *testing.T) {
 
 func TestU64ArrayCapacityBound(t *testing.T) {
 	t.Parallel()
-	a, err := unbounded.NewU64Array(100)
+	a, err := unbounded.NewArray[uint64](100)
 	if err != nil {
-		t.Fatalf("NewU64Array: %v", err)
+		t.Fatalf("NewArray: %v", err)
 	}
 	if err := a.Store(a.Capacity(), 1); err == nil {
 		t.Fatal("store beyond capacity accepted")
@@ -46,7 +46,7 @@ func TestU64ArrayCapacityBound(t *testing.T) {
 	if _, ok := a.Load(a.Capacity() + 5); ok {
 		t.Fatal("load beyond capacity reported written")
 	}
-	if _, err := unbounded.NewU64Array(-1); err == nil {
+	if _, err := unbounded.NewArray[uint64](-1); err == nil {
 		t.Fatal("negative capacity accepted")
 	}
 }
@@ -55,9 +55,9 @@ func TestU64ArrayCapacityBound(t *testing.T) {
 // not allocate — this is what makes the uint64 write path of the register
 // allocation-free.
 func TestU64ArrayStoreAllocationFree(t *testing.T) {
-	a, err := unbounded.NewU64Array(0)
+	a, err := unbounded.NewArray[uint64](0)
 	if err != nil {
-		t.Fatalf("NewU64Array: %v", err)
+		t.Fatalf("NewArray: %v", err)
 	}
 	if err := a.Store(0, 1); err != nil { // materialize chunk 0
 		t.Fatalf("Store: %v", err)
@@ -75,9 +75,9 @@ func TestU64ArrayStoreAllocationFree(t *testing.T) {
 
 func TestU64ArrayConcurrentSameValueStores(t *testing.T) {
 	t.Parallel()
-	a, err := unbounded.NewU64Array(0)
+	a, err := unbounded.NewArray[uint64](0)
 	if err != nil {
-		t.Fatalf("NewU64Array: %v", err)
+		t.Fatalf("NewArray: %v", err)
 	}
 	// The register's usage: concurrent stores to one slot carry one value.
 	var wg sync.WaitGroup

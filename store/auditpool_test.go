@@ -280,7 +280,7 @@ func TestPoolRowsTailEqualsFresh(t *testing.T) {
 
 			rng := rand.New(rand.NewSource(20))
 			tail, cursor := map[pair]bool{}, uint64(0)
-			for step := 0; step < 600; step++ {
+			for step := 0; step < 3000; step++ { // about 1,200 writes: past a chunk of rows
 				switch r := rng.Intn(10); {
 				case r < 4:
 					if err := obj.Write(uint64(rng.Intn(50))); err != nil {

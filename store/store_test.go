@@ -313,6 +313,42 @@ func TestLookupAllocationFree(t *testing.T) {
 	}
 }
 
+// TestOneShotAuditAllocations pins a fresh audit of a register with the
+// ladder's 1,328-write history, two thirds of the writes read, at the
+// handle and its set's three slices (index, value records, entries), each
+// made once at its reserved size: nothing per row or per value.
+func TestOneShotAuditAllocations(t *testing.T) {
+	st := newTestStore(t)
+	obj, err := st.Open("reg", store.Register)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	for i := range 1328 {
+		if err := obj.Write(uint64(i) + 1); err != nil {
+			t.Fatal(err)
+		}
+		if i%3 != 0 {
+			if _, err := obj.Read(i % 2); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	var pairs int
+	n := testing.AllocsPerRun(50, func() {
+		aud, err := obj.Audit()
+		if err != nil {
+			t.Fatal(err)
+		}
+		pairs = aud.Len()
+	})
+	if pairs != 885 {
+		t.Fatalf("audit holds %d pairs, want 885", pairs)
+	}
+	if n > 4 {
+		t.Errorf("a one-shot audit allocates %.1f times, want <= 4", n)
+	}
+}
+
 // TestSnapshotObjectAllocations pins a snapshot object's update at what
 // Algorithm 3 publishes — S's cell and embedded view and the logged view; M
 // holds a version number in place — and its silent scan at the copy it
