@@ -99,7 +99,7 @@ func run(args []string) (code int) {
 	fs.IntVar(&base.components, "components", 4, "components per snapshot object")
 	fs.IntVar(&base.poolWorkers, "poolworkers", 4, "audit pool worker goroutines")
 	fs.DurationVar(&base.poolInterval, "poolinterval", 2*time.Millisecond, "audit pool sweep interval")
-	fs.IntVar(&base.verify, "verify", 64, "objects per cell to check against a fresh synchronous audit (0: none)")
+	fs.IntVar(&base.verify, "verify", 64, "objects per cell to check against a synchronous audit (0: none)")
 	fs.Uint64Var(&base.seed, "seed", 1, "base seed for keys, nonces, and traffic")
 	out := fs.String("out", "", "write the cells' results as JSON to this file")
 	fs.StringVar(&m.remote, "remote", "", "drive a live auditd at this address instead of a local store (E13)")

@@ -92,6 +92,16 @@ func hashWord(v uint64) uint64 {
 	return v ^ v>>31
 }
 
+// HashWords is a word list's hash: hashWord chained over the words, each
+// step keyed and finalized again, after the length.
+func HashWords(ws []uint64) uint64 {
+	h := uint64(len(ws))
+	for _, w := range ws {
+		h = hashWord(h ^ w)
+	}
+	return h
+}
+
 // Reserve sizes an empty set for an audit about to fold rows history rows:
 // a fresh handle's first audit of a long history would otherwise regrow the
 // index and the lists a dozen times over. The reservation is capped, as not

@@ -340,12 +340,17 @@ func (a *SnapAuditor[V]) add(e ViewEntry[V]) {
 // with the scanner.
 func (a *SnapAuditor[V]) hash(e ViewEntry[V]) uint64 {
 	if p := &e.View[0]; p != a.hashed {
-		var h maphash.Hash
-		h.SetSeed(a.seed)
-		for _, x := range e.View {
-			maphash.WriteComparable(&h, x)
+		if ws, ok := any(e.View).([]uint64); ok {
+			a.content = core.HashWords(ws)
+		} else {
+			var h maphash.Hash
+			h.SetSeed(a.seed)
+			for _, x := range e.View {
+				maphash.WriteComparable(&h, x)
+			}
+			a.content = h.Sum64()
 		}
-		a.hashed, a.content = p, h.Sum64()
+		a.hashed = p
 	}
 	return a.content ^ uint64(e.Reader)*0x9e3779b97f4a7c15
 }

@@ -17,7 +17,7 @@ import (
 	"auditreg/internal/spec"
 )
 
-func newAuditableSnap(t *testing.T, n, m int, initial uint64, opts ...snapshot.AuditableOption[uint64]) *snapshot.Auditable[uint64] {
+func newAuditableSnap(t testing.TB, n, m int, initial uint64, opts ...snapshot.AuditableOption[uint64]) *snapshot.Auditable[uint64] {
 	t.Helper()
 	pads, err := otp.NewKeyedPads(otp.KeyFromSeed(11), m)
 	if err != nil {

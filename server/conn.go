@@ -483,8 +483,8 @@ func (c *conn) helpAnnounce(obj *store.Object[uint64], reader int, seq uint64) {
 // the response is encoded: no decrypted reader set is ever placed in a frame,
 // and only auditor clients — key holders — can unmask.
 func (c *conn) handleAudit(body, dst []byte) ([]byte, wire.Verb) {
-	// Cold path; the audit pool may retain the name in its cursors, so use
-	// the copying decoder.
+	// Cold path: the copying decoder. Nothing retains the name (the fold
+	// lives on the object, named at OPEN), but AUDIT has no view decoder.
 	var req wire.AuditReq
 	if err := req.Decode(body); err != nil {
 		return errBody(dst, wire.CodeBadRequest, err.Error())

@@ -6,11 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-	"unsafe"
-
-	"auditreg"
-	"auditreg/internal/core"
-	"auditreg/internal/shard"
 )
 
 // Pool defaults.
@@ -21,16 +16,17 @@ const (
 
 // AuditPool audits a store's objects asynchronously, in batches: background
 // workers sweep the shard map on an interval, each worker owning a disjoint
-// set of shards per pass. Every object is audited through a persistent
-// cursor — the auditor handle keeps the paper's lsa, so a sweep scans only
-// the history suffix written since the previous one — and the resulting
-// report (cumulative, as audits are) is published for lock-free reads via
-// Report and Merged.
+// set of shards per pass. Every object is audited through its one audit fold
+// — the object's persistent auditor handle, which keeps the paper's lsa, so a
+// sweep scans only the history suffix written since anyone last audited the
+// object; Object.Audit advances the same fold — and the resulting report
+// (cumulative, as audits are) is published for lock-free reads via Report
+// and Merged.
 //
-// The pool observes exactly the audit semantics of the per-object auditors:
-// a published report is some linearized audit of that object, and reports
+// A published report is some linearized audit of that object, and reports
 // only grow. Flush forces a synchronous full pass for callers that need
-// every cursor advanced past all operations that happened before the call.
+// every object's fold advanced past all operations that happened before the
+// call.
 //
 // Construct with Store.NewAuditPool; Start/Stop bracket the background
 // workers, Flush also works on a pool that was never started (pure batch
@@ -40,7 +36,6 @@ type AuditPool[V comparable] struct {
 	workers  int
 	interval time.Duration
 
-	cursors *shard.Map[*auditCursor[V]]
 	stopc   chan struct{}
 	stop    sync.Once
 	started atomic.Bool
@@ -50,25 +45,6 @@ type AuditPool[V comparable] struct {
 	audited atomic.Uint64 // incremental per-object audits performed
 	errs    atomic.Uint64
 	lastErr atomic.Pointer[error]
-}
-
-// auditCursor is one object's audit state: the persistent auditor handle
-// (not safe for concurrent use, hence the mutex) — aud for a Register or
-// MaxRegister, snapAud for a Snapshot — and the latest published report.
-// The report is two words: n, its pair count plus one (0: none yet), and
-// base (vbase for a snapshot), the first entry of the auditor's append-only
-// list, stored only when the list was reallocated and always before n. A
-// reader loads n first: the base it then loads holds n entries for good.
-type auditCursor[V comparable] struct {
-	mu      sync.Mutex
-	obj     *Object[V]
-	aud     *auditreg.Auditor[V]
-	snapAud *auditreg.SnapshotAuditor[V]
-	// journaled: the audited mark went to the journal this boot.
-	journaled bool
-	n         atomic.Int64
-	base      atomic.Pointer[auditreg.Entry[V]]
-	vbase     atomic.Pointer[auditreg.ViewEntry[V]]
 }
 
 // PoolOption configures an AuditPool.
@@ -108,15 +84,10 @@ func (st *Store[V]) NewAuditPool(opts ...PoolOption) (*AuditPool[V], error) {
 	if cfg.workers > st.objects.Shards() {
 		cfg.workers = st.objects.Shards()
 	}
-	cursors, err := shard.NewMap[*auditCursor[V]](st.objects.Shards())
-	if err != nil {
-		return nil, err
-	}
 	return &AuditPool[V]{
 		st:       st,
 		workers:  cfg.workers,
 		interval: cfg.interval,
-		cursors:  cursors,
 		stopc:    make(chan struct{}),
 	}, nil
 }
@@ -166,21 +137,18 @@ func (p *AuditPool[V]) run(w int) {
 	}
 }
 
-// auditOne advances the named object's cursor by one incremental audit,
-// with the pool's error and progress accounting; the one code path shared
-// by background sweeps and on-demand audits.
-func (p *AuditPool[V]) auditOne(name string, obj *Object[V]) (*auditCursor[V], error) {
-	cur, _, _ := p.cursors.GetOrCreate(name, func() (*auditCursor[V], error) {
-		return newAuditCursor(obj), nil
-	})
-	if err := cur.audit(); err != nil {
+// auditOne advances the object's audit fold by one incremental audit, with
+// the pool's error and progress accounting; the one code path shared by
+// background sweeps and on-demand audits.
+func (p *AuditPool[V]) auditOne(obj *Object[V]) error {
+	if err := obj.advance(); err != nil {
 		p.errs.Add(1)
 		e := err // stored by address: a copy here keeps err itself off the heap
 		p.lastErr.Store(&e)
-		return nil, err
+		return err
 	}
 	p.audited.Add(1)
-	return cur, nil
+	return nil
 }
 
 // sweepShard incrementally audits every object of shard s, returning the
@@ -188,8 +156,8 @@ func (p *AuditPool[V]) auditOne(name string, obj *Object[V]) (*auditCursor[V], e
 // capacity).
 func (p *AuditPool[V]) sweepShard(s int) error {
 	var first error
-	p.st.objects.RangeShard(s, func(name string, obj *Object[V]) bool {
-		if _, err := p.auditOne(name, obj); err != nil && first == nil {
+	p.st.objects.RangeShard(s, func(_ string, obj *Object[V]) bool {
+		if err := p.auditOne(obj); err != nil && first == nil {
 			first = err
 		}
 		return true
@@ -198,8 +166,8 @@ func (p *AuditPool[V]) sweepShard(s int) error {
 }
 
 // Flush synchronously audits every object in the store, advancing each
-// cursor past all operations linearized before the corresponding per-object
-// audit, and returns the first error encountered. It may run concurrently
+// object's fold past all operations linearized before the corresponding
+// per-object audit, and returns the first error encountered. It may run concurrently
 // with the background workers and works on a never-started pool.
 func (p *AuditPool[V]) Flush() error {
 	var first error
@@ -211,22 +179,21 @@ func (p *AuditPool[V]) Flush() error {
 	return first
 }
 
-// AuditObject synchronously advances the named object's audit cursor by one
+// AuditObject synchronously advances the named object's audit fold by one
 // incremental audit and returns the freshly published cumulative report. It
-// is the on-demand counterpart of a background sweep — same cursor, same
-// report chain — for callers (the network layer's AUDIT verb) that need a
-// report covering everything linearized before the call, without paying a
-// full-store Flush.
+// is Object.Audit with the pool's accounting — same fold, same report chain
+// as the background sweeps — for callers (the network layer's AUDIT verb)
+// that need a report covering everything linearized before the call, without
+// paying a full-store Flush.
 func (p *AuditPool[V]) AuditObject(name string) (ObjectAudit[V], error) {
 	obj, ok := p.st.objects.Get(name)
 	if !ok {
 		return ObjectAudit[V]{}, fmt.Errorf("store: pool audit %q: %w", name, ErrNotFound)
 	}
-	cur, err := p.auditOne(name, obj)
-	if err != nil {
+	if err := p.auditOne(obj); err != nil {
 		return ObjectAudit[V]{}, err
 	}
-	rep, _ := cur.report()
+	rep, _ := obj.report()
 	return rep, nil
 }
 
@@ -234,39 +201,39 @@ func (p *AuditPool[V]) AuditObject(name string) (ObjectAudit[V], error) {
 // says how far it got — the network layer's AUDIT verb, whose client holds
 // the paper's lsa as since: the rows of sequence range [since, rsn], at most
 // limit of them, are handed to emit (see core.Auditor.Rows for what a row is
-// and what next and more mean). With fresh the shared cursor first advances
+// and what next and more mean). With fresh the object's fold first advances
 // by one incremental audit, exactly as a sweep advances it; without, the
-// replay is of what the cursor last published.
+// replay is of what the fold last published.
 func (p *AuditPool[V]) Rows(name string, fresh bool, since uint64, limit int, emit func(val V, readers uint64)) (kind Kind, next uint64, more bool, err error) {
 	obj, ok := p.st.objects.Get(name)
 	if !ok {
 		return 0, 0, false, fmt.Errorf("store: pool audit %q: %w", name, ErrNotFound)
 	}
-	cur, ok := p.cursors.Get(name)
-	if fresh || !ok || cur.n.Load() == 0 {
-		if cur, err = p.auditOne(name, obj); err != nil {
+	if obj.kind == Snapshot {
+		return obj.kind, 0, false, fmt.Errorf("store: pool audit %q: %v objects have no audit rows: %w", name, obj.kind, ErrKindMismatch)
+	}
+	if fresh || obj.cur.n.Load() == 0 {
+		if err = p.auditOne(obj); err != nil {
 			return obj.kind, 0, false, err
 		}
 	}
-	cur.mu.Lock()
-	defer cur.mu.Unlock()
-	if cur.aud == nil {
-		return obj.kind, 0, false, fmt.Errorf("store: pool audit %q: %v objects have no audit rows: %w", name, obj.kind, ErrKindMismatch)
-	}
-	next, more, err = cur.aud.Rows(since, limit, emit)
+	obj.cur.mu.Lock()
+	defer obj.cur.mu.Unlock()
+	next, more, err = obj.cur.aud.Rows(since, limit, emit)
 	return obj.kind, next, more, err
 }
 
-// Report returns the named object's latest published audit, if the pool has
-// audited it: a shard-map lookup (lock-free) plus two atomic loads, the
-// published pair count and then the list it counts — it never contends with
-// an in-progress audit of the object.
+// Report returns the named object's latest published audit, if anyone has
+// audited it — the pool, Object.Audit or Store.Audit, which advance one fold:
+// a shard-map lookup (lock-free) plus two atomic loads, the published pair
+// count and then the list it counts — it never contends with an
+// in-progress audit of the object.
 func (p *AuditPool[V]) Report(name string) (ObjectAudit[V], bool) {
-	cur, ok := p.cursors.Get(name)
+	obj, ok := p.st.objects.Get(name)
 	if !ok {
 		return ObjectAudit[V]{}, false
 	}
-	return cur.report()
+	return obj.report()
 }
 
 // Merged returns the latest published audit of every audited object, sorted
@@ -274,8 +241,8 @@ func (p *AuditPool[V]) Report(name string) (ObjectAudit[V], bool) {
 // auditreg.Report); no audit entries are copied.
 func (p *AuditPool[V]) Merged() []ObjectAudit[V] {
 	var out []ObjectAudit[V]
-	p.cursors.Range(func(_ string, cur *auditCursor[V]) bool {
-		if rep, ok := cur.report(); ok {
+	p.st.objects.Range(func(_ string, obj *Object[V]) bool {
+		if rep, ok := obj.report(); ok {
 			out = append(out, rep)
 		}
 		return true
@@ -294,75 +261,6 @@ func (p *AuditPool[V]) Audited() uint64 { return p.audited.Load() }
 func (p *AuditPool[V]) Err() error {
 	if e := p.lastErr.Load(); e != nil {
 		return *e
-	}
-	return nil
-}
-
-func newAuditCursor[V comparable](obj *Object[V]) *auditCursor[V] {
-	cur := &auditCursor[V]{obj: obj}
-	if obj.kind == Snapshot {
-		cur.snapAud = obj.snap.Auditor()
-	} else {
-		cur.aud = obj.regs.Auditor()
-	}
-	return cur
-}
-
-// report rebuilds the published report from n and the base loaded after
-// it: a read-only view of the auditor's list, its capacity its length.
-func (c *auditCursor[V]) report() (ObjectAudit[V], bool) {
-	n := int(c.n.Load()) - 1
-	if n < 0 {
-		return ObjectAudit[V]{}, false
-	}
-	rep := ObjectAudit[V]{Object: c.obj.name, Kind: c.obj.kind}
-	if c.snapAud != nil {
-		rep.Views = unsafe.Slice(c.vbase.Load(), n)
-	} else {
-		rep.Report = core.NewReportView(unsafe.Slice(c.base.Load(), n))
-	}
-	return rep, true
-}
-
-// audit advances the cursor by one incremental audit and publishes the
-// cumulative report if it grew (audit sets only grow, so an unchanged pair
-// count is an unchanged set); a sweep allocates only when the list regrows.
-func (c *auditCursor[V]) audit() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var n int
-	if c.aud != nil {
-		rep, err := c.aud.Audit()
-		if err != nil {
-			return fmt.Errorf("store: pool audit %q: %w", c.obj.name, err)
-		}
-		entries := rep.From(0)
-		if b := unsafe.SliceData(entries); b != c.base.Load() {
-			c.base.Store(b)
-		}
-		n = len(entries)
-	} else {
-		views, err := c.snapAud.Audit()
-		if err != nil {
-			return fmt.Errorf("store: pool audit %q: %w", c.obj.name, err)
-		}
-		if b := unsafe.SliceData(views); b != c.vbase.Load() {
-			c.vbase.Store(b)
-		}
-		n = len(views)
-	}
-	if int(c.n.Load()) != n+1 {
-		c.n.Store(int64(n) + 1)
-	}
-	// Journal the object's audited mark so recovery knows it had a published
-	// report — once a boot, at its first nonempty report: recovery reads only
-	// the mark, and idle sweeps must not trickle-fill the log. Journals never
-	// block on these (derived state).
-	if j := c.obj.st.journal; j != nil && !c.journaled && n > 0 {
-		if err := j.Record(JournalRecord[V]{Op: JournalAudit, Name: c.obj.name, Kind: c.obj.kind, Pairs: n}); err != nil {
-			return fmt.Errorf("store: pool audit %q: journal: %w", c.obj.name, err)
-		}
-		c.journaled = true
 	}
 	return nil
 }

@@ -17,9 +17,9 @@ import (
 // mixed concurrent read/write traffic over many objects of all three kinds,
 // the batched asynchronous audit pipeline reports exactly the readers that
 // effectively read each object — mid-traffic reports contain no false
-// positives (every pair also appears in the final synchronous ground truth),
-// and once traffic quiesces a Flush leaves no false negatives (pool report
-// and fresh full-history per-object audit are equal sets).
+// positives (every pair also appears in the final from-scratch fold), and
+// once traffic quiesces a Flush leaves no false negatives (pool report and
+// a fresh full-history fold, FreshAudit, are equal sets).
 func TestPoolMatchesPerObjectAudit(t *testing.T) {
 	const (
 		objectsPerKind = 20
@@ -108,9 +108,10 @@ func TestPoolMatchesPerObjectAudit(t *testing.T) {
 
 	ground := map[string]store.ObjectAudit[uint64]{}
 	for _, name := range names {
-		aud, err := st.Audit(name)
+		obj, _ := st.Lookup(name)
+		aud, err := store.FreshAudit(obj)
 		if err != nil {
-			t.Fatalf("ground-truth Audit(%s): %v", name, err)
+			t.Fatalf("FreshAudit(%s): %v", name, err)
 		}
 		ground[name] = aud
 	}
@@ -123,13 +124,13 @@ func TestPoolMatchesPerObjectAudit(t *testing.T) {
 			t.Fatalf("pool has no report for %s", name)
 		}
 		if !rep.Same(ground[name]) {
-			t.Errorf("pool report for %s disagrees with per-object audit:\npool:   %d pairs\nground: %d pairs",
+			t.Errorf("pool report for %s disagrees with the from-scratch fold:\npool:   %d pairs\nfresh:  %d pairs",
 				name, rep.Len(), ground[name].Len())
 		}
 	}
 
 	// No false positives mid-traffic: every mid-flight report is a subset
-	// of the final ground truth.
+	// of the final from-scratch fold.
 	for _, rep := range mid {
 		if !rep.Subset(ground[rep.Object]) {
 			t.Errorf("mid-traffic report for %s contains pairs absent from the final audit", rep.Object)
@@ -223,12 +224,13 @@ func TestPoolCursorIsIncremental(t *testing.T) {
 	if !rep2.Report.Contains(0, 1) || !rep2.Report.Contains(1, 2) {
 		t.Errorf("second report %v misses expected pairs", rep2.Report)
 	}
-	ground, err := st.Audit("r")
+	obj, _ := st.Lookup("r")
+	ground, err := store.FreshAudit(obj)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !rep2.Same(ground) {
-		t.Errorf("incremental report %v != ground truth %v", rep2.Report, ground.Report)
+		t.Errorf("incremental report %v != from-scratch fold %v", rep2.Report, ground.Report)
 	}
 }
 
@@ -237,8 +239,8 @@ func TestPoolCursorIsIncremental(t *testing.T) {
 // a seeded schedule, with an auditor that tails (asks only for rows since its
 // cursor, three at a time, and keeps the cumulative set itself). After every
 // tail step the set must equal what a cold replay from row 0 yields and what a
-// fresh per-object audit reports: tail == fresh, for Register and MaxRegister
-// alike.
+// from-scratch fold (FreshAudit) reports: tail == fresh, for Register and
+// MaxRegister alike.
 func TestPoolRowsTailEqualsFresh(t *testing.T) {
 	type pair struct {
 		reader int
@@ -301,9 +303,9 @@ func TestPoolRowsTailEqualsFresh(t *testing.T) {
 					cursor = replay(true, cursor, tail)
 					cold := map[pair]bool{}
 					replay(false, 0, cold)
-					ground, err := obj.Audit()
+					ground, err := store.FreshAudit(obj)
 					if err != nil {
-						t.Fatalf("Audit: %v", err)
+						t.Fatalf("FreshAudit: %v", err)
 					}
 					if len(tail) != len(cold) || len(tail) != ground.Report.Len() {
 						t.Fatalf("step %d: tail has %d pairs, cold replay %d, fresh audit %d", step, len(tail), len(cold), ground.Report.Len())
@@ -634,5 +636,161 @@ func TestPoolReportsGrowByPrefix(t *testing.T) {
 		if rep, _ := pool.Report(name); rep.Len() != read {
 			t.Errorf("%s: final report has %d pairs, readers read %d", name, rep.Len(), read)
 		}
+	}
+}
+
+// TestSharedFoldUnderConcurrentAudits holds an object's one audit fold to
+// the from-scratch oracle while everything that advances or reads it runs at
+// once: writers, readers, a started pool sweeping every millisecond, and
+// auditors calling Store.Audit, AuditPool.AuditObject and AuditPool.Report
+// on the same objects. All three reach one fold, so every report an auditor
+// sees, whichever call returned it, must keep the previous one as its
+// prefix. Once traffic quiesces, one more Store.Audit of each object must
+// equal FreshAudit. Readers keep reading a value after audits folded it, so
+// a fold that skipped re-reading the row at its cursor (lsa) would lose
+// those readers and fail the final check. The schedule is seeded afresh
+// each run; a failure prints its seed.
+func TestSharedFoldUnderConcurrentAudits(t *testing.T) {
+	const (
+		readers = 8
+		writes  = 400 // per writer
+	)
+	seed := time.Now().UnixNano()
+	st := newTestStore(t, store.WithReaders[uint64](readers))
+	kinds := []store.Kind{store.Register, store.MaxRegister, store.Snapshot}
+	names := make([]string, 2*len(kinds))
+	for i := range names {
+		names[i] = fmt.Sprintf("fold-%d", i)
+		if _, err := st.Open(names[i], kinds[i%len(kinds)], store.WithObjectComponents(2)); err != nil {
+			t.Fatalf("Open(%s): %v", names[i], err)
+		}
+	}
+	pool, err := st.NewAuditPool(store.WithPoolWorkers(2), store.WithPoolInterval(time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pool.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Stop()
+
+	// pairs lists a report's pairs in its order: (reader, value, 0) for a
+	// register, (scanner, view[0], view[1]) for a snapshot.
+	type pair [3]uint64
+	pairs := func(rep store.ObjectAudit[uint64]) []pair {
+		var out []pair
+		for _, e := range rep.Report.From(0) {
+			out = append(out, pair{uint64(e.Reader), e.Value})
+		}
+		for _, e := range rep.Views {
+			out = append(out, pair{uint64(e.Reader), e.View[0], e.View[1]})
+		}
+		return out
+	}
+
+	var traffic sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		traffic.Add(1)
+		go func() {
+			defer traffic.Done()
+			rng := rand.New(rand.NewSource(seed + int64(w)))
+			for n := 0; n < writes; n++ {
+				i := rng.Intn(len(names))
+				obj, _ := st.Lookup(names[i])
+				v := uint64(w*writes + n + 1) // distinct: a lost pair cannot hide behind a later read of its value
+				var err error
+				if obj.Kind() == store.Snapshot {
+					err = obj.UpdateAt(w, v)
+				} else {
+					err = obj.Write(v)
+				}
+				if err != nil {
+					t.Errorf("seed %d: write %s: %v", seed, names[i], err)
+					return
+				}
+				// Readers of the new value, some before an audit folds it
+				// and some after: the latter land in the row at the cursor.
+				for r := 0; r < 3; r++ {
+					j := rng.Intn(readers)
+					if obj.Kind() == store.Snapshot {
+						_, err = obj.Scan(j)
+					} else {
+						_, err = obj.Read(j)
+					}
+					if err != nil {
+						t.Errorf("seed %d: read %s: %v", seed, names[i], err)
+						return
+					}
+					if rng.Intn(2) == 0 {
+						runtime.Gosched()
+					}
+				}
+			}
+		}()
+	}
+
+	var (
+		done     atomic.Bool
+		auditors sync.WaitGroup
+	)
+	for a := 0; a < 2; a++ {
+		auditors.Add(1)
+		go func() {
+			defer auditors.Done()
+			rng := rand.New(rand.NewSource(seed + 100 + int64(a)))
+			prev := make([][]pair, len(names))
+			for !done.Load() {
+				i := rng.Intn(len(names))
+				var (
+					rep store.ObjectAudit[uint64]
+					err error
+					ok  = true
+				)
+				switch rng.Intn(3) {
+				case 0:
+					rep, err = st.Audit(names[i])
+				case 1:
+					rep, err = pool.AuditObject(names[i])
+				default:
+					rep, ok = pool.Report(names[i])
+				}
+				if err != nil {
+					t.Errorf("seed %d: audit %s: %v", seed, names[i], err)
+					return
+				}
+				if !ok {
+					continue
+				}
+				got := pairs(rep)
+				if len(got) < len(prev[i]) || !slices.Equal(got[:len(prev[i])], prev[i]) {
+					t.Errorf("seed %d: %s: report of %d pairs does not extend the previous one of %d", seed, names[i], len(got), len(prev[i]))
+					return
+				}
+				prev[i] = got
+			}
+		}()
+	}
+	traffic.Wait()
+	done.Store(true)
+	auditors.Wait()
+	if t.Failed() {
+		return
+	}
+	for _, name := range names {
+		got, err := st.Audit(name)
+		if err != nil {
+			t.Fatalf("seed %d: Audit(%s): %v", seed, name, err)
+		}
+		obj, _ := st.Lookup(name)
+		fresh, err := store.FreshAudit(obj)
+		if err != nil {
+			t.Fatalf("seed %d: FreshAudit(%s): %v", seed, name, err)
+		}
+		if !got.Same(fresh) {
+			t.Errorf("seed %d: %s: the shared fold has %d pairs, the from-scratch fold %d", seed, name, got.Len(), fresh.Len())
+		}
+	}
+	if err := pool.Err(); err != nil {
+		t.Fatalf("seed %d: pool observed audit error: %v", seed, err)
 	}
 }

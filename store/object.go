@@ -29,8 +29,9 @@ type Object[V comparable] struct {
 	regs registerHandles[V]
 
 	readSlots []readSlot[V]
-	comps     []compSlot[V] // Snapshot only: per-component updater
-	writers   sync.Pool     // Register/MaxRegister write handles
+	comps     []compSlot[V]  // Snapshot only: per-component updater
+	writers   sync.Pool      // Register/MaxRegister write handles
+	cur       auditCursor[V] // the object's one audit fold
 }
 
 // registerHandles is what a Register and a MaxRegister share: Algorithm 1's
@@ -382,19 +383,16 @@ func (o *Object[V]) Peek() (V, error) {
 	return o.max.Peek(), nil
 }
 
-// Audit audits the object with a fresh auditor: a full scan of the history,
-// yielding the exact current audit set. This is the synchronous ground
-// truth; the batched path is AuditPool.
+// Audit advances the object's one audit fold by an incremental audit and
+// returns the cumulative report it publishes: the exact audit set, linearized
+// within the call. The fold is the one an AuditPool's sweeps, AuditObject and
+// Rows advance, so an audit folds only the rows written since anyone last
+// audited the object; the first audit folds the whole history. The report is
+// a zero-copy view of the fold's append-only list: read-only.
 func (o *Object[V]) Audit() (ObjectAudit[V], error) {
-	out := ObjectAudit[V]{Object: o.name, Kind: o.kind}
-	var err error
-	if o.kind == Snapshot {
-		out.Views, err = o.snap.Auditor().Audit()
-	} else {
-		out.Report, err = o.regs.Auditor().Audit()
+	if err := o.advance(); err != nil {
+		return ObjectAudit[V]{}, err
 	}
-	if err != nil {
-		return ObjectAudit[V]{}, fmt.Errorf("store: audit %q: %w", o.name, err)
-	}
-	return out, nil
+	rep, _ := o.report()
+	return rep, nil
 }

@@ -187,12 +187,12 @@ func TestAuditObjectIsFresh(t *testing.T) {
 		if err != nil {
 			t.Fatalf("AuditObject: %v", err)
 		}
-		ground, err := st.Audit("obj")
+		ground, err := store.FreshAudit(obj)
 		if err != nil {
-			t.Fatalf("Audit: %v", err)
+			t.Fatalf("FreshAudit: %v", err)
 		}
 		if !got.Same(ground) {
-			t.Fatalf("round %d: AuditObject %v != ground truth %v", round, got.Report, ground.Report)
+			t.Fatalf("round %d: AuditObject %v != from-scratch fold %v", round, got.Report, ground.Report)
 		}
 		// The published report is the same chain the sweeps use.
 		rep, ok := pool.Report("obj")

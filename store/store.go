@@ -27,12 +27,14 @@
 //
 // # Auditing
 //
-// Store.Audit (and Object.Audit) is the synchronous ground truth: a fresh
-// auditor scans the object's full history. AuditPool is the production path:
-// background workers sweep the shards on an interval, each object audited
-// incrementally through a persistent cursor (the paper's lsa), with the
-// latest report published for lock-free reads and a merged, zero-copy view
-// across all objects.
+// Each object keeps one audit fold: a persistent auditor handle, made at the
+// object's first audit, whose cursor is the paper's lsa, so an audit scans
+// only the history written since anyone last audited the object. Store.Audit
+// (and Object.Audit) advances it synchronously and returns the exact current
+// audit set. AuditPool advances the same folds in the background: workers
+// sweep the shards on an interval, with each object's latest report
+// published for lock-free reads and a merged, zero-copy view across all
+// objects.
 package store
 
 import (
@@ -347,9 +349,9 @@ func (st *Store[V]) Read(name string, reader int) (V, error) {
 	return obj.Read(reader)
 }
 
-// Audit synchronously audits the named object with a fresh full-history
-// auditor and returns the exact current audit set. It is the ground truth —
-// and the expensive path; production auditing goes through an AuditPool.
+// Audit synchronously audits the named object and returns the exact current
+// audit set: Object.Audit, which advances the object's one audit fold — the
+// fold an AuditPool sweeps — by the rows written since it was last audited.
 func (st *Store[V]) Audit(name string) (ObjectAudit[V], error) {
 	obj, ok := st.objects.Get(name)
 	if !ok {

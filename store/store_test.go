@@ -3,6 +3,7 @@ package store_test
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -313,39 +314,88 @@ func TestLookupAllocationFree(t *testing.T) {
 	}
 }
 
-// TestOneShotAuditAllocations pins a fresh audit of a register with the
-// ladder's 1,328-write history, two thirds of the writes read, at the
-// handle and its set's three slices (index, value records, entries), each
-// made once at its reserved size: nothing per row or per value.
+// TestOneShotAuditAllocations pins an object's first audit — the one that
+// folds its whole history, here the ladder's 1,328 writes, two thirds of them
+// read — at the auditor handle and its set's three slices (index, value
+// records, entries), each made once at its reserved size: nothing per row or
+// per value. Every later audit folds only what is new (see
+// TestRepeatAuditAllocations), so first audits are counted, one per object
+// over objects with the same history, as testing.AllocsPerRun counts runs.
 func TestOneShotAuditAllocations(t *testing.T) {
+	const objects = 8
 	st := newTestStore(t)
-	obj, err := st.Open("reg", store.Register)
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	for i := range 1328 {
-		if err := obj.Write(uint64(i) + 1); err != nil {
-			t.Fatal(err)
+	objs := make([]*store.Object[uint64], objects)
+	for k := range objs {
+		obj, err := st.Open(fmt.Sprintf("reg-%d", k), store.Register)
+		if err != nil {
+			t.Fatalf("Open: %v", err)
 		}
-		if i%3 != 0 {
-			if _, err := obj.Read(i % 2); err != nil {
+		for i := range 1328 {
+			if err := obj.Write(uint64(i) + 1); err != nil {
 				t.Fatal(err)
 			}
+			if i%3 != 0 {
+				if _, err := obj.Read(i % 2); err != nil {
+					t.Fatal(err)
+				}
+			}
 		}
+		objs[k] = obj
 	}
-	var pairs int
-	n := testing.AllocsPerRun(50, func() {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	mallocs := ms.Mallocs
+	for _, obj := range objs {
 		aud, err := obj.Audit()
 		if err != nil {
 			t.Fatal(err)
 		}
-		pairs = aud.Len()
-	})
-	if pairs != 885 {
-		t.Fatalf("audit holds %d pairs, want 885", pairs)
+		if aud.Len() != 885 {
+			t.Fatalf("audit holds %d pairs, want 885", aud.Len())
+		}
 	}
-	if n > 4 {
-		t.Errorf("a one-shot audit allocates %.1f times, want <= 4", n)
+	runtime.ReadMemStats(&ms)
+	if n := (ms.Mallocs - mallocs) / objects; n > 4 {
+		t.Errorf("an object's first audit allocates %d times, want <= 4", n)
+	}
+}
+
+// TestRepeatAuditAllocations pins what an audit costs when nothing happened
+// since the last one: Store.Audit of a quiescent register, max register and
+// snapshot finds its object's fold unchanged and returns the report it
+// already published, allocating nothing.
+func TestRepeatAuditAllocations(t *testing.T) {
+	st := newTestStore(t)
+	for _, kind := range []store.Kind{store.Register, store.MaxRegister, store.Snapshot} {
+		name := kind.String()
+		obj, err := st.Open(name, kind)
+		if err != nil {
+			t.Fatalf("Open(%s): %v", name, err)
+		}
+		for i := range 40 {
+			if kind == store.Snapshot {
+				err = obj.UpdateAt(i%obj.Components(), uint64(i)+1)
+				_, _ = obj.Scan(i % st.Readers())
+			} else {
+				err = obj.Write(uint64(i) + 1)
+				_, _ = obj.Read(i % st.Readers())
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		first, err := st.Audit(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(100, func() {
+			if aud, err := st.Audit(name); err != nil || aud.Len() != first.Len() {
+				t.Fatalf("repeat Audit(%s) = %d pairs, %v; want %d pairs", name, aud.Len(), err, first.Len())
+			}
+		}); n != 0 {
+			t.Errorf("a repeat Audit of a quiescent %v allocates %.1f times, want 0", kind, n)
+		}
 	}
 }
 
