@@ -49,6 +49,7 @@ import (
 	"auditreg/internal/maxreg"
 	"auditreg/internal/otp"
 	"auditreg/internal/snapshot"
+	"auditreg/internal/unbounded"
 	"auditreg/internal/versioned"
 )
 
@@ -128,7 +129,14 @@ func NewRegister[V comparable](m int, initial V, pads PadSource, opts ...Registe
 	return core.New(m, initial, pads, opts...)
 }
 
-// WithCapacity bounds the auditable history length of a Register.
+// ErrCapacity reports a write past the end of an object's audit history,
+// refused before anything a read or an audit sees changed; reads and audits
+// carry on. Errors are wrapped; test with errors.Is.
+var ErrCapacity = unbounded.ErrCapacity
+
+// WithCapacity bounds the auditable history of a Register to n installed
+// writes, rounded up to a multiple of 1,024 (0: 16 Mi). The write after them
+// is refused with ErrCapacity.
 func WithCapacity[V comparable](n int) RegisterOption[V] { return core.WithCapacity[V](n) }
 
 // MaxRegister is the auditable max register (Algorithm 2): Algorithm 1's
@@ -154,8 +162,9 @@ type Less[V any] = maxreg.Less[V]
 // RegisterOption.
 type MaxRegisterOption[V comparable] = core.Option[V]
 
-// WithMaxCapacity bounds the auditable history length of a MaxRegister; it
-// is WithCapacity under the name max-register callers know.
+// WithMaxCapacity is WithCapacity under the name max-register callers know.
+// A writeMax refused with ErrCapacity may already be in the substrate M,
+// which Peek reports; no read or audit ever does.
 func WithMaxCapacity[V comparable](n int) MaxRegisterOption[V] { return core.WithCapacity[V](n) }
 
 // NewMaxRegister returns an auditable max register for m readers holding
@@ -182,8 +191,9 @@ type ViewEntry[V comparable] = snapshot.ViewEntry[V]
 // SnapshotOption configures a Snapshot.
 type SnapshotOption[V comparable] = snapshot.AuditableOption[V]
 
-// WithSnapshotCapacity bounds the audit history length of a Snapshot's
-// underlying max register.
+// WithSnapshotCapacity bounds a Snapshot's audit history to n updates,
+// rounded up to a multiple of 1,024; the next is refused with ErrCapacity
+// and no scan or audit sees it.
 func WithSnapshotCapacity[V comparable](n int) SnapshotOption[V] {
 	return snapshot.WithSnapshotCapacity[V](n)
 }

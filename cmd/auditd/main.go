@@ -59,7 +59,7 @@ func main() {
 	readers := flag.Int("readers", 0, "reader principals per object (0: store default)")
 	shards := flag.Int("shards", 0, "execution shards: queues requests are routed to by object-name hash, each drained by one connection at a time (0: GOMAXPROCS)")
 	shardQueue := flag.Int("shard-queue", 0, "per-shard queue depth; the admission-control high watermark (0: server default)")
-	capacity := flag.Int("capacity", 0, "default audit-history capacity per object (0: store default)")
+	capacity := flag.Int("capacity", 0, "default audit-history capacity per object, in writes rounded up to a multiple of 1024; the write past it is refused and reads and audits carry on (0: store default)")
 	poolWorkers := flag.Int("poolworkers", 0, "audit pool worker goroutines (0: pool default)")
 	poolInterval := flag.Duration("poolinterval", 0, "audit pool sweep interval (0: pool default)")
 	drainTimeout := flag.Duration("draintimeout", 10*time.Second, "graceful shutdown budget")

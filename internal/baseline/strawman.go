@@ -32,8 +32,7 @@ type Strawman[V comparable] struct {
 	m     int
 	maskM uint64
 	p     atomic.Pointer[strawState[V]]
-	vals  *unbounded.Array[V]
-	bits  *unbounded.BitTable
+	hist  *unbounded.History[V]
 }
 
 type strawState[V comparable] struct {
@@ -47,16 +46,11 @@ func NewStrawman[V comparable](m int, initial V) (*Strawman[V], error) {
 	if m < 1 || m > 64 {
 		return nil, fmt.Errorf("baseline: reader count m must be in [1, 64], got %d", m)
 	}
-	s := &Strawman[V]{m: m, maskM: otp.MaskBits(m)}
-	vals, err := unbounded.NewArray[V](0)
+	hist, err := unbounded.NewHistory[V](m, 0)
 	if err != nil {
 		return nil, err
 	}
-	bits, err := unbounded.NewBitTable(0)
-	if err != nil {
-		return nil, err
-	}
-	s.vals, s.bits = vals, bits
+	s := &Strawman[V]{m: m, maskM: otp.MaskBits(m), hist: hist}
 	s.p.Store(&strawState[V]{seq: 0, val: initial})
 	return s, nil
 }
@@ -92,10 +86,10 @@ func (s *Strawman[V]) Peek() V {
 func (s *Strawman[V]) Write(v V) error {
 	for {
 		cur := s.p.Load()
-		if err := s.vals.Store(cur.seq, cur.val); err != nil {
+		if err := s.hist.Store(cur.seq, cur.val); err != nil {
 			return err
 		}
-		if err := s.bits.Or(cur.seq, cur.readers&s.maskM); err != nil {
+		if err := s.hist.Or(cur.seq, cur.readers&s.maskM); err != nil {
 			return err
 		}
 		next := &strawState[V]{seq: cur.seq + 1, val: v}
@@ -112,11 +106,11 @@ func (s *Strawman[V]) Audit() (core.Report[V], error) {
 	cur := s.p.Load()
 	var entries []core.Entry[V]
 	for q := uint64(0); q < cur.seq; q++ {
-		val, ok := s.vals.Load(q)
+		val, ok := s.hist.Load(q)
 		if !ok {
 			return core.Report[V]{}, fmt.Errorf("baseline: uninitialized history slot %d", q)
 		}
-		entries = appendRow(entries, s.bits.Row(q)&s.maskM, val)
+		entries = appendRow(entries, s.hist.Row(q)&s.maskM, val)
 	}
 	entries = appendRow(entries, cur.readers&s.maskM, cur.val)
 	return core.NewReport(entries...), nil

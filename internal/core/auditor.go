@@ -5,7 +5,6 @@ import (
 
 	"auditreg/internal/otp"
 	"auditreg/internal/probe"
-	"auditreg/internal/unbounded"
 )
 
 // Auditor is the per-process audit handle (Algorithm 1 lines 16-22, which
@@ -68,14 +67,14 @@ func (a *Auditor[V]) AuditRows(emit func(val V, readers uint64)) error {
 		a.set.Reserve(int(t.Seq - a.lsa))
 	}
 	for s := a.lsa; s < t.Seq; {
-		// V and B are read a chunk at a time: one directory lookup each
-		// per chunk of rows, not per row.
-		vals, rows := reg.vals.Chunk(s), reg.bits.Chunk(s)
-		for end := min(t.Seq, unbounded.ChunkEnd(s)); s < end; s++ {
+		// V and B are read a block at a time: one directory lookup per
+		// block of rows, not per row, finds both.
+		blk := reg.hist.Block(s)
+		for end := min(t.Seq, blk.End(s)); s < end; s++ {
 			if a.probe != nil {
 				a.probe.Emit(probe.Event{PID: a.pid, Kind: probe.Invoke, Prim: probe.VLoad})
 			}
-			val, ok := vals.Load(s)
+			val, ok := blk.Load(s)
 			if a.probe != nil {
 				a.probe.Emit(probe.Event{PID: a.pid, Kind: probe.Return, Prim: probe.VLoad, Detail: val})
 			}
@@ -85,7 +84,7 @@ func (a *Auditor[V]) AuditRows(emit func(val V, readers uint64)) error {
 			if a.probe != nil {
 				a.probe.Emit(probe.Event{PID: a.pid, Kind: probe.Invoke, Prim: probe.BRow})
 			}
-			row := rows.Row(s)
+			row := blk.Row(s)
 			if a.probe != nil {
 				a.probe.Emit(probe.Event{PID: a.pid, Kind: probe.Return, Prim: probe.BRow, Detail: row})
 			}
@@ -133,13 +132,13 @@ func (a *Auditor[V]) Rows(since uint64, limit int, emit func(val V, readers uint
 	}
 	s := since
 	for s < a.lsa && limit > 0 {
-		vals, rows := a.reg.vals.Chunk(s), a.reg.bits.Chunk(s)
-		for end := min(a.lsa, unbounded.ChunkEnd(s)); s < end && limit > 0; s, limit = s+1, limit-1 {
-			val, ok := vals.Load(s)
+		blk := a.reg.hist.Block(s)
+		for end := min(a.lsa, blk.End(s)); s < end && limit > 0; s, limit = s+1, limit-1 {
+			val, ok := blk.Load(s)
 			if !ok {
 				return s, false, fmt.Errorf("core: audit found uninitialized V[%d]; history capacity was exceeded", s)
 			}
-			emit(val, rows.Row(s)&a.reg.maskM)
+			emit(val, blk.Row(s)&a.reg.maskM)
 		}
 	}
 	if limit == 0 {

@@ -255,7 +255,7 @@ func (w *MaxWriter[V]) WriteMax(val V) error {
 		if w.probe != nil {
 			w.probe.Emit(probe.Event{PID: w.pid, Kind: probe.Invoke, Prim: probe.VStore})
 		}
-		if err := reg.vals.Store(t.Seq, t.Val); err != nil {
+		if err := reg.hist.Store(t.Seq, t.Val); err != nil {
 			return err
 		}
 		if w.probe != nil {
@@ -266,7 +266,7 @@ func (w *MaxWriter[V]) WriteMax(val V) error {
 		if w.probe != nil {
 			w.probe.Emit(probe.Event{PID: w.pid, Kind: probe.Invoke, Prim: probe.BSet, Detail: readers})
 		}
-		if err := reg.bits.Or(t.Seq, readers); err != nil {
+		if err := reg.hist.Or(t.Seq, readers); err != nil {
 			return err
 		}
 		if w.probe != nil {

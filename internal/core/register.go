@@ -66,8 +66,7 @@ type Register[V comparable] struct {
 
 	r    shmem.TripleReg[V]
 	sn   shmem.SeqReg
-	vals *unbounded.Array[V]
-	bits *unbounded.BitTable
+	hist *unbounded.History[V] // V and B, row by row
 }
 
 // defaultTripleReg picks the backend for R when none is injected: the
@@ -107,8 +106,10 @@ func WithSeqReg[V comparable](sn shmem.SeqReg) Option[V] {
 	return func(c *config[V]) { c.seqReg = sn }
 }
 
-// WithCapacity bounds the history length (number of writes) the register can
-// record for auditing. Zero selects unbounded.DefaultCapacity.
+// WithCapacity bounds the register's audit history to n installed writes,
+// rounded up to a multiple of 1,024 (0: unbounded.DefaultCapacity). The next
+// write is refused before it changes R, with an error wrapping
+// unbounded.ErrCapacity; reads and audits carry on over the history.
 func WithCapacity[V comparable](n int) Option[V] {
 	return func(c *config[V]) { c.capacity = n }
 }
@@ -138,11 +139,7 @@ func newRegister[V comparable](m int, initial V, pads otp.PadSource, cfg config[
 	}
 
 	maskM := otp.MaskBits(m)
-	vals, err := unbounded.NewArray[V](cfg.capacity)
-	if err != nil {
-		return nil, err
-	}
-	bits, err := unbounded.NewBitTable(cfg.capacity)
+	hist, err := unbounded.NewHistory[V](m, cfg.capacity)
 	if err != nil {
 		return nil, err
 	}
@@ -151,8 +148,7 @@ func newRegister[V comparable](m int, initial V, pads otp.PadSource, cfg config[
 		m:     m,
 		maskM: maskM,
 		pads:  pads,
-		vals:  vals,
-		bits:  bits,
+		hist:  hist,
 	}
 
 	init := shmem.Triple[V]{Seq: 0, Val: initial, Bits: pads.Mask(0) & maskM}

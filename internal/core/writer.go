@@ -82,7 +82,7 @@ func (w *Writer[V]) WriteSeq(v V) (seq uint64, installed bool, err error) {
 		if w.probe != nil {
 			w.probe.Emit(probe.Event{PID: w.pid, Kind: probe.Invoke, Prim: probe.VStore})
 		}
-		if err := reg.vals.Store(t.Seq, t.Val); err != nil {
+		if err := reg.hist.Store(t.Seq, t.Val); err != nil {
 			return 0, false, err
 		}
 		if w.probe != nil {
@@ -94,7 +94,7 @@ func (w *Writer[V]) WriteSeq(v V) (seq uint64, installed bool, err error) {
 		if w.probe != nil {
 			w.probe.Emit(probe.Event{PID: w.pid, Kind: probe.Invoke, Prim: probe.BSet, Detail: readers})
 		}
-		if err := reg.bits.Or(t.Seq, readers); err != nil {
+		if err := reg.hist.Or(t.Seq, readers); err != nil {
 			return 0, false, err
 		}
 		if w.probe != nil {

@@ -58,7 +58,7 @@ const logChunk = 1 << 10 // views a chunk of the log holds
 // slot returns vn's slot, allocating its chunk if it has none.
 func (l viewLog[V]) slot(vn uint64) (*atomic.Pointer[V], error) {
 	if vn/logChunk >= uint64(len(l)) {
-		return nil, fmt.Errorf("snapshot: version %d beyond the view log's capacity %d", vn, len(l)*logChunk)
+		return nil, fmt.Errorf("snapshot: version %d beyond the view log's capacity %d: %w", vn, len(l)*logChunk, unbounded.ErrCapacity)
 	}
 	if d := &l[vn/logChunk]; d.Load() == nil {
 		d.CompareAndSwap(nil, new([logChunk]atomic.Pointer[V]))
@@ -107,8 +107,9 @@ func WithLockedStore[V comparable]() AuditableOption[V] {
 	return func(c *auditableConfig[V]) { c.locked = true }
 }
 
-// WithSnapshotCapacity bounds the audit history length of the underlying max
-// register.
+// WithSnapshotCapacity bounds the audit history of the underlying max
+// register: an update takes one row, and the one past the last row is
+// refused with an error wrapping unbounded.ErrCapacity.
 func WithSnapshotCapacity[V comparable](n int) AuditableOption[V] {
 	return func(c *auditableConfig[V]) { c.capacity = n }
 }

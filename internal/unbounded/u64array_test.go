@@ -1,6 +1,7 @@
 package unbounded_test
 
 import (
+	"errors"
 	"sync"
 	"testing"
 
@@ -9,12 +10,12 @@ import (
 
 func TestU64ArrayStoreLoad(t *testing.T) {
 	t.Parallel()
-	a, err := unbounded.NewArray[uint64](0)
+	a, err := unbounded.NewHistory[uint64](16, 0)
 	if err != nil {
-		t.Fatalf("NewArray: %v", err)
+		t.Fatalf("NewHistory: %v", err)
 	}
 	if _, ok := a.Load(0); ok {
-		t.Fatal("empty slot reported written")
+		t.Fatal("empty row reported written")
 	}
 	// A stored zero must be distinguishable from an empty slot.
 	if err := a.Store(0, 0); err != nil {
@@ -30,36 +31,36 @@ func TestU64ArrayStoreLoad(t *testing.T) {
 		t.Fatalf("Load far = (%d, %t)", v, ok)
 	}
 	if _, ok := a.Load(123455); ok {
-		t.Fatal("neighbour slot reported written")
+		t.Fatal("neighbour row reported written")
 	}
 }
 
 func TestU64ArrayCapacityBound(t *testing.T) {
 	t.Parallel()
-	a, err := unbounded.NewArray[uint64](100)
+	a, err := unbounded.NewHistory[uint64](16, 100)
 	if err != nil {
-		t.Fatalf("NewArray: %v", err)
+		t.Fatalf("NewHistory: %v", err)
 	}
-	if err := a.Store(a.Capacity(), 1); err == nil {
-		t.Fatal("store beyond capacity accepted")
+	if err := a.Store(a.Capacity(), 1); !errors.Is(err, unbounded.ErrCapacity) {
+		t.Fatalf("store beyond capacity: %v, want ErrCapacity", err)
 	}
 	if _, ok := a.Load(a.Capacity() + 5); ok {
 		t.Fatal("load beyond capacity reported written")
 	}
-	if _, err := unbounded.NewArray[uint64](-1); err == nil {
+	if _, err := unbounded.NewHistory[uint64](16, -1); err == nil {
 		t.Fatal("negative capacity accepted")
 	}
 }
 
-// TestU64ArrayStoreAllocationFree: after a slot's chunk exists, Store must
+// TestU64ArrayStoreAllocationFree: after a row's block exists, Store must
 // not allocate — this is what makes the uint64 write path of the register
 // allocation-free.
 func TestU64ArrayStoreAllocationFree(t *testing.T) {
-	a, err := unbounded.NewArray[uint64](0)
+	a, err := unbounded.NewHistory[uint64](16, 0)
 	if err != nil {
-		t.Fatalf("NewArray: %v", err)
+		t.Fatalf("NewHistory: %v", err)
 	}
-	if err := a.Store(0, 1); err != nil { // materialize chunk 0
+	if err := a.Store(0, 1); err != nil { // materialize block 0
 		t.Fatalf("Store: %v", err)
 	}
 	var i uint64
@@ -75,11 +76,11 @@ func TestU64ArrayStoreAllocationFree(t *testing.T) {
 
 func TestU64ArrayConcurrentSameValueStores(t *testing.T) {
 	t.Parallel()
-	a, err := unbounded.NewArray[uint64](0)
+	a, err := unbounded.NewHistory[uint64](16, 0)
 	if err != nil {
-		t.Fatalf("NewArray: %v", err)
+		t.Fatalf("NewHistory: %v", err)
 	}
-	// The register's usage: concurrent stores to one slot carry one value.
+	// The register's usage: concurrent stores to one row carry one value.
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -93,7 +94,7 @@ func TestU64ArrayConcurrentSameValueStores(t *testing.T) {
 	wg.Wait()
 	for i := uint64(0); i < 2000; i++ {
 		if v, ok := a.Load(i); !ok || v != i*3 {
-			t.Fatalf("slot %d = (%d, %t), want (%d, true)", i, v, ok, i*3)
+			t.Fatalf("row %d = (%d, %t), want (%d, true)", i, v, ok, i*3)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package unbounded_test
 
 import (
+	"errors"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -10,12 +11,12 @@ import (
 
 func TestArrayStoreLoad(t *testing.T) {
 	t.Parallel()
-	a, err := unbounded.NewArray[string](0)
+	a, err := unbounded.NewHistory[string](3, 0)
 	if err != nil {
-		t.Fatalf("NewArray: %v", err)
+		t.Fatalf("NewHistory: %v", err)
 	}
 	if _, ok := a.Load(0); ok {
-		t.Fatal("empty slot reported written")
+		t.Fatal("empty row reported written")
 	}
 	if err := a.Store(0, "x"); err != nil {
 		t.Fatalf("Store: %v", err)
@@ -23,7 +24,7 @@ func TestArrayStoreLoad(t *testing.T) {
 	if v, ok := a.Load(0); !ok || v != "x" {
 		t.Fatalf("Load = (%q, %t)", v, ok)
 	}
-	// Far index in a different chunk.
+	// Far row in a different block.
 	if err := a.Store(123456, "y"); err != nil {
 		t.Fatalf("Store far: %v", err)
 	}
@@ -32,22 +33,22 @@ func TestArrayStoreLoad(t *testing.T) {
 	}
 	// Neighbours untouched.
 	if _, ok := a.Load(123455); ok {
-		t.Fatal("neighbour slot reported written")
+		t.Fatal("neighbour row reported written")
 	}
 }
 
 func TestArrayCapacityBound(t *testing.T) {
 	t.Parallel()
-	a, err := unbounded.NewArray[int](100)
+	a, err := unbounded.NewHistory[int](16, 100)
 	if err != nil {
-		t.Fatalf("NewArray: %v", err)
+		t.Fatalf("NewHistory: %v", err)
 	}
 	capSlots := a.Capacity()
 	if err := a.Store(capSlots-1, 1); err != nil {
 		t.Fatalf("Store at capacity-1: %v", err)
 	}
-	if err := a.Store(capSlots, 1); err == nil {
-		t.Fatal("Store beyond capacity accepted")
+	if err := a.Store(capSlots, 1); !errors.Is(err, unbounded.ErrCapacity) {
+		t.Fatalf("Store beyond capacity: %v, want ErrCapacity", err)
 	}
 	if _, ok := a.Load(capSlots); ok {
 		t.Fatal("Load beyond capacity reported written")
@@ -56,16 +57,16 @@ func TestArrayCapacityBound(t *testing.T) {
 
 func TestArrayNegativeCapacity(t *testing.T) {
 	t.Parallel()
-	if _, err := unbounded.NewArray[int](-1); err == nil {
+	if _, err := unbounded.NewHistory[int](16, -1); err == nil {
 		t.Fatal("negative capacity accepted")
 	}
 }
 
 func TestArrayQuickSparse(t *testing.T) {
 	t.Parallel()
-	a, err := unbounded.NewArray[uint64](1 << 20)
+	a, err := unbounded.NewHistory[uint64](16, 1<<20)
 	if err != nil {
-		t.Fatalf("NewArray: %v", err)
+		t.Fatalf("NewHistory: %v", err)
 	}
 	written := make(map[uint64]uint64)
 	f := func(idx uint32, v uint64) bool {
@@ -82,16 +83,16 @@ func TestArrayQuickSparse(t *testing.T) {
 	}
 	for i, v := range written {
 		if got, ok := a.Load(i); !ok || got != v {
-			t.Fatalf("slot %d = (%d, %t), want %d", i, got, ok, v)
+			t.Fatalf("row %d = (%d, %t), want %d", i, got, ok, v)
 		}
 	}
 }
 
 func TestArrayConcurrentDistinctSlots(t *testing.T) {
 	t.Parallel()
-	a, err := unbounded.NewArray[int](0)
+	a, err := unbounded.NewHistory[int](16, 0)
 	if err != nil {
-		t.Fatalf("NewArray: %v", err)
+		t.Fatalf("NewHistory: %v", err)
 	}
 	const procs, per = 8, 500
 	var wg sync.WaitGroup
@@ -113,7 +114,7 @@ func TestArrayConcurrentDistinctSlots(t *testing.T) {
 	for p := 0; p < procs; p++ {
 		for i := 0; i < per; i++ {
 			if v, ok := a.Load(uint64(p*per + i)); !ok || v != p {
-				t.Fatalf("slot %d = (%d, %t), want %d", p*per+i, v, ok, p)
+				t.Fatalf("row %d = (%d, %t), want %d", p*per+i, v, ok, p)
 			}
 		}
 	}
@@ -121,18 +122,18 @@ func TestArrayConcurrentDistinctSlots(t *testing.T) {
 
 func TestBitTableSetRow(t *testing.T) {
 	t.Parallel()
-	b, err := unbounded.NewBitTable(0)
+	b, err := unbounded.NewHistory[uint64](8, 0)
 	if err != nil {
-		t.Fatalf("NewBitTable: %v", err)
+		t.Fatalf("NewHistory: %v", err)
 	}
 	if got := b.Row(7); got != 0 {
 		t.Fatalf("fresh row = %#x", got)
 	}
-	if err := b.Set(7, 3); err != nil {
-		t.Fatalf("Set: %v", err)
+	if err := b.Or(7, 1<<3); err != nil {
+		t.Fatalf("Or: %v", err)
 	}
-	if err := b.Set(7, 0); err != nil {
-		t.Fatalf("Set: %v", err)
+	if err := b.Or(7, 1<<0); err != nil {
+		t.Fatalf("Or: %v", err)
 	}
 	if got := b.Row(7); got != 0b1001 {
 		t.Fatalf("row = %#x, want 0b1001", got)
@@ -152,29 +153,33 @@ func TestBitTableSetRow(t *testing.T) {
 
 func TestBitTableValidation(t *testing.T) {
 	t.Parallel()
-	b, err := unbounded.NewBitTable(10)
+	b, err := unbounded.NewHistory[uint64](64, 10)
 	if err != nil {
-		t.Fatalf("NewBitTable: %v", err)
+		t.Fatalf("NewHistory: %v", err)
 	}
-	if err := b.Set(0, -1); err == nil {
-		t.Error("negative bit accepted")
+	// Reader bits index a row of width 64 here; a reader count outside
+	// [1, 64], which would need a bit beyond the row, is refused up front.
+	for _, m := range []int{-1, 0, 65} {
+		if _, err := unbounded.NewHistory[uint64](m, 10); err == nil {
+			t.Errorf("reader count %d accepted", m)
+		}
 	}
-	if err := b.Set(0, 64); err == nil {
-		t.Error("bit 64 accepted")
+	if err := b.Or(0, 1<<63); err != nil {
+		t.Errorf("bit 63 refused: %v", err)
 	}
-	if err := b.Set(b.Capacity(), 0); err == nil {
-		t.Error("row beyond capacity accepted")
+	if err := b.Or(b.Capacity(), 1); !errors.Is(err, unbounded.ErrCapacity) {
+		t.Errorf("row beyond capacity: %v, want ErrCapacity", err)
 	}
-	if _, err := unbounded.NewBitTable(-5); err == nil {
+	if _, err := unbounded.NewHistory[uint64](64, -5); err == nil {
 		t.Error("negative capacity accepted")
 	}
 }
 
 func TestBitTableConcurrentOrsMerge(t *testing.T) {
 	t.Parallel()
-	b, err := unbounded.NewBitTable(0)
+	b, err := unbounded.NewHistory[uint64](32, 0)
 	if err != nil {
-		t.Fatalf("NewBitTable: %v", err)
+		t.Fatalf("NewHistory: %v", err)
 	}
 	const procs = 32
 	var wg sync.WaitGroup
@@ -183,8 +188,8 @@ func TestBitTableConcurrentOrsMerge(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := b.Set(5, j); err != nil {
-				t.Errorf("Set(5, %d): %v", j, err)
+			if err := b.Or(5, 1<<j); err != nil {
+				t.Errorf("Or(5, 1<<%d): %v", j, err)
 			}
 		}()
 	}
@@ -196,14 +201,14 @@ func TestBitTableConcurrentOrsMerge(t *testing.T) {
 
 func TestBitTableQuickIdempotentMonotone(t *testing.T) {
 	t.Parallel()
-	b, err := unbounded.NewBitTable(1 << 16)
+	b, err := unbounded.NewHistory[uint64](64, 1<<16)
 	if err != nil {
-		t.Fatalf("NewBitTable: %v", err)
+		t.Fatalf("NewHistory: %v", err)
 	}
 	f := func(row uint16, bit uint8) bool {
 		j := int(bit) % 64
 		before := b.Row(uint64(row))
-		if err := b.Set(uint64(row), j); err != nil {
+		if err := b.Or(uint64(row), 1<<j); err != nil {
 			return false
 		}
 		after := b.Row(uint64(row))

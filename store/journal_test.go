@@ -360,3 +360,40 @@ func TestWriteAsyncSplitsDurabilityWait(t *testing.T) {
 		t.Fatalf("sync fallback did not record: %+v", got)
 	}
 }
+
+// TestJournalRecordsNothingPastCapacity: a write refused at the end of the
+// history took no effect, so a journaled store records nothing for it.
+func TestJournalRecordsNothingPastCapacity(t *testing.T) {
+	const capacity = 1024
+	for _, kind := range []Kind{Register, MaxRegister} {
+		j := &memJournal{}
+		st, err := New[uint64](auditreg.KeyFromSeed(11),
+			WithReaders[uint64](4),
+			WithLess[uint64](func(a, b uint64) bool { return a < b }),
+			WithCapacity[uint64](capacity),
+			WithJournal[uint64](j),
+		)
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		obj, err := st.Open("o", kind)
+		if err != nil {
+			t.Fatalf("%v: Open: %v", kind, err)
+		}
+		for v := uint64(1); v <= capacity; v++ {
+			if err := obj.Write(v); err != nil {
+				t.Fatalf("%v: write %d: %v", kind, v, err)
+			}
+		}
+		before := j.records()
+		if err := obj.Write(capacity + 1); !errors.Is(err, ErrCapacity) {
+			t.Fatalf("%v: write %d: %v, want ErrCapacity", kind, capacity+1, err)
+		}
+		if after := j.records(); len(after) != len(before) {
+			t.Fatalf("%v: the refused write recorded %v", kind, after[len(before):])
+		}
+		if last := before[len(before)-1]; last.Op != JournalWrite || last.Value != capacity {
+			t.Fatalf("%v: last record %+v, want the write of %d", kind, last, capacity)
+		}
+	}
+}

@@ -96,6 +96,9 @@ var (
 	// ErrNotJournaled reports an Open of an object kind a journaled store
 	// cannot make durable (Snapshot scans have no replayable fetch record).
 	ErrNotJournaled = errors.New("store: object kind cannot be journaled")
+	// ErrCapacity reports a write past the end of an object's audit
+	// history (see WithCapacity); nothing a read or an audit sees changed.
+	ErrCapacity = auditreg.ErrCapacity
 )
 
 // Store hosts named auditable objects of value type V. All methods are safe
@@ -161,7 +164,9 @@ func WithInitial[V comparable](v V) Option[V] {
 }
 
 // WithCapacity sets the default audit-history capacity per object (default
-// DefaultCapacity). Audits fail once an object outgrows its history.
+// DefaultCapacity), rounded up to a multiple of 1,024: an object takes that
+// many writes (a Snapshot, updates). The next is refused with ErrCapacity;
+// reads and audits carry on over the history the object holds.
 func WithCapacity[V comparable](n int) Option[V] {
 	return func(st *Store[V]) error {
 		if n < 1 {

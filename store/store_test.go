@@ -431,3 +431,76 @@ func TestSnapshotObjectAllocations(t *testing.T) {
 		t.Errorf("silent Scan allocates %.1f times, want <= 1 (the copy)", n)
 	}
 }
+
+// TestCapacityRefusesTheWritePastIt fills each kind's history: the write
+// after the last row is refused with ErrCapacity, a read still returns the
+// last value written, and a fresh audit is exactly the reads observed.
+func TestCapacityRefusesTheWritePastIt(t *testing.T) {
+	const capacity = 1024
+	for _, kind := range []store.Kind{store.Register, store.MaxRegister, store.Snapshot} {
+		t.Run(kind.String(), func(t *testing.T) {
+			st := newTestStore(t, store.WithCapacity[uint64](capacity))
+			obj, err := st.Open("o", kind, store.WithObjectComponents(2))
+			if err != nil {
+				t.Fatalf("Open: %v", err)
+			}
+			write := func(v uint64) error {
+				if kind == store.Snapshot {
+					return obj.UpdateAt(int(v%2), v)
+				}
+				return obj.Write(v)
+			}
+			observed := map[string]bool{}
+			read := func(j int) []uint64 {
+				t.Helper()
+				if kind == store.Snapshot {
+					view, err := obj.Scan(j)
+					if err != nil {
+						t.Fatalf("Scan(%d): %v", j, err)
+					}
+					observed[fmt.Sprint(j, view)] = true
+					return view
+				}
+				v, err := obj.Read(j)
+				if err != nil {
+					t.Fatalf("Read(%d): %v", j, err)
+				}
+				observed[fmt.Sprint(j, v)] = true
+				return []uint64{v}
+			}
+			for v := uint64(1); v <= capacity; v++ {
+				if err := write(v); err != nil {
+					t.Fatalf("write %d of %d: %v", v, capacity, err)
+				}
+				if v%100 == 0 {
+					read(int(v/100) % 8)
+				}
+			}
+			if err := write(capacity + 1); !errors.Is(err, store.ErrCapacity) {
+				t.Fatalf("write %d: %v, want ErrCapacity", capacity+1, err)
+			}
+			last := fmt.Sprint([]uint64{capacity})
+			if kind == store.Snapshot {
+				last = fmt.Sprint([]uint64{capacity, capacity - 1})
+			}
+			if got := fmt.Sprint(read(7)); got != last {
+				t.Fatalf("read after the refused write = %s, want %s", got, last)
+			}
+			read(3)
+			aud, err := obj.Audit()
+			if err != nil {
+				t.Fatalf("Audit: %v", err)
+			}
+			audited := map[string]bool{}
+			for _, e := range aud.Report.Entries() {
+				audited[fmt.Sprint(e.Reader, e.Value)] = true
+			}
+			for _, e := range aud.Views {
+				audited[fmt.Sprint(e.Reader, e.View)] = true
+			}
+			if aud.Len() != len(audited) || fmt.Sprint(audited) != fmt.Sprint(observed) {
+				t.Fatalf("audit %v (%d pairs), observed %v", audited, aud.Len(), observed)
+			}
+		})
+	}
+}
