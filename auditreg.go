@@ -163,8 +163,10 @@ type Less[V any] = maxreg.Less[V]
 type MaxRegisterOption[V comparable] = core.Option[V]
 
 // WithMaxCapacity is WithCapacity under the name max-register callers know.
-// A writeMax refused with ErrCapacity may already be in the substrate M,
-// which Peek reports; no read or audit ever does.
+// A full history refuses a writeMax before the substrate M sees it, so Peek
+// stays at the last value written. Only a writeMax that loses the last row
+// to a concurrent one can be refused with its value already in M, which
+// Peek then reports; no read or audit ever does.
 func WithMaxCapacity[V comparable](n int) MaxRegisterOption[V] { return core.WithCapacity[V](n) }
 
 // NewMaxRegister returns an auditable max register for m readers holding

@@ -96,17 +96,21 @@ func BenchmarkE1WriteUnderReadStorm(b *testing.B) {
 				if dc != nil {
 					sha0 = dc.Derivations()
 				}
+				maxIters := 0 // Lemma 2 bounds every write, not just the mean, by m+1
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
+					before := counter.Invokes[probe.RRead]
 					if err := cw.Write(uint64(i)); err != nil {
 						b.Fatal(err)
 					}
+					maxIters = max(maxIters, counter.Invokes[probe.RRead]-before)
 				}
 				b.StopTimer()
 				close(stop)
 				wg.Wait()
 				if b.N > 0 {
 					b.ReportMetric(float64(counter.Invokes[probe.RRead])/float64(b.N), "loop-iters/write")
+					b.ReportMetric(float64(maxIters), "max-loop-iters/write")
 					b.ReportMetric(float64(counter.Invokes[probe.RCAS])/float64(b.N), "cas/write")
 					if dc != nil {
 						b.ReportMetric(float64(dc.Derivations()-sha0)/float64(b.N), "sha/write")

@@ -220,7 +220,7 @@ func runCell(cfg cellConfig, t target, p plan) (res Result, err error) {
 	if err != nil {
 		return res, err
 	}
-	extra, stages, err := t.counters()
+	extra, err := t.counters()
 	if err != nil {
 		return res, err
 	}
@@ -255,7 +255,6 @@ func runCell(cfg cellConfig, t target, p plan) (res Result, err error) {
 		Name:    cfg.name,
 		Iters:   int64(totalOps),
 		Metrics: metrics,
-		Stages:  stages,
 	}, nil
 }
 

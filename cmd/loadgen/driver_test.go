@@ -71,8 +71,8 @@ func (f *fakeTarget) audit(obj int) (auditView, error) {
 	return view, nil
 }
 
-func (f *fakeTarget) counters() ([]any, map[string]StageLatency, error) {
-	return nil, nil, nil
+func (f *fakeTarget) counters() ([]any, error) {
+	return nil, nil
 }
 func (f *fakeTarget) close() error { return nil }
 

@@ -18,15 +18,10 @@ import (
 // daemonTuning carries the auditd tuning flags loadgen forwards to the
 // daemons it spawns (zero values: the daemon's defaults).
 type daemonTuning struct {
-	shards     int // execution shards (-shards)
-	walStripes int // WAL stripe groups (-wal-stripes)
-	shardQueue int // per-shard queue depth (-shard-queue)
-	// metricsAddr is the daemon's -metrics-addr and nodeID its -node-id. A
-	// restart reuses them: the restarted daemon re-listens on the same
-	// metrics port and the end-of-cell scrape works whichever process is
-	// alive.
-	metricsAddr string
-	nodeID      uint32
+	shards     int    // execution shards (-shards)
+	walStripes int    // WAL stripe groups (-wal-stripes)
+	shardQueue int    // per-shard queue depth (-shard-queue)
+	nodeID     uint32 // the daemon's -node-id; a restart reuses it
 }
 
 // fleet owns the auditd processes a spawning cell runs against: one for
@@ -71,9 +66,6 @@ func (f *fleet) add(dataDir string, seed uint64, tune daemonTuning) error {
 	}
 	if tune.shardQueue != 0 {
 		args = append(args, "-shard-queue", fmt.Sprint(tune.shardQueue))
-	}
-	if tune.metricsAddr != "" {
-		args = append(args, "-metrics-addr", tune.metricsAddr)
 	}
 	if tune.nodeID != 0 {
 		args = append(args, "-node-id", fmt.Sprint(tune.nodeID))

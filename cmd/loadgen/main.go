@@ -54,9 +54,7 @@
 //     and released after an honest restart. Chaos cells are phase-paced:
 //     the plan, not -ops, ends them.
 //
-// -metrics-url (or the spawned daemon's own endpoint in -durable mode) adds
-// the per-stage latency breakdown to the result. -cpuprofile/-memprofile
-// write driver-side pprof profiles.
+// -cpuprofile/-memprofile write driver-side pprof profiles.
 package main
 
 import (
@@ -103,7 +101,6 @@ func run(args []string) (code int) {
 	fs.Uint64Var(&base.seed, "seed", 1, "base seed for keys, nonces, and traffic")
 	out := fs.String("out", "", "write the cells' results as JSON to this file")
 	fs.StringVar(&m.remote, "remote", "", "drive a live auditd at this address instead of a local store (E13)")
-	fs.StringVar(&m.metricsURL, "metrics-url", "", "the remote daemon's metrics endpoint (http://host:port/metrics); scraped at cell end for the per-stage latency breakdown in -remote mode")
 	fs.IntVar(&m.conns, "conns", 4, "client connection pool size in -remote mode")
 	fs.BoolVar(&m.durable, "durable", false, "durability mode (E14/E16): spawn auditd with a data dir, kill -9 it mid-cell, restart, verify audit exactness")
 	fs.BoolVar(&m.cluster, "cluster", false, "dispersal-cluster mode (E19): spawn -cluster-n durable auditd nodes, kill -9 one mid-cell, restart it, verify merged audit exactness")
@@ -235,7 +232,7 @@ func (cfg cellConfig) readerCount() int {
 // mode is the flags that select what a cell runs against and which faults
 // it suffers.
 type mode struct {
-	remote, metricsURL string
+	remote             string
 	conns              int
 	durable            bool
 	cluster, chaos     bool
@@ -300,19 +297,14 @@ func (m mode) cell(cfg cellConfig) (Result, error) {
 		}
 	case m.durable:
 		cfg.name = "LoadgenDurable/" + grid
-		tune := m.tune
-		var err error
-		if tune.metricsAddr, err = freePort(); err != nil {
+		if err := fl.add(filepath.Join(m.dataDir, fmt.Sprintf("cell-o%d-g%d", cfg.objects, cfg.goroutines)), cfg.seed, m.tune); err != nil {
 			return Result{}, err
 		}
-		if err := fl.add(filepath.Join(m.dataDir, fmt.Sprintf("cell-o%d-g%d", cfg.objects, cfg.goroutines)), cfg.seed, tune); err != nil {
-			return Result{}, err
-		}
-		t = &nodeTarget{addr: fl.addrs()[0], conns: m.conns, tag: "e14", metricsURL: "http://" + tune.metricsAddr + "/metrics"}
+		t = &nodeTarget{addr: fl.addrs()[0], conns: m.conns, tag: "e14"}
 		p.run = killRestart(fl, 0, 0)
 	case m.remote != "":
 		cfg.name = "LoadgenRemote/" + grid
-		t = &nodeTarget{addr: m.remote, conns: m.conns, tag: "e13", metricsURL: m.metricsURL}
+		t = &nodeTarget{addr: m.remote, conns: m.conns, tag: "e13"}
 	default:
 		cfg.name = "Loadgen/" + grid
 		t = &localTarget{}

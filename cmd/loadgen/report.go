@@ -16,21 +16,6 @@ type Result struct {
 	Name    string             `json:"name"`
 	Iters   int64              `json:"iters"`
 	Metrics map[string]float64 `json:"metrics"`
-	// Stages, when present, attributes the cell's latency to pipeline
-	// stages: one entry per stage name (conn-decode, exec-queue-wait,
-	// store-op, wal-commit-wait, completion, conn-flush, wal-fsync,
-	// client-rtt), scraped from the daemon's metrics endpoint at cell end.
-	// Values are quantized bucket upper bounds in nanoseconds — the same
-	// aggregate-only numbers the endpoint serves.
-	Stages map[string]StageLatency `json:"stages,omitempty"`
-}
-
-// StageLatency is one pipeline stage's latency summary in a Result.
-type StageLatency struct {
-	P50Ns float64 `json:"p50_ns"`
-	P99Ns float64 `json:"p99_ns"`
-	MaxNs float64 `json:"max_ns"`
-	Count float64 `json:"count"`
 }
 
 // report is what -out writes: the environment the numbers were taken in plus

@@ -34,8 +34,8 @@ type target interface {
 	// observations against.
 	audit(obj int) (auditView, error)
 	// counters reports the target's own tallies as alternating metric key,
-	// value pairs, plus the per-stage latency breakdown where one exists.
-	counters() ([]any, map[string]StageLatency, error)
+	// value pairs.
+	counters() ([]any, error)
 	close() error
 }
 
@@ -155,8 +155,8 @@ func (t *localTarget) audit(obj int) (auditView, error) {
 	return auditView{charged: charged, nodes: 1}, nil
 }
 
-func (t *localTarget) counters() ([]any, map[string]StageLatency, error) {
-	return []any{"pool-audits", t.pool.Audited(), "pool-sweeps", t.pool.Sweeps()}, nil, nil
+func (t *localTarget) counters() ([]any, error) {
+	return []any{"pool-audits", t.pool.Audited(), "pool-sweeps", t.pool.Sweeps()}, nil
 }
 
 func (t *localTarget) close() error {
@@ -172,10 +172,9 @@ func (t *localTarget) close() error {
 // pool, and audit is a fresh audit over the wire, unmasked with the store
 // key derived from the shared -seed.
 type nodeTarget struct {
-	addr       string
-	conns      int
-	tag        string // object-name prefix, one per series
-	metricsURL string // the daemon's metrics endpoint; "" when it has none
+	addr  string
+	conns int
+	tag   string // object-name prefix, one per series
 
 	cl     *client.Client
 	objs   []*client.Object
@@ -239,14 +238,11 @@ func (t *nodeTarget) stats() (map[string]uint64, error) {
 	return m, nil
 }
 
-// counters reports what the cell added to the daemon's own counters, and
-// where the latency went: the daemon's per-stage histograms scraped off its
-// metrics endpoint, with the client's retry-inclusive RTT as one more stage —
-// the same trace, seen from both ends of the wire.
-func (t *nodeTarget) counters() ([]any, map[string]StageLatency, error) {
+// counters reports what the cell added to the daemon's own counters.
+func (t *nodeTarget) counters() ([]any, error) {
 	after, err := t.stats()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	// A long-lived daemon serves a whole grid, so counters are reported as
 	// growth since open — unless the daemon rebooted mid-cell (its uptime
@@ -272,18 +268,7 @@ func (t *nodeTarget) counters() ([]any, map[string]StageLatency, error) {
 	} {
 		out = append(out, "srv-"+name, after[name]-t.before[name])
 	}
-
-	stages := map[string]StageLatency{"client-rtt": rttStage(t.cl)}
-	if t.metricsURL != "" {
-		scraped, err := scrapeStages(t.metricsURL)
-		if err != nil {
-			return nil, nil, fmt.Errorf("scrape stages: %w", err)
-		}
-		for name, st := range scraped {
-			stages[name] = st
-		}
-	}
-	return out, stages, nil
+	return out, nil
 }
 
 func (t *nodeTarget) close() error {
@@ -413,9 +398,9 @@ func (t *clusterTarget) audit(obj int) (auditView, error) {
 	}, nil
 }
 
-func (t *clusterTarget) counters() ([]any, map[string]StageLatency, error) {
+func (t *clusterTarget) counters() ([]any, error) {
 	if err := t.check(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	ctr := t.cc.Counters()
 	return []any{
@@ -440,7 +425,7 @@ func (t *clusterTarget) counters() ([]any, map[string]StageLatency, error) {
 		"nodes", t.mem.N(),
 		"faults", t.mem.F,
 		"conns", t.conns,
-	}, nil, nil
+	}, nil
 }
 
 func (t *clusterTarget) close() error {

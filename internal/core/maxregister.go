@@ -187,6 +187,16 @@ func (w *MaxWriter[V]) WriteMax(val V) error {
 	// Line 23: append a fresh nonce.
 	v := Nonced[V]{Val: val, Nonce: w.nonces.Next()}
 
+	// A full history refuses a write that would need a row before M sees
+	// it, so Peek never reports a refused value. A plain load of R, not a
+	// step of the algorithm: a concurrent writeMax can still take the last
+	// row between this check and line 24 (DESIGN.md, "History capacity").
+	if t := reg.r.Load(); w.reg.lessNonced(nonced(t), v) {
+		if err := reg.hist.Room(t.Seq); err != nil {
+			return err
+		}
+	}
+
 	// Line 24: M.writeMax(v); sn <- SN.read() + 1.
 	if w.probe != nil {
 		w.probe.Emit(probe.Event{PID: w.pid, Kind: probe.Invoke, Prim: probe.MWrite})

@@ -105,12 +105,21 @@ func NewHistory[V any](m, capacity int) (*History[V], error) {
 // Capacity returns the number of addressable rows.
 func (h *History[V]) Capacity() uint64 { return uint64(len(h.dir)) * blockRows }
 
+// Room returns nil when row s is addressable, and otherwise the error
+// wrapping ErrCapacity that a Store or Or to s returns.
+func (h *History[V]) Room(s uint64) error {
+	if s>>blockBits < uint64(len(h.dir)) {
+		return nil
+	}
+	return fmt.Errorf("unbounded: row %d beyond capacity %d: %w", s, h.Capacity(), ErrCapacity)
+}
+
 // block returns the words of the block holding row s, allocating the block
 // on first use.
 func (h *History[V]) block(s uint64) ([]uint64, error) {
 	bi := s >> blockBits
 	if bi >= uint64(len(h.dir)) {
-		return nil, fmt.Errorf("unbounded: row %d beyond capacity %d: %w", s, h.Capacity(), ErrCapacity)
+		return nil, h.Room(s)
 	}
 	p := h.dir[bi].Load()
 	if p == nil {

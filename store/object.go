@@ -73,13 +73,7 @@ func (st *Store[V]) newObject(name string, kind Kind, cfg openConfig) (*Object[V
 			return nil, fmt.Errorf("store: open: name of %d bytes exceeds the journaled limit %d: %w", len(name), maxJournaledName, ErrNotJournaled)
 		}
 	}
-	var pads auditreg.PadSource
-	var err error
-	if st.keyedPads {
-		pads, err = auditreg.NewKeyedPads(st.objectKey(name), st.readers)
-	} else {
-		pads, err = auditreg.NewBlockPads(st.objectKey(name), st.readers)
-	}
+	pads, err := auditreg.NewBlockPads(st.objectKey(name), st.readers)
 	if err != nil {
 		return nil, err
 	}

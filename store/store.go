@@ -110,7 +110,6 @@ type Store[V comparable] struct {
 	components int
 	less       auditreg.Less[V]
 	initial    V
-	keyedPads  bool
 	nonces     func(id uint64) auditreg.NonceSource
 	journal    Journal[V]
 
@@ -185,16 +184,6 @@ func WithComponents[V comparable](n int) Option[V] {
 			return fmt.Errorf("store: components must be positive, got %d", n)
 		}
 		st.components = n
-		return nil
-	}
-}
-
-// WithKeyedPads switches objects from block-derived pads (the default; see
-// auditreg.NewBlockPads) to the one-digest-per-pad keyed source, for
-// cross-checking.
-func WithKeyedPads[V comparable]() Option[V] {
-	return func(st *Store[V]) error {
-		st.keyedPads = true
 		return nil
 	}
 }

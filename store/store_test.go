@@ -252,26 +252,6 @@ func TestPerObjectPadsAreIndependent(t *testing.T) {
 	}
 }
 
-func TestKeyedPadsCrossCheck(t *testing.T) {
-	st := newTestStore(t, store.WithKeyedPads[uint64]())
-	if _, err := st.Open("r", store.Register); err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	if err := st.Write("r", 5); err != nil {
-		t.Fatalf("Write: %v", err)
-	}
-	if v, err := st.Read("r", 0); err != nil || v != 5 {
-		t.Fatalf("Read = (%d, %v), want (5, nil)", v, err)
-	}
-	aud, err := st.Audit("r")
-	if err != nil {
-		t.Fatalf("Audit: %v", err)
-	}
-	if !aud.Report.Contains(0, 5) {
-		t.Errorf("audit %v misses (0, 5)", aud.Report)
-	}
-}
-
 func TestRange(t *testing.T) {
 	st := newTestStore(t)
 	want := map[string]bool{}
@@ -433,8 +413,9 @@ func TestSnapshotObjectAllocations(t *testing.T) {
 }
 
 // TestCapacityRefusesTheWritePastIt fills each kind's history: the write
-// after the last row is refused with ErrCapacity, a read still returns the
-// last value written, and a fresh audit is exactly the reads observed.
+// after the last row is refused with ErrCapacity and leaves no trace (a max
+// register's Peek included), a read still returns the last value written,
+// and a fresh audit is exactly the reads observed.
 func TestCapacityRefusesTheWritePastIt(t *testing.T) {
 	const capacity = 1024
 	for _, kind := range []store.Kind{store.Register, store.MaxRegister, store.Snapshot} {
@@ -478,6 +459,11 @@ func TestCapacityRefusesTheWritePastIt(t *testing.T) {
 			}
 			if err := write(capacity + 1); !errors.Is(err, store.ErrCapacity) {
 				t.Fatalf("write %d: %v, want ErrCapacity", capacity+1, err)
+			}
+			if kind == store.MaxRegister {
+				if v, err := obj.Peek(); err != nil || v != capacity {
+					t.Fatalf("Peek after the refused write = (%d, %v), want (%d, nil)", v, err, capacity)
+				}
 			}
 			last := fmt.Sprint([]uint64{capacity})
 			if kind == store.Snapshot {
