@@ -136,7 +136,8 @@ var ErrCapacity = unbounded.ErrCapacity
 
 // WithCapacity bounds the auditable history of a Register to n installed
 // writes, rounded up to a multiple of 1,024 (0: 16 Mi). The write after them
-// is refused with ErrCapacity.
+// is refused with ErrCapacity. Nothing is allocated for the bound: the
+// history allocates as its rows are written.
 func WithCapacity[V comparable](n int) RegisterOption[V] { return core.WithCapacity[V](n) }
 
 // MaxRegister is the auditable max register (Algorithm 2): Algorithm 1's
@@ -193,9 +194,10 @@ type ViewEntry[V comparable] = snapshot.ViewEntry[V]
 // SnapshotOption configures a Snapshot.
 type SnapshotOption[V comparable] = snapshot.AuditableOption[V]
 
-// WithSnapshotCapacity bounds a Snapshot's audit history to n updates,
-// rounded up to a multiple of 1,024; the next is refused with ErrCapacity
-// and no scan or audit sees it.
+// WithSnapshotCapacity bounds a Snapshot's audit history, and its log of
+// views with it, to n updates, rounded up to a multiple of 1,024; the next is
+// refused with ErrCapacity and no scan or audit sees it. Nothing is allocated
+// for the bound: history and log allocate as updates reach them.
 func WithSnapshotCapacity[V comparable](n int) SnapshotOption[V] {
 	return snapshot.WithSnapshotCapacity[V](n)
 }

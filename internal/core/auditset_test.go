@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"math/rand/v2"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -150,5 +151,93 @@ func checkAcrossChunks[V comparable](t *testing.T, val func(int) V) {
 	}
 	if ref := core.NewReport(want...); !rep.Equal(ref) || !once.Equal(ref) {
 		t.Fatalf("%T values: incremental audit has %d pairs, one-shot %d, reads made %d", val(0), rep.Len(), once.Len(), ref.Len())
+	}
+}
+
+// TestAuditRowsAtBlockEdges reads the history rows on either side of its block
+// edges — 512 and 1,024, where the half blocks end — through AuditRows, whose
+// cursor is made to stop on them, and through Rows from every edge row, word
+// values and boxed strings alike: every row must come back once, in order,
+// with its value and readers.
+func TestAuditRowsAtBlockEdges(t *testing.T) {
+	t.Parallel()
+	checkBlockEdges(t, func(i int) uint64 { return uint64(i) })
+	checkBlockEdges(t, strconv.Itoa)
+}
+
+func checkBlockEdges[V comparable](t *testing.T, val func(int) V) {
+	t.Helper()
+	type row struct {
+		val     V
+		readers uint64
+	}
+	edges := []int{511, 512, 513, 1023, 1024, 1025}
+	pads, err := otp.NewKeyedPads(otp.KeyFromSeed(6), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg, err := core.New(2, val(0), pads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rd, err := reg.Reader(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, live := reg.Writer(), reg.Auditor()
+	var got []row
+	emit := func(v V, readers uint64) { got = append(got, row{v, readers}) }
+	const writes = 1030
+	for i := 1; i <= writes; i++ {
+		if err := w.Write(val(i)); err != nil {
+			t.Fatal(err)
+		}
+		if slices.Contains(edges, i) {
+			rd.Read()
+			// The cursor lands on the edge row; the next audit starts there.
+			got = got[:0]
+			if err := live.AuditRows(emit); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// want[s] is row s: write s's value, read by reader 1 if s is an edge.
+	want := make([]row, writes+1)
+	for s := range want {
+		want[s].val = val(s)
+		if slices.Contains(edges, s) {
+			want[s].readers = 0b10
+		}
+	}
+	got = got[:0]
+	if err := live.AuditRows(emit); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, want[edges[len(edges)-1]:]) {
+		t.Fatalf("%T values: the last incremental audit emitted %v, want rows %d on", val(0), got, edges[len(edges)-1])
+	}
+	got = got[:0]
+	if err := reg.Auditor().AuditRows(emit); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("%T values: a one-shot audit emitted %d rows that differ from the history's %d", val(0), len(got), len(want))
+	}
+	for _, since := range append([]int{0, 510}, edges...) {
+		for _, limit := range []int{1, 2, 513, writes} {
+			got = got[:0]
+			next, more, err := live.Rows(uint64(since), limit, emit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			end := min(since+limit, writes)
+			wantRows := want[since:end]
+			if !more {
+				wantRows = want[since:]
+			}
+			if !slices.Equal(got, wantRows) || next != uint64(end) || more != (since+limit < writes+1) {
+				t.Fatalf("%T values: Rows(%d, %d) emitted %d rows, next %d, more %t; want %d rows, next %d", val(0), since, limit, len(got), next, more, len(wantRows), end)
+			}
+		}
 	}
 }

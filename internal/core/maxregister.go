@@ -172,6 +172,16 @@ type MaxWriter[V comparable] struct {
 	padc   otp.PadCache
 }
 
+// Room returns nil while R's sequence number has a history row, and otherwise
+// the error WriteMax returns for a value R does not dominate. It is the check
+// WriteMax makes before line 24, for a caller that must be refused before it
+// changes state of its own (Algorithm 3's update, before S): a plain load of
+// R, not a step of the algorithm.
+func (w *MaxWriter[V]) Room() error {
+	reg := w.reg.body
+	return reg.hist.Room(reg.r.Load().Seq)
+}
+
 // WriteMax raises the register to w if w exceeds the largest value written.
 // Wait-free (Lemma 28): after the value lands in M, (R.seq, R.val) can change
 // at most once before R.val dominates w, and then the retry loop is bounded

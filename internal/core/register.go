@@ -109,7 +109,8 @@ func WithSeqReg[V comparable](sn shmem.SeqReg) Option[V] {
 // WithCapacity bounds the register's audit history to n installed writes,
 // rounded up to a multiple of 1,024 (0: unbounded.DefaultCapacity). The next
 // write is refused before it changes R, with an error wrapping
-// unbounded.ErrCapacity; reads and audits carry on over the history.
+// unbounded.ErrCapacity; reads and audits carry on over the history. The
+// bound costs nothing up front: the history allocates as writes reach it.
 func WithCapacity[V comparable](n int) Option[V] {
 	return func(c *config[V]) { c.capacity = n }
 }

@@ -24,8 +24,9 @@ import (
 // component i is written through its Updater handle, by one goroutine at a
 // time.
 type Afek[V any] struct {
-	regs    []atomic.Pointer[afekCell[V]]
-	borrows atomic.Uint64 // scans that took the moved-twice path; read by tests only
+	regs      []atomic.Pointer[afekCell[V]]
+	borrows   atomic.Uint64 // scans that took the moved-twice path; read by tests only
+	collected func()        // called after each collect; set by tests only
 }
 
 type afekCell[V any] struct {
@@ -65,6 +66,9 @@ func (s *Afek[V]) Scan() []V {
 func (s *Afek[V]) collect(into []*afekCell[V]) {
 	for i := range s.regs {
 		into[i] = s.regs[i].Load()
+	}
+	if s.collected != nil {
+		s.collected()
 	}
 }
 

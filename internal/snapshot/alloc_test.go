@@ -1,6 +1,7 @@
 package snapshot_test
 
 import (
+	"runtime"
 	"testing"
 
 	"auditreg/internal/otp"
@@ -61,7 +62,7 @@ func TestAuditableSnapshotAllocations(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		update() // materialize M's first history chunk
+		update() // materialize M's first history block
 		if got := testing.AllocsPerRun(200, update); got > 3 {
 			t.Errorf("n=%d: Update allocated %v times per run, want <= 3 (cell, embedded view, stripped view)", n, got)
 		}
@@ -87,5 +88,29 @@ func TestAuditableSnapshotAllocations(t *testing.T) {
 		if got := testing.AllocsPerRun(200, func() { a.Audit() }); got != 0 {
 			t.Errorf("n=%d: idle Audit allocated %v times per run, want 0", n, got)
 		}
+	}
+}
+
+// TestAuditableCostsNothingUpFront: the capacity of a snapshot bounds its
+// history and its view log, it does not size them at creation. At the default
+// capacity an auditable snapshot allocates less than 8 KiB before its first
+// update.
+func TestAuditableCostsNothingUpFront(t *testing.T) {
+	pads, err := otp.NewKeyedPads(otp.KeyFromSeed(11), 2)
+	if err != nil {
+		t.Fatalf("NewKeyedPads: %v", err)
+	}
+	bytes := ^uint64(0)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := snapshot.NewAuditable(4, 2, uint64(0), pads); err != nil {
+			t.Fatalf("NewAuditable: %v", err)
+		}
+		runtime.ReadMemStats(&after)
+		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+	}
+	if bytes >= 8<<10 {
+		t.Fatalf("a default-capacity snapshot took %d bytes before its first update, want < 8 KiB", bytes)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"hash/maphash"
 	"math/bits"
-	"sync/atomic"
 	"unsafe"
 
 	"auditreg/internal/core"
@@ -46,26 +45,6 @@ type comp[V comparable] struct {
 	val V
 }
 
-// viewLog holds the views Algorithm 3 publishes, &data[0] of n components,
-// indexed by version number; M holds the number alone. A slot is set once, by
-// CAS from nil, before its vn reaches M. Two updaters whose scans returned
-// one vn saw one state of S (the sum of the tags grows by one per update), so
-// the CAS's loser loses nothing. Chunks are allocated on first use.
-type viewLog[V any] []atomic.Pointer[[logChunk]atomic.Pointer[V]]
-
-const logChunk = 1 << 10 // views a chunk of the log holds
-
-// slot returns vn's slot, allocating its chunk if it has none.
-func (l viewLog[V]) slot(vn uint64) (*atomic.Pointer[V], error) {
-	if vn/logChunk >= uint64(len(l)) {
-		return nil, fmt.Errorf("snapshot: version %d beyond the view log's capacity %d: %w", vn, len(l)*logChunk, unbounded.ErrCapacity)
-	}
-	if d := &l[vn/logChunk]; d.Load() == nil {
-		d.CompareAndSwap(nil, new([logChunk]atomic.Pointer[V]))
-	}
-	return &l[vn/logChunk].Load()[vn%logChunk], nil
-}
-
 // ViewEntry is one audited snapshot access: the scanner and the view it
 // effectively obtained.
 type ViewEntry[V comparable] struct {
@@ -85,12 +64,17 @@ type ViewEntry[V comparable] struct {
 //
 // Construct with NewAuditable.
 type Auditable[V comparable] struct {
-	n     int
-	m     int
-	s     Store[comp[V]]
-	mreg  *core.MaxRegister[uint64]
-	init  []V // the view of vn 0, outside the log: opening allocates no chunk
-	views viewLog[V]
+	n    int
+	m    int
+	s    Store[comp[V]]
+	mreg *core.MaxRegister[uint64]
+	init []V // the view of vn 0, outside the log: opening allocates no block
+	// views holds the views Algorithm 3 publishes, &data[0] of n
+	// components, by version number; M holds the number alone. A row is set
+	// once, by CAS from nil, before its vn reaches M. Two updaters whose scans
+	// returned one vn saw one state of S (the sum of the tags grows by one per
+	// update), so the CAS's loser loses nothing.
+	views *unbounded.Log[V]
 }
 
 // AuditableOption configures an auditable snapshot.
@@ -108,8 +92,9 @@ func WithLockedStore[V comparable]() AuditableOption[V] {
 }
 
 // WithSnapshotCapacity bounds the audit history of the underlying max
-// register: an update takes one row, and the one past the last row is
-// refused with an error wrapping unbounded.ErrCapacity.
+// register, and the view log with it: an update takes one row, and the one
+// past the last row is refused, before S sees it, with an error wrapping
+// unbounded.ErrCapacity. Neither history nor log is allocated up front.
 func WithSnapshotCapacity[V comparable](n int) AuditableOption[V] {
 	return func(c *auditableConfig[V]) { c.capacity = n }
 }
@@ -147,7 +132,7 @@ func NewAuditable[V comparable](n, m int, initial V, pads otp.PadSource, opts ..
 	// An update returns only past a raise of M made during it, and a raise falls
 	// within one update per component at most: vn <= n·(rows+1) until M overflows.
 	rows := unbounded.Slots(cfg.capacity)
-	return &Auditable[V]{n: n, m: m, s: store, mreg: mreg, init: initData, views: make(viewLog[V], n*(rows+1)/logChunk+1)}, nil
+	return &Auditable[V]{n: n, m: m, s: store, mreg: mreg, init: initData, views: unbounded.NewLog[V](n * (rows + 1))}, nil
 }
 
 // viewAt returns the view published under vn. M holds no vn whose view was
@@ -156,7 +141,7 @@ func (reg *Auditable[V]) viewAt(vn uint64) []V {
 	if vn == 0 {
 		return reg.init
 	}
-	return unsafe.Slice(reg.views[vn/logChunk].Load()[vn%logChunk].Load(), reg.n)
+	return unsafe.Slice(reg.views.Load(vn), reg.n)
 }
 
 // Components returns the number of components n.
@@ -172,7 +157,7 @@ type SnapUpdater[V comparable] struct {
 	sn    uint64
 	s     StoreUpdater[comp[V]]
 	sview []comp[V] // line 3's scan result; looked at, never published
-	views viewLog[V]
+	views *unbounded.Log[V]
 	mw    *core.MaxWriter[uint64]
 	pid   int
 	probe probe.Probe
@@ -208,6 +193,14 @@ func (u *SnapUpdater[V]) Component() int { return u.i }
 // tagged value in S, scan S, publish the view under its version number, and
 // raise M to that number (lines 2-5).
 func (u *SnapUpdater[V]) Update(v V) error {
+	// A full history refuses the update before S sees it: a refused update
+	// leaves S, and sn_i with it, as it was. A concurrent update can still
+	// take M's last row between this check and line 5 (DESIGN.md, "History
+	// capacity").
+	if err := u.mw.Room(); err != nil {
+		return err
+	}
+
 	// Line 2: sn_i++ ; S.update_i((sn_i, v)).
 	u.sn++
 	u.probe.Emit(probe.Event{PID: u.pid, Kind: probe.Invoke, Prim: probe.SUpdate})
@@ -223,9 +216,9 @@ func (u *SnapUpdater[V]) Update(v V) error {
 	for _, c := range u.sview {
 		vn += c.sn
 	}
-	slot, err := u.views.slot(vn)
-	if err != nil {
-		return err
+	slot := u.views.Slot(vn)
+	if slot == nil {
+		return fmt.Errorf("snapshot: version %d beyond the view log's capacity: %w", vn, unbounded.ErrCapacity)
 	}
 	// The stripped view is what scanners and auditors keep: the one thing
 	// this update allocates itself, unless another updater published vn.
@@ -248,12 +241,10 @@ func (u *SnapUpdater[V]) Update(v V) error {
 type SnapScanner[V comparable] struct {
 	mr    *core.Reader[uint64]
 	j     int
-	views viewLog[V]
-	// The version last read, its view and its log chunk: a silent scan
-	// skips the log, an effective one the directory until vn leaves chunk.
-	vn    uint64
-	view  []V
-	chunk *[logChunk]atomic.Pointer[V]
+	views *unbounded.Log[V]
+	// The version last read and its view: a silent scan skips the log.
+	vn   uint64
+	view []V
 }
 
 // Scanner returns the handle for scanner j (0 <= j < m). Not safe for
@@ -272,10 +263,7 @@ func (sc *SnapScanner[V]) Index() int { return sc.j }
 // Scan returns an atomic view of the snapshot.
 func (sc *SnapScanner[V]) Scan() []V {
 	if vn := sc.mr.Read(); vn != sc.vn {
-		if sc.chunk == nil || vn/logChunk != sc.vn/logChunk {
-			sc.chunk = sc.views[vn/logChunk].Load()
-		}
-		sc.vn, sc.view = vn, unsafe.Slice(sc.chunk[vn%logChunk].Load(), len(sc.view))
+		sc.vn, sc.view = vn, unsafe.Slice(sc.views.Load(vn), len(sc.view))
 	}
 	out := make([]V, len(sc.view))
 	copy(out, sc.view)

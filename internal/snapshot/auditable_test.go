@@ -1,6 +1,7 @@
 package snapshot_test
 
 import (
+	"errors"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -15,6 +16,7 @@ import (
 	"auditreg/internal/probe"
 	"auditreg/internal/snapshot"
 	"auditreg/internal/spec"
+	"auditreg/internal/unbounded"
 )
 
 func newAuditableSnap(t testing.TB, n, m int, initial uint64, opts ...snapshot.AuditableOption[uint64]) *snapshot.Auditable[uint64] {
@@ -534,6 +536,110 @@ func TestViewLogNeverOverflowsFirst(t *testing.T) {
 	for i, err := range errs {
 		if !strings.HasPrefix(err.Error(), "unbounded:") {
 			t.Errorf("updater %d: %v, want the history's overflow", i, err)
+		}
+	}
+}
+
+// TestRefusedUpdateLeavesSUntouched fills a snapshot's history: the update
+// past it is refused before S sees it, so S's component keeps the last
+// accepted value and tag, and a fresh handle resumes from that tag and is
+// refused the same way.
+func TestRefusedUpdateLeavesSUntouched(t *testing.T) {
+	t.Parallel()
+	reg := newAuditableSnap(t, 2, 2, 0, snapshot.WithSnapshotCapacity[uint64](1024))
+	u, err := reg.Updater(0, otp.NewSeededNonces(1, 0))
+	if err != nil {
+		t.Fatalf("Updater: %v", err)
+	}
+	var accepted uint64
+	for k := uint64(1); ; k++ {
+		err := u.Update(10 * k)
+		if err != nil {
+			if !errors.Is(err, unbounded.ErrCapacity) {
+				t.Fatalf("update %d: %v, want ErrCapacity", k, err)
+			}
+			break
+		}
+		if accepted = k; k > 4096 {
+			t.Fatal("a 1,024-row history took 4,096 updates")
+		}
+	}
+	check := func(when string) {
+		t.Helper()
+		if sn, val := snapshot.Component(reg, 0); sn != accepted || val != 10*accepted {
+			t.Fatalf("%s: S holds (sn %d, %d), want (sn %d, %d)", when, sn, val, accepted, 10*accepted)
+		}
+	}
+	check("after the refused update")
+	if sn := snapshot.UpdaterSeq(u); sn != accepted {
+		t.Fatalf("the refused handle's sn = %d, want %d", sn, accepted)
+	}
+	fresh, err := reg.Updater(0, otp.NewSeededNonces(2, 0))
+	if err != nil {
+		t.Fatalf("Updater: %v", err)
+	}
+	if sn := snapshot.UpdaterSeq(fresh); sn != accepted {
+		t.Fatalf("a fresh handle resumes at sn %d, want %d", sn, accepted)
+	}
+	if err := fresh.Update(1); !errors.Is(err, unbounded.ErrCapacity) {
+		t.Fatalf("update through a fresh handle: %v, want ErrCapacity", err)
+	}
+	check("after a fresh handle's refused update")
+	sc, err := reg.Scanner(0)
+	if err != nil {
+		t.Fatalf("Scanner: %v", err)
+	}
+	if got := sc.Scan(); !slices.Equal(got, []uint64{10 * accepted, 0}) {
+		t.Fatalf("scan = %v, want [%d 0]", got, 10*accepted)
+	}
+}
+
+// TestViewsAcrossLogBlockEdges publishes versions 1 to 1,030, across the view
+// log's block edges at 512 and 1,024: every version must resolve to its own
+// view, nothing past the last may be published, and scans at the edges must
+// be audited with exactly their views.
+func TestViewsAcrossLogBlockEdges(t *testing.T) {
+	t.Parallel()
+	reg := newAuditableSnap(t, 2, 1, 0)
+	u, err := reg.Updater(0, otp.NewSeededNonces(1, 0))
+	if err != nil {
+		t.Fatalf("Updater: %v", err)
+	}
+	sc, err := reg.Scanner(0)
+	if err != nil {
+		t.Fatalf("Scanner: %v", err)
+	}
+	const last = 1030
+	var scanned [][]uint64
+	for k := uint64(1); k <= last; k++ {
+		if err := u.Update(k); err != nil {
+			t.Fatalf("update %d: %v", k, err)
+		}
+		if slices.Contains([]uint64{511, 512, 513, 1023, 1024, 1025}, k) {
+			if v := sc.Scan(); !slices.Equal(v, []uint64{k, 0}) {
+				t.Fatalf("scan after update %d = %v", k, v)
+			}
+			scanned = append(scanned, []uint64{k, 0})
+		}
+	}
+	for vn := uint64(1); vn <= last; vn++ {
+		if v := snapshot.ViewAt(reg, vn); !slices.Equal(v, []uint64{vn, 0}) {
+			t.Fatalf("version %d resolves to %v", vn, v)
+		}
+	}
+	if snapshot.Published(reg, last+1) != nil {
+		t.Fatalf("version %d published before any update made it", last+1)
+	}
+	got, err := reg.Auditor().Audit()
+	if err != nil {
+		t.Fatalf("Audit: %v", err)
+	}
+	if len(got) != len(scanned) {
+		t.Fatalf("audit holds %d views, the scanner read %d", len(got), len(scanned))
+	}
+	for _, v := range scanned {
+		if !snapshot.ContainsView(got, 0, v) {
+			t.Fatalf("audit misses the scan of %v", v)
 		}
 	}
 }

@@ -9,6 +9,27 @@ func Borrows[V comparable](reg *Auditable[V]) uint64 {
 	return reg.s.(*Afek[comp[V]]).borrows.Load()
 }
 
+// OnCollect makes every scan of reg's Afek substrate call f after each of
+// its collects.
+func OnCollect[V comparable](reg *Auditable[V], f func()) {
+	reg.s.(*Afek[comp[V]]).collected = f
+}
+
+// Component returns component i of reg's substrate S: its tag sn_i and its
+// value.
+func Component[V comparable](reg *Auditable[V], i int) (sn uint64, val V) {
+	u, err := reg.s.Updater(i)
+	if err != nil {
+		panic(err)
+	}
+	view := make([]comp[V], reg.n)
+	u.ScanInto(view)
+	return view[i].sn, view[i].val
+}
+
+// UpdaterSeq returns the local sequence number sn_i of u.
+func UpdaterSeq[V comparable](u *SnapUpdater[V]) uint64 { return u.sn }
+
 // MHeld reports how many pairs and index slots the max register auditor
 // inside a keeps in a cumulative set of its own (core.Auditor's set field).
 func MHeld[V comparable](a *SnapAuditor[V]) (pairs, slots int) {
@@ -55,8 +76,5 @@ func AuditVersions[V comparable](reg *Auditable[V], emit func(vn uint64, view []
 
 // Published returns what reg's log holds under vn, nil if nothing.
 func Published[V comparable](reg *Auditable[V], vn uint64) *V {
-	if s, err := reg.views.slot(vn); err == nil {
-		return s.Load()
-	}
-	return nil
+	return reg.views.Load(vn)
 }

@@ -165,7 +165,9 @@ func WithInitial[V comparable](v V) Option[V] {
 // WithCapacity sets the default audit-history capacity per object (default
 // DefaultCapacity), rounded up to a multiple of 1,024: an object takes that
 // many writes (a Snapshot, updates). The next is refused with ErrCapacity;
-// reads and audits carry on over the history the object holds.
+// reads and audits carry on over the history the object holds. The capacity
+// is a bound, not a reservation: an object's history allocates as its rows
+// are written, a 512-row block first, whatever the capacity.
 func WithCapacity[V comparable](n int) Option[V] {
 	return func(st *Store[V]) error {
 		if n < 1 {
